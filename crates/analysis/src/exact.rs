@@ -30,6 +30,11 @@ use faultline_core::{Error, Geometry, Interval, Result};
 /// supremum contribute.
 pub const PRESSURE_EXPONENT: i32 = 32;
 
+/// Relative margin of the no-crossing certificate in
+/// [`interval_crossings`], far above the few ulps its own rounding
+/// costs.
+const CERTIFICATE_MARGIN: f64 = 1e-9;
+
 /// The result of an exact critical-point supremum scan over
 /// `[-xmax, -1] ∪ [1, xmax]` (plus the right-hand limits at `±xmax`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,13 +70,68 @@ struct SideScan {
     critical_points: usize,
 }
 
+impl SideScan {
+    /// An empty accumulator: no candidates, no uncovered intervals and
+    /// no critical points. With no trajectory past the window edge the
+    /// right-hand limit at `xmax` is unprobed, so the edge counts as
+    /// uncovered.
+    fn new(cover: Option<&WindowCover>) -> SideScan {
+        let mut side = SideScan {
+            best: None,
+            uncovered: 0,
+            uncovered_x: None,
+            interval_sups: Vec::with_capacity(cover.map_or(0, WindowCover::interval_count)),
+            critical_points: cover.map_or(0, |c| c.cuts().len()),
+        };
+        if let Some(cover) = cover.filter(|c| c.beyond().is_none()) {
+            side.mark_uncovered(cover.cuts()[cover.cuts().len() - 1]);
+        }
+        side
+    }
+
+    fn mark_uncovered(&mut self, x: f64) {
+        self.uncovered += 1;
+        if self.uncovered_x.is_none_or(|u| x < u) {
+            self.uncovered_x = Some(x);
+        }
+    }
+
+    /// Records one covered interval's supremum and its position.
+    fn record(&mut self, best: (f64, f64)) {
+        self.interval_sups.push(best.0);
+        let replace = match self.best {
+            None => true,
+            Some((br, bx)) => best.0 > br || (best.0 == br && prefer_argmax(best.1, bx)),
+        };
+        if replace {
+            self.best = Some(best);
+        }
+    }
+}
+
+/// The larger of two sides' suprema in signed coordinates (the
+/// negative side's position is mirrored back), with the deterministic
+/// tie-break; `(0, 0)` when neither side has one.
+fn best_of_sides(pos: Option<(f64, f64)>, neg: Option<(f64, f64)>) -> (f64, f64) {
+    match (pos, neg.map(|(r, x)| (r, -x))) {
+        (Some((pr, px)), Some((nr, nx))) => {
+            if nr > pr || (nr == pr && prefer_argmax(nx, px)) {
+                (nr, nx)
+            } else {
+                (pr, px)
+            }
+        }
+        (Some(p), None) => p,
+        (None, Some(n)) => n,
+        (None, None) => (0.0, 0.0),
+    }
+}
+
 fn merge_sides(pos: SideScan, neg: SideScan) -> ExactScan {
     let critical_points = pos.critical_points + neg.critical_points;
     let uncovered = pos.uncovered + neg.uncovered;
-    // Fold the mirrored side back to signed coordinates.
-    let neg_best = neg.best.map(|(r, x)| (r, -x));
-    let neg_uncovered_x = neg.uncovered_x.map(|x| -x);
     if uncovered > 0 {
+        let neg_uncovered_x = neg.uncovered_x.map(|x| -x);
         let argmax = match (pos.uncovered_x, neg_uncovered_x) {
             (Some(p), Some(n)) => {
                 if prefer_argmax(p, n) {
@@ -92,18 +152,7 @@ fn merge_sides(pos: SideScan, neg: SideScan) -> ExactScan {
             pressure: 1.0,
         };
     }
-    let (ratio, argmax) = match (pos.best, neg_best) {
-        (Some((pr, px)), Some((nr, nx))) => {
-            if nr > pr || (nr == pr && prefer_argmax(nx, px)) {
-                (nr, nx)
-            } else {
-                (pr, px)
-            }
-        }
-        (Some(p), None) => p,
-        (None, Some(n)) => n,
-        (None, None) => (0.0, 0.0),
-    };
+    let (ratio, argmax) = best_of_sides(pos.best, neg.best);
     let pressure = if ratio.is_finite() && ratio > 0.0 {
         let sups = pos.interval_sups.iter().chain(&neg.interval_sups);
         let count = pos.interval_sups.len() + neg.interval_sups.len();
@@ -120,7 +169,8 @@ fn merge_sides(pos: SideScan, neg: SideScan) -> ExactScan {
 }
 
 /// Max of `value(x) / x` over the candidate positions, with the
-/// deterministic tie-break (smaller `x` wins within a side).
+/// deterministic tie-break (smaller `x` wins within a side), so the
+/// result does not depend on the candidates' order.
 fn best_over_candidates(
     candidates: &[f64],
     mut value_at: impl FnMut(f64) -> Option<f64>,
@@ -141,7 +191,9 @@ fn best_over_candidates(
 }
 
 /// Pushes the pairwise crossings of `affines` that fall strictly
-/// inside `(lo, hi)` onto `candidates`.
+/// inside `(lo, hi)` onto `candidates`: every pair, divided once per
+/// interval. [`interval_crossings`] finds the same candidates for the
+/// worst-case scan with far fewer divisions.
 pub fn push_crossings(affines: &[Affine], lo: f64, hi: f64, candidates: &mut Vec<f64>) {
     for (i, a) in affines.iter().enumerate() {
         for b in &affines[i + 1..] {
@@ -154,35 +206,143 @@ pub fn push_crossings(affines: &[Affine], lo: f64, hi: f64, candidates: &mut Vec
     }
 }
 
+/// A crossing stage of the worst-case scan: appends to `out`, as
+/// `(interval, x)`, every pairwise crossing `x` of two affines of one
+/// in-window interval of a first-visit cover that holds at least `k`
+/// affines, where `x` falls strictly inside that interval.
+pub type CrossingStage = fn(&WindowCover, usize, &mut Vec<(u32, f64)>);
+
+/// Whether two affines are the same bit for bit.
+fn same_affine(a: &Affine, b: &Affine) -> bool {
+    a.slope.to_bits() == b.slope.to_bits() && a.intercept.to_bits() == b.intercept.to_bits()
+}
+
+/// The crossing stage behind [`exact_supremum`]: exactly the
+/// candidates that [`push_crossings`] yields on each interval the scan
+/// evaluates, found without dividing every pair on every interval.
+///
+/// `cover` must come from [`first_visit_cover`]: at most one affine
+/// per robot per interval, in robot order. A robot's *run* is a
+/// maximal stretch of consecutive in-window intervals on which it
+/// keeps the same affine bit for bit. Two steps:
+///
+/// 1. A whole-side certificate. Sort the runs' distinct intercepts. If
+///    every gap exceeds `hi · (max slope − min slope) · (1 + 1e-9)`,
+///    every computed crossing has magnitude at least the window edge
+///    `hi`, so none falls in any interval. This holds because `f64`
+///    subtraction and division round monotonically.
+/// 2. Otherwise, divide each pair of robots once per stretch on which
+///    both keep their runs' affines, and file the crossing in the one
+///    interval of that stretch that holds it, by binary search.
+pub fn interval_crossings(cover: &WindowCover, k: usize, out: &mut Vec<(u32, f64)>) {
+    let cuts = cover.cuts();
+    // In-window intervals are 0..window: the beyond interval is only
+    // evaluated at the window edge and never takes crossings.
+    let window = cuts.len() - 1;
+    let mut base = Vec::with_capacity(window + 1);
+    base.push(0);
+    for j in 0..window {
+        base.push(base[j] + cover.affines(j).len());
+    }
+    // Per in-window entry, in cover order: whether its run starts in
+    // its interval, and the last interval of its run.
+    let mut starts = vec![true; base[window]];
+    let mut ends = vec![0u32; base[window]];
+    for j in (0..window).rev() {
+        let (robots, affines) = (cover.robots(j), cover.affines(j));
+        debug_assert!(robots.windows(2).all(|w| w[0] < w[1]), "not a first-visit cover");
+        ends[base[j]..base[j + 1]].fill(j as u32);
+        if j + 1 == window {
+            continue;
+        }
+        let (later_robots, later_affines) = (cover.robots(j + 1), cover.affines(j + 1));
+        let mut q = 0;
+        for (p, &robot) in robots.iter().enumerate() {
+            while q < later_robots.len() && later_robots[q] < robot {
+                q += 1;
+            }
+            if q < later_robots.len()
+                && later_robots[q] == robot
+                && same_affine(&affines[p], &later_affines[q])
+            {
+                ends[base[j] + p] = ends[base[j + 1] + q];
+                starts[base[j + 1] + q] = false;
+            }
+        }
+    }
+    if no_crossing_certified(cover, &base, &starts) {
+        return;
+    }
+    for j in 0..window {
+        let affines = cover.affines(j);
+        let (starts, ends) = (&starts[base[j]..base[j + 1]], &ends[base[j]..base[j + 1]]);
+        for p in (0..affines.len()).filter(|&p| starts[p]) {
+            for q in 0..affines.len() {
+                // A pair whose runs both start here is divided once,
+                // with the later entry as `p`.
+                if q == p || (starts[q] && q < p) {
+                    continue;
+                }
+                let (a, b) = if p < q { (p, q) } else { (q, p) };
+                let Some(x) = affines[a].crossing(&affines[b]) else {
+                    continue;
+                };
+                let last = ends[p].min(ends[q]) as usize;
+                if !(x > cuts[j] && x < cuts[last + 1]) {
+                    continue;
+                }
+                // The first cut at or past x closes the interval that
+                // holds it, unless x sits on that cut.
+                let above = j + 1 + cuts[j + 1..=last + 1].partition_point(|&c| c < x);
+                let t = above - 1;
+                if x < cuts[above] && cover.affines(t).len() >= k {
+                    out.push((t as u32, x));
+                }
+            }
+        }
+    }
+}
+
+/// Step 1 of [`interval_crossings`]: whether no pairwise crossing of
+/// the in-window affines can fall inside the window. Only run starts
+/// are read, which cover every distinct affine.
+fn no_crossing_certified(cover: &WindowCover, base: &[usize], starts: &[bool]) -> bool {
+    let window = base.len() - 1;
+    let hi = cover.cuts()[window];
+    let mut intercepts = Vec::new();
+    let (mut min_slope, mut max_slope) = (f64::INFINITY, f64::NEG_INFINITY);
+    for j in 0..window {
+        for (a, &start) in cover.affines(j).iter().zip(&starts[base[j]..base[j + 1]]) {
+            if start {
+                intercepts.push(a.intercept);
+                min_slope = min_slope.min(a.slope);
+                max_slope = max_slope.max(a.slope);
+            }
+        }
+    }
+    intercepts.sort_unstable_by(f64::total_cmp);
+    // Equal intercepts cross at the origin, outside every interval.
+    intercepts.dedup();
+    let gap = hi * (max_slope - min_slope) * (1.0 + CERTIFICATE_MARGIN);
+    intercepts.windows(2).all(|w| w[1] - w[0] > gap)
+}
+
 /// Scans one side: the supremum of `T_k(x) / x` over `[1, xmax]`
 /// including the right-hand limit at `xmax` (the beyond-window
 /// interval evaluated at its lower endpoint).
-fn scan_side_worst_case(cover: &WindowCover, k: usize) -> SideScan {
-    let mut side = SideScan {
-        best: None,
-        uncovered: 0,
-        uncovered_x: None,
-        interval_sups: Vec::with_capacity(cover.intervals().len()),
-        critical_points: cover.cuts().len(),
-    };
-    let mark_uncovered = |side: &mut SideScan, x: f64| {
-        side.uncovered += 1;
-        if side.uncovered_x.is_none_or(|u| x < u) {
-            side.uncovered_x = Some(x);
-        }
-    };
-    if cover.beyond().is_none() {
-        // No trajectory reaches past the window: the right-hand limit
-        // at xmax is unprobed, so the window edge counts as uncovered.
-        let hi = cover.cuts()[cover.cuts().len() - 1];
-        mark_uncovered(&mut side, hi);
-    }
+fn scan_side_worst_case(cover: &WindowCover, k: usize, crossings: CrossingStage) -> SideScan {
+    let mut side = SideScan::new(Some(cover));
+    let mut filed = Vec::new();
+    crossings(cover, k, &mut filed);
+    filed.sort_unstable_by_key(|&(i, _)| i);
+    let mut filed = filed.into_iter().peekable();
     let mut candidates: Vec<f64> = Vec::new();
     let mut times: Vec<f64> = Vec::new();
-    for (i, affines) in cover.intervals().iter().enumerate() {
+    for i in 0..cover.interval_count() {
         let (lo, hi) = cover.interval_bounds(i);
+        let affines = cover.affines(i);
         if affines.len() < k {
-            mark_uncovered(&mut side, lo);
+            side.mark_uncovered(lo);
             continue;
         }
         candidates.clear();
@@ -192,25 +352,29 @@ fn scan_side_worst_case(cover: &WindowCover, k: usize) -> SideScan {
             // candidates; the beyond interval is only ever evaluated
             // at the window edge (the right-hand limit at xmax).
             candidates.push(hi);
-            push_crossings(affines, lo, hi, &mut candidates);
+            while let Some((_, x)) = filed.next_if(|&(j, _)| j as usize == i) {
+                candidates.push(x);
+            }
         }
         let best = best_over_candidates(&candidates, |x| {
             times.clear();
             times.extend(affines.iter().map(|a| a.eval(x)));
-            times.sort_by(f64::total_cmp);
-            Some(times[k - 1])
+            Some(*times.select_nth_unstable_by(k - 1, f64::total_cmp).1)
         })
         .expect("worst-case evaluation is total over covered intervals");
-        side.interval_sups.push(best.0);
-        let replace = match side.best {
-            None => true,
-            Some((br, bx)) => best.0 > br || (best.0 == br && prefer_argmax(best.1, bx)),
-        };
-        if replace {
-            side.best = Some(best);
-        }
+        side.record(best);
     }
     side
+}
+
+fn check_scan_args(k: usize, xmax: f64) -> Result<()> {
+    if k == 0 {
+        return Err(Error::domain("exact supremum needs a visit count k >= 1"));
+    }
+    if !(xmax > 1.0) || !xmax.is_finite() {
+        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
+    }
+    Ok(())
 }
 
 /// The exact supremum of `K(x) = T_k(x) / |x|` over
@@ -224,6 +388,49 @@ fn scan_side_worst_case(cover: &WindowCover, k: usize) -> SideScan {
 /// propagates enumeration failures.
 pub fn exact_supremum(fleet: &Fleet, k: usize, xmax: f64) -> Result<ExactScan> {
     exact_supremum_geometry(fleet, k, xmax, Geometry::Line)
+}
+
+/// [`exact_supremum`] together with the two first-visit covers it
+/// scans, the positive side's and then the mirrored negative side's,
+/// for callers that go on to examine the same intervals.
+///
+/// # Errors
+///
+/// As [`exact_supremum`].
+pub fn exact_supremum_covers(
+    fleet: &Fleet,
+    k: usize,
+    xmax: f64,
+) -> Result<(ExactScan, [WindowCover; 2])> {
+    check_scan_args(k, xmax)?;
+    let pos = first_visit_cover(fleet.trajectories(), 1.0, xmax)?;
+    let neg = first_visit_cover(&mirrored(fleet.trajectories())?, 1.0, xmax)?;
+    let scan = scan_covers(&pos, Some(&neg), k, interval_crossings)?;
+    Ok((scan, [pos, neg]))
+}
+
+/// The worst-case scan of prebuilt [`first_visit_cover`]s: `pos` over
+/// `[1, xmax]` and, when present, `neg` over the mirrored negative
+/// side, with `crossings` supplying the crossing candidates
+/// ([`interval_crossings`] in every production path).
+///
+/// # Errors
+///
+/// Rejects `k == 0`.
+pub fn scan_covers(
+    pos: &WindowCover,
+    neg: Option<&WindowCover>,
+    k: usize,
+    crossings: CrossingStage,
+) -> Result<ExactScan> {
+    if k == 0 {
+        return Err(Error::domain("exact supremum needs a visit count k >= 1"));
+    }
+    // The half-line has no negative side: an empty accumulator
+    // contributes no candidates, no uncovered intervals, and no
+    // critical points to the merge.
+    let neg = neg.map_or_else(|| SideScan::new(None), |c| scan_side_worst_case(c, k, crossings));
+    Ok(merge_sides(scan_side_worst_case(pos, k, crossings), neg))
 }
 
 /// Geometry-parametric variant of [`exact_supremum`]: on
@@ -241,28 +448,12 @@ pub fn exact_supremum_geometry(
     xmax: f64,
     geometry: Geometry,
 ) -> Result<ExactScan> {
-    if k == 0 {
-        return Err(Error::domain("exact supremum needs a visit count k >= 1"));
+    if geometry.has_negative_side() {
+        return Ok(exact_supremum_covers(fleet, k, xmax)?.0);
     }
-    if !(xmax > 1.0) || !xmax.is_finite() {
-        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
-    }
+    check_scan_args(k, xmax)?;
     let pos = first_visit_cover(fleet.trajectories(), 1.0, xmax)?;
-    let neg = if geometry.has_negative_side() {
-        scan_side_worst_case(&first_visit_cover(&mirrored(fleet.trajectories())?, 1.0, xmax)?, k)
-    } else {
-        // The half-line has no negative side: an empty accumulator
-        // contributes no candidates, no uncovered intervals, and no
-        // critical points to the merge.
-        SideScan {
-            best: None,
-            uncovered: 0,
-            uncovered_x: None,
-            interval_sups: Vec::new(),
-            critical_points: 0,
-        }
-    };
-    Ok(merge_sides(scan_side_worst_case(&pos, k), neg))
+    scan_covers(&pos, None, k, interval_crossings)
 }
 
 /// An [`ExactScan`] paired with a certified enclosure of its
@@ -350,12 +541,13 @@ fn scan_side_enclosure(cover: &WindowCover, k: usize) -> Result<(f64, f64)> {
     let mut points: Vec<f64> = Vec::new();
     let mut los: Vec<f64> = Vec::new();
     let mut his: Vec<f64> = Vec::new();
-    for (i, affines) in cover.intervals().iter().enumerate() {
+    for i in 0..cover.interval_count() {
         let (lo, hi) = cover.interval_bounds(i);
+        let affines = cover.affines(i);
         if affines.len() < k {
             return Err(uncovered());
         }
-        // Point candidates mirror scan_side_worst_case exactly.
+        // Point candidates: exactly those of scan_side_worst_case.
         points.clear();
         points.push(lo);
         if !cover.is_beyond(i) {
@@ -409,12 +601,10 @@ fn scan_side_enclosure(cover: &WindowCover, k: usize) -> Result<(f64, f64)> {
 /// Beyond [`exact_supremum`]'s validation, errors when the scan is
 /// uncovered: an unbounded supremum has no finite enclosure.
 pub fn exact_supremum_enclosed(fleet: &Fleet, k: usize, xmax: f64) -> Result<EnclosedScan> {
-    let scan = exact_supremum(fleet, k, xmax)?;
+    let (scan, [pos, neg]) = exact_supremum_covers(fleet, k, xmax)?;
     if scan.uncovered > 0 || !scan.ratio.is_finite() {
         return Err(Error::domain("cannot enclose an uncovered supremum: the ratio is unbounded"));
     }
-    let pos = first_visit_cover(fleet.trajectories(), 1.0, xmax)?;
-    let neg = first_visit_cover(&mirrored(fleet.trajectories())?, 1.0, xmax)?;
     let (plo, phi) = scan_side_enclosure(&pos, k)?;
     let (nlo, nhi) = scan_side_enclosure(&neg, k)?;
     let enclosure = Interval::new(plo.max(nlo), phi.max(nhi))?;
@@ -459,29 +649,14 @@ fn expected_value_at(
 /// Scans one side of the expected-cost supremum: candidates are the
 /// interval endpoints, pairwise crossings, and horizon crossings.
 fn scan_side_expected(cover: &WindowCover, p: f64, horizon: f64) -> SideScan {
-    let mut side = SideScan {
-        best: None,
-        uncovered: 0,
-        uncovered_x: None,
-        interval_sups: Vec::with_capacity(cover.intervals().len()),
-        critical_points: cover.cuts().len(),
-    };
-    let mark_uncovered = |side: &mut SideScan, x: f64| {
-        side.uncovered += 1;
-        if side.uncovered_x.is_none_or(|u| x < u) {
-            side.uncovered_x = Some(x);
-        }
-    };
-    if cover.beyond().is_none() {
-        let hi = cover.cuts()[cover.cuts().len() - 1];
-        mark_uncovered(&mut side, hi);
-    }
+    let mut side = SideScan::new(Some(cover));
     let mut candidates: Vec<f64> = Vec::new();
     let mut times: Vec<f64> = Vec::new();
-    for (i, affines) in cover.intervals().iter().enumerate() {
+    for i in 0..cover.interval_count() {
         let (lo, hi) = cover.interval_bounds(i);
+        let affines = cover.affines(i);
         if affines.is_empty() {
-            mark_uncovered(&mut side, lo);
+            side.mark_uncovered(lo);
             continue;
         }
         candidates.clear();
@@ -500,17 +675,8 @@ fn scan_side_expected(cover: &WindowCover, p: f64, horizon: f64) -> SideScan {
         match best_over_candidates(&candidates, |x| {
             expected_value_at(affines, x, p, horizon, &mut times)
         }) {
-            Some(best) => {
-                side.interval_sups.push(best.0);
-                let replace = match side.best {
-                    None => true,
-                    Some((br, bx)) => best.0 > br || (best.0 == br && prefer_argmax(best.1, bx)),
-                };
-                if replace {
-                    side.best = Some(best);
-                }
-            }
-            None => mark_uncovered(&mut side, lo),
+            Some(best) => side.record(best),
+            None => side.mark_uncovered(lo),
         }
     }
     side
@@ -538,27 +704,15 @@ pub fn exact_expected_supremum(fleet: &Fleet, p: f64, xmax: f64) -> Result<Exact
     let horizon = fleet.horizon();
     let pos = all_visit_cover(fleet.trajectories(), 1.0, xmax)?;
     let neg = all_visit_cover(&mirrored(fleet.trajectories())?, 1.0, xmax)?;
-    let merged =
-        merge_sides(scan_side_expected(&pos, p, horizon), scan_side_expected(&neg, p, horizon));
+    let (pos, neg) = (scan_side_expected(&pos, p, horizon), scan_side_expected(&neg, p, horizon));
+    let (pos_best, neg_best) = (pos.best, neg.best);
+    let merged = merge_sides(pos, neg);
     if merged.uncovered > 0 {
         // Expected cost truncates at the horizon, so even an
         // incomplete measurement reports the finite supremum over the
         // covered intervals (0 when nothing is covered), matching the
         // historical grid semantics.
-        let pos_scan = scan_side_expected(&pos, p, horizon);
-        let neg_scan = scan_side_expected(&neg, p, horizon);
-        let (ratio, argmax) = match (pos_scan.best, neg_scan.best.map(|(r, x)| (r, -x))) {
-            (Some((pr, px)), Some((nr, nx))) => {
-                if nr > pr || (nr == pr && prefer_argmax(nx, px)) {
-                    (nr, nx)
-                } else {
-                    (pr, px)
-                }
-            }
-            (Some(p), None) => p,
-            (None, Some(n)) => n,
-            (None, None) => (0.0, 0.0),
-        };
+        let (ratio, argmax) = best_of_sides(pos_best, neg_best);
         return Ok(ExactScan { ratio, argmax, ..merged });
     }
     Ok(merged)

@@ -388,12 +388,11 @@ pub fn measure_free_schedule_profile(
     if !(xmax > 1.0) || !xmax.is_finite() {
         return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
     }
-    let plans = schedule.plans();
     let pad = 1.0 + 2.0 * TURNING_POINT_EPS;
     let mut horizon = schedule.horizon_hint(xmax * pad).max(4.0 * xmax);
     let mut attempt = 0usize;
     loop {
-        let fleet = Fleet::from_plans(&plans, horizon)?;
+        let fleet = schedule.fleet(horizon)?;
         let scan = exact_supremum(&fleet, f + 1, xmax)?;
         if scan.uncovered == 0 || attempt >= 8 {
             let measured = MeasuredCr {
@@ -434,12 +433,11 @@ pub fn measure_free_schedule_profile_grid(
     if !(xmax > 1.0) || !xmax.is_finite() {
         return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
     }
-    let plans = schedule.plans();
     let pad = 1.0 + 2.0 * TURNING_POINT_EPS;
     let mut horizon = schedule.horizon_hint(xmax * pad).max(4.0 * xmax);
     let mut attempt = 0usize;
     loop {
-        let fleet = Fleet::from_plans(&plans, horizon)?;
+        let fleet = schedule.fleet(horizon)?;
         let mut targets = fleet_targets(&fleet, xmax, grid_points)?;
         for &x in extra_targets {
             let m = x.abs();
@@ -504,12 +502,11 @@ pub fn measure_free_schedule_expected_cr(
     if !(xmax > 1.0) || !xmax.is_finite() {
         return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
     }
-    let plans = schedule.plans();
     let pad = 1.0 + 2.0 * TURNING_POINT_EPS;
     let mut horizon = schedule.horizon_hint(xmax * pad).max(4.0 * xmax);
     let mut attempt = 0usize;
     loop {
-        let fleet = Fleet::from_plans(&plans, horizon)?;
+        let fleet = schedule.fleet(horizon)?;
         let scan = exact_expected_supremum(&fleet, detect_probability, xmax)?;
         if scan.uncovered == 0 || attempt >= 8 {
             return Ok(MeasuredCr {
@@ -540,12 +537,11 @@ pub fn measure_free_schedule_expected_cr_grid(
     if !(xmax > 1.0) || !xmax.is_finite() {
         return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
     }
-    let plans = schedule.plans();
     let pad = 1.0 + 2.0 * TURNING_POINT_EPS;
     let mut horizon = schedule.horizon_hint(xmax * pad).max(4.0 * xmax);
     let mut attempt = 0usize;
     loop {
-        let fleet = Fleet::from_plans(&plans, horizon)?;
+        let fleet = schedule.fleet(horizon)?;
         let targets = fleet_targets(&fleet, xmax, grid_points)?;
         let mut empirical = 0.0f64;
         let mut argmax = 0.0f64;

@@ -123,6 +123,10 @@ impl Affine {
 /// The exact piecewise-affine structure of a fleet's visit times over
 /// a positive window `[lo, hi]`, produced by [`first_visit_cover`] or
 /// [`all_visit_cover`].
+///
+/// Every interval's affines sit in one flat buffer, each tagged with
+/// the index of the trajectory that contributes it. Within an
+/// interval, entries run in robot order, and per robot in time order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowCover {
     /// Sorted, deduplicated critical points within `[lo, hi]`,
@@ -131,10 +135,14 @@ pub struct WindowCover {
     /// The smallest waypoint projection strictly beyond `hi`, if any
     /// robot's trajectory reaches past the window.
     beyond: Option<f64>,
-    /// `intervals[i]` holds the affines valid on the open interval
-    /// `(cuts[i], cuts[i+1])`; when `beyond` is present a final entry
-    /// covers `(hi, beyond)`.
-    intervals: Vec<Vec<Affine>>,
+    /// Interval `i`'s entries are `offsets[i]..offsets[i + 1]`, valid
+    /// on the open interval `(cuts[i], cuts[i+1])`; when `beyond` is
+    /// present a final interval covers `(hi, beyond)`.
+    offsets: Vec<usize>,
+    /// The visit-time affine of every entry.
+    affines: Vec<Affine>,
+    /// The index of the robot contributing every entry.
+    robots: Vec<u32>,
 }
 
 impl WindowCover {
@@ -151,10 +159,30 @@ impl WindowCover {
         self.beyond
     }
 
-    /// Per-interval affine sets (see the struct docs for the layout).
+    /// The number of intervals, the beyond-window interval included.
     #[must_use]
-    pub fn intervals(&self) -> &[Vec<Affine>] {
-        &self.intervals
+    pub fn interval_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The affines valid on interval `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+    #[must_use]
+    pub fn affines(&self, i: usize) -> &[Affine] {
+        &self.affines[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The robot contributing each of [`WindowCover::affines`]`(i)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+    #[must_use]
+    pub fn robots(&self, i: usize) -> &[u32] {
+        &self.robots[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Whether interval `i` is the beyond-window interval `(hi,
@@ -162,7 +190,7 @@ impl WindowCover {
     /// right-hand limit at the window edge).
     #[must_use]
     pub fn is_beyond(&self, i: usize) -> bool {
-        self.beyond.is_some() && i + 1 == self.intervals.len()
+        self.beyond.is_some() && i + 1 == self.interval_count()
     }
 
     /// The open bounds `(lo_i, hi_i)` of interval `i`.
@@ -178,6 +206,34 @@ impl WindowCover {
             (self.cuts[i], self.cuts[i + 1])
         }
     }
+
+    /// Lays robot-major `(interval, robot, affine)` entries out
+    /// interval-major: a stable counting sort by interval, so every
+    /// interval keeps the entries' generation order.
+    fn assemble(
+        cuts: Vec<f64>,
+        beyond: Option<f64>,
+        intervals: usize,
+        entries: &[(u32, u32, Affine)],
+    ) -> WindowCover {
+        let mut offsets = vec![0usize; intervals + 1];
+        for &(j, _, _) in entries {
+            offsets[j as usize + 1] += 1;
+        }
+        for j in 0..intervals {
+            offsets[j + 1] += offsets[j];
+        }
+        let mut slots = offsets.clone();
+        let mut affines = vec![Affine { slope: 0.0, intercept: 0.0 }; entries.len()];
+        let mut robots = vec![0u32; entries.len()];
+        for &(j, robot, affine) in entries {
+            let slot = &mut slots[j as usize];
+            affines[*slot] = affine;
+            robots[*slot] = robot;
+            *slot += 1;
+        }
+        WindowCover { cuts, beyond, offsets, affines, robots }
+    }
 }
 
 /// Collects the cut set and the extended interval boundary list for a
@@ -188,7 +244,9 @@ fn collect_cuts(
     lo: f64,
     hi: f64,
 ) -> (Vec<f64>, Option<f64>, Vec<f64>) {
-    let mut cuts = vec![lo, hi];
+    let waypoints: usize = trajectories.iter().map(|t| t.waypoints().len()).sum();
+    let mut cuts = Vec::with_capacity(waypoints + 2);
+    cuts.extend([lo, hi]);
     let mut beyond: Option<f64> = None;
     for traj in trajectories {
         for w in traj.waypoints() {
@@ -201,7 +259,8 @@ fn collect_cuts(
     }
     cuts.sort_by(f64::total_cmp);
     cuts.dedup();
-    let mut boundaries = cuts.clone();
+    let mut boundaries = Vec::with_capacity(cuts.len() + 1);
+    boundaries.extend_from_slice(&cuts);
     if let Some(b) = beyond {
         boundaries.push(b);
     }
@@ -232,6 +291,23 @@ fn covered_range(boundaries: &[f64], s_lo: f64, s_hi: f64) -> (usize, usize) {
     (start, end.saturating_sub(1))
 }
 
+/// The moving segments of `traj` in time order that fully cover at
+/// least one interval, as `(start, end, affine)`: the segment covers
+/// intervals `start..end` of `boundaries`.
+fn covering_segments<'a>(
+    traj: &'a PiecewiseTrajectory,
+    boundaries: &'a [f64],
+) -> impl Iterator<Item = (usize, usize, Affine)> + 'a {
+    traj.segments().filter_map(move |seg| {
+        if seg.a.x == seg.b.x {
+            return None; // stationary: never covers an open interval
+        }
+        let (s_lo, s_hi) = if seg.a.x < seg.b.x { (seg.a.x, seg.b.x) } else { (seg.b.x, seg.a.x) };
+        let (start, end) = covered_range(boundaries, s_lo, s_hi);
+        (start < end).then(|| (start, end, Affine::from_segment(seg.a, seg.b)))
+    })
+}
+
 /// First-unfilled lookup with path compression over the per-robot
 /// assignment pointers: `next[j]` points at the first interval index
 /// `>= j` not yet assigned a first-visit affine.
@@ -256,6 +332,11 @@ fn find_unfilled(next: &mut [u32], j: usize) -> usize {
 /// statistic of its affines, so an interval with fewer than `k`
 /// affines is not `k`-covered anywhere in its interior.
 ///
+/// Each interval holds at most one affine per robot, in robot order.
+/// A robot's first-visit affine depends only on its own trajectory, so
+/// restricting an interval's entries to a subset of robots yields
+/// exactly that sub-fleet's visit structure there.
+///
 /// # Errors
 ///
 /// Returns [`Error::Domain`] for an empty fleet or a window violating
@@ -268,134 +349,26 @@ pub fn first_visit_cover(
     validate_window(trajectories, lo, hi)?;
     let (cuts, beyond, boundaries) = collect_cuts(trajectories, lo, hi);
     let m = boundaries.len() - 1;
-    let mut intervals: Vec<Vec<Affine>> = vec![Vec::new(); m];
-    let mut next: Vec<u32> = Vec::with_capacity(m + 1);
-    for traj in trajectories {
-        next.clear();
-        next.extend(0..=m as u32); // identity: everything unfilled
-        for seg in traj.segments() {
-            if seg.a.x == seg.b.x {
-                continue; // stationary: never covers an open interval
-            }
-            let (s_lo, s_hi) =
-                if seg.a.x < seg.b.x { (seg.a.x, seg.b.x) } else { (seg.b.x, seg.a.x) };
-            let (start, last) = covered_range(&boundaries, s_lo, s_hi);
-            if start >= last {
-                continue;
-            }
-            let affine = Affine::from_segment(seg.a, seg.b);
-            let mut j = find_unfilled(&mut next, start);
-            while j < last {
-                intervals[j].push(affine);
-                next[j] = j as u32 + 1;
-                j = find_unfilled(&mut next, j + 1);
-            }
-        }
-    }
-    Ok(WindowCover { cuts, beyond, intervals })
-}
-
-/// A [`WindowCover`] whose affines carry the index of the robot that
-/// contributes them — the form the fault-space exploration engine
-/// needs to restrict an interval's visit structure to a fault mask's
-/// reliable sub-fleet without rebuilding covers per mask.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttributedCover {
-    /// Sorted, deduplicated critical points, window endpoints included
-    /// (identical to the unattributed cover's cuts).
-    cuts: Vec<f64>,
-    /// The smallest waypoint projection strictly beyond `hi`, if any.
-    beyond: Option<f64>,
-    /// `intervals[i]` holds `(robot, affine)` pairs valid on the open
-    /// interval `(cuts[i], cuts[i+1])`, in the same order as
-    /// [`first_visit_cover`] produces the bare affines.
-    intervals: Vec<Vec<(u32, Affine)>>,
-}
-
-impl AttributedCover {
-    /// The critical points within the window, endpoints included.
-    #[must_use]
-    pub fn cuts(&self) -> &[f64] {
-        &self.cuts
-    }
-
-    /// The first waypoint projection strictly beyond the window.
-    #[must_use]
-    pub fn beyond(&self) -> Option<f64> {
-        self.beyond
-    }
-
-    /// Per-interval `(robot, affine)` sets.
-    #[must_use]
-    pub fn intervals(&self) -> &[Vec<(u32, Affine)>] {
-        &self.intervals
-    }
-
-    /// Whether interval `i` is the beyond-window interval (see
-    /// [`WindowCover::is_beyond`]).
-    #[must_use]
-    pub fn is_beyond(&self, i: usize) -> bool {
-        self.beyond.is_some() && i + 1 == self.intervals.len()
-    }
-
-    /// The open bounds `(lo_i, hi_i)` of interval `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    #[must_use]
-    pub fn interval_bounds(&self, i: usize) -> (f64, f64) {
-        if self.is_beyond(i) {
-            (self.cuts[self.cuts.len() - 1], self.beyond.expect("beyond interval exists"))
-        } else {
-            (self.cuts[i], self.cuts[i + 1])
-        }
-    }
-}
-
-/// [`first_visit_cover`] with robot attribution: identical cuts,
-/// identical affine values in identical order, each tagged with the
-/// index of the contributing trajectory. Restricting an interval's
-/// affines to a subset of robots yields exactly the sub-fleet's visit
-/// structure there (a robot's first-visit affine depends only on its
-/// own trajectory).
-///
-/// # Errors
-///
-/// Same contract as [`first_visit_cover`].
-pub fn attributed_first_visit_cover(
-    trajectories: &[PiecewiseTrajectory],
-    lo: f64,
-    hi: f64,
-) -> Result<AttributedCover> {
-    validate_window(trajectories, lo, hi)?;
-    let (cuts, beyond, boundaries) = collect_cuts(trajectories, lo, hi);
-    let m = boundaries.len() - 1;
-    let mut intervals: Vec<Vec<(u32, Affine)>> = vec![Vec::new(); m];
+    let mut entries = Vec::with_capacity(trajectories.len() * m);
     let mut next: Vec<u32> = Vec::with_capacity(m + 1);
     for (robot, traj) in trajectories.iter().enumerate() {
         next.clear();
         next.extend(0..=m as u32); // identity: everything unfilled
-        for seg in traj.segments() {
-            if seg.a.x == seg.b.x {
-                continue; // stationary: never covers an open interval
-            }
-            let (s_lo, s_hi) =
-                if seg.a.x < seg.b.x { (seg.a.x, seg.b.x) } else { (seg.b.x, seg.a.x) };
-            let (start, last) = covered_range(&boundaries, s_lo, s_hi);
-            if start >= last {
-                continue;
-            }
-            let affine = Affine::from_segment(seg.a, seg.b);
+        let mut unfilled = m;
+        for (start, end, affine) in covering_segments(traj, &boundaries) {
             let mut j = find_unfilled(&mut next, start);
-            while j < last {
-                intervals[j].push((robot as u32, affine));
+            while j < end {
+                entries.push((j as u32, robot as u32, affine));
                 next[j] = j as u32 + 1;
+                unfilled -= 1;
                 j = find_unfilled(&mut next, j + 1);
+            }
+            if unfilled == 0 {
+                break; // later segments can no longer be first visits
             }
         }
     }
-    Ok(AttributedCover { cuts, beyond, intervals })
+    Ok(WindowCover::assemble(cuts, beyond, m, &entries))
 }
 
 /// Like [`first_visit_cover`], but collects *every* covering segment's
@@ -414,25 +387,13 @@ pub fn all_visit_cover(
     validate_window(trajectories, lo, hi)?;
     let (cuts, beyond, boundaries) = collect_cuts(trajectories, lo, hi);
     let m = boundaries.len() - 1;
-    let mut intervals: Vec<Vec<Affine>> = vec![Vec::new(); m];
-    for traj in trajectories {
-        for seg in traj.segments() {
-            if seg.a.x == seg.b.x {
-                continue;
-            }
-            let (s_lo, s_hi) =
-                if seg.a.x < seg.b.x { (seg.a.x, seg.b.x) } else { (seg.b.x, seg.a.x) };
-            let (start, last) = covered_range(&boundaries, s_lo, s_hi);
-            if start >= last {
-                continue;
-            }
-            let affine = Affine::from_segment(seg.a, seg.b);
-            for interval in intervals.iter_mut().take(last).skip(start) {
-                interval.push(affine);
-            }
+    let mut entries = Vec::new();
+    for (robot, traj) in trajectories.iter().enumerate() {
+        for (start, end, affine) in covering_segments(traj, &boundaries) {
+            entries.extend((start..end).map(|j| (j as u32, robot as u32, affine)));
         }
     }
-    Ok(WindowCover { cuts, beyond, intervals })
+    Ok(WindowCover::assemble(cuts, beyond, m, &entries))
 }
 
 /// Reflects trajectories across the origin (`x -> -x`), so the
@@ -502,17 +463,17 @@ mod tests {
         // Waypoint projections inside (1, 6): only +4.
         assert_eq!(cover.cuts(), &[1.0, 4.0, 6.0]);
         assert_eq!(cover.beyond(), None, "no waypoint beyond +6");
-        assert_eq!(cover.intervals().len(), 2);
+        assert_eq!(cover.interval_count(), 2);
         // (1, 4): first covered by the sweep -2 -> +4, t(x) = x + 6.
-        let a = cover.intervals()[0][0];
+        let a = cover.affines(0)[0];
         assert_eq!((a.slope, a.intercept), (1.0, 6.0));
         for x in [1.5, 2.0, 3.9] {
-            let exact = cover.intervals()[0][0].eval(x);
+            let exact = cover.affines(0)[0].eval(x);
             assert_eq!(Some(exact), t.first_visit(x), "x = {x}");
         }
         // (4, 6): the trajectory never exceeds +4, so the interval has
         // no covering affine — exactly how incomplete coverage shows.
-        assert!(cover.intervals()[1].is_empty());
+        assert!(cover.affines(1).is_empty());
         assert_eq!(t.first_visit(5.0), None);
     }
 
@@ -526,11 +487,11 @@ mod tests {
         let t = doubling_prefix();
         let cover = first_visit_cover(std::slice::from_ref(&t), 1.0, 6.0).unwrap();
         assert_eq!(t.first_visit(1.0), Some(1.0));
-        assert_eq!(cover.intervals()[0][0].eval(1.0), 7.0);
+        assert_eq!(cover.affines(0)[0].eval(1.0), 7.0);
         // At x = 4 (a turning waypoint reached on the way up) the
         // left-hand limit coincides with the pointwise visit, t = 10.
         assert_eq!(t.first_visit(4.0), Some(10.0));
-        assert_eq!(cover.intervals()[0][0].eval(4.0), 10.0);
+        assert_eq!(cover.affines(0)[0].eval(4.0), 10.0);
     }
 
     #[test]
@@ -539,13 +500,13 @@ mod tests {
         let cover = first_visit_cover(std::slice::from_ref(&t), 1.0, 3.0).unwrap();
         assert_eq!(cover.cuts(), &[1.0, 3.0]);
         assert_eq!(cover.beyond(), Some(4.0));
-        assert_eq!(cover.intervals().len(), 2);
+        assert_eq!(cover.interval_count(), 2);
         assert!(cover.is_beyond(1));
         assert!(!cover.is_beyond(0));
         assert_eq!(cover.interval_bounds(1), (3.0, 4.0));
         // Evaluated at the window edge: the right-hand limit of the
         // first visit at 3 is on the sweep -2 -> +4 (t = x + 6 = 9).
-        assert_eq!(cover.intervals()[1][0].eval(3.0), 9.0);
+        assert_eq!(cover.affines(1)[0].eval(3.0), 9.0);
     }
 
     #[test]
@@ -554,8 +515,8 @@ mod tests {
         // first-visit keeps only the earlier one per robot.
         let t = doubling_prefix();
         let cover = first_visit_cover(std::slice::from_ref(&t), 1.0, 2.0).unwrap();
-        assert_eq!(cover.intervals()[0].len(), 1);
-        assert_eq!(cover.intervals()[0][0].slope, 1.0);
+        assert_eq!(cover.affines(0).len(), 1);
+        assert_eq!(cover.affines(0)[0].slope, 1.0);
     }
 
     #[test]
@@ -564,8 +525,8 @@ mod tests {
         let cover = all_visit_cover(std::slice::from_ref(&t), 1.0, 2.0).unwrap();
         // (1, 2) is crossed by -2 -> +4 and by +4 -> -8 (and by the
         // initial 0 -> 1 sweep? no: its span [0, 1] stops at the cut).
-        assert_eq!(cover.intervals()[0].len(), 2);
-        let times: Vec<f64> = cover.intervals()[0].iter().map(|a| a.eval(1.5)).collect();
+        assert_eq!(cover.affines(0).len(), 2);
+        let times: Vec<f64> = cover.affines(0).iter().map(|a| a.eval(1.5)).collect();
         assert_eq!(times, t.visits(1.5));
     }
 
@@ -576,9 +537,9 @@ mod tests {
         let cover = first_visit_cover(&[a.clone(), b.clone()], 1.0, 6.0).unwrap();
         assert_eq!(cover.cuts(), &[1.0, 3.0, 4.0, 6.0]);
         // On (1, 3) both robots contribute a first-visit affine.
-        assert_eq!(cover.intervals()[0].len(), 2);
+        assert_eq!(cover.affines(0).len(), 2);
         for x in [1.5, 2.5] {
-            let mut exact: Vec<f64> = cover.intervals()[0].iter().map(|f| f.eval(x)).collect();
+            let mut exact: Vec<f64> = cover.affines(0).iter().map(|f| f.eval(x)).collect();
             exact.sort_by(f64::total_cmp);
             let mut pointwise = vec![a.first_visit(x).unwrap(), b.first_visit(x).unwrap()];
             pointwise.sort_by(f64::total_cmp);
@@ -586,9 +547,9 @@ mod tests {
         }
         // (3, 4) is reached only by the doubling robot's -2 -> +4
         // sweep; (4, 6) is beyond every excursion and stays empty.
-        assert_eq!(cover.intervals()[1].len(), 1);
-        assert_eq!((cover.intervals()[1][0].slope, cover.intervals()[1][0].intercept), (1.0, 6.0));
-        assert!(cover.intervals()[2].is_empty());
+        assert_eq!(cover.affines(1).len(), 1);
+        assert_eq!((cover.affines(1)[0].slope, cover.affines(1)[0].intercept), (1.0, 6.0));
+        assert!(cover.affines(2).is_empty());
     }
 
     #[test]
@@ -629,30 +590,26 @@ mod tests {
     }
 
     #[test]
-    fn attributed_cover_matches_the_bare_cover_with_robot_tags() {
+    fn first_visit_cover_tags_each_affine_with_its_robot() {
         let a = doubling_prefix();
         let b = TrajectoryBuilder::from_origin().sweep_to(3.0).sweep_to(-5.0).finish().unwrap();
         let fleet = [a, b];
-        let bare = first_visit_cover(&fleet, 1.0, 6.0).unwrap();
-        let tagged = attributed_first_visit_cover(&fleet, 1.0, 6.0).unwrap();
-        assert_eq!(tagged.cuts(), bare.cuts());
-        assert_eq!(tagged.beyond(), bare.beyond());
-        assert_eq!(tagged.intervals().len(), bare.intervals().len());
-        for (i, (bare_affines, tagged_affines)) in
-            bare.intervals().iter().zip(tagged.intervals()).enumerate()
-        {
-            let stripped: Vec<Affine> = tagged_affines.iter().map(|&(_, f)| f).collect();
-            assert_eq!(&stripped, bare_affines, "interval {i}");
-            for &(robot, _) in tagged_affines {
-                assert!((robot as usize) < fleet.len(), "interval {i}");
+        let cover = first_visit_cover(&fleet, 1.0, 6.0).unwrap();
+        for i in 0..cover.interval_count() {
+            assert_eq!(cover.robots(i).len(), cover.affines(i).len(), "interval {i}");
+            assert!(cover.robots(i).windows(2).all(|w| w[0] < w[1]), "interval {i}");
+            // A robot's tagged affine is its pointwise first visit.
+            let (lo, hi) = cover.interval_bounds(i);
+            let mid = 0.5 * (lo + hi);
+            for (robot, traj) in fleet.iter().enumerate() {
+                let tagged = cover.robots(i).iter().position(|&r| r as usize == robot);
+                let time = tagged.map(|e| cover.affines(i)[e].eval(mid));
+                assert_eq!(time, traj.first_visit(mid), "interval {i}, robot {robot}");
             }
-            assert_eq!(tagged.is_beyond(i), bare.is_beyond(i));
-            assert_eq!(tagged.interval_bounds(i), bare.interval_bounds(i));
         }
         // On (1, 3) robot 0's affine is the -2 -> +4 sweep and robot
         // 1's is the 0 -> +3 sweep: attribution is by index.
-        let first = &tagged.intervals()[0];
-        assert_eq!(first.iter().map(|&(r, _)| r).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(cover.robots(0), &[0, 1]);
     }
 
     #[test]
@@ -666,7 +623,7 @@ mod tests {
         let cover = first_visit_cover(std::slice::from_ref(&t), 1.0, 4.0).unwrap();
         assert_eq!(cover.cuts(), &[1.0, 2.0, 4.0]);
         // (2, 4) is covered only by the final sweep, not by the hold.
-        assert_eq!(cover.intervals()[1].len(), 1);
-        assert_eq!(cover.intervals()[1][0].eval(3.0), 11.0);
+        assert_eq!(cover.affines(1).len(), 1);
+        assert_eq!(cover.affines(1)[0].eval(3.0), 11.0);
     }
 }

@@ -19,6 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::coverage::Fleet;
 use crate::error::{Error, Result};
 use crate::plan::{check_horizon, TrajectoryPlan};
 use crate::schedule::ProportionalSchedule;
@@ -174,6 +175,56 @@ impl FreeRobot {
         }
         points
     }
+
+    /// The robot's trajectory up to `horizon`: the glide to the first
+    /// turn, unit-speed legs between turns, the last leg cut at
+    /// `horizon` (what [`FreePlan`] materializes).
+    ///
+    /// # Errors
+    ///
+    /// Rejects a non-finite or non-positive horizon.
+    pub fn materialize(&self, horizon: f64) -> Result<PiecewiseTrajectory> {
+        check_horizon(horizon)?;
+        // Room for the origin, every explicit turn and the cut point,
+        // which covers the horizons the optimizer measures at.
+        let mut waypoints = Vec::with_capacity(self.turns.len() + 2);
+        waypoints.push(SpaceTime::origin());
+
+        if horizon <= self.first_turn_time {
+            // Cut within the initial glide (speed turns[0] / first_turn_time).
+            let x = self.side * self.turns[0] * horizon / self.first_turn_time;
+            waypoints.push(SpaceTime::new(x, horizon));
+            return PiecewiseTrajectory::new(waypoints);
+        }
+
+        let mut current = SpaceTime::new(self.turn_position(0), self.first_turn_time);
+        waypoints.push(current);
+        let mut k = 1usize;
+        // Accumulate turn times incrementally: `turn_time(k)` is O(k),
+        // so calling it per turn would make materialization quadratic
+        // in the number of turns.
+        let mut t = self.first_turn_time;
+        let mut prev_magnitude = self.turn_magnitude(0);
+        loop {
+            let magnitude = self.turn_magnitude(k);
+            t += prev_magnitude + magnitude;
+            prev_magnitude = magnitude;
+            let next = SpaceTime::new(self.turn_position(k), t);
+            if next.t >= horizon {
+                // Cut the unit-speed sweep from `current` towards `next`.
+                if horizon > current.t {
+                    let direction = (next.x - current.x).signum();
+                    let x = current.x + direction * (horizon - current.t);
+                    waypoints.push(SpaceTime::new(x, horizon));
+                }
+                break;
+            }
+            waypoints.push(next);
+            current = next;
+            k += 1;
+        }
+        PiecewiseTrajectory::new(waypoints)
+    }
 }
 
 /// A plan materializing one [`FreeRobot`] — the free-schedule analogue
@@ -199,44 +250,7 @@ impl FreePlan {
 
 impl TrajectoryPlan for FreePlan {
     fn materialize(&self, horizon: f64) -> Result<PiecewiseTrajectory> {
-        check_horizon(horizon)?;
-        let r = &self.robot;
-        let mut waypoints = vec![SpaceTime::origin()];
-
-        if horizon <= r.first_turn_time {
-            // Cut within the initial glide (speed turns[0] / first_turn_time).
-            let x = r.side * r.turns[0] * horizon / r.first_turn_time;
-            waypoints.push(SpaceTime::new(x, horizon));
-            return PiecewiseTrajectory::new(waypoints);
-        }
-
-        let mut current = SpaceTime::new(r.turn_position(0), r.first_turn_time);
-        waypoints.push(current);
-        let mut k = 1usize;
-        // Accumulate turn times incrementally: `turn_time(k)` is O(k),
-        // so calling it per turn would make materialization quadratic
-        // in the number of turns.
-        let mut t = r.first_turn_time;
-        let mut prev_magnitude = r.turn_magnitude(0);
-        loop {
-            let magnitude = r.turn_magnitude(k);
-            t += prev_magnitude + magnitude;
-            prev_magnitude = magnitude;
-            let next = SpaceTime::new(r.turn_position(k), t);
-            if next.t >= horizon {
-                // Cut the unit-speed sweep from `current` towards `next`.
-                if horizon > current.t {
-                    let direction = (next.x - current.x).signum();
-                    let x = current.x + direction * (horizon - current.t);
-                    waypoints.push(SpaceTime::new(x, horizon));
-                }
-                break;
-            }
-            waypoints.push(next);
-            current = next;
-            k += 1;
-        }
-        PiecewiseTrajectory::new(waypoints)
+        self.robot.materialize(horizon)
     }
 
     fn label(&self) -> String {
@@ -321,6 +335,17 @@ impl FreeSchedule {
             .iter()
             .map(|r| Box::new(FreePlan::new(r.clone())) as Box<dyn TrajectoryPlan>)
             .collect()
+    }
+
+    /// Every robot materialized to `horizon`: the fleet
+    /// [`Fleet::from_plans`] builds from [`FreeSchedule::plans`],
+    /// without a boxed plan per robot.
+    ///
+    /// # Errors
+    ///
+    /// As [`FreeRobot::materialize`].
+    pub fn fleet(&self, horizon: f64) -> Result<Fleet> {
+        Fleet::new(self.robots.iter().map(|r| r.materialize(horizon)).collect::<Result<_>>()?)
     }
 
     /// A horizon heuristic guaranteed to reach magnitude `xmax` on both

@@ -14,8 +14,8 @@
 //!    of both window sides) are interchangeable, so masks are reduced
 //!    to per-group fault counts.
 //! 2. **Cover collapse** — classes inducing bit-identical reliable
-//!    [`faultline_core::exact::AttributedCover`]s merge (faulting a
-//!    robot that never enters the window is the empty mask).
+//!    [`faultline_core::exact::WindowCover`]s merge (faulting a robot
+//!    that never enters the window is the empty mask).
 //!
 //! # Dominance pruning
 //!
@@ -45,10 +45,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use faultline_analysis::exact::push_crossings;
-use faultline_analysis::exact_supremum;
+use faultline_analysis::exact::{exact_supremum_covers, push_crossings};
 use faultline_core::coverage::prefer_argmax;
-use faultline_core::exact::{attributed_first_visit_cover, mirrored, Affine};
+use faultline_core::exact::Affine;
 use faultline_core::{
     par_map_with, Algorithm, Error, Fleet, Interval, ParallelConfig, Params, Result,
 };
@@ -106,21 +105,23 @@ struct IntervalTable {
     rowmax: Vec<f64>,
 }
 
-/// Serial description of a table build job (Phase A input).
-struct TableJob {
+/// Serial description of a table build job (Phase A input): one
+/// interval of one side's first-visit cover.
+struct TableJob<'a> {
     sign: f64,
     lo: f64,
     hi: f64,
     is_beyond: bool,
-    rows: Vec<(u32, Affine)>,
+    robots: &'a [u32],
+    affines: &'a [Affine],
 }
 
-fn build_table(job: &TableJob) -> Result<IntervalTable> {
-    let affines: Vec<Affine> = job.rows.iter().map(|&(_, a)| a).collect();
+fn build_table(job: &TableJob<'_>) -> Result<IntervalTable> {
+    let affines = job.affines;
     let mut points = vec![job.lo];
     if !job.is_beyond {
         points.push(job.hi);
-        push_crossings(&affines, job.lo, job.hi, &mut points);
+        push_crossings(affines, job.lo, job.hi, &mut points);
     }
     // Certified ranges around the true crossings (upper bounds only;
     // mirrors the range logic of `exact_supremum_enclosed`).
@@ -149,7 +150,7 @@ fn build_table(job: &TableJob) -> Result<IntervalTable> {
     let mut rhi = Vec::with_capacity(affines.len());
     let mut range_hi = Vec::with_capacity(affines.len());
     let mut rowmax = Vec::with_capacity(affines.len());
-    for a in &affines {
+    for a in affines {
         let mut rr = Vec::with_capacity(points.len());
         let mut rl = Vec::with_capacity(points.len());
         let mut rh = Vec::with_capacity(points.len());
@@ -176,7 +177,7 @@ fn build_table(job: &TableJob) -> Result<IntervalTable> {
     }
     Ok(IntervalTable {
         sign: job.sign,
-        rows: job.rows.iter().map(|&(r, _)| r).collect(),
+        rows: job.robots.to_vec(),
         points,
         ratio,
         rlo,
@@ -340,10 +341,10 @@ struct Symmetry {
     visible: Vec<bool>,
 }
 
-fn group_robots(n: usize, jobs: &[TableJob]) -> Symmetry {
+fn group_robots(n: usize, jobs: &[TableJob<'_>]) -> Symmetry {
     let mut signatures: Vec<Vec<(u32, u64, u64)>> = vec![Vec::new(); n];
     for (t, job) in jobs.iter().enumerate() {
-        for &(robot, a) in &job.rows {
+        for (&robot, a) in job.robots.iter().zip(job.affines) {
             signatures[robot as usize].push((t as u32, a.slope.to_bits(), a.intercept.to_bits()));
         }
     }
@@ -353,10 +354,7 @@ fn group_robots(n: usize, jobs: &[TableJob]) -> Symmetry {
     }
     let mut members: Vec<Vec<u32>> = by_signature.values().cloned().collect();
     members.sort_by_key(|m| m[0]);
-    let visible = members
-        .iter()
-        .map(|m| !jobs.iter().all(|j| j.rows.iter().all(|&(r, _)| r != m[0])))
-        .collect();
+    let visible = members.iter().map(|m| jobs.iter().any(|j| j.robots.contains(&m[0]))).collect();
     Symmetry { members, visible }
 }
 
@@ -389,7 +387,7 @@ pub fn explore_fleet(
     }
     // The independent scan doubles as the coverage gate: uncovered
     // windows have an unbounded supremum and cannot be explored.
-    let exact = exact_supremum(fleet, f + 1, xmax)?;
+    let (exact, [pos, neg]) = exact_supremum_covers(fleet, f + 1, xmax)?;
     if exact.uncovered > 0 || !exact.ratio.is_finite() {
         return Err(Error::domain(format!(
             "the window [1, {xmax}] is not covered at fault budget {f}: \
@@ -397,14 +395,20 @@ pub fn explore_fleet(
         )));
     }
 
-    // Phase A: per-interval candidate and matrix builds, in parallel.
-    let pos = attributed_first_visit_cover(fleet.trajectories(), 1.0, xmax)?;
-    let neg = attributed_first_visit_cover(&mirrored(fleet.trajectories())?, 1.0, xmax)?;
-    let mut jobs: Vec<TableJob> = Vec::new();
+    // Phase A: per-interval candidate and matrix builds, in parallel,
+    // over the covers the gate scanned.
+    let mut jobs: Vec<TableJob<'_>> = Vec::new();
     for (sign, cover) in [(1.0, &pos), (-1.0, &neg)] {
-        for (i, rows) in cover.intervals().iter().enumerate() {
+        for i in 0..cover.interval_count() {
             let (lo, hi) = cover.interval_bounds(i);
-            jobs.push(TableJob { sign, lo, hi, is_beyond: cover.is_beyond(i), rows: rows.clone() });
+            jobs.push(TableJob {
+                sign,
+                lo,
+                hi,
+                is_beyond: cover.is_beyond(i),
+                robots: cover.robots(i),
+                affines: cover.affines(i),
+            });
         }
     }
     let tables: Vec<IntervalTable> =

@@ -8,7 +8,7 @@
 //! a caller-provided RNG stream in a fixed draw order, independent of
 //! which proposals are accepted).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 use faultline_core::numeric::golden_min;
 use faultline_core::{FreeRobot, FreeSchedule};
@@ -32,26 +32,70 @@ const TAIL_STRETCH: f64 = 32.0;
 /// Cap on `first_turn_time / turns[0]` (the initial glide slowdown).
 const MAX_GLIDE: f64 = 8.0;
 
-/// Builds a candidate schedule with robot `r`'s magnitude `k` set to
-/// `value` (adjusting the glide time when `k == 0` so unit speed is
-/// preserved). Returns `None` when the result fails validation.
-fn with_turn(schedule: &FreeSchedule, r: usize, k: usize, value: f64) -> Option<FreeSchedule> {
-    let mut robots = schedule.robots().to_vec();
-    let robot = &robots[r];
+/// Robot `robot` with magnitude `k` set to `value` (adjusting the
+/// glide time when `k == 0` so unit speed is preserved), or `None`
+/// when the result fails validation.
+fn with_turn(robot: &FreeRobot, k: usize, value: f64) -> Option<FreeRobot> {
     let mut turns = robot.turns.clone();
     turns[k] = value;
     let first_turn_time =
         if k == 0 { robot.first_turn_time.max(value) } else { robot.first_turn_time };
-    robots[r] = FreeRobot::new(robot.side, turns, first_turn_time).ok()?;
-    FreeSchedule::new(robots).ok()
+    FreeRobot::new(robot.side, turns, first_turn_time).ok()
 }
 
-/// Builds a candidate with robot `r`'s glide time set to `value`.
-fn with_glide(schedule: &FreeSchedule, r: usize, value: f64) -> Option<FreeSchedule> {
-    let mut robots = schedule.robots().to_vec();
-    let robot = &robots[r];
-    robots[r] = FreeRobot::new(robot.side, robot.turns.clone(), value).ok()?;
-    FreeSchedule::new(robots).ok()
+/// Robot `robot` with its glide time set to `value`.
+fn with_glide(robot: &FreeRobot, value: f64) -> Option<FreeRobot> {
+    FreeRobot::new(robot.side, robot.turns.clone(), value).ok()
+}
+
+/// The objective on `schedule` with robot `r` swapped for
+/// `candidate`. The schedule is restored before returning, and the
+/// candidate handed back with its value for the caller to keep.
+fn eval_swapped(
+    objective: &Objective,
+    schedule: &mut FreeSchedule,
+    r: usize,
+    candidate: FreeRobot,
+) -> (f64, FreeRobot) {
+    let incumbent = std::mem::replace(&mut schedule.robots_mut()[r], candidate);
+    let value = objective.eval(schedule);
+    (value, std::mem::replace(&mut schedule.robots_mut()[r], incumbent))
+}
+
+/// Line-searches one coordinate of robot `r` through `change` over
+/// `[lo, hi]`, then keeps the minimizer when it strictly improves on
+/// `cr`. Returns the number of objective evaluations performed.
+fn descend_coordinate(
+    objective: &Objective,
+    schedule: &mut FreeSchedule,
+    cr: &mut f64,
+    r: usize,
+    (lo, hi): (f64, f64),
+    change: impl Fn(&FreeRobot, f64) -> Option<FreeRobot>,
+) -> u64 {
+    let evals = Cell::new(0u64);
+    let working = RefCell::new(&mut *schedule);
+    let probe = |v: f64| {
+        evals.set(evals.get() + 1);
+        let mut working = working.borrow_mut();
+        match change(&working.robots()[r], v) {
+            Some(candidate) => eval_swapped(objective, &mut working, r, candidate).0,
+            None => PENALTY,
+        }
+    };
+    let Ok(best_v) = golden_min(probe, lo, hi, LINE_SEARCH_TOL, LINE_SEARCH_ITERS) else {
+        return evals.get();
+    };
+    let mut evals = evals.get();
+    if let Some(candidate) = change(&schedule.robots()[r], best_v) {
+        evals += 1;
+        let (value, candidate) = eval_swapped(objective, schedule, r, candidate);
+        if value < *cr - ACCEPT_MARGIN {
+            schedule.robots_mut()[r] = candidate;
+            *cr = value;
+        }
+    }
+    evals
 }
 
 /// The line-search bracket for robot `r`'s magnitude `k`, or `None`
@@ -80,51 +124,26 @@ pub fn coordinate_descent_sweep(
     schedule: &mut FreeSchedule,
     cr: &mut f64,
 ) -> u64 {
-    let evals = Cell::new(0u64);
+    let mut evals = 0u64;
     for r in 0..schedule.n() {
         let coords = schedule.robots()[r].turns.len();
         for k in 0..coords {
-            let Some((lo, hi)) = turn_bracket(&schedule.robots()[r], k) else {
+            let Some(bracket) = turn_bracket(&schedule.robots()[r], k) else {
                 continue;
             };
-            let probe = |v: f64| {
-                evals.set(evals.get() + 1);
-                with_turn(schedule, r, k, v).map_or(PENALTY, |s| objective.eval(&s))
-            };
-            let Ok(best_v) = golden_min(probe, lo, hi, LINE_SEARCH_TOL, LINE_SEARCH_ITERS) else {
-                continue;
-            };
-            if let Some(candidate) = with_turn(schedule, r, k, best_v) {
-                evals.set(evals.get() + 1);
-                let value = objective.eval(&candidate);
-                if value < *cr - ACCEPT_MARGIN {
-                    *schedule = candidate;
-                    *cr = value;
-                }
-            }
+            evals += descend_coordinate(objective, schedule, cr, r, bracket, |robot, v| {
+                with_turn(robot, k, v)
+            });
         }
         // The glide coordinate: how long the robot dawdles before its
         // first turn (Definition 4's slow initial leg, generalized).
         let first = schedule.robots()[r].turns[0];
         let (lo, hi) = (first, first * MAX_GLIDE);
         if lo < hi {
-            let probe = |v: f64| {
-                evals.set(evals.get() + 1);
-                with_glide(schedule, r, v).map_or(PENALTY, |s| objective.eval(&s))
-            };
-            if let Ok(best_v) = golden_min(probe, lo, hi, LINE_SEARCH_TOL, LINE_SEARCH_ITERS) {
-                if let Some(candidate) = with_glide(schedule, r, best_v) {
-                    evals.set(evals.get() + 1);
-                    let value = objective.eval(&candidate);
-                    if value < *cr - ACCEPT_MARGIN {
-                        *schedule = candidate;
-                        *cr = value;
-                    }
-                }
-            }
+            evals += descend_coordinate(objective, schedule, cr, r, (lo, hi), with_glide);
         }
     }
-    evals.get()
+    evals
 }
 
 /// Applies one multiplicative log-space perturbation to robot `r`,
@@ -149,7 +168,7 @@ pub fn perturb_robot(robot: &FreeRobot, sigma: f64, rng: &mut StdRng) -> Option<
     let glide =
         (1.0 + (glide - 1.0) * (sigma * rng.random_range(-1.0..=1.0)).exp()).clamp(1.0, MAX_GLIDE);
     let side = if rng.random_bool(0.1) { -robot.side } else { robot.side };
-    FreeRobot::new(side, turns.clone(), glide * first).ok()
+    FreeRobot::new(side, turns, glide * first).ok()
 }
 
 /// One annealing sweep: `steps` greedy perturbation proposals at step
@@ -169,15 +188,10 @@ pub fn anneal_sweep(
         let Some(robot) = perturb_robot(&schedule.robots()[r], sigma, rng) else {
             continue;
         };
-        let mut robots = schedule.robots().to_vec();
-        robots[r] = robot;
-        let Ok(candidate) = FreeSchedule::new(robots) else {
-            continue;
-        };
         evals += 1;
-        let value = objective.eval(&candidate);
+        let (value, robot) = eval_swapped(objective, schedule, r, robot);
         if value < *cr - ACCEPT_MARGIN {
-            *schedule = candidate;
+            schedule.robots_mut()[r] = robot;
             *cr = value;
         }
     }
