@@ -23,7 +23,7 @@
 
 use faultline_core::coverage::{prefer_argmax, Fleet};
 use faultline_core::exact::{all_visit_cover, first_visit_cover, mirrored, Affine, WindowCover};
-use faultline_core::{Error, Geometry, Interval, Result};
+use faultline_core::{Error, Geometry, Interval, PiecewiseTrajectory, Result};
 
 /// Exponent of the pressure's generalized mean: high enough that only
 /// interval suprema within a fraction of a percent of the global
@@ -168,24 +168,28 @@ fn merge_sides(pos: SideScan, neg: SideScan) -> ExactScan {
     ExactScan { ratio, argmax, uncovered, critical_points, pressure }
 }
 
-/// Max of `value(x) / x` over the candidate positions, with the
-/// deterministic tie-break (smaller `x` wins within a side), so the
-/// result does not depend on the candidates' order.
+/// Offers the candidate `value / x` at `x` to a running maximum, with
+/// the deterministic tie-break (smaller `x` wins within a side), so the
+/// result does not depend on the order candidates are offered in.
+fn offer(best: &mut Option<(f64, f64)>, x: f64, value: f64) {
+    let r = value / x;
+    let replace = match *best {
+        None => true,
+        Some((br, bx)) => r > br || (r == br && prefer_argmax(x, bx)),
+    };
+    if replace {
+        *best = Some((r, x));
+    }
+}
+
+/// Max of `value(x) / x` over the candidate positions (see [`offer`]).
 fn best_over_candidates(
     candidates: &[f64],
     mut value_at: impl FnMut(f64) -> Option<f64>,
 ) -> Option<(f64, f64)> {
     let mut best: Option<(f64, f64)> = None;
     for &x in candidates {
-        let v = value_at(x)?;
-        let r = v / x;
-        let replace = match best {
-            None => true,
-            Some((br, bx)) => r > br || (r == br && prefer_argmax(x, bx)),
-        };
-        if replace {
-            best = Some((r, x));
-        }
+        offer(&mut best, x, value_at(x)?);
     }
     best
 }
@@ -327,9 +331,10 @@ fn no_crossing_certified(cover: &WindowCover, base: &[usize], starts: &[bool]) -
     intercepts.windows(2).all(|w| w[1] - w[0] > gap)
 }
 
-/// Scans one side: the supremum of `T_k(x) / x` over `[1, xmax]`
-/// including the right-hand limit at `xmax` (the beyond-window
-/// interval evaluated at its lower endpoint).
+/// The reference scan of one side: the supremum of `T_k(x) / x` over
+/// `[1, xmax]` including the right-hand limit at `xmax` (the
+/// beyond-window interval evaluated at its lower endpoint), every
+/// candidate's k-th time selected from all of its interval's affines.
 fn scan_side_worst_case(cover: &WindowCover, k: usize, crossings: CrossingStage) -> SideScan {
     let mut side = SideScan::new(Some(cover));
     let mut filed = Vec::new();
@@ -402,17 +407,19 @@ pub fn exact_supremum_covers(
     k: usize,
     xmax: f64,
 ) -> Result<(ExactScan, [WindowCover; 2])> {
-    check_scan_args(k, xmax)?;
-    let pos = first_visit_cover(fleet.trajectories(), 1.0, xmax)?;
-    let neg = first_visit_cover(&mirrored(fleet.trajectories())?, 1.0, xmax)?;
-    let scan = scan_covers(&pos, Some(&neg), k, interval_crossings)?;
-    Ok((scan, [pos, neg]))
+    let fleet_scan = FleetScan::new(fleet.trajectories(), k, xmax, Geometry::Line)?;
+    let scan = fleet_scan.scan();
+    let FleetScan { pos, neg, .. } = fleet_scan;
+    let neg = neg.expect("the line has a negative side");
+    Ok((scan, [pos.cover, neg.cover]))
 }
 
-/// The worst-case scan of prebuilt [`first_visit_cover`]s: `pos` over
-/// `[1, xmax]` and, when present, `neg` over the mirrored negative
-/// side, with `crossings` supplying the crossing candidates
-/// ([`interval_crossings`] in every production path).
+/// The test reference for the worst-case scan: `pos` over `[1, xmax]`
+/// and, when present, `neg` over the mirrored negative side, scanned
+/// from prebuilt [`first_visit_cover`]s with `crossings` supplying the
+/// crossing candidates ([`push_crossings`] per interval, or
+/// [`interval_crossings`]). Production scans run through
+/// [`FleetScan`], which must match it bit for bit.
 ///
 /// # Errors
 ///
@@ -448,12 +455,297 @@ pub fn exact_supremum_geometry(
     xmax: f64,
     geometry: Geometry,
 ) -> Result<ExactScan> {
-    if geometry.has_negative_side() {
-        return Ok(exact_supremum_covers(fleet, k, xmax)?.0);
+    Ok(FleetScan::new(fleet.trajectories(), k, xmax, geometry)?.scan())
+}
+
+/// A candidate point of one interval of a [`FleetScan`] side: its
+/// position and the fleet's `(k-1)`-th and `k`-th smallest visit times
+/// there, from the interval's affines. A count that runs out reads
+/// `+inf`; the 0-th smallest is `-inf`.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    x: f64,
+    below: f64,
+    kth: f64,
+}
+
+impl Probe {
+    /// The `k`-th smallest visit time once one more robot, visiting at
+    /// `t`, joins: `max(below, min(t, kth))` in the total order, which
+    /// is the element `select_nth_unstable_by(k - 1)` picks from the
+    /// joint times.
+    fn kth_with(&self, t: f64) -> f64 {
+        let upper = if t.total_cmp(&self.kth).is_lt() { t } else { self.kth };
+        if self.below.total_cmp(&upper).is_gt() {
+            self.below
+        } else {
+            upper
+        }
     }
-    check_scan_args(k, xmax)?;
-    let pos = first_visit_cover(fleet.trajectories(), 1.0, xmax)?;
-    scan_covers(&pos, None, k, interval_crossings)
+}
+
+/// Evaluates `affines` at `x` into `times` and returns the `(k-1)`-th
+/// and `k`-th smallest as a [`Probe`].
+fn probe(affines: &[Affine], k: usize, x: f64, times: &mut Vec<f64>) -> Probe {
+    times.clear();
+    times.extend(affines.iter().map(|a| a.eval(x)));
+    let (below, kth) = if times.len() >= k {
+        let (smaller, kth, _) = times.select_nth_unstable_by(k - 1, f64::total_cmp);
+        (smaller.iter().copied().max_by(f64::total_cmp), *kth)
+    } else if times.len() + 1 == k {
+        (times.iter().copied().max_by(f64::total_cmp), f64::INFINITY)
+    } else {
+        (Some(f64::INFINITY), f64::INFINITY)
+    };
+    Probe { x, below: below.unwrap_or(f64::NEG_INFINITY), kth }
+}
+
+/// One side of a [`FleetScan`]: the fleet's first-visit cover and the
+/// probes of every interval that holds at least `k - 1` affines.
+#[derive(Debug, Clone)]
+struct SideTable {
+    cover: WindowCover,
+    /// Interval `i`'s probes are `probes[offsets[i]..offsets[i + 1]]`:
+    /// its lower end, then inside the window its upper end and its
+    /// crossings in ascending order. Empty below `k - 1` affines.
+    offsets: Vec<usize>,
+    probes: Vec<Probe>,
+}
+
+impl SideTable {
+    fn new(cover: WindowCover, k: usize) -> SideTable {
+        // Crossings of intervals one affine short of `k` are filed too:
+        // one more robot can lift them to `k`.
+        let mut filed = Vec::new();
+        interval_crossings(&cover, k - 1, &mut filed);
+        filed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        let mut offsets = Vec::with_capacity(cover.interval_count() + 1);
+        offsets.push(0);
+        let mut probes = Vec::with_capacity(2 * cover.interval_count() + filed.len());
+        let mut filed = filed.into_iter().peekable();
+        let mut times = Vec::new();
+        for i in 0..cover.interval_count() {
+            let affines = cover.affines(i);
+            if affines.len() + 1 >= k {
+                let (lo, hi) = cover.interval_bounds(i);
+                probes.push(probe(affines, k, lo, &mut times));
+                if !cover.is_beyond(i) {
+                    probes.push(probe(affines, k, hi, &mut times));
+                    while let Some((_, x)) = filed.next_if(|&(j, _)| j as usize == i) {
+                        probes.push(probe(affines, k, x, &mut times));
+                    }
+                }
+            }
+            offsets.push(probes.len());
+        }
+        SideTable { cover, offsets, probes }
+    }
+
+    fn probes(&self, i: usize) -> &[Probe] {
+        &self.probes[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// This side's scan: every interval with at least `k` affines
+    /// takes the max of `kth / x` over its probes.
+    fn scan(&self, k: usize) -> SideScan {
+        let mut side = SideScan::new(Some(&self.cover));
+        for i in 0..self.cover.interval_count() {
+            if self.cover.affines(i).len() < k {
+                side.mark_uncovered(self.cover.interval_bounds(i).0);
+                continue;
+            }
+            let mut best = None;
+            for p in self.probes(i) {
+                offer(&mut best, p.x, p.kth);
+            }
+            side.record(best.expect("a covered interval has its endpoint probes"));
+        }
+        side
+    }
+
+    /// The scan of this side's fleet plus one robot whose one-robot
+    /// [`first_visit_cover`] over the same window is `robot`.
+    ///
+    /// The robot's in-window cuts split this side's intervals. A
+    /// segment's ends are waypoint projections, so on every piece the
+    /// fleet keeps its interval's affines and the robot keeps the
+    /// affine of its own interval that holds the piece. A candidate of
+    /// the fleet's own keeps its probe; only the robot's cuts and its
+    /// crossings with the fleet's affines are evaluated afresh.
+    fn scan_with(&self, k: usize, robot: &WindowCover, times: &mut Vec<f64>) -> SideScan {
+        let cover = &self.cover;
+        let (cuts, robot_cuts) = (cover.cuts(), robot.cuts());
+        let window = cuts.len() - 1;
+        let edge = cuts[window];
+        let beyond = match (cover.beyond(), robot.beyond()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        let mut side = SideScan {
+            best: None,
+            uncovered: 0,
+            uncovered_x: None,
+            interval_sups: Vec::with_capacity(cuts.len() + robot_cuts.len()),
+            critical_points: cuts.len(),
+        };
+        if beyond.is_none() {
+            side.mark_uncovered(edge);
+        }
+        // The robot's interval holding the current piece.
+        let mut q = 0;
+        for i in 0..window {
+            let (affines, probes) = (cover.affines(i), self.probes(i));
+            // An interval with fewer than `k - 1` affines keeps no
+            // probes: all its pieces are uncovered, and its endpoints
+            // cost fewer than `k - 1` evaluations.
+            let endpoint = |j: usize, times: &mut Vec<f64>| match probes.get(j) {
+                Some(&p) => p,
+                None => probe(affines, k, cuts[i + j], times),
+            };
+            let mut lo = endpoint(0, times);
+            let mut crossing = 2;
+            loop {
+                while robot_cuts[q + 1] <= lo.x {
+                    q += 1;
+                }
+                let split = robot_cuts[q + 1] < cuts[i + 1];
+                let hi = if split {
+                    side.critical_points += 1;
+                    probe(affines, k, robot_cuts[q + 1], times)
+                } else {
+                    endpoint(1, times)
+                };
+                let visit = robot.affines(q).first();
+                if affines.len() + usize::from(visit.is_some()) < k {
+                    side.mark_uncovered(lo.x);
+                } else {
+                    let value = |p: &Probe| visit.map_or(p.kth, |a| p.kth_with(a.eval(p.x)));
+                    let mut best = None;
+                    offer(&mut best, lo.x, value(&lo));
+                    offer(&mut best, hi.x, value(&hi));
+                    // The fleet's crossings inside the piece; one on a
+                    // robot cut falls outside both open pieces.
+                    while crossing < probes.len() && probes[crossing].x <= lo.x {
+                        crossing += 1;
+                    }
+                    while crossing < probes.len() && probes[crossing].x < hi.x {
+                        offer(&mut best, probes[crossing].x, value(&probes[crossing]));
+                        crossing += 1;
+                    }
+                    // The robot's crossings with the fleet's affines.
+                    // `Affine::crossing` is symmetric bit for bit away
+                    // from 0, so robot order does not matter.
+                    if let Some(a) = visit {
+                        for b in affines {
+                            let Some(x) = a.crossing(b) else { continue };
+                            if x > lo.x && x < hi.x {
+                                let kth = probe(affines, k, x, times).kth_with(a.eval(x));
+                                offer(&mut best, x, kth);
+                            }
+                        }
+                    }
+                    side.record(best.expect("a covered piece has its endpoint candidates"));
+                }
+                if !split {
+                    break;
+                }
+                lo = hi;
+            }
+        }
+        if beyond.is_some() {
+            // The beyond interval is evaluated at the window edge only.
+            let (affines, probes) = match cover.beyond() {
+                Some(_) => (cover.affines(window), self.probes(window)),
+                None => (&[][..], &[][..]),
+            };
+            let visit =
+                robot.beyond().and_then(|_| robot.affines(robot.interval_count() - 1).first());
+            if affines.len() + usize::from(visit.is_some()) < k {
+                side.mark_uncovered(edge);
+            } else {
+                let p = probes.first().copied().unwrap_or_else(|| probe(affines, k, edge, times));
+                let value = visit.map_or(p.kth, |a| p.kth_with(a.eval(edge)));
+                side.record((value / edge, edge));
+            }
+        }
+        side
+    }
+}
+
+/// The worst-case scan of a fleet, built once and then read either as
+/// is or with one more robot substituted in: the engine behind
+/// [`exact_supremum`] and the optimizer's leave-one-out probes.
+///
+/// It holds the fleet's first-visit covers, positive side and (on the
+/// line) mirrored negative side. At every candidate point it also
+/// holds the fleet's `(k-1)`-th and `k`-th smallest visit times. The
+/// candidate points are each interval's endpoints, as one-sided
+/// limits, and each pairwise crossing inside an interval that holds at
+/// least `k - 1` affines.
+#[derive(Debug, Clone)]
+pub struct FleetScan {
+    k: usize,
+    xmax: f64,
+    pos: SideTable,
+    neg: Option<SideTable>,
+}
+
+impl FleetScan {
+    /// Builds the scan of `trajectories` with visit count `k` over the
+    /// window `xmax`; only [`Geometry::Line`] has a negative side.
+    ///
+    /// # Errors
+    ///
+    /// Rejects `k == 0`, a window bound `xmax <= 1` or non-finite, and
+    /// propagates enumeration failures (an empty fleet among them).
+    pub fn new(
+        trajectories: &[PiecewiseTrajectory],
+        k: usize,
+        xmax: f64,
+        geometry: Geometry,
+    ) -> Result<FleetScan> {
+        check_scan_args(k, xmax)?;
+        let pos = SideTable::new(first_visit_cover(trajectories, 1.0, xmax)?, k);
+        let neg = if geometry.has_negative_side() {
+            let mirror = mirrored(trajectories)?;
+            Some(SideTable::new(first_visit_cover(&mirror, 1.0, xmax)?, k))
+        } else {
+            None
+        };
+        Ok(FleetScan { k, xmax, pos, neg })
+    }
+
+    /// The fleet's own scan: what [`exact_supremum_geometry`] returns.
+    #[must_use]
+    pub fn scan(&self) -> ExactScan {
+        // The half-line has no negative side: an empty accumulator
+        // contributes no candidates, no uncovered intervals, and no
+        // critical points to the merge.
+        let neg = self.neg.as_ref().map_or_else(|| SideScan::new(None), |s| s.scan(self.k));
+        merge_sides(self.pos.scan(self.k), neg)
+    }
+
+    /// The scan of the fleet plus `robot`, bit for bit what
+    /// [`exact_supremum_geometry`] returns for the joint fleet, in any
+    /// robot order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the robot's enumeration and mirroring failures.
+    pub fn scan_with(&self, robot: &PiecewiseTrajectory) -> Result<ExactScan> {
+        let robot = std::slice::from_ref(robot);
+        let mut times = Vec::new();
+        let cover = first_visit_cover(robot, 1.0, self.xmax)?;
+        let pos = self.pos.scan_with(self.k, &cover, &mut times);
+        let neg = match &self.neg {
+            Some(side) => {
+                let cover = first_visit_cover(&mirrored(robot)?, 1.0, self.xmax)?;
+                side.scan_with(self.k, &cover, &mut times)
+            }
+            None => SideScan::new(None),
+        };
+        Ok(merge_sides(pos, neg))
+    }
 }
 
 /// An [`ExactScan`] paired with a certified enclosure of its

@@ -48,7 +48,7 @@ pub mod verification;
 pub use ascii::{line_chart, render_table, Series};
 pub use exact::{
     exact_expected_supremum, exact_supremum, exact_supremum_enclosed, exact_supremum_geometry,
-    EnclosedScan, ExactScan,
+    EnclosedScan, ExactScan, FleetScan,
 };
 pub use figures::FigureData;
 pub use report::{Comparison, ExperimentReport};
@@ -57,7 +57,7 @@ pub use supremum::{
     measure_free_schedule_cr, measure_free_schedule_cr_grid, measure_free_schedule_expected_cr,
     measure_free_schedule_expected_cr_grid, measure_free_schedule_profile,
     measure_free_schedule_profile_grid, measure_strategy_cr, measure_strategy_cr_grid,
-    measure_strategy_cr_sim, resolve_strategy, FreeScheduleProfile, MeasuredCr, SupremumQuery,
-    SupremumReport,
+    measure_strategy_cr_sim, resolve_strategy, FreeScheduleProfile, LeaveOneOut, MeasuredCr,
+    SupremumQuery, SupremumReport,
 };
 pub use table1::Table1Row;

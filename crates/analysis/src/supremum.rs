@@ -4,9 +4,9 @@
 //! differential baselines, and an independent discrete-event
 //! simulator path.
 
-use crate::exact::{exact_expected_supremum, exact_supremum};
+use crate::exact::{exact_expected_supremum, exact_supremum, FleetScan};
 use faultline_core::coverage::{adversarial_targets, Fleet};
-use faultline_core::{json_float, Error, FreeSchedule, Params, Result};
+use faultline_core::{json_float, Error, FreeRobot, FreeSchedule, Geometry, Params, Result};
 use faultline_strategies::{strategy_by_name, FixedBetaStrategy, Strategy};
 use serde::{Deserialize, Serialize};
 
@@ -363,6 +363,30 @@ pub struct FreeScheduleProfile {
     pub pressure: f64,
 }
 
+/// Rejects `f + 1 > n` and a window bound `xmax <= 1` or non-finite.
+fn check_profile_args(schedule: &FreeSchedule, f: usize, xmax: f64) -> Result<()> {
+    if f + 1 > schedule.n() {
+        return Err(Error::invalid_params(
+            schedule.n(),
+            f,
+            "a free schedule needs n >= f + 1 robots to confirm any target",
+        ));
+    }
+    if !(xmax > 1.0) || !xmax.is_finite() {
+        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
+    }
+    Ok(())
+}
+
+/// The horizon of the first attempt of the `measure_free_schedule_*`
+/// family for a schedule of `robots`: [`FreeSchedule::horizon_hint`] of
+/// the window padded past the right-hand limits at `xmax`, and at least
+/// `4 xmax`.
+fn first_horizon<'a>(robots: impl IntoIterator<Item = &'a FreeRobot>, xmax: f64) -> f64 {
+    let window = xmax * (1.0 + 2.0 * TURNING_POINT_EPS);
+    robots.into_iter().fold(4.0 * window, |worst, r| worst.max(r.reach(window))).max(4.0 * xmax)
+}
+
 /// Measures a free schedule's competitive ratio together with its
 /// peak pressure (see [`FreeScheduleProfile`]) through the exact
 /// critical-point engine.
@@ -378,18 +402,8 @@ pub fn measure_free_schedule_profile(
     extra_targets: &[f64],
 ) -> Result<FreeScheduleProfile> {
     let _ = (grid_points, extra_targets);
-    if f + 1 > schedule.n() {
-        return Err(Error::invalid_params(
-            schedule.n(),
-            f,
-            "a free schedule needs n >= f + 1 robots to confirm any target",
-        ));
-    }
-    if !(xmax > 1.0) || !xmax.is_finite() {
-        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
-    }
-    let pad = 1.0 + 2.0 * TURNING_POINT_EPS;
-    let mut horizon = schedule.horizon_hint(xmax * pad).max(4.0 * xmax);
+    check_profile_args(schedule, f, xmax)?;
+    let mut horizon = first_horizon(schedule.robots(), xmax);
     let mut attempt = 0usize;
     loop {
         let fleet = schedule.fleet(horizon)?;
@@ -408,6 +422,73 @@ pub fn measure_free_schedule_profile(
     }
 }
 
+/// A free schedule with one robot left out, measured once, so that
+/// candidates for that robot score in a fraction of a full
+/// [`measure_free_schedule_profile`].
+///
+/// The other robots are materialized once, at the horizon the
+/// profile's first attempt gives them, and scanned into a
+/// [`FleetScan`]. A candidate is served only when the swapped
+/// schedule's first attempt uses that same horizon and is covered;
+/// the profile is then bit for bit the one
+/// [`measure_free_schedule_profile`] reports for the swapped schedule.
+#[derive(Debug, Clone)]
+pub struct LeaveOneOut {
+    xmax: f64,
+    horizon: f64,
+    scan: FleetScan,
+}
+
+impl LeaveOneOut {
+    /// Leaves robot `robot` of `schedule` out, for measurements at
+    /// fault budget `f` over the window `xmax`.
+    ///
+    /// # Errors
+    ///
+    /// As [`measure_free_schedule_profile`], and rejects a schedule of
+    /// one robot or a robot index out of range.
+    pub fn new(schedule: &FreeSchedule, robot: usize, f: usize, xmax: f64) -> Result<Self> {
+        check_profile_args(schedule, f, xmax)?;
+        if robot >= schedule.n() || schedule.n() < 2 {
+            return Err(Error::domain(format!(
+                "cannot leave robot {robot} out of a schedule of {} robots",
+                schedule.n()
+            )));
+        }
+        let others = schedule.robots().iter().enumerate().filter(|&(i, _)| i != robot);
+        let horizon = first_horizon(others.clone().map(|(_, r)| r), xmax);
+        let trajectories =
+            others.map(|(_, r)| r.materialize(horizon)).collect::<Result<Vec<_>>>()?;
+        let scan = FleetScan::new(&trajectories, f + 1, xmax, Geometry::Line)?;
+        Ok(LeaveOneOut { xmax, horizon, scan })
+    }
+
+    /// The profile of the schedule with `candidate` in the left-out
+    /// robot's place, or `None` when the candidate would move the
+    /// horizon, leaves the window uncovered at it, or fails to
+    /// materialize or scan. Callers then measure the swapped schedule
+    /// in full.
+    #[must_use]
+    pub fn profile(&self, candidate: &FreeRobot) -> Option<FreeScheduleProfile> {
+        // `f64::max` picks one operand exactly, so this is the swapped
+        // schedule's first horizon.
+        let horizon = self.horizon.max(first_horizon([candidate], self.xmax));
+        if horizon.to_bits() != self.horizon.to_bits() {
+            return None;
+        }
+        let scan = self.scan.scan_with(&candidate.materialize(horizon).ok()?).ok()?;
+        (scan.uncovered == 0).then_some(FreeScheduleProfile {
+            measured: MeasuredCr {
+                analytic: None,
+                empirical: scan.ratio,
+                argmax: scan.argmax,
+                uncovered: 0,
+            },
+            pressure: scan.pressure,
+        })
+    }
+}
+
 /// The adversarial-grid baseline behind
 /// [`measure_free_schedule_profile`], with the pressure taken as the
 /// power-mean over scanned targets instead of critical-point
@@ -423,18 +504,9 @@ pub fn measure_free_schedule_profile_grid(
     grid_points: usize,
     extra_targets: &[f64],
 ) -> Result<FreeScheduleProfile> {
-    if f + 1 > schedule.n() {
-        return Err(Error::invalid_params(
-            schedule.n(),
-            f,
-            "a free schedule needs n >= f + 1 robots to confirm any target",
-        ));
-    }
-    if !(xmax > 1.0) || !xmax.is_finite() {
-        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
-    }
+    check_profile_args(schedule, f, xmax)?;
     let pad = 1.0 + 2.0 * TURNING_POINT_EPS;
-    let mut horizon = schedule.horizon_hint(xmax * pad).max(4.0 * xmax);
+    let mut horizon = first_horizon(schedule.robots(), xmax);
     let mut attempt = 0usize;
     loop {
         let fleet = schedule.fleet(horizon)?;
@@ -502,8 +574,7 @@ pub fn measure_free_schedule_expected_cr(
     if !(xmax > 1.0) || !xmax.is_finite() {
         return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
     }
-    let pad = 1.0 + 2.0 * TURNING_POINT_EPS;
-    let mut horizon = schedule.horizon_hint(xmax * pad).max(4.0 * xmax);
+    let mut horizon = first_horizon(schedule.robots(), xmax);
     let mut attempt = 0usize;
     loop {
         let fleet = schedule.fleet(horizon)?;
@@ -537,8 +608,7 @@ pub fn measure_free_schedule_expected_cr_grid(
     if !(xmax > 1.0) || !xmax.is_finite() {
         return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
     }
-    let pad = 1.0 + 2.0 * TURNING_POINT_EPS;
-    let mut horizon = schedule.horizon_hint(xmax * pad).max(4.0 * xmax);
+    let mut horizon = first_horizon(schedule.robots(), xmax);
     let mut attempt = 0usize;
     loop {
         let fleet = schedule.fleet(horizon)?;

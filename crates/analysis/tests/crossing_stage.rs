@@ -9,12 +9,19 @@
 //! them have crossings inside their intervals, so the stage's
 //! whole-side no-crossing certificate fails there and its per-run
 //! filing does the work.
+//!
+//! The same fleets check [`FleetScan::scan_with`]: the scan of a fleet
+//! with one robot left out, given a replacement robot, must be bitwise
+//! [`exact_supremum`] of the fleet with the replacement in its place.
 
 use faultline_analysis::exact::{
-    exact_supremum, interval_crossings, push_crossings, scan_covers, CrossingStage,
+    exact_supremum, interval_crossings, push_crossings, scan_covers, CrossingStage, FleetScan,
 };
+use faultline_analysis::ExactScan;
 use faultline_core::exact::{first_visit_cover, mirrored, WindowCover};
-use faultline_core::{Algorithm, Fleet, FreeSchedule, Params, PiecewiseTrajectory, SpaceTime};
+use faultline_core::{
+    Algorithm, Fleet, FreeSchedule, Geometry, Params, PiecewiseTrajectory, SpaceTime,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,12 +107,119 @@ fn check(fleet: &Fleet, k: usize, xmax: f64) -> Result<usize, TestCaseError> {
     }
     let fast = exact_supremum(fleet, k, xmax).unwrap();
     let reference = scan_covers(&pos, Some(&neg), k, reference_crossings).unwrap();
-    let bits = |s: &faultline_analysis::ExactScan| {
-        (s.ratio.to_bits(), s.argmax.to_bits(), s.pressure.to_bits(), s.uncovered)
-    };
     prop_assert_eq!(bits(&fast), bits(&reference), "k = {}, xmax = {}", k, xmax);
-    prop_assert_eq!(fast.critical_points, reference.critical_points);
     Ok(reference_count)
+}
+
+/// Every field of a scan, floats as bits.
+fn bits(s: &ExactScan) -> (u64, u64, u64, usize, usize) {
+    (s.ratio.to_bits(), s.argmax.to_bits(), s.pressure.to_bits(), s.uncovered, s.critical_points)
+}
+
+/// What a substitution case exercised.
+#[derive(Debug, Default, Clone, Copy)]
+struct Exercised {
+    /// The replacement lifts some interval from `k - 1` affines to `k`.
+    lifted: bool,
+    /// On some side only the replacement reaches past the window.
+    only_replacement_beyond: bool,
+    /// On some side only the other robots reach past the window.
+    only_others_beyond: bool,
+    /// The replacement covers no interval of either side.
+    covers_nothing: bool,
+}
+
+/// Leaves robot `r` out of `fleet`, puts `replacement` in its place,
+/// and compares [`FleetScan::scan_with`] on the others against
+/// [`exact_supremum`] of the joint fleet, and [`FleetScan::scan`] of
+/// the joint fleet against both.
+fn check_substitution(
+    fleet: &Fleet,
+    r: usize,
+    replacement: &PiecewiseTrajectory,
+    k: usize,
+    xmax: f64,
+) -> Result<Exercised, TestCaseError> {
+    let mut joint = fleet.trajectories().to_vec();
+    joint[r] = replacement.clone();
+    let mut others = joint.clone();
+    others.remove(r);
+    let expected = exact_supremum(&Fleet::new(joint.clone()).unwrap(), k, xmax).unwrap();
+    let held = FleetScan::new(&others, k, xmax, Geometry::Line).unwrap();
+    let served = held.scan_with(replacement).unwrap();
+    prop_assert_eq!(bits(&served), bits(&expected), "robot {}, k = {}, xmax = {}", r, k, xmax);
+    let whole = FleetScan::new(&joint, k, xmax, Geometry::Line).unwrap().scan();
+    prop_assert_eq!(bits(&whole), bits(&expected));
+
+    let mut exercised = Exercised { covers_nothing: true, ..Exercised::default() };
+    let (mirror_joint, mirror_others) = (mirrored(&joint).unwrap(), mirrored(&others).unwrap());
+    let mirror_replacement = mirrored(std::slice::from_ref(replacement)).unwrap();
+    for (joint, others, alone) in [
+        (&joint[..], &others[..], std::slice::from_ref(replacement)),
+        (&mirror_joint[..], &mirror_others[..], &mirror_replacement[..]),
+    ] {
+        let joint = first_visit_cover(joint, 1.0, xmax).unwrap();
+        let others = first_visit_cover(others, 1.0, xmax).unwrap();
+        let alone = first_visit_cover(alone, 1.0, xmax).unwrap();
+        exercised.lifted |= (0..joint.interval_count())
+            .any(|i| joint.affines(i).len() == k && joint.robots(i).contains(&(r as u32)));
+        exercised.only_replacement_beyond |= alone.beyond().is_some() && others.beyond().is_none();
+        exercised.only_others_beyond |= alone.beyond().is_none() && others.beyond().is_some();
+        exercised.covers_nothing &=
+            (0..alone.interval_count()).all(|i| alone.affines(i).is_empty());
+    }
+    Ok(exercised)
+}
+
+/// A replacement for robot `r` of `fleet`, by `kind`: a decoded robot,
+/// a time-shifted copy of a neighbour (every cut shared, no affine
+/// shared), an exact copy of a neighbour, a robot that never leaves
+/// `(-1, 1)`, or a neighbour stretched to twice its reach.
+fn replacement(fleet: &Fleet, r: usize, kind: usize, u: &[f64]) -> PiecewiseTrajectory {
+    let neighbour = &fleet.trajectories()[(r + 1) % fleet.len()];
+    match kind % 5 {
+        0 => decode_robot(u),
+        1 => {
+            let delay = 0.25 + 3.0 * u[0];
+            let mut waypoints = vec![SpaceTime::origin(), SpaceTime::new(0.0, delay)];
+            waypoints.extend(
+                neighbour.waypoints()[1..].iter().map(|w| SpaceTime::new(w.x, w.t + delay)),
+            );
+            PiecewiseTrajectory::with_speed_limit(waypoints, 3.0).unwrap()
+        }
+        2 => neighbour.clone(),
+        3 => PiecewiseTrajectory::new(vec![
+            SpaceTime::origin(),
+            SpaceTime::new(0.9 * u[1], 0.9),
+            SpaceTime::new(-0.9 * u[2], 3.0),
+        ])
+        .unwrap(),
+        _ => {
+            let stretched =
+                neighbour.waypoints().iter().map(|w| SpaceTime::new(2.0 * w.x, 2.0 * w.t));
+            PiecewiseTrajectory::with_speed_limit(stretched.collect(), 3.0).unwrap()
+        }
+    }
+}
+
+/// The window for a substitution case: a drawn `xmax`, or one between
+/// the replacement's and the others' largest excursions, so that only
+/// one of them reaches past it on the positive side.
+fn window(fleet: &Fleet, r: usize, replacement: &PiecewiseTrajectory, mode: f64, xmax: f64) -> f64 {
+    let reach = |t: &PiecewiseTrajectory| t.waypoints().iter().map(|w| w.x).fold(0.0, f64::max);
+    let others = fleet
+        .trajectories()
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != r)
+        .map(|(_, t)| reach(t))
+        .fold(0.0, f64::max);
+    let (a, b) = (others.min(reach(replacement)), others.max(reach(replacement)));
+    if mode < 0.5 && a > 1.0 && a < b {
+        a + (b - a) * (0.25 + 0.5 * mode)
+    } else {
+        xmax
+    }
 }
 
 proptest! {
@@ -121,6 +235,121 @@ proptest! {
         let fleet = decode_fleet(&raw_robots, duplicate);
         let k = 1 + k_raw % fleet.len();
         check(&fleet, k, xmax)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn substituted_robot_scans_like_the_joint_fleet(
+        raw_robots in prop::collection::vec(prop::collection::vec(0.0f64..1.0, ROBOT_FLOATS), 2..7),
+        duplicate in 0.0f64..1.0,
+        raw_replacement in prop::collection::vec(0.0f64..1.0, ROBOT_FLOATS),
+        kind in 0usize..5,
+        r_raw in 0usize..8,
+        k_raw in 0usize..9,
+        mode in 0.0f64..1.0,
+        xmax in 2.0f64..30.0,
+    ) {
+        let fleet = decode_fleet(&raw_robots, duplicate);
+        let r = r_raw % fleet.len();
+        // One case in three measures with k = n.
+        let k = if k_raw >= 6 { fleet.len() } else { 1 + k_raw % fleet.len() };
+        let replacement = replacement(&fleet, r, kind, &raw_replacement);
+        let xmax = window(&fleet, r, &replacement, mode, xmax);
+        check_substitution(&fleet, r, &replacement, k, xmax)?;
+    }
+}
+
+#[test]
+fn substitution_cases_exercise_every_branch() {
+    // The proptest above only means something if its cases reach the
+    // branches of `scan_with`; count them over a fixed stream.
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut seen = [0usize; 5];
+    for _ in 0..400 {
+        let robots = rng.random_range(2..7);
+        let raw: Vec<Vec<f64>> = (0..robots)
+            .map(|_| (0..ROBOT_FLOATS).map(|_| rng.random_range(0.0..1.0)).collect())
+            .collect();
+        let fleet = decode_fleet(&raw, rng.random_range(0.0..1.0));
+        let r = rng.random_range(0..fleet.len());
+        let k = rng.random_range(1..=fleet.len());
+        let u: Vec<f64> = (0..ROBOT_FLOATS).map(|_| rng.random_range(0.0..1.0)).collect();
+        let replacement = replacement(&fleet, r, rng.random_range(0..5), &u);
+        let (mode, xmax) = (rng.random_range(0.0..1.0), rng.random_range(2.0..30.0));
+        let xmax = window(&fleet, r, &replacement, mode, xmax);
+        let exercised = check_substitution(&fleet, r, &replacement, k, xmax).unwrap();
+        // A crossing filed on the joint fleet fails its certificate.
+        let joint_crossings = {
+            let mut joint = fleet.trajectories().to_vec();
+            joint[r] = replacement.clone();
+            let cover = first_visit_cover(&joint, 1.0, xmax).unwrap();
+            let mut out = Vec::new();
+            interval_crossings(&cover, k, &mut out);
+            !out.is_empty()
+        };
+        for (count, hit) in seen.iter_mut().zip([
+            exercised.lifted,
+            exercised.only_replacement_beyond,
+            exercised.only_others_beyond,
+            exercised.covers_nothing,
+            joint_crossings,
+        ]) {
+            *count += usize::from(hit);
+        }
+    }
+    assert!(seen.iter().all(|&count| count >= 20), "branch hits {seen:?} of 400 cases");
+}
+
+#[test]
+fn a_crossing_with_the_substituted_robot_can_be_the_supremum() {
+    // A dashes to 1 at speed 3, then crawls outward at speed 1/2, so
+    // its visit ratio rises with x; B leaves the origin at t = 1, so
+    // its ratio falls. T_1 switches from A to B where they cross, at
+    // x = 8/3, which is the supremum on both sides (C and D mirror A
+    // and B). Either robot left out must find that crossing itself.
+    let a = PiecewiseTrajectory::with_speed_limit(
+        vec![
+            SpaceTime::origin(),
+            SpaceTime::new(1.0, 1.0 / 3.0),
+            SpaceTime::new(4.0, 1.0 / 3.0 + 6.0),
+            SpaceTime::new(-4.0, 1.0 / 3.0 + 14.0),
+        ],
+        3.0,
+    )
+    .unwrap();
+    let b = PiecewiseTrajectory::new(vec![
+        SpaceTime::origin(),
+        SpaceTime::new(0.0, 1.0),
+        SpaceTime::new(5.0, 6.0),
+        SpaceTime::new(-5.0, 16.0),
+    ])
+    .unwrap();
+    let mirror = mirrored(&[a.clone(), b.clone()]).unwrap();
+    let fleet = Fleet::new(vec![a, b, mirror[0].clone(), mirror[1].clone()]).unwrap();
+    let scan = exact_supremum(&fleet, 1, 3.5).unwrap();
+    assert!((scan.argmax - 8.0 / 3.0).abs() < 1e-12, "argmax {}", scan.argmax);
+    assert!((scan.ratio - 1.375).abs() < 1e-12, "ratio {}", scan.ratio);
+    check(&fleet, 1, 3.5).unwrap();
+    for r in 0..fleet.len() {
+        check_substitution(&fleet, r, &fleet.trajectories()[r].clone(), 1, 3.5).unwrap();
+    }
+}
+
+#[test]
+fn paper_fleets_substitute_every_robot() {
+    for (n, f) in [(3usize, 1usize), (5, 3), (11, 5)] {
+        let algorithm = Algorithm::design(Params::new(n, f).unwrap()).unwrap();
+        let xmax = 25.0;
+        let horizon = algorithm.required_horizon(xmax * (1.0 + 1e-6)).unwrap();
+        let paper = Fleet::from_plans(&algorithm.plans(), horizon).unwrap();
+        for r in 0..n {
+            let neighbour = paper.trajectories()[(r + 1) % n].clone();
+            check_substitution(&paper, r, &paper.trajectories()[r].clone(), f + 1, xmax).unwrap();
+            check_substitution(&paper, r, &neighbour, f + 1, xmax).unwrap();
+        }
     }
 }
 

@@ -176,6 +176,21 @@ impl FreeRobot {
         points
     }
 
+    /// How long this robot must be materialized to reach magnitude
+    /// `xmax` on both sides: the time of its first turn of magnitude at
+    /// least `xmax`, then one more leg and the magnitude of the turn
+    /// after it. The per-robot term of [`FreeSchedule::horizon_hint`].
+    #[must_use]
+    pub fn reach(&self, xmax: f64) -> f64 {
+        let mut k = 0usize;
+        // Find the first turn whose magnitude clears xmax; the next two
+        // legs bracket the last visit of |x| <= xmax.
+        while self.turn_magnitude(k) < xmax && k < 4096 {
+            k += 1;
+        }
+        self.turn_time(k + 1) + self.turn_magnitude(k + 1)
+    }
+
     /// The robot's trajectory up to `horizon`: the glide to the first
     /// turn, unit-speed legs between turns, the last leg cut at
     /// `horizon` (what [`FreePlan`] materializes).
@@ -349,24 +364,15 @@ impl FreeSchedule {
     }
 
     /// A horizon heuristic guaranteed to reach magnitude `xmax` on both
-    /// sides for every robot: the time of the first turn of magnitude
-    /// at least `xmax` plus one extra full sweep, maximized over
-    /// robots. Callers measuring coverage should still verify the scan
-    /// reports nothing uncovered and re-materialize deeper if needed.
+    /// sides for every robot: the largest [`FreeRobot::reach`], and at
+    /// least `4 xmax`. `f64::max` picks one of its operands exactly, so
+    /// the hint of a schedule that swaps one robot is the max of the
+    /// others' fold and the new robot's reach, bit for bit. Callers
+    /// measuring coverage should still verify the scan reports nothing
+    /// uncovered and re-materialize deeper if needed.
     #[must_use]
     pub fn horizon_hint(&self, xmax: f64) -> f64 {
-        let mut worst = 4.0 * xmax;
-        for r in &self.robots {
-            let mut k = 0usize;
-            // Find the first turn whose magnitude clears xmax; the next
-            // two legs bracket the last visit of |x| <= xmax.
-            while r.turn_magnitude(k) < xmax && k < 4096 {
-                k += 1;
-            }
-            let reach = r.turn_time(k + 1) + r.turn_magnitude(k + 1);
-            worst = worst.max(reach);
-        }
-        worst
+        self.robots.iter().fold(4.0 * xmax, |worst, r| worst.max(r.reach(xmax)))
     }
 
     /// Lowers the proportional schedule `S_beta(n)` (the schedule of
@@ -526,6 +532,75 @@ mod tests {
         for plan in schedule.plans() {
             let traj = plan.materialize(horizon).unwrap();
             assert!(traj.max_excursion() >= xmax, "{}", plan.label());
+        }
+    }
+
+    /// The hint as one loop over robots, before `FreeRobot::reach`.
+    fn reference_hint(schedule: &FreeSchedule, xmax: f64) -> f64 {
+        let mut worst = 4.0 * xmax;
+        for r in schedule.robots() {
+            let mut k = 0usize;
+            while r.turn_magnitude(k) < xmax && k < 4096 {
+                k += 1;
+            }
+            worst = worst.max(r.turn_time(k + 1) + r.turn_magnitude(k + 1));
+        }
+        worst
+    }
+
+    /// `schedule` with every gap and glide scaled by a SplitMix64 draw
+    /// in `[1/2, 2]`.
+    fn perturbed(schedule: &FreeSchedule, seed: u64) -> FreeSchedule {
+        let mut state = seed;
+        let mut draw = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            2f64.powf(2.0 * ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 - 1.0)
+        };
+        let robots = schedule.robots().iter().map(|r| {
+            let mut turns = vec![r.turns[0] * draw()];
+            for w in r.turns.windows(2) {
+                let gap = (w[1] / w[0]).powf(draw()).min(MAX_TAIL_RATIO.sqrt());
+                turns.push(turns[turns.len() - 1] * gap);
+            }
+            let first_turn_time = (r.first_turn_time / r.turns[0] * draw()).max(1.0) * turns[0];
+            FreeRobot::new(r.side, turns, first_turn_time).unwrap()
+        });
+        FreeSchedule::new(robots.collect()).unwrap()
+    }
+
+    #[test]
+    fn horizon_hint_is_the_fold_of_robot_reaches_bit_for_bit() {
+        // The (n, f) pairs of Table 1 whose A(n, f) is proportional.
+        let pairs = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (11, 5), (41, 20)];
+        for (n, f) in pairs {
+            let params = Params::new(n, f).unwrap();
+            let beta = ratio::optimal_beta(params).unwrap();
+            let lowered =
+                FreeSchedule::from_proportional(&ProportionalSchedule::new(n, beta).unwrap(), 8)
+                    .unwrap();
+            for seed in 0..4u64 {
+                let schedule = if seed == 0 { lowered.clone() } else { perturbed(&lowered, seed) };
+                for xmax in [2.5, 25.0, 25.0 * (1.0 + 2e-9), 400.0] {
+                    let hint = schedule.horizon_hint(xmax);
+                    assert_eq!(hint.to_bits(), reference_hint(&schedule, xmax).to_bits());
+                    // Leaving any robot out and folding it back in
+                    // reproduces the hint: what a leave-one-out probe
+                    // relies on.
+                    for (r, robot) in schedule.robots().iter().enumerate() {
+                        let others = schedule.robots().iter().enumerate().filter(|&(i, _)| i != r);
+                        let without =
+                            others.fold(4.0 * xmax, |worst, (_, o)| worst.max(o.reach(xmax)));
+                        assert_eq!(
+                            without.max(robot.reach(xmax)).to_bits(),
+                            hint.to_bits(),
+                            "(n = {n}, f = {f}), seed {seed}, xmax {xmax}, robot {r}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -146,8 +146,9 @@ where
     let slots: Vec<Mutex<Vec<R>>> = (0..num_chunks).map(|_| Mutex::new(Vec::new())).collect();
 
     thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            workers.push(scope.spawn(|_| loop {
                 if abort.load(Ordering::Relaxed) {
                     break;
                 }
@@ -172,7 +173,16 @@ where
                         break;
                     }
                 }
-            });
+            }));
+        }
+        // Join each worker, so it has fully exited and handed its
+        // allocator arena and stack back before the next fan-out spawns
+        // threads; a worker still exiting makes those allocate afresh,
+        // which raises peak memory across back-to-back fan-outs.
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                resume_unwind(payload);
+            }
         }
     })
     .expect("worker panics are caught inside the scope");

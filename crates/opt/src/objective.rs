@@ -16,11 +16,11 @@
 
 use faultline_analysis::{
     measure_free_schedule_cr, measure_free_schedule_expected_cr, measure_free_schedule_profile,
-    FreeScheduleProfile, MeasuredCr,
+    FreeScheduleProfile, LeaveOneOut, MeasuredCr,
 };
 use faultline_core::certificate::certify_alpha;
 use faultline_core::lower_bound::{adversary_points, alpha};
-use faultline_core::{Error, FreeSchedule, Params, Regime, Result};
+use faultline_core::{Error, FreeRobot, FreeSchedule, Params, Regime, Result};
 use faultline_sim::FaultKind;
 
 /// Large finite sentinel returned by [`Objective::eval`] for
@@ -221,7 +221,12 @@ impl Objective {
     /// (window overfitting).
     #[must_use]
     pub fn eval(&self, schedule: &FreeSchedule) -> f64 {
-        match self.profile(schedule) {
+        self.score(self.profile(schedule))
+    }
+
+    /// The totalization behind [`Objective::eval`].
+    fn score(&self, profile: Result<FreeScheduleProfile>) -> f64 {
+        match profile {
             Ok(p)
                 if p.measured.uncovered == 0
                     && p.measured.empirical.is_finite()
@@ -231,6 +236,27 @@ impl Objective {
             }
             _ => PENALTY,
         }
+    }
+
+    /// `schedule` with robot `robot` left out and measured once, for
+    /// scoring candidates for that robot through
+    /// [`Objective::eval_held`]; `None` for the expected-CR objective,
+    /// which has no such path, or when the profile cannot be built.
+    #[must_use]
+    pub fn hold_others(&self, schedule: &FreeSchedule, robot: usize) -> Option<LeaveOneOut> {
+        if self.detect_probability.is_some() {
+            return None;
+        }
+        LeaveOneOut::new(schedule, robot, self.params.f(), self.xmax).ok()
+    }
+
+    /// [`Objective::eval`] of the held schedule with `candidate` in
+    /// the left-out robot's place, bit for bit, or `None` when `held`
+    /// cannot serve the candidate and the caller must evaluate the
+    /// swapped schedule in full.
+    #[must_use]
+    pub fn eval_held(&self, held: &LeaveOneOut, candidate: &FreeRobot) -> Option<f64> {
+        held.profile(candidate).map(|p| self.score(Ok(p)))
     }
 }
 

@@ -10,6 +10,7 @@
 
 use std::cell::{Cell, RefCell};
 
+use faultline_analysis::LeaveOneOut;
 use faultline_core::numeric::golden_min;
 use faultline_core::{FreeRobot, FreeSchedule};
 use rand::{rngs::StdRng, Rng};
@@ -49,14 +50,19 @@ fn with_glide(robot: &FreeRobot, value: f64) -> Option<FreeRobot> {
 }
 
 /// The objective on `schedule` with robot `r` swapped for
-/// `candidate`. The schedule is restored before returning, and the
-/// candidate handed back with its value for the caller to keep.
+/// `candidate`, through `held` (robot `r` left out of `schedule`) when
+/// it serves the candidate. The schedule is restored before returning,
+/// and the candidate handed back with its value for the caller to keep.
 fn eval_swapped(
     objective: &Objective,
+    held: Option<&LeaveOneOut>,
     schedule: &mut FreeSchedule,
     r: usize,
     candidate: FreeRobot,
 ) -> (f64, FreeRobot) {
+    if let Some(value) = held.and_then(|held| objective.eval_held(held, &candidate)) {
+        return (value, candidate);
+    }
     let incumbent = std::mem::replace(&mut schedule.robots_mut()[r], candidate);
     let value = objective.eval(schedule);
     (value, std::mem::replace(&mut schedule.robots_mut()[r], incumbent))
@@ -64,9 +70,11 @@ fn eval_swapped(
 
 /// Line-searches one coordinate of robot `r` through `change` over
 /// `[lo, hi]`, then keeps the minimizer when it strictly improves on
-/// `cr`. Returns the number of objective evaluations performed.
+/// `cr`. `held` leaves robot `r` out of `schedule`. Returns the number
+/// of objective evaluations performed.
 fn descend_coordinate(
     objective: &Objective,
+    held: Option<&LeaveOneOut>,
     schedule: &mut FreeSchedule,
     cr: &mut f64,
     r: usize,
@@ -79,7 +87,7 @@ fn descend_coordinate(
         evals.set(evals.get() + 1);
         let mut working = working.borrow_mut();
         match change(&working.robots()[r], v) {
-            Some(candidate) => eval_swapped(objective, &mut working, r, candidate).0,
+            Some(candidate) => eval_swapped(objective, held, &mut working, r, candidate).0,
             None => PENALTY,
         }
     };
@@ -89,7 +97,7 @@ fn descend_coordinate(
     let mut evals = evals.get();
     if let Some(candidate) = change(&schedule.robots()[r], best_v) {
         evals += 1;
-        let (value, candidate) = eval_swapped(objective, schedule, r, candidate);
+        let (value, candidate) = eval_swapped(objective, held, schedule, r, candidate);
         if value < *cr - ACCEPT_MARGIN {
             schedule.robots_mut()[r] = candidate;
             *cr = value;
@@ -126,12 +134,16 @@ pub fn coordinate_descent_sweep(
 ) -> u64 {
     let mut evals = 0u64;
     for r in 0..schedule.n() {
+        // Only robot r moves until the next robot's turn, so one
+        // leave-one-out profile serves all its line searches.
+        let held = objective.hold_others(schedule, r);
+        let held = held.as_ref();
         let coords = schedule.robots()[r].turns.len();
         for k in 0..coords {
             let Some(bracket) = turn_bracket(&schedule.robots()[r], k) else {
                 continue;
             };
-            evals += descend_coordinate(objective, schedule, cr, r, bracket, |robot, v| {
+            evals += descend_coordinate(objective, held, schedule, cr, r, bracket, |robot, v| {
                 with_turn(robot, k, v)
             });
         }
@@ -140,7 +152,7 @@ pub fn coordinate_descent_sweep(
         let first = schedule.robots()[r].turns[0];
         let (lo, hi) = (first, first * MAX_GLIDE);
         if lo < hi {
-            evals += descend_coordinate(objective, schedule, cr, r, (lo, hi), with_glide);
+            evals += descend_coordinate(objective, held, schedule, cr, r, (lo, hi), with_glide);
         }
     }
     evals
@@ -189,7 +201,7 @@ pub fn anneal_sweep(
             continue;
         };
         evals += 1;
-        let (value, robot) = eval_swapped(objective, schedule, r, robot);
+        let (value, robot) = eval_swapped(objective, None, schedule, r, robot);
         if value < *cr - ACCEPT_MARGIN {
             schedule.robots_mut()[r] = robot;
             *cr = value;
