@@ -564,15 +564,24 @@ impl SideTable {
     }
 
     /// The scan of this side's fleet plus one robot whose one-robot
-    /// [`first_visit_cover`] over the same window is `robot`.
+    /// [`first_visit_cover`] over the same window is `robot`, with the
+    /// fleet's intervals also split at `splits` (ascending).
     ///
     /// The robot's in-window cuts split this side's intervals. A
     /// segment's ends are waypoint projections, so on every piece the
     /// fleet keeps its interval's affines and the robot keeps the
-    /// affine of its own interval that holds the piece. A candidate of
-    /// the fleet's own keeps its probe; only the robot's cuts and its
-    /// crossings with the fleet's affines are evaluated afresh.
-    fn scan_with(&self, k: usize, robot: &WindowCover, times: &mut Vec<f64>) -> SideScan {
+    /// affine of its own interval that holds the piece. A split point
+    /// cuts a piece in two the same way, with no affine changing
+    /// across it. A candidate of the fleet's own keeps its probe; only
+    /// the cuts, the split points and the robot's crossings with the
+    /// fleet's affines are evaluated afresh.
+    fn scan_with(
+        &self,
+        k: usize,
+        robot: &WindowCover,
+        splits: &[f64],
+        times: &mut Vec<f64>,
+    ) -> SideScan {
         let cover = &self.cover;
         let (cuts, robot_cuts) = (cover.cuts(), robot.cuts());
         let window = cuts.len() - 1;
@@ -591,8 +600,9 @@ impl SideTable {
         if beyond.is_none() {
             side.mark_uncovered(edge);
         }
-        // The robot's interval holding the current piece.
-        let mut q = 0;
+        // The robot's interval holding the current piece, and the first
+        // split point past the piece's lower end.
+        let (mut q, mut s) = (0, 0);
         for i in 0..window {
             let (affines, probes) = (cover.affines(i), self.probes(i));
             // An interval with fewer than `k - 1` affines keeps no
@@ -608,10 +618,14 @@ impl SideTable {
                 while robot_cuts[q + 1] <= lo.x {
                     q += 1;
                 }
-                let split = robot_cuts[q + 1] < cuts[i + 1];
+                while splits.get(s).is_some_and(|&x| x <= lo.x) {
+                    s += 1;
+                }
+                let next = splits.get(s).map_or(robot_cuts[q + 1], |&x| x.min(robot_cuts[q + 1]));
+                let split = next < cuts[i + 1];
                 let hi = if split {
                     side.critical_points += 1;
-                    probe(affines, k, robot_cuts[q + 1], times)
+                    probe(affines, k, next, times)
                 } else {
                     endpoint(1, times)
                 };
@@ -729,18 +743,28 @@ impl FleetScan {
     /// [`exact_supremum_geometry`] returns for the joint fleet, in any
     /// robot order.
     ///
+    /// `splits` lets the joint fleet's other robots run longer than
+    /// this fleet's trajectories: per side (the positive window, then
+    /// the mirrored negative one), the ascending positions where the
+    /// joint fleet has cuts this fleet lacks, with every robot's first
+    /// visit the same on both sides of each. A robot that has made all
+    /// its first visits of both windows adds exactly such a cut where
+    /// it stands at the longer horizon. Positions outside the window
+    /// are ignored, and so is the negative side's on the half-line.
+    ///
     /// # Errors
     ///
     /// Propagates the robot's enumeration and mirroring failures.
-    pub fn scan_with(&self, robot: &PiecewiseTrajectory) -> Result<ExactScan> {
+    pub fn scan_with(&self, robot: &PiecewiseTrajectory, splits: [&[f64]; 2]) -> Result<ExactScan> {
+        debug_assert!(splits.iter().all(|s| s.is_sorted()), "split points must ascend");
         let robot = std::slice::from_ref(robot);
         let mut times = Vec::new();
         let cover = first_visit_cover(robot, 1.0, self.xmax)?;
-        let pos = self.pos.scan_with(self.k, &cover, &mut times);
+        let pos = self.pos.scan_with(self.k, &cover, splits[0], &mut times);
         let neg = match &self.neg {
             Some(side) => {
                 let cover = first_visit_cover(&mirrored(robot)?, 1.0, self.xmax)?;
-                side.scan_with(self.k, &cover, &mut times)
+                side.scan_with(self.k, &cover, splits[1], &mut times)
             }
             None => SideScan::new(None),
         };

@@ -6,7 +6,9 @@
 
 use crate::exact::{exact_expected_supremum, exact_supremum, FleetScan};
 use faultline_core::coverage::{adversarial_targets, Fleet};
-use faultline_core::{json_float, Error, FreeRobot, FreeSchedule, Geometry, Params, Result};
+use faultline_core::{
+    json_float, Error, FreeRobot, FreeSchedule, Geometry, Params, PiecewiseTrajectory, Result,
+};
 use faultline_strategies::{strategy_by_name, FixedBetaStrategy, Strategy};
 use serde::{Deserialize, Serialize};
 
@@ -383,8 +385,14 @@ fn check_profile_args(schedule: &FreeSchedule, f: usize, xmax: f64) -> Result<()
 /// the window padded past the right-hand limits at `xmax`, and at least
 /// `4 xmax`.
 fn first_horizon<'a>(robots: impl IntoIterator<Item = &'a FreeRobot>, xmax: f64) -> f64 {
-    let window = xmax * (1.0 + 2.0 * TURNING_POINT_EPS);
+    let window = padded_window(xmax);
     robots.into_iter().fold(4.0 * window, |worst, r| worst.max(r.reach(window))).max(4.0 * xmax)
+}
+
+/// `xmax` padded past the right-hand limits at the window edge: the
+/// window [`first_horizon`] asks each robot to reach.
+fn padded_window(xmax: f64) -> f64 {
+    xmax * (1.0 + 2.0 * TURNING_POINT_EPS)
 }
 
 /// Measures a free schedule's competitive ratio together with its
@@ -426,16 +434,32 @@ pub fn measure_free_schedule_profile(
 /// candidates for that robot score in a fraction of a full
 /// [`measure_free_schedule_profile`].
 ///
-/// The other robots are materialized once, at the horizon the
-/// profile's first attempt gives them, and scanned into a
-/// [`FleetScan`]. A candidate is served only when the swapped
-/// schedule's first attempt uses that same horizon and is covered;
-/// the profile is then bit for bit the one
-/// [`measure_free_schedule_profile`] reports for the swapped schedule.
+/// Each other robot is materialized up to its own
+/// [`FreeRobot::reach`], and the lot is scanned into a [`FleetScan`].
+/// By its reach a robot has passed both window edges, so it has made
+/// every first visit of `[1, xmax]` and `[-xmax, -1]` it will ever
+/// make, and it stops on its way back through the origin, outside
+/// both windows. Materialized up to a longer horizon, it only adds
+/// turns past the window and the point where it then stands, which at
+/// most splits an interval with the same first visits on both sides.
+/// A candidate is therefore scanned at the swapped schedule's first
+/// horizon, with the other robots' positions at that horizon as split
+/// points, and the profile is bit for bit the one
+/// [`measure_free_schedule_profile`] reports for the swapped schedule,
+/// whatever horizon the candidate gives it.
+///
+/// A robot that has not settled by its reach cannot be held: its tail
+/// is so flat that the reach stops at its turn cap short of the
+/// window, or its reach is so long that the stop rounds into a window.
 #[derive(Debug, Clone)]
 pub struct LeaveOneOut {
     xmax: f64,
+    /// The first horizon of the schedule without the left-out robot.
     horizon: f64,
+    /// The other robots, each held up to its own reach.
+    others: Vec<FreeRobot>,
+    /// Their split points at `horizon`.
+    splits: [Vec<f64>; 2],
     scan: FleetScan,
 }
 
@@ -446,7 +470,8 @@ impl LeaveOneOut {
     /// # Errors
     ///
     /// As [`measure_free_schedule_profile`], and rejects a schedule of
-    /// one robot or a robot index out of range.
+    /// one robot, a robot index out of range, and another robot that
+    /// has not settled by its reach.
     pub fn new(schedule: &FreeSchedule, robot: usize, f: usize, xmax: f64) -> Result<Self> {
         check_profile_args(schedule, f, xmax)?;
         if robot >= schedule.n() || schedule.n() < 2 {
@@ -456,27 +481,45 @@ impl LeaveOneOut {
             )));
         }
         let others = schedule.robots().iter().enumerate().filter(|&(i, _)| i != robot);
-        let horizon = first_horizon(others.clone().map(|(_, r)| r), xmax);
-        let trajectories =
-            others.map(|(_, r)| r.materialize(horizon)).collect::<Result<Vec<_>>>()?;
+        let others: Vec<FreeRobot> = others.map(|(_, r)| r.clone()).collect();
+        let horizon = first_horizon(&others, xmax);
+        let trajectories = others
+            .iter()
+            .map(|r| {
+                let trajectory = r.materialize(r.reach(padded_window(xmax)))?;
+                if !settles(&trajectory, xmax) {
+                    return Err(Error::domain(
+                        "a robot that has not cleared the window by its reach cannot be held",
+                    ));
+                }
+                Ok(trajectory)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let splits = split_points(&others, horizon, xmax)?;
         let scan = FleetScan::new(&trajectories, f + 1, xmax, Geometry::Line)?;
-        Ok(LeaveOneOut { xmax, horizon, scan })
+        Ok(LeaveOneOut { xmax, horizon, others, splits, scan })
     }
 
     /// The profile of the schedule with `candidate` in the left-out
-    /// robot's place, or `None` when the candidate would move the
-    /// horizon, leaves the window uncovered at it, or fails to
-    /// materialize or scan. Callers then measure the swapped schedule
-    /// in full.
+    /// robot's place, bit for bit the one
+    /// [`measure_free_schedule_profile`] reports for it, or `None`
+    /// when the candidate leaves the window uncovered at the swapped
+    /// schedule's first horizon or fails to materialize or scan.
+    /// Callers then measure the swapped schedule in full.
     #[must_use]
     pub fn profile(&self, candidate: &FreeRobot) -> Option<FreeScheduleProfile> {
         // `f64::max` picks one operand exactly, so this is the swapped
         // schedule's first horizon.
         let horizon = self.horizon.max(first_horizon([candidate], self.xmax));
-        if horizon.to_bits() != self.horizon.to_bits() {
-            return None;
-        }
-        let scan = self.scan.scan_with(&candidate.materialize(horizon).ok()?).ok()?;
+        let moved;
+        let splits = if horizon.to_bits() == self.horizon.to_bits() {
+            &self.splits
+        } else {
+            moved = split_points(&self.others, horizon, self.xmax).ok()?;
+            &moved
+        };
+        let trajectory = candidate.materialize(horizon).ok()?;
+        let scan = self.scan.scan_with(&trajectory, [&splits[0], &splits[1]]).ok()?;
         (scan.uncovered == 0).then_some(FreeScheduleProfile {
             measured: MeasuredCr {
                 analytic: None,
@@ -487,6 +530,32 @@ impl LeaveOneOut {
             pressure: scan.pressure,
         })
     }
+}
+
+/// Whether `trajectory`, a robot materialized up to its reach, has
+/// settled: it passes both edges of the window `xmax` before its last
+/// waypoint, and that last waypoint lies in `[-1, 1]`, outside both
+/// windows.
+fn settles(trajectory: &PiecewiseTrajectory, xmax: f64) -> bool {
+    let (stop, path) = trajectory.waypoints().split_last().expect("a trajectory has waypoints");
+    stop.x.abs() <= 1.0 && path.iter().any(|w| w.x > xmax) && path.iter().any(|w| w.x < -xmax)
+}
+
+/// Where `robots` stand at `horizon`, strictly inside the window
+/// `xmax`, as [`FleetScan::scan_with`] split points: the positive
+/// window's, then the mirrored negative window's, each ascending.
+fn split_points(robots: &[FreeRobot], horizon: f64, xmax: f64) -> Result<[Vec<f64>; 2]> {
+    let mut splits = [Vec::new(), Vec::new()];
+    for r in robots {
+        let x = r.cut_at(horizon)?.x;
+        if x.abs() > 1.0 && x.abs() < xmax {
+            splits[usize::from(x < 0.0)].push(x.abs());
+        }
+    }
+    for side in &mut splits {
+        side.sort_unstable_by(f64::total_cmp);
+    }
+    Ok(splits)
 }
 
 /// The adversarial-grid baseline behind

@@ -146,7 +146,7 @@ fn check_substitution(
     others.remove(r);
     let expected = exact_supremum(&Fleet::new(joint.clone()).unwrap(), k, xmax).unwrap();
     let held = FleetScan::new(&others, k, xmax, Geometry::Line).unwrap();
-    let served = held.scan_with(replacement).unwrap();
+    let served = held.scan_with(replacement, [&[], &[]]).unwrap();
     prop_assert_eq!(bits(&served), bits(&expected), "robot {}, k = {}, xmax = {}", r, k, xmax);
     let whole = FleetScan::new(&joint, k, xmax, Geometry::Line).unwrap().scan();
     prop_assert_eq!(bits(&whole), bits(&expected));

@@ -204,41 +204,55 @@ impl FreeRobot {
         // which covers the horizons the optimizer measures at.
         let mut waypoints = Vec::with_capacity(self.turns.len() + 2);
         waypoints.push(SpaceTime::origin());
+        let cut = self.walk(horizon, |turn| waypoints.push(turn));
+        waypoints.push(cut);
+        PiecewiseTrajectory::new(waypoints)
+    }
 
+    /// Where the robot stands at `horizon`: the last waypoint of
+    /// [`FreeRobot::materialize`]`(horizon)`, bit for bit, without
+    /// building the trajectory.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a non-finite or non-positive horizon.
+    pub fn cut_at(&self, horizon: f64) -> Result<SpaceTime> {
+        check_horizon(horizon)?;
+        Ok(self.walk(horizon, |_| {}))
+    }
+
+    /// Walks the robot up to a finite, positive `horizon`: hands every
+    /// turn it reaches strictly before `horizon` to `turn`, in order,
+    /// and returns the cut point where it stands at `horizon`.
+    fn walk(&self, horizon: f64, mut turn: impl FnMut(SpaceTime)) -> SpaceTime {
         if horizon <= self.first_turn_time {
             // Cut within the initial glide (speed turns[0] / first_turn_time).
             let x = self.side * self.turns[0] * horizon / self.first_turn_time;
-            waypoints.push(SpaceTime::new(x, horizon));
-            return PiecewiseTrajectory::new(waypoints);
+            return SpaceTime::new(x, horizon);
         }
-
         let mut current = SpaceTime::new(self.turn_position(0), self.first_turn_time);
-        waypoints.push(current);
         let mut k = 1usize;
         // Accumulate turn times incrementally: `turn_time(k)` is O(k),
-        // so calling it per turn would make materialization quadratic
-        // in the number of turns.
+        // so calling it per turn would make the walk quadratic in the
+        // number of turns.
         let mut t = self.first_turn_time;
         let mut prev_magnitude = self.turn_magnitude(0);
         loop {
+            turn(current);
             let magnitude = self.turn_magnitude(k);
             t += prev_magnitude + magnitude;
             prev_magnitude = magnitude;
             let next = SpaceTime::new(self.turn_position(k), t);
             if next.t >= horizon {
-                // Cut the unit-speed sweep from `current` towards `next`.
-                if horizon > current.t {
-                    let direction = (next.x - current.x).signum();
-                    let x = current.x + direction * (horizon - current.t);
-                    waypoints.push(SpaceTime::new(x, horizon));
-                }
-                break;
+                // Cut the unit-speed sweep from `current` towards
+                // `next`; every turn before it came strictly before
+                // `horizon`.
+                let direction = (next.x - current.x).signum();
+                return SpaceTime::new(current.x + direction * (horizon - current.t), horizon);
             }
-            waypoints.push(next);
             current = next;
             k += 1;
         }
-        PiecewiseTrajectory::new(waypoints)
     }
 }
 
@@ -571,10 +585,11 @@ mod tests {
         FreeSchedule::new(robots.collect()).unwrap()
     }
 
-    #[test]
-    fn horizon_hint_is_the_fold_of_robot_reaches_bit_for_bit() {
-        // The (n, f) pairs of Table 1 whose A(n, f) is proportional.
+    /// The 8-turn lowering of every Table-1 pair whose `A(n, f)` is
+    /// proportional, then three [`perturbed`] copies of it, labelled.
+    fn table1_schedules() -> Vec<(String, FreeSchedule)> {
         let pairs = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (11, 5), (41, 20)];
+        let mut out = Vec::new();
         for (n, f) in pairs {
             let params = Params::new(n, f).unwrap();
             let beta = ratio::optimal_beta(params).unwrap();
@@ -583,24 +598,66 @@ mod tests {
                     .unwrap();
             for seed in 0..4u64 {
                 let schedule = if seed == 0 { lowered.clone() } else { perturbed(&lowered, seed) };
-                for xmax in [2.5, 25.0, 25.0 * (1.0 + 2e-9), 400.0] {
-                    let hint = schedule.horizon_hint(xmax);
-                    assert_eq!(hint.to_bits(), reference_hint(&schedule, xmax).to_bits());
-                    // Leaving any robot out and folding it back in
-                    // reproduces the hint: what a leave-one-out probe
-                    // relies on.
-                    for (r, robot) in schedule.robots().iter().enumerate() {
-                        let others = schedule.robots().iter().enumerate().filter(|&(i, _)| i != r);
-                        let without =
-                            others.fold(4.0 * xmax, |worst, (_, o)| worst.max(o.reach(xmax)));
-                        assert_eq!(
-                            without.max(robot.reach(xmax)).to_bits(),
-                            hint.to_bits(),
-                            "(n = {n}, f = {f}), seed {seed}, xmax {xmax}, robot {r}"
-                        );
-                    }
+                out.push((format!("(n = {n}, f = {f}), seed {seed}"), schedule));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn horizon_hint_is_the_fold_of_robot_reaches_bit_for_bit() {
+        for (label, schedule) in table1_schedules() {
+            for xmax in [2.5, 25.0, 25.0 * (1.0 + 2e-9), 400.0] {
+                let hint = schedule.horizon_hint(xmax);
+                assert_eq!(hint.to_bits(), reference_hint(&schedule, xmax).to_bits());
+                // Leaving any robot out and folding it back in
+                // reproduces the hint: what a leave-one-out probe
+                // relies on.
+                for (r, robot) in schedule.robots().iter().enumerate() {
+                    let others = schedule.robots().iter().enumerate().filter(|&(i, _)| i != r);
+                    let without = others.fold(4.0 * xmax, |worst, (_, o)| worst.max(o.reach(xmax)));
+                    assert_eq!(
+                        without.max(robot.reach(xmax)).to_bits(),
+                        hint.to_bits(),
+                        "{label}, xmax {xmax}, robot {r}"
+                    );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn cut_at_is_the_last_waypoint_of_materialize_bit_for_bit() {
+        let same = |a: SpaceTime, b: SpaceTime| {
+            a.x.to_bits() == b.x.to_bits() && a.t.to_bits() == b.t.to_bits()
+        };
+        for (label, schedule) in table1_schedules() {
+            for (r, robot) in schedule.robots().iter().enumerate() {
+                let turns = robot.turns.len();
+                let mut horizons = vec![robot.first_turn_time / 3.0, robot.first_turn_time];
+                for k in 1..turns + 4 {
+                    let (before, at) = (robot.turn_time(k - 1), robot.turn_time(k));
+                    // Exactly at a turn time, and inside the leg that
+                    // ends there: explicit legs, then the geometric tail.
+                    horizons.extend([at, 0.5 * (before + at)]);
+                }
+                for xmax in [2.5, 25.0 * (1.0 + 2e-9), 400.0] {
+                    horizons.push(robot.reach(xmax));
+                }
+                for h in horizons {
+                    let trajectory = robot.materialize(h).unwrap();
+                    let last = *trajectory.waypoints().last().unwrap();
+                    let cut = robot.cut_at(h).unwrap();
+                    assert!(
+                        same(cut, last),
+                        "{label}, robot {r}, horizon {h}: {cut:?} vs {last:?}"
+                    );
+                }
+            }
+        }
+        let robot = doubling_robot();
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(robot.cut_at(bad).is_err(), "horizon {bad}");
         }
     }
 

@@ -251,9 +251,11 @@ impl Objective {
     }
 
     /// [`Objective::eval`] of the held schedule with `candidate` in
-    /// the left-out robot's place, bit for bit, or `None` when `held`
-    /// cannot serve the candidate and the caller must evaluate the
-    /// swapped schedule in full.
+    /// the left-out robot's place, bit for bit, whatever horizon the
+    /// candidate gives the schedule, or `None` when `held` cannot serve
+    /// the candidate (see [`LeaveOneOut::profile`]: chiefly a window
+    /// left uncovered at the first horizon) and the caller must
+    /// evaluate the swapped schedule in full.
     #[must_use]
     pub fn eval_held(&self, held: &LeaveOneOut, candidate: &FreeRobot) -> Option<f64> {
         held.profile(candidate).map(|p| self.score(Ok(p)))

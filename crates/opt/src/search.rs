@@ -50,9 +50,11 @@ fn with_glide(robot: &FreeRobot, value: f64) -> Option<FreeRobot> {
 }
 
 /// The objective on `schedule` with robot `r` swapped for
-/// `candidate`, through `held` (robot `r` left out of `schedule`) when
-/// it serves the candidate. The schedule is restored before returning,
-/// and the candidate handed back with its value for the caller to keep.
+/// `candidate`, through `held` (robot `r` left out of `schedule`),
+/// which serves every candidate that covers the window whether or not
+/// it moves the horizon, and otherwise in full. The schedule is
+/// restored before returning, and the candidate handed back with its
+/// value for the caller to keep.
 fn eval_swapped(
     objective: &Objective,
     held: Option<&LeaveOneOut>,

@@ -10,8 +10,8 @@ use faultline_opt::{run, Budget, OptimizeConfig};
 
 #[test]
 fn tiny_budget_trajectories_are_pinned() {
-    // (41, 20) puts the leave-one-out probes' horizon fallback on
-    // this path: its max-reach robots' probes are scored in full.
+    // (41, 20) puts horizon-moving leave-one-out probes on this path:
+    // its max-reach robots' probes move the horizon.
     for (n, f, evaluations, best_bits) in [
         (5usize, 3usize, 2854u64, 0x401a_6e54_f9f1_dfafu64),
         (11, 5, 6271, 0x400d_b01d_7df3_7cf3),
