@@ -59,7 +59,7 @@ pub fn beta_sweep(params: Params, points: usize, measure: bool) -> Result<BetaAb
         let analytic = ratio::cr_of_beta(params, beta)?;
         let measured = if measure {
             let strategy = FixedBetaStrategy::new(beta)?;
-            Some(measure_strategy_cr(&strategy, params, 30.0, 48)?.empirical)
+            Some(measure_strategy_cr(&strategy, params, 30.0)?.empirical)
         } else {
             None
         };

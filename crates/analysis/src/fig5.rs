@@ -45,7 +45,7 @@ pub fn fig5_left(n_min: usize, n_max: usize, measure_up_to: usize) -> Result<Vec
         let f = (n - 1) / 2;
         let params = Params::new(n, f)?;
         let measured = if n <= measure_up_to {
-            Some(measure_strategy_cr(&PaperStrategy::new(), params, 50.0, 80)?.empirical)
+            Some(measure_strategy_cr(&PaperStrategy::new(), params, 50.0)?.empirical)
         } else {
             None
         };

@@ -10,8 +10,8 @@
 //! * [`figures`] — data generators for the illustrative Figures 1–4,
 //!   6, 7 (CSV and SVG export).
 //! * [`supremum`] — empirical competitive-ratio measurement through two
-//!   independent paths (analytic coverage and the event simulator),
-//!   plus the typed [`SupremumQuery`] request form.
+//!   independent paths (the exact critical-point engine and the event
+//!   simulator), plus the typed [`SupremumQuery`] request form.
 //! * [`scenario`] — declarative JSON scenario documents, runnable from
 //!   the CLI, the query service or programmatically.
 //! * [`ablation`] — the beta-sweep and fault-misestimation ablations.
@@ -54,10 +54,8 @@ pub use figures::FigureData;
 pub use report::{Comparison, ExperimentReport};
 pub use scenario::{run_document, Scenario, ScenarioResult};
 pub use supremum::{
-    measure_free_schedule_cr, measure_free_schedule_cr_grid, measure_free_schedule_expected_cr,
-    measure_free_schedule_expected_cr_grid, measure_free_schedule_profile,
-    measure_free_schedule_profile_grid, measure_strategy_cr, measure_strategy_cr_grid,
-    measure_strategy_cr_sim, resolve_strategy, FreeScheduleProfile, LeaveOneOut, MeasuredCr,
-    SupremumQuery, SupremumReport,
+    measure_free_schedule_cr, measure_free_schedule_expected_cr, measure_free_schedule_profile,
+    measure_strategy_cr, measure_strategy_cr_sim, resolve_strategy, FreeScheduleProfile,
+    LeaveOneOut, MeasuredCr, SupremumQuery, SupremumReport,
 };
 pub use table1::Table1Row;

@@ -4,4 +4,4 @@
 //! simulator's fault-space explorer can share it; this module re-exports
 //! it under the historical path.
 
-pub use faultline_core::parallel::{par_map, par_map_chunked, par_map_with, ParallelConfig};
+pub use faultline_core::parallel::{par_map, par_map_with, ParallelConfig};

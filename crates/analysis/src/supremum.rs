@@ -1,8 +1,7 @@
 //! Empirical competitive-ratio measurement: exact critical-point
-//! supremum scans of `K(x)` through [`crate::exact`] on the hot
-//! paths, the historical adversarial-grid scans retained as `_grid`
-//! differential baselines, and an independent discrete-event
-//! simulator path.
+//! supremum scans of `K(x)` through [`crate::exact`], and an
+//! independent discrete-event simulator path over the adversarial
+//! target grid of [`materialize_with_targets`].
 
 use crate::exact::{exact_expected_supremum, exact_supremum, FleetScan};
 use faultline_core::coverage::{adversarial_targets, Fleet};
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 pub struct MeasuredCr {
     /// The strategy's claimed analytic ratio, when it has one.
     pub analytic: Option<f64>,
-    /// The measured supremum of `K(x)` over the target grid.
+    /// The measured supremum of `K(x)`.
     pub empirical: f64,
     /// The target achieving the supremum.
     pub argmax: f64,
@@ -94,7 +93,7 @@ pub fn resolve_strategy(name: &str, beta: Option<f64>) -> Result<Box<dyn Strateg
 }
 
 /// A typed supremum-scan request: which strategy to measure, for which
-/// `(n, f)`, over which adversarial grid. This is the parameter set of
+/// `(n, f)`, over which window. This is the parameter set of
 /// [`measure_strategy_cr`] in serializable form, consumed by both the
 /// CLI and `POST /v1/supremum`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -112,16 +111,6 @@ pub struct SupremumQuery {
     /// Scan targets up to `±xmax` (default 25).
     #[serde(default = "default_xmax")]
     pub xmax: f64,
-    /// Log-grid points per side on top of the turning-point probes
-    /// (default 64); only consulted when `grid` is set.
-    #[serde(default = "default_grid_points")]
-    pub grid_points: usize,
-    /// Route through the historical adversarial-grid scan instead of
-    /// the exact critical-point engine (default `false`). The grid is
-    /// retained as a differential-test baseline; the exact path
-    /// dominates every grid evaluation.
-    #[serde(default)]
-    pub grid: bool,
 }
 
 fn default_strategy_name() -> String {
@@ -130,10 +119,6 @@ fn default_strategy_name() -> String {
 
 fn default_xmax() -> f64 {
     25.0
-}
-
-fn default_grid_points() -> usize {
-    64
 }
 
 /// The result of a [`SupremumQuery`]: the fully resolved query echoed
@@ -152,9 +137,8 @@ impl SupremumQuery {
     /// # Errors
     ///
     /// Rejects invalid `(n, f)`, unknown strategies, a missing or
-    /// superfluous `beta`, a non-finite or sub-unit `xmax`, and grid
-    /// sizes that are zero or beyond the service bound of 100 000
-    /// points per side.
+    /// superfluous `beta`, and an `xmax` that is non-finite, below 1,
+    /// or beyond the service bound of 1e9.
     pub fn validate(&self) -> Result<()> {
         Params::new(self.n, self.f)?;
         resolve_strategy(&self.strategy, self.beta)?;
@@ -164,17 +148,10 @@ impl SupremumQuery {
         if self.xmax > 1e9 {
             return Err(Error::domain(format!("xmax {} beyond the service bound 1e9", self.xmax)));
         }
-        if self.grid_points == 0 || self.grid_points > 100_000 {
-            return Err(Error::domain(format!(
-                "grid_points must be in 1..=100000, got {}",
-                self.grid_points
-            )));
-        }
         Ok(())
     }
 
-    /// Runs the scan through [`measure_strategy_cr`], or through the
-    /// grid baseline [`measure_strategy_cr_grid`] when `grid` is set.
+    /// Runs the scan through [`measure_strategy_cr`].
     ///
     /// # Errors
     ///
@@ -183,11 +160,7 @@ impl SupremumQuery {
         self.validate()?;
         let params = Params::new(self.n, self.f)?;
         let strategy = resolve_strategy(&self.strategy, self.beta)?;
-        let measured = if self.grid {
-            measure_strategy_cr_grid(strategy.as_ref(), params, self.xmax, self.grid_points)?
-        } else {
-            measure_strategy_cr(strategy.as_ref(), params, self.xmax, self.grid_points)?
-        };
+        let measured = measure_strategy_cr(strategy.as_ref(), params, self.xmax)?;
         Ok(SupremumReport { query: self.clone(), measured })
     }
 }
@@ -212,6 +185,11 @@ pub fn fleet_targets(fleet: &Fleet, xmax: f64, grid_points: usize) -> Result<Vec
 /// Materializes a strategy's fleet together with the adversarial
 /// target grid, guaranteeing the horizon covers every grid target.
 ///
+/// This is the simulator path's target set and, through
+/// [`Fleet::supremum`], the pointwise reference that the exact engine
+/// is checked against: the exact supremum dominates every evaluation
+/// of this scan.
+///
 /// The grid contains right-hand limits `m * (1 + eps)` for turning
 /// points `m` up to `xmax`, so the horizon is requested for the
 /// *actual* extreme target of the materialized grid (padded by another
@@ -219,7 +197,12 @@ pub fn fleet_targets(fleet: &Fleet, xmax: f64, grid_points: usize) -> Result<Vec
 /// horizon the fleet is re-materialized. This closes the boundary gap
 /// where the target at the largest turning point's right-hand limit
 /// could fall outside the horizon a strategy sizes for `xmax` alone.
-fn materialize_with_targets(
+///
+/// # Errors
+///
+/// Propagates plan generation, materialization and grid construction
+/// failures.
+pub fn materialize_with_targets(
     strategy: &dyn Strategy,
     params: Params,
     xmax: f64,
@@ -232,10 +215,7 @@ fn materialize_with_targets(
     let reach = targets.iter().fold(xmax, |acc, &t| acc.max(t.abs()));
     let needed = strategy.horizon_hint(params, reach * (1.0 + 2.0 * TURNING_POINT_EPS));
     let fleet = if needed > fleet.horizon() { Fleet::from_plans(&plans, needed)? } else { fleet };
-    debug_assert!(
-        reach * (1.0 + TURNING_POINT_EPS) <= reach * (1.0 + 2.0 * TURNING_POINT_EPS),
-        "grid reach must stay inside the padded horizon request"
-    );
+    debug_assert!(fleet.horizon() >= needed, "the fleet's horizon must cover the grid's reach");
     Ok((fleet, targets))
 }
 
@@ -244,10 +224,6 @@ fn materialize_with_targets(
 /// `[-xmax, -1] ∪ [1, xmax]` plus the right-hand limits at `±xmax` —
 /// a max over the critical points of [`crate::exact`], no grid.
 ///
-/// `grid_points` is accepted for call-site compatibility with the
-/// baseline [`measure_strategy_cr_grid`] but does not influence the
-/// exact result.
-///
 /// # Errors
 ///
 /// Propagates plan generation, materialization and scan failures.
@@ -255,9 +231,7 @@ pub fn measure_strategy_cr(
     strategy: &dyn Strategy,
     params: Params,
     xmax: f64,
-    grid_points: usize,
 ) -> Result<MeasuredCr> {
-    let _ = grid_points;
     // The window must be open past 1 so the right-hand limit at the
     // near edge is still probed when a caller passes xmax = 1 exactly.
     let window = if xmax > 1.0 { xmax } else { 1.0 + TURNING_POINT_EPS };
@@ -265,31 +239,6 @@ pub fn measure_strategy_cr(
     let probe = strategy.horizon_hint(params, window * (1.0 + 2.0 * TURNING_POINT_EPS));
     let fleet = Fleet::from_plans(&plans, probe)?;
     let scan = exact_supremum(&fleet, params.required_visits(), window)?;
-    Ok(MeasuredCr {
-        analytic: strategy.analytic_cr(params),
-        empirical: scan.ratio,
-        argmax: scan.argmax,
-        uncovered: scan.uncovered,
-    })
-}
-
-/// The historical adversarial-grid measurement behind
-/// [`measure_strategy_cr`]: scans `K(x)` over the turning-point
-/// probes, their right-hand limits and a log grid. Retained as the
-/// differential-test baseline for the exact engine — the exact
-/// supremum dominates every evaluation this scan performs.
-///
-/// # Errors
-///
-/// Propagates plan generation, materialization and scan failures.
-pub fn measure_strategy_cr_grid(
-    strategy: &dyn Strategy,
-    params: Params,
-    xmax: f64,
-    grid_points: usize,
-) -> Result<MeasuredCr> {
-    let (fleet, targets) = materialize_with_targets(strategy, params, xmax, grid_points)?;
-    let scan = fleet.supremum(&targets, params.required_visits())?;
     Ok(MeasuredCr {
         analytic: strategy.analytic_cr(params),
         empirical: scan.ratio,
@@ -310,11 +259,6 @@ pub fn measure_strategy_cr_grid(
 /// infinite ratio — callers distinguish the bailout by the surfaced
 /// `uncovered` count.
 ///
-/// `grid_points` and `extra_targets` are accepted for call-site
-/// compatibility with [`measure_free_schedule_cr_grid`]; the exact
-/// supremum dominates every finite probe set inside the window, so
-/// neither can sharpen it.
-///
 /// # Errors
 ///
 /// Rejects `f + 1 > n` (the target can never be confirmed by `f + 1`
@@ -324,27 +268,8 @@ pub fn measure_free_schedule_cr(
     schedule: &FreeSchedule,
     f: usize,
     xmax: f64,
-    grid_points: usize,
-    extra_targets: &[f64],
 ) -> Result<MeasuredCr> {
-    Ok(measure_free_schedule_profile(schedule, f, xmax, grid_points, extra_targets)?.measured)
-}
-
-/// The adversarial-grid baseline behind [`measure_free_schedule_cr`]:
-/// scans the turning-point grid augmented with the mirrored
-/// `extra_targets` (typically the Theorem 2 adversary placements).
-///
-/// # Errors
-///
-/// Same contract as [`measure_free_schedule_cr`].
-pub fn measure_free_schedule_cr_grid(
-    schedule: &FreeSchedule,
-    f: usize,
-    xmax: f64,
-    grid_points: usize,
-    extra_targets: &[f64],
-) -> Result<MeasuredCr> {
-    Ok(measure_free_schedule_profile_grid(schedule, f, xmax, grid_points, extra_targets)?.measured)
+    Ok(measure_free_schedule_profile(schedule, f, xmax)?.measured)
 }
 
 /// A [`measure_free_schedule_cr`] measurement augmented with the
@@ -406,10 +331,7 @@ pub fn measure_free_schedule_profile(
     schedule: &FreeSchedule,
     f: usize,
     xmax: f64,
-    grid_points: usize,
-    extra_targets: &[f64],
 ) -> Result<FreeScheduleProfile> {
-    let _ = (grid_points, extra_targets);
     check_profile_args(schedule, f, xmax)?;
     let mut horizon = first_horizon(schedule.robots(), xmax);
     let mut attempt = 0usize;
@@ -558,63 +480,6 @@ fn split_points(robots: &[FreeRobot], horizon: f64, xmax: f64) -> Result<[Vec<f6
     Ok(splits)
 }
 
-/// The adversarial-grid baseline behind
-/// [`measure_free_schedule_profile`], with the pressure taken as the
-/// power-mean over scanned targets instead of critical-point
-/// intervals.
-///
-/// # Errors
-///
-/// Same contract as [`measure_free_schedule_cr`].
-pub fn measure_free_schedule_profile_grid(
-    schedule: &FreeSchedule,
-    f: usize,
-    xmax: f64,
-    grid_points: usize,
-    extra_targets: &[f64],
-) -> Result<FreeScheduleProfile> {
-    check_profile_args(schedule, f, xmax)?;
-    let pad = 1.0 + 2.0 * TURNING_POINT_EPS;
-    let mut horizon = first_horizon(schedule.robots(), xmax);
-    let mut attempt = 0usize;
-    loop {
-        let fleet = schedule.fleet(horizon)?;
-        let mut targets = fleet_targets(&fleet, xmax, grid_points)?;
-        for &x in extra_targets {
-            let m = x.abs();
-            if m >= 1.0 && m <= xmax * pad {
-                targets.push(m);
-                targets.push(-m);
-            }
-        }
-        targets.sort_by(f64::total_cmp);
-        targets.dedup();
-        let scan = fleet.supremum(&targets, f + 1)?;
-        if scan.uncovered == 0 || attempt >= 8 {
-            let measured = MeasuredCr {
-                analytic: None,
-                empirical: scan.ratio,
-                argmax: scan.argmax,
-                uncovered: scan.uncovered,
-            };
-            let pressure = if scan.uncovered == 0 && scan.ratio.is_finite() && scan.ratio > 0.0 {
-                let mut mass = 0.0;
-                for &x in &targets {
-                    if let Some(r) = fleet.ratio_at(x, f + 1)? {
-                        mass += (r / scan.ratio).powi(crate::exact::PRESSURE_EXPONENT);
-                    }
-                }
-                mass / targets.len() as f64
-            } else {
-                1.0
-            };
-            return Ok(FreeScheduleProfile { measured, pressure });
-        }
-        horizon *= 2.0;
-        attempt += 1;
-    }
-}
-
 /// Measures the *expected* competitive ratio of a [`FreeSchedule`]
 /// when every robot is p-faulty with the given per-visit detection
 /// probability: the exact supremum over `[-xmax, -1] ∪ [1, xmax]` of
@@ -625,9 +490,7 @@ pub fn measure_free_schedule_profile_grid(
 /// the horizon (its detection probability is exactly zero no matter
 /// how large `p` is); the horizon doubles up to eight times until
 /// every inter-critical-point interval is visited at least once,
-/// mirroring [`measure_free_schedule_profile`]. `grid_points` is
-/// accepted for call-site compatibility with
-/// [`measure_free_schedule_expected_cr_grid`].
+/// mirroring [`measure_free_schedule_profile`].
 ///
 /// # Errors
 ///
@@ -637,9 +500,7 @@ pub fn measure_free_schedule_expected_cr(
     schedule: &FreeSchedule,
     detect_probability: f64,
     xmax: f64,
-    grid_points: usize,
 ) -> Result<MeasuredCr> {
-    let _ = grid_points;
     if !(xmax > 1.0) || !xmax.is_finite() {
         return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
     }
@@ -655,53 +516,6 @@ pub fn measure_free_schedule_expected_cr(
                 argmax: scan.argmax,
                 uncovered: scan.uncovered,
             });
-        }
-        horizon *= 2.0;
-        attempt += 1;
-    }
-}
-
-/// The adversarial-grid baseline behind
-/// [`measure_free_schedule_expected_cr`]: scans the closed-form
-/// expectation over the turning-point grid.
-///
-/// # Errors
-///
-/// Same contract as [`measure_free_schedule_expected_cr`].
-pub fn measure_free_schedule_expected_cr_grid(
-    schedule: &FreeSchedule,
-    detect_probability: f64,
-    xmax: f64,
-    grid_points: usize,
-) -> Result<MeasuredCr> {
-    if !(xmax > 1.0) || !xmax.is_finite() {
-        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
-    }
-    let mut horizon = first_horizon(schedule.robots(), xmax);
-    let mut attempt = 0usize;
-    loop {
-        let fleet = schedule.fleet(horizon)?;
-        let targets = fleet_targets(&fleet, xmax, grid_points)?;
-        let mut empirical = 0.0f64;
-        let mut argmax = 0.0f64;
-        let mut uncovered = 0usize;
-        for &x in &targets {
-            let e = faultline_sim::expected_outcome(
-                fleet.trajectories(),
-                faultline_sim::Target::new(x)?,
-                detect_probability,
-            )?;
-            if e.visits == 0 {
-                uncovered += 1;
-                continue;
-            }
-            if e.expected_ratio > empirical {
-                empirical = e.expected_ratio;
-                argmax = x;
-            }
-        }
-        if uncovered == 0 || attempt >= 8 {
-            return Ok(MeasuredCr { analytic: None, empirical, argmax, uncovered });
         }
         horizon *= 2.0;
         attempt += 1;
@@ -742,7 +556,7 @@ mod tests {
     fn paper_strategy_measures_at_its_analytic_cr() {
         for (n, f) in [(2usize, 1usize), (3, 1), (3, 2), (4, 2), (5, 2), (5, 3)] {
             let params = Params::new(n, f).unwrap();
-            let m = measure_strategy_cr(&PaperStrategy::new(), params, 40.0, 120).unwrap();
+            let m = measure_strategy_cr(&PaperStrategy::new(), params, 40.0).unwrap();
             let analytic = m.analytic.unwrap();
             assert_eq!(m.uncovered, 0, "(n = {n}, f = {f})");
             // The supremum is attained exactly at turning-point
@@ -760,21 +574,23 @@ mod tests {
     #[test]
     fn sim_path_agrees_with_coverage_path() {
         // The simulator scans the same discrete target grid as the
-        // grid baseline, so the comparison runs grid-vs-sim; the
-        // exact path can only exceed both, never fall below.
+        // pointwise reference, so the comparison runs reference-vs-sim;
+        // the exact path can only exceed both, never fall below.
         let params = Params::new(3, 1).unwrap();
-        let a = measure_strategy_cr_grid(&PaperStrategy::new(), params, 20.0, 60).unwrap();
+        let (fleet, targets) =
+            materialize_with_targets(&PaperStrategy::new(), params, 20.0, 60).unwrap();
+        let a = fleet.supremum(&targets, params.required_visits()).unwrap();
         let b = measure_strategy_cr_sim(&PaperStrategy::new(), params, 20.0, 60).unwrap();
-        assert!((a.empirical - b.empirical).abs() < 1e-9);
+        assert!((a.ratio - b.empirical).abs() < 1e-9);
         assert_eq!(a.uncovered, b.uncovered);
-        let exact = measure_strategy_cr(&PaperStrategy::new(), params, 20.0, 60).unwrap();
-        assert!(exact.empirical >= a.empirical - 1e-12);
+        let exact = measure_strategy_cr(&PaperStrategy::new(), params, 20.0).unwrap();
+        assert!(exact.empirical >= a.ratio - 1e-12);
     }
 
     #[test]
     fn herd_doubling_measures_below_nine() {
         let params = Params::new(3, 2).unwrap();
-        let m = measure_strategy_cr(&HerdDoublingStrategy::new(), params, 600.0, 100).unwrap();
+        let m = measure_strategy_cr(&HerdDoublingStrategy::new(), params, 600.0).unwrap();
         assert_eq!(m.uncovered, 0);
         assert!(m.empirical <= 9.0 + 1e-9);
         assert!(m.empirical > 8.5, "worst case approaches 9, got {}", m.empirical);
@@ -799,7 +615,7 @@ mod tests {
             .filter(|&m| m > 1.0 && m <= 50.0)
             .fold(0.0f64, f64::max);
         assert!(xmax > 1.0, "schedule must turn beyond 1 within the probe window");
-        let m = measure_strategy_cr(&strategy, params, xmax, 16).unwrap();
+        let m = measure_strategy_cr(&strategy, params, xmax).unwrap();
         assert_eq!(
             m.uncovered, 0,
             "right-hand-limit target at the largest turning point ({xmax}) \
@@ -813,7 +629,7 @@ mod tests {
     #[test]
     fn infinite_measurement_roundtrips_losslessly() {
         let params = Params::new(3, 1).unwrap();
-        let m = measure_strategy_cr(&PessimalSplitStrategy::new(), params, 10.0, 20).unwrap();
+        let m = measure_strategy_cr(&PessimalSplitStrategy::new(), params, 10.0).unwrap();
         assert!(m.empirical.is_infinite());
         let json = serde_json::to_string_pretty(&m).unwrap();
         assert!(json.contains("\"inf\""), "non-finite ratio must use the sentinel: {json}");
@@ -824,7 +640,7 @@ mod tests {
     #[test]
     fn supremum_query_runs_and_roundtrips() {
         let query: SupremumQuery =
-            serde_json::from_str(r#"{"n": 3, "f": 1, "xmax": 20.0, "grid_points": 32}"#).unwrap();
+            serde_json::from_str(r#"{"n": 3, "f": 1, "xmax": 20.0}"#).unwrap();
         assert_eq!(query.strategy, "paper");
         let report = query.run().unwrap();
         assert_eq!(report.measured.uncovered, 0);
@@ -836,15 +652,7 @@ mod tests {
 
     #[test]
     fn supremum_query_validates_inputs() {
-        let base = SupremumQuery {
-            n: 3,
-            f: 1,
-            strategy: "paper".into(),
-            beta: None,
-            xmax: 25.0,
-            grid_points: 64,
-            grid: false,
-        };
+        let base = SupremumQuery { n: 3, f: 1, strategy: "paper".into(), beta: None, xmax: 25.0 };
         assert!(base.validate().is_ok());
         assert!(SupremumQuery { n: 1, f: 3, ..base.clone() }.validate().is_err());
         assert!(SupremumQuery { strategy: "nope".into(), ..base.clone() }.validate().is_err());
@@ -853,9 +661,7 @@ mod tests {
             .validate()
             .is_err());
         assert!(SupremumQuery { xmax: 0.5, ..base.clone() }.validate().is_err());
-        assert!(SupremumQuery { xmax: f64::NAN, ..base.clone() }.validate().is_err());
-        assert!(SupremumQuery { grid_points: 0, ..base.clone() }.validate().is_err());
-        assert!(SupremumQuery { grid_points: 1_000_000, ..base }.validate().is_err());
+        assert!(SupremumQuery { xmax: f64::NAN, ..base }.validate().is_err());
     }
 
     #[test]
@@ -870,7 +676,7 @@ mod tests {
     #[test]
     fn pessimal_split_is_caught_uncovered() {
         let params = Params::new(3, 1).unwrap();
-        let m = measure_strategy_cr(&PessimalSplitStrategy::new(), params, 10.0, 20).unwrap();
+        let m = measure_strategy_cr(&PessimalSplitStrategy::new(), params, 10.0).unwrap();
         assert!(m.empirical.is_infinite());
         assert!(m.uncovered > 0);
     }
@@ -884,7 +690,7 @@ mod tests {
             let schedule = ProportionalSchedule::new(n, beta).unwrap();
             let free = FreeSchedule::from_proportional(&schedule, 10).unwrap();
             let analytic = ratio::cr_upper(params);
-            let m = measure_free_schedule_cr(&free, f, 25.0, 64, &[]).unwrap();
+            let m = measure_free_schedule_cr(&free, f, 25.0).unwrap();
             assert_eq!(m.uncovered, 0, "(n = {n}, f = {f})");
             assert!(
                 m.empirical <= analytic + 1e-9,
@@ -906,12 +712,12 @@ mod tests {
         use faultline_core::FreeRobot;
         let one_robot =
             FreeSchedule::new(vec![FreeRobot::new(1.0, vec![1.0, 2.0], 1.0).unwrap()]).unwrap();
-        assert!(measure_free_schedule_cr(&one_robot, 1, 10.0, 16, &[]).is_err(), "f + 1 > n");
-        assert!(measure_free_schedule_cr(&one_robot, 0, 1.0, 16, &[]).is_err(), "xmax <= 1");
-        assert!(measure_free_schedule_cr(&one_robot, 0, f64::NAN, 16, &[]).is_err());
+        assert!(measure_free_schedule_cr(&one_robot, 1, 10.0).is_err(), "f + 1 > n");
+        assert!(measure_free_schedule_cr(&one_robot, 0, 1.0).is_err(), "xmax <= 1");
+        assert!(measure_free_schedule_cr(&one_robot, 0, f64::NAN).is_err());
         // A single doubling robot with f = 0 is the classic cow path:
         // measured CR <= 9 within any window.
-        let m = measure_free_schedule_cr(&one_robot, 0, 30.0, 32, &[]).unwrap();
+        let m = measure_free_schedule_cr(&one_robot, 0, 30.0).unwrap();
         assert_eq!(m.uncovered, 0);
         assert!(m.empirical <= 9.0 + 1e-9, "doubling measures {}", m.empirical);
     }
@@ -929,25 +735,24 @@ mod tests {
             FreeRobot::new(-1.0, vec![1.0, 2.0], 5000.0).unwrap(),
         ])
         .unwrap();
-        let m = measure_free_schedule_cr(&schedule, 1, 10.0, 16, &[]).unwrap();
+        let m = measure_free_schedule_cr(&schedule, 1, 10.0).unwrap();
         assert_eq!(m.uncovered, 0, "horizon doubling must eventually confirm the window");
         assert!(m.empirical.is_finite());
         assert!(m.empirical > 500.0, "the dawdler dominates: {}", m.empirical);
     }
 
     #[test]
-    fn extra_targets_sharpen_the_measurement() {
+    fn lowered_proportional_seed_measures_above_alpha() {
         use faultline_core::lower_bound;
         use faultline_core::{ratio, ProportionalSchedule};
-        // Theorem 2 adversary points land inside the grid and the
-        // measurement stays consistent with the lower bound.
+        // The measurement of the lowered A(3, 1) stays consistent with
+        // the Theorem 2 lower bound.
         let params = Params::new(3, 1).unwrap();
         let beta = ratio::optimal_beta(params).unwrap();
         let schedule = ProportionalSchedule::new(3, beta).unwrap();
         let free = FreeSchedule::from_proportional(&schedule, 8).unwrap();
         let alpha = lower_bound::alpha(3).unwrap();
-        let adversary = lower_bound::adversary_points(3, alpha).unwrap();
-        let m = measure_free_schedule_cr(&free, 1, 25.0, 48, &adversary).unwrap();
+        let m = measure_free_schedule_cr(&free, 1, 25.0).unwrap();
         assert_eq!(m.uncovered, 0);
         assert!(m.empirical >= alpha, "measured {} below alpha(3) = {alpha}", m.empirical);
     }
@@ -964,7 +769,7 @@ mod tests {
         let schedule =
             FreeSchedule::new(vec![FreeRobot::new(1.0, vec![1.0, 1.0 + 1e-7], 1.0).unwrap()])
                 .unwrap();
-        let m = measure_free_schedule_cr(&schedule, 0, 2.0, 16, &[]).unwrap();
+        let m = measure_free_schedule_cr(&schedule, 0, 2.0).unwrap();
         assert!(m.empirical.is_infinite());
         assert!(m.uncovered > 0, "bailout must report the uncovered intervals");
         let json = serde_json::to_string(&m).unwrap();
@@ -988,7 +793,7 @@ mod tests {
         let beta = ratio::optimal_beta(params).unwrap();
         let schedule = ProportionalSchedule::new(3, beta).unwrap();
         let free = FreeSchedule::from_proportional(&schedule, 10).unwrap();
-        let profile = measure_free_schedule_profile(&free, 1, 25.0, 64, &[]).unwrap();
+        let profile = measure_free_schedule_profile(&free, 1, 25.0).unwrap();
         assert_eq!(profile.measured.uncovered, 0);
         assert!(
             profile.pressure > 0.5 && profile.pressure <= 1.0 + 1e-12,
@@ -1000,7 +805,7 @@ mod tests {
     #[test]
     fn two_group_through_paper_strategy_measures_one() {
         let params = Params::new(6, 2).unwrap();
-        let m = measure_strategy_cr(&PaperStrategy::new(), params, 30.0, 50).unwrap();
+        let m = measure_strategy_cr(&PaperStrategy::new(), params, 30.0).unwrap();
         assert!((m.empirical - 1.0).abs() < 1e-9);
     }
 
@@ -1009,12 +814,12 @@ mod tests {
         use faultline_core::FreeRobot;
         let schedule =
             FreeSchedule::new(vec![FreeRobot::new(1.0, vec![1.0, 2.0], 1.0).unwrap()]).unwrap();
-        assert!(measure_free_schedule_expected_cr(&schedule, 0.5, 1.0, 16).is_err(), "xmax <= 1");
-        assert!(measure_free_schedule_expected_cr(&schedule, f64::NAN, 10.0, 16).is_err());
-        assert!(measure_free_schedule_expected_cr(&schedule, 1.5, 10.0, 16).is_err());
+        assert!(measure_free_schedule_expected_cr(&schedule, 0.5, 1.0).is_err(), "xmax <= 1");
+        assert!(measure_free_schedule_expected_cr(&schedule, f64::NAN, 10.0).is_err());
+        assert!(measure_free_schedule_expected_cr(&schedule, 1.5, 10.0).is_err());
         let mut prev = f64::INFINITY;
         for p in [0.2, 0.4, 0.6, 0.8, 1.0] {
-            let m = measure_free_schedule_expected_cr(&schedule, p, 20.0, 24).unwrap();
+            let m = measure_free_schedule_expected_cr(&schedule, p, 20.0).unwrap();
             assert_eq!(m.uncovered, 0, "p = {p} leaves uncovered targets");
             assert!(m.analytic.is_none());
             assert!(
@@ -1036,8 +841,8 @@ mod tests {
             FreeRobot::new(-1.0, vec![1.0, 2.0], 1.0).unwrap(),
         ])
         .unwrap();
-        let expected = measure_free_schedule_expected_cr(&schedule, 1.0, 15.0, 32).unwrap();
-        let reliable = measure_free_schedule_cr(&schedule, 0, 15.0, 32, &[]).unwrap();
+        let expected = measure_free_schedule_expected_cr(&schedule, 1.0, 15.0).unwrap();
+        let reliable = measure_free_schedule_cr(&schedule, 0, 15.0).unwrap();
         assert_eq!(expected.uncovered, 0);
         assert!(
             (expected.empirical - reliable.empirical).abs() <= 1e-9,

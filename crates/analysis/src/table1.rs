@@ -67,33 +67,13 @@ pub const TABLE1_PAPER: &[(usize, usize, f64, f64, Option<f64>)] = &[
     (41, 20, 3.24, 3.12, Some(42.0)),
 ];
 
-/// Grid resolution of the empirical supremum scan used by
-/// [`regenerate_row`] and [`regenerate`]. Finer grids tighten the
-/// measured supremum at proportionally higher cost.
-pub const DEFAULT_MEASURE_GRID: usize = 64;
-
 /// Regenerates one row analytically; with `measure = true` also runs
-/// the empirical supremum scan (slower for large `n`) at the default
-/// grid resolution.
+/// the exact supremum scan of `A(n, f)` (slower for large `n`).
 ///
 /// # Errors
 ///
 /// Propagates parameter validation and measurement failures.
 pub fn regenerate_row(n: usize, f: usize, measure: bool) -> Result<Table1Row> {
-    regenerate_row_with_grid(n, f, measure, DEFAULT_MEASURE_GRID)
-}
-
-/// [`regenerate_row`] with an explicit scan grid resolution.
-///
-/// # Errors
-///
-/// Propagates parameter validation and measurement failures.
-pub fn regenerate_row_with_grid(
-    n: usize,
-    f: usize,
-    measure: bool,
-    grid_points: usize,
-) -> Result<Table1Row> {
     let params = Params::new(n, f)?;
     let cr_upper = ratio::cr_upper(params);
     let lb = lower_bound::lower_bound(params)?;
@@ -110,7 +90,7 @@ pub fn regenerate_row_with_grid(
             }
             Regime::TwoGroup => 16.0,
         };
-        Some(measure_strategy_cr(&PaperStrategy::new(), params, xmax, grid_points)?.empirical)
+        Some(measure_strategy_cr(&PaperStrategy::new(), params, xmax)?.empirical)
     } else {
         None
     };
@@ -128,20 +108,9 @@ pub fn regenerate_row_with_grid(
 ///
 /// Propagates row failures.
 pub fn regenerate(measure: bool) -> Result<Vec<Table1Row>> {
-    regenerate_with_grid(measure, DEFAULT_MEASURE_GRID)
-}
-
-/// [`regenerate`] with an explicit scan grid resolution.
-///
-/// # Errors
-///
-/// Propagates row failures.
-pub fn regenerate_with_grid(measure: bool, grid_points: usize) -> Result<Vec<Table1Row>> {
-    crate::parallel::par_map(TABLE1_PAIRS, |&(n, f)| {
-        regenerate_row_with_grid(n, f, measure, grid_points)
-    })
-    .into_iter()
-    .collect()
+    crate::parallel::par_map(TABLE1_PAIRS, |&(n, f)| regenerate_row(n, f, measure))
+        .into_iter()
+        .collect()
 }
 
 /// Serializes regenerated rows as the canonical CSV artifact

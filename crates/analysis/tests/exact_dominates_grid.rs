@@ -1,16 +1,42 @@
 //! Satellite property test for the exact critical-point supremum
 //! engine: on random [`FreeSchedule`]s the exact supremum dominates
-//! the adversarial-grid baseline and every dense pointwise probe, and
-//! agrees with the grid at shared probe points to 1e-9.
+//! the pointwise reference scan over the adversarial target grid and
+//! every dense pointwise probe, and agrees with the reference at
+//! shared probe points to 1e-9.
 //!
 //! This is the in-repo twin of the `exact-supremum-dominates-grid`
 //! conformance oracle: the oracle fuzzes registry strategies, this
 //! test fuzzes raw free schedules (the optimizer's search space),
 //! where the grid's tolerance bugs originally hid.
 
-use faultline_analysis::{measure_free_schedule_cr, measure_free_schedule_cr_grid};
+use faultline_analysis::measure_free_schedule_cr;
+use faultline_analysis::supremum::{fleet_targets, TURNING_POINT_EPS};
+use faultline_core::coverage::SupremumScan;
 use faultline_core::{Fleet, FreeRobot, FreeSchedule};
 use proptest::prelude::*;
+
+/// The pointwise reference: `K(x)` at every target of [`fleet_targets`],
+/// from the exact measurement's first horizon, doubled up to eight times
+/// until every target is covered, as the exact measurement does.
+fn reference_scan(
+    schedule: &FreeSchedule,
+    f: usize,
+    xmax: f64,
+    grid_points: usize,
+) -> SupremumScan {
+    let mut horizon = schedule.horizon_hint(xmax * (1.0 + 2.0 * TURNING_POINT_EPS)).max(4.0 * xmax);
+    let mut attempt = 0;
+    loop {
+        let fleet = schedule.fleet(horizon).unwrap();
+        let targets = fleet_targets(&fleet, xmax, grid_points).unwrap();
+        let scan = fleet.supremum(&targets, f + 1).unwrap();
+        if scan.uncovered == 0 || attempt >= 8 {
+            return scan;
+        }
+        horizon *= 2.0;
+        attempt += 1;
+    }
+}
 
 /// Decodes eight unit floats into a well-formed robot: geometric-ish
 /// expansion with per-leg ratios in `[1.3, 2.5]` so coverage always
@@ -44,17 +70,17 @@ proptest! {
         let robots: Vec<FreeRobot> = raw_robots.iter().map(|u| decode_robot(u)).collect();
         let schedule = FreeSchedule::new(robots).unwrap();
         let f = f_raw % schedule.n();
-        let exact = measure_free_schedule_cr(&schedule, f, xmax, grid_points, &[]).unwrap();
-        let grid = measure_free_schedule_cr_grid(&schedule, f, xmax, grid_points, &[]).unwrap();
+        let exact = measure_free_schedule_cr(&schedule, f, xmax).unwrap();
+        let grid = reference_scan(&schedule, f, xmax, grid_points);
 
         // Dominance: the exact supremum can never sit below any grid
         // scan of the same window — the grid probes a finite subset of
         // the points the exact engine maximizes over.
-        if grid.empirical.is_finite() {
+        if grid.ratio.is_finite() {
             prop_assert!(
-                exact.empirical >= grid.empirical * (1.0 - 1e-9),
+                exact.empirical >= grid.ratio * (1.0 - 1e-9),
                 "exact {} < grid {} (f = {}, xmax = {})",
-                exact.empirical, grid.empirical, f, xmax
+                exact.empirical, grid.ratio, f, xmax
             );
         } else {
             // A grid probe the fleet never covers lies in an interval
@@ -86,13 +112,13 @@ proptest! {
                     );
                 }
             }
-            if grid.empirical.is_finite() && grid.uncovered == 0 {
+            if grid.ratio.is_finite() && grid.uncovered == 0 {
                 let shared = fleet.ratio_at(grid.argmax, f + 1).unwrap();
                 prop_assert!(
-                    shared.is_some_and(|r| (r - grid.empirical).abs()
-                        <= 1e-9 * grid.empirical.max(1.0)),
+                    shared.is_some_and(|r| (r - grid.ratio).abs()
+                        <= 1e-9 * grid.ratio.max(1.0)),
                     "grid argmax {} re-evaluates to {:?}, not {}",
-                    grid.argmax, shared, grid.empirical
+                    grid.argmax, shared, grid.ratio
                 );
             }
         }

@@ -146,7 +146,7 @@ fn check(
     let profile = LeaveOneOut::new(schedule, r, f, xmax).unwrap().profile(replacement);
     prop_assert_eq!(profile.is_some(), expected.uncovered == 0, "robot {}", r);
     if let Some(profile) = profile {
-        let full = measure_free_schedule_profile(&swapped, f, xmax, 0, &[]).unwrap();
+        let full = measure_free_schedule_profile(&swapped, f, xmax).unwrap();
         let key = |p: &faultline_analysis::FreeScheduleProfile| {
             (p.measured.empirical.to_bits(), p.measured.argmax.to_bits(), p.pressure.to_bits())
         };

@@ -1,8 +1,7 @@
-//! The perf-baseline emitter: times the canonical workloads on the
-//! work-stealing engine, compares it against the legacy contiguous
-//! chunking on a skewed workload, and writes a machine-readable JSON
-//! document (`BENCH_<date>.json`) so every future change can diff
-//! against the recorded trajectory.
+//! The perf-baseline emitter: times the canonical workloads, counts
+//! the deterministic work of canonical inputs, and writes a
+//! machine-readable JSON document (`BENCH_<date>.json`) so every
+//! future change can diff against the recorded trajectory.
 //!
 //! Three canonical workloads are timed:
 //!
@@ -13,25 +12,25 @@
 //! 3. **Monte-Carlo sweep** — a 10k-sample random-fault sweep of
 //!    `A(5, 2)` (1k in `--quick` mode).
 //!
-//! Three *path comparisons* time faster engines against their retained
-//! baselines on the same measurements: the exact critical-point
-//! supremum engine vs the adversarial grid (the optimizer inner loop
-//! and the strategy supremum path), and the dominance-pruned
-//! adversary-space explorer vs its exhaustive differential baseline.
-//! Their `speedup` ratios are host-comparable and gated by
-//! [`compare_baselines`] alongside the wall-clock timings.
+//! One *path comparison* times the dominance-pruned adversary-space
+//! explorer against its exhaustive differential baseline; its
+//! `speedup` ratio is host-comparable.
 //!
-//! The engine comparison runs the same skewed workload through the
-//! work-stealing scheduler and the legacy one-contiguous-chunk-per-core
-//! scheduler with four worker threads. Two variants are recorded: a
-//! CPU-bound one (meaningful on multi-core hosts) and a latency-bound
-//! one built from sleeps, whose wall-clock win is observable on any
-//! host because sleeping threads overlap even on a single core.
+//! Three *work counts* are deterministic, so they are the same on any
+//! host and under `--quick`: the critical points the exact supremum
+//! engine enumerates for the optimizer's inner loop and for the
+//! strategy supremum path, and the objective evaluations of a
+//! tiny-budget optimizer run. [`compare_baselines`] gates the counts
+//! and the speedup on every run, and the wall-clock timings on the
+//! recording host.
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
+use faultline_analysis::exact::exact_supremum;
+use faultline_analysis::supremum::TURNING_POINT_EPS;
 use faultline_analysis::{measure_strategy_cr, table1};
-use faultline_core::{par_map_chunked, par_map_with, ParallelConfig, Params};
+use faultline_core::coverage::Fleet;
+use faultline_core::{ParallelConfig, Params};
 use faultline_sim::{
     explore_fault_space, run_sweep_ratios_seeded, BernoulliFaults, ExplorerConfig,
     MonteCarloConfig, RatioStats, Target,
@@ -67,37 +66,31 @@ pub struct WorkloadTiming {
     pub detail: String,
 }
 
-/// Exact critical-point supremum engine vs the retained
-/// adversarial-grid baseline on the same measurement workload.
+/// A faster path timed against its retained baseline on the same
+/// workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PathComparison {
     /// Stable comparison identifier.
     pub name: String,
-    /// Wall-clock milliseconds for the adversarial-grid scan.
+    /// Wall-clock milliseconds for the baseline path.
     pub grid_ms: f64,
-    /// Wall-clock milliseconds for the exact critical-point engine.
+    /// Wall-clock milliseconds for the faster path.
     pub exact_ms: f64,
-    /// `grid_ms / exact_ms` — above 1 means the exact engine wins.
+    /// `grid_ms / exact_ms` — above 1 means the faster path wins.
     pub speedup: f64,
     /// Human-readable description of what was measured.
     pub detail: String,
 }
 
-/// Work-stealing vs legacy contiguous chunking on a skewed workload.
+/// A deterministic count of the work one canonical input costs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EngineComparison {
-    /// Stable comparison identifier.
+pub struct WorkCount {
+    /// Stable count identifier.
     pub name: String,
-    /// Worker threads used by both schedulers.
-    pub threads: usize,
-    /// Number of items mapped.
-    pub items: usize,
-    /// Wall-clock milliseconds for the legacy contiguous chunking.
-    pub chunked_ms: f64,
-    /// Wall-clock milliseconds for the work-stealing engine.
-    pub stealing_ms: f64,
-    /// `chunked_ms / stealing_ms` — above 1 means work-stealing wins.
-    pub speedup: f64,
+    /// The count.
+    pub value: u64,
+    /// Human-readable description of what was counted.
+    pub detail: String,
 }
 
 /// The complete perf baseline written to `BENCH_<date>.json`.
@@ -113,12 +106,14 @@ pub struct BenchBaseline {
     pub host: HostInfo,
     /// Canonical workload timings.
     pub workloads: Vec<WorkloadTiming>,
-    /// Engine comparisons on skewed workloads.
-    pub engine: Vec<EngineComparison>,
-    /// Exact-vs-grid supremum path comparisons. Defaults to empty so
-    /// baselines recorded before the exact engine still deserialize.
+    /// Path comparisons. Defaults to empty so baselines recorded
+    /// before the exact engine still deserialize.
     #[serde(default)]
     pub paths: Vec<PathComparison>,
+    /// Deterministic work counts. Defaults to empty so baselines
+    /// recorded before the counts still deserialize.
+    #[serde(default)]
+    pub counts: Vec<WorkCount>,
 }
 
 /// Maximum tolerated relative wall-clock growth (and relative speedup
@@ -157,8 +152,10 @@ impl BaselineComparison {
 /// different hardware are not comparable), and only gated when the
 /// recorded timing is at least [`MIN_GATED_WALL_MS`]. Path-comparison
 /// *speedups* are wall-clock ratios and therefore host-comparable:
-/// the exact engine must not lose more than [`REGRESSION_TOLERANCE`]
-/// of its recorded advantage on any host.
+/// the faster path must not lose more than [`REGRESSION_TOLERANCE`]
+/// of its recorded advantage on any host. Work counts are
+/// deterministic, so they are gated on every run: any count above its
+/// recorded value fails.
 #[must_use]
 pub fn compare_baselines(current: &BenchBaseline, recorded: &BenchBaseline) -> BaselineComparison {
     let mut lines = Vec::new();
@@ -200,11 +197,19 @@ pub fn compare_baselines(current: &BenchBaseline, recorded: &BenchBaseline) -> B
             lines.push(format!("{}: not in the recorded baseline, skipped", p.name));
             continue;
         };
-        let line = format!(
-            "{}: {:.1}x exact-path speedup vs recorded {:.1}x",
-            p.name, p.speedup, r.speedup
-        );
+        let line = format!("{}: {:.1}x speedup vs recorded {:.1}x", p.name, p.speedup, r.speedup);
         if p.speedup < r.speedup * (1.0 - REGRESSION_TOLERANCE) {
+            regressions.push(line.clone());
+        }
+        lines.push(line);
+    }
+    for c in &current.counts {
+        let Some(r) = recorded.counts.iter().find(|r| r.name == c.name) else {
+            lines.push(format!("{}: not in the recorded baseline, skipped", c.name));
+            continue;
+        };
+        let line = format!("{}: {} vs recorded {}", c.name, c.value, r.value);
+        if c.value > r.value {
             regressions.push(line.clone());
         }
         lines.push(line);
@@ -251,7 +256,7 @@ fn table1_scan(quick: bool) -> Result<WorkloadTiming, Box<dyn std::error::Error>
         let wall = min_time_ms(|| {
             for &(n, f) in pairs {
                 let result = Params::new(n, f)
-                    .and_then(|p| measure_strategy_cr(&PaperStrategy::new(), p, 16.0, 32));
+                    .and_then(|p| measure_strategy_cr(&PaperStrategy::new(), p, 16.0));
                 if let Err(e) = result {
                     err = Some(e);
                     return;
@@ -261,7 +266,7 @@ fn table1_scan(quick: bool) -> Result<WorkloadTiming, Box<dyn std::error::Error>
         if let Some(e) = err {
             return Err(e.into());
         }
-        (wall, format!("supremum scan of {} small Table-1 rows (xmax 16, 32 grid)", pairs.len()))
+        (wall, format!("supremum scan of {} small Table-1 rows (xmax 16)", pairs.len()))
     } else {
         let mut result = Ok(Vec::new());
         let wall = min_time_ms(|| result = table1::regenerate(true));
@@ -337,121 +342,19 @@ fn montecarlo_sweep(quick: bool) -> Result<WorkloadTiming, Box<dyn std::error::E
     })
 }
 
-/// Times the exact and grid paths *interleaved* over five rounds and
-/// returns each path's minimum: transient host-load bursts only ever
-/// add time, so the per-path minimum over rounds spread across the
-/// same wall-clock window is the most burst-resistant estimator of
-/// the true cost ratio.
-fn interleaved_min_rounds(mut exact: impl FnMut(), mut grid: impl FnMut()) -> (f64, f64) {
-    let mut exact_ms = f64::INFINITY;
-    let mut grid_ms = f64::INFINITY;
+/// Times two paths *interleaved* over seven rounds and returns each
+/// path's minimum: transient host-load bursts only ever add time, so
+/// the per-path minimum over rounds spread across the same wall-clock
+/// window is the most burst-resistant estimator of the true cost
+/// ratio.
+fn interleaved_min_rounds(mut fast: impl FnMut(), mut baseline: impl FnMut()) -> (f64, f64) {
+    let mut fast_ms = f64::INFINITY;
+    let mut baseline_ms = f64::INFINITY;
     for _ in 0..7 {
-        exact_ms = exact_ms.min(time_ms(&mut exact));
-        grid_ms = grid_ms.min(time_ms(&mut grid));
+        fast_ms = fast_ms.min(time_ms(&mut fast));
+        baseline_ms = baseline_ms.min(time_ms(&mut baseline));
     }
-    (exact_ms, grid_ms)
-}
-
-fn optimizer_inner_loop(quick: bool) -> Result<PathComparison, Box<dyn std::error::Error>> {
-    use faultline_analysis::{measure_free_schedule_profile, measure_free_schedule_profile_grid};
-    use faultline_core::{ratio, FreeSchedule, ProportionalSchedule};
-
-    // The optimizer's hot path: profile the proportional seed of
-    // A(5, 3) over its default window, exact critical-point engine vs
-    // the retained adversarial-grid baseline at the optimizer's
-    // default resolution.
-    let params = Params::new(5, 3)?;
-    let beta = ratio::optimal_beta(params)?;
-    let schedule = FreeSchedule::from_proportional(&ProportionalSchedule::new(5, beta)?, 12)?;
-    let (xmax, grid_points) = (25.0, 64);
-    let reps = if quick { 100 } else { 500 };
-    let mut exact_err = None;
-    let mut grid_err = None;
-    let (exact_ms, grid_ms) = interleaved_min_rounds(
-        || {
-            for _ in 0..reps {
-                if let Err(e) = measure_free_schedule_profile(&schedule, 3, xmax, grid_points, &[])
-                {
-                    exact_err = Some(e);
-                    return;
-                }
-            }
-        },
-        || {
-            for _ in 0..reps {
-                if let Err(e) =
-                    measure_free_schedule_profile_grid(&schedule, 3, xmax, grid_points, &[])
-                {
-                    grid_err = Some(e);
-                    return;
-                }
-            }
-        },
-    );
-    if let Some(e) = exact_err.or(grid_err) {
-        return Err(e.into());
-    }
-    Ok(PathComparison {
-        name: "optimizer_inner_loop".to_owned(),
-        grid_ms,
-        exact_ms,
-        speedup: grid_ms / exact_ms,
-        detail: format!(
-            "{reps}x free-schedule profile of the A(5, 3) seed (xmax {xmax}, grid {grid_points})"
-        ),
-    })
-}
-
-fn strategy_supremum_paths(quick: bool) -> Result<PathComparison, Box<dyn std::error::Error>> {
-    use faultline_analysis::{measure_strategy_cr, measure_strategy_cr_grid};
-
-    // The `/v1/supremum` and Table-1 measurement path over the small
-    // paper pairs, exact engine vs the grid baseline.
-    let pairs: &[(usize, usize)] = &[(2, 1), (3, 1), (4, 2), (5, 3)];
-    let (xmax, grid_points) = (16.0, 48);
-    let reps = if quick { 50 } else { 250 };
-    let strategy = PaperStrategy::new();
-    let mut exact_err = None;
-    let mut grid_err = None;
-    let (exact_ms, grid_ms) = interleaved_min_rounds(
-        || {
-            for _ in 0..reps {
-                for &(n, f) in pairs {
-                    let result = Params::new(n, f)
-                        .and_then(|p| measure_strategy_cr(&strategy, p, xmax, grid_points));
-                    if let Err(e) = result {
-                        exact_err = Some(e);
-                        return;
-                    }
-                }
-            }
-        },
-        || {
-            for _ in 0..reps {
-                for &(n, f) in pairs {
-                    let result = Params::new(n, f)
-                        .and_then(|p| measure_strategy_cr_grid(&strategy, p, xmax, grid_points));
-                    if let Err(e) = result {
-                        grid_err = Some(e);
-                        return;
-                    }
-                }
-            }
-        },
-    );
-    if let Some(e) = exact_err.or(grid_err) {
-        return Err(e.into());
-    }
-    Ok(PathComparison {
-        name: "strategy_supremum".to_owned(),
-        grid_ms,
-        exact_ms,
-        speedup: grid_ms / exact_ms,
-        detail: format!(
-            "{reps}x paper-strategy supremum over {} pairs (xmax {xmax}, grid {grid_points})",
-            pairs.len()
-        ),
-    })
+    (fast_ms, baseline_ms)
 }
 
 fn explore_pruning_paths(quick: bool) -> Result<PathComparison, Box<dyn std::error::Error>> {
@@ -459,8 +362,8 @@ fn explore_pruning_paths(quick: bool) -> Result<PathComparison, Box<dyn std::err
 
     // The dominance-pruned adversary-space frontier vs its exhaustive
     // differential baseline on the largest Table-1 pairs with n <= 5;
-    // `grid_ms` records the exhaustive (unpruned) path so the speedup
-    // ratio reads the same way as the supremum comparisons.
+    // `grid_ms` records the exhaustive (unpruned) path, under the field
+    // name the retired exact-vs-grid comparisons gave the baseline.
     let pairs: &[(usize, usize)] =
         if quick { &[(4, 3), (5, 3)] } else { &[(4, 3), (5, 3), (5, 4)] };
     let xmax = 25.0;
@@ -506,66 +409,58 @@ fn explore_pruning_paths(quick: bool) -> Result<PathComparison, Box<dyn std::err
     })
 }
 
-/// Deterministic busy work proportional to `cost`, used by the skewed
-/// CPU-bound engine comparison (shared with the criterion bench).
-#[must_use]
-pub fn skewed_work(cost: u64) -> u64 {
-    let mut acc = cost ^ 0x9e37_79b9_7f4a_7c15;
-    for i in 0..(cost * 24) {
-        acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
-    }
-    acc
+/// Critical points the exact engine enumerates to profile the
+/// proportional seed of `A(5, 3)` over the optimizer's default window,
+/// at the first horizon the profile materializes.
+fn optimizer_inner_loop_critical_points() -> Result<WorkCount, Box<dyn std::error::Error>> {
+    use faultline_core::{ratio, FreeSchedule, ProportionalSchedule};
+
+    let params = Params::new(5, 3)?;
+    let beta = ratio::optimal_beta(params)?;
+    let schedule = FreeSchedule::from_proportional(&ProportionalSchedule::new(5, beta)?, 12)?;
+    let xmax = 25.0;
+    let horizon = schedule.horizon_hint(xmax * (1.0 + 2.0 * TURNING_POINT_EPS)).max(4.0 * xmax);
+    let scan = exact_supremum(&schedule.fleet(horizon)?, params.required_visits(), xmax)?;
+    Ok(WorkCount {
+        name: "optimizer_inner_loop_critical_points".to_owned(),
+        value: scan.critical_points as u64,
+        detail: format!("exact-scan critical points of the A(5, 3) seed profile (xmax {xmax})"),
+    })
 }
 
-/// The tail-heavy item-cost vector of the CPU-bound comparison: linear
-/// cost growth, so the last contiguous chunk holds most of the work —
-/// the shape a supremum sweep over geometrically spaced targets has.
-#[must_use]
-pub fn skewed_cpu_items(items: usize) -> Vec<u64> {
-    (0..items as u64).collect()
+/// Critical points the exact engine enumerates to measure the paper
+/// strategy on the small Table-1 pairs, summed over the pairs.
+fn strategy_supremum_critical_points() -> Result<WorkCount, Box<dyn std::error::Error>> {
+    let pairs: &[(usize, usize)] = &[(2, 1), (3, 1), (4, 2), (5, 3)];
+    let xmax = 16.0;
+    let strategy = PaperStrategy::new();
+    let mut value = 0;
+    for &(n, f) in pairs {
+        let params = Params::new(n, f)?;
+        let horizon = strategy.horizon_hint(params, xmax * (1.0 + 2.0 * TURNING_POINT_EPS));
+        let fleet = Fleet::from_plans(&strategy.plans(params)?, horizon)?;
+        value += exact_supremum(&fleet, params.required_visits(), xmax)?.critical_points as u64;
+    }
+    Ok(WorkCount {
+        name: "strategy_supremum_critical_points".to_owned(),
+        value,
+        detail: format!(
+            "exact-scan critical points of the paper strategy over {} pairs (xmax {xmax})",
+            pairs.len()
+        ),
+    })
 }
 
-const COMPARISON_THREADS: usize = 4;
-
-fn compare_engines_cpu(quick: bool) -> EngineComparison {
-    let items = skewed_cpu_items(if quick { 1_024 } else { 2_048 });
-    let config = ParallelConfig::with_threads(COMPARISON_THREADS);
-    let stealing_ms = time_ms(|| {
-        par_map_with(&items, &config, |&c| skewed_work(c));
-    });
-    let chunked_ms = time_ms(|| {
-        par_map_chunked(&items, COMPARISON_THREADS, |&c| skewed_work(c));
-    });
-    EngineComparison {
-        name: "skewed_cpu".to_owned(),
-        threads: COMPARISON_THREADS,
-        items: items.len(),
-        chunked_ms,
-        stealing_ms,
-        speedup: chunked_ms / stealing_ms,
-    }
-}
-
-fn compare_engines_latency() -> EngineComparison {
-    // Sleeps overlap regardless of core count, so this comparison
-    // demonstrates the scheduler property even on single-core CI.
-    let sleeps: Vec<u64> = (0..32).map(|i| if i >= 28 { 40 } else { 1 }).collect();
-    let config = ParallelConfig::with_threads(COMPARISON_THREADS).grain(1);
-    let sleep = |&ms: &u64| std::thread::sleep(std::time::Duration::from_millis(ms));
-    let stealing_ms = time_ms(|| {
-        par_map_with(&sleeps, &config, sleep);
-    });
-    let chunked_ms = time_ms(|| {
-        par_map_chunked(&sleeps, COMPARISON_THREADS, sleep);
-    });
-    EngineComparison {
-        name: "skewed_latency".to_owned(),
-        threads: COMPARISON_THREADS,
-        items: sleeps.len(),
-        chunked_ms,
-        stealing_ms,
-        speedup: chunked_ms / stealing_ms,
-    }
+/// Objective evaluations of a tiny-budget optimizer run at `(5, 3)`.
+fn optimizer_evaluations() -> Result<WorkCount, Box<dyn std::error::Error>> {
+    let mut config = faultline_opt::OptimizeConfig::new(5, 3);
+    config.budget = faultline_opt::Budget::Tiny;
+    let report = faultline_opt::run(&config)?;
+    Ok(WorkCount {
+        name: "optimizer_tiny_evaluations".to_owned(),
+        value: report.evaluations,
+        detail: "objective evaluations of a tiny-budget optimizer run at (5, 3), seed 0".to_owned(),
+    })
 }
 
 /// Runs every workload and comparison and assembles the baseline.
@@ -581,11 +476,11 @@ pub fn run_baseline(quick: bool) -> Result<BenchBaseline, Box<dyn std::error::Er
         arch: std::env::consts::ARCH.to_owned(),
     };
     let workloads = vec![table1_scan(quick)?, mask_exploration(quick)?, montecarlo_sweep(quick)?];
-    let engine = vec![compare_engines_cpu(quick), compare_engines_latency()];
-    let paths = vec![
-        optimizer_inner_loop(quick)?,
-        strategy_supremum_paths(quick)?,
-        explore_pruning_paths(quick)?,
+    let paths = vec![explore_pruning_paths(quick)?];
+    let counts = vec![
+        optimizer_inner_loop_critical_points()?,
+        strategy_supremum_critical_points()?,
+        optimizer_evaluations()?,
     ];
     Ok(BenchBaseline {
         version: crate::VERSION.to_owned(),
@@ -593,8 +488,8 @@ pub fn run_baseline(quick: bool) -> Result<BenchBaseline, Box<dyn std::error::Er
         quick,
         host,
         workloads,
-        engine,
         paths,
+        counts,
     })
 }
 
@@ -629,19 +524,16 @@ mod tests {
                 wall_ms: 12.5,
                 detail: "test".to_owned(),
             }],
-            engine: vec![EngineComparison {
-                name: "skewed_latency".to_owned(),
-                threads: 4,
-                items: 32,
-                chunked_ms: 164.0,
-                stealing_ms: 47.0,
-                speedup: 164.0 / 47.0,
-            }],
             paths: vec![PathComparison {
-                name: "optimizer_inner_loop".to_owned(),
+                name: "explore_pruning".to_owned(),
                 grid_ms: 50.0,
                 exact_ms: 5.0,
                 speedup: 10.0,
+                detail: "test".to_owned(),
+            }],
+            counts: vec![WorkCount {
+                name: "optimizer_tiny_evaluations".to_owned(),
+                value: 2875,
                 detail: "test".to_owned(),
             }],
         };
@@ -662,6 +554,25 @@ mod tests {
         }"#;
         let back: BenchBaseline = serde_json::from_str(json).unwrap();
         assert!(back.paths.is_empty());
+        assert!(back.counts.is_empty());
+    }
+
+    #[test]
+    fn committed_baselines_still_deserialize() {
+        // The perf gate compares against the newest committed file, and
+        // the older ones stay readable: their `engine` section is
+        // ignored, and they have no counts.
+        for json in [
+            include_str!("../../../BENCH_2026-08-06.json"),
+            include_str!("../../../BENCH_2026-08-08.json"),
+        ] {
+            let back: BenchBaseline = serde_json::from_str(json).unwrap();
+            assert!(!back.workloads.is_empty());
+            assert!(back.counts.is_empty());
+        }
+        let newest: BenchBaseline =
+            serde_json::from_str(include_str!("../../../BENCH_2026-10-17.json")).unwrap();
+        assert_eq!(newest.counts.len(), 3, "{:?}", newest.counts);
     }
 
     #[test]
@@ -672,10 +583,15 @@ mod tests {
             detail: "test".to_owned(),
         };
         let path = |speedup: f64| PathComparison {
-            name: "optimizer_inner_loop".to_owned(),
+            name: "explore_pruning".to_owned(),
             grid_ms: speedup,
             exact_ms: 1.0,
             speedup,
+            detail: "test".to_owned(),
+        };
+        let count = |value: u64| WorkCount {
+            name: "optimizer_tiny_evaluations".to_owned(),
+            value,
             detail: "test".to_owned(),
         };
         let base = |wall_ms: f64, speedup: f64, quick: bool| BenchBaseline {
@@ -689,8 +605,8 @@ mod tests {
                 arch: "x86_64".to_owned(),
             },
             workloads: vec![timing(wall_ms)],
-            engine: Vec::new(),
             paths: vec![path(speedup)],
+            counts: vec![count(100)],
         };
         let recorded = base(100.0, 10.0, false);
 
@@ -728,18 +644,32 @@ mod tests {
         let mut cross_lost = base(1000.0, 6.0, false);
         cross_lost.host.logical_cores = 64;
         assert!(!compare_baselines(&cross_lost, &recorded).passed());
-    }
 
-    #[test]
-    fn latency_comparison_shows_the_stealing_win() {
-        let cmp = compare_engines_latency();
-        assert!(
-            cmp.speedup > 2.0,
-            "expected ≥ 2x on the sleep-skewed workload, got {:.2}x \
-             (chunked {:.1} ms vs stealing {:.1} ms)",
-            cmp.speedup,
-            cmp.chunked_ms,
-            cmp.stealing_ms
-        );
+        // Work counts: an equal count passes, one more fails, and a
+        // count the recorded baseline lacks is skipped.
+        let with_count = |value: u64| {
+            let mut current = recorded.clone();
+            current.counts = vec![count(value)];
+            current
+        };
+        assert!(compare_baselines(&with_count(100), &recorded).passed());
+        assert!(compare_baselines(&with_count(99), &recorded).passed());
+        let grown = compare_baselines(&with_count(101), &recorded);
+        assert!(!grown.passed(), "{:?}", grown.lines);
+        let mut unrecorded = recorded.clone();
+        unrecorded.counts.clear();
+        let skipped = compare_baselines(&with_count(101), &unrecorded);
+        assert!(skipped.passed(), "{:?}", skipped.regressions);
+        assert!(skipped.lines.iter().any(|l| l.contains("not in the recorded baseline")));
+        // Counts are deterministic, so they gate across host and
+        // --quick mismatches alike.
+        let mut elsewhere = with_count(101);
+        elsewhere.quick = true;
+        assert!(!compare_baselines(&elsewhere, &recorded).passed());
+        elsewhere.quick = false;
+        elsewhere.host.logical_cores = 64;
+        assert!(!compare_baselines(&elsewhere, &recorded).passed());
+        elsewhere.counts = vec![count(100)];
+        assert!(compare_baselines(&elsewhere, &recorded).passed());
     }
 }

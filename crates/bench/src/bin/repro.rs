@@ -241,7 +241,7 @@ fn run_lower_bound() -> Result<(), Box<dyn std::error::Error>> {
     let mut rows = Vec::new();
     for strategy in all_strategies() {
         let cr = strategy.analytic_cr(params).map_or("n/a".to_owned(), |v| format!("{v:.4}"));
-        let measured = faultline_analysis::measure_strategy_cr(strategy.as_ref(), params, 30.0, 48)
+        let measured = faultline_analysis::measure_strategy_cr(strategy.as_ref(), params, 30.0)
             .map(|m| {
                 if m.empirical.is_finite() {
                     format!("{:.4}", m.empirical)
@@ -834,7 +834,7 @@ fn run_bench(
     force: bool,
     against: Option<&str>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    println!("== Perf baseline: canonical workloads + engine comparison ==");
+    println!("== Perf baseline: canonical workloads, path comparison and work counts ==");
     if quick {
         println!("(--quick: reduced workloads, suitable for CI smoke)");
     }
@@ -853,27 +853,6 @@ fn run_bench(
         .collect();
     print!("{}", render_table(&["workload", "wall ms", "detail"], &rows));
     let rows: Vec<Vec<String>> = baseline
-        .engine
-        .iter()
-        .map(|e| {
-            vec![
-                e.name.clone(),
-                e.threads.to_string(),
-                e.items.to_string(),
-                format!("{:.1}", e.chunked_ms),
-                format!("{:.1}", e.stealing_ms),
-                format!("{:.2}x", e.speedup),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            &["comparison", "threads", "items", "chunked ms", "stealing ms", "speedup"],
-            &rows
-        )
-    );
-    let rows: Vec<Vec<String>> = baseline
         .paths
         .iter()
         .map(|p| {
@@ -886,10 +865,13 @@ fn run_bench(
             ]
         })
         .collect();
-    print!(
-        "{}",
-        render_table(&["supremum path", "grid ms", "exact ms", "speedup", "detail"], &rows)
-    );
+    print!("{}", render_table(&["path", "baseline ms", "fast ms", "speedup", "detail"], &rows));
+    let rows: Vec<Vec<String>> = baseline
+        .counts
+        .iter()
+        .map(|c| vec![c.name.clone(), c.value.to_string(), c.detail.clone()])
+        .collect();
+    print!("{}", render_table(&["work count", "value", "detail"], &rows));
     // Resolve before writing: create missing parent directories, and
     // refuse to clobber an existing baseline unless --force was given.
     let path =

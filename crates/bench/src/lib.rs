@@ -1,8 +1,8 @@
 //! # faultline-bench
 //!
-//! Criterion benchmarks and the `repro` harness that regenerates every
-//! table and figure of the paper. See the `benches/` directory for the
-//! per-experiment benchmarks and `src/bin/repro.rs` for the harness.
+//! The `repro` harness that regenerates every table and figure of the
+//! paper (`src/bin/repro.rs`), and the perf baseline and load report
+//! it records and gates against.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -12,8 +12,8 @@ pub mod load;
 pub mod output;
 
 pub use baseline::{
-    compare_baselines, run_baseline, BaselineComparison, BenchBaseline, EngineComparison, HostInfo,
-    PathComparison, WorkloadTiming, MIN_GATED_WALL_MS, REGRESSION_TOLERANCE,
+    compare_baselines, run_baseline, BaselineComparison, BenchBaseline, HostInfo, PathComparison,
+    WorkCount, WorkloadTiming, MIN_GATED_WALL_MS, REGRESSION_TOLERANCE,
 };
 pub use load::{compare_load, run_load, LoadReport};
 pub use output::resolve_out_path;

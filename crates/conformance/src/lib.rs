@@ -33,5 +33,5 @@ pub use engine::{run, ConformanceConfig, ConformanceReport, MatrixRow, Tier, CON
 pub use instance::{GenCaps, Instance};
 pub use oracles::{
     all_oracles, oracle_by_name, Mismatch, Oracle, Verdict, ABS_SLACK, ENCLOSURE_WIDTH_RTOL,
-    EXACT_RTOL, EXACT_TOL, FLOOR_RTOL, GRID_RTOL, INJECTED_SKEW, REL_TOL,
+    EXACT_RTOL, EXACT_TOL, FLOOR_RTOL, INJECTED_SKEW, REL_TOL,
 };

@@ -11,8 +11,8 @@
 //! | oracle | relation | tolerance |
 //! |---|---|---|
 //! | `sim-analytic-detection` | simulator detection time = coverage `T_(f+1)(x)` | [`REL_TOL`] |
-//! | `sim-analytic-supremum` | grid and simulator measurement paths agree per strategy | [`REL_TOL`] |
-//! | `exact-supremum-dominates-grid` | exact critical-point supremum >= every grid scan | [`REL_TOL`] |
+//! | `sim-analytic-supremum` | pointwise reference scan and simulator agree per strategy | [`REL_TOL`] |
+//! | `exact-supremum-dominates-grid` | exact critical-point supremum >= the pointwise reference scan | [`REL_TOL`] |
 //! | `closed-form-visit` | Lemma 2 closed form = coverage `T_(f+1)(x)` | [`REL_TOL`] |
 //! | `thm1-closed-form-measured` | exact measured CR attains Theorem 1 | [`EXACT_RTOL`] below, [`ABS_SLACK`] above |
 //! | `cr-monotone-in-f` | `CR(n, f) <= CR(n, f + 1)` | [`EXACT_TOL`] |
@@ -33,12 +33,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use faultline_analysis::scenario::results_to_json;
+use faultline_analysis::supremum::materialize_with_targets;
 use faultline_analysis::{
-    exact_supremum, exact_supremum_enclosed, measure_strategy_cr, measure_strategy_cr_grid,
-    measure_strategy_cr_sim, Scenario, ScenarioResult,
+    exact_supremum, exact_supremum_enclosed, measure_strategy_cr, measure_strategy_cr_sim,
+    Scenario, ScenarioResult,
 };
 use faultline_core::closed_form::ClosedForm;
-use faultline_core::coverage::Fleet;
+use faultline_core::coverage::{Fleet, SupremumScan};
 use faultline_core::trajectory::PiecewiseTrajectory;
 use faultline_core::{certificate, ratio, Algorithm, Geometry, Params, Result};
 use faultline_opt::{Objective, PENALTY, PRESSURE_WEIGHT};
@@ -48,7 +49,7 @@ use faultline_sim::{
     expected_outcome, worst_case_outcome, FaultKind, FaultPlan, QuorumConfig, RunTrace,
     SearchOutcome, Simulation, Target,
 };
-use faultline_strategies::{strategy_by_name, PaperStrategy};
+use faultline_strategies::{strategy_by_name, PaperStrategy, Strategy};
 
 use crate::instance::Instance;
 
@@ -57,18 +58,10 @@ use crate::instance::Instance;
 /// accumulated rounding.
 pub const REL_TOL: f64 = 1e-9;
 
-/// Finite-window tolerance: a *grid* supremum samples the ratio at
-/// turning-point right-hand limits offset by `TURNING_POINT_EPS`, so
-/// it may sit below the closed-form supremum by this relative margin
-/// (and no more) at any grid the generator draws. Only the retained
-/// grid baselines assert with this; the exact hot paths use
-/// [`EXACT_RTOL`].
-pub const GRID_RTOL: f64 = 1e-3;
-
 /// Tolerance for the exact critical-point engine against analytic
 /// values: the supremum is a max over exact one-sided-limit
 /// evaluations, so agreement is at accumulated-rounding precision
-/// with a generous margin — three orders tighter than [`GRID_RTOL`].
+/// with a generous margin.
 pub const EXACT_RTOL: f64 = 1e-6;
 
 /// Absolute slack allowed *above* an analytic value by a measurement
@@ -335,14 +328,27 @@ fn fleet_for(params: Params, max_mag: f64) -> Result<(Vec<PiecewiseTrajectory>, 
     Ok((trajectories, fleet))
 }
 
-/// Caps a strategy-supremum scan so debug-mode smoke tiers stay fast;
-/// the bound is a scan resolution, not a correctness parameter.
+/// Caps the pointwise reference scan so debug-mode smoke tiers stay
+/// fast; the bound is a scan resolution, not a correctness parameter.
 const SUPREMUM_GRID_CAP: usize = 48;
 
 /// Floor applied to Theorem 1 comparisons so the window always
 /// contains several full turning-point periods.
 const MEASURE_XMAX_FLOOR: f64 = 24.0;
-const MEASURE_GRID_FLOOR: usize = 64;
+
+/// The pointwise reference scan of a strategy: `K(x)` at every target
+/// of [`materialize_with_targets`], whose target set the simulator
+/// path also scans. Only the two oracles that check a measurement path
+/// against it call it.
+fn reference_scan(
+    strategy: &dyn Strategy,
+    params: Params,
+    xmax: f64,
+    grid_points: usize,
+) -> Result<SupremumScan> {
+    let (fleet, targets) = materialize_with_targets(strategy, params, xmax, grid_points)?;
+    fleet.supremum(&targets, params.required_visits())
+}
 
 fn sim_analytic_detection(inst: &Instance, inject: bool) -> Result<Verdict> {
     let params = inst.params()?;
@@ -392,11 +398,11 @@ fn sim_analytic_supremum(inst: &Instance, inject: bool) -> Result<Verdict> {
         return Ok(Verdict::Skip(format!("{} rejects {params}: {e}", inst.strategy)));
     }
     let grid = inst.grid_points.min(SUPREMUM_GRID_CAP);
-    // The simulator scans the same discrete target set as the grid
-    // baseline, so the two paths are compared grid-vs-sim; the exact
-    // engine can only exceed a grid scan and is checked separately by
-    // `exact-supremum-dominates-grid`.
-    let a = measure_strategy_cr_grid(strategy.as_ref(), params, inst.xmax, grid)?;
+    // The simulator scans the same discrete target set as the
+    // reference, so the two paths are compared reference-vs-sim; the
+    // exact engine can only exceed the reference and is checked
+    // separately by `exact-supremum-dominates-grid`.
+    let a = reference_scan(strategy.as_ref(), params, inst.xmax, grid)?;
     let b = measure_strategy_cr_sim(strategy.as_ref(), params, inst.xmax, grid)?;
     if a.uncovered != b.uncovered {
         return Ok(fail(
@@ -406,11 +412,11 @@ fn sim_analytic_supremum(inst: &Instance, inject: bool) -> Result<Verdict> {
             None,
         ));
     }
-    if a.empirical.is_finite() {
+    if a.ratio.is_finite() {
         let observed = skew_up(inject, b.empirical);
-        if rel_gap(observed, a.empirical) > REL_TOL {
+        if rel_gap(observed, a.ratio) > REL_TOL {
             return Ok(fail(
-                a.empirical,
+                a.ratio,
                 observed,
                 format!("{}: coverage vs simulator supremum", inst.strategy),
                 None,
@@ -436,9 +442,9 @@ fn exact_supremum_dominates_grid(inst: &Instance, inject: bool) -> Result<Verdic
         return Ok(Verdict::Skip(format!("{} rejects {params}: {e}", inst.strategy)));
     }
     let grid_points = inst.grid_points.min(SUPREMUM_GRID_CAP);
-    let exact = measure_strategy_cr(strategy.as_ref(), params, inst.xmax, grid_points)?;
-    let grid = measure_strategy_cr_grid(strategy.as_ref(), params, inst.xmax, grid_points)?;
-    if !grid.empirical.is_finite() {
+    let exact = measure_strategy_cr(strategy.as_ref(), params, inst.xmax)?;
+    let grid = reference_scan(strategy.as_ref(), params, inst.xmax, grid_points)?;
+    if !grid.ratio.is_finite() {
         // A grid-uncovered point lies in some window interval the
         // exact engine enumerates, so exact coverage can never claim
         // a finite supremum where the grid found a hole.
@@ -463,9 +469,9 @@ fn exact_supremum_dominates_grid(inst: &Instance, inject: bool) -> Result<Verdic
     // Slack: grid probes sit at `m * (1 + TURNING_POINT_EPS)`,
     // marginally past the one-sided limits the exact engine evaluates.
     let observed = skew_down(inject, exact.empirical);
-    if observed < grid.empirical * (1.0 - REL_TOL) {
+    if observed < grid.ratio * (1.0 - REL_TOL) {
         return Ok(fail(
-            grid.empirical,
+            grid.ratio,
             observed,
             format!(
                 "{}: exact supremum fell below the {grid_points}-point grid scan",
@@ -511,12 +517,8 @@ fn closed_form_visit(inst: &Instance, inject: bool) -> Result<Verdict> {
 fn thm1_closed_form_measured(inst: &Instance, inject: bool) -> Result<Verdict> {
     let params = inst.params()?;
     let thm1 = ratio::cr_upper(params);
-    let measured = measure_strategy_cr(
-        &PaperStrategy::new(),
-        params,
-        inst.xmax.max(MEASURE_XMAX_FLOOR),
-        inst.grid_points.max(MEASURE_GRID_FLOOR),
-    )?;
+    let measured =
+        measure_strategy_cr(&PaperStrategy::new(), params, inst.xmax.max(MEASURE_XMAX_FLOOR))?;
     if measured.uncovered != 0 {
         return Ok(fail(
             0.0,
@@ -595,7 +597,7 @@ fn two_group_unit_cr(inst: &Instance, inject: bool) -> Result<Verdict> {
     if thm1 != 1.0 {
         return Ok(fail(1.0, thm1, "two-group Theorem 1 value is not exactly 1".to_owned(), None));
     }
-    let measured = measure_strategy_cr(&PaperStrategy::new(), params, inst.xmax.min(16.0), 24)?;
+    let measured = measure_strategy_cr(&PaperStrategy::new(), params, inst.xmax.min(16.0))?;
     let observed = skew_up(inject, measured.empirical);
     if measured.uncovered != 0 || (observed - 1.0).abs() > REL_TOL {
         return Ok(fail(
@@ -622,12 +624,8 @@ fn single_robot_nine(inst: &Instance, inject: bool) -> Result<Verdict> {
             None,
         ));
     }
-    let measured = measure_strategy_cr(
-        &PaperStrategy::new(),
-        params,
-        inst.xmax.max(MEASURE_XMAX_FLOOR),
-        inst.grid_points.max(MEASURE_GRID_FLOOR),
-    )?;
+    let measured =
+        measure_strategy_cr(&PaperStrategy::new(), params, inst.xmax.max(MEASURE_XMAX_FLOOR))?;
     let observed = skew_up(inject, measured.empirical);
     let band = 9.0 * (1.0 - EXACT_RTOL)..=9.0 + ABS_SLACK;
     if measured.uncovered != 0 || !band.contains(&observed) {
@@ -644,12 +642,8 @@ fn single_robot_nine(inst: &Instance, inject: bool) -> Result<Verdict> {
 fn measured_above_certified_floor(inst: &Instance, inject: bool) -> Result<Verdict> {
     let params = inst.params()?;
     let cert = certificate::certify_lower_bound(params)?;
-    let measured = measure_strategy_cr(
-        &PaperStrategy::new(),
-        params,
-        inst.xmax.max(MEASURE_XMAX_FLOOR),
-        inst.grid_points.max(MEASURE_GRID_FLOOR),
-    )?;
+    let measured =
+        measure_strategy_cr(&PaperStrategy::new(), params, inst.xmax.max(MEASURE_XMAX_FLOOR))?;
     if measured.uncovered != 0 {
         return Ok(fail(
             0.0,
@@ -675,7 +669,7 @@ fn objective_eval_consistency(inst: &Instance, inject: bool) -> Result<Verdict> 
         return Ok(Verdict::Skip("instance carries no free schedule".to_owned()));
     };
     let params = inst.params()?;
-    let objective = Objective::new(params, inst.xmax, inst.grid_points)?;
+    let objective = Objective::new(params, inst.xmax)?;
     let score = skew_up(inject, objective.eval(schedule));
     // Re-derive scoreability exactly as `eval` does, from `profile`.
     let scoreable = objective.profile(schedule).ok().and_then(|p| {

@@ -92,7 +92,7 @@ pub use error::{Error, Result};
 pub use free_schedule::{FreePlan, FreeRobot, FreeSchedule};
 pub use geometry::Geometry;
 pub use interval::Interval;
-pub use parallel::{par_map, par_map_chunked, par_map_with, ParallelConfig};
+pub use parallel::{par_map, par_map_with, ParallelConfig};
 pub use params::{Params, Regime};
 pub use plan::{Direction, IdlePlan, RayPlan, TrajectoryPlan, WaypointCyclePlan};
 pub use query::{canonical_hash64, canonical_string, CrQuery, CrReport};

@@ -198,58 +198,6 @@ where
     out
 }
 
-/// The pre-work-stealing scheduler: one contiguous chunk per worker.
-///
-/// Kept as the comparison baseline for the perf-baseline benchmarks
-/// (`repro bench`); on cost-skewed inputs the last chunk dominates and
-/// this degrades toward serial, which is exactly what the
-/// work-stealing engine fixes. New code should call [`par_map`].
-///
-/// # Panics
-///
-/// Re-raises the first worker panic with its original payload, like
-/// [`par_map_with`].
-pub fn par_map_chunked<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let len = items.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    let workers = threads.clamp(1, len);
-    if workers == 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = len.div_ceil(workers);
-    let joined = thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(|_| {
-                    catch_unwind(AssertUnwindSafe(|| slice.iter().map(&f).collect::<Vec<R>>()))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panics are caught inside the closure"))
-            .collect::<Vec<_>>()
-    })
-    .expect("worker panics are caught inside the closure");
-
-    let mut out = Vec::with_capacity(len);
-    for result in joined {
-        match result {
-            Ok(mut values) => out.append(&mut values),
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,16 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_baseline_matches_serial() {
-        let items: Vec<u64> = (0..513).collect();
-        for threads in [1, 2, 4, 9] {
-            let out = par_map_chunked(&items, threads, |&x| x * 3);
-            let expected: Vec<u64> = items.iter().map(|&x| x * 3).collect();
-            assert_eq!(out, expected, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn panic_payload_survives_with_original_message() {
         let items: Vec<u64> = (0..256).collect();
         let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -330,24 +268,6 @@ mod tests {
             message.contains("item 97 hit the poison value"),
             "original panic message lost: {message}"
         );
-    }
-
-    #[test]
-    fn chunked_baseline_preserves_panic_payload() {
-        let items: Vec<u64> = (0..64).collect();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_map_chunked(&items, 4, |&x| {
-                assert!(x != 42, "chunked poison at {x}");
-                x
-            })
-        }))
-        .expect_err("the mapping panics on item 42");
-        let message = caught
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| caught.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .expect("panic payload is a string");
-        assert!(message.contains("chunked poison at 42"), "payload lost: {message}");
     }
 
     #[test]

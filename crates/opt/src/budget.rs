@@ -34,7 +34,8 @@ pub struct Knobs {
     pub rounds: usize,
     /// Explicit turning points per robot before the geometric tail.
     pub explicit_turns: usize,
-    /// Grid points per trajectory interval in the supremum scan.
+    /// The default `grid_points` a run reports. No measurement reads
+    /// it: the exact supremum engine needs no grid.
     pub grid_points: usize,
     /// Annealing proposals per round per start.
     pub anneal_steps: usize,

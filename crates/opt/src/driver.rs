@@ -50,7 +50,9 @@ pub struct OptimizeConfig {
     /// [`Objective::default_xmax`].
     #[serde(default)]
     pub xmax: Option<f64>,
-    /// Scan resolution override; defaults to the budget's grid.
+    /// Scan resolution override; defaults to the budget's grid. No
+    /// measurement reads it: it is echoed into the report (and so keys
+    /// `/v1/optimize`), and must not be 0.
     #[serde(default)]
     pub grid_points: Option<usize>,
     /// When set, optimize the *expected* competitive ratio with every
@@ -96,7 +98,7 @@ impl OptimizeConfig {
         }
     }
 
-    /// The resolved scan resolution.
+    /// The resolved `grid_points` echo.
     #[must_use]
     pub fn resolved_grid_points(&self) -> usize {
         self.grid_points.unwrap_or(self.budget.knobs().grid_points)
@@ -106,19 +108,19 @@ impl OptimizeConfig {
     ///
     /// # Errors
     ///
-    /// Propagates parameter and window validation.
+    /// Propagates parameter and window validation, and rejects a
+    /// resolved `grid_points` of 0.
     pub fn objective(&self) -> Result<Objective> {
-        match self.detect_probability {
-            Some(p) => Objective::with_detect_probability(
-                self.params()?,
-                self.resolved_xmax()?,
-                self.resolved_grid_points(),
-                p,
-            ),
-            None => {
-                Objective::new(self.params()?, self.resolved_xmax()?, self.resolved_grid_points())
+        let objective = match self.detect_probability {
+            Some(p) => {
+                Objective::with_detect_probability(self.params()?, self.resolved_xmax()?, p)?
             }
+            None => Objective::new(self.params()?, self.resolved_xmax()?)?,
+        };
+        if self.resolved_grid_points() == 0 {
+            return Err(Error::domain("objective needs at least one grid point"));
         }
+        Ok(objective)
     }
 }
 
@@ -352,7 +354,8 @@ pub struct OptimizeReport {
     pub evaluations: u64,
     /// Resolved measurement window `[1, xmax]`.
     pub xmax: f64,
-    /// Resolved scan resolution.
+    /// Resolved `grid_points`, echoed from the config; no measurement
+    /// reads it.
     pub grid_points: usize,
     /// Theorem 1 closed form (the two-group ratio 1 for `n >= 2f+2`).
     pub thm1_cr: f64,
@@ -364,7 +367,7 @@ pub struct OptimizeReport {
     pub baseline_measured: f64,
     /// Best measured ratio over all starts and rounds.
     pub best_found_cr: f64,
-    /// `baseline_measured - best_found_cr` (same window, same grid).
+    /// `baseline_measured - best_found_cr` (same window).
     pub improvement: f64,
     /// Whether the pair's bounds already meet: two-group pairs
     /// (Theorem 1 ratio 1 is optimal) and `n = f + 1` pairs (Theorem 1
@@ -442,9 +445,8 @@ fn report_two_group(config: &OptimizeConfig) -> Result<OptimizeReport> {
     let params = config.params()?;
     let algorithm = Algorithm::design(params)?;
     let xmax = config.resolved_xmax()?;
-    let grid_points = config.resolved_grid_points();
     let strategy = resolve_strategy("paper", None)?;
-    let measured = measure_strategy_cr(strategy.as_ref(), params, xmax, grid_points)?;
+    let measured = measure_strategy_cr(strategy.as_ref(), params, xmax)?;
     Ok(OptimizeReport {
         n: config.n,
         f: config.f,
@@ -455,7 +457,7 @@ fn report_two_group(config: &OptimizeConfig) -> Result<OptimizeReport> {
         starts: 0,
         evaluations: 1,
         xmax,
-        grid_points,
+        grid_points: config.resolved_grid_points(),
         thm1_cr: algorithm.analytic_cr(),
         thm2_alpha: None,
         lower_bound: lower_bound(params)?,

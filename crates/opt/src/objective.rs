@@ -19,7 +19,7 @@ use faultline_analysis::{
     FreeScheduleProfile, LeaveOneOut, MeasuredCr,
 };
 use faultline_core::certificate::certify_alpha;
-use faultline_core::lower_bound::{adversary_points, alpha};
+use faultline_core::lower_bound::alpha;
 use faultline_core::{Error, FreeRobot, FreeSchedule, Params, Regime, Result};
 use faultline_sim::FaultKind;
 
@@ -42,15 +42,12 @@ pub const PENALTY: f64 = 1e12;
 pub const PRESSURE_WEIGHT: f64 = 1e-3;
 
 /// The measurement context shared by every candidate evaluation of an
-/// optimizer run: the `(n, f)` pair, the target window, the scan
-/// resolution, the paper's adversarial probe targets, and the
+/// optimizer run: the `(n, f)` pair, the target window, and the
 /// certified lower-bound floor.
 #[derive(Debug, Clone)]
 pub struct Objective {
     params: Params,
     xmax: f64,
-    grid_points: usize,
-    adversary: Vec<f64>,
     floor: f64,
     detect_probability: Option<f64>,
 }
@@ -58,10 +55,10 @@ pub struct Objective {
 impl Objective {
     /// Builds the objective for `(n, f)` over the window `[1, xmax]`.
     ///
-    /// For pairs in the lower-bound regime (`n < 2f + 2`) the paper's
-    /// adversarial placements `x_i = 2 (alpha-1)^i / (alpha-3)` inside
-    /// the window are added as extra probe targets, and the certified
-    /// `alpha(n)` interval's lower end becomes the soundness floor.
+    /// For pairs in the lower-bound regime (`n < 2f + 2`) the certified
+    /// `alpha(n)` interval's lower end becomes the soundness floor. The
+    /// exact engine maximizes over every point of the window, so the
+    /// paper's adversarial placements need no probes of their own.
     ///
     /// The floor is deliberately `alpha(n)` and not the tighter
     /// single-robot bound 9 when `n = f + 1`: that bound is attained
@@ -72,29 +69,20 @@ impl Objective {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Domain`] when `xmax <= 1` or is non-finite, or
-    /// when `grid_points == 0`.
-    pub fn new(params: Params, xmax: f64, grid_points: usize) -> Result<Self> {
+    /// Returns [`Error::Domain`] when `xmax <= 1` or is non-finite.
+    pub fn new(params: Params, xmax: f64) -> Result<Self> {
         if !(xmax > 1.0) || !xmax.is_finite() {
             return Err(Error::domain(format!(
                 "objective window must satisfy 1 < xmax < inf, got {xmax}"
             )));
         }
-        if grid_points == 0 {
-            return Err(Error::domain("objective needs at least one grid point"));
-        }
         let n = params.n();
-        let mut adversary = Vec::new();
-        let mut floor = 0.0;
-        if params.regime() == Regime::Proportional && n < 2 * params.f() + 2 {
-            let a = alpha(n)?;
-            adversary = adversary_points(n, a)?
-                .into_iter()
-                .filter(|x| x.is_finite() && *x >= 1.0 && *x <= xmax)
-                .collect();
-            floor = certify_alpha(n)?.lo;
-        }
-        Ok(Objective { params, xmax, grid_points, adversary, floor, detect_probability: None })
+        let floor = if params.regime() == Regime::Proportional && n < 2 * params.f() + 2 {
+            certify_alpha(n)?.lo
+        } else {
+            0.0
+        };
+        Ok(Objective { params, xmax, floor, detect_probability: None })
     }
 
     /// Builds an *expected*-CR objective: every robot is p-faulty with
@@ -102,23 +90,20 @@ impl Objective {
     /// scored by the supremum over the window of the exact expected
     /// competitive ratio instead of the worst-case one.
     ///
-    /// No certified floor applies (the worst-case lower bound does not
-    /// bound an expectation) and the paper's adversarial placements are
-    /// dropped — the expectation has no Theorem 2 structure to probe.
+    /// No certified floor applies: the worst-case lower bound does not
+    /// bound an expectation.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Domain`] for a window or resolution rejected by
+    /// Returns [`Error::Domain`] for a window rejected by
     /// [`Objective::new`], or a probability outside `[0, 1]`.
     pub fn with_detect_probability(
         params: Params,
         xmax: f64,
-        grid_points: usize,
         detect_probability: f64,
     ) -> Result<Self> {
         FaultKind::PFaulty { detect_probability }.validate()?;
-        let mut objective = Objective::new(params, xmax, grid_points)?;
-        objective.adversary = Vec::new();
+        let mut objective = Objective::new(params, xmax)?;
         objective.floor = 0.0;
         objective.detect_probability = Some(detect_probability);
         Ok(objective)
@@ -148,12 +133,6 @@ impl Objective {
         self.xmax
     }
 
-    /// The scan resolution between trajectory-derived targets.
-    #[must_use]
-    pub fn grid_points(&self) -> usize {
-        self.grid_points
-    }
-
     /// The certified lower-bound floor (0 when no bound applies).
     #[must_use]
     pub fn floor(&self) -> f64 {
@@ -177,14 +156,8 @@ impl Objective {
     /// size, degenerate window).
     pub fn measure(&self, schedule: &FreeSchedule) -> Result<MeasuredCr> {
         match self.detect_probability {
-            Some(p) => measure_free_schedule_expected_cr(schedule, p, self.xmax, self.grid_points),
-            None => measure_free_schedule_cr(
-                schedule,
-                self.params.f(),
-                self.xmax,
-                self.grid_points,
-                &self.adversary,
-            ),
+            Some(p) => measure_free_schedule_expected_cr(schedule, p, self.xmax),
+            None => measure_free_schedule_cr(schedule, self.params.f(), self.xmax),
         }
     }
 
@@ -200,17 +173,10 @@ impl Objective {
     /// Propagates measurement failures.
     pub fn profile(&self, schedule: &FreeSchedule) -> Result<FreeScheduleProfile> {
         if let Some(p) = self.detect_probability {
-            let measured =
-                measure_free_schedule_expected_cr(schedule, p, self.xmax, self.grid_points)?;
+            let measured = measure_free_schedule_expected_cr(schedule, p, self.xmax)?;
             return Ok(FreeScheduleProfile { measured, pressure: 1.0 });
         }
-        measure_free_schedule_profile(
-            schedule,
-            self.params.f(),
-            self.xmax,
-            self.grid_points,
-            &self.adversary,
-        )
+        measure_free_schedule_profile(schedule, self.params.f(), self.xmax)
     }
 
     /// Totalized objective value: the measured supremum plus
@@ -275,7 +241,7 @@ mod tests {
     #[test]
     fn objective_scores_the_proportional_seed_near_theorem_1() {
         let params = Params::new(3, 1).unwrap();
-        let objective = Objective::new(params, 10.0, 24).unwrap();
+        let objective = Objective::new(params, 10.0).unwrap();
         let seed = lowered(3, 1, 6);
         let value = objective.eval(&seed);
         let raw = objective.measure(&seed).unwrap().empirical;
@@ -290,9 +256,14 @@ mod tests {
     #[test]
     fn window_and_resolution_are_validated() {
         let params = Params::new(3, 1).unwrap();
-        assert!(Objective::new(params, 1.0, 16).is_err());
-        assert!(Objective::new(params, f64::NAN, 16).is_err());
-        assert!(Objective::new(params, 10.0, 0).is_err());
+        assert!(Objective::new(params, 1.0).is_err());
+        assert!(Objective::new(params, f64::NAN).is_err());
+        // No measurement reads the resolution, but the config that
+        // builds the objective still rejects a zero grid.
+        let mut config = crate::OptimizeConfig::new(3, 1);
+        config.xmax = Some(10.0);
+        config.grid_points = Some(0);
+        assert!(config.objective().is_err());
     }
 
     #[test]
@@ -309,7 +280,7 @@ mod tests {
     #[test]
     fn mismatched_schedule_size_is_penalized_not_propagated() {
         let params = Params::new(5, 3).unwrap();
-        let objective = Objective::new(params, 10.0, 16).unwrap();
+        let objective = Objective::new(params, 10.0).unwrap();
         // A 3-robot schedule cannot support f = 3 (needs f + 1 = 4 visits).
         let small = lowered(3, 1, 5);
         assert_eq!(objective.eval(&small), PENALTY);
@@ -326,7 +297,7 @@ mod tests {
         // map that surfaced bailout to the explicit PENALTY instead of
         // letting the infinity leak into the golden-section search.
         let params = Params::new(3, 1).unwrap();
-        let objective = Objective::new(params, 2.0, 16).unwrap();
+        let objective = Objective::new(params, 2.0).unwrap();
         let stunted = |side: f64| FreeRobot::new(side, vec![0.5, 0.5 + 5e-8], 0.5).unwrap();
         let doubler = FreeRobot::new(1.0, vec![1.0, 2.0], 1.0).unwrap();
         let schedule = FreeSchedule::new(vec![doubler, stunted(1.0), stunted(-1.0)]).unwrap();
@@ -339,13 +310,13 @@ mod tests {
     #[test]
     fn expected_cr_objective_validates_and_scores_monotonically() {
         let params = Params::new(3, 1).unwrap();
-        assert!(Objective::with_detect_probability(params, 10.0, 16, -0.1).is_err());
-        assert!(Objective::with_detect_probability(params, 10.0, 16, 1.5).is_err());
-        assert!(Objective::with_detect_probability(params, 10.0, 16, f64::NAN).is_err());
+        assert!(Objective::with_detect_probability(params, 10.0, -0.1).is_err());
+        assert!(Objective::with_detect_probability(params, 10.0, 1.5).is_err());
+        assert!(Objective::with_detect_probability(params, 10.0, f64::NAN).is_err());
         let seed = lowered(3, 1, 6);
         let mut prev = f64::INFINITY;
         for p in [0.25, 0.5, 1.0] {
-            let objective = Objective::with_detect_probability(params, 10.0, 24, p).unwrap();
+            let objective = Objective::with_detect_probability(params, 10.0, p).unwrap();
             assert_eq!(objective.detect_probability(), Some(p));
             assert_eq!(objective.floor(), 0.0);
             let value = objective.eval(&seed);
@@ -360,15 +331,15 @@ mod tests {
 
     #[test]
     fn worst_case_objective_reports_no_detect_probability() {
-        let objective = Objective::new(Params::new(3, 1).unwrap(), 10.0, 16).unwrap();
+        let objective = Objective::new(Params::new(3, 1).unwrap(), 10.0).unwrap();
         assert_eq!(objective.detect_probability(), None);
     }
 
     #[test]
     fn floor_applies_only_in_the_lower_bound_regime() {
-        let proportional = Objective::new(Params::new(3, 1).unwrap(), 10.0, 16).unwrap();
+        let proportional = Objective::new(Params::new(3, 1).unwrap(), 10.0).unwrap();
         assert!(proportional.floor() > 3.0);
-        let two_group = Objective::new(Params::new(4, 1).unwrap(), 10.0, 16).unwrap();
+        let two_group = Objective::new(Params::new(4, 1).unwrap(), 10.0).unwrap();
         assert_eq!(two_group.floor(), 0.0);
     }
 }

@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn descent_never_worsens_the_incumbent() {
         let params = Params::new(3, 1).unwrap();
-        let objective = Objective::new(params, 8.0, 12).unwrap();
+        let objective = Objective::new(params, 8.0).unwrap();
         let mut schedule = seed_schedule(3, 1, 5);
         let mut cr = objective.eval(&schedule);
         let before = cr;
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn descent_is_deterministic() {
         let params = Params::new(3, 1).unwrap();
-        let objective = Objective::new(params, 8.0, 12).unwrap();
+        let objective = Objective::new(params, 8.0).unwrap();
         let run = || {
             let mut schedule = seed_schedule(3, 1, 5);
             let mut cr = objective.eval(&schedule);
@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn anneal_is_greedy_and_deterministic() {
         let params = Params::new(3, 1).unwrap();
-        let objective = Objective::new(params, 8.0, 12).unwrap();
+        let objective = Objective::new(params, 8.0).unwrap();
         let run = || {
             let mut schedule = seed_schedule(3, 1, 5);
             let mut cr = objective.eval(&schedule);

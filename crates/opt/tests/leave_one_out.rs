@@ -134,7 +134,7 @@ fn stunted_bailout_falls_back_to_the_penalty() {
     // three visits it needs. Held without it, the doublers serve it as
     // a candidate only to find the window uncovered. It never clears
     // the window, so a hold that would keep it is refused.
-    let objective = Objective::new(Params::new(3, 2).unwrap(), 2.0, 16).unwrap();
+    let objective = Objective::new(Params::new(3, 2).unwrap(), 2.0).unwrap();
     let stunted = FreeRobot::new(1.0, vec![0.5, 0.5 + 5e-8], 0.5).unwrap();
     let doubler = |side: f64| FreeRobot::new(side, vec![1.0, 2.0], 1.0).unwrap();
     let schedule = FreeSchedule::new(vec![doubler(1.0), doubler(-1.0), stunted.clone()]).unwrap();
@@ -150,7 +150,7 @@ fn stunted_bailout_falls_back_to_the_penalty() {
 fn floor_rejected_candidate_scores_the_penalty() {
     // Two robots sweep [1, 1.2] on both sides and "beat" alpha(2)
     // inside the window; served or not, the floor rejects them.
-    let objective = Objective::new(Params::new(2, 1).unwrap(), 1.2, 8).unwrap();
+    let objective = Objective::new(Params::new(2, 1).unwrap(), 1.2).unwrap();
     let right = FreeRobot::new(1.0, vec![1.201, 3.0], 1.201).unwrap();
     let left = FreeRobot::new(-1.0, vec![1.201, 3.0], 1.201).unwrap();
     let schedule = FreeSchedule::new(vec![right.clone(), left]).unwrap();
@@ -164,7 +164,7 @@ fn floor_rejected_candidate_scores_the_penalty() {
 #[test]
 fn expected_cr_objective_takes_the_full_path() {
     let params = Params::new(3, 1).unwrap();
-    let objective = Objective::with_detect_probability(params, 10.0, 16, 0.5).unwrap();
+    let objective = Objective::with_detect_probability(params, 10.0, 0.5).unwrap();
     let config = OptimizeConfig::new(3, 1);
     assert!(objective.hold_others(&seed_schedule(&config), 0).is_none());
 }

@@ -47,7 +47,7 @@ proptest! {
         let f = n - 1;
         let params = Params::new(n, f).unwrap();
         let schedule = random_schedule(n, entropy);
-        let objective = Objective::new(params, xmax, 8).unwrap();
+        let objective = Objective::new(params, xmax).unwrap();
         let measured = objective.measure(&schedule).unwrap();
         prop_assume!(measured.uncovered == 0 && measured.empirical.is_finite());
 
@@ -81,7 +81,7 @@ fn a_window_overfitted_schedule_is_rejected_not_celebrated() {
     let left = FreeRobot::new(-1.0, vec![1.201, 3.0], 1.201).unwrap();
     let schedule = FreeSchedule::new(vec![right, left]).unwrap();
 
-    let objective = Objective::new(params, 1.2, 8).unwrap();
+    let objective = Objective::new(params, 1.2).unwrap();
     let measured = objective.measure(&schedule).unwrap();
     assert_eq!(measured.uncovered, 0);
 

@@ -138,31 +138,10 @@ fn prepare_table1(request: &Request) -> Result<Prepared, ServeError> {
             )))
         }
     };
-    let grid = match request.query_param("grid") {
-        None => table1::DEFAULT_MEASURE_GRID,
-        Some(raw) => {
-            let grid: usize = raw.parse().map_err(|_| {
-                ServeError::BadRequest(format!(
-                    "query parameter `grid` must be a positive integer, got `{raw}`"
-                ))
-            })?;
-            if !(2..=1_000_000).contains(&grid) {
-                return Err(ServeError::BadRequest(format!(
-                    "query parameter `grid` must be in 2..=1000000, got `{grid}`"
-                )));
-            }
-            grid
-        }
-    };
-    // The grid is part of the resolved request even at its default:
-    // `?measure=true` and `?measure=true&grid=64` are the same entry.
-    let resolved = serde::Value::Object(vec![
-        ("measure".to_owned(), serde::Value::Bool(measure)),
-        ("grid".to_owned(), serde::Value::UInt(grid as u64)),
-    ]);
+    let resolved = serde::Value::Object(vec![("measure".to_owned(), serde::Value::Bool(measure))]);
     let cache_key = key_for(Route::Table1, &resolved);
     let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> = Box::new(move || {
-        let rows = table1::regenerate_with_grid(measure, grid)?;
+        let rows = table1::regenerate(measure)?;
         serde_json::to_string_pretty(&rows)
             .map(json_body)
             .map_err(|e| ServeError::Internal(format!("serialization failed: {e}")))
@@ -592,24 +571,22 @@ mod tests {
     }
 
     #[test]
-    fn table1_grid_is_part_of_the_resolved_request() {
-        let default_grid = prepare(Route::Table1, &get("/v1/table1", &[])).unwrap();
-        let explicit_default =
-            prepare(Route::Table1, &get("/v1/table1", &[("grid", "64")])).unwrap();
+    fn retired_grid_knobs_map_to_the_same_cache_keys() {
+        // Every answer is the exact engine's, so the grid knobs old
+        // clients may still send select nothing: they key like the
+        // same requests without them.
+        let table1 = |query: &[(&str, &str)]| {
+            prepare(Route::Table1, &get("/v1/table1", query)).unwrap().cache_key
+        };
         assert_eq!(
-            default_grid.cache_key, explicit_default.cache_key,
-            "spelling out the default grid is the same request"
+            table1(&[("measure", "true"), ("grid", "1024")]),
+            table1(&[("measure", "true")])
         );
-        let finer = prepare(Route::Table1, &get("/v1/table1", &[("grid", "1024")])).unwrap();
-        assert_ne!(default_grid.cache_key, finer.cache_key);
-        for bad in ["0", "1", "1000001", "-3", "lots"] {
-            assert!(
-                matches!(
-                    prepare(Route::Table1, &get("/v1/table1", &[("grid", bad)])),
-                    Err(ServeError::BadRequest(_))
-                ),
-                "grid `{bad}` must be rejected"
-            );
-        }
+        let supremum =
+            |body: &str| prepare(Route::Supremum, &post("/v1/supremum", body)).unwrap().cache_key;
+        assert_eq!(
+            supremum(r#"{"n": 41, "f": 20, "xmax": 300.0, "grid": true, "grid_points": 60000}"#),
+            supremum(r#"{"n": 41, "f": 20, "xmax": 300.0}"#)
+        );
     }
 }

@@ -10,10 +10,9 @@ use std::time::{Duration, Instant};
 use faultline_serve::client::{self, Response, Session};
 use faultline_serve::{ServeConfig, ServerHandle};
 
-/// A supremum body slow enough (hundreds of ms even in release) to
-/// hold a worker while the herd piles onto its flight.
-const SLOW_SUPREMUM: &str =
-    r#"{"n": 41, "f": 20, "xmax": 300.0, "grid_points": 60000, "grid": true}"#;
+/// An optimize body slow enough (about 200 ms in release) to hold a
+/// worker while the herd piles onto its flight.
+const SLOW_OPTIMIZE: &str = r#"{"n": 41, "f": 20, "budget": "tiny", "seed": 1}"#;
 
 fn spawn(config: ServeConfig) -> (ServerHandle, String) {
     let handle = ServerHandle::spawn(ServeConfig { addr: "127.0.0.1:0".to_owned(), ..config })
@@ -43,7 +42,7 @@ fn a_thundering_herd_of_identical_misses_computes_exactly_once() {
 
     // The creator parks first and its job occupies a worker...
     let creator_addr = addr.clone();
-    let creator = std::thread::spawn(move || post(&creator_addr, "/v1/supremum", SLOW_SUPREMUM));
+    let creator = std::thread::spawn(move || post(&creator_addr, "/v1/optimize", SLOW_OPTIMIZE));
     wait_for("the creator's job to start computing", Duration::from_secs(30), || {
         state.metrics.workers_busy() >= 1
     });
@@ -57,10 +56,10 @@ fn a_thundering_herd_of_identical_misses_computes_exactly_once() {
             let addr = addr.clone();
             // Whitespace varies per requester; the canonical key does not.
             let body = format!(
-                "{{\"n\": 41,{} \"f\": 20, \"xmax\": 300.0, \"grid_points\": 60000, \"grid\": true}}",
+                "{{\"n\": 41,{} \"f\": 20, \"budget\": \"tiny\", \"seed\": 1}}",
                 " ".repeat(i + 1)
             );
-            std::thread::spawn(move || post(&addr, "/v1/supremum", &body))
+            std::thread::spawn(move || post(&addr, "/v1/optimize", &body))
         })
         .collect();
     wait_for("the whole herd to coalesce", Duration::from_secs(30), || {

@@ -8,15 +8,11 @@ use std::time::{Duration, Instant};
 use faultline_serve::client::{self, Response, Session};
 use faultline_serve::{ServeConfig, ServerHandle};
 
-/// A supremum body slow enough (hundreds of ms even in release) to
-/// hold a worker while the test sequences saturation around it. The
-/// exact critical-point engine answers any grid size instantly, so a
-/// deliberately dense scan must opt into the retained grid path.
-const SLOW_SUPREMUM: &str =
-    r#"{"n": 41, "f": 20, "xmax": 300.0, "grid_points": 60000, "grid": true}"#;
-/// Same workload, one grid point apart: a distinct cache entry.
-const SLOW_SUPREMUM_B: &str =
-    r#"{"n": 41, "f": 20, "xmax": 300.0, "grid_points": 59999, "grid": true}"#;
+/// An optimize body slow enough (about 200 ms in release) to hold a
+/// worker while the test sequences saturation around it.
+const SLOW_OPTIMIZE: &str = r#"{"n": 41, "f": 20, "budget": "tiny", "seed": 1}"#;
+/// Same workload, another seed: a distinct cache entry.
+const SLOW_OPTIMIZE_B: &str = r#"{"n": 41, "f": 20, "budget": "tiny", "seed": 2}"#;
 
 fn spawn(config: ServeConfig) -> (ServerHandle, String) {
     let handle = ServerHandle::spawn(ServeConfig { addr: "127.0.0.1:0".to_owned(), ..config })
@@ -136,14 +132,14 @@ fn saturated_queue_answers_503_while_light_routes_stay_up() {
 
     // Occupy the single worker...
     let addr_a = addr.clone();
-    let slow_a = std::thread::spawn(move || post(&addr_a, "/v1/supremum", SLOW_SUPREMUM));
+    let slow_a = std::thread::spawn(move || post(&addr_a, "/v1/optimize", SLOW_OPTIMIZE));
     wait_for("the worker to pick up the slow job", Duration::from_secs(30), || {
         state.metrics.workers_busy() == 1
     });
 
     // ...fill the only queue slot...
     let addr_b = addr.clone();
-    let slow_b = std::thread::spawn(move || post(&addr_b, "/v1/supremum", SLOW_SUPREMUM_B));
+    let slow_b = std::thread::spawn(move || post(&addr_b, "/v1/optimize", SLOW_OPTIMIZE_B));
     wait_for("the queue slot to fill", Duration::from_secs(30), || state.pool.queue_depth() == 1);
 
     // ...and the next heavy miss must bounce with backpressure.
@@ -174,7 +170,7 @@ fn deadline_expiry_answers_504_and_still_warms_the_cache() {
     let (handle, addr) = spawn(config);
     let state = handle.state();
 
-    let timed_out = post(&addr, "/v1/supremum", SLOW_SUPREMUM);
+    let timed_out = post(&addr, "/v1/optimize", SLOW_OPTIMIZE);
     assert_eq!(timed_out.status, 504, "slower than the 10ms deadline");
 
     // The abandoned computation finishes in the background and inserts
@@ -182,7 +178,7 @@ fn deadline_expiry_answers_504_and_still_warms_the_cache() {
     wait_for("the abandoned job to warm the cache", Duration::from_secs(60), || {
         state.cache.live_entries() >= 1
     });
-    let retry = post(&addr, "/v1/supremum", SLOW_SUPREMUM);
+    let retry = post(&addr, "/v1/optimize", SLOW_OPTIMIZE);
     assert_eq!(retry.status, 200);
     assert_eq!(retry.header("X-Cache"), Some("hit"));
     handle.shutdown();
@@ -195,11 +191,10 @@ fn deadline_expiry_answers_504_and_still_warms_the_cache() {
 #[ignore = "timing harness, not a correctness test"]
 fn cache_hit_speedup_on_repeated_table1_workload() {
     let (handle, addr) = spawn(ServeConfig::default());
-    // The paper-default grid (64) regenerates in about a millisecond in
-    // release, which is too close to loopback overhead for a stable
-    // ratio; a 1024-point empirical scan is the kind of workload the
-    // cache exists for.
-    let path = "/v1/table1?measure=true&grid=1024";
+    // The measured table is the heaviest `/v1/table1` variant: the
+    // exact supremum scan of every row, the kind of work the cache
+    // exists for.
+    let path = "/v1/table1?measure=true";
 
     let start = Instant::now();
     let fresh = get(&addr, path);
@@ -217,7 +212,7 @@ fn cache_hit_speedup_on_repeated_table1_workload() {
     let hit = start.elapsed() / HITS;
     let speedup = miss.as_secs_f64() / hit.as_secs_f64();
     println!(
-        "table1(measure, grid=1024) miss: {:.2} ms, hit: {:.3} ms over {HITS} requests, speedup {speedup:.1}x",
+        "table1(measure) miss: {:.2} ms, hit: {:.3} ms over {HITS} requests, speedup {speedup:.1}x",
         miss.as_secs_f64() * 1e3,
         hit.as_secs_f64() * 1e3,
     );
@@ -314,7 +309,7 @@ fn graceful_shutdown_drains_in_flight_work_and_refuses_new() {
     let state = handle.state();
 
     let addr_a = addr.clone();
-    let in_flight = std::thread::spawn(move || post(&addr_a, "/v1/supremum", SLOW_SUPREMUM));
+    let in_flight = std::thread::spawn(move || post(&addr_a, "/v1/optimize", SLOW_OPTIMIZE));
     wait_for("the worker to pick up the job", Duration::from_secs(30), || {
         state.metrics.workers_busy() == 1
     });

@@ -249,7 +249,7 @@ fn compare(params: Params, xmax: f64) -> Result<(), Box<dyn std::error::Error>> 
     println!("measured competitive ratios at {params}, targets up to ±{xmax}:");
     let mut rows = Vec::new();
     for strategy in all_strategies() {
-        let row = match measure_strategy_cr(strategy.as_ref(), params, xmax, 64) {
+        let row = match measure_strategy_cr(strategy.as_ref(), params, xmax) {
             Ok(m) if m.empirical.is_finite() => {
                 vec![
                     strategy.name().to_owned(),

@@ -19,7 +19,7 @@ fn certificates_agree_with_measured_table() {
         let float_cr = ratio::cr_upper(params);
         assert!(cert.contains(float_cr));
         let measured =
-            faultline_suite::analysis::measure_strategy_cr(&PaperStrategy::new(), params, 25.0, 48)
+            faultline_suite::analysis::measure_strategy_cr(&PaperStrategy::new(), params, 25.0)
                 .unwrap()
                 .empirical;
         // The measured supremum approaches the certified value from

@@ -15,7 +15,7 @@ fn every_registered_strategy_runs_end_to_end() {
             continue; // strategies may reject parameters they cannot serve
         };
         assert_eq!(plans.len(), params.n(), "{}", strategy.name());
-        let measured = measure_strategy_cr(strategy.as_ref(), params, 12.0, 24).unwrap();
+        let measured = measure_strategy_cr(strategy.as_ref(), params, 12.0).unwrap();
         if let Some(claimed) = strategy.analytic_cr(params) {
             assert!(
                 measured.empirical <= claimed + 1e-6,
@@ -31,7 +31,7 @@ fn every_registered_strategy_runs_end_to_end() {
 fn paper_algorithm_beats_every_baseline_where_it_matters() {
     // On (5, 3) the paper's algorithm must beat both doubling baselines.
     let params = Params::new(5, 3).unwrap();
-    let paper = measure_strategy_cr(strategy_by_name("paper").unwrap().as_ref(), params, 25.0, 48)
+    let paper = measure_strategy_cr(strategy_by_name("paper").unwrap().as_ref(), params, 25.0)
         .unwrap()
         .empirical;
     for name in ["herd-doubling", "staggered-doubling"] {
@@ -41,7 +41,6 @@ fn paper_algorithm_beats_every_baseline_where_it_matters() {
             // The doubling baselines need a window past several powers
             // of 4 for their worst case to show; 25 is enough to rank.
             25.0,
-            48,
         )
         .unwrap()
         .empirical;
