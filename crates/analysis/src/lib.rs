@@ -52,7 +52,7 @@ pub use exact::{
 };
 pub use figures::FigureData;
 pub use report::{Comparison, ExperimentReport};
-pub use scenario::{run_document, Scenario, ScenarioResult};
+pub use scenario::{RobotPhysics, Scenario, ScenarioResult};
 pub use supremum::{
     measure_free_schedule_cr, measure_free_schedule_expected_cr, measure_free_schedule_profile,
     measure_strategy_cr, measure_strategy_cr_sim, resolve_strategy, FreeScheduleProfile,

@@ -1,6 +1,5 @@
-//! Scenario files: declarative JSON descriptions of a search
-//! experiment, runnable from the CLI (`faultline scenario <file>`)
-//! or programmatically.
+//! Scenarios: declarative JSON descriptions of a search experiment,
+//! and the one runner that executes them.
 //!
 //! ```json
 //! {
@@ -27,16 +26,20 @@
 //!   per-visit coins of a coin-driven `fault_plan` (default 0); the
 //!   same seed always reproduces the same coin flips.
 //!
-//! The CLI also accepts a recorded failure trace
-//! ([`faultline_sim::RunTrace`] JSON) wherever a scenario file is
-//! expected: [`run_document`] detects the document kind, re-executes a
-//! trace bit-for-bit, and reports it in the same result format.
+//! Any other key is an error. `geometry` and `robots` belong to the
+//! versioned form (`"version": 1`, `faultline_scenario::ScenarioDoc`),
+//! which wraps a [`Scenario`] with a geometry and per-robot physics.
+//! Both forms run through [`Scenario::run_with`]: the legacy form with
+//! the paper's unit fleet, the versioned form with the
+//! [`RobotPhysics`] its `robots` resolve to.
 
-use faultline_core::{json_float, Error, Params, Result, TrajectoryPlan};
+use faultline_core::{
+    json_float, Error, Geometry, Params, PiecewiseTrajectory, Result, SpaceTime, TrajectoryPlan,
+};
 use faultline_sim::engine::SimConfig;
 use faultline_sim::{
-    worst_case_outcome, FaultKind, FaultMask, FaultPlan, QuorumConfig, RunTrace, SearchOutcome,
-    Simulation, Target,
+    worst_case_outcome, FaultKind, FaultMask, FaultPlan, QuorumConfig, SearchOutcome, Simulation,
+    Target,
 };
 use faultline_strategies::{
     strategy_by_name, RandomizedStrategy, RandomizedSweepStrategy, Strategy,
@@ -81,6 +84,29 @@ pub struct Scenario {
 
 fn default_strategy() -> String {
     "paper".to_owned()
+}
+
+/// The keys of an unversioned scenario document.
+const FIELDS: [&str; 9] =
+    ["n", "f", "strategy", "beta", "targets", "faulty", "fault_plan", "quorum", "seed"];
+
+/// One robot's physics in a scenario fleet. The default is the paper's
+/// robot: unit speed, active from `t = 0`, its fault (if any) engaged
+/// from the start.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RobotPhysics {
+    /// Maximum speed.
+    pub speed: f64,
+    /// Start delay: the robot waits at the origin until then.
+    pub delay: f64,
+    /// Time at which the robot's `fault_plan` entry switches on.
+    pub fault_onset: Option<f64>,
+}
+
+impl Default for RobotPhysics {
+    fn default() -> Self {
+        RobotPhysics { speed: 1.0, delay: 0.0, fault_onset: None }
+    }
 }
 
 /// The result of one scenario target.
@@ -186,7 +212,9 @@ impl<'de> Deserialize<'de> for ScenarioResult {
 }
 
 impl ScenarioResult {
-    fn from_outcome(target: f64, outcome: &SearchOutcome) -> Self {
+    /// The result of one target's simulated search.
+    #[must_use]
+    pub fn from_outcome(target: f64, outcome: &SearchOutcome) -> Self {
         ScenarioResult {
             target,
             detection_time: outcome.detection.as_ref().map(|d| d.time),
@@ -200,29 +228,80 @@ impl ScenarioResult {
 }
 
 impl Scenario {
-    /// Parses a scenario from JSON.
+    /// Parses and validates a scenario from JSON.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Domain`] for malformed JSON and
-    /// [`Error::InvalidParameters`] for invalid `(n, f)`.
+    /// As [`Scenario::from_value`], plus malformed JSON.
     pub fn from_json(json: &str) -> Result<Self> {
-        let scenario: Scenario = serde_json::from_str(json)
+        let value = serde_json::from_str(json)
+            .map_err(|e| Error::domain(format!("malformed scenario: {e}")))?;
+        Self::from_value(value)
+    }
+
+    /// Builds and validates a scenario from a parsed JSON value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Domain`] for an unknown key (naming it, and
+    /// asking for `"version": 1` when it is `geometry` or `robots`), a
+    /// mistyped or missing field, and every error of
+    /// [`Scenario::validate`].
+    pub fn from_value(value: serde::Value) -> Result<Self> {
+        if let serde::Value::Object(fields) = &value {
+            if let Some((key, _)) = fields.iter().find(|(key, _)| !FIELDS.contains(&key.as_str())) {
+                return Err(Error::domain(match key.as_str() {
+                    "geometry" | "robots" => format!(
+                        "malformed scenario: \"{key}\" is only read from versioned documents; \
+                         add \"version\": 1"
+                    ),
+                    _ => {
+                        format!("malformed scenario: unknown field \"{key}\" in scenario document")
+                    }
+                }));
+            }
+        }
+        let scenario: Scenario = serde::from_value(value)
             .map_err(|e| Error::domain(format!("malformed scenario: {e}")))?;
         scenario.validate()?;
         Ok(scenario)
     }
 
-    /// Validates the scenario's cross-field constraints.
+    /// Validates the scenario's cross-field constraints, for targets
+    /// on the full line.
     ///
     /// # Errors
     ///
-    /// Reports invalid `(n, f)`, an unknown strategy, missing/extra
-    /// `beta`, an empty target list, or an over-budget fault set.
+    /// As [`Scenario::validate_in`].
     pub fn validate(&self) -> Result<()> {
+        self.validate_in(Geometry::Line, false)
+    }
+
+    /// Validates the fields both scenario forms share: targets must
+    /// lie in `geometry`'s adversary window, and a seed needs something
+    /// that flips coins (a randomized sweep, a coin-driven fault plan,
+    /// or a robot with a seeded start delay, as `seeded_activation`
+    /// says).
+    ///
+    /// # Errors
+    ///
+    /// Reports invalid `(n, f)`, an empty or out-of-window target
+    /// list, an unknown strategy, missing/extra `beta`, a meaningless
+    /// seed, or an inconsistent or over-budget fault set or quorum.
+    pub fn validate_in(&self, geometry: Geometry, seeded_activation: bool) -> Result<()> {
         Params::new(self.n, self.f)?;
         if self.targets.is_empty() {
             return Err(Error::domain("scenario needs at least one target"));
+        }
+        for &x in &self.targets {
+            if !x.is_finite() {
+                return Err(Error::domain(format!("target {x} is not finite")));
+            }
+            if !geometry.admits_target(x) {
+                return Err(Error::domain(format!(
+                    "target {x} lies outside the {geometry} adversary window"
+                )));
+            }
         }
         match self.strategy.as_str() {
             "fixed-beta" => {
@@ -248,9 +327,6 @@ impl Scenario {
                 }
             }
         }
-        // A seed is meaningful wherever coins are flipped: the
-        // randomized-sweep strategy, or a fault plan whose kinds draw
-        // per-visit/per-turn coins.
         let coin_driven_plan = self.fault_plan.as_ref().is_some_and(|kinds| {
             kinds.iter().any(|k| {
                 matches!(
@@ -261,10 +337,14 @@ impl Scenario {
                 )
             })
         });
-        if self.seed.is_some() && self.strategy != "randomized-sweep" && !coin_driven_plan {
+        if self.seed.is_some()
+            && self.strategy != "randomized-sweep"
+            && !coin_driven_plan
+            && !seeded_activation
+        {
             return Err(Error::domain(
-                "\"seed\" is only meaningful with strategy \"randomized-sweep\" or a \
-                 coin-driven \"fault_plan\"",
+                "\"seed\" is only meaningful with strategy \"randomized-sweep\", a \
+                 coin-driven \"fault_plan\" or a \"Seeded\" activation",
             ));
         }
         if let Some(faulty) = &self.faulty {
@@ -332,50 +412,96 @@ impl Scenario {
         Ok((plans, horizon))
     }
 
-    /// Runs the scenario: every target is searched independently, with
-    /// the explicit fault set or the worst-case adversary.
+    /// The scenario's fleet in wall clock, with robot `i` moving under
+    /// `physics[i]` (the paper's unit robot past the end of the slice,
+    /// so `&[]` is the paper's fleet). Each plan is materialized to the
+    /// plan horizon stretched by the robot's speed, then retimed by its
+    /// speed and start delay. Returns the trajectories and the
+    /// wall-clock horizon: the plan horizon plus the largest delay.
+    ///
+    /// Slow robots cover less ground within that horizon; a target
+    /// only they could confirm goes undetected, and the result says so.
+    ///
+    /// # Errors
+    ///
+    /// Propagates strategy and trajectory failures.
+    pub fn fleet(&self, physics: &[RobotPhysics]) -> Result<(Vec<PiecewiseTrajectory>, f64)> {
+        let params = Params::new(self.n, self.f)?;
+        let xmax = self.targets.iter().map(|x| x.abs()).fold(1.0f64, f64::max);
+        let (plans, plan_horizon) = self.plans_and_horizon(params, xmax)?;
+        let horizon = plan_horizon + physics.iter().fold(0.0f64, |a, p| a.max(p.delay));
+        let trajectories = plans
+            .iter()
+            .enumerate()
+            .map(|(i, plan)| {
+                let robot = physics.get(i).copied().unwrap_or_default();
+                // A speed-s robot consumes plan time s times faster
+                // than the wall clock, so its plan must extend that
+                // much further to fill the shared horizon.
+                retime(plan.materialize(horizon * robot.speed)?, robot.speed, robot.delay)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok((trajectories, horizon))
+    }
+
+    /// Validates and runs the scenario on the paper's unit fleet: every
+    /// target is searched independently, with the explicit fault set
+    /// or plan, or the worst-case adversary.
+    ///
+    /// # Errors
+    ///
+    /// Propagates validation, strategy, plan and simulation failures.
+    pub fn run(&self) -> Result<Vec<ScenarioResult>> {
+        self.validate()?;
+        self.run_with(&[])
+    }
+
+    /// Runs the scenario on the fleet of [`Scenario::fleet`] for
+    /// `physics`, without validating it first: the scenario runner
+    /// behind both scenario forms. Each target is an independent
+    /// simulation, with fault onsets when any robot sets one.
     ///
     /// # Errors
     ///
     /// Propagates strategy, plan and simulation failures.
-    pub fn run(&self) -> Result<Vec<ScenarioResult>> {
-        self.validate()?;
-        let params = Params::new(self.n, self.f)?;
-        let xmax = self.targets.iter().map(|x| x.abs()).fold(1.0f64, f64::max);
-        let (plans, horizon) = self.plans_and_horizon(params, xmax)?;
-        let trajectories =
-            plans.iter().map(|p| p.materialize(horizon)).collect::<Result<Vec<_>>>()?;
-
-        // Each target is an independent simulation; fan them out over
-        // the core work-stealing engine (honours FAULTLINE_THREADS).
+    pub fn run_with(&self, physics: &[RobotPhysics]) -> Result<Vec<ScenarioResult>> {
+        let (trajectories, _) = self.fleet(physics)?;
+        let onsets: Vec<Option<f64>> = if physics.iter().any(|p| p.fault_onset.is_some()) {
+            physics.iter().map(|p| p.fault_onset).collect()
+        } else {
+            Vec::new()
+        };
+        let seed = self.seed.unwrap_or(0);
+        // Fan the targets out over the core work-stealing engine
+        // (honours FAULTLINE_THREADS).
         faultline_core::par_map(&self.targets, |&x| {
             let target = Target::new(x)?;
-            let outcome: SearchOutcome = if let Some(kinds) = &self.fault_plan {
-                let plan = FaultPlan::new(kinds.clone())?;
-                let quorum = self.quorum.map(QuorumConfig::new).transpose()?;
-                Simulation::with_quorum(
-                    trajectories.clone(),
-                    target,
-                    &plan,
-                    self.seed.unwrap_or(0),
-                    SimConfig::default(),
-                    quorum,
-                )?
-                .run()
-            } else {
-                match &self.faulty {
-                    Some(faulty) => {
-                        let mask = FaultMask::from_indices(self.n, faulty)?;
-                        Simulation::new(trajectories.clone(), target, &mask, SimConfig::default())?
-                            .run()
-                    }
-                    None => worst_case_outcome(
-                        trajectories.clone(),
-                        target,
-                        self.f,
-                        SimConfig::default(),
-                    )?,
+            let trajectories = trajectories.clone();
+            let config = SimConfig::default();
+            let outcome = match (&self.fault_plan, &self.faulty) {
+                (Some(kinds), _) => {
+                    let plan = FaultPlan::new(kinds.clone())?;
+                    let quorum = self.quorum.map(QuorumConfig::new).transpose()?;
+                    if onsets.is_empty() {
+                        Simulation::with_quorum(trajectories, target, &plan, seed, config, quorum)
+                    } else {
+                        Simulation::with_onsets(
+                            trajectories,
+                            target,
+                            &plan,
+                            &onsets,
+                            seed,
+                            config,
+                            quorum,
+                        )
+                    }?
+                    .run()
                 }
+                (None, Some(faulty)) => {
+                    let mask = FaultMask::from_indices(self.n, faulty)?;
+                    Simulation::new(trajectories, target, &mask, config)?.run()
+                }
+                (None, None) => worst_case_outcome(trajectories, target, self.f, config)?,
             };
             Ok(ScenarioResult::from_outcome(x, &outcome))
         })
@@ -384,24 +510,22 @@ impl Scenario {
     }
 }
 
-/// Runs a JSON document that is either a declarative [`Scenario`] or a
-/// recorded [`RunTrace`]. A trace is re-executed and checked
-/// bit-for-bit against its recorded outcome before being reported.
-///
-/// # Errors
-///
-/// Propagates scenario failures; for a trace, returns [`Error::Domain`]
-/// when the replayed outcome diverges from the recorded one, and
-/// rejects (never panics on) hand-edited traces with invalid
-/// parameters.
-pub fn run_document(json: &str) -> Result<Vec<ScenarioResult>> {
-    // The two document kinds have disjoint required fields, so the
-    // trace parser cleanly rejects scenarios and vice versa.
-    if let Ok(trace) = RunTrace::from_json(json) {
-        trace.verify()?;
-        return Ok(vec![ScenarioResult::from_outcome(trace.target, &trace.outcome)]);
+/// Maps a unit-speed plan-time trajectory into wall clock: every
+/// waypoint `(x, t)` becomes `(x, delay + t / speed)`, with a parked
+/// origin waypoint prepended for a positive delay. The paper's robot
+/// (bitwise unit speed, no delay) gets its trajectory back untouched.
+fn retime(t: PiecewiseTrajectory, speed: f64, delay: f64) -> Result<PiecewiseTrajectory> {
+    if speed.to_bits() == 1.0f64.to_bits() && delay == 0.0 {
+        return Ok(t);
     }
-    Scenario::from_json(json)?.run()
+    let mut waypoints = Vec::with_capacity(t.waypoints().len() + 1);
+    if delay > 0.0 {
+        waypoints.push(SpaceTime { x: 0.0, t: 0.0 });
+    }
+    for w in t.waypoints() {
+        waypoints.push(SpaceTime { x: w.x, t: delay + w.t / speed });
+    }
+    PiecewiseTrajectory::with_speed_limit(waypoints, speed.max(1.0))
 }
 
 /// Serializes results back to pretty JSON (for piping to other tools).
@@ -447,6 +571,23 @@ mod tests {
         assert!(
             Scenario::from_json(r#"{"n": 3, "f": 1, "targets": [2.0], "faulty": [0, 1]}"#).is_err()
         );
+        // Targets are checked up front, not at simulation time.
+        assert!(Scenario::from_json(r#"{"n": 3, "f": 1, "targets": [0.5]}"#).is_err());
+        // Every key outside the legacy form is named; `geometry` and
+        // `robots` also ask for the versioned form that reads them.
+        for (field, version) in [
+            (r#""geometry": "HalfLine""#, true),
+            (r#""robots": [{"speed": 0.5}, {}, {}]"#, true),
+            (r#""tragets": [4.0]"#, false),
+        ] {
+            let err =
+                Scenario::from_json(&format!(r#"{{"n": 3, "f": 1, "targets": [2.0], {field}}}"#))
+                    .unwrap_err()
+                    .to_string();
+            let name = field.split('"').nth(1).unwrap();
+            assert!(err.contains(&format!("\"{name}\"")), "got: {err}");
+            assert_eq!(err.contains("\"version\": 1"), version, "got: {err}");
+        }
     }
 
     #[test]
@@ -520,42 +661,6 @@ mod tests {
         let results = s.run().unwrap();
         assert!(results[0].ratio.is_infinite());
         assert_eq!(results[0].detection_time, None);
-    }
-
-    #[test]
-    fn run_document_dispatches_on_document_kind() {
-        use faultline_core::TrajectoryBuilder;
-        use faultline_sim::{FaultKind, FaultPlan};
-
-        // A scenario document takes the scenario path.
-        let results = run_document(BASIC).unwrap();
-        assert_eq!(results.len(), 2);
-
-        // A recorded trace replays bit-for-bit and reports one result.
-        let straight = |to: f64| TrajectoryBuilder::from_origin().sweep_to(to).finish().unwrap();
-        let trace = RunTrace::record(
-            "suite replay test",
-            vec![straight(9.0), straight(9.0)],
-            Target::new(2.0).unwrap(),
-            &FaultPlan::new(vec![FaultKind::Sensor, FaultKind::Reliable]).unwrap(),
-            0,
-            SimConfig::default(),
-            None,
-        )
-        .unwrap();
-        assert!(trace.outcome.detected(), "robot 1 reaches and reports the target");
-        let results = run_document(&trace.to_json().unwrap()).unwrap();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].target, 2.0);
-        assert_eq!(results[0].detection_time, trace.outcome.detection.as_ref().map(|d| d.time));
-
-        // A diverging trace (tampered outcome) is rejected, not panicked.
-        let mut tampered = trace.clone();
-        tampered.outcome.detection = None;
-        assert!(run_document(&tampered.to_json().unwrap()).is_err());
-
-        // Garbage is rejected with the scenario parser's error.
-        assert!(run_document("{ not json").is_err());
     }
 
     #[test]

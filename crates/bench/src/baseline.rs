@@ -3,13 +3,11 @@
 //! machine-readable JSON document (`BENCH_<date>.json`) so every
 //! future change can diff against the recorded trajectory.
 //!
-//! Three canonical workloads are timed:
+//! Two canonical workloads are timed:
 //!
 //! 1. **Table-1 supremum scan** — the empirical `sup K(x)` measurement
 //!    over the paper's `(n, f)` grid.
-//! 2. **Exhaustive mask exploration** — every `C(n, f)` fault mask for
-//!    the Table-1 pairs with `n <= 5` (PR 1's explorer).
-//! 3. **Monte-Carlo sweep** — a 10k-sample random-fault sweep of
+//! 2. **Monte-Carlo sweep** — a 10k-sample random-fault sweep of
 //!    `A(5, 2)` (1k in `--quick` mode).
 //!
 //! One *path comparison* times the dominance-pruned adversary-space
@@ -31,10 +29,7 @@ use faultline_analysis::supremum::TURNING_POINT_EPS;
 use faultline_analysis::{measure_strategy_cr, table1};
 use faultline_core::coverage::Fleet;
 use faultline_core::{ParallelConfig, Params};
-use faultline_sim::{
-    explore_fault_space, run_sweep_ratios_seeded, BernoulliFaults, ExplorerConfig,
-    MonteCarloConfig, RatioStats, Target,
-};
+use faultline_sim::{run_sweep_ratios_seeded, BernoulliFaults, MonteCarloConfig, RatioStats};
 use faultline_strategies::{PaperStrategy, Strategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -276,51 +271,6 @@ fn table1_scan(quick: bool) -> Result<WorkloadTiming, Box<dyn std::error::Error>
     Ok(WorkloadTiming { name: "table1_supremum_scan".to_owned(), wall_ms, detail })
 }
 
-fn mask_exploration(quick: bool) -> Result<WorkloadTiming, Box<dyn std::error::Error>> {
-    let pairs: &[(usize, usize)] = if quick {
-        &[(2, 1), (3, 1), (4, 2)]
-    } else {
-        &[(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)]
-    };
-    let targets = [1.5, -2.5, 7.0];
-    let config = ExplorerConfig { seed: 0, ..ExplorerConfig::default() };
-    let mut err: Option<Box<dyn std::error::Error>> = None;
-    let wall_ms = min_time_ms(|| {
-        for &(n, f) in pairs {
-            let run = || -> Result<(), Box<dyn std::error::Error>> {
-                let params = Params::new(n, f)?;
-                let alg = faultline_core::Algorithm::design(params)?;
-                let horizon = alg.required_horizon(15.0)?;
-                let trajectories = alg
-                    .plans()
-                    .iter()
-                    .map(|p| p.materialize(horizon))
-                    .collect::<Result<Vec<_>, _>>()?;
-                for x in targets {
-                    explore_fault_space(&trajectories, Target::new(x)?, f, &config)?;
-                }
-                Ok(())
-            };
-            if let Err(e) = run() {
-                err = Some(e);
-                return;
-            }
-        }
-    });
-    if let Some(e) = err {
-        return Err(e);
-    }
-    Ok(WorkloadTiming {
-        name: "mask_exploration".to_owned(),
-        wall_ms,
-        detail: format!(
-            "exhaustive C(n, f) fault-mask exploration over {} pairs x {} targets",
-            pairs.len(),
-            targets.len()
-        ),
-    })
-}
-
 fn montecarlo_sweep(quick: bool) -> Result<WorkloadTiming, Box<dyn std::error::Error>> {
     let samples = if quick { 1_000 } else { 10_000 };
     let params = Params::new(5, 2)?;
@@ -475,7 +425,7 @@ pub fn run_baseline(quick: bool) -> Result<BenchBaseline, Box<dyn std::error::Er
         os: std::env::consts::OS.to_owned(),
         arch: std::env::consts::ARCH.to_owned(),
     };
-    let workloads = vec![table1_scan(quick)?, mask_exploration(quick)?, montecarlo_sweep(quick)?];
+    let workloads = vec![table1_scan(quick)?, montecarlo_sweep(quick)?];
     let paths = vec![explore_pruning_paths(quick)?];
     let counts = vec![
         optimizer_inner_loop_critical_points()?,

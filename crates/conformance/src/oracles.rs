@@ -28,7 +28,7 @@
 //! | `byzantine-quorum-no-false-confirm` | no coalition of `f` liars confirms a false position; quorum detection = honest `T_votes(x)` | [`REL_TOL`] |
 //! | `expected-cr-monotone-in-p` | expected detection time is non-increasing in `p`; `E(1) = T_1(x)` | [`REL_TOL`] |
 //! | `enclosure-contains-exact` | `exact_supremum_enclosed` brackets the exact supremum tightly | [`ENCLOSURE_WIDTH_RTOL`] |
-//! | `unit-speed-scenario-equivalence` | a unit-speed, immediately-active, full-line scenario document reproduces the legacy runner bitwise | exact |
+//! | `unit-speed-scenario-equivalence` | a unit-speed, immediately-active, full-line scenario document reproduces a direct simulation of the paper's fleet bitwise | exact |
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -46,7 +46,7 @@ use faultline_opt::{Objective, PENALTY, PRESSURE_WEIGHT};
 use faultline_scenario::{Activation, RobotSpec, ScenarioDoc, SCENARIO_VERSION};
 use faultline_sim::engine::SimConfig;
 use faultline_sim::{
-    expected_outcome, worst_case_outcome, FaultKind, FaultPlan, QuorumConfig, RunTrace,
+    expected_outcome, worst_case_outcome, FaultKind, FaultMask, FaultPlan, QuorumConfig, RunTrace,
     SearchOutcome, Simulation, Target,
 };
 use faultline_strategies::{strategy_by_name, PaperStrategy, Strategy};
@@ -283,7 +283,7 @@ static ORACLES: [Oracle; 19] = [
     Oracle {
         name: "unit-speed-scenario-equivalence",
         description:
-            "a unit-speed, immediately-active, full-line scenario document reproduces the legacy scenario runner bitwise",
+            "a unit-speed, immediately-active, full-line scenario document reproduces a direct simulation of the paper's fleet bitwise",
         tolerance: 0.0,
         check: unit_speed_scenario_equivalence,
     },
@@ -899,17 +899,19 @@ fn pfaulty_endpoint_collapse(inst: &Instance, inject: bool) -> Result<Verdict> {
 fn scenario_doc_for(inst: &Instance, robots: Option<Vec<RobotSpec>>) -> ScenarioDoc {
     ScenarioDoc {
         version: SCENARIO_VERSION,
-        n: inst.n,
-        f: inst.f,
-        strategy: "paper".to_owned(),
-        beta: None,
         geometry: Geometry::Line,
-        targets: inst.targets.clone(),
-        faulty: (!inst.mask.is_empty()).then(|| inst.mask.clone()),
-        fault_plan: None,
-        quorum: None,
-        seed: None,
         robots,
+        scenario: Scenario {
+            n: inst.n,
+            f: inst.f,
+            strategy: "paper".to_owned(),
+            beta: None,
+            targets: inst.targets.clone(),
+            faulty: (!inst.mask.is_empty()).then(|| inst.mask.clone()),
+            fault_plan: None,
+            quorum: None,
+            seed: None,
+        },
     }
 }
 
@@ -922,41 +924,47 @@ fn results_signature(results: &[ScenarioResult]) -> f64 {
 }
 
 fn unit_speed_scenario_equivalence(inst: &Instance, inject: bool) -> Result<Verdict> {
-    // A document whose fleet is exactly the paper's must reproduce
-    // the legacy scenario runner byte-for-byte — both through the
-    // `as_legacy` delegation `run()` takes and through the
-    // generalized wall-clock path `run_general()`, whose retimings
-    // are all bitwise identities at unit speed and zero delay.
-    let legacy = Scenario {
-        n: inst.n,
-        f: inst.f,
-        strategy: "paper".to_owned(),
-        beta: None,
-        targets: inst.targets.clone(),
-        faulty: (!inst.mask.is_empty()).then(|| inst.mask.clone()),
-        fault_plan: None,
-        quorum: None,
-        seed: None,
-    };
-    let reference = legacy.run()?;
+    // The reference is a direct simulation, outside the scenario
+    // runner: the paper's plans materialized at the runner's plan
+    // horizon, then the instance's mask or, without one, the
+    // worst-case adversary per target. A document whose fleet is
+    // exactly the paper's must reproduce it byte-for-byte.
+    let params = inst.params()?;
+    let paper = PaperStrategy::new();
+    let xmax = inst.targets.iter().map(|x| x.abs()).fold(1.0f64, f64::max);
+    let horizon = paper.horizon_hint(params, xmax * 1.01 + 1.0);
+    let trajectories: Vec<PiecewiseTrajectory> =
+        paper.plans(params)?.iter().map(|p| p.materialize(horizon)).collect::<Result<_>>()?;
+    let mask = FaultMask::from_indices(inst.n, &inst.mask)?;
+    let reference = inst
+        .targets
+        .iter()
+        .map(|&x| {
+            let target = Target::new(x)?;
+            let outcome = if inst.mask.is_empty() {
+                worst_case_outcome(trajectories.clone(), target, inst.f, SimConfig::default())?
+            } else {
+                Simulation::new(trajectories.clone(), target, &mask, SimConfig::default())?.run()
+            };
+            Ok(ScenarioResult::from_outcome(x, &outcome))
+        })
+        .collect::<Result<Vec<_>>>()?;
     let expected = results_signature(&reference);
-    let expected_json = results_to_json(&reference)?;
-    let doc = scenario_doc_for(inst, None);
-    for (label, observed_results) in [("run", doc.run()?), ("run_general", doc.run_general()?)] {
-        let observed = skew_up(inject, results_signature(&observed_results));
-        let observed_json = results_to_json(&observed_results)?;
-        if (!inject && observed_json != expected_json) || observed.to_bits() != expected.to_bits() {
-            return Ok(fail(
-                expected,
-                observed,
-                format!("scenario document {label} diverged from the legacy runner"),
-                None,
-            ));
-        }
+    let observed_results = scenario_doc_for(inst, None).run()?;
+    let observed = skew_up(inject, results_signature(&observed_results));
+    if (!inject && results_to_json(&observed_results)? != results_to_json(&reference)?)
+        || observed.to_bits() != expected.to_bits()
+    {
+        return Ok(fail(
+            expected,
+            observed,
+            "scenario document diverged from the direct simulation".to_owned(),
+            None,
+        ));
     }
-    // When the generator drew heterogeneous add-ons, the generalized
-    // path must at least be deterministic under re-run: spell them as
-    // robot specs and demand bitwise-identical result documents.
+    // When the generator drew heterogeneous add-ons, the runner must
+    // at least be deterministic under re-run: spell them as robot specs
+    // and demand bitwise-identical result documents.
     if inst.speeds.is_some() || inst.activation_delays.is_some() {
         let robots: Vec<RobotSpec> = (0..inst.n)
             .map(|i| RobotSpec {

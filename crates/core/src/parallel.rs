@@ -1,7 +1,7 @@
 //! Work-stealing parallel map built on crossbeam scoped threads.
 //!
-//! Lives in `faultline-core` so every downstream crate (the simulator's
-//! fault-space explorer, the analysis sweeps) can share one
+//! Lives in `faultline-core` so every downstream crate (the scenario
+//! runner, the Monte-Carlo sweeps, the analysis sweeps) can share one
 //! implementation without `faultline-sim` depending on
 //! `faultline-analysis`.
 //!

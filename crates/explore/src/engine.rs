@@ -70,8 +70,7 @@ pub struct ExploreConfig {
     pub parallel: ParallelConfig,
 }
 
-/// Default evaluation budget, matching the legacy explorer's mask
-/// budget.
+/// Default evaluation budget: `2^14` equivalence-class states.
 pub const DEFAULT_BUDGET: usize = 1 << 14;
 
 impl ExploreConfig {

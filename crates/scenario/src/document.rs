@@ -1,4 +1,6 @@
-//! The versioned scenario document: structure, serde, validation.
+//! Scenario documents: the versioned form's structure, serde and
+//! validation, and [`Document`], which decides what kind of document a
+//! JSON body is.
 //!
 //! A v1 document generalizes the legacy [`faultline_analysis::Scenario`]
 //! form with an explicit `version` field, a `geometry` selector and an
@@ -25,9 +27,9 @@
 //! never panics: malformed documents surface as
 //! [`faultline_core::Error::Domain`].
 
-use faultline_core::{json_float, Error, Geometry, Params, Result};
-use faultline_sim::{FaultKind, FaultMask, FaultPlan, QuorumConfig};
-use faultline_strategies::strategy_by_name;
+use faultline_analysis::{Scenario, ScenarioResult};
+use faultline_core::{json_float, Error, Geometry, Result};
+use faultline_sim::{FaultKind, RunTrace};
 use serde::{Deserialize, Serialize};
 
 /// The document version this build reads and writes.
@@ -151,17 +153,6 @@ impl Default for RobotSpec {
     }
 }
 
-impl RobotSpec {
-    /// Whether this spec is exactly the legacy default robot (bitwise
-    /// unit speed, immediate activation, no onset).
-    #[must_use]
-    pub fn is_legacy_default(&self) -> bool {
-        self.speed.to_bits() == 1.0f64.to_bits()
-            && self.activation == Activation::Immediate
-            && self.fault_onset.is_none()
-    }
-}
-
 impl Serialize for RobotSpec {
     fn serialize<S: serde::Serializer>(
         &self,
@@ -207,7 +198,8 @@ impl<'de> Deserialize<'de> for RobotSpec {
     }
 }
 
-/// A versioned, validated scenario document.
+/// A versioned, validated scenario document: a legacy [`Scenario`]
+/// plus a version, a geometry and per-robot overrides.
 ///
 /// Construct with [`ScenarioDoc::from_json`] (which validates) or
 /// field-by-field followed by [`ScenarioDoc::validate`].
@@ -215,30 +207,14 @@ impl<'de> Deserialize<'de> for RobotSpec {
 pub struct ScenarioDoc {
     /// Document version; this build reads [`SCENARIO_VERSION`].
     pub version: u32,
-    /// Number of robots.
-    pub n: usize,
-    /// Fault tolerance.
-    pub f: usize,
-    /// Strategy name from the registry (default `"paper"`).
-    pub strategy: String,
-    /// Cone parameter, only for `strategy = "fixed-beta"`.
-    pub beta: Option<f64>,
-    /// Search-domain geometry (default [`Geometry::Line`]).
-    pub geometry: Geometry,
-    /// Target positions (each simulated independently); on the
+    /// Search-domain geometry (default [`Geometry::Line`]); on the
     /// half-line every target must lie in `[1, ∞)`.
-    pub targets: Vec<f64>,
-    /// Explicit faulty robots; `None` = worst-case adversary.
-    pub faulty: Option<Vec<usize>>,
-    /// Per-robot fault kinds; mutually exclusive with `faulty`.
-    pub fault_plan: Option<Vec<FaultKind>>,
-    /// Claim-quorum votes (requires `fault_plan`).
-    pub quorum: Option<usize>,
-    /// RNG seed for randomized sweeps, coin-driven fault plans or
-    /// seeded activation delays (defaults to 0).
-    pub seed: Option<u64>,
-    /// Per-robot overrides; `None` = all legacy defaults.
+    pub geometry: Geometry,
+    /// Per-robot overrides; `None` = the paper's fleet.
     pub robots: Option<Vec<RobotSpec>>,
+    /// The fields both forms share: `(n, f)`, strategy, targets, faults
+    /// and seed. A seed is also meaningful with a `Seeded` activation.
+    pub scenario: Scenario,
 }
 
 impl Serialize for ScenarioDoc {
@@ -250,33 +226,32 @@ impl Serialize for ScenarioDoc {
         // Resolved defaults (`strategy`, `geometry`) are always
         // emitted so the serialized form is canonical: two documents
         // meaning the same run serialize to the same bytes.
+        let s = &self.scenario;
         let mut fields = vec![
             ("version".to_owned(), serde::Value::UInt(u64::from(self.version))),
-            ("n".to_owned(), serde::Value::UInt(self.n as u64)),
-            ("f".to_owned(), serde::Value::UInt(self.f as u64)),
-            ("strategy".to_owned(), serde::Value::String(self.strategy.clone())),
+            ("n".to_owned(), serde::Value::UInt(s.n as u64)),
+            ("f".to_owned(), serde::Value::UInt(s.f as u64)),
+            ("strategy".to_owned(), serde::Value::String(s.strategy.clone())),
             ("geometry".to_owned(), serde::to_value(&self.geometry).map_err(S::Error::custom)?),
             (
                 "targets".to_owned(),
-                serde::Value::Array(
-                    self.targets.iter().map(|&x| json_float::encode_f64(x)).collect(),
-                ),
+                serde::Value::Array(s.targets.iter().map(|&x| json_float::encode_f64(x)).collect()),
             ),
         ];
-        if let Some(beta) = self.beta {
+        if let Some(beta) = s.beta {
             fields.push(("beta".to_owned(), json_float::encode_f64(beta)));
         }
-        if let Some(faulty) = &self.faulty {
+        if let Some(faulty) = &s.faulty {
             fields.push(("faulty".to_owned(), serde::to_value(faulty).map_err(S::Error::custom)?));
         }
-        if let Some(plan) = &self.fault_plan {
+        if let Some(plan) = &s.fault_plan {
             fields
                 .push(("fault_plan".to_owned(), serde::to_value(plan).map_err(S::Error::custom)?));
         }
-        if let Some(quorum) = self.quorum {
+        if let Some(quorum) = s.quorum {
             fields.push(("quorum".to_owned(), serde::Value::UInt(quorum as u64)));
         }
-        if let Some(seed) = self.seed {
+        if let Some(seed) = s.seed {
             fields.push(("seed".to_owned(), serde::Value::UInt(seed)));
         }
         if let Some(robots) = &self.robots {
@@ -374,17 +349,9 @@ impl<'de> Deserialize<'de> for ScenarioDoc {
         };
         Ok(ScenarioDoc {
             version,
-            n,
-            f,
-            strategy,
-            beta,
             geometry,
-            targets,
-            faulty,
-            fault_plan,
-            quorum,
-            seed,
             robots,
+            scenario: Scenario { n, f, strategy, beta, targets, faulty, fault_plan, quorum, seed },
         })
     }
 }
@@ -398,7 +365,15 @@ impl ScenarioDoc {
     /// and [`Error::InvalidParameters`] for invalid `(n, f)`; never
     /// panics.
     pub fn from_json(json: &str) -> Result<Self> {
-        let doc: ScenarioDoc = serde_json::from_str(json)
+        let value = serde_json::from_str(json)
+            .map_err(|e| Error::domain(format!("malformed scenario document: {e}")))?;
+        Self::from_value(value)
+    }
+
+    /// Builds and validates a scenario document from a parsed JSON
+    /// value.
+    fn from_value(value: serde::Value) -> Result<Self> {
+        let doc: ScenarioDoc = serde::from_value(value)
             .map_err(|e| Error::domain(format!("malformed scenario document: {e}")))?;
         doc.validate()?;
         Ok(doc)
@@ -413,16 +388,6 @@ impl ScenarioDoc {
     pub fn to_json(&self) -> Result<String> {
         serde_json::to_string_pretty(self)
             .map_err(|e| Error::domain(format!("serialization failed: {e}")))
-    }
-
-    /// The per-robot specs, materializing the all-defaults fleet when
-    /// the `robots` array was omitted.
-    #[must_use]
-    pub fn robot_specs(&self) -> Vec<RobotSpec> {
-        match &self.robots {
-            Some(specs) => specs.clone(),
-            None => vec![RobotSpec::default(); self.n],
-        }
     }
 
     /// Whether any robot draws a seeded activation delay.
@@ -447,112 +412,14 @@ impl ScenarioDoc {
                 self.version
             )));
         }
-        Params::new(self.n, self.f)?;
-        if self.targets.is_empty() {
-            return Err(Error::domain("scenario needs at least one target"));
-        }
-        for &x in &self.targets {
-            if !x.is_finite() {
-                return Err(Error::domain(format!("target {x} is not finite")));
-            }
-            if !self.geometry.admits_target(x) {
-                return Err(Error::domain(format!(
-                    "target {x} lies outside the {} adversary window",
-                    self.geometry
-                )));
-            }
-        }
-        match self.strategy.as_str() {
-            "fixed-beta" => {
-                if self.beta.is_none() {
-                    return Err(Error::domain("strategy \"fixed-beta\" requires a \"beta\" field"));
-                }
-            }
-            "randomized-sweep" => {
-                if self.beta.is_some() {
-                    return Err(Error::domain(
-                        "\"beta\" is only meaningful with strategy \"fixed-beta\"",
-                    ));
-                }
-            }
-            name => {
-                if strategy_by_name(name).is_none() {
-                    return Err(Error::domain(format!("unknown strategy \"{name}\"")));
-                }
-                if self.beta.is_some() {
-                    return Err(Error::domain(
-                        "\"beta\" is only meaningful with strategy \"fixed-beta\"",
-                    ));
-                }
-            }
-        }
-        // A seed is meaningful wherever coins are flipped: randomized
-        // sweeps, coin-driven fault plans, or seeded activation.
-        let coin_driven_plan = self.fault_plan.as_ref().is_some_and(|kinds| {
-            kinds.iter().any(|k| {
-                matches!(
-                    k,
-                    FaultKind::Intermittent { .. }
-                        | FaultKind::Byzantine { .. }
-                        | FaultKind::PFaulty { .. }
-                )
-            })
-        });
-        if self.seed.is_some()
-            && self.strategy != "randomized-sweep"
-            && !coin_driven_plan
-            && !self.has_seeded_activation()
-        {
-            return Err(Error::domain(
-                "\"seed\" is only meaningful with strategy \"randomized-sweep\", a \
-                 coin-driven \"fault_plan\" or a \"Seeded\" activation",
-            ));
-        }
-        if let Some(faulty) = &self.faulty {
-            if self.fault_plan.is_some() {
-                return Err(Error::domain("\"faulty\" and \"fault_plan\" are mutually exclusive"));
-            }
-            if faulty.len() > self.f {
-                return Err(Error::invalid_params(
-                    self.n,
-                    self.f,
-                    format!("{} explicit faults exceed the budget f = {}", faulty.len(), self.f),
-                ));
-            }
-            FaultMask::from_indices(self.n, faulty)?;
-        }
-        if let Some(kinds) = &self.fault_plan {
-            if kinds.len() != self.n {
-                return Err(Error::invalid_params(
-                    self.n,
-                    self.f,
-                    format!(
-                        "fault plan covers {} robots but the fleet has {}",
-                        kinds.len(),
-                        self.n
-                    ),
-                ));
-            }
-            FaultPlan::new(kinds.clone())?.check_budget(self.f)?;
-        }
-        if let Some(votes) = self.quorum {
-            if self.fault_plan.is_none() {
-                return Err(Error::domain("\"quorum\" requires an explicit \"fault_plan\""));
-            }
-            QuorumConfig::new(votes)?;
-            if votes > self.n {
-                return Err(Error::domain(format!(
-                    "quorum of {votes} votes exceeds the fleet size n = {}",
-                    self.n
-                )));
-            }
-        }
+        self.scenario.validate_in(self.geometry, self.has_seeded_activation())?;
         if let Some(specs) = &self.robots {
-            if specs.len() != self.n {
+            let (n, f) = (self.scenario.n, self.scenario.f);
+            if specs.len() != n {
                 return Err(Error::invalid_params(
-                    self.n,
-                    self.f,
-                    format!("robots array covers {} robots but n = {}", specs.len(), self.n),
+                    n,
+                    f,
+                    format!("robots array covers {} robots but n = {n}", specs.len()),
                 ));
             }
             for (i, spec) in specs.iter().enumerate() {
@@ -586,7 +453,7 @@ impl ScenarioDoc {
                             "robot {i} fault onset {onset} must be finite and >= 0"
                         )));
                     }
-                    match self.fault_plan.as_ref().map(|kinds| &kinds[i]) {
+                    match self.scenario.fault_plan.as_ref().map(|kinds| &kinds[i]) {
                         None | Some(FaultKind::Reliable) => {
                             return Err(Error::domain(format!(
                                 "robot {i} has a fault onset but no fault to switch on \
@@ -608,17 +475,70 @@ impl ScenarioDoc {
     }
 }
 
-/// Whether a parsed JSON value looks like a versioned scenario
-/// document: an object carrying both `version` and `n` keys. (A
-/// recorded [`faultline_sim::RunTrace`] also has `version` but never
-/// `n`; the legacy scenario form has `n` but never `version`.)
-#[must_use]
-pub fn is_scenario_value(value: &serde::Value) -> bool {
-    match value {
-        serde::Value::Object(fields) => {
-            fields.iter().any(|(k, _)| k == "version") && fields.iter().any(|(k, _)| k == "n")
+/// A JSON body `faultline` runs, by kind.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Document {
+    /// A versioned scenario document: `version` and `n` present.
+    Versioned(ScenarioDoc),
+    /// An unversioned (legacy) scenario: no `version` key.
+    Legacy(Scenario),
+    /// A recorded [`RunTrace`]: `version` without `n`.
+    Trace(RunTrace),
+}
+
+impl Document {
+    /// Parses a JSON body once and decides its kind, as
+    /// [`Document::from_value`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Document::from_value`], plus malformed JSON.
+    pub fn from_json(json: &str) -> Result<Self> {
+        let value = serde_json::from_str(json)
+            .map_err(|e| Error::domain(format!("malformed scenario: {e}")))?;
+        Self::from_value(value)
+    }
+
+    /// Decides a parsed body's kind by its keys and builds it: a body
+    /// without `version` is a legacy scenario, one with `version` and
+    /// `n` a versioned document, and one with `version` alone a
+    /// recorded trace. Scenarios of either form are validated.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse or validation error of the kind decided,
+    /// never a panic.
+    pub fn from_value(value: serde::Value) -> Result<Self> {
+        let has = |key: &str| match &value {
+            serde::Value::Object(fields) => fields.iter().any(|(k, _)| k == key),
+            _ => false,
+        };
+        match (has("version"), has("n")) {
+            (false, _) => Scenario::from_value(value).map(Document::Legacy),
+            (true, true) => ScenarioDoc::from_value(value).map(Document::Versioned),
+            (true, false) => serde::from_value(value)
+                .map(Document::Trace)
+                .map_err(|e| Error::domain(format!("trace parse failed: {e}"))),
         }
-        _ => false,
+    }
+
+    /// Runs the document. Scenarios of both forms go through
+    /// [`Scenario::run_with`]; a trace is re-executed, checked bit for
+    /// bit against its recorded outcome, and reported as one result.
+    ///
+    /// # Errors
+    ///
+    /// Propagates validation, strategy, plan and simulation failures,
+    /// and rejects a trace whose replay diverges from its record.
+    pub fn run(&self) -> Result<Vec<ScenarioResult>> {
+        match self {
+            Document::Versioned(doc) => doc.run(),
+            Document::Legacy(scenario) => scenario.run(),
+            Document::Trace(trace) => {
+                trace.verify()?;
+                Ok(vec![ScenarioResult::from_outcome(trace.target, &trace.outcome)])
+            }
+        }
     }
 }
 
@@ -632,10 +552,10 @@ mod tests {
     fn parses_with_defaults() {
         let doc = ScenarioDoc::from_json(MINIMAL).unwrap();
         assert_eq!(doc.version, 1);
-        assert_eq!(doc.strategy, "paper");
+        assert_eq!(doc.scenario.strategy, "paper");
         assert_eq!(doc.geometry, Geometry::Line);
         assert_eq!(doc.robots, None);
-        assert!(doc.robot_specs().iter().all(RobotSpec::is_legacy_default));
+        assert!(doc.physics().is_empty(), "no robots array: the paper's fleet");
     }
 
     #[test]
@@ -763,7 +683,7 @@ mod tests {
         .unwrap();
         let back = ScenarioDoc::from_json(&doc.to_json().unwrap()).unwrap();
         assert_eq!(doc, back);
-        let specs = back.robot_specs();
+        let specs = back.robots.as_ref().unwrap();
         assert_eq!(specs[0].speed.to_bits(), 0.30000000000000004f64.to_bits());
         match specs[0].activation {
             Activation::DelayedStart(t) => {
@@ -775,15 +695,65 @@ mod tests {
 
     #[test]
     fn scenario_value_discrimination() {
-        let value: serde::Value = serde_json::from_str(MINIMAL).unwrap();
-        assert!(is_scenario_value(&value));
+        let kind = |json: &str| match Document::from_json(json) {
+            Ok(Document::Versioned(_)) => "versioned",
+            Ok(Document::Legacy(_)) => "legacy",
+            Ok(Document::Trace(_)) => "trace",
+            Err(e) => {
+                let e = e.to_string();
+                if e.contains("trace parse failed") {
+                    "bad trace"
+                } else if e.contains("malformed scenario document") {
+                    "bad versioned"
+                } else {
+                    "bad legacy"
+                }
+            }
+        };
+        assert_eq!(kind(MINIMAL), "versioned");
         // Legacy scenario: n without version.
-        let legacy: serde::Value =
-            serde_json::from_str(r#"{"n": 3, "f": 1, "targets": [2.0]}"#).unwrap();
-        assert!(!is_scenario_value(&legacy));
+        assert_eq!(kind(r#"{"n": 3, "f": 1, "targets": [2.0]}"#), "legacy");
         // Trace-shaped: version without n.
-        let trace: serde::Value = serde_json::from_str(r#"{"version": 1, "target": 2.0}"#).unwrap();
-        assert!(!is_scenario_value(&trace));
-        assert!(!is_scenario_value(&serde::Value::Null));
+        assert_eq!(kind(r#"{"version": 1, "target": 2.0}"#), "bad trace");
+        // A typo'd v1 document fails with the strict versioned parser.
+        assert_eq!(kind(r#"{"version": 1, "n": 3, "f": 1, "tragets": [2.0]}"#), "bad versioned");
+        assert_eq!(kind("null"), "bad legacy");
+        assert_eq!(kind("{ not json"), "bad legacy");
+    }
+
+    #[test]
+    fn documents_run_by_kind() {
+        use faultline_analysis::scenario::results_to_json;
+        use faultline_core::TrajectoryBuilder;
+        use faultline_sim::engine::SimConfig;
+        use faultline_sim::{FaultPlan, Target};
+
+        // Both scenario spellings run through the one runner.
+        let legacy = r#"{"n": 3, "f": 1, "targets": [2.0, -4.5]}"#;
+        let run = |json: &str| results_to_json(&Document::from_json(json).unwrap().run().unwrap());
+        assert_eq!(run(MINIMAL).unwrap(), run(legacy).unwrap());
+
+        // A recorded trace replays bit-for-bit and reports one result.
+        let straight = |to: f64| TrajectoryBuilder::from_origin().sweep_to(to).finish().unwrap();
+        let trace = RunTrace::record(
+            "suite replay test",
+            vec![straight(9.0), straight(9.0)],
+            Target::new(2.0).unwrap(),
+            &FaultPlan::new(vec![FaultKind::Sensor, FaultKind::Reliable]).unwrap(),
+            0,
+            SimConfig::default(),
+            None,
+        )
+        .unwrap();
+        assert!(trace.outcome.detected(), "robot 1 reaches and reports the target");
+        let results = Document::from_json(&trace.to_json().unwrap()).unwrap().run().unwrap();
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].target, 2.0);
+        assert_eq!(results[0].detection_time, trace.outcome.detection.as_ref().map(|d| d.time));
+
+        // A diverging trace (tampered outcome) is rejected, not panicked.
+        let mut tampered = trace.clone();
+        tampered.outcome.detection = None;
+        assert!(Document::Trace(tampered).run().is_err());
     }
 }

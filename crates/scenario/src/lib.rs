@@ -14,10 +14,11 @@
 //!   typed diagnostic, never a panic, and every `f64` round-trips
 //!   bit-exactly through [`faultline_core::json_float`].
 //!
-//! Documents whose fleet is exactly the paper's delegate to the legacy
-//! runner and reproduce its output byte-for-byte — the
-//! `unit-speed-scenario-equivalence` conformance oracle pins the
-//! generalized path to the legacy one across a generated corpus.
+//! [`Document`] decides whether a JSON body is a versioned document, a
+//! legacy scenario or a recorded trace, for the query service and the
+//! CLI alike. Both scenario forms run through the one runner,
+//! [`faultline_analysis::Scenario::run_with`]; a versioned document
+//! only adds the per-robot physics its `robots` resolve to.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -25,11 +26,8 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod document;
-pub mod optimize;
 pub mod run;
 
 pub use document::{
-    is_scenario_value, Activation, RobotSpec, ScenarioDoc, MAX_DELAY, MAX_SPEED, SCENARIO_VERSION,
+    Activation, Document, RobotSpec, ScenarioDoc, MAX_DELAY, MAX_SPEED, SCENARIO_VERSION,
 };
-pub use optimize::FromScenario;
-pub use run::{run_scenario_json, unsupported_document_error};

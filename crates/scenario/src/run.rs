@@ -1,26 +1,14 @@
-//! Executing scenario documents.
-//!
-//! A document whose fleet is exactly the paper's (unit speeds,
-//! immediate activation, no onsets, full line) delegates to the legacy
-//! [`faultline_analysis::Scenario`] runner and reproduces its output
-//! byte-for-byte. Anything else takes the general path: plans are
-//! materialized in *plan time* and retimed into wall clock per robot
-//! (`t ↦ delay + t / speed`), then fed through the same three
-//! simulation paths the legacy runner uses.
+//! Running versioned documents. Each `robots` entry resolves to a
+//! [`RobotPhysics`] (speed, start delay, fault onset), and the one
+//! scenario runner, [`faultline_analysis::Scenario::run_with`],
+//! materializes and retimes each robot's plan under it
+//! (`t ↦ delay + t / speed`). Seeded start delays are drawn here, from
+//! the scenario seed on their own coin stream.
 
-use faultline_analysis::{resolve_strategy, Scenario, ScenarioResult};
-use faultline_core::{
-    Error, Geometry, Params, PiecewiseTrajectory, Result, SpaceTime, TrajectoryPlan,
-};
-use faultline_sim::engine::SimConfig;
-use faultline_sim::{
-    worst_case_outcome, FaultMask, FaultPlan, QuorumConfig, SearchOutcome, Simulation, Target,
-};
-use faultline_strategies::{RandomizedStrategy, RandomizedSweepStrategy, Strategy};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use faultline_analysis::{RobotPhysics, ScenarioResult};
+use faultline_core::{PiecewiseTrajectory, Result};
 
-use crate::document::{Activation, RobotSpec, ScenarioDoc};
+use crate::document::{Activation, ScenarioDoc};
 
 /// Seed salt separating activation-delay coins from the simulator's
 /// sensor-miss and Byzantine-lie streams: reusing a seed across the
@@ -40,244 +28,57 @@ fn activation_coin(seed: u64, robot: usize) -> f64 {
     ((z >> 11) as f64) * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Maps a unit-speed plan-time trajectory into wall clock: every
-/// waypoint `(x, t)` becomes `(x, delay + t / speed)`, with a parked
-/// origin waypoint prepended for a positive delay. The all-defaults
-/// case returns the input unchanged (bitwise — delegation depends on
-/// it).
-fn retime(t: &PiecewiseTrajectory, speed: f64, delay: f64) -> Result<PiecewiseTrajectory> {
-    if speed.to_bits() == 1.0f64.to_bits() && delay == 0.0 {
-        return Ok(t.clone());
-    }
-    let mut waypoints = Vec::with_capacity(t.waypoints().len() + 1);
-    if delay > 0.0 {
-        waypoints.push(SpaceTime { x: 0.0, t: 0.0 });
-    }
-    for w in t.waypoints() {
-        waypoints.push(SpaceTime { x: w.x, t: delay + w.t / speed });
-    }
-    PiecewiseTrajectory::with_speed_limit(waypoints, speed.max(1.0))
-}
-
-fn result_from_outcome(target: f64, outcome: &SearchOutcome) -> ScenarioResult {
-    ScenarioResult {
-        target,
-        detection_time: outcome.detection.as_ref().map(|d| d.time),
-        ratio: outcome.ratio(),
-        detected_by: outcome.detection.as_ref().map(|d| d.robot.0),
-        distinct_visitors: outcome.distinct_visitors(),
-        confirmed_position: outcome.confirmed_position,
-        false_claims: outcome.claims.iter().filter(|c| !c.truthful).count(),
-    }
-}
-
 impl ScenarioDoc {
-    /// The legacy scenario this document is equivalent to, when its
-    /// fleet is exactly the paper's: full-line geometry and every
-    /// robot bitwise unit-speed, immediately active, with no fault
-    /// onset. `None` as soon as any generalized feature is engaged.
+    /// Each robot's physics, empty (the paper's fleet) when `robots`
+    /// is omitted. Seeded delays draw from the scenario seed (default
+    /// 0) on the activation coin stream, so the same document always
+    /// resolves to the same fleet.
     #[must_use]
-    pub fn as_legacy(&self) -> Option<Scenario> {
-        if self.geometry != Geometry::Line {
-            return None;
-        }
-        if let Some(specs) = &self.robots {
-            if !specs.iter().all(RobotSpec::is_legacy_default) {
-                return None;
-            }
-        }
-        Some(Scenario {
-            n: self.n,
-            f: self.f,
-            strategy: self.strategy.clone(),
-            beta: self.beta,
-            targets: self.targets.clone(),
-            faulty: self.faulty.clone(),
-            fault_plan: self.fault_plan.clone(),
-            quorum: self.quorum,
-            seed: self.seed,
-        })
-    }
-
-    /// Resolved activation delay per robot. Seeded delays draw from
-    /// the scenario seed (default 0) on the activation coin stream, so
-    /// the same document always resolves to the same fleet.
-    #[must_use]
-    pub fn activation_delays(&self) -> Vec<f64> {
-        let seed = self.seed.unwrap_or(0);
-        self.robot_specs()
+    pub(crate) fn physics(&self) -> Vec<RobotPhysics> {
+        let seed = self.scenario.seed.unwrap_or(0);
+        let specs = self.robots.as_deref().unwrap_or_default();
+        specs
             .iter()
             .enumerate()
-            .map(|(i, spec)| match spec.activation {
-                Activation::Immediate => 0.0,
-                Activation::DelayedStart(t) => t,
-                Activation::Seeded { max_delay } => activation_coin(seed, i) * max_delay,
+            .map(|(i, spec)| RobotPhysics {
+                speed: spec.speed,
+                delay: match spec.activation {
+                    Activation::Immediate => 0.0,
+                    Activation::DelayedStart(t) => t,
+                    Activation::Seeded { max_delay } => activation_coin(seed, i) * max_delay,
+                },
+                fault_onset: spec.fault_onset,
             })
             .collect()
     }
 
-    /// Generates the trajectory plans and a sufficient plan-time
-    /// horizon for targets up to `xmax` (the same resolution logic as
-    /// the legacy runner, including the seeded randomized sweep).
-    fn plans_and_horizon(
-        &self,
-        params: Params,
-        xmax: f64,
-    ) -> Result<(Vec<Box<dyn TrajectoryPlan>>, f64)> {
-        let reach = xmax * 1.01 + 1.0;
-        if self.strategy == "randomized-sweep" {
-            let sweep = RandomizedSweepStrategy::kao_optimal();
-            let mut rng = StdRng::seed_from_u64(self.seed.unwrap_or(0));
-            let plans = sweep.sample_plans(params, &mut rng)?;
-            let horizon = sweep.horizon_hint(params, reach);
-            return Ok((plans, horizon));
-        }
-        let strategy: Box<dyn Strategy> = resolve_strategy(&self.strategy, self.beta)?;
-        let plans = strategy.plans(params)?;
-        let horizon = strategy.horizon_hint(params, reach);
-        Ok((plans, horizon))
-    }
-
-    /// Materializes the document's fleet in wall clock: plans are
-    /// resolved, materialized to a horizon stretched per robot by its
-    /// speed, and retimed by `(speed, delay)`. Returns the
-    /// trajectories and the wall-clock horizon (plan horizon plus the
-    /// largest activation delay).
-    ///
-    /// Slow robots genuinely cover less ground within that horizon —
-    /// a target they alone could confirm may go undetected, and the
-    /// result reports that honestly instead of stretching the clock.
+    /// Validates the document and materializes its fleet in wall
+    /// clock, as [`faultline_analysis::Scenario::fleet`].
     ///
     /// # Errors
     ///
     /// Propagates validation, strategy and trajectory failures.
     pub fn materialize_fleet(&self) -> Result<(Vec<PiecewiseTrajectory>, f64)> {
         self.validate()?;
-        let params = Params::new(self.n, self.f)?;
-        let xmax = self.targets.iter().map(|x| x.abs()).fold(1.0f64, f64::max);
-        let (plans, base_horizon) = self.plans_and_horizon(params, xmax)?;
-        let specs = self.robot_specs();
-        let delays = self.activation_delays();
-        let wall_horizon = base_horizon + delays.iter().fold(0.0f64, |a, &b| a.max(b));
-        let trajectories = plans
-            .iter()
-            .zip(&specs)
-            .zip(&delays)
-            .map(|((plan, spec), &delay)| {
-                // A speed-s robot consumes plan time s times faster
-                // than the wall clock, so its plan must extend that
-                // much further to fill the shared horizon.
-                let trajectory = plan.materialize(wall_horizon * spec.speed)?;
-                retime(&trajectory, spec.speed, delay)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok((trajectories, wall_horizon))
+        self.scenario.fleet(&self.physics())
     }
 
-    /// Runs the scenario. Documents expressible in the legacy form
-    /// delegate to [`Scenario::run`] and reproduce its output
-    /// byte-for-byte; generalized documents take
-    /// [`ScenarioDoc::run_general`].
+    /// Validates and runs the document on its fleet.
     ///
     /// # Errors
     ///
     /// Propagates validation, strategy, plan and simulation failures.
     pub fn run(&self) -> Result<Vec<ScenarioResult>> {
         self.validate()?;
-        if let Some(legacy) = self.as_legacy() {
-            return legacy.run();
-        }
-        self.run_general()
+        self.scenario.run_with(&self.physics())
     }
-
-    /// Runs the scenario through the generalized path unconditionally
-    /// (heterogeneous fleet machinery even for all-default documents;
-    /// the `unit-speed-scenario-equivalence` conformance oracle pins
-    /// this path to the legacy runner bit-for-bit).
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation, strategy, plan and simulation failures.
-    pub fn run_general(&self) -> Result<Vec<ScenarioResult>> {
-        self.validate()?;
-        let (trajectories, _) = self.materialize_fleet()?;
-        let specs = self.robot_specs();
-        let onsets: Vec<Option<f64>> = specs.iter().map(|s| s.fault_onset).collect();
-        let any_onset = onsets.iter().any(Option::is_some);
-        let seed = self.seed.unwrap_or(0);
-        faultline_core::par_map(&self.targets, |&x| {
-            let target = Target::new(x)?;
-            let outcome: SearchOutcome = if let Some(kinds) = &self.fault_plan {
-                let plan = FaultPlan::new(kinds.clone())?;
-                let quorum = self.quorum.map(QuorumConfig::new).transpose()?;
-                if any_onset {
-                    Simulation::with_onsets(
-                        trajectories.clone(),
-                        target,
-                        &plan,
-                        &onsets,
-                        seed,
-                        SimConfig::default(),
-                        quorum,
-                    )?
-                    .run()
-                } else {
-                    Simulation::with_quorum(
-                        trajectories.clone(),
-                        target,
-                        &plan,
-                        seed,
-                        SimConfig::default(),
-                        quorum,
-                    )?
-                    .run()
-                }
-            } else {
-                match &self.faulty {
-                    Some(faulty) => {
-                        let mask = FaultMask::from_indices(self.n, faulty)?;
-                        Simulation::new(trajectories.clone(), target, &mask, SimConfig::default())?
-                            .run()
-                    }
-                    None => worst_case_outcome(
-                        trajectories.clone(),
-                        target,
-                        self.f,
-                        SimConfig::default(),
-                    )?,
-                }
-            };
-            Ok(result_from_outcome(x, &outcome))
-        })
-        .into_iter()
-        .collect()
-    }
-}
-
-/// Runs a JSON string that must be a versioned scenario document (the
-/// CLI's `faultline scenario run` path; [`crate::is_scenario_value`]
-/// decides whether a given document should come here at all).
-///
-/// # Errors
-///
-/// Propagates parse, validation and simulation failures.
-pub fn run_scenario_json(json: &str) -> Result<Vec<ScenarioResult>> {
-    ScenarioDoc::from_json(json)?.run()
-}
-
-/// Convenience: the parse error a caller should surface when a
-/// document is neither a scenario, a legacy scenario, nor a trace.
-#[must_use]
-pub fn unsupported_document_error() -> Error {
-    Error::domain(
-        "document is neither a versioned scenario, a legacy scenario, nor a recorded trace",
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use faultline_analysis::scenario::results_to_json;
+    use faultline_analysis::Scenario;
 
     fn doc(json: &str) -> ScenarioDoc {
         ScenarioDoc::from_json(json).unwrap()
@@ -301,28 +102,30 @@ mod tests {
                 "quorum": 3, "seed": 9}"#,
         )
         .unwrap();
-        assert_eq!(v1.as_legacy(), Some(legacy.clone()));
+        assert_eq!(v1.scenario, legacy);
         let via_doc = results_to_json(&v1.run().unwrap()).unwrap();
         let via_legacy = results_to_json(&legacy.run().unwrap()).unwrap();
         assert_eq!(via_doc, via_legacy);
-        // The general path agrees bitwise too (the conformance oracle
-        // pins this across the generated instance corpus).
-        let via_general = results_to_json(&v1.run_general().unwrap()).unwrap();
-        assert_eq!(via_general, via_legacy);
     }
 
     #[test]
     fn explicit_default_robots_still_delegate() {
-        let v1 = doc(r#"{"version": 1, "n": 3, "f": 1, "targets": [2.0],
+        // Spelled-out default robots are the paper's fleet: the same
+        // bytes as the document without a robots array.
+        let explicit = doc(r#"{"version": 1, "n": 3, "f": 1, "targets": [2.0],
             "robots": [{"speed": 1.0}, {}, {"activation": "Immediate"}]}"#);
-        assert!(v1.as_legacy().is_some(), "all-default specs are the legacy fleet");
+        assert!(explicit.physics().iter().all(|p| *p == RobotPhysics::default()));
+        let implicit = doc(r#"{"version": 1, "n": 3, "f": 1, "targets": [2.0]}"#);
+        assert_eq!(
+            results_to_json(&explicit.run().unwrap()).unwrap(),
+            results_to_json(&implicit.run().unwrap()).unwrap()
+        );
     }
 
     #[test]
     fn half_line_document_runs_one_sided() {
         let v1 =
             doc(r#"{"version": 1, "n": 3, "f": 1, "geometry": "HalfLine", "targets": [2.0, 4.5]}"#);
-        assert!(v1.as_legacy().is_none(), "half-line never takes the legacy path");
         let results = v1.run().unwrap();
         assert_eq!(results.len(), 2);
         for r in &results {
@@ -370,8 +173,8 @@ mod tests {
         };
         let a = with_seed(1).run().unwrap();
         assert_eq!(with_seed(1).run().unwrap(), a, "same seed replays bit-for-bit");
-        let delays_1 = with_seed(1).activation_delays();
-        let delays_2 = with_seed(2).activation_delays();
+        let delays = |seed| with_seed(seed).physics().iter().map(|p| p.delay).collect::<Vec<_>>();
+        let (delays_1, delays_2) = (delays(1), delays(2));
         assert_ne!(delays_1, delays_2, "different seeds draw different delays");
         assert!(delays_1.iter().all(|&d| (0.0..3.0).contains(&d)));
         // Distinct robots draw distinct coins under one seed.

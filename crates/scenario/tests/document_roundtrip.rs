@@ -1,6 +1,7 @@
 //! Property tests: scenario documents round-trip through JSON with
 //! every `f64` bit-exact, and the serialized form is canonical.
 
+use faultline_analysis::Scenario;
 use faultline_scenario::{Activation, RobotSpec, ScenarioDoc};
 use proptest::prelude::*;
 
@@ -65,21 +66,23 @@ proptest! {
         });
         let doc = ScenarioDoc {
             version: 1,
-            n,
-            f,
-            strategy: "paper".to_owned(),
-            beta: None,
             geometry: if half_line {
                 faultline_core::Geometry::HalfLine
             } else {
                 faultline_core::Geometry::Line
             },
-            targets,
-            faulty: None,
-            fault_plan: None,
-            quorum: None,
-            seed: seeded.then_some(seed),
             robots,
+            scenario: Scenario {
+                n,
+                f,
+                strategy: "paper".to_owned(),
+                beta: None,
+                targets,
+                faulty: None,
+                fault_plan: None,
+                quorum: None,
+                seed: seeded.then_some(seed),
+            },
         };
         prop_assert!(doc.validate().is_ok(), "generated document must be valid");
         let json = doc.to_json().unwrap();
@@ -87,7 +90,7 @@ proptest! {
         prop_assert_eq!(&back, &doc, "round-trip must be lossless");
         // Bit-exactness, stated explicitly (PartialEq on f64 would
         // also conflate 0.0 and -0.0).
-        for (a, b) in back.targets.iter().zip(&doc.targets) {
+        for (a, b) in back.scenario.targets.iter().zip(&doc.scenario.targets) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
         if let (Some(ra), Some(rb)) = (&back.robots, &doc.robots) {

@@ -6,14 +6,13 @@
 //! spellings share a cache entry while any semantic difference —
 //! including the seed — gets its own.
 
-use faultline_analysis::scenario::{results_to_json, run_document, Scenario};
+use faultline_analysis::scenario::{results_to_json, Scenario};
 use faultline_analysis::supremum::SupremumQuery;
 use faultline_analysis::table1;
 use faultline_core::query::canonical_string;
 use faultline_core::CrQuery;
 use faultline_opt::OptimizeConfig;
-use faultline_scenario::{is_scenario_value, ScenarioDoc};
-use faultline_sim::RunTrace;
+use faultline_scenario::Document;
 
 use crate::http::Request;
 use crate::router::Route;
@@ -173,84 +172,59 @@ fn prepare_scenario(request: &Request) -> Result<Prepared, ServeError> {
     }
     let value: serde::Value = serde_json::from_str(&request.body)
         .map_err(|e| ServeError::BadRequest(format!("malformed JSON body: {e}")))?;
+    let document = match named_preset(&value)? {
+        Some(scenario) => Document::Legacy(scenario),
+        None => Document::from_value(value).map_err(|e| ServeError::BadRequest(e.to_string()))?,
+    };
+    // The cache key is the canonical form of the *resolved* document,
+    // so spelling defaults out (or not) hits the same entry.
+    let resolved = match &document {
+        Document::Versioned(doc) => to_resolved_value(doc)?,
+        Document::Legacy(scenario) => to_resolved_value(scenario)?,
+        Document::Trace(trace) => to_resolved_value(trace)?,
+    };
+    let cache_key = key_for(Route::Scenario, &resolved);
+    let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> =
+        Box::new(move || Ok(json_body(results_to_json(&document.run()?)?)));
+    Ok(Prepared { cache_key, compute })
+}
 
-    // Named preset: {"name": "...", "seed": <optional u64>}.
-    if let serde::Value::Object(fields) = &value {
-        if fields.iter().any(|(k, _)| k == "name") {
-            let mut name = None;
-            let mut seed = None;
-            for (key, field) in fields {
-                match (key.as_str(), field) {
-                    ("name", serde::Value::String(s)) => name = Some(s.clone()),
-                    ("name", _) => {
-                        return Err(ServeError::BadRequest("`name` must be a string".to_owned()))
-                    }
-                    ("seed", serde::Value::UInt(s)) => seed = Some(*s),
-                    ("seed", serde::Value::Int(s)) if *s >= 0 => seed = Some(*s as u64),
-                    ("seed", _) => {
-                        return Err(ServeError::BadRequest(
-                            "`seed` must be a non-negative integer".to_owned(),
-                        ))
-                    }
-                    (other, _) => {
-                        return Err(ServeError::BadRequest(format!(
-                            "unknown field `{other}` in a named scenario request"
-                        )))
-                    }
-                }
+/// The validated preset a `{"name": ..., "seed": <optional u64>}` body
+/// names, or `None` for a body without `name`.
+fn named_preset(value: &serde::Value) -> Result<Option<Scenario>, ServeError> {
+    let serde::Value::Object(fields) = value else { return Ok(None) };
+    if !fields.iter().any(|(k, _)| k == "name") {
+        return Ok(None);
+    }
+    let mut name = None;
+    let mut seed = None;
+    for (key, field) in fields {
+        match (key.as_str(), field) {
+            ("name", serde::Value::String(s)) => name = Some(s.clone()),
+            ("name", _) => {
+                return Err(ServeError::BadRequest("`name` must be a string".to_owned()))
             }
-            let name = name.expect("checked above");
-            let mut scenario = preset(&name)?;
-            if seed.is_some() {
-                scenario.seed = seed;
+            ("seed", serde::Value::UInt(s)) => seed = Some(*s),
+            ("seed", serde::Value::Int(s)) if *s >= 0 => seed = Some(*s as u64),
+            ("seed", _) => {
+                return Err(ServeError::BadRequest(
+                    "`seed` must be a non-negative integer".to_owned(),
+                ))
             }
-            scenario.validate().map_err(|e| ServeError::BadRequest(e.to_string()))?;
-            let cache_key = key_for(Route::Scenario, &to_resolved_value(&scenario)?);
-            let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> =
-                Box::new(move || Ok(json_body(results_to_json(&scenario.run()?)?)));
-            return Ok(Prepared { cache_key, compute });
+            (other, _) => {
+                return Err(ServeError::BadRequest(format!(
+                    "unknown field `{other}` in a named scenario request"
+                )))
+            }
         }
     }
-
-    // Versioned scenario document (`version` + `n` present): the DSL
-    // with per-robot speeds, activation and geometry. Checked before
-    // the legacy form so a v1 document with a typo fails with the
-    // strict parser's diagnostic instead of silently degrading. The
-    // cache key is the canonical hash of the *resolved* document, so
-    // spelling defaults out (or not) hits the same entry.
-    if is_scenario_value(&value) {
-        let doc = ScenarioDoc::from_json(&request.body)
-            .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-        let cache_key = key_for(Route::Scenario, &to_resolved_value(&doc)?);
-        let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> =
-            Box::new(move || Ok(json_body(results_to_json(&doc.run()?)?)));
-        return Ok(Prepared { cache_key, compute });
+    let name = name.expect("checked above");
+    let mut scenario = preset(&name)?;
+    if seed.is_some() {
+        scenario.seed = seed;
     }
-
-    // Full declarative scenario: resolve it so defaults (strategy,
-    // seed) land in the cache key.
-    if let Ok(scenario) = Scenario::from_json(&request.body) {
-        let cache_key = key_for(Route::Scenario, &to_resolved_value(&scenario)?);
-        let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> =
-            Box::new(move || Ok(json_body(results_to_json(&scenario.run()?)?)));
-        return Ok(Prepared { cache_key, compute });
-    }
-
-    // Recorded trace: replayed and verified by `run_document`. The raw
-    // (canonicalized) document is the key.
-    if RunTrace::from_json(&request.body).is_ok() {
-        let cache_key = key_for(Route::Scenario, &value);
-        let body = request.body.clone();
-        let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> =
-            Box::new(move || Ok(json_body(results_to_json(&run_document(&body)?)?)));
-        return Ok(Prepared { cache_key, compute });
-    }
-
-    // Surface the scenario parser's message — it is the common case.
-    let reason = Scenario::from_json(&request.body)
-        .err()
-        .map_or_else(|| "unrecognized document".to_owned(), |e| e.to_string());
-    Err(ServeError::BadRequest(format!("body is neither a scenario nor a trace: {reason}")))
+    scenario.validate().map_err(|e| ServeError::BadRequest(e.to_string()))?;
+    Ok(Some(scenario))
 }
 
 fn prepare_supremum(request: &Request) -> Result<Prepared, ServeError> {
@@ -444,6 +418,27 @@ mod tests {
             panic!("future-versioned document must be rejected")
         };
         assert!(err.message().contains("unsupported scenario version 9"), "{}", err.message());
+    }
+
+    #[test]
+    fn unversioned_bodies_with_versioned_or_unknown_keys_are_400s() {
+        // Run without the key, each body would answer a different
+        // question than it asks: the first at unit speed, not 0.5.
+        for (body, field) in [
+            (
+                r#"{"n": 3, "f": 1, "targets": [2.0, 4.5],
+                    "robots": [{"speed": 0.5}, {"speed": 0.5}, {"speed": 0.5}]}"#,
+                "robots",
+            ),
+            (r#"{"n": 3, "f": 1, "geometry": "HalfLine", "targets": [2.0, 4.5]}"#, "geometry"),
+            (r#"{"n": 3, "f": 1, "targets": [2.0, 4.5], "tragets": [1.0]}"#, "tragets"),
+        ] {
+            let Err(err) = prepare(Route::Scenario, &post("/v1/scenario", body)) else {
+                panic!("`{field}` must be rejected")
+            };
+            assert!(matches!(err, ServeError::BadRequest(_)), "{field}: {err:?}");
+            assert!(err.message().contains(&format!("\"{field}\"")), "{}", err.message());
+        }
     }
 
     fn example_scenario(name: &str) -> String {

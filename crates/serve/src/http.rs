@@ -152,30 +152,47 @@ pub fn parse_request(buf: &[u8]) -> Parsed {
         }
     };
 
-    let mut content_length = 0usize;
+    // Framing is Content-Length only. A header line the parser cannot
+    // read, a second length or a transfer coding would let the body be
+    // framed differently from what the client meant (and its tail be
+    // served as a smuggled request), so each is a 400 that closes the
+    // connection.
+    let mut content_length = None;
     // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
     for header in lines {
-        if let Some((name, value)) = header.split_once(':') {
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = match value.parse() {
-                    Ok(v) => v,
-                    Err(_) => {
-                        return Parsed::Invalid(ParseError::bad(format!(
-                            "invalid Content-Length `{value}`"
-                        )))
-                    }
-                };
-            } else if name.eq_ignore_ascii_case("connection") {
-                if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
-                } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
+        let Some((name, value)) = header.split_once(':') else {
+            return Parsed::Invalid(ParseError::bad(format!(
+                "malformed header line: {}",
+                header.trim()
+            )));
+        };
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            if content_length.is_some() {
+                return Parsed::Invalid(ParseError::bad("duplicate Content-Length header"));
+            }
+            content_length = match value.parse::<usize>() {
+                Ok(v) => Some(v),
+                Err(_) => {
+                    return Parsed::Invalid(ParseError::bad(format!(
+                        "invalid Content-Length `{value}`"
+                    )))
                 }
+            };
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Parsed::Invalid(ParseError::bad(
+                "Transfer-Encoding is not supported; send the body with a Content-Length",
+            ));
+        } else if name.eq_ignore_ascii_case("connection") {
+            if value.eq_ignore_ascii_case("close") {
+                keep_alive = false;
+            } else if value.eq_ignore_ascii_case("keep-alive") {
+                keep_alive = true;
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Parsed::Invalid(ParseError::too_large("request body exceeds 1 MiB"));
     }
@@ -396,6 +413,57 @@ mod tests {
         match parse_request(b"NOT-HTTP\r\n\r\n") {
             Parsed::Invalid(e) => assert_eq!(e.status, 400),
             other => panic!("garbage parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ambiguous_framing_is_invalid_not_served() {
+        for wire in [
+            // The chunk data is a whole request: served, it would be
+            // a smuggled one.
+            &b"POST /v1/scenario HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+               GET /healthz HTTP/1.1\r\n\r\n"[..],
+            b"POST /v1/scenario HTTP/1.1\r\nContent-Length: 200\r\nContent-Length: 2\r\n\r\n{}",
+            b"GET /healthz HTTP/1.1\r\nHost example\r\n\r\n",
+        ] {
+            match parse_request(wire) {
+                Parsed::Invalid(e) => assert_eq!(e.status, 400, "{}", e.message),
+                other => panic!("{:?} parsed as {other:?}", String::from_utf8_lossy(wire)),
+            }
+        }
+    }
+
+    #[test]
+    fn pipelined_stream_parses_the_same_when_split_at_any_byte() {
+        let wire: &[u8] = b"POST /v1/scenario HTTP/1.1\r\nContent-Length: 17\r\n\r\n\
+            {\"name\": \"smoke\"}GET /v1/cr?n=3&f=1 HTTP/1.1\r\nConnection: close\r\n\r\n";
+        let summary =
+            |r: &Request| (r.method.clone(), r.path.clone(), r.body.clone(), r.keep_alive);
+        let expected = vec![
+            ("POST".to_owned(), "/v1/scenario".to_owned(), r#"{"name": "smoke"}"#.to_owned(), true),
+            ("GET".to_owned(), "/v1/cr".to_owned(), String::new(), false),
+        ];
+        for split in 0..=wire.len() {
+            // A connection buffer that first holds `wire[..split]`,
+            // then receives the rest.
+            let mut buf = wire[..split].to_vec();
+            let mut rest = Some(&wire[split..]);
+            let mut parsed = Vec::new();
+            loop {
+                match parse_request(&buf) {
+                    Parsed::Ready { request, consumed } => {
+                        parsed.push(summary(&request));
+                        buf.drain(..consumed);
+                    }
+                    Parsed::Incomplete => match rest.take() {
+                        Some(tail) => buf.extend_from_slice(tail),
+                        None => break,
+                    },
+                    Parsed::Invalid(e) => panic!("split at {split}: {}", e.message),
+                }
+            }
+            assert_eq!(parsed, expected, "split at {split}");
+            assert!(buf.is_empty(), "split at {split}: {} bytes left over", buf.len());
         }
     }
 

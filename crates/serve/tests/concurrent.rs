@@ -179,3 +179,27 @@ fn pipelined_requests_on_one_connection_all_answer() {
     assert!(text.contains("\"cr_upper\""), "the second response carries the CR report");
     handle.shutdown();
 }
+
+#[test]
+fn chunked_body_is_answered_once_and_never_served_as_a_request() {
+    let (handle, addr) = spawn(ServeConfig::default());
+
+    // The chunk data is a complete request: a parser that ignored the
+    // transfer coding would answer it as a second, smuggled request.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .write_all(
+            b"POST /v1/scenario HTTP/1.1\r\nHost: l\r\nTransfer-Encoding: chunked\r\n\r\n\
+              GET /healthz HTTP/1.1\r\nHost: l\r\n\r\n",
+        )
+        .expect("chunked write");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut bytes = Vec::new();
+    use std::io::Read;
+    stream.read_to_end(&mut bytes).expect("the server answers and closes");
+    let text = String::from_utf8_lossy(&bytes);
+    assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "exactly one response: {text}");
+    assert!(text.starts_with("HTTP/1.1 400 "), "a 400: {text}");
+    assert!(!text.contains("\"status\""), "no health answer leaked: {text}");
+    handle.shutdown();
+}

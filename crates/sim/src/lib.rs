@@ -56,7 +56,6 @@ pub mod adversary;
 pub mod crash;
 pub mod engine;
 pub mod event;
-pub mod explorer;
 pub mod fault;
 pub mod montecarlo;
 pub mod outcome;
@@ -70,7 +69,6 @@ pub use adversary::{empirical_competitive_ratio, worst_case_mask, worst_case_out
 pub use crash::{worst_case_crashes, CrashPlan};
 pub use engine::{QuorumConfig, SimConfig, Simulation};
 pub use event::{Event, EventKind};
-pub use explorer::{explore_fault_space, ExplorationReport, ExplorerConfig, MaskResult};
 pub use fault::{
     check_adversary_budget, BernoulliFaults, FaultKind, FaultMask, FaultModel, FaultPlan,
     FixedFaults,

@@ -50,8 +50,8 @@ pub struct Claim {
 /// How a simulated search ended, derived from a [`SearchOutcome`].
 ///
 /// A separate enum (rather than more fields on the outcome) so callers
-/// can match on the verdict without destructuring options: the
-/// fault-space explorer and the CLI report runs by verdict.
+/// can match on the verdict without destructuring options: the CLI
+/// reports runs by verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SearchVerdict {
     /// A working sensor reported the target before the horizon.

@@ -1,6 +1,6 @@
 //! Self-contained, replayable run traces.
 //!
-//! When the fault-space explorer (or a user) finds an interesting run —
+//! When a conformance oracle (or a user) finds an interesting run —
 //! typically a violation of the adversary-dominance invariant — it
 //! records a [`RunTrace`]: everything needed to re-execute the run
 //! bit-for-bit (trajectories, target, fault plan, seed, engine

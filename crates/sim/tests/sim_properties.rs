@@ -5,9 +5,7 @@ use faultline_core::{Algorithm, Params, PiecewiseTrajectory};
 use faultline_sim::engine::{QuorumConfig, SimConfig, Simulation};
 use faultline_sim::fault::{BernoulliFaults, FaultKind, FaultMask, FaultPlan};
 use faultline_sim::target::Target;
-use faultline_sim::{
-    explore_fault_space, worst_case_mask, worst_case_outcome, ExplorerConfig, RunTrace,
-};
+use faultline_sim::{worst_case_mask, worst_case_outcome, RunTrace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,8 +16,8 @@ fn proportional_params() -> impl Strategy<Value = Params> {
     })
 }
 
-/// Proportional-regime pairs with n <= 5: small enough that the
-/// fault-space explorer enumerates every mask exhaustively.
+/// Proportional-regime pairs with n <= 5: small enough to enumerate
+/// every fault mask exhaustively.
 fn small_proportional_params() -> impl Strategy<Value = Params> {
     (1usize..5).prop_flat_map(|f| {
         ((f + 1)..(2 * f + 2).min(6)).prop_map(move |n| Params::new(n, f).expect("valid by range"))
@@ -158,15 +156,44 @@ proptest! {
         let alg = Algorithm::design(params).unwrap();
         let trajectories = materialize(&alg, 13.0);
         let target = Target::new(if negative { -x } else { x }).unwrap();
-        let report = explore_fault_space(
-            &trajectories,
-            target,
-            params.f(),
-            &ExplorerConfig::default(),
-        ).unwrap();
-        prop_assert!(!report.subsampled, "small spaces must be exhaustive");
-        prop_assert_eq!(report.tested_masks, report.total_masks);
-        prop_assert!(report.holds(), "{}", report.summary());
+        let (n, f) = (params.n(), params.f());
+        let bound = worst_case_outcome(trajectories.clone(), target, f, SimConfig::default())
+            .unwrap()
+            .detection
+            .map(|d| d.time);
+        // Every subset of at most f robots, as a bitmask over the fleet.
+        let masks: Vec<FaultMask> = (0u32..1 << n)
+            .filter(|bits| bits.count_ones() as usize <= f)
+            .map(|bits| {
+                let faulty: Vec<usize> = (0..n).filter(|i| bits >> i & 1 == 1).collect();
+                FaultMask::from_indices(n, &faulty).unwrap()
+            })
+            .collect();
+        let binomial = |k: usize| (0..k).fold(1usize, |c, i| c * (n - i) / (i + 1));
+        prop_assert_eq!(masks.len(), (0..=f).map(binomial).sum::<usize>());
+        for mask in &masks {
+            let detection =
+                Simulation::new(trajectories.clone(), target, mask, SimConfig::default())
+                    .unwrap()
+                    .run()
+                    .detection
+                    .map(|d| d.time);
+            match (detection, bound) {
+                (Some(t), Some(b)) => prop_assert!(
+                    t <= b + 1e-9,
+                    "{params}, x = {}, mask {:?}: detected at {t}, bound {b}",
+                    target.position(),
+                    mask.faulty_indices()
+                ),
+                (None, Some(b)) => prop_assert!(
+                    false,
+                    "{params}, x = {}, mask {:?}: undetected, the adversary detects at {b}",
+                    target.position(),
+                    mask.faulty_indices()
+                ),
+                (_, None) => {}
+            }
+        }
     }
 
     /// Record -> serialize -> parse -> replay reproduces the identical

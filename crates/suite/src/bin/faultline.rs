@@ -91,7 +91,7 @@ const USAGE: &str = "usage:
   faultline spectrum <n> <f> [xmax]
   faultline animate  <n> <f> <dt> <until> <file.csv>
   faultline timeline <n> <f> [horizon] [target]
-  faultline scenario <file.json>             (legacy scenario or trace)
+  faultline scenario <file.json>             (versioned, legacy, or trace)
   faultline scenario run      <file.json>    (versioned, legacy, or trace)
   faultline scenario validate <file.json>    (exit 0 valid / 2 invalid)
   faultline replay   <trace.json>
@@ -306,61 +306,35 @@ fn timeline(params: Params, rest: &[String]) -> Result<(), Box<dyn std::error::E
 }
 
 fn scenario(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use faultline_suite::scenario_dsl::{is_scenario_value, ScenarioDoc};
-    match rest.first().map(String::as_str) {
-        Some("run") => {
-            let path = rest.get(1).ok_or("missing <file.json>")?;
-            let json = std::fs::read_to_string(path)?;
-            let results = run_scenario_or_document(&json)?;
-            println!("{}", faultline_suite::scenario::results_to_json(&results)?);
-            Ok(())
-        }
-        Some("validate") => {
-            let path = rest.get(1).ok_or("missing <file.json>")?;
-            let json = std::fs::read_to_string(path)?;
-            // Validation is strict: only versioned documents pass, so
-            // scripts can gate on the exit code before shipping a file
-            // to the query service.
-            let doc = ScenarioDoc::from_json(&json)?;
-            eprintln!(
-                "valid scenario document: version {}, n = {}, f = {}, {} geometry, {} target(s)",
-                doc.version,
-                doc.n,
-                doc.f,
-                doc.geometry,
-                doc.targets.len()
-            );
-            Ok(())
-        }
-        Some(path) => {
-            // Bare-file form, kept for compatibility: a legacy
-            // scenario or a recorded run trace. Versioned documents
-            // are accepted here too.
-            let json = std::fs::read_to_string(path)?;
-            let value: Result<serde::Value, _> = serde_json::from_str(&json);
-            let results = if value.as_ref().map(is_scenario_value).unwrap_or(false) {
-                ScenarioDoc::from_json(&json)?.run()?
-            } else {
-                faultline_suite::scenario::run_document(&json)?
-            };
-            println!("{}", faultline_suite::scenario::results_to_json(&results)?);
-            Ok(())
-        }
-        None => Err("missing <file.json>".into()),
+    use faultline_suite::scenario_dsl::{Document, ScenarioDoc};
+    let (validate, path) = match rest {
+        [cmd, path, ..] if cmd == "run" => (false, path),
+        [cmd, path, ..] if cmd == "validate" => (true, path),
+        [cmd] if cmd == "run" || cmd == "validate" => return Err("missing <file.json>".into()),
+        // Bare-file form, kept for compatibility: runs the same
+        // document kinds as `scenario run`.
+        [path, ..] => (false, path),
+        [] => return Err("missing <file.json>".into()),
+    };
+    let json = std::fs::read_to_string(path)?;
+    if validate {
+        // Validation is strict: only versioned documents pass, so
+        // scripts can gate on the exit code before shipping a file to
+        // the query service.
+        let doc = ScenarioDoc::from_json(&json)?;
+        eprintln!(
+            "valid scenario document: version {}, n = {}, f = {}, {} geometry, {} target(s)",
+            doc.version,
+            doc.scenario.n,
+            doc.scenario.f,
+            doc.geometry,
+            doc.scenario.targets.len()
+        );
+        return Ok(());
     }
-}
-
-/// Runs a JSON document of any supported kind: a versioned scenario,
-/// a legacy scenario, or a recorded run trace.
-fn run_scenario_or_document(
-    json: &str,
-) -> Result<Vec<faultline_suite::scenario::ScenarioResult>, Box<dyn std::error::Error>> {
-    use faultline_suite::scenario_dsl::{is_scenario_value, ScenarioDoc};
-    let value: Result<serde::Value, _> = serde_json::from_str(json);
-    if value.as_ref().map(is_scenario_value).unwrap_or(false) {
-        return Ok(ScenarioDoc::from_json(json)?.run()?);
-    }
-    Ok(faultline_suite::scenario::run_document(json)?)
+    let results = Document::from_json(&json)?.run()?;
+    println!("{}", faultline_suite::scenario::results_to_json(&results)?);
+    Ok(())
 }
 
 fn replay(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
@@ -374,7 +348,7 @@ fn replay(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         trace.target,
         trace.seed
     );
-    let results = faultline_suite::scenario::run_document(&json)?;
+    let results = faultline_suite::scenario_dsl::Document::Trace(trace).run()?;
     eprintln!("replay matches the recorded outcome bit-for-bit");
     println!("{}", faultline_suite::scenario::results_to_json(&results)?);
     Ok(())

@@ -92,6 +92,30 @@ fn scenario_file_roundtrip() {
 }
 
 #[test]
+fn scenario_rejects_unversioned_documents_with_dropped_fields() {
+    let dir = std::env::temp_dir().join("faultline-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, body) in [
+        (
+            "robots",
+            r#"{"n": 3, "f": 1, "targets": [2.0, 4.5],
+                "robots": [{"speed": 0.5}, {"speed": 0.5}, {"speed": 0.5}]}"#,
+        ),
+        ("geometry", r#"{"n": 3, "f": 1, "geometry": "HalfLine", "targets": [2.0, 4.5]}"#),
+        ("tragets", r#"{"n": 3, "f": 1, "targets": [2.0, 4.5], "tragets": [1.0]}"#),
+    ] {
+        let path = dir.join(format!("unversioned_{name}.json"));
+        std::fs::write(&path, body).unwrap();
+        for args in [vec!["scenario"], vec!["scenario", "run"]] {
+            let args: Vec<&str> = args.into_iter().chain([path.to_str().unwrap()]).collect();
+            let (ok, out, err) = run(&args);
+            assert!(!ok, "{args:?} accepted `{name}`: {out}");
+            assert!(err.contains(&format!("\"{name}\"")), "{args:?}: {err}");
+        }
+    }
+}
+
+#[test]
 fn scenario_rejects_bad_file() {
     let (ok, _, err) = run(&["scenario", "/nonexistent/scenario.json"]);
     assert!(!ok);
