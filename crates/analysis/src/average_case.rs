@@ -5,7 +5,7 @@
 //! Monte-Carlo simulator.
 //!
 //! The log-uniform law matches the simulator's sampling
-//! ([`faultline_sim::run_sweep_ratios`]): `x = ±exp(U)`,
+//! ([`faultline_sim::run_sweep`]): `x = ±exp(U)`,
 //! `U ~ Uniform[0, ln X]`, so
 //!
 //! ```text

@@ -1,5 +1,5 @@
 //! Extension experiment: competitive ratio with a **known distance
-//! bound** `D` (the paper's reference [10] transplanted to the faulty
+//! bound** `D` (the paper's reference \[10\] transplanted to the faulty
 //! setting).
 //!
 //! For each bound `D`, every robot's plan is clamped to `[-D, D]` and
@@ -12,7 +12,7 @@
 //! sweeps, which clamping never shortens, so once `D` clears the first
 //! few excursions the bounded ratio equals the unbounded Theorem 1
 //! value exactly. Improving the large-`D` case would require
-//! redesigning `beta` as a function of `D` (as [10] does for a single
+//! redesigning `beta` as a function of `D` (as \[10\] does for a single
 //! robot) — recorded as future work in DESIGN.md.
 
 use faultline_core::coverage::adversarial_targets;

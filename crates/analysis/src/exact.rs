@@ -1037,7 +1037,7 @@ pub fn exact_expected_supremum(fleet: &Fleet, p: f64, xmax: f64) -> Result<Exact
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultline_core::plan::{Direction, RayPlan, TrajectoryPlan};
+    use faultline_core::Plan;
     use faultline_core::{Algorithm, Params};
 
     fn paper_fleet(n: usize, f: usize, xmax: f64) -> Fleet {
@@ -1158,8 +1158,7 @@ mod tests {
 
     #[test]
     fn two_ray_fleet_measures_exactly_one() {
-        let plans: Vec<Box<dyn TrajectoryPlan>> =
-            vec![Box::new(RayPlan::new(Direction::Right)), Box::new(RayPlan::new(Direction::Left))];
+        let plans = [Plan::ray(true), Plan::ray(false)];
         let fleet = Fleet::from_plans(&plans, 100.0).unwrap();
         let scan = exact_supremum(&fleet, 1, 30.0).unwrap();
         assert_eq!(scan.ratio, 1.0);
@@ -1172,7 +1171,7 @@ mod tests {
     #[test]
     fn uncovered_interval_is_reported_with_its_position() {
         // One ray going right: the negative side is never covered.
-        let plans: Vec<Box<dyn TrajectoryPlan>> = vec![Box::new(RayPlan::new(Direction::Right))];
+        let plans = [Plan::ray(true)];
         let fleet = Fleet::from_plans(&plans, 100.0).unwrap();
         let scan = exact_supremum(&fleet, 1, 30.0).unwrap();
         assert!(scan.ratio.is_infinite());
@@ -1185,8 +1184,7 @@ mod tests {
     fn truncated_window_counts_the_unprobed_edge_as_uncovered() {
         // A fleet whose excursions stop exactly at the window edge
         // leaves the right-hand limit at xmax unprobed.
-        let plans: Vec<Box<dyn TrajectoryPlan>> =
-            vec![Box::new(RayPlan::new(Direction::Right)), Box::new(RayPlan::new(Direction::Left))];
+        let plans = [Plan::ray(true), Plan::ray(false)];
         let fleet = Fleet::from_plans(&plans, 30.0).unwrap();
         let scan = exact_supremum(&fleet, 1, 30.0).unwrap();
         assert!(scan.ratio.is_infinite());
@@ -1217,7 +1215,7 @@ mod tests {
 
     #[test]
     fn enclosed_supremum_rejects_uncovered_scans() {
-        let plans: Vec<Box<dyn TrajectoryPlan>> = vec![Box::new(RayPlan::new(Direction::Right))];
+        let plans = [Plan::ray(true)];
         let fleet = Fleet::from_plans(&plans, 100.0).unwrap();
         assert!(exact_supremum_enclosed(&fleet, 1, 30.0).is_err());
     }

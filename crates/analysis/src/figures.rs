@@ -7,8 +7,7 @@
 
 use faultline_core::coverage::Fleet;
 use faultline_core::{
-    lower_bound, numeric, Algorithm, Cone, Params, Result, TrajectoryBuilder, TrajectoryPlan,
-    ZigZagPlan,
+    lower_bound, numeric, Algorithm, Cone, Params, Plan, Result, TrajectoryBuilder,
 };
 
 use crate::ascii::Series;
@@ -110,7 +109,7 @@ pub fn fig1() -> Result<FigureData> {
 pub fn fig2() -> Result<FigureData> {
     let beta = 2.0;
     let cone = Cone::new(beta)?;
-    let plan = ZigZagPlan::new(cone, 1.0)?;
+    let plan = Plan::zigzag(cone, 1.0)?;
     let horizon = 60.0;
     let traj = plan.materialize(horizon)?;
     let reach = traj.max_excursion() * 1.05;

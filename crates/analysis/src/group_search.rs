@@ -4,7 +4,7 @@
 //! arrival. Generalizing the index `k` interpolates between classic
 //! search (`k = 1`, first arrival) and *group search* (`k = n`, last
 //! arrival — the objective of Chrobak et al., SOFSEM 2015, the paper's
-//! reference [14]). This experiment measures
+//! reference \[14\]). This experiment measures
 //! `CR_k = sup_x T_k(x)/|x|` for every `k` on the paper's schedule and
 //! on the herd-doubling baseline, showing where each schedule's
 //! redundancy budget goes.

@@ -15,7 +15,7 @@
 
 use faultline_core::coverage::Fleet;
 use faultline_core::{numeric, Params, Result};
-use faultline_strategies::randomized::RandomizedStrategy;
+use faultline_strategies::RandomizedSweepStrategy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -43,7 +43,7 @@ pub struct ExpectedCr {
 ///
 /// Propagates sampling and evaluation failures; rejects `draws == 0`.
 pub fn expected_cr(
-    strategy: &dyn RandomizedStrategy,
+    strategy: &RandomizedSweepStrategy,
     params: Params,
     xmax: f64,
     grid: usize,
@@ -85,7 +85,6 @@ pub fn expected_cr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultline_strategies::RandomizedSweepStrategy;
 
     #[test]
     fn recovers_kao_value_for_single_robot() {

@@ -33,17 +33,13 @@
 //! the paper's unit fleet, the versioned form with the
 //! [`RobotPhysics`] its `robots` resolve to.
 
-use faultline_core::{
-    json_float, Error, Geometry, Params, PiecewiseTrajectory, Result, SpaceTime, TrajectoryPlan,
-};
+use faultline_core::{json_float, Error, Geometry, Params, PiecewiseTrajectory, Plan, Result};
 use faultline_sim::engine::SimConfig;
 use faultline_sim::{
     worst_case_outcome, FaultKind, FaultMask, FaultPlan, QuorumConfig, SearchOutcome, Simulation,
     Target,
 };
-use faultline_strategies::{
-    strategy_by_name, RandomizedStrategy, RandomizedSweepStrategy, Strategy,
-};
+use faultline_strategies::{strategy_by_name, RandomizedSweepStrategy, Strategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -393,11 +389,7 @@ impl Scenario {
     /// targets up to `xmax`. Deterministic strategies come from the
     /// registry; `"randomized-sweep"` draws its coins from the
     /// scenario's explicit seed (default 0).
-    fn plans_and_horizon(
-        &self,
-        params: Params,
-        xmax: f64,
-    ) -> Result<(Vec<Box<dyn TrajectoryPlan>>, f64)> {
+    fn plans_and_horizon(&self, params: Params, xmax: f64) -> Result<(Vec<Plan>, f64)> {
         let reach = xmax * 1.01 + 1.0;
         if self.strategy == "randomized-sweep" {
             let sweep = RandomizedSweepStrategy::kao_optimal();
@@ -438,7 +430,7 @@ impl Scenario {
                 // A speed-s robot consumes plan time s times faster
                 // than the wall clock, so its plan must extend that
                 // much further to fill the shared horizon.
-                retime(plan.materialize(horizon * robot.speed)?, robot.speed, robot.delay)
+                plan.materialize(horizon * robot.speed)?.retimed(robot.speed, robot.delay)
             })
             .collect::<Result<Vec<_>>>()?;
         Ok((trajectories, horizon))
@@ -508,24 +500,6 @@ impl Scenario {
         .into_iter()
         .collect()
     }
-}
-
-/// Maps a unit-speed plan-time trajectory into wall clock: every
-/// waypoint `(x, t)` becomes `(x, delay + t / speed)`, with a parked
-/// origin waypoint prepended for a positive delay. The paper's robot
-/// (bitwise unit speed, no delay) gets its trajectory back untouched.
-fn retime(t: PiecewiseTrajectory, speed: f64, delay: f64) -> Result<PiecewiseTrajectory> {
-    if speed.to_bits() == 1.0f64.to_bits() && delay == 0.0 {
-        return Ok(t);
-    }
-    let mut waypoints = Vec::with_capacity(t.waypoints().len() + 1);
-    if delay > 0.0 {
-        waypoints.push(SpaceTime { x: 0.0, t: 0.0 });
-    }
-    for w in t.waypoints() {
-        waypoints.push(SpaceTime { x: w.x, t: delay + w.t / speed });
-    }
-    PiecewiseTrajectory::with_speed_limit(waypoints, speed.max(1.0))
 }
 
 /// Serializes results back to pretty JSON (for piping to other tools).

@@ -1,6 +1,6 @@
 //! Extension experiment: competitive ratio under **turn cost** (the
 //! open combination of the paper's fault model with Demaine–Fekete–Gal
-//! turn costs, the paper's reference [19]).
+//! turn costs, the paper's reference \[19\]).
 //!
 //! For each per-reversal cost `c`, we measure the turn-cost competitive
 //! ratio of the proportional schedule as a function of `beta` and

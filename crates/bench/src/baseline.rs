@@ -29,7 +29,7 @@ use faultline_analysis::supremum::TURNING_POINT_EPS;
 use faultline_analysis::{measure_strategy_cr, table1};
 use faultline_core::coverage::Fleet;
 use faultline_core::{ParallelConfig, Params};
-use faultline_sim::{run_sweep_ratios_seeded, BernoulliFaults, MonteCarloConfig, RatioStats};
+use faultline_sim::{run_sweep, BernoulliFaults, MonteCarloConfig, RatioStats};
 use faultline_strategies::{PaperStrategy, Strategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -281,7 +281,7 @@ fn montecarlo_sweep(quick: bool) -> Result<WorkloadTiming, Box<dyn std::error::E
     let config = MonteCarloConfig::new(samples, 100.0)?;
     let mut result = Ok(Vec::new());
     let wall_ms = min_time_ms(|| {
-        result = run_sweep_ratios_seeded(&plans, &mut faults, config, horizon, 7);
+        result = run_sweep(&plans, &mut faults, config, horizon, 7);
     });
     let ratios = result?;
     RatioStats::from_ratios(&ratios)?;

@@ -263,7 +263,7 @@ fn run_lower_bound() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn run_montecarlo(seed: u64) -> Result<(), Box<dyn std::error::Error>> {
-    use faultline_sim::{run_sweep_ratios_seeded, BernoulliFaults, MonteCarloConfig, RatioStats};
+    use faultline_sim::{run_sweep, BernoulliFaults, MonteCarloConfig, RatioStats};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -277,13 +277,8 @@ fn run_montecarlo(seed: u64) -> Result<(), Box<dyn std::error::Error>> {
     let mut heavy_tail: Vec<f64> = Vec::new();
     for p in [0.1, 0.3, 0.5] {
         let mut faults = BernoulliFaults::new(p, params.f(), StdRng::seed_from_u64(seed))?;
-        let ratios = run_sweep_ratios_seeded(
-            &plans,
-            &mut faults,
-            MonteCarloConfig::new(2000, 100.0)?,
-            horizon,
-            seed + 2,
-        )?;
+        let ratios =
+            run_sweep(&plans, &mut faults, MonteCarloConfig::new(2000, 100.0)?, horizon, seed + 2)?;
         let stats = RatioStats::from_ratios(&ratios)?;
         if p == 0.5 {
             heavy_tail = ratios;

@@ -5,7 +5,7 @@
 
 use crate::error::{Error, Result};
 use crate::params::{Params, Regime};
-use crate::plan::{Direction, RayPlan, TrajectoryPlan};
+use crate::plan::Plan;
 use crate::ratio;
 use crate::schedule::ProportionalSchedule;
 
@@ -89,23 +89,12 @@ impl Algorithm {
 
     /// Per-robot motion plans, one per robot, in robot order.
     #[must_use]
-    pub fn plans(&self) -> Vec<Box<dyn TrajectoryPlan>> {
+    pub fn plans(&self) -> Vec<Plan> {
         match &self.inner {
             Inner::TwoGroup { right, left } => {
-                let mut plans: Vec<Box<dyn TrajectoryPlan>> = Vec::new();
-                for _ in 0..*right {
-                    plans.push(Box::new(RayPlan::new(Direction::Right)));
-                }
-                for _ in 0..*left {
-                    plans.push(Box::new(RayPlan::new(Direction::Left)));
-                }
-                plans
+                (0..right + left).map(|i| Plan::ray(i < *right)).collect()
             }
-            Inner::Proportional(schedule) => schedule
-                .plans()
-                .into_iter()
-                .map(|p| Box::new(p) as Box<dyn TrajectoryPlan>)
-                .collect(),
+            Inner::Proportional(schedule) => schedule.plans(),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Extension: search with a **known upper bound** on the target
 //! distance (after Bose, De Carufel and Durocher, *Revisiting the
-//! problem of searching on a line*, cited by the paper as [10]).
+//! problem of searching on a line*, cited by the paper as \[10\]).
 //!
 //! When the robots know `|x| <= D`, zig-zag excursions past `D` are
 //! wasted. The bounded variant clamps every turning point of the
@@ -15,107 +15,31 @@ use crate::algorithm::Algorithm;
 use crate::cone::Cone;
 use crate::error::{Error, Result};
 use crate::params::Params;
-use crate::plan::{check_horizon, TrajectoryPlan};
-use crate::spacetime::SpaceTime;
-use crate::trajectory::PiecewiseTrajectory;
-use crate::zigzag::ZigZagPlan;
+use crate::plan::{Plan, Turns};
 
-/// A zig-zag plan whose excursions are clamped to `[-bound, bound]`.
-///
-/// Inside the bound it reproduces the cone zig-zag exactly; the first
-/// turning point that would exceed the bound is moved onto it, after
-/// which the robot shuttles between `-bound` and `+bound` at unit
-/// speed forever.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClampedZigZagPlan {
-    inner: ZigZagPlan,
-    bound: f64,
-}
-
-impl ClampedZigZagPlan {
-    /// Clamps `plan` to `[-bound, bound]`.
+impl Plan {
+    /// [`Plan::zigzag`] with its excursions clamped to `[-bound, bound]`:
+    /// inside the bound it reproduces the cone zig-zag exactly; the
+    /// first turning point that would exceed the bound is moved onto
+    /// it, after which the robot shuttles between `-bound` and `+bound`
+    /// at unit speed forever.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Domain`] when the bound is not finite, below 1
-    /// (targets live at distance at least 1), or smaller than the
-    /// plan's seed excursion.
-    pub fn new(plan: ZigZagPlan, bound: f64) -> Result<Self> {
+    /// As [`Plan::zigzag`], plus [`Error::Domain`] when the bound is not
+    /// finite, below 1 (targets live at distance at least 1), or smaller
+    /// than the seed excursion.
+    pub fn clamped_zigzag(cone: Cone, seed: f64, bound: f64) -> Result<Self> {
+        let plan = Plan::zigzag(cone, seed)?;
         if !bound.is_finite() || bound < 1.0 {
             return Err(Error::domain(format!("distance bound must be >= 1, got {bound}")));
         }
-        if plan.seed_x().abs() > bound {
+        if seed.abs() > bound {
             return Err(Error::domain(format!(
-                "seed excursion {} already exceeds the bound {bound}",
-                plan.seed_x()
+                "seed excursion {seed} already exceeds the bound {bound}"
             )));
         }
-        Ok(ClampedZigZagPlan { inner: plan, bound })
-    }
-
-    /// The distance bound `D`.
-    #[must_use]
-    pub fn bound(&self) -> f64 {
-        self.bound
-    }
-
-    /// The unclamped plan.
-    #[must_use]
-    pub fn inner(&self) -> &ZigZagPlan {
-        &self.inner
-    }
-}
-
-impl TrajectoryPlan for ClampedZigZagPlan {
-    fn materialize(&self, horizon: f64) -> Result<PiecewiseTrajectory> {
-        check_horizon(horizon)?;
-        let cone: Cone = self.inner.cone();
-        let seed = self.inner.seed();
-        let mut waypoints = vec![SpaceTime::origin()];
-
-        if horizon <= seed.t {
-            let x = self.inner.seed_x().signum() * horizon / cone.beta();
-            waypoints.push(SpaceTime::new(x, horizon));
-            return PiecewiseTrajectory::new(waypoints);
-        }
-        waypoints.push(seed);
-
-        // Phase 1: follow the cone zig-zag while turning points stay
-        // inside the bound.
-        let mut current = seed;
-        let clamp_start = loop {
-            let next = cone.next_turning_point(current);
-            if next.x.abs() > self.bound {
-                // Head towards the clamped position instead.
-                let x = next.x.signum() * self.bound;
-                let t = current.t + (x - current.x).abs();
-                break SpaceTime::new(x, t);
-            }
-            if next.t >= horizon {
-                let dir = (next.x - current.x).signum();
-                waypoints.push(SpaceTime::new(current.x + dir * (horizon - current.t), horizon));
-                return PiecewiseTrajectory::new(waypoints);
-            }
-            waypoints.push(next);
-            current = next;
-        };
-
-        // Phase 2: shuttle between the bounds at unit speed.
-        let mut current = clamp_start;
-        loop {
-            if current.t >= horizon {
-                let prev = waypoints.last().expect("at least the seed is present");
-                let dir = (current.x - prev.x).signum();
-                waypoints.push(SpaceTime::new(prev.x + dir * (horizon - prev.t), horizon));
-                return PiecewiseTrajectory::new(waypoints);
-            }
-            waypoints.push(current);
-            current = SpaceTime::new(-current.x, current.t + 2.0 * self.bound);
-        }
-    }
-
-    fn label(&self) -> String {
-        format!("{} clamped to ±{}", self.inner.label(), self.bound)
+        Ok(Plan { turns: Turns::Cone { cone, seed, bound }, ..plan })
     }
 }
 
@@ -155,21 +79,21 @@ impl BoundedAlgorithm {
         &self.algorithm
     }
 
-    /// Per-robot plans with clamped excursions.
+    /// Per-robot plans with clamped excursions
+    /// ([`Plan::clamped_zigzag`]).
     ///
     /// # Errors
     ///
     /// Propagates clamping failures (cannot happen for bounds `>= 1`
     /// since all seeds have magnitude `< 1`... except robot `a_0`, whose
     /// seed sits exactly at 1, which any valid bound accommodates).
-    pub fn plans(&self) -> Result<Vec<Box<dyn TrajectoryPlan>>> {
+    pub fn plans(&self) -> Result<Vec<Plan>> {
         match self.algorithm.schedule() {
             None => Ok(self.algorithm.plans()), // two-group: already minimal
-            Some(schedule) => schedule
-                .plans()
-                .into_iter()
-                .map(|p| {
-                    Ok(Box::new(ClampedZigZagPlan::new(p, self.bound)?) as Box<dyn TrajectoryPlan>)
+            Some(schedule) => (0..schedule.n())
+                .map(|i| {
+                    let seed = schedule.seed_for_robot(i).x;
+                    Plan::clamped_zigzag(schedule.cone(), seed, self.bound)
                 })
                 .collect(),
         }
@@ -196,32 +120,26 @@ mod tests {
     use crate::coverage::Fleet;
     use crate::ratio;
 
-    fn clamped(beta: f64, seed: f64, bound: f64) -> ClampedZigZagPlan {
-        let plan = ZigZagPlan::new(Cone::new(beta).unwrap(), seed).unwrap();
-        ClampedZigZagPlan::new(plan, bound).unwrap()
+    fn clamped(beta: f64, seed: f64, bound: f64) -> Plan {
+        Plan::clamped_zigzag(Cone::new(beta).unwrap(), seed, bound).unwrap()
     }
 
     #[test]
     fn validates_bound() {
-        let plan = ZigZagPlan::new(Cone::new(3.0).unwrap(), 1.0).unwrap();
-        assert!(ClampedZigZagPlan::new(plan, 0.5).is_err());
-        assert!(ClampedZigZagPlan::new(plan, f64::NAN).is_err());
-        let far_seed = ZigZagPlan::new(Cone::new(3.0).unwrap(), 5.0).unwrap();
-        assert!(ClampedZigZagPlan::new(far_seed, 2.0).is_err());
+        let cone = Cone::new(3.0).unwrap();
+        assert!(Plan::clamped_zigzag(cone, 1.0, 0.5).is_err());
+        assert!(Plan::clamped_zigzag(cone, 1.0, f64::NAN).is_err());
+        assert!(Plan::clamped_zigzag(cone, 5.0, 2.0).is_err(), "seed beyond the bound");
+        assert!(Plan::clamped_zigzag(cone, 0.0, 2.0).is_err(), "zero seed");
     }
 
     #[test]
     fn matches_unclamped_before_the_bound_bites() {
         let plan = clamped(3.0, 1.0, 100.0);
-        let free = plan.inner();
-        let t_clamped = plan.materialize(50.0).unwrap();
-        let t_free = free.materialize(50.0).unwrap();
+        let free = Plan::zigzag(Cone::new(3.0).unwrap(), 1.0).unwrap();
         // Doubling reaches ±excursions 1, -2, 4, -8, 16 < 100 by t = 50:
-        // identical trajectories.
-        for step in 0..500 {
-            let t = 0.1 * step as f64;
-            assert_eq!(t_clamped.position_at(t), t_free.position_at(t), "t = {t}");
-        }
+        // identical trajectories, bit for bit.
+        assert_eq!(plan.materialize(50.0).unwrap(), free.materialize(50.0).unwrap());
     }
 
     #[test]
@@ -311,9 +229,7 @@ mod tests {
     fn two_group_regime_is_unchanged() {
         let params = Params::new(6, 2).unwrap();
         let bounded = BoundedAlgorithm::design(params, 4.0).unwrap();
-        let plans = bounded.plans().unwrap();
-        assert_eq!(plans.len(), 6);
-        assert!(plans.iter().all(|p| p.label().starts_with("ray")));
+        assert_eq!(bounded.plans().unwrap(), bounded.unbounded().plans());
     }
 
     #[test]

@@ -133,26 +133,6 @@ impl Cone {
         let x = -p.x / self.expansion_factor();
         self.boundary_point(x)
     }
-
-    /// Turning points of the zig-zag movement seeded at boundary
-    /// position `x0` (Lemma 1): `x_i = x0 * kappa^i * (-1)^i`, produced
-    /// while their boundary times do not exceed `max_time`.
-    ///
-    /// The seed itself is included as the first element whenever its
-    /// boundary time is within `max_time`.
-    #[must_use]
-    pub fn turning_points_until(&self, x0: f64, max_time: f64) -> Vec<SpaceTime> {
-        let mut points = Vec::new();
-        let mut p = self.boundary_point(x0);
-        while p.t <= max_time {
-            points.push(p);
-            p = self.next_turning_point(p);
-            if p.x == 0.0 {
-                break; // degenerate seed at the apex
-            }
-        }
-        points
-    }
 }
 
 impl std::fmt::Display for Cone {
@@ -227,20 +207,12 @@ mod tests {
     fn lemma1_power_formula() {
         // x_i = x0 * kappa^i * (-1)^i
         let cone = Cone::new(3.0).unwrap();
-        let pts = cone.turning_points_until(1.0, 1e6);
-        for (i, p) in pts.iter().enumerate() {
-            let expect = (2.0_f64).powi(i as i32) * if i % 2 == 0 { 1.0 } else { -1.0 };
+        let mut p = cone.boundary_point(1.0);
+        for i in 0..15 {
+            let expect = (2.0_f64).powi(i) * if i % 2 == 0 { 1.0 } else { -1.0 };
             assert!(approx_eq(p.x, expect, 1e-9), "i = {i}: {} vs {expect}", p.x);
+            p = cone.next_turning_point(p);
         }
-        assert!(pts.len() >= 15);
-    }
-
-    #[test]
-    fn turning_points_respect_max_time() {
-        let cone = Cone::new(3.0).unwrap();
-        let pts = cone.turning_points_until(1.0, 100.0);
-        assert!(pts.iter().all(|p| p.t <= 100.0));
-        assert!(!pts.is_empty());
     }
 
     #[test]

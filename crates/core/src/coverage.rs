@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
 use crate::json_float;
-use crate::plan::TrajectoryPlan;
+use crate::plan::Plan;
 use crate::trajectory::PiecewiseTrajectory;
 
 /// A fleet of materialized robot trajectories sharing a common horizon,
@@ -39,7 +39,7 @@ impl Fleet {
     /// # Errors
     ///
     /// Propagates materialization failures and empty-fleet errors.
-    pub fn from_plans(plans: &[Box<dyn TrajectoryPlan>], horizon: f64) -> Result<Self> {
+    pub fn from_plans(plans: &[Plan], horizon: f64) -> Result<Self> {
         let trajectories =
             plans.iter().map(|p| p.materialize(horizon)).collect::<Result<Vec<_>>>()?;
         Fleet::new(trajectories)
@@ -384,14 +384,11 @@ pub fn adversarial_targets_geometry(
 mod tests {
     use super::*;
     use crate::numeric::approx_eq;
-    use crate::plan::{Direction, RayPlan};
     use crate::schedule::ProportionalSchedule;
     use crate::trajectory::TrajectoryBuilder;
 
     fn two_rays() -> Fleet {
-        let plans: Vec<Box<dyn TrajectoryPlan>> =
-            vec![Box::new(RayPlan::new(Direction::Right)), Box::new(RayPlan::new(Direction::Left))];
-        Fleet::from_plans(&plans, 100.0).unwrap()
+        Fleet::from_plans(&[Plan::ray(true), Plan::ray(false)], 100.0).unwrap()
     }
 
     #[test]

@@ -614,12 +614,13 @@ mod tests {
 
     #[test]
     fn stationary_segments_never_cover_an_interval() {
-        let t = TrajectoryBuilder::from_origin()
-            .sweep_to(2.0)
-            .hold_until(10.0)
-            .sweep_to(5.0)
-            .finish()
-            .unwrap();
+        let t = PiecewiseTrajectory::new(vec![
+            SpaceTime::origin(),
+            SpaceTime::new(2.0, 2.0),
+            SpaceTime::new(2.0, 10.0),
+            SpaceTime::new(5.0, 13.0),
+        ])
+        .unwrap();
         let cover = first_visit_cover(std::slice::from_ref(&t), 1.0, 4.0).unwrap();
         assert_eq!(cover.cuts(), &[1.0, 2.0, 4.0]);
         // (2, 4) is covered only by the final sweep, not by the hold.

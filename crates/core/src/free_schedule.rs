@@ -7,21 +7,20 @@
 //! first turning point. Beyond the last explicit turn the robot keeps
 //! zig-zagging geometrically with the ratio of its last two explicit
 //! magnitudes — exactly the Lemma 1 recurrence `x_(i+1) = -kappa x_i`
-//! that [`crate::ZigZagPlan`] realizes — so every free schedule lowers
-//! onto the same materialization machinery and can be measured by the
+//! of a cone [`Plan::zigzag`] — and materializes through the walker
+//! behind every [`Plan`], so it can be measured by the
 //! `analysis::supremum` scan at any horizon.
 //!
 //! The proportional algorithm `A(n, f)` is a point of this space:
 //! [`FreeSchedule::from_proportional`] lowers a
 //! [`crate::ProportionalSchedule`] into explicit turning points whose
-//! materialized trajectories coincide with the original
-//! [`crate::ZigZagPlan`] fleet.
+//! materialized trajectories coincide with its zig-zag fleet.
 
 use serde::{Deserialize, Serialize};
 
 use crate::coverage::Fleet;
 use crate::error::{Error, Result};
-use crate::plan::{check_horizon, TrajectoryPlan};
+use crate::plan::{check_horizon, trace, walk, Plan};
 use crate::schedule::ProportionalSchedule;
 use crate::spacetime::SpaceTime;
 use crate::trajectory::PiecewiseTrajectory;
@@ -158,24 +157,6 @@ impl FreeRobot {
         t
     }
 
-    /// Turning points `(position, time)` with time at most `max_time`,
-    /// explicit turns first, then the geometric tail.
-    #[must_use]
-    pub fn turning_points_until(&self, max_time: f64) -> Vec<SpaceTime> {
-        let mut points = Vec::new();
-        let mut t = self.first_turn_time;
-        let mut prev = self.turn_magnitude(0);
-        let mut k = 0usize;
-        while t <= max_time {
-            points.push(SpaceTime::new(self.turn_position(k), t));
-            k += 1;
-            let m = self.turn_magnitude(k);
-            t += prev + m;
-            prev = m;
-        }
-        points
-    }
-
     /// How long this robot must be materialized to reach magnitude
     /// `xmax` on both sides: the time of its first turn of magnitude at
     /// least `xmax`, then one more leg and the magnitude of the turn
@@ -193,7 +174,7 @@ impl FreeRobot {
 
     /// The robot's trajectory up to `horizon`: the glide to the first
     /// turn, unit-speed legs between turns, the last leg cut at
-    /// `horizon` (what [`FreePlan`] materializes).
+    /// `horizon` (what its [`Plan`] materializes).
     ///
     /// # Errors
     ///
@@ -202,11 +183,7 @@ impl FreeRobot {
         check_horizon(horizon)?;
         // Room for the origin, every explicit turn and the cut point,
         // which covers the horizons the optimizer measures at.
-        let mut waypoints = Vec::with_capacity(self.turns.len() + 2);
-        waypoints.push(SpaceTime::origin());
-        let cut = self.walk(horizon, |turn| waypoints.push(turn));
-        waypoints.push(cut);
-        PiecewiseTrajectory::new(waypoints)
+        trace(self.turns.len() + 2, self.start(), horizon, |p, k| self.next_turn(p, k))
     }
 
     /// Where the robot stands at `horizon`: the last waypoint of
@@ -218,78 +195,21 @@ impl FreeRobot {
     /// Rejects a non-finite or non-positive horizon.
     pub fn cut_at(&self, horizon: f64) -> Result<SpaceTime> {
         check_horizon(horizon)?;
-        Ok(self.walk(horizon, |_| {}))
+        Ok(walk(self.start(), horizon, |p, k| self.next_turn(p, k), |_| {}))
     }
 
-    /// Walks the robot up to a finite, positive `horizon`: hands every
-    /// turn it reaches strictly before `horizon` to `turn`, in order,
-    /// and returns the cut point where it stands at `horizon`.
-    fn walk(&self, horizon: f64, mut turn: impl FnMut(SpaceTime)) -> SpaceTime {
-        if horizon <= self.first_turn_time {
-            // Cut within the initial glide (speed turns[0] / first_turn_time).
-            let x = self.side * self.turns[0] * horizon / self.first_turn_time;
-            return SpaceTime::new(x, horizon);
-        }
-        let mut current = SpaceTime::new(self.turn_position(0), self.first_turn_time);
-        let mut k = 1usize;
-        // Accumulate turn times incrementally: `turn_time(k)` is O(k),
-        // so calling it per turn would make the walk quadratic in the
-        // number of turns.
-        let mut t = self.first_turn_time;
-        let mut prev_magnitude = self.turn_magnitude(0);
-        loop {
-            turn(current);
-            let magnitude = self.turn_magnitude(k);
-            t += prev_magnitude + magnitude;
-            prev_magnitude = magnitude;
-            let next = SpaceTime::new(self.turn_position(k), t);
-            if next.t >= horizon {
-                // Cut the unit-speed sweep from `current` towards
-                // `next`; every turn before it came strictly before
-                // `horizon`.
-                let direction = (next.x - current.x).signum();
-                return SpaceTime::new(current.x + direction * (horizon - current.t), horizon);
-            }
-            current = next;
-            k += 1;
-        }
-    }
-}
-
-/// A plan materializing one [`FreeRobot`] — the free-schedule analogue
-/// of [`crate::ZigZagPlan`], sharing the Lemma 1 tail recurrence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FreePlan {
-    robot: FreeRobot,
-}
-
-impl FreePlan {
-    /// Wraps an already-validated robot.
-    #[must_use]
-    pub fn new(robot: FreeRobot) -> Self {
-        FreePlan { robot }
+    /// The first turn and the glide's pace `(turns[0], first_turn_time)`.
+    #[inline]
+    pub(crate) fn start(&self) -> (SpaceTime, (f64, f64)) {
+        let first = SpaceTime::new(self.turn_position(0), self.first_turn_time);
+        (first, (self.turns[0], self.first_turn_time))
     }
 
-    /// The underlying robot description.
-    #[must_use]
-    pub fn robot(&self) -> &FreeRobot {
-        &self.robot
-    }
-}
-
-impl TrajectoryPlan for FreePlan {
-    fn materialize(&self, horizon: f64) -> Result<PiecewiseTrajectory> {
-        self.robot.materialize(horizon)
-    }
-
-    fn label(&self) -> String {
-        let r = &self.robot;
-        format!(
-            "free(side = {:+}, turns = {}, tail = {:.4})",
-            r.side,
-            r.turns.len(),
-            r.tail_ratio()
-        )
+    /// Turn `k`, which follows turn `k - 1` at `p` after the unit-speed
+    /// leg of `m_(k-1) + m_k` time units (`|p.x|` is `m_(k-1)` exactly).
+    #[inline]
+    pub(crate) fn next_turn(&self, p: SpaceTime, k: usize) -> SpaceTime {
+        SpaceTime::new(self.turn_position(k), p.t + (p.x.abs() + self.turn_magnitude(k)))
     }
 }
 
@@ -359,16 +279,13 @@ impl FreeSchedule {
 
     /// One materializable plan per robot.
     #[must_use]
-    pub fn plans(&self) -> Vec<Box<dyn TrajectoryPlan>> {
-        self.robots
-            .iter()
-            .map(|r| Box::new(FreePlan::new(r.clone())) as Box<dyn TrajectoryPlan>)
-            .collect()
+    pub fn plans(&self) -> Vec<Plan> {
+        self.robots.iter().cloned().map(Plan::free).collect()
     }
 
     /// Every robot materialized to `horizon`: the fleet
     /// [`Fleet::from_plans`] builds from [`FreeSchedule::plans`],
-    /// without a boxed plan per robot.
+    /// without copying the robots into plans.
     ///
     /// # Errors
     ///
@@ -392,8 +309,8 @@ impl FreeSchedule {
     /// Lowers the proportional schedule `S_beta(n)` (the schedule of
     /// `A(n, f)`) into a free schedule with `explicit_turns` explicit
     /// turning points per robot, computed with the same [`crate::Cone`]
-    /// recurrence as [`crate::ZigZagPlan`] so the materialized
-    /// trajectories coincide.
+    /// recurrence as [`Plan::zigzag`] so the materialized trajectories
+    /// coincide.
     ///
     /// # Errors
     ///
@@ -467,10 +384,8 @@ mod tests {
 
     #[test]
     fn free_plan_materializes_like_the_doubling_zigzag() {
-        use crate::cone::Cone;
-        use crate::zigzag::ZigZagPlan;
-        let zig = ZigZagPlan::new(Cone::new(3.0).unwrap(), 1.0).unwrap();
-        let free = FreePlan::new(doubling_robot());
+        let zig = Plan::zigzag(crate::cone::Cone::new(3.0).unwrap(), 1.0).unwrap();
+        let free = Plan::free(doubling_robot());
         for horizon in [1.5, 3.0, 7.0, 50.0, 200.0] {
             let a = zig.materialize(horizon).unwrap();
             let b = free.materialize(horizon).unwrap();
@@ -489,7 +404,7 @@ mod tests {
 
     #[test]
     fn lowered_proportional_schedule_matches_zigzag_fleet() {
-        // The A(n, f) lowering must reproduce the ZigZagPlan fleet's
+        // The A(n, f) lowering must reproduce the zig-zag fleet's
         // trajectories exactly (within float noise), including the slow
         // initial legs — this is what makes the optimizer's seed
         // measure at the Theorem 1 ratio.
@@ -523,8 +438,7 @@ mod tests {
         let r = FreeRobot::new(-1.0, vec![1.0, 3.0], 2.0).unwrap();
         assert!(approx_eq(r.tail_ratio(), 3.0, 1e-12));
         assert!(approx_eq(r.turn_magnitude(4), 81.0, 1e-9));
-        let plan = FreePlan::new(r);
-        let traj = plan.materialize(500.0).unwrap();
+        let traj = r.materialize(500.0).unwrap();
         // -1, +3, -9, +27, -81 must all be visited.
         for (k, x) in [(0usize, -1.0), (1, 3.0), (2, -9.0), (3, 27.0), (4, -81.0)] {
             assert!(
@@ -545,7 +459,7 @@ mod tests {
         let horizon = schedule.horizon_hint(xmax);
         for plan in schedule.plans() {
             let traj = plan.materialize(horizon).unwrap();
-            assert!(traj.max_excursion() >= xmax, "{}", plan.label());
+            assert!(traj.max_excursion() >= xmax, "{plan:?}");
         }
     }
 
@@ -679,8 +593,8 @@ mod tests {
     fn plans_are_trajectory_plans() {
         let schedule = FreeSchedule::new(vec![doubling_robot()]).unwrap();
         let plans = schedule.plans();
-        assert!(plans[0].label().contains("free"));
-        assert!(plans[0].materialize(10.0).is_ok());
+        let robot = doubling_robot();
+        assert_eq!(plans[0].materialize(10.0).unwrap(), robot.materialize(10.0).unwrap());
         assert!(plans[0].materialize(0.0).is_err());
     }
 }

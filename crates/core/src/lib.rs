@@ -16,9 +16,13 @@
 //! * [`Params`] / [`Regime`] — validated `(n, f)` pairs and the paper's
 //!   case split (`n >= 2f + 2` trivial, `f < n < 2f + 2` interesting).
 //! * [`trajectory`] — piecewise-linear unit-speed trajectories with
-//!   visit queries; [`plan`] — materializable infinite motion plans.
-//! * [`Cone`] / [`ZigZagPlan`] — the cone `C_beta` of Definition 1 and
-//!   zig-zag movements with expansion factor `(beta+1)/(beta-1)`
+//!   visit queries, and their one time shift
+//!   ([`PiecewiseTrajectory::retimed`]).
+//! * [`Plan`] — every robot's motion as one turning-point schedule (a
+//!   launch time, a glide to the first turning point, then unit-speed
+//!   legs), materialized to any horizon by one walker.
+//! * [`Cone`] / [`Plan::zigzag`] — the cone `C_beta` of Definition 1
+//!   and zig-zag movements with expansion factor `(beta+1)/(beta-1)`
 //!   (Lemma 1).
 //! * [`ProportionalSchedule`] — `S_beta(n)` of Definition 2/Lemma 2 and
 //!   the per-robot construction of Definition 4.
@@ -57,7 +61,6 @@
 
 pub mod algorithm;
 pub mod bounded;
-pub mod builder;
 pub mod certificate;
 pub mod closed_form;
 pub mod cone;
@@ -82,22 +85,20 @@ pub mod turn_cost;
 pub mod zigzag;
 
 pub use algorithm::Algorithm;
-pub use bounded::{BoundedAlgorithm, ClampedZigZagPlan};
-pub use builder::ScheduleBuilder;
+pub use bounded::BoundedAlgorithm;
 pub use certificate::Certificate;
 pub use closed_form::ClosedForm;
 pub use cone::Cone;
 pub use coverage::Fleet;
 pub use error::{Error, Result};
-pub use free_schedule::{FreePlan, FreeRobot, FreeSchedule};
+pub use free_schedule::{FreeRobot, FreeSchedule};
 pub use geometry::Geometry;
 pub use interval::Interval;
 pub use parallel::{par_map, par_map_with, ParallelConfig};
 pub use params::{Params, Regime};
-pub use plan::{Direction, IdlePlan, RayPlan, TrajectoryPlan, WaypointCyclePlan};
+pub use plan::Plan;
 pub use query::{canonical_hash64, canonical_string, CrQuery, CrReport};
 pub use schedule::ProportionalSchedule;
 pub use spacetime::{Segment, SpaceTime};
 pub use trajectory::{PiecewiseTrajectory, TrajectoryBuilder};
 pub use turn_cost::{DetectionCost, TurnCost};
-pub use zigzag::ZigZagPlan;

@@ -1,180 +1,208 @@
-//! Trajectory *plans*: potentially infinite motion descriptions that can
-//! be materialized into finite [`PiecewiseTrajectory`] values up to any
-//! time horizon.
+//! Motion plans: the one shape every robot of the paper follows.
 //!
-//! Zig-zag strategies have infinitely many turning points, so algorithms
-//! hand out plans rather than trajectories; simulators and evaluators
-//! choose the horizon they need.
+//! A robot leaves the origin at its launch time, glides straight to a
+//! first turning point, then runs unit-speed legs between alternating
+//! turning points forever. That covers Definition 1's cone zig-zag
+//! with Definition 4's slow first leg, its bounded-distance clamp, the
+//! Section 1.1 doubling sweep and a free robot's explicit turns; a ray
+//! of the two-group strategy never reaches its first turn. A [`Plan`]
+//! holds one such turning-point schedule, and one walker materializes
+//! every plan (and every [`FreeRobot`]) into a finite
+//! [`PiecewiseTrajectory`] up to any horizon.
 
+use crate::cone::Cone;
 use crate::error::{Error, Result};
+use crate::free_schedule::FreeRobot;
 use crate::spacetime::SpaceTime;
-use crate::trajectory::{PiecewiseTrajectory, TrajectoryBuilder};
+use crate::trajectory::PiecewiseTrajectory;
 
-/// A motion plan for a single robot, materializable to any horizon.
+/// One robot's motion plan, materializable to any horizon.
 ///
-/// Implementors must produce trajectories that are defined exactly on
-/// `[0, horizon]` and respect the unit speed limit. The trait is
-/// object-safe so heterogeneous fleets can be stored as
-/// `Vec<Box<dyn TrajectoryPlan>>` ([C-OBJECT]).
-pub trait TrajectoryPlan: std::fmt::Debug + Send + Sync {
+/// The families' constructors: [`Plan::ray`], [`Plan::zigzag`],
+/// [`Plan::clamped_zigzag`], [`Plan::sweep`] and [`Plan::free`], each
+/// optionally [`Plan::launched_at`] a later time.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Plan {
+    pub(crate) launch: f64,
+    pub(crate) turns: Turns,
+}
+
+/// Where a plan's first turning point lies and how each next one
+/// follows from it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Turns {
+    /// No turn: unit speed towards `side · ∞` forever.
+    Ray { side: f64 },
+    /// The zig-zag in `cone` seeded at `(seed, β|seed|)`: `x ← −κx` at
+    /// `t = β|x|`, except that a turn beyond `±bound` moves onto it and
+    /// is reached at unit speed (`bound` is infinite when unclamped).
+    Cone { cone: Cone, seed: f64, bound: f64 },
+    /// The unit-speed sweep from the origin: first turn at `first`,
+    /// then `x ← −κx` at `t ← t + |Δx|`.
+    Sweep { first: f64, kappa: f64 },
+    /// A free robot's explicit turns and geometric tail.
+    Free(FreeRobot),
+}
+
+impl Plan {
+    /// A ray: unit speed from the origin, rightwards when `right`,
+    /// forever — one member of the two-group strategy for `n >= 2f + 2`.
+    #[must_use]
+    pub fn ray(right: bool) -> Self {
+        let side = if right { 1.0 } else { -1.0 };
+        Plan { launch: 0.0, turns: Turns::Ray { side } }
+    }
+
+    /// The geometric sweep at **unit speed** from the origin: to
+    /// `first`, then `-kappa * first`, then `kappa^2 * first`, and so
+    /// on. `Plan::sweep(1.0, 2.0)` is the classic doubling strategy
+    /// with competitive ratio 9; unlike [`Plan::zigzag`] there is no
+    /// slow first leg, exactly as in the original cow-path formulation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Domain`] when `first` is zero or non-finite, or
+    /// `kappa <= 1`.
+    pub fn sweep(first: f64, kappa: f64) -> Result<Self> {
+        if first == 0.0 || !first.is_finite() {
+            return Err(Error::domain(format!(
+                "first leg must be finite and non-zero, got {first}"
+            )));
+        }
+        if !(kappa > 1.0) || !kappa.is_finite() {
+            return Err(Error::domain(format!("expansion factor must exceed 1, got {kappa}")));
+        }
+        Ok(Plan { launch: 0.0, turns: Turns::Sweep { first, kappa } })
+    }
+
+    /// The plan of one free-schedule robot.
+    #[must_use]
+    pub fn free(robot: FreeRobot) -> Self {
+        Plan { launch: 0.0, turns: Turns::Free(robot) }
+    }
+
+    /// This plan launched at time `launch`: the robot holds at the
+    /// origin until then and runs the plan shifted in time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Domain`] for a negative or non-finite launch.
+    pub fn launched_at(self, launch: f64) -> Result<Self> {
+        if !(launch >= 0.0) || !launch.is_finite() {
+            return Err(Error::domain(format!(
+                "start delay must be finite and non-negative, got {launch}"
+            )));
+        }
+        Ok(Plan { launch, ..self })
+    }
+
     /// Materializes the plan as a finite trajectory on `[0, horizon]`.
     ///
     /// # Errors
     ///
-    /// Returns an error when `horizon` is not strictly positive or the
-    /// plan cannot produce a valid trajectory.
-    fn materialize(&self, horizon: f64) -> Result<PiecewiseTrajectory>;
-
-    /// Short human-readable description of the plan.
-    fn label(&self) -> String;
-}
-
-/// A plan that moves straight from the origin in one direction at unit
-/// speed forever — one member of the trivial two-group strategy for
-/// `n >= 2f + 2`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RayPlan {
-    direction: Direction,
-}
-
-/// Direction of travel along the line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Direction {
-    /// Towards positive positions.
-    Right,
-    /// Towards negative positions.
-    Left,
-}
-
-impl Direction {
-    /// Sign of the direction: `+1.0` or `-1.0`.
-    #[must_use]
-    pub fn sign(&self) -> f64 {
-        match self {
-            Direction::Right => 1.0,
-            Direction::Left => -1.0,
-        }
-    }
-}
-
-impl RayPlan {
-    /// Creates a ray plan in the given direction.
-    #[must_use]
-    pub fn new(direction: Direction) -> Self {
-        RayPlan { direction }
-    }
-
-    /// The travel direction.
-    #[must_use]
-    pub fn direction(&self) -> Direction {
-        self.direction
-    }
-}
-
-impl TrajectoryPlan for RayPlan {
-    fn materialize(&self, horizon: f64) -> Result<PiecewiseTrajectory> {
+    /// Returns an error when `horizon` is not finite and positive, or
+    /// the walk breaks the unit speed limit.
+    pub fn materialize(&self, horizon: f64) -> Result<PiecewiseTrajectory> {
         check_horizon(horizon)?;
-        PiecewiseTrajectory::new(vec![
-            SpaceTime::origin(),
-            SpaceTime::new(self.direction.sign() * horizon, horizon),
-        ])
-    }
-
-    fn label(&self) -> String {
-        match self.direction {
-            Direction::Right => "ray(+)".to_owned(),
-            Direction::Left => "ray(-)".to_owned(),
+        if horizon <= self.launch {
+            // Not yet launched: parked at the origin.
+            return PiecewiseTrajectory::new(vec![
+                SpaceTime::origin(),
+                SpaceTime::new(0.0, horizon),
+            ]);
         }
-    }
-}
-
-/// A plan that keeps the robot parked at the origin.
-///
-/// Useful as a degenerate baseline and for modelling robots that a
-/// strategy deliberately does not deploy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IdlePlan;
-
-impl IdlePlan {
-    /// Creates an idle plan.
-    #[must_use]
-    pub fn new() -> Self {
-        IdlePlan
-    }
-}
-
-impl TrajectoryPlan for IdlePlan {
-    fn materialize(&self, horizon: f64) -> Result<PiecewiseTrajectory> {
-        check_horizon(horizon)?;
-        TrajectoryBuilder::from_origin().hold_until(horizon).finish()
+        let capacity = match &self.turns {
+            Turns::Free(robot) => robot.turns.len() + 2,
+            _ => 2,
+        };
+        let walked = trace(capacity, self.start(), horizon - self.launch, |p, k| self.next(p, k))?;
+        walked.retimed(1.0, self.launch)
     }
 
-    fn label(&self) -> String {
-        "idle".to_owned()
-    }
-}
-
-/// A plan that repeats an explicit, finite cycle of target positions at
-/// unit speed and then holds its final position; the workhorse for
-/// hand-rolled baselines such as the classic doubling strategy when
-/// expressed with explicit turning points.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaypointCyclePlan {
-    targets: Vec<f64>,
-    label: String,
-}
-
-impl WaypointCyclePlan {
-    /// Creates a plan that visits `targets` in order at unit speed
-    /// starting from the origin, then holds the last target.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidTrajectory`] when `targets` is empty or
-    /// contains non-finite values.
-    pub fn new(targets: Vec<f64>, label: impl Into<String>) -> Result<Self> {
-        if targets.is_empty() {
-            return Err(Error::trajectory("waypoint plan needs at least one target"));
-        }
-        if targets.iter().any(|x| !x.is_finite()) {
-            return Err(Error::trajectory("waypoint targets must be finite"));
-        }
-        Ok(WaypointCyclePlan { targets, label: label.into() })
-    }
-
-    /// The target positions visited by the plan.
-    #[must_use]
-    pub fn targets(&self) -> &[f64] {
-        &self.targets
-    }
-}
-
-impl TrajectoryPlan for WaypointCyclePlan {
-    fn materialize(&self, horizon: f64) -> Result<PiecewiseTrajectory> {
-        check_horizon(horizon)?;
-        let mut builder = TrajectoryBuilder::from_origin();
-        let mut clock = 0.0;
-        let mut position = 0.0;
-        for &target in &self.targets {
-            let arrive = clock + (target - position).abs();
-            if arrive >= horizon {
-                // Cut the final sweep exactly at the horizon.
-                let direction = (target - position).signum();
-                let cut = position + direction * (horizon - clock);
-                builder.glide_to(cut, horizon);
-                return builder.finish();
+    /// The first turning point and the glide's pace `(a, b)`: the glide
+    /// stands at `sign · a · h / b` at time `h`. A ray's first turn lies
+    /// at infinity.
+    fn start(&self) -> (SpaceTime, (f64, f64)) {
+        match &self.turns {
+            Turns::Ray { side } => {
+                (SpaceTime::new(side * f64::INFINITY, f64::INFINITY), (1.0, 1.0))
             }
-            builder.sweep_to(target);
-            clock = arrive;
-            position = target;
+            Turns::Cone { cone, seed, .. } => (cone.boundary_point(*seed), (1.0, cone.beta())),
+            Turns::Sweep { first, .. } => (SpaceTime::new(*first, first.abs()), (1.0, 1.0)),
+            Turns::Free(robot) => robot.start(),
         }
-        builder.hold_until(horizon);
-        builder.finish()
     }
 
-    fn label(&self) -> String {
-        self.label.clone()
+    /// The `k`-th turning point, which follows `p`.
+    fn next(&self, p: SpaceTime, k: usize) -> SpaceTime {
+        match &self.turns {
+            Turns::Ray { .. } => unreachable!("a ray's first turn lies at infinity"),
+            Turns::Cone { cone, bound, .. } => {
+                let next = cone.next_turning_point(p);
+                if next.x.abs() > *bound {
+                    let x = next.x.signum() * bound;
+                    return SpaceTime::new(x, p.t + (x - p.x).abs());
+                }
+                next
+            }
+            Turns::Sweep { kappa, .. } => {
+                let x = p.x * -kappa;
+                SpaceTime::new(x, p.t + (x - p.x).abs())
+            }
+            Turns::Free(robot) => robot.next_turn(p, k),
+        }
     }
+}
+
+/// The walker behind every materialization: from `start` (the first
+/// turning point and the glide pace of [`Plan`]'s `start`), hands every
+/// turning point reached strictly before the finite, positive
+/// `horizon` to `turn`, in order, stepping with `next(p, k)` to the
+/// `k`-th, and returns the cut point where the robot stands at
+/// `horizon`. Inlined, with [`trace`] and the free robot's steps: out
+/// of line, `FreeRobot::materialize` and `cut_at` (the optimizer's
+/// inner loop) ran 10–17% slower on a 2-core x86-64 host.
+#[inline]
+pub(crate) fn walk(
+    (first, (a, b)): (SpaceTime, (f64, f64)),
+    horizon: f64,
+    next: impl Fn(SpaceTime, usize) -> SpaceTime,
+    mut turn: impl FnMut(SpaceTime),
+) -> SpaceTime {
+    if horizon <= first.t {
+        // Cut within the glide to the first turn.
+        return SpaceTime::new(first.x.signum() * a * horizon / b, horizon);
+    }
+    let mut current = first;
+    let mut k = 1usize;
+    loop {
+        turn(current);
+        let next = next(current, k);
+        if next.t >= horizon {
+            // Cut the unit-speed leg from `current` towards `next`;
+            // every turn before it came strictly before `horizon`.
+            let direction = (next.x - current.x).signum();
+            return SpaceTime::new(current.x + direction * (horizon - current.t), horizon);
+        }
+        current = next;
+        k += 1;
+    }
+}
+
+/// [`walk`] into a trajectory: the origin, every turn, then the cut,
+/// in a buffer with room for `capacity` waypoints.
+#[inline]
+pub(crate) fn trace(
+    capacity: usize,
+    start: (SpaceTime, (f64, f64)),
+    horizon: f64,
+    next: impl Fn(SpaceTime, usize) -> SpaceTime,
+) -> Result<PiecewiseTrajectory> {
+    let mut waypoints = Vec::with_capacity(capacity);
+    waypoints.push(SpaceTime::origin());
+    let cut = walk(start, horizon, next, |turn| waypoints.push(turn));
+    waypoints.push(cut);
+    PiecewiseTrajectory::new(waypoints)
 }
 
 /// Validates a materialization horizon.
@@ -193,7 +221,7 @@ mod tests {
 
     #[test]
     fn ray_reaches_horizon() {
-        let t = RayPlan::new(Direction::Left).materialize(10.0).unwrap();
+        let t = Plan::ray(false).materialize(10.0).unwrap();
         assert_eq!(t.position_at(10.0), Some(-10.0));
         assert_eq!(t.first_visit(-3.0), Some(3.0));
         assert_eq!(t.first_visit(3.0), None);
@@ -201,52 +229,17 @@ mod tests {
 
     #[test]
     fn ray_rejects_bad_horizon() {
-        assert!(RayPlan::new(Direction::Right).materialize(0.0).is_err());
-        assert!(RayPlan::new(Direction::Right).materialize(-1.0).is_err());
-        assert!(RayPlan::new(Direction::Right).materialize(f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn idle_stays_put() {
-        let t = IdlePlan::new().materialize(7.0).unwrap();
-        assert_eq!(t.position_at(3.5), Some(0.0));
-        assert_eq!(t.horizon(), 7.0);
-    }
-
-    #[test]
-    fn waypoint_plan_cuts_at_horizon() {
-        let plan = WaypointCyclePlan::new(vec![1.0, -2.0, 4.0], "doubling-prefix").unwrap();
-        // Horizon 5 lands mid-sweep from -2 towards +4 (sweep starts at t = 4).
-        let t = plan.materialize(5.0).unwrap();
-        assert_eq!(t.horizon(), 5.0);
-        assert_eq!(t.position_at(5.0), Some(-1.0));
-    }
-
-    #[test]
-    fn waypoint_plan_holds_after_targets() {
-        let plan = WaypointCyclePlan::new(vec![2.0], "one-stop").unwrap();
-        let t = plan.materialize(6.0).unwrap();
-        assert_eq!(t.position_at(6.0), Some(2.0));
-        assert_eq!(t.first_visit(2.0), Some(2.0));
-    }
-
-    #[test]
-    fn waypoint_plan_validates_targets() {
-        assert!(WaypointCyclePlan::new(vec![], "empty").is_err());
-        assert!(WaypointCyclePlan::new(vec![f64::NAN], "nan").is_err());
-    }
-
-    #[test]
-    fn plans_are_object_safe() {
-        let fleet: Vec<Box<dyn TrajectoryPlan>> =
-            vec![Box::new(RayPlan::new(Direction::Right)), Box::new(IdlePlan::new())];
-        assert_eq!(fleet.len(), 2);
-        assert!(fleet[0].materialize(1.0).is_ok());
-    }
-
-    #[test]
-    fn direction_signs() {
-        assert_eq!(Direction::Right.sign(), 1.0);
-        assert_eq!(Direction::Left.sign(), -1.0);
+        let cone = Cone::new(3.0).unwrap();
+        let plans = [
+            Plan::ray(true),
+            Plan::zigzag(cone, 1.0).unwrap(),
+            Plan::clamped_zigzag(cone, 1.0, 2.0).unwrap(),
+            Plan::sweep(1.0, 2.0).unwrap().launched_at(1.0).unwrap(),
+        ];
+        for plan in plans {
+            for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+                assert!(plan.materialize(bad).is_err(), "{plan:?} at {bad}");
+            }
+        }
     }
 }

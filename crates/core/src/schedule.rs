@@ -16,8 +16,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::cone::Cone;
 use crate::error::{Error, Result};
+use crate::plan::Plan;
 use crate::spacetime::SpaceTime;
-use crate::zigzag::ZigZagPlan;
 
 /// The proportional schedule `S_beta(n)`: `n` robots zig-zagging in the
 /// cone `C_beta` with interleaved geometric turning points.
@@ -181,11 +181,11 @@ impl ProportionalSchedule {
     /// Robot `a_i` travels from the origin at speed `1/beta` to its seed
     /// and then zig-zags inside the cone.
     #[must_use]
-    pub fn plans(&self) -> Vec<ZigZagPlan> {
+    pub fn plans(&self) -> Vec<Plan> {
         (0..self.n)
             .map(|i| {
                 let seed = self.seed_for_robot(i);
-                ZigZagPlan::new(self.cone, seed.x)
+                Plan::zigzag(self.cone, seed.x)
                     .expect("seed positions are non-zero by construction")
             })
             .collect()
@@ -245,7 +245,6 @@ impl std::fmt::Display for ProportionalSchedule {
 mod tests {
     use super::*;
     use crate::numeric::approx_eq;
-    use crate::plan::TrajectoryPlan;
 
     fn a31() -> ProportionalSchedule {
         // A(3, 1): beta* = (4*1+4)/3 - 1 = 5/3.
@@ -329,7 +328,7 @@ mod tests {
         assert_eq!(plans.len(), 3);
         let mut all_turns: Vec<f64> = Vec::new();
         for plan in &plans {
-            for p in plan.turning_points_until(1_000.0) {
+            for p in plan.materialize(1_000.0).unwrap().turning_points() {
                 all_turns.push(p.x);
             }
         }

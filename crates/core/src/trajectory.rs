@@ -174,6 +174,29 @@ impl PiecewiseTrajectory {
         self.waypoints.iter().map(|w| w.x.abs()).fold(0.0, f64::max)
     }
 
+    /// The one time shift, from plan time into wall clock for a robot
+    /// of speed `speed` launched at `delay`: every waypoint `(x, t)`
+    /// becomes `(x, delay + t / speed)`, with a parked origin waypoint
+    /// prepended for a positive delay. A bitwise unit speed with no
+    /// delay returns the trajectory untouched.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::with_speed_limit`], with the bound `max(speed, 1)`.
+    pub fn retimed(self, speed: f64, delay: f64) -> Result<Self> {
+        if speed.to_bits() == 1.0f64.to_bits() && delay == 0.0 {
+            return Ok(self);
+        }
+        let mut waypoints = Vec::with_capacity(self.waypoints.len() + 1);
+        if delay > 0.0 {
+            waypoints.push(SpaceTime::origin());
+        }
+        for w in &self.waypoints {
+            waypoints.push(SpaceTime::new(w.x, delay + w.t / speed));
+        }
+        PiecewiseTrajectory::with_speed_limit(waypoints, speed.max(1.0))
+    }
+
     /// Truncates the trajectory at time `t`, interpolating a final
     /// waypoint exactly at `t`.
     ///
@@ -201,9 +224,7 @@ impl PiecewiseTrajectory {
 
 /// Incremental builder for [`PiecewiseTrajectory`] ([C-BUILDER]).
 ///
-/// All motion methods append a waypoint; `sweep_to` moves at full unit
-/// speed, `glide_to` at an explicit slower pace, and `hold_until` keeps
-/// the robot stationary.
+/// Every `sweep_to` appends a waypoint reached at full unit speed.
 #[derive(Debug, Clone)]
 pub struct TrajectoryBuilder {
     waypoints: Vec<SpaceTime>,
@@ -217,12 +238,6 @@ impl TrajectoryBuilder {
         TrajectoryBuilder { waypoints: vec![SpaceTime::origin()] }
     }
 
-    /// Starts a trajectory at an arbitrary space–time point.
-    #[must_use]
-    pub fn starting_at(p: SpaceTime) -> Self {
-        TrajectoryBuilder { waypoints: vec![p] }
-    }
-
     fn last(&self) -> SpaceTime {
         *self.waypoints.last().expect("builder always holds at least one waypoint")
     }
@@ -233,22 +248,6 @@ impl TrajectoryBuilder {
         let t = from.t + (x - from.x).abs();
         if t > from.t {
             self.waypoints.push(SpaceTime::new(x, t));
-        }
-        self
-    }
-
-    /// Moves to position `x`, arriving exactly at time `t` (speed is
-    /// implied; validated on `finish`).
-    pub fn glide_to(&mut self, x: f64, t: f64) -> &mut Self {
-        self.waypoints.push(SpaceTime::new(x, t));
-        self
-    }
-
-    /// Stays at the current position until time `t`.
-    pub fn hold_until(&mut self, t: f64) -> &mut Self {
-        let from = self.last();
-        if t > from.t {
-            self.waypoints.push(SpaceTime::new(from.x, t));
         }
         self
     }
@@ -364,16 +363,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_hold_and_glide() {
-        let t = TrajectoryBuilder::from_origin()
-            .glide_to(1.0, 3.0) // speed 1/3 initial leg, as in Definition 4
-            .hold_until(5.0)
-            .sweep_to(0.0)
-            .finish()
-            .unwrap();
-        assert_eq!(t.position_at(3.0), Some(1.0));
-        assert_eq!(t.position_at(4.0), Some(1.0));
-        assert_eq!(t.horizon(), 6.0);
+    fn retiming_stretches_time_and_parks_before_the_delay() {
+        let t = doubling_prefix();
+        assert_eq!(t.clone().retimed(1.0, 0.0).unwrap(), t);
+        let slow = t.clone().retimed(0.5, 2.0).unwrap();
+        assert_eq!(
+            slow.waypoints()[..3],
+            [SpaceTime::origin(), SpaceTime::new(0.0, 2.0), SpaceTime::new(1.0, 4.0)]
+        );
+        assert_eq!(slow.horizon(), 2.0 + 2.0 * t.horizon());
+        // A speed-2 robot may exceed the unit bound; nothing faster may.
+        assert!(t.clone().retimed(2.0, 0.0).is_ok());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Extension: search with **turn cost** (after Demaine, Fekete and Gal,
-//! *Online searching with turn cost*, cited by the paper as [19]).
+//! *Online searching with turn cost*, cited by the paper as \[19\]).
 //!
 //! Each direction reversal costs an additional `c >= 0` time units
 //! (mechanical deceleration, sensor re-calibration, ...). The cost of

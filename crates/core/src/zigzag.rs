@@ -4,115 +4,41 @@
 
 use crate::cone::Cone;
 use crate::error::{Error, Result};
-use crate::plan::{check_horizon, TrajectoryPlan};
-use crate::spacetime::SpaceTime;
-use crate::trajectory::PiecewiseTrajectory;
+use crate::plan::{Plan, Turns};
 
-/// A zig-zag plan: the robot leaves the origin, travels at constant
-/// speed `1 / beta` straight to its *seed* turning point
-/// `(x0, beta * |x0|)` on the cone boundary, then zig-zags at unit speed
-/// inside the cone forever, reversing on the boundary.
-///
-/// The initial leg realizes Definition 4 ("robot `a_i` moves from 0 so
-/// that it reaches `tau_i'` at time `beta * tau_i'`"); its speed
-/// `|x0| / (beta |x0|) = 1/beta < 1` respects the speed limit.
-///
-/// ```
-/// use faultline_core::{Cone, ZigZagPlan, TrajectoryPlan};
-/// let cone = Cone::new(3.0)?;
-/// let plan = ZigZagPlan::new(cone, 1.0)?;
-/// let traj = plan.materialize(50.0)?;
-/// // Seed reached at t = beta * x0 = 3, then -2 at t = 6, +4 at t = 12...
-/// assert_eq!(traj.first_visit(1.0), Some(3.0));
-/// assert_eq!(traj.first_visit(-2.0), Some(6.0));
-/// assert_eq!(traj.first_visit(4.0), Some(12.0));
-/// # Ok::<(), faultline_core::Error>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ZigZagPlan {
-    cone: Cone,
-    seed_x: f64,
-}
-
-impl ZigZagPlan {
-    /// Creates a zig-zag plan inside `cone` seeded at boundary position
-    /// `seed_x`.
+impl Plan {
+    /// Definition 1's zig-zag in `cone`: the robot leaves the origin,
+    /// travels at constant speed `1 / beta` straight to its *seed*
+    /// turning point `(seed, beta * |seed|)` on the cone boundary, then
+    /// zig-zags at unit speed inside the cone forever, reversing on the
+    /// boundary.
+    ///
+    /// The initial leg realizes Definition 4 ("robot `a_i` moves from 0
+    /// so that it reaches `tau_i'` at time `beta * tau_i'`"); its speed
+    /// `|x0| / (beta |x0|) = 1/beta < 1` respects the speed limit.
+    ///
+    /// ```
+    /// use faultline_core::{Cone, Plan};
+    /// let plan = Plan::zigzag(Cone::new(3.0)?, 1.0)?;
+    /// let traj = plan.materialize(50.0)?;
+    /// // Seed reached at t = beta * x0 = 3, then -2 at t = 6, +4 at t = 12...
+    /// assert_eq!(traj.first_visit(1.0), Some(3.0));
+    /// assert_eq!(traj.first_visit(-2.0), Some(6.0));
+    /// assert_eq!(traj.first_visit(4.0), Some(12.0));
+    /// # Ok::<(), faultline_core::Error>(())
+    /// ```
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Domain`] when `seed_x` is zero or non-finite: a
+    /// Returns [`Error::Domain`] when `seed` is zero or non-finite: a
     /// zig-zag movement needs a proper first turning point.
-    pub fn new(cone: Cone, seed_x: f64) -> Result<Self> {
-        if seed_x == 0.0 || !seed_x.is_finite() {
+    pub fn zigzag(cone: Cone, seed: f64) -> Result<Self> {
+        if seed == 0.0 || !seed.is_finite() {
             return Err(Error::domain(format!(
-                "zig-zag seed position must be finite and non-zero, got {seed_x}"
+                "zig-zag seed position must be finite and non-zero, got {seed}"
             )));
         }
-        Ok(ZigZagPlan { cone, seed_x })
-    }
-
-    /// The cone confining this plan.
-    #[must_use]
-    pub fn cone(&self) -> Cone {
-        self.cone
-    }
-
-    /// The seed turning point position on the line.
-    #[must_use]
-    pub fn seed_x(&self) -> f64 {
-        self.seed_x
-    }
-
-    /// The seed turning point in space–time.
-    #[must_use]
-    pub fn seed(&self) -> SpaceTime {
-        self.cone.boundary_point(self.seed_x)
-    }
-
-    /// Turning points of this plan with boundary time at most
-    /// `max_time`, starting with the seed.
-    #[must_use]
-    pub fn turning_points_until(&self, max_time: f64) -> Vec<SpaceTime> {
-        self.cone.turning_points_until(self.seed_x, max_time)
-    }
-}
-
-impl TrajectoryPlan for ZigZagPlan {
-    fn materialize(&self, horizon: f64) -> Result<PiecewiseTrajectory> {
-        check_horizon(horizon)?;
-        let seed = self.seed();
-        let mut waypoints = vec![SpaceTime::origin()];
-
-        if horizon <= seed.t {
-            // Cut within the initial slow leg (speed 1/beta).
-            let x = self.seed_x.signum() * horizon / self.cone.beta();
-            waypoints.push(SpaceTime::new(x, horizon));
-            return PiecewiseTrajectory::new(waypoints);
-        }
-
-        waypoints.push(seed);
-        let mut current = seed;
-        loop {
-            let next = self.cone.next_turning_point(current);
-            if next.t >= horizon {
-                // Cut the unit-speed sweep from `current` towards `next`.
-                let direction = (next.x - current.x).signum();
-                let x = current.x + direction * (horizon - current.t);
-                if horizon > current.t {
-                    waypoints.push(SpaceTime::new(x, horizon));
-                } else {
-                    // horizon == current.t: the turning point is the end.
-                }
-                break;
-            }
-            waypoints.push(next);
-            current = next;
-        }
-        PiecewiseTrajectory::new(waypoints)
-    }
-
-    fn label(&self) -> String {
-        format!("zigzag(beta = {}, seed = {})", self.cone.beta(), self.seed_x)
+        Ok(Plan { launch: 0.0, turns: Turns::Cone { cone, seed, bound: f64::INFINITY } })
     }
 }
 
@@ -120,15 +46,16 @@ impl TrajectoryPlan for ZigZagPlan {
 mod tests {
     use super::*;
     use crate::numeric::approx_eq;
+    use crate::spacetime::SpaceTime;
 
-    fn doubling_plan() -> ZigZagPlan {
-        ZigZagPlan::new(Cone::new(3.0).unwrap(), 1.0).unwrap()
+    fn doubling_plan() -> Plan {
+        Plan::zigzag(Cone::new(3.0).unwrap(), 1.0).unwrap()
     }
 
     #[test]
     fn rejects_zero_seed() {
-        assert!(ZigZagPlan::new(Cone::new(2.0).unwrap(), 0.0).is_err());
-        assert!(ZigZagPlan::new(Cone::new(2.0).unwrap(), f64::NAN).is_err());
+        assert!(Plan::zigzag(Cone::new(2.0).unwrap(), 0.0).is_err());
+        assert!(Plan::zigzag(Cone::new(2.0).unwrap(), f64::NAN).is_err());
     }
 
     #[test]
@@ -157,9 +84,8 @@ mod tests {
 
     #[test]
     fn turning_times_on_cone_boundary() {
-        let plan = ZigZagPlan::new(Cone::new(5.0 / 3.0).unwrap(), 2.0).unwrap();
-        let traj = plan.materialize(500.0).unwrap();
-        let cone = plan.cone();
+        let cone = Cone::new(5.0 / 3.0).unwrap();
+        let traj = Plan::zigzag(cone, 2.0).unwrap().materialize(500.0).unwrap();
         for p in traj.turning_points() {
             assert!(cone.on_boundary(p, 1e-9), "turning point {p} off the boundary");
         }
@@ -185,7 +111,7 @@ mod tests {
 
     #[test]
     fn negative_seed_mirrors() {
-        let plan = ZigZagPlan::new(Cone::new(3.0).unwrap(), -1.0).unwrap();
+        let plan = Plan::zigzag(Cone::new(3.0).unwrap(), -1.0).unwrap();
         let traj = plan.materialize(50.0).unwrap();
         assert_eq!(traj.first_visit(-1.0), Some(3.0));
         // Turning at -1 at t = 3, the robot sweeps right to +2 at t = 6.
@@ -194,9 +120,8 @@ mod tests {
 
     #[test]
     fn materialized_trajectory_stays_in_cone() {
-        let plan = ZigZagPlan::new(Cone::new(2.2).unwrap(), 0.7).unwrap();
-        let traj = plan.materialize(300.0).unwrap();
-        let cone = plan.cone();
+        let cone = Cone::new(2.2).unwrap();
+        let traj = Plan::zigzag(cone, 0.7).unwrap().materialize(300.0).unwrap();
         // Sample densely: every occupied point must lie inside the cone.
         for k in 0..3000 {
             let t = 0.1 * k as f64;
@@ -207,12 +132,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn label_mentions_parameters() {
-        let plan = doubling_plan();
-        let label = plan.label();
-        assert!(label.contains('3') && label.contains('1'));
     }
 }

@@ -3,11 +3,9 @@
 use faultline_core::closed_form::ClosedForm;
 use faultline_core::coverage::Fleet;
 use faultline_core::lower_bound;
-use faultline_core::plan::TrajectoryPlan;
 use faultline_core::ratio;
 use faultline_core::{
-    Algorithm, BoundedAlgorithm, ClampedZigZagPlan, Cone, Params, ProportionalSchedule, SpaceTime,
-    TurnCost, ZigZagPlan,
+    Algorithm, BoundedAlgorithm, Cone, Params, Plan, ProportionalSchedule, SpaceTime, TurnCost,
 };
 use proptest::prelude::*;
 
@@ -52,7 +50,7 @@ proptest! {
         horizon in 10.0f64..500.0,
     ) {
         let cone = Cone::new(beta).unwrap();
-        let plan = ZigZagPlan::new(cone, seed).unwrap();
+        let plan = Plan::zigzag(cone, seed).unwrap();
         let traj = plan.materialize(horizon).unwrap();
         prop_assert!((traj.horizon() - horizon).abs() < 1e-9);
         for seg in traj.segments() {
@@ -169,7 +167,7 @@ proptest! {
         seed in prop_oneof![0.1f64..2.0, -2.0f64..-0.1],
         x in 1.01f64..10.0,
     ) {
-        let plan = ZigZagPlan::new(Cone::new(beta).unwrap(), seed).unwrap();
+        let plan = Plan::zigzag(Cone::new(beta).unwrap(), seed).unwrap();
         let traj = plan.materialize(40.0 * x).unwrap();
         prop_assert!(lower_bound::lemma6_holds(&traj, x).unwrap());
     }
@@ -208,8 +206,9 @@ proptest! {
         bound in 1.0f64..20.0,
         horizon in 10.0f64..300.0,
     ) {
-        let plan = ZigZagPlan::new(Cone::new(beta).unwrap(), seed).unwrap();
-        let clamped = ClampedZigZagPlan::new(plan, bound).unwrap();
+        let cone = Cone::new(beta).unwrap();
+        let plan = Plan::zigzag(cone, seed).unwrap();
+        let clamped = Plan::clamped_zigzag(cone, seed, bound).unwrap();
         let traj = clamped.materialize(horizon).unwrap();
         prop_assert!((traj.horizon() - horizon).abs() < 1e-9);
         for seg in traj.segments() {

@@ -484,8 +484,8 @@ pub fn run(config: &OptimizeConfig) -> Result<OptimizeReport> {
 
 /// Runs a full optimization, snapshotting the state to `checkpoint`
 /// after initialization and after every round. A killed run resumed
-/// from any of those snapshots (see [`crate::Checkpoint::resume`])
-/// finishes with bit-identical output.
+/// from any of those snapshots ([`crate::Checkpoint::load`], then
+/// [`resume_state`]) finishes with bit-identical output.
 ///
 /// # Errors
 ///

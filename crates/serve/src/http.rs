@@ -153,15 +153,18 @@ pub fn parse_request(buf: &[u8]) -> Parsed {
     };
 
     // Framing is Content-Length only. A header line the parser cannot
-    // read, a second length or a transfer coding would let the body be
-    // framed differently from what the client meant (and its tail be
-    // served as a smuggled request), so each is a 400 that closes the
-    // connection.
+    // read (including whitespace before its colon, RFC 9112 §5.1), a
+    // length that is not all digits (RFC 9110 §8.6), a second length or
+    // a transfer coding would let the body be framed differently from
+    // what the client meant (and its tail be served as a smuggled
+    // request), so each is a 400 that closes the connection.
     let mut content_length = None;
     // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
     for header in lines {
-        let Some((name, value)) = header.split_once(':') else {
+        let Some((name, value)) =
+            header.split_once(':').filter(|(name, _)| !name.ends_with([' ', '\t']))
+        else {
             return Parsed::Invalid(ParseError::bad(format!(
                 "malformed header line: {}",
                 header.trim()
@@ -172,9 +175,10 @@ pub fn parse_request(buf: &[u8]) -> Parsed {
             if content_length.is_some() {
                 return Parsed::Invalid(ParseError::bad("duplicate Content-Length header"));
             }
+            // `usize::from_str` also takes a leading `+`.
             content_length = match value.parse::<usize>() {
-                Ok(v) => Some(v),
-                Err(_) => {
+                Ok(v) if value.bytes().all(|b| b.is_ascii_digit()) => Some(v),
+                _ => {
                     return Parsed::Invalid(ParseError::bad(format!(
                         "invalid Content-Length `{value}`"
                     )))
@@ -425,6 +429,11 @@ mod tests {
                GET /healthz HTTP/1.1\r\n\r\n"[..],
             b"POST /v1/scenario HTTP/1.1\r\nContent-Length: 200\r\nContent-Length: 2\r\n\r\n{}",
             b"GET /healthz HTTP/1.1\r\nHost example\r\n\r\n",
+            // Read as an unknown header, the length would frame an
+            // empty body and `{"a"}` would parse as the next request.
+            b"POST /v1/scenario HTTP/1.1\r\nContent-Length : 5\r\n\r\n{\"a\"}",
+            // `"+5".parse::<usize>()` is `Ok(5)`.
+            b"POST /v1/scenario HTTP/1.1\r\nContent-Length: +5\r\n\r\n{\"a\"}",
         ] {
             match parse_request(wire) {
                 Parsed::Invalid(e) => assert_eq!(e.status, 400, "{}", e.message),

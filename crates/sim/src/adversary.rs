@@ -5,7 +5,7 @@
 //! is always "the first `f` distinct robots to reach the target". The
 //! resulting search time is exactly `T_(f+1)(x)` of Definition 3.
 
-use faultline_core::{Error, PiecewiseTrajectory, Result, TrajectoryPlan};
+use faultline_core::{Error, PiecewiseTrajectory, Plan, Result};
 
 use crate::engine::{SimConfig, Simulation};
 use crate::fault::{check_adversary_budget, FaultMask};
@@ -67,7 +67,7 @@ pub fn worst_case_outcome(
 /// Propagates materialization and simulation failures; rejects an empty
 /// target list.
 pub fn empirical_competitive_ratio(
-    plans: &[Box<dyn TrajectoryPlan>],
+    plans: &[Plan],
     f: usize,
     targets: &[f64],
     horizon: f64,

@@ -16,8 +16,9 @@
 //!   faults, and (via [`adversary`]) the paper's worst-case adversary.
 //! * [`adversary`] — the worst-case fault choice (earliest `f` visitors
 //!   of the target) and empirical competitive-ratio measurement.
-//! * [`montecarlo`] — random target/fault sweeps with summary
-//!   statistics.
+//! * [`montecarlo`] — one seeded random target/fault sweep
+//!   ([`run_sweep`]) over a fleet of [`faultline_core::Plan`]s, with
+//!   summary statistics ([`RatioStats`]).
 //!
 //! ## Example
 //!
@@ -73,10 +74,7 @@ pub use fault::{
     check_adversary_budget, BernoulliFaults, FaultKind, FaultMask, FaultModel, FaultPlan,
     FixedFaults,
 };
-pub use montecarlo::{
-    run_sweep, run_sweep_ratios, run_sweep_ratios_seeded, run_sweep_seeded, MonteCarloConfig,
-    RatioStats,
-};
+pub use montecarlo::{run_sweep, MonteCarloConfig, RatioStats};
 pub use outcome::{Claim, Detection, SearchOutcome, SearchVerdict, Visit};
 pub use pfaulty::{expected_outcome, monte_carlo_expected_ratio, PFaultyExpectation};
 pub use robot::{Reliability, Robot, RobotId};

@@ -5,7 +5,7 @@
 //! much slack typical (random) instances leave relative to the
 //! worst-case competitive ratio.
 
-use faultline_core::{Error, PiecewiseTrajectory, Result, TrajectoryPlan};
+use faultline_core::{Error, PiecewiseTrajectory, Plan, Result};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -88,25 +88,29 @@ impl RatioStats {
 }
 
 /// Runs a Monte-Carlo sweep and returns the raw achieved ratios, one
-/// per sample: for each sample, draws a random target (log-uniform
-/// magnitude in `[1, xmax]`, random side) and a fault mask from
-/// `faults`, and simulates the search.
+/// per sample (summarize them with [`RatioStats::from_ratios`]): for
+/// each sample, draws a random target (log-uniform magnitude in
+/// `[1, xmax]`, random side) and a fault mask from `faults`, and
+/// simulates the search. The target stream is a `StdRng` seeded with
+/// `seed`, so the same seed always draws the same targets; the fault
+/// model carries its own seed.
 ///
 /// # Errors
 ///
 /// Propagates materialization and simulation errors.
-pub fn run_sweep_ratios<R: Rng>(
-    plans: &[Box<dyn TrajectoryPlan>],
+pub fn run_sweep(
+    plans: &[Plan],
     faults: &mut dyn FaultModel,
     config: MonteCarloConfig,
     horizon: f64,
-    rng: &mut R,
+    seed: u64,
 ) -> Result<Vec<f64>> {
     let trajectories: Vec<PiecewiseTrajectory> =
         plans.iter().map(|p| p.materialize(horizon)).collect::<Result<_>>()?;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     // Every sample's target and fault mask is drawn serially first, in
-    // the exact order the historical serial loop used, so a given RNG
-    // stream produces identical draws. The simulations themselves are
+    // the exact order the historical serial loop used, so a given seed
+    // produces identical draws. The simulations themselves are
     // deterministic and run on the work-stealing engine.
     let mut draws = Vec::with_capacity(config.samples);
     for _ in 0..config.samples {
@@ -123,57 +127,6 @@ pub fn run_sweep_ratios<R: Rng>(
     })
     .into_iter()
     .collect()
-}
-
-/// Runs a Monte-Carlo sweep and summarizes the achieved ratios (see
-/// [`run_sweep_ratios`] for the sampling scheme).
-///
-/// # Errors
-///
-/// Propagates materialization and simulation errors.
-pub fn run_sweep<R: Rng>(
-    plans: &[Box<dyn TrajectoryPlan>],
-    faults: &mut dyn FaultModel,
-    config: MonteCarloConfig,
-    horizon: f64,
-    rng: &mut R,
-) -> Result<RatioStats> {
-    RatioStats::from_ratios(&run_sweep_ratios(plans, faults, config, horizon, rng)?)
-}
-
-/// [`run_sweep_ratios`] with the target stream seeded explicitly: the
-/// same `seed` always draws the same targets, making Monte-Carlo
-/// figures reproducible from a single CLI-visible number. (The fault
-/// model carries its own seed — construct it from one.)
-///
-/// # Errors
-///
-/// Propagates materialization and simulation errors.
-pub fn run_sweep_ratios_seeded(
-    plans: &[Box<dyn TrajectoryPlan>],
-    faults: &mut dyn FaultModel,
-    config: MonteCarloConfig,
-    horizon: f64,
-    seed: u64,
-) -> Result<Vec<f64>> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    run_sweep_ratios(plans, faults, config, horizon, &mut rng)
-}
-
-/// [`run_sweep`] with the target stream seeded explicitly — see
-/// [`run_sweep_ratios_seeded`].
-///
-/// # Errors
-///
-/// Propagates materialization and simulation errors.
-pub fn run_sweep_seeded(
-    plans: &[Box<dyn TrajectoryPlan>],
-    faults: &mut dyn FaultModel,
-    config: MonteCarloConfig,
-    horizon: f64,
-    seed: u64,
-) -> Result<RatioStats> {
-    RatioStats::from_ratios(&run_sweep_ratios_seeded(plans, faults, config, horizon, seed)?)
 }
 
 #[cfg(test)]
@@ -215,9 +168,9 @@ mod tests {
         let horizon = alg.required_horizon(11.0).unwrap();
         let plans = alg.plans();
         let mut faults = BernoulliFaults::new(0.4, params.f(), StdRng::seed_from_u64(1)).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
         let config = MonteCarloConfig::new(200, 10.0).unwrap();
-        let stats = run_sweep(&plans, &mut faults, config, horizon, &mut rng).unwrap();
+        let ratios = run_sweep(&plans, &mut faults, config, horizon, 2).unwrap();
+        let stats = RatioStats::from_ratios(&ratios).unwrap();
         assert_eq!(stats.undetected, 0);
         assert!(stats.max <= alg.analytic_cr() + 1e-9, "max = {}", stats.max);
         assert!(stats.mean >= 1.0);
@@ -226,15 +179,27 @@ mod tests {
 
     #[test]
     fn seeded_sweep_matches_explicit_rng() {
+        // The target stream is a `StdRng` seeded with `seed`: drawing
+        // the targets by hand and simulating each reproduces the sweep.
         let alg = Algorithm::design(Params::new(3, 1).unwrap()).unwrap();
         let horizon = alg.required_horizon(11.0).unwrap();
         let plans = alg.plans();
         let config = MonteCarloConfig::new(40, 10.0).unwrap();
         let mut faults = FixedFaults::new(vec![0]);
-        let seeded = run_sweep_ratios_seeded(&plans, &mut faults, config, horizon, 7).unwrap();
-        let mut faults = FixedFaults::new(vec![0]);
+        let seeded = run_sweep(&plans, &mut faults, config, horizon, 7).unwrap();
+        let trajectories: Vec<_> = plans.iter().map(|p| p.materialize(horizon).unwrap()).collect();
+        let mask = FixedFaults::new(vec![0]).assign(3);
         let mut rng = StdRng::seed_from_u64(7);
-        let explicit = run_sweep_ratios(&plans, &mut faults, config, horizon, &mut rng).unwrap();
+        let explicit: Vec<f64> = (0..40)
+            .map(|_| {
+                let magnitude = rng.random_range(0.0..10f64.ln()).exp();
+                let side = if rng.random_bool(0.5) { 1.0 } else { -1.0 };
+                let target = Target::new(side * magnitude.max(1.0)).unwrap();
+                let sim =
+                    Simulation::new(trajectories.clone(), target, &mask, SimConfig::default());
+                sim.unwrap().run().ratio()
+            })
+            .collect();
         assert_eq!(seeded, explicit);
     }
 
@@ -246,9 +211,9 @@ mod tests {
         let config = MonteCarloConfig::new(50, 10.0).unwrap();
         let run = |seed: u64| {
             let mut faults = FixedFaults::new(vec![0]);
-            let mut rng = StdRng::seed_from_u64(seed);
-            run_sweep(&plans, &mut faults, config, horizon, &mut rng).unwrap()
+            run_sweep(&plans, &mut faults, config, horizon, seed).unwrap()
         };
         assert_eq!(run(9), run(9));
+        assert_ne!(run(9), run(10));
     }
 }

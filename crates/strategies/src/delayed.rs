@@ -8,71 +8,9 @@
 //! measurably worse than the paper's proportional schedules, which
 //! spread robots in space at zero marginal delay.
 
-use faultline_core::{Error, Params, PiecewiseTrajectory, Result, SpaceTime, TrajectoryPlan};
+use faultline_core::{Error, Params, Plan, Result};
 
-use crate::doubling::GeometricSweepPlan;
 use crate::Strategy;
-
-/// A plan that holds at the origin until `delay`, then runs an inner
-/// plan shifted in time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DelayedPlan<P> {
-    inner: P,
-    delay: f64,
-}
-
-impl<P: TrajectoryPlan> DelayedPlan<P> {
-    /// Wraps `inner` with a start delay.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Domain`] for a negative or non-finite delay.
-    pub fn new(inner: P, delay: f64) -> Result<Self> {
-        if !(delay >= 0.0) || !delay.is_finite() {
-            return Err(Error::domain(format!(
-                "start delay must be finite and non-negative, got {delay}"
-            )));
-        }
-        Ok(DelayedPlan { inner, delay })
-    }
-
-    /// The start delay.
-    #[must_use]
-    pub fn delay(&self) -> f64 {
-        self.delay
-    }
-}
-
-impl<P: TrajectoryPlan> TrajectoryPlan for DelayedPlan<P> {
-    fn materialize(&self, horizon: f64) -> Result<PiecewiseTrajectory> {
-        if self.delay == 0.0 {
-            return self.inner.materialize(horizon);
-        }
-        if horizon <= self.delay {
-            // Not yet launched: parked at the origin.
-            return PiecewiseTrajectory::new(vec![
-                SpaceTime::origin(),
-                SpaceTime::new(0.0, horizon),
-            ]);
-        }
-        let inner = self.inner.materialize(horizon - self.delay)?;
-        let mut waypoints = vec![SpaceTime::origin()];
-        for (i, p) in inner.waypoints().iter().enumerate() {
-            // The inner plan starts at the origin; skip its t = 0 point
-            // (replaced by our hold segment) and shift the rest.
-            if i == 0 && p.t == 0.0 && p.x == 0.0 {
-                waypoints.push(SpaceTime::new(0.0, self.delay));
-                continue;
-            }
-            waypoints.push(SpaceTime::new(p.x, p.t + self.delay));
-        }
-        PiecewiseTrajectory::new(waypoints)
-    }
-
-    fn label(&self) -> String {
-        format!("{} delayed by {}", self.inner.label(), self.delay)
-    }
-}
 
 /// All robots run the classic doubling trajectory, robot `i` launching
 /// at time `i * delay`.
@@ -119,16 +57,8 @@ impl Strategy for DelayedDoublingStrategy {
         )
     }
 
-    fn plans(&self, params: Params) -> Result<Vec<Box<dyn TrajectoryPlan>>> {
-        (0..params.n())
-            .map(|i| {
-                let plan = DelayedPlan::new(
-                    GeometricSweepPlan::classic_doubling(),
-                    i as f64 * self.delay,
-                )?;
-                Ok(Box::new(plan) as Box<dyn TrajectoryPlan>)
-            })
-            .collect()
+    fn plans(&self, params: Params) -> Result<Vec<Plan>> {
+        (0..params.n()).map(|i| Plan::sweep(1.0, 2.0)?.launched_at(i as f64 * self.delay)).collect()
     }
 
     fn analytic_cr(&self, _params: Params) -> Option<f64> {
@@ -167,13 +97,8 @@ impl Strategy for MirroredPairsStrategy {
         "doubling in mirrored pairs: even robots start right, odd robots start left".to_owned()
     }
 
-    fn plans(&self, params: Params) -> Result<Vec<Box<dyn TrajectoryPlan>>> {
-        (0..params.n())
-            .map(|i| {
-                let first = if i % 2 == 0 { 1.0 } else { -1.0 };
-                Ok(Box::new(GeometricSweepPlan::new(first, 2.0)?) as Box<dyn TrajectoryPlan>)
-            })
-            .collect()
+    fn plans(&self, params: Params) -> Result<Vec<Plan>> {
+        (0..params.n()).map(|i| Plan::sweep(if i % 2 == 0 { 1.0 } else { -1.0 }, 2.0)).collect()
     }
 
     fn analytic_cr(&self, _params: Params) -> Option<f64> {
@@ -189,11 +114,11 @@ impl Strategy for MirroredPairsStrategy {
 mod tests {
     use super::*;
     use faultline_core::coverage::Fleet;
-    use faultline_core::IdlePlan;
+    use faultline_core::SpaceTime;
 
     #[test]
     fn delayed_plan_holds_then_runs() {
-        let plan = DelayedPlan::new(GeometricSweepPlan::classic_doubling(), 3.0).unwrap();
+        let plan = Plan::sweep(1.0, 2.0).unwrap().launched_at(3.0).unwrap();
         let traj = plan.materialize(20.0).unwrap();
         assert_eq!(traj.position_at(2.0), Some(0.0));
         assert_eq!(traj.position_at(4.0), Some(1.0)); // launched at t = 3
@@ -203,21 +128,22 @@ mod tests {
 
     #[test]
     fn delayed_plan_zero_delay_is_identity() {
-        let inner = GeometricSweepPlan::classic_doubling();
-        let plan = DelayedPlan::new(inner, 0.0).unwrap();
+        let inner = Plan::sweep(1.0, 2.0).unwrap();
+        let plan = inner.clone().launched_at(0.0).unwrap();
         assert_eq!(plan.materialize(10.0).unwrap(), inner.materialize(10.0).unwrap());
     }
 
     #[test]
     fn delayed_plan_before_launch() {
-        let plan = DelayedPlan::new(IdlePlan::new(), 5.0).unwrap();
+        let plan = Plan::sweep(1.0, 2.0).unwrap().launched_at(5.0).unwrap();
         let traj = plan.materialize(2.0).unwrap();
-        assert_eq!(traj.position_at(2.0), Some(0.0));
+        assert_eq!(traj.waypoints(), &[SpaceTime::origin(), SpaceTime::new(0.0, 2.0)]);
     }
 
     #[test]
     fn delayed_plan_validates() {
-        assert!(DelayedPlan::new(IdlePlan::new(), -1.0).is_err());
+        assert!(Plan::ray(true).launched_at(-1.0).is_err());
+        assert!(Plan::ray(true).launched_at(f64::NAN).is_err());
         assert!(DelayedDoublingStrategy::new(f64::NAN).is_err());
     }
 
@@ -228,7 +154,7 @@ mod tests {
         let plans = strategy.plans(params).unwrap();
         let fleet = Fleet::from_plans(&plans, strategy.horizon_hint(params, 40.0)).unwrap();
         // T_3(x) = herd first visit + 2 * 0.5 exactly.
-        let herd = GeometricSweepPlan::classic_doubling().materialize(1_000.0).unwrap();
+        let herd = Plan::sweep(1.0, 2.0).unwrap().materialize(1_000.0).unwrap();
         for x in [1.5, -3.0, 7.0] {
             let lagged = fleet.visit_time(x, 3).unwrap();
             let base = herd.first_visit(x).unwrap();

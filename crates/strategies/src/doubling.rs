@@ -2,92 +2,9 @@
 //! Bellman, run by a single robot or a whole herd, and a staggered
 //! per-robot variant.
 
-use faultline_core::{Error, Params, PiecewiseTrajectory, Result, SpaceTime, TrajectoryPlan};
+use faultline_core::{Params, Plan, Result};
 
 use crate::Strategy;
-
-/// A geometric sweep plan starting from the origin at **unit speed**:
-/// the robot travels to `first_leg`, then to `-kappa * first_leg`, then
-/// to `kappa^2 * first_leg`, and so on.
-///
-/// With `first_leg = 1` and `kappa = 2` this is the classic doubling
-/// strategy with competitive ratio 9. Unlike [`faultline_core::ZigZagPlan`]
-/// there is no slow initial leg: the robot leaves the origin at full
-/// speed, exactly as in the original cow-path formulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeometricSweepPlan {
-    first_leg: f64,
-    kappa: f64,
-}
-
-impl GeometricSweepPlan {
-    /// Creates the plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Domain`] when `first_leg == 0`, non-finite, or
-    /// `kappa <= 1`.
-    pub fn new(first_leg: f64, kappa: f64) -> Result<Self> {
-        if first_leg == 0.0 || !first_leg.is_finite() {
-            return Err(Error::domain(format!(
-                "first leg must be finite and non-zero, got {first_leg}"
-            )));
-        }
-        if !(kappa > 1.0) || !kappa.is_finite() {
-            return Err(Error::domain(format!("expansion factor must exceed 1, got {kappa}")));
-        }
-        Ok(GeometricSweepPlan { first_leg, kappa })
-    }
-
-    /// The classic doubling strategy: first leg +1, expansion factor 2.
-    #[must_use]
-    pub fn classic_doubling() -> Self {
-        GeometricSweepPlan { first_leg: 1.0, kappa: 2.0 }
-    }
-
-    /// The signed first turning point.
-    #[must_use]
-    pub fn first_leg(&self) -> f64 {
-        self.first_leg
-    }
-
-    /// The expansion factor between consecutive turning points.
-    #[must_use]
-    pub fn kappa(&self) -> f64 {
-        self.kappa
-    }
-}
-
-impl TrajectoryPlan for GeometricSweepPlan {
-    fn materialize(&self, horizon: f64) -> Result<PiecewiseTrajectory> {
-        if !(horizon > 0.0) || !horizon.is_finite() {
-            return Err(Error::domain(format!(
-                "materialization horizon must be finite and positive, got {horizon}"
-            )));
-        }
-        let mut waypoints = vec![SpaceTime::origin()];
-        let mut clock = 0.0;
-        let mut position = 0.0;
-        let mut target = self.first_leg;
-        loop {
-            let arrive = clock + (target - position).abs();
-            if arrive >= horizon {
-                let dir = (target - position).signum();
-                waypoints.push(SpaceTime::new(position + dir * (horizon - clock), horizon));
-                break;
-            }
-            waypoints.push(SpaceTime::new(target, arrive));
-            clock = arrive;
-            position = target;
-            target *= -self.kappa;
-        }
-        PiecewiseTrajectory::new(waypoints)
-    }
-
-    fn label(&self) -> String {
-        format!("geometric-sweep(first = {}, kappa = {})", self.first_leg, self.kappa)
-    }
-}
 
 /// All `n` robots move together following the classic doubling
 /// trajectory.
@@ -118,10 +35,8 @@ impl Strategy for HerdDoublingStrategy {
             .to_owned()
     }
 
-    fn plans(&self, params: Params) -> Result<Vec<Box<dyn TrajectoryPlan>>> {
-        Ok((0..params.n())
-            .map(|_| Box::new(GeometricSweepPlan::classic_doubling()) as Box<dyn TrajectoryPlan>)
-            .collect())
+    fn plans(&self, params: Params) -> Result<Vec<Plan>> {
+        Ok(vec![Plan::sweep(1.0, 2.0)?; params.n()])
     }
 
     fn analytic_cr(&self, _params: Params) -> Option<f64> {
@@ -158,7 +73,7 @@ impl Strategy for StaggeredDoublingStrategy {
             .to_owned()
     }
 
-    fn plans(&self, params: Params) -> Result<Vec<Box<dyn TrajectoryPlan>>> {
+    fn plans(&self, params: Params) -> Result<Vec<Plan>> {
         let n = params.n();
         (0..n)
             .map(|i| {
@@ -166,7 +81,7 @@ impl Strategy for StaggeredDoublingStrategy {
                 // Alternate the initial direction so both sides are
                 // covered early.
                 let signed = if i % 2 == 0 { first } else { -first };
-                Ok(Box::new(GeometricSweepPlan::new(signed, 2.0)?) as Box<dyn TrajectoryPlan>)
+                Plan::sweep(signed, 2.0)
             })
             .collect()
     }
@@ -188,7 +103,7 @@ mod tests {
 
     #[test]
     fn classic_doubling_turning_points() {
-        let plan = GeometricSweepPlan::classic_doubling();
+        let plan = Plan::sweep(1.0, 2.0).unwrap();
         let traj = plan.materialize(100.0).unwrap();
         let xs: Vec<f64> = traj.turning_points().iter().map(|p| p.x).collect();
         assert_eq!(&xs[..5], &[1.0, -2.0, 4.0, -8.0, 16.0]);
@@ -200,7 +115,7 @@ mod tests {
 
     #[test]
     fn classic_doubling_worst_ratio_approaches_nine() {
-        let plan = GeometricSweepPlan::classic_doubling();
+        let plan = Plan::sweep(1.0, 2.0).unwrap();
         let traj = plan.materialize(100_000.0).unwrap();
         // Target just past turning point 2^k on the positive side.
         let x = 1024.0 + 1e-6;
@@ -210,10 +125,11 @@ mod tests {
 
     #[test]
     fn plan_validation() {
-        assert!(GeometricSweepPlan::new(0.0, 2.0).is_err());
-        assert!(GeometricSweepPlan::new(1.0, 1.0).is_err());
-        assert!(GeometricSweepPlan::new(1.0, 0.5).is_err());
-        assert!(GeometricSweepPlan::classic_doubling().materialize(-1.0).is_err());
+        assert!(Plan::sweep(0.0, 2.0).is_err());
+        assert!(Plan::sweep(f64::INFINITY, 2.0).is_err());
+        assert!(Plan::sweep(1.0, 1.0).is_err());
+        assert!(Plan::sweep(1.0, 0.5).is_err());
+        assert!(Plan::sweep(1.0, 2.0).unwrap().materialize(-1.0).is_err());
     }
 
     #[test]
@@ -236,13 +152,14 @@ mod tests {
         let params = Params::new(4, 2).unwrap();
         let plans = StaggeredDoublingStrategy::new().plans(params).unwrap();
         assert_eq!(plans.len(), 4);
-        let labels: std::collections::HashSet<String> = plans.iter().map(|p| p.label()).collect();
-        assert_eq!(labels.len(), 4, "each robot gets its own first leg");
+        for (i, a) in plans.iter().enumerate() {
+            assert!(plans[i + 1..].iter().all(|b| a != b), "each robot gets its own first leg");
+        }
     }
 
     #[test]
     fn negative_first_leg_starts_left() {
-        let plan = GeometricSweepPlan::new(-1.0, 2.0).unwrap();
+        let plan = Plan::sweep(-1.0, 2.0).unwrap();
         let traj = plan.materialize(50.0).unwrap();
         assert_eq!(traj.first_visit(-1.0), Some(1.0));
         assert_eq!(traj.first_visit(2.0), Some(4.0));

@@ -6,8 +6,10 @@
 //! demonstrate the lower-bound machinery.
 //!
 //! All strategies implement the [`Strategy`] trait: given validated
-//! [`Params`], they produce one motion plan per robot. The
-//! [`registry`] lists every built-in strategy by name.
+//! [`Params`], they produce one [`Plan`] per robot, built from the
+//! plan's turning-point families (cone zig-zags, rays, unit-speed
+//! sweeps, launch delays). The [`registry`] lists every built-in
+//! strategy by name.
 //!
 //! ```
 //! use faultline_core::Params;
@@ -34,13 +36,13 @@ pub mod randomized;
 pub mod registry;
 pub mod two_group;
 
-use faultline_core::{Params, Result, TrajectoryPlan};
+use faultline_core::{Params, Plan, Result};
 
-pub use delayed::{DelayedDoublingStrategy, DelayedPlan, MirroredPairsStrategy};
-pub use doubling::{GeometricSweepPlan, HerdDoublingStrategy, StaggeredDoublingStrategy};
+pub use delayed::{DelayedDoublingStrategy, MirroredPairsStrategy};
+pub use doubling::{HerdDoublingStrategy, StaggeredDoublingStrategy};
 pub use naive::PessimalSplitStrategy;
 pub use proportional::{FixedBetaStrategy, PaperStrategy, ProportionalStrategy};
-pub use randomized::{kao_optimal_expansion, RandomizedStrategy, RandomizedSweepStrategy};
+pub use randomized::{kao_optimal_expansion, RandomizedSweepStrategy};
 pub use registry::{all_strategies, strategy_by_name};
 pub use two_group::TwoGroupStrategy;
 
@@ -59,7 +61,7 @@ pub trait Strategy: std::fmt::Debug {
     ///
     /// Returns an error when the strategy cannot handle the parameters
     /// (for example the two-group strategy with `n < 2f + 2`).
-    fn plans(&self, params: Params) -> Result<Vec<Box<dyn TrajectoryPlan>>>;
+    fn plans(&self, params: Params) -> Result<Vec<Plan>>;
 
     /// The strategy's provable competitive ratio for these parameters,
     /// when known. `None` means unknown or unbounded.

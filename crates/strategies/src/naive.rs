@@ -2,7 +2,7 @@
 //! non-trivial: strategies that ignore the fault budget and pay for it
 //! with an unbounded competitive ratio.
 
-use faultline_core::{Direction, Params, RayPlan, Result, TrajectoryPlan};
+use faultline_core::{Params, Plan, Result};
 
 use crate::Strategy;
 
@@ -40,14 +40,9 @@ impl Strategy for PessimalSplitStrategy {
         "always split into two sweeping groups, ignoring f (unbounded CR when n < 2f+2)".to_owned()
     }
 
-    fn plans(&self, params: Params) -> Result<Vec<Box<dyn TrajectoryPlan>>> {
+    fn plans(&self, params: Params) -> Result<Vec<Plan>> {
         let right = params.n().div_ceil(2);
-        Ok((0..params.n())
-            .map(|i| {
-                let dir = if i < right { Direction::Right } else { Direction::Left };
-                Box::new(RayPlan::new(dir)) as Box<dyn TrajectoryPlan>
-            })
-            .collect())
+        Ok((0..params.n()).map(|i| Plan::ray(i < right)).collect())
     }
 
     fn analytic_cr(&self, params: Params) -> Option<f64> {

@@ -2,7 +2,7 @@
 //! a fixed-`beta` ablation variant, and the regime-dispatching
 //! "paper" strategy.
 
-use faultline_core::{Algorithm, Params, Regime, Result, TrajectoryPlan};
+use faultline_core::{Algorithm, Params, Plan, Regime, Result};
 
 use crate::Strategy;
 
@@ -29,7 +29,7 @@ impl Strategy for ProportionalStrategy {
         "proportional schedule A(n, f) with optimal beta (Theorem 1)".to_owned()
     }
 
-    fn plans(&self, params: Params) -> Result<Vec<Box<dyn TrajectoryPlan>>> {
+    fn plans(&self, params: Params) -> Result<Vec<Plan>> {
         // Force the proportional construction even where two-group would
         // apply is not allowed here; that dispatch lives in PaperStrategy.
         faultline_core::ratio::optimal_beta(params)?;
@@ -81,7 +81,7 @@ impl Strategy for FixedBetaStrategy {
         format!("proportional schedule with fixed beta = {} (ablation)", self.beta)
     }
 
-    fn plans(&self, params: Params) -> Result<Vec<Box<dyn TrajectoryPlan>>> {
+    fn plans(&self, params: Params) -> Result<Vec<Plan>> {
         Ok(Algorithm::design_with_beta(params, self.beta)?.plans())
     }
 
@@ -118,7 +118,7 @@ impl Strategy for PaperStrategy {
         "the paper's algorithm: two-group for n >= 2f+2, proportional A(n, f) otherwise".to_owned()
     }
 
-    fn plans(&self, params: Params) -> Result<Vec<Box<dyn TrajectoryPlan>>> {
+    fn plans(&self, params: Params) -> Result<Vec<Plan>> {
         Ok(Algorithm::design(params)?.plans())
     }
 

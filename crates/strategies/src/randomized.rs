@@ -10,32 +10,8 @@
 //! strategy's 9. Whether (and how much) randomization helps against
 //! `f` faults is open; `faultline-analysis::randomized` measures it.
 
-use faultline_core::{Error, Params, Result, TrajectoryPlan};
+use faultline_core::{Error, Params, Plan, Result};
 use rand::Rng;
-
-use crate::doubling::GeometricSweepPlan;
-
-/// A source of randomized plan assignments: unlike
-/// [`crate::Strategy`], each call draws fresh coins.
-pub trait RandomizedStrategy: std::fmt::Debug {
-    /// Stable machine name.
-    fn name(&self) -> &'static str;
-
-    /// Samples one concrete plan assignment for `params`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the strategy cannot serve the parameters.
-    fn sample_plans(
-        &self,
-        params: Params,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<Vec<Box<dyn TrajectoryPlan>>>;
-
-    /// A horizon sufficient to confirm targets up to `xmax` with any
-    /// coin outcome.
-    fn horizon_hint(&self, params: Params, xmax: f64) -> f64;
-}
 
 /// The randomized geometric sweep: every robot independently draws a
 /// phase and a direction, all sharing the expansion factor `r`.
@@ -72,6 +48,35 @@ impl RandomizedSweepStrategy {
         self.expansion
     }
 
+    /// Samples one concrete plan assignment for `params`: unlike a
+    /// [`crate::Strategy`], each call draws fresh coins from `rng`.
+    ///
+    /// # Errors
+    ///
+    /// Cannot fail for a validated expansion; the `Result` carries
+    /// [`Plan::sweep`]'s validation.
+    pub fn sample_plans(&self, params: Params, rng: &mut dyn rand::RngCore) -> Result<Vec<Plan>> {
+        (0..params.n())
+            .map(|_| {
+                let phase: f64 = rng.random_range(0.0..1.0);
+                let magnitude = self.expansion.powf(phase);
+                let sign = if rng.random_bool(0.5) { 1.0 } else { -1.0 };
+                Plan::sweep(sign * magnitude, self.expansion)
+            })
+            .collect()
+    }
+
+    /// A horizon sufficient to confirm targets up to `xmax` with any
+    /// coin outcome.
+    #[must_use]
+    pub fn horizon_hint(&self, params: Params, xmax: f64) -> f64 {
+        // Worst coin outcome: every robot starts with the maximal first
+        // leg on the wrong side; a few expansion steps past xmax suffice
+        // for f + 1 distinct visits.
+        let r = self.expansion;
+        4.0 * xmax * r.powi(params.f() as i32 + 3)
+    }
+
     /// The single-robot expected competitive ratio of this expansion,
     /// `1 + (1 + r)/ln r` (asymptotic, phase-averaged).
     #[must_use]
@@ -85,36 +90,6 @@ impl RandomizedSweepStrategy {
 pub fn kao_optimal_expansion() -> f64 {
     faultline_core::numeric::golden_min(|r| 1.0 + (1.0 + r) / r.ln(), 1.0 + 1e-9, 20.0, 1e-12, 500)
         .expect("the objective is unimodal on (1, 20)")
-}
-
-impl RandomizedStrategy for RandomizedSweepStrategy {
-    fn name(&self) -> &'static str {
-        "randomized-sweep"
-    }
-
-    fn sample_plans(
-        &self,
-        params: Params,
-        rng: &mut dyn rand::RngCore,
-    ) -> Result<Vec<Box<dyn TrajectoryPlan>>> {
-        (0..params.n())
-            .map(|_| {
-                let phase: f64 = rng.random_range(0.0..1.0);
-                let magnitude = self.expansion.powf(phase);
-                let sign = if rng.random_bool(0.5) { 1.0 } else { -1.0 };
-                Ok(Box::new(GeometricSweepPlan::new(sign * magnitude, self.expansion)?)
-                    as Box<dyn TrajectoryPlan>)
-            })
-            .collect()
-    }
-
-    fn horizon_hint(&self, params: Params, xmax: f64) -> f64 {
-        // Worst coin outcome: every robot starts with the maximal first
-        // leg on the wrong side; a few expansion steps past xmax suffice
-        // for f + 1 distinct visits.
-        let r = self.expansion;
-        4.0 * xmax * r.powi(params.f() as i32 + 3)
-    }
 }
 
 #[cfg(test)]
@@ -143,17 +118,12 @@ mod tests {
     fn sampling_is_seeded_and_reproducible() {
         let strategy = RandomizedSweepStrategy::new(2.0).unwrap();
         let params = Params::new(3, 1).unwrap();
-        let labels = |seed: u64| {
+        let plans = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            strategy
-                .sample_plans(params, &mut rng)
-                .unwrap()
-                .iter()
-                .map(|p| p.label())
-                .collect::<Vec<_>>()
+            strategy.sample_plans(params, &mut rng).unwrap()
         };
-        assert_eq!(labels(1), labels(1));
-        assert_ne!(labels(1), labels(2));
+        assert_eq!(plans(1), plans(1));
+        assert_ne!(plans(1), plans(2));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The trivial optimal strategy for `n >= 2f + 2`: two groups of at
 //! least `f + 1` robots sweep in opposite directions.
 
-use faultline_core::{Direction, Error, Params, RayPlan, Regime, Result, TrajectoryPlan};
+use faultline_core::{Error, Params, Plan, Regime, Result};
 
 use crate::Strategy;
 
@@ -28,7 +28,7 @@ impl Strategy for TwoGroupStrategy {
         "two groups of >= f+1 robots sweep opposite directions (CR 1, needs n >= 2f+2)".to_owned()
     }
 
-    fn plans(&self, params: Params) -> Result<Vec<Box<dyn TrajectoryPlan>>> {
+    fn plans(&self, params: Params) -> Result<Vec<Plan>> {
         if params.regime() != Regime::TwoGroup {
             return Err(Error::invalid_params(
                 params.n(),
@@ -37,12 +37,7 @@ impl Strategy for TwoGroupStrategy {
             ));
         }
         let right = params.n().div_ceil(2);
-        Ok((0..params.n())
-            .map(|i| {
-                let dir = if i < right { Direction::Right } else { Direction::Left };
-                Box::new(RayPlan::new(dir)) as Box<dyn TrajectoryPlan>
-            })
-            .collect())
+        Ok((0..params.n()).map(|i| Plan::ray(i < right)).collect())
     }
 
     fn analytic_cr(&self, params: Params) -> Option<f64> {
@@ -83,8 +78,8 @@ mod tests {
     fn odd_fleet_splits_with_majority_right() {
         let params = Params::new(7, 2).unwrap();
         let plans = TwoGroupStrategy::new().plans(params).unwrap();
-        let right = plans.iter().filter(|p| p.label() == "ray(+)").count();
-        let left = plans.iter().filter(|p| p.label() == "ray(-)").count();
+        let right = plans.iter().filter(|p| **p == Plan::ray(true)).count();
+        let left = plans.iter().filter(|p| **p == Plan::ray(false)).count();
         assert_eq!((right, left), (4, 3));
     }
 }

@@ -156,8 +156,9 @@ fn design(params: Params) -> Result<(), Box<dyn std::error::Error>> {
         println!("proportionality ratio r = {:.6}", schedule.ratio());
         println!();
         println!("robot seeds (Definition 4):");
-        for (i, plan) in alg.plans().iter().enumerate() {
-            println!("  a{i}: {}", plan.label());
+        for i in 0..schedule.n() {
+            let seed = schedule.seed_for_robot(i).x;
+            println!("  a{i}: zigzag(beta = {}, seed = {seed})", schedule.beta());
         }
         println!();
         println!("first interleaved turning points tau_j = r^j:");

@@ -4,15 +4,14 @@
 //! stack so downstream users (and the repository-level examples and
 //! integration tests) can depend on a single crate.
 //!
-//! * [`core`](faultline_core) — algorithms, schedules, bounds.
-//! * [`sim`](faultline_sim) — the discrete-event simulator.
-//! * [`strategies`](faultline_strategies) — strategy library.
-//! * [`analysis`](faultline_analysis) — table/figure regeneration.
-//! * [`opt`](faultline_opt) — the Theorem 1 / Theorem 2 gap optimizer.
-//! * [`conformance`](faultline_conformance) — cross-layer differential
-//!   oracle harness.
-//! * [`explore`](faultline_explore) — systematic fault/adversary-space
-//!   exploration with dominance pruning and certified enclosures.
+//! * [`core`] — algorithms, schedules, motion plans, bounds.
+//! * [`sim`] — the discrete-event simulator.
+//! * [`strategies`] — strategy library.
+//! * [`analysis`] — table/figure regeneration.
+//! * [`opt`] — the Theorem 1 / Theorem 2 gap optimizer.
+//! * [`conformance`] — cross-layer differential oracle harness.
+//! * [`explore`] — systematic fault/adversary-space exploration with
+//!   dominance pruning and certified enclosures.
 //!
 //! ```
 //! use faultline_suite::prelude::*;
@@ -44,9 +43,7 @@ pub use faultline_strategies as strategies;
 /// The most commonly used items across the stack.
 pub mod prelude {
     pub use faultline_analysis::{measure_strategy_cr, MeasuredCr};
-    pub use faultline_core::{
-        Algorithm, Cone, Fleet, Params, ProportionalSchedule, Regime, TrajectoryPlan, ZigZagPlan,
-    };
+    pub use faultline_core::{Algorithm, Cone, Fleet, Params, Plan, ProportionalSchedule, Regime};
     pub use faultline_sim::{
         worst_case_outcome, FaultMask, SearchOutcome, SimConfig, Simulation, Target,
     };

@@ -14,7 +14,7 @@
 use faultline_suite::analysis::ablation;
 use faultline_suite::analysis::ascii::render_table;
 use faultline_suite::core::{ratio, Params};
-use faultline_suite::sim::{run_sweep, BernoulliFaults, MonteCarloConfig};
+use faultline_suite::sim::{run_sweep, BernoulliFaults, MonteCarloConfig, RatioStats};
 use faultline_suite::strategies::{PaperStrategy, Strategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,9 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rows = Vec::new();
     for p_fail in [0.05, 0.2, 0.4] {
         let mut faults = BernoulliFaults::new(p_fail, f_design, StdRng::seed_from_u64(21))?;
-        let mut rng = StdRng::seed_from_u64(42);
-        let stats =
-            run_sweep(&plans, &mut faults, MonteCarloConfig::new(2000, 100.0)?, horizon, &mut rng)?;
+        let config = MonteCarloConfig::new(2000, 100.0)?;
+        let stats = RatioStats::from_ratios(&run_sweep(&plans, &mut faults, config, horizon, 42)?)?;
         rows.push(vec![
             format!("{p_fail}"),
             format!("{:.4}", stats.mean),

@@ -28,8 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // Per-robot plans: the seed turning points of Definition 4.
-    for (i, plan) in algorithm.plans().iter().enumerate() {
-        println!("robot a{i}: {}", plan.label());
+    for i in 0..schedule.n() {
+        let seed = schedule.seed_for_robot(i).x;
+        println!("robot a{i}: zigzag(beta = {}, seed = {seed})", schedule.beta());
     }
     println!();
 

@@ -22,6 +22,15 @@ fn design_prints_schedule_details() {
     assert!(out.contains("proportional schedule"));
     assert!(out.contains("beta = 1.666667"));
     assert!(out.contains("tau_j"));
+    // The full output, plan labels included, is pinned byte for byte.
+    for (n, f, golden) in [
+        ("3", "1", include_str!("data/design_3_1.txt")),
+        ("5", "2", include_str!("data/design_5_2.txt")),
+    ] {
+        let (ok, out, _) = run(&["design", n, f]);
+        assert!(ok);
+        assert_eq!(out, golden, "design {n} {f}");
+    }
 }
 
 #[test]

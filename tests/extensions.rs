@@ -6,7 +6,7 @@ use faultline_suite::analysis::{
     bounded, convergence, group_search, randomized, turncost, verification,
 };
 use faultline_suite::core::certificate;
-use faultline_suite::core::{ratio, Params, ScheduleBuilder};
+use faultline_suite::core::{ratio, Params};
 use faultline_suite::strategies::{PaperStrategy, RandomizedSweepStrategy};
 
 #[test]
@@ -63,19 +63,6 @@ fn extension_experiments_compose() {
     let expected = randomized::expected_cr(&kao, params, 20.0, 10, 60, 3).unwrap();
     assert_eq!(expected.uncovered, 0);
     assert!(expected.expected_cr < cr + 1.0);
-}
-
-#[test]
-fn schedule_builder_reproduces_the_paper_design() {
-    // Build A(5, 2)'s schedule three ways and check the published
-    // expansion factor 6 (Table 1).
-    let params = Params::new(5, 2).unwrap();
-    let s1 = ScheduleBuilder::new(5).optimal_for_faults(2).build().unwrap();
-    let s2 = ScheduleBuilder::new(5).expansion_factor(6.0).build().unwrap();
-    let s3 = ScheduleBuilder::new(5).beta(1.4).build().unwrap();
-    assert!((s1.beta() - s3.beta()).abs() < 1e-12);
-    assert!((s2.beta() - s3.beta()).abs() < 1e-12);
-    assert!((s1.competitive_ratio(2) - ratio::cr_upper(params)).abs() < 1e-12);
 }
 
 #[test]
