@@ -55,7 +55,7 @@ pub fn beta_sweep(params: Params, points: usize, measure: bool) -> Result<BetaAb
     // Measurement cost rises with beta (larger cones → longer horizons),
     // so the sweep runs on the work-stealing engine rather than in
     // contiguous per-core chunks.
-    let samples: Vec<BetaSample> = crate::parallel::par_map(&betas, |&beta| {
+    let samples: Vec<BetaSample> = faultline_core::par_map(&betas, |&beta| {
         let analytic = ratio::cr_of_beta(params, beta)?;
         let measured = if measure {
             let strategy = FixedBetaStrategy::new(beta)?;

@@ -12,7 +12,8 @@
 //! endpoint yields the one-sided limit there, which dominates the
 //! pointwise value (the pointwise visit minimizes over a superset of
 //! segments), so the scan provably dominates every grid evaluation of
-//! the same fleet.
+//! the same fleet. Every scan here, the certified enclosure included,
+//! takes its crossing candidates from one stage, [`interval_crossings`].
 //!
 //! The expected-cost variant applies the same candidate argument to
 //! the p-faulty closed form of [`faultline_sim::expected_outcome`]:
@@ -194,49 +195,30 @@ fn best_over_candidates(
     best
 }
 
-/// Pushes the pairwise crossings of `affines` that fall strictly
-/// inside `(lo, hi)` onto `candidates`: every pair, divided once per
-/// interval. [`interval_crossings`] finds the same candidates for the
-/// worst-case scan with far fewer divisions.
-pub fn push_crossings(affines: &[Affine], lo: f64, hi: f64, candidates: &mut Vec<f64>) {
-    for (i, a) in affines.iter().enumerate() {
-        for b in &affines[i + 1..] {
-            if let Some(x) = a.crossing(b) {
-                if x > lo && x < hi {
-                    candidates.push(x);
-                }
-            }
-        }
-    }
-}
-
-/// A crossing stage of the worst-case scan: appends to `out`, as
-/// `(interval, x)`, every pairwise crossing `x` of two affines of one
-/// in-window interval of a first-visit cover that holds at least `k`
-/// affines, where `x` falls strictly inside that interval.
-pub type CrossingStage = fn(&WindowCover, usize, &mut Vec<(u32, f64)>);
-
 /// Whether two affines are the same bit for bit.
 fn same_affine(a: &Affine, b: &Affine) -> bool {
     a.slope.to_bits() == b.slope.to_bits() && a.intercept.to_bits() == b.intercept.to_bits()
 }
 
-/// The crossing stage behind [`exact_supremum`]: exactly the
-/// candidates that [`push_crossings`] yields on each interval the scan
-/// evaluates, found without dividing every pair on every interval.
+/// The crossing stage of every exact scan: appends to `out`, as
+/// `(interval, x)`, every pairwise crossing `x` of two affines of one
+/// in-window interval of `cover` that holds at least `k` affines, where
+/// `x` falls strictly inside that interval. The candidates are exactly
+/// those of dividing every pair on every such interval, found with far
+/// fewer divisions.
 ///
-/// `cover` must come from [`first_visit_cover`]: at most one affine
-/// per robot per interval, in robot order. A robot's *run* is a
-/// maximal stretch of consecutive in-window intervals on which it
-/// keeps the same affine bit for bit. Two steps:
+/// `cover` must keep each interval's entries in robot order, as
+/// [`first_visit_cover`] and [`all_visit_cover`] do. A *run* is a
+/// stretch of consecutive in-window intervals on which one entry of a
+/// robot keeps its affine bit for bit. Two steps:
 ///
 /// 1. A whole-side certificate. Sort the runs' distinct intercepts. If
 ///    every gap exceeds `hi · (max slope − min slope) · (1 + 1e-9)`,
 ///    every computed crossing has magnitude at least the window edge
 ///    `hi`, so none falls in any interval. This holds because `f64`
 ///    subtraction and division round monotonically.
-/// 2. Otherwise, divide each pair of robots once per stretch on which
-///    both keep their runs' affines, and file the crossing in the one
+/// 2. Otherwise, divide each pair of runs once per stretch on which
+///    both keep their affines, and file the crossing in the one
 ///    interval of that stretch that holds it, by binary search.
 pub fn interval_crossings(cover: &WindowCover, k: usize, out: &mut Vec<(u32, f64)>) {
     let cuts = cover.cuts();
@@ -254,7 +236,7 @@ pub fn interval_crossings(cover: &WindowCover, k: usize, out: &mut Vec<(u32, f64
     let mut ends = vec![0u32; base[window]];
     for j in (0..window).rev() {
         let (robots, affines) = (cover.robots(j), cover.affines(j));
-        debug_assert!(robots.windows(2).all(|w| w[0] < w[1]), "not a first-visit cover");
+        debug_assert!(robots.windows(2).all(|w| w[0] <= w[1]), "entries out of robot order");
         ends[base[j]..base[j + 1]].fill(j as u32);
         if j + 1 == window {
             continue;
@@ -271,6 +253,10 @@ pub fn interval_crossings(cover: &WindowCover, k: usize, out: &mut Vec<(u32, f64
             {
                 ends[base[j] + p] = ends[base[j + 1] + q];
                 starts[base[j + 1] + q] = false;
+                // Each later entry continues at most one run, so a
+                // robot's passes of an all-visit cover pair off in
+                // time order.
+                q += 1;
             }
         }
     }
@@ -331,47 +317,6 @@ fn no_crossing_certified(cover: &WindowCover, base: &[usize], starts: &[bool]) -
     intercepts.windows(2).all(|w| w[1] - w[0] > gap)
 }
 
-/// The reference scan of one side: the supremum of `T_k(x) / x` over
-/// `[1, xmax]` including the right-hand limit at `xmax` (the
-/// beyond-window interval evaluated at its lower endpoint), every
-/// candidate's k-th time selected from all of its interval's affines.
-fn scan_side_worst_case(cover: &WindowCover, k: usize, crossings: CrossingStage) -> SideScan {
-    let mut side = SideScan::new(Some(cover));
-    let mut filed = Vec::new();
-    crossings(cover, k, &mut filed);
-    filed.sort_unstable_by_key(|&(i, _)| i);
-    let mut filed = filed.into_iter().peekable();
-    let mut candidates: Vec<f64> = Vec::new();
-    let mut times: Vec<f64> = Vec::new();
-    for i in 0..cover.interval_count() {
-        let (lo, hi) = cover.interval_bounds(i);
-        let affines = cover.affines(i);
-        if affines.len() < k {
-            side.mark_uncovered(lo);
-            continue;
-        }
-        candidates.clear();
-        candidates.push(lo);
-        if !cover.is_beyond(i) {
-            // Inside the window both limits and every crossing are
-            // candidates; the beyond interval is only ever evaluated
-            // at the window edge (the right-hand limit at xmax).
-            candidates.push(hi);
-            while let Some((_, x)) = filed.next_if(|&(j, _)| j as usize == i) {
-                candidates.push(x);
-            }
-        }
-        let best = best_over_candidates(&candidates, |x| {
-            times.clear();
-            times.extend(affines.iter().map(|a| a.eval(x)));
-            Some(*times.select_nth_unstable_by(k - 1, f64::total_cmp).1)
-        })
-        .expect("worst-case evaluation is total over covered intervals");
-        side.record(best);
-    }
-    side
-}
-
 fn check_scan_args(k: usize, xmax: f64) -> Result<()> {
     if k == 0 {
         return Err(Error::domain("exact supremum needs a visit count k >= 1"));
@@ -393,51 +338,6 @@ fn check_scan_args(k: usize, xmax: f64) -> Result<()> {
 /// propagates enumeration failures.
 pub fn exact_supremum(fleet: &Fleet, k: usize, xmax: f64) -> Result<ExactScan> {
     exact_supremum_geometry(fleet, k, xmax, Geometry::Line)
-}
-
-/// [`exact_supremum`] together with the two first-visit covers it
-/// scans, the positive side's and then the mirrored negative side's,
-/// for callers that go on to examine the same intervals.
-///
-/// # Errors
-///
-/// As [`exact_supremum`].
-pub fn exact_supremum_covers(
-    fleet: &Fleet,
-    k: usize,
-    xmax: f64,
-) -> Result<(ExactScan, [WindowCover; 2])> {
-    let fleet_scan = FleetScan::new(fleet.trajectories(), k, xmax, Geometry::Line)?;
-    let scan = fleet_scan.scan();
-    let FleetScan { pos, neg, .. } = fleet_scan;
-    let neg = neg.expect("the line has a negative side");
-    Ok((scan, [pos.cover, neg.cover]))
-}
-
-/// The test reference for the worst-case scan: `pos` over `[1, xmax]`
-/// and, when present, `neg` over the mirrored negative side, scanned
-/// from prebuilt [`first_visit_cover`]s with `crossings` supplying the
-/// crossing candidates ([`push_crossings`] per interval, or
-/// [`interval_crossings`]). Production scans run through
-/// [`FleetScan`], which must match it bit for bit.
-///
-/// # Errors
-///
-/// Rejects `k == 0`.
-pub fn scan_covers(
-    pos: &WindowCover,
-    neg: Option<&WindowCover>,
-    k: usize,
-    crossings: CrossingStage,
-) -> Result<ExactScan> {
-    if k == 0 {
-        return Err(Error::domain("exact supremum needs a visit count k >= 1"));
-    }
-    // The half-line has no negative side: an empty accumulator
-    // contributes no candidates, no uncovered intervals, and no
-    // critical points to the merge.
-    let neg = neg.map_or_else(|| SideScan::new(None), |c| scan_side_worst_case(c, k, crossings));
-    Ok(merge_sides(scan_side_worst_case(pos, k, crossings), neg))
 }
 
 /// Geometry-parametric variant of [`exact_supremum`]: on
@@ -500,10 +400,11 @@ fn probe(affines: &[Affine], k: usize, x: f64, times: &mut Vec<f64>) -> Probe {
     Probe { x, below: below.unwrap_or(f64::NEG_INFINITY), kth }
 }
 
-/// One side of a [`FleetScan`]: the fleet's first-visit cover and the
-/// probes of every interval that holds at least `k - 1` affines.
+/// One side of a [`FleetScan`], in positive-window coordinates: the
+/// fleet's first-visit cover and the probes of every interval that
+/// holds at least `k - 1` affines.
 #[derive(Debug, Clone)]
-struct SideTable {
+pub struct SideTable {
     cover: WindowCover,
     /// Interval `i`'s probes are `probes[offsets[i]..offsets[i + 1]]`:
     /// its lower end, then inside the window its upper end and its
@@ -543,6 +444,24 @@ impl SideTable {
 
     fn probes(&self, i: usize) -> &[Probe] {
         &self.probes[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The side's first-visit cover.
+    #[must_use]
+    pub fn cover(&self) -> &WindowCover {
+        &self.cover
+    }
+
+    /// The candidate positions of interval `i` of [`SideTable::cover`]:
+    /// its lower end, then inside the window its upper end and its
+    /// crossings in ascending order. Empty when the interval holds
+    /// fewer than `k - 1` affines.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+    pub fn candidates(&self, i: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.probes(i).iter().map(|p| p.x)
     }
 
     /// This side's scan: every interval with at least `k` affines
@@ -729,6 +648,12 @@ impl FleetScan {
         Ok(FleetScan { k, xmax, pos, neg })
     }
 
+    /// The scanned sides: the positive window, then on the line the
+    /// mirrored negative one.
+    pub fn sides(&self) -> impl Iterator<Item = &SideTable> {
+        std::iter::once(&self.pos).chain(&self.neg)
+    }
+
     /// The fleet's own scan: what [`exact_supremum_geometry`] returns.
     #[must_use]
     pub fn scan(&self) -> ExactScan {
@@ -842,35 +767,57 @@ fn kth_ratio_enclosure_over(
     Interval::new(los[k - 1], his[k - 1])
 }
 
-/// One side's supremum enclosure: `lo` comes only from point
-/// candidates (so it never exceeds the `f64` scan value), `hi`
-/// additionally absorbs range enclosures over certified crossing
-/// locations (so it covers the true supremum even when an `f64`
-/// crossing candidate sits an ulp away from the real breakpoint).
-fn scan_side_enclosure(cover: &WindowCover, k: usize) -> Result<(f64, f64)> {
-    let uncovered = || Error::domain("cannot enclose an uncovered side: the supremum is unbounded");
-    if cover.beyond().is_none() {
-        return Err(uncovered());
+/// Appends to `ranges` the certified crossing ranges of `affines` on
+/// the open interval `(lo, hi)`: for every pair that is not parallel,
+/// an enclosure of its true crossing, clipped to `[lo, hi]` where the
+/// two meet. A pair whose crossing enclosure is not positive takes the
+/// whole interval, so every non-parallel pair counts. A range
+/// enclosure over these covers each real breakpoint, even where the
+/// `f64` crossing candidate sits an ulp away from it.
+///
+/// # Errors
+///
+/// Propagates interval construction failures.
+pub fn crossing_ranges(
+    affines: &[Affine],
+    lo: f64,
+    hi: f64,
+    ranges: &mut Vec<Interval>,
+) -> Result<()> {
+    for (i, a) in affines.iter().enumerate() {
+        for b in &affines[i + 1..] {
+            if a.crossing(b).is_none() {
+                continue;
+            }
+            let xs = match a.crossing_enclosure(b) {
+                Some(xs) if xs.is_positive() => xs,
+                // Degenerate slope-difference enclosure: the whole
+                // interval is always a sound fallback.
+                _ => Interval::new(lo, hi)?,
+            };
+            if xs.hi() > lo && xs.lo() < hi {
+                ranges.push(Interval::new(xs.lo().max(lo), xs.hi().min(hi))?);
+            }
+        }
     }
+    Ok(())
+}
+
+/// One covered side's supremum enclosure: `lo` comes only from the
+/// scan's own point candidates (so it never exceeds the `f64` scan
+/// value), `hi` additionally absorbs range enclosures over the
+/// [`crossing_ranges`] (so it covers the true supremum). Every interval
+/// of a covered side holds at least `k` affines.
+fn scan_side_enclosure(side: &SideTable, k: usize) -> Result<(f64, f64)> {
+    let cover = side.cover();
     let mut lo_acc = f64::NEG_INFINITY;
     let mut hi_acc = f64::NEG_INFINITY;
-    let mut points: Vec<f64> = Vec::new();
+    let mut ranges: Vec<Interval> = Vec::new();
     let mut los: Vec<f64> = Vec::new();
     let mut his: Vec<f64> = Vec::new();
     for i in 0..cover.interval_count() {
-        let (lo, hi) = cover.interval_bounds(i);
         let affines = cover.affines(i);
-        if affines.len() < k {
-            return Err(uncovered());
-        }
-        // Point candidates: exactly those of scan_side_worst_case.
-        points.clear();
-        points.push(lo);
-        if !cover.is_beyond(i) {
-            points.push(hi);
-            push_crossings(affines, lo, hi, &mut points);
-        }
-        for &x in &points {
+        for x in side.candidates(i) {
             let enc = kth_ratio_enclosure_at(affines, k, x, &mut los, &mut his)?;
             lo_acc = lo_acc.max(enc.lo());
             hi_acc = hi_acc.max(enc.hi());
@@ -882,25 +829,13 @@ fn scan_side_enclosure(cover: &WindowCover, k: usize) -> Result<(f64, f64)> {
         // breakpoints only at pairwise crossings, so the interval
         // supremum is attained at an endpoint or a true crossing.
         // Endpoints are exact; each true crossing lies inside its
-        // certified enclosure, whose range enclosure widens `hi` only.
-        for (ai, a) in affines.iter().enumerate() {
-            for b in &affines[ai + 1..] {
-                if a.crossing(b).is_none() {
-                    continue;
-                }
-                let xs = match a.crossing_enclosure(b) {
-                    Some(xs) if xs.is_positive() => xs,
-                    // Degenerate slope-difference enclosure: the
-                    // whole interval is always a sound fallback.
-                    _ => Interval::new(lo, hi)?,
-                };
-                if !(xs.hi() > lo && xs.lo() < hi) {
-                    continue;
-                }
-                let clipped = Interval::new(xs.lo().max(lo), xs.hi().min(hi))?;
-                let range = kth_ratio_enclosure_over(affines, k, clipped, &mut los, &mut his)?;
-                hi_acc = hi_acc.max(range.hi());
-            }
+        // certified range, whose enclosure widens `hi` only.
+        let (lo, hi) = cover.interval_bounds(i);
+        ranges.clear();
+        crossing_ranges(affines, lo, hi, &mut ranges)?;
+        for &xs in &ranges {
+            let range = kth_ratio_enclosure_over(affines, k, xs, &mut los, &mut his)?;
+            hi_acc = hi_acc.max(range.hi());
         }
     }
     Ok((lo_acc, hi_acc))
@@ -917,13 +852,17 @@ fn scan_side_enclosure(cover: &WindowCover, k: usize) -> Result<(f64, f64)> {
 /// Beyond [`exact_supremum`]'s validation, errors when the scan is
 /// uncovered: an unbounded supremum has no finite enclosure.
 pub fn exact_supremum_enclosed(fleet: &Fleet, k: usize, xmax: f64) -> Result<EnclosedScan> {
-    let (scan, [pos, neg]) = exact_supremum_covers(fleet, k, xmax)?;
+    let fleet_scan = FleetScan::new(fleet.trajectories(), k, xmax, Geometry::Line)?;
+    let scan = fleet_scan.scan();
     if scan.uncovered > 0 || !scan.ratio.is_finite() {
         return Err(Error::domain("cannot enclose an uncovered supremum: the ratio is unbounded"));
     }
-    let (plo, phi) = scan_side_enclosure(&pos, k)?;
-    let (nlo, nhi) = scan_side_enclosure(&neg, k)?;
-    let enclosure = Interval::new(plo.max(nlo), phi.max(nhi))?;
+    let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for side in fleet_scan.sides() {
+        let (side_lo, side_hi) = scan_side_enclosure(side, k)?;
+        (lo, hi) = (lo.max(side_lo), hi.max(side_hi));
+    }
+    let enclosure = Interval::new(lo, hi)?;
     if !enclosure.contains(scan.ratio) {
         return Err(Error::numerical(format!(
             "supremum enclosure [{}, {}] lost the scan value {}",
@@ -962,9 +901,14 @@ fn expected_value_at(
     Some(expected + horizon * surviving)
 }
 
-/// Scans one side of the expected-cost supremum: candidates are the
-/// interval endpoints, pairwise crossings, and horizon crossings.
+/// Scans one side of the expected-cost supremum over an all-visit
+/// cover: candidates are the interval endpoints, the pairwise crossings
+/// of the visits, and the horizon crossings.
 fn scan_side_expected(cover: &WindowCover, p: f64, horizon: f64) -> SideScan {
+    let mut filed = Vec::new();
+    interval_crossings(cover, 1, &mut filed);
+    filed.sort_unstable_by_key(|&(i, _)| i);
+    let mut filed = filed.into_iter().peekable();
     let mut side = SideScan::new(Some(cover));
     let mut candidates: Vec<f64> = Vec::new();
     let mut times: Vec<f64> = Vec::new();
@@ -979,7 +923,9 @@ fn scan_side_expected(cover: &WindowCover, p: f64, horizon: f64) -> SideScan {
         candidates.push(lo);
         if !cover.is_beyond(i) {
             candidates.push(hi);
-            push_crossings(affines, lo, hi, &mut candidates);
+            while let Some((_, x)) = filed.next_if(|&(j, _)| j as usize == i) {
+                candidates.push(x);
+            }
             for a in affines {
                 if let Some(x) = a.position_of_time(horizon) {
                     if x > lo && x < hi {
@@ -1020,19 +966,25 @@ pub fn exact_expected_supremum(fleet: &Fleet, p: f64, xmax: f64) -> Result<Exact
     let horizon = fleet.horizon();
     let pos = all_visit_cover(fleet.trajectories(), 1.0, xmax)?;
     let neg = all_visit_cover(&mirrored(fleet.trajectories())?, 1.0, xmax)?;
-    let (pos, neg) = (scan_side_expected(&pos, p, horizon), scan_side_expected(&neg, p, horizon));
+    Ok(merge_expected(scan_side_expected(&pos, p, horizon), scan_side_expected(&neg, p, horizon)))
+}
+
+/// Merges the two sides of an expected-cost scan. Expected cost
+/// truncates at the horizon, so even an incomplete measurement reports
+/// the finite supremum over the covered intervals (0 when nothing is
+/// covered), matching the historical grid semantics.
+fn merge_expected(pos: SideScan, neg: SideScan) -> ExactScan {
     let (pos_best, neg_best) = (pos.best, neg.best);
     let merged = merge_sides(pos, neg);
     if merged.uncovered > 0 {
-        // Expected cost truncates at the horizon, so even an
-        // incomplete measurement reports the finite supremum over the
-        // covered intervals (0 when nothing is covered), matching the
-        // historical grid semantics.
         let (ratio, argmax) = best_of_sides(pos_best, neg_best);
-        return Ok(ExactScan { ratio, argmax, ..merged });
+        return ExactScan { ratio, argmax, ..merged };
     }
-    Ok(merged)
+    merged
 }
+
+#[cfg(test)]
+mod crossing_stage;
 
 #[cfg(test)]
 mod tests {

@@ -17,8 +17,6 @@
 //! * [`ablation`] — the beta-sweep and fault-misestimation ablations.
 //! * [`ascii`] / [`svg`] — terminal tables/charts and SVG space–time
 //!   diagrams.
-//! * [`report`] — paper-vs-measured markdown reports (EXPERIMENTS.md).
-//! * [`parallel`] — crossbeam-based parallel sweeps.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,9 +32,7 @@ pub mod exact;
 pub mod fig5;
 pub mod figures;
 pub mod group_search;
-pub mod parallel;
 pub mod randomized;
-pub mod report;
 pub mod scenario;
 pub mod supremum;
 pub mod svg;
@@ -51,7 +47,6 @@ pub use exact::{
     EnclosedScan, ExactScan, FleetScan,
 };
 pub use figures::FigureData;
-pub use report::{Comparison, ExperimentReport};
 pub use scenario::{RobotPhysics, Scenario, ScenarioResult};
 pub use supremum::{
     measure_free_schedule_cr, measure_free_schedule_expected_cr, measure_free_schedule_profile,

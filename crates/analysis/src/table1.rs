@@ -108,7 +108,7 @@ pub fn regenerate_row(n: usize, f: usize, measure: bool) -> Result<Table1Row> {
 ///
 /// Propagates row failures.
 pub fn regenerate(measure: bool) -> Result<Vec<Table1Row>> {
-    crate::parallel::par_map(TABLE1_PAIRS, |&(n, f)| regenerate_row(n, f, measure))
+    faultline_core::par_map(TABLE1_PAIRS, |&(n, f)| regenerate_row(n, f, measure))
         .into_iter()
         .collect()
 }

@@ -133,7 +133,7 @@ pub fn run_matrix_batch(
     xmax: f64,
     grid: usize,
 ) -> Result<Vec<MatrixReport>> {
-    crate::parallel::par_map(pairs, |&(n, f)| {
+    faultline_core::par_map(pairs, |&(n, f)| {
         let params = Params::new(n, f)?;
         run_matrix(params, xmax, grid)
     })

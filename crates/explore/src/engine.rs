@@ -6,8 +6,9 @@
 //! An adversary state is a pair `(fault mask, target interval)`: which
 //! robots fail and which cell of the critical-point partition the
 //! target sits in (the in-cell position is resolved exactly by the
-//! critical-point argument — endpoints plus pairwise crossings). The
-//! engine canonicalizes masks two ways before exploring:
+//! critical-point argument — endpoints plus pairwise crossings, the
+//! candidates of the exact scan's [`FleetScan`]). The engine
+//! canonicalizes masks two ways before exploring:
 //!
 //! 1. **Robot symmetry** — robots with bitwise-identical induced
 //!    affine contributions (same visit-time affine in every interval
@@ -35,7 +36,7 @@
 //!
 //! # Determinism
 //!
-//! Four phases: (A) per-interval candidate/matrix builds in parallel,
+//! Four phases: (A) per-interval matrix builds in parallel,
 //! order-preserving; (B) serial frontier and class assembly; (C)
 //! serial evaluation of the single best-bound state; (D) parallel
 //! evaluation of the surviving states with a serial merge in canonical
@@ -45,11 +46,11 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use faultline_analysis::exact::{exact_supremum_covers, push_crossings};
+use faultline_analysis::exact::{crossing_ranges, FleetScan, SideTable};
 use faultline_core::coverage::prefer_argmax;
 use faultline_core::exact::Affine;
 use faultline_core::{
-    par_map_with, Algorithm, Error, Fleet, Interval, ParallelConfig, Params, Result,
+    par_map_with, Algorithm, Error, Fleet, Geometry, ParallelConfig, Params, Result,
 };
 
 use crate::report::{ExploreReport, WorstCase, REPORT_VERSION};
@@ -85,9 +86,7 @@ struct IntervalTable {
     sign: f64,
     /// Robot owning each affine row (at most one row per robot).
     rows: Vec<u32>,
-    /// Point candidates in side coordinates, enumerated exactly as the
-    /// exact scan does (interval lower limit; plus upper limit and
-    /// pairwise crossings inside the window).
+    /// Point candidates in side coordinates: the exact scan's own.
     points: Vec<f64>,
     /// `ratio[r][c]`: the f64 ratio of row `r` at point `c`, computed
     /// in the scan engine's operation order.
@@ -105,44 +104,32 @@ struct IntervalTable {
 }
 
 /// Serial description of a table build job (Phase A input): one
-/// interval of one side's first-visit cover.
+/// interval of one side of the fleet's scan.
 struct TableJob<'a> {
     sign: f64,
-    lo: f64,
-    hi: f64,
-    is_beyond: bool,
-    robots: &'a [u32],
-    affines: &'a [Affine],
+    side: &'a SideTable,
+    interval: usize,
+}
+
+impl<'a> TableJob<'a> {
+    fn robots(&self) -> &'a [u32] {
+        self.side.cover().robots(self.interval)
+    }
+
+    fn affines(&self) -> &'a [Affine] {
+        self.side.cover().affines(self.interval)
+    }
 }
 
 fn build_table(job: &TableJob<'_>) -> Result<IntervalTable> {
-    let affines = job.affines;
-    let mut points = vec![job.lo];
-    if !job.is_beyond {
-        points.push(job.hi);
-        push_crossings(affines, job.lo, job.hi, &mut points);
-    }
-    // Certified ranges around the true crossings (upper bounds only;
-    // mirrors the range logic of `exact_supremum_enclosed`).
-    let mut ranges: Vec<Interval> = Vec::new();
-    if !job.is_beyond {
-        for (i, a) in affines.iter().enumerate() {
-            for b in &affines[i + 1..] {
-                if a.crossing(b).is_none() {
-                    continue;
-                }
-                let xs = match a.crossing_enclosure(b) {
-                    Some(xs) if xs.is_positive() => xs,
-                    // Degenerate slope-difference enclosure: the whole
-                    // interval is always a sound fallback.
-                    _ => Interval::new(job.lo, job.hi)?,
-                };
-                if !(xs.hi() > job.lo && xs.lo() < job.hi) {
-                    continue;
-                }
-                ranges.push(Interval::new(xs.lo().max(job.lo), xs.hi().min(job.hi))?);
-            }
-        }
+    let (cover, i) = (job.side.cover(), job.interval);
+    let affines = job.affines();
+    let points: Vec<f64> = job.side.candidates(i).collect();
+    // Certified ranges around the true crossings (upper bounds only).
+    let mut ranges = Vec::new();
+    if !cover.is_beyond(i) {
+        let (lo, hi) = cover.interval_bounds(i);
+        crossing_ranges(affines, lo, hi, &mut ranges)?;
     }
     let mut ratio = Vec::with_capacity(affines.len());
     let mut rlo = Vec::with_capacity(affines.len());
@@ -176,7 +163,7 @@ fn build_table(job: &TableJob<'_>) -> Result<IntervalTable> {
     }
     Ok(IntervalTable {
         sign: job.sign,
-        rows: job.robots.to_vec(),
+        rows: job.robots().to_vec(),
         points,
         ratio,
         rlo,
@@ -343,7 +330,7 @@ struct Symmetry {
 fn group_robots(n: usize, jobs: &[TableJob<'_>]) -> Symmetry {
     let mut signatures: Vec<Vec<(u32, u64, u64)>> = vec![Vec::new(); n];
     for (t, job) in jobs.iter().enumerate() {
-        for (&robot, a) in job.robots.iter().zip(job.affines) {
+        for (&robot, a) in job.robots().iter().zip(job.affines()) {
             signatures[robot as usize].push((t as u32, a.slope.to_bits(), a.intercept.to_bits()));
         }
     }
@@ -353,7 +340,7 @@ fn group_robots(n: usize, jobs: &[TableJob<'_>]) -> Symmetry {
     }
     let mut members: Vec<Vec<u32>> = by_signature.values().cloned().collect();
     members.sort_by_key(|m| m[0]);
-    let visible = members.iter().map(|m| jobs.iter().any(|j| j.robots.contains(&m[0]))).collect();
+    let visible = members.iter().map(|m| jobs.iter().any(|j| j.robots().contains(&m[0]))).collect();
     Symmetry { members, visible }
 }
 
@@ -386,7 +373,8 @@ pub fn explore_fleet(
     }
     // The independent scan doubles as the coverage gate: uncovered
     // windows have an unbounded supremum and cannot be explored.
-    let (exact, [pos, neg]) = exact_supremum_covers(fleet, f + 1, xmax)?;
+    let scan = FleetScan::new(fleet.trajectories(), f + 1, xmax, Geometry::Line)?;
+    let exact = scan.scan();
     if exact.uncovered > 0 || !exact.ratio.is_finite() {
         return Err(Error::domain(format!(
             "the window [1, {xmax}] is not covered at fault budget {f}: \
@@ -394,20 +382,12 @@ pub fn explore_fleet(
         )));
     }
 
-    // Phase A: per-interval candidate and matrix builds, in parallel,
-    // over the covers the gate scanned.
+    // Phase A: per-interval matrix builds, in parallel, over the
+    // candidates the gate scanned.
     let mut jobs: Vec<TableJob<'_>> = Vec::new();
-    for (sign, cover) in [(1.0, &pos), (-1.0, &neg)] {
-        for i in 0..cover.interval_count() {
-            let (lo, hi) = cover.interval_bounds(i);
-            jobs.push(TableJob {
-                sign,
-                lo,
-                hi,
-                is_beyond: cover.is_beyond(i),
-                robots: cover.robots(i),
-                affines: cover.affines(i),
-            });
+    for (sign, side) in [1.0, -1.0].into_iter().zip(scan.sides()) {
+        for interval in 0..side.cover().interval_count() {
+            jobs.push(TableJob { sign, side, interval });
         }
     }
     let tables: Vec<IntervalTable> =
@@ -674,6 +654,42 @@ mod tests {
                 "(n = {n}, f = {f}): enclosure upper bounds diverge"
             );
         }
+    }
+
+    #[test]
+    fn a_crossing_supremum_is_explored_and_enclosed() {
+        use faultline_core::{PiecewiseTrajectory, SpaceTime};
+        // A dashes to 1 at speed 3 and crawls outward at speed 1/2; B
+        // leaves the origin at t = 1. T_1 switches from A to B where
+        // they cross, at x = 8/3, and K peaks there at 11/8; C and D
+        // mirror them. Explore and the enclosure both need the scan's
+        // crossing candidate to reach the supremum.
+        let a = PiecewiseTrajectory::with_speed_limit(
+            vec![
+                SpaceTime::origin(),
+                SpaceTime::new(1.0, 1.0 / 3.0),
+                SpaceTime::new(4.0, 1.0 / 3.0 + 6.0),
+                SpaceTime::new(-4.0, 1.0 / 3.0 + 14.0),
+            ],
+            3.0,
+        )
+        .unwrap();
+        let b = PiecewiseTrajectory::new(vec![
+            SpaceTime::origin(),
+            SpaceTime::new(0.0, 1.0),
+            SpaceTime::new(5.0, 6.0),
+            SpaceTime::new(-5.0, 16.0),
+        ])
+        .unwrap();
+        let mirror = faultline_core::exact::mirrored(&[a.clone(), b.clone()]).unwrap();
+        let fleet = Fleet::new(vec![a, b, mirror[0].clone(), mirror[1].clone()]).unwrap();
+        let report = explore_fleet(&fleet, 0, 3.5, &ExploreConfig::default()).unwrap();
+        assert!(report.matches_exact);
+        assert!((report.worst.target - 8.0 / 3.0).abs() < 1e-12, "{}", report.worst.target);
+        let enclosed = faultline_analysis::exact_supremum_enclosed(&fleet, 1, 3.5).unwrap();
+        assert!(enclosed.enclosure.width() <= 1e-9 * report.worst.value);
+        assert_eq!(report.worst.enclosure_lo.to_bits(), enclosed.enclosure.lo().to_bits());
+        assert_eq!(report.worst.enclosure_hi.to_bits(), enclosed.enclosure.hi().to_bits());
     }
 
     #[test]
