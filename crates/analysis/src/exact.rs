@@ -709,6 +709,12 @@ pub struct EnclosedScan {
     pub enclosure: Interval,
 }
 
+/// The k-th smallest value (1-based) under `f64::total_cmp`: bit for
+/// bit what sorting would put at index `k - 1`, in linear time.
+fn kth_smallest(values: &mut [f64], k: usize) -> f64 {
+    *values.select_nth_unstable_by(k - 1, f64::total_cmp).1
+}
+
 /// The k-th order statistic of the per-affine visit-time enclosures
 /// at `x`. Order statistics are monotone under pointwise ordering, so
 /// the k-th smallest lower bound and the k-th smallest upper bound
@@ -728,9 +734,7 @@ fn kth_time_enclosure(
         los.push(t.lo());
         his.push(t.hi());
     }
-    los.sort_by(f64::total_cmp);
-    his.sort_by(f64::total_cmp);
-    Interval::new(los[k - 1], his[k - 1])
+    Interval::new(kth_smallest(los, k), kth_smallest(his, k))
 }
 
 /// Enclosure of `T_k(x) / x` at a point candidate, mirroring the scan
@@ -762,9 +766,7 @@ fn kth_ratio_enclosure_over(
         los.push(g.lo());
         his.push(g.hi());
     }
-    los.sort_by(f64::total_cmp);
-    his.sort_by(f64::total_cmp);
-    Interval::new(los[k - 1], his[k - 1])
+    Interval::new(kth_smallest(los, k), kth_smallest(his, k))
 }
 
 /// Appends to `ranges` the certified crossing ranges of `affines` on

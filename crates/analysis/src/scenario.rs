@@ -451,7 +451,8 @@ impl Scenario {
     /// Runs the scenario on the fleet of [`Scenario::fleet`] for
     /// `physics`, without validating it first: the scenario runner
     /// behind both scenario forms. Each target is an independent
-    /// simulation, with fault onsets when any robot sets one.
+    /// simulation, with fault onsets when any robot sets one, run in
+    /// order on the calling thread.
     ///
     /// # Errors
     ///
@@ -464,9 +465,9 @@ impl Scenario {
             Vec::new()
         };
         let seed = self.seed.unwrap_or(0);
-        // Fan the targets out over the core work-stealing engine
-        // (honours FAULTLINE_THREADS).
-        faultline_core::par_map(&self.targets, |&x| {
+        // Scenarios carry a handful of targets, and simulating one costs
+        // less than spawning a thread for it.
+        let run = |&x: &f64| -> Result<ScenarioResult> {
             let target = Target::new(x)?;
             let trajectories = trajectories.clone();
             let config = SimConfig::default();
@@ -496,9 +497,8 @@ impl Scenario {
                 (None, None) => worst_case_outcome(trajectories, target, self.f, config)?,
             };
             Ok(ScenarioResult::from_outcome(x, &outcome))
-        })
-        .into_iter()
-        .collect()
+        };
+        self.targets.iter().map(run).collect()
     }
 }
 

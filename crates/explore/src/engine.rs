@@ -382,18 +382,16 @@ pub fn explore_fleet(
         )));
     }
 
-    // Phase A: per-interval matrix builds, in parallel, over the
-    // candidates the gate scanned.
     let mut jobs: Vec<TableJob<'_>> = Vec::new();
     for (sign, side) in [1.0, -1.0].into_iter().zip(scan.sides()) {
         for interval in 0..side.cover().interval_count() {
             jobs.push(TableJob { sign, side, interval });
         }
     }
-    let tables: Vec<IntervalTable> =
-        par_map_with(&jobs, &config.parallel, build_table).into_iter().collect::<Result<_>>()?;
 
     // Phase B: serial frontier, symmetry grouping, and cover collapse.
+    // It needs only the covers, so both budgets refuse a fleet before
+    // Phase A builds a single table.
     let symmetry = group_robots(n, &jobs);
     let caps: Vec<usize> = symmetry.members.iter().map(Vec::len).collect();
     let class_space = class_space_size(&caps, f);
@@ -436,7 +434,7 @@ pub fn explore_fleet(
     let mask_count = mask_space_size(n, f);
     debug_assert_eq!(classes.iter().map(|c| c.multiplicity).sum::<usize>(), mask_count);
     let collapsed_covers = mask_classes - classes.len();
-    let intervals = tables.len();
+    let intervals = jobs.len();
     let class_states = classes.len() * intervals;
     let raw_states = mask_count.saturating_mul(intervals);
 
@@ -457,6 +455,11 @@ pub fn explore_fleet(
             states.len()
         )));
     }
+
+    // Phase A: per-interval matrix builds, in parallel, over the
+    // candidates the gate scanned.
+    let tables: Vec<IntervalTable> =
+        par_map_with(&jobs, &config.parallel, build_table).into_iter().collect::<Result<_>>()?;
 
     // Phases C + D: bound, prune, evaluate, and merge.
     let evals: Vec<Option<StateEval>> = if config.exhaustive {
@@ -719,6 +722,17 @@ mod tests {
         // suffice and the (n, f) pair it was computed for.
         assert!(message.contains("need budget >= "), "{message}");
         assert!(message.contains("(n = 4, f = 2)"), "{message}");
+    }
+
+    #[test]
+    fn a_class_space_past_the_budget_is_refused_before_any_table_is_built() {
+        // A(201, 100)'s class space saturates `usize`; its tables alone
+        // would cost far longer than this refusal.
+        let err = explore_pair(201, 100, 3.0, &ExploreConfig::default()).unwrap_err();
+        let message = err.to_string();
+        assert!(message.contains("class space of"), "{message}");
+        assert!(message.contains("exceeds the exploration budget"), "{message}");
+        assert!(message.contains("(n = 201, f = 100)"), "{message}");
     }
 
     #[test]

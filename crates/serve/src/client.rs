@@ -82,7 +82,7 @@ fn send_and_read(
 }
 
 /// Reads one framed response off the stream.
-fn read_response(stream: &mut TcpStream) -> io::Result<Response> {
+pub(crate) fn read_response(stream: &mut TcpStream) -> io::Result<Response> {
     let mut raw = Vec::new();
     let mut chunk = [0u8; 4096];
     let head_end = loop {

@@ -3,15 +3,20 @@
 //! A thundering herd of identical cache misses should compute once: the
 //! first requester of a key creates a *flight* and submits the one pool
 //! job; every later requester of the same key parks on the flight as a
-//! waiter instead of submitting anything. When the job finishes (or
-//! times out, or bounces off a full queue) the flight *lands* and every
-//! waiter receives the byte-identical response.
+//! waiter instead of submitting anything. When the job finishes (or the
+//! flight's deadline passes) the flight *lands* and every waiter
+//! receives the byte-identical response.
 //!
-//! Parking and landing are both atomic under the table lock, so a
-//! waiter can never slip onto a flight that already landed (it would
-//! hang forever): once [`FlightTable::land`] removes the key, the next
-//! [`FlightTable::park`] creates a fresh flight — and by then the cache
-//! is warm, so its job answers immediately.
+//! The table belongs to the event loop: only the loop's thread parks,
+//! lands and expires flights, so it needs no lock, and a waiter can
+//! never slip onto a flight that already landed. Once a flight lands,
+//! the next request for its key either hits the cache (the job inserted
+//! before it completed) or creates a fresh flight.
+//!
+//! Each flight has a serial number that is never reused, and a job
+//! completes its flight by [`FlightId`]. A job whose flight already
+//! expired therefore lands nothing, not even a newer flight of the same
+//! key.
 //!
 //! Keys are the same canonical cache keys the LRU uses
 //! (`route-label|canonical_string`), so "identical request" means
@@ -19,32 +24,54 @@
 //! cache already implements.
 
 use std::collections::HashMap;
-use std::net::TcpStream;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// One parked connection awaiting a flight's outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Waiter {
-    /// The connection to answer on (blocking mode, pool-path dialect).
-    pub stream: TcpStream,
+    /// The connection's file descriptor.
+    pub fd: i32,
+    /// The connection's token. An fd is reused by the next connection
+    /// once this one closes; a token never is, so a waiter whose
+    /// connection is gone answers no one.
+    pub token: u64,
     /// When this waiter's request was parsed (for its latency metric).
     pub received: Instant,
+    /// Whether the answer keeps the connection open.
+    pub keep_alive: bool,
+    /// The request's route label (for its metric).
+    pub route: &'static str,
+}
+
+/// Names one flight: its key and its never-reused serial.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlightId {
+    key: String,
+    serial: u64,
 }
 
 /// Outcome of [`FlightTable::park`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum Parked {
     /// The caller's waiter created the flight; the caller must submit
-    /// the one pool job (or land the flight with an error).
-    Created,
+    /// its one pool job (or land it at once with an error).
+    Created(FlightId),
     /// The waiter coalesced onto an existing flight; nothing to submit.
     Coalesced,
+}
+
+struct Flight {
+    serial: u64,
+    /// The creator's deadline; followers share it.
+    deadline: Instant,
+    waiters: Vec<Waiter>,
 }
 
 /// All flights currently in the air, keyed on the cache key.
 #[derive(Default)]
 pub struct FlightTable {
-    flights: Mutex<HashMap<String, Vec<Waiter>>>,
+    flights: HashMap<String, Flight>,
+    launched: u64,
 }
 
 impl FlightTable {
@@ -54,68 +81,118 @@ impl FlightTable {
         FlightTable::default()
     }
 
-    /// Parks a waiter on the flight for `key`, creating the flight if
-    /// absent.
+    /// Parks a waiter on the flight for `key`, creating the flight, with
+    /// its deadline, if absent.
     #[must_use]
-    pub fn park(&self, key: &str, waiter: Waiter) -> Parked {
-        let mut flights = self.flights.lock().expect("flight table poisoned");
-        if let Some(waiters) = flights.get_mut(key) {
-            waiters.push(waiter);
+    pub fn park(&mut self, key: &str, deadline: Instant, waiter: Waiter) -> Parked {
+        if let Some(flight) = self.flights.get_mut(key) {
+            flight.waiters.push(waiter);
             return Parked::Coalesced;
         }
-        flights.insert(key.to_owned(), vec![waiter]);
-        Parked::Created
+        self.launched += 1;
+        let serial = self.launched;
+        self.flights.insert(key.to_owned(), Flight { serial, deadline, waiters: vec![waiter] });
+        Parked::Created(FlightId { key: key.to_owned(), serial })
     }
 
-    /// Lands the flight for `key`: removes it (later requests for the
-    /// key start fresh) and returns its waiters for answering.
-    /// Idempotent; a second land is empty.
+    /// Lands the flight `id`: removes it (later requests for the key
+    /// start fresh) and returns its waiters for answering. `None` when
+    /// it already landed or expired.
     #[must_use]
-    pub fn land(&self, key: &str) -> Vec<Waiter> {
-        self.flights.lock().expect("flight table poisoned").remove(key).unwrap_or_default()
+    pub fn land(&mut self, id: &FlightId) -> Option<Vec<Waiter>> {
+        if self.flights.get(&id.key)?.serial != id.serial {
+            return None;
+        }
+        self.flights.remove(&id.key).map(|flight| flight.waiters)
+    }
+
+    /// Lands every flight whose deadline is not after `now`, returning
+    /// all their waiters.
+    #[must_use]
+    pub fn expire(&mut self, now: Instant) -> Vec<Waiter> {
+        let mut expired = Vec::new();
+        self.flights.retain(|_, flight| {
+            let due = flight.deadline <= now;
+            if due {
+                expired.append(&mut flight.waiters);
+            }
+            !due
+        });
+        expired
+    }
+
+    /// The earliest deadline in the air.
+    #[must_use]
+    pub fn next_deadline(&self) -> Option<Instant> {
+        self.flights.values().map(|flight| flight.deadline).min()
     }
 
     /// The number of flights currently in the air.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.flights.lock().expect("flight table poisoned").len()
+        self.flights.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::time::Duration;
 
-    fn dummy_waiter() -> Waiter {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let _server_side = listener.accept().unwrap();
-        Waiter { stream: client, received: Instant::now() }
+    fn waiter(token: u64) -> Waiter {
+        Waiter { fd: 7, token, received: Instant::now(), keep_alive: true, route: "/test" }
+    }
+
+    fn park(table: &mut FlightTable, key: &str, token: u64) -> Parked {
+        table.park(key, Instant::now() + Duration::from_secs(60), waiter(token))
     }
 
     #[test]
     fn first_parker_creates_then_others_coalesce() {
-        let table = FlightTable::new();
-        assert_eq!(table.park("k", dummy_waiter()), Parked::Created);
-        for _ in 0..3 {
-            assert_eq!(table.park("k", dummy_waiter()), Parked::Coalesced);
+        let mut table = FlightTable::new();
+        let Parked::Created(id) = park(&mut table, "k", 0) else { panic!("a new key creates") };
+        for token in 1..4 {
+            assert_eq!(park(&mut table, "k", token), Parked::Coalesced);
         }
         assert_eq!(table.in_flight(), 1);
-        let waiters = table.land("k");
-        assert_eq!(waiters.len(), 4, "creator + three coalesced waiters");
+        let waiters = table.land(&id).expect("the flight is in the air");
+        let tokens: Vec<u64> = waiters.iter().map(|w| w.token).collect();
+        assert_eq!(tokens, [0, 1, 2, 3], "creator + three coalesced waiters, in order");
         assert_eq!(table.in_flight(), 0);
-        assert!(table.land("k").is_empty(), "landing is idempotent");
+        assert!(table.land(&id).is_none(), "landing is idempotent");
     }
 
     #[test]
     fn distinct_keys_fly_independently() {
-        let table = FlightTable::new();
-        assert_eq!(table.park("a", dummy_waiter()), Parked::Created);
-        assert_eq!(table.park("b", dummy_waiter()), Parked::Created);
+        let mut table = FlightTable::new();
+        let Parked::Created(a) = park(&mut table, "a", 0) else { panic!("a creates") };
+        assert!(matches!(park(&mut table, "b", 1), Parked::Created(_)));
         assert_eq!(table.in_flight(), 2);
-        let _ = table.land("a");
-        assert_eq!(table.park("a", dummy_waiter()), Parked::Created, "landed keys restart");
+        let _ = table.land(&a);
+        assert!(matches!(park(&mut table, "a", 2), Parked::Created(_)), "landed keys restart");
+    }
+
+    #[test]
+    fn expired_flights_land_and_their_late_jobs_land_nothing() {
+        let mut table = FlightTable::new();
+        let now = Instant::now();
+        let soon = now + Duration::from_millis(5);
+        let Parked::Created(old) = table.park("k", soon, waiter(0)) else {
+            panic!("a new key creates")
+        };
+        let Parked::Created(other) = park(&mut table, "other", 1) else { panic!("creates") };
+        assert_eq!(table.next_deadline(), Some(soon));
+        assert!(table.expire(now).is_empty(), "nothing is due yet");
+
+        let expired = table.expire(soon);
+        assert_eq!(expired.iter().map(|w| w.token).collect::<Vec<_>>(), [0]);
+        assert_eq!(table.in_flight(), 1, "the other flight is still due later");
+
+        // A fresh flight of the same key is not landed by the expired
+        // flight's job.
+        let Parked::Created(new) = park(&mut table, "k", 2) else { panic!("k restarts") };
+        assert!(table.land(&old).is_none(), "a late completion lands nothing");
+        assert_eq!(table.land(&new).expect("the new flight").len(), 1);
+        assert!(table.land(&other).is_some());
     }
 }

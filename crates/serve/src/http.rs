@@ -2,12 +2,10 @@
 //! parsing out of a connection's accumulation buffer (with size
 //! limits), percent-decoded query strings, and response serialization.
 //! HTTP/1.1 connections are keep-alive by default; `Connection: close`
-//! (or HTTP/1.0 without `Connection: keep-alive`) opts out. Responses
-//! handed to the worker pool always close — a parked connection has no
-//! event-loop state to return to.
-
-use std::io::Write;
-use std::net::TcpStream;
+//! (or HTTP/1.0 without `Connection: keep-alive`) opts out, on every
+//! serving tier alike. The event loop parses through a per-connection
+//! [`Cursor`], so a request that arrives in many reads is scanned once;
+//! [`parse_request`] is the same parse from a fresh cursor.
 
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -118,6 +116,20 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+/// How far one connection's parse has got, so each read resumes it
+/// instead of starting over at byte 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Cursor {
+    /// Bytes already searched for the head's `\r\n\r\n` without a
+    /// match; the next search starts 3 bytes before, in case the
+    /// terminator straddles two reads.
+    scanned: usize,
+    /// Once the head is complete: where it ends, and the bytes head and
+    /// body occupy together. Nothing is parsed again until they are all
+    /// in the buffer.
+    framed: Option<(usize, usize)>,
+}
+
 /// Attempts to parse one request from the front of `buf`.
 ///
 /// Incremental: call again with the same (grown) buffer after more
@@ -125,17 +137,78 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
 /// buffer to drain before parsing the next pipelined request.
 #[must_use]
 pub fn parse_request(buf: &[u8]) -> Parsed {
-    let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
-        if buf.len() > MAX_HEAD_BYTES {
-            return Parsed::Invalid(ParseError::too_large("request head exceeds 16 KiB"));
+    parse_next(buf, &mut Cursor::default())
+}
+
+/// [`parse_request`] resumed from `cursor`, which must have seen only
+/// growing prefixes of `buf` since it was last reset (`Ready` and
+/// `Invalid` reset it). The result is the one [`parse_request`] gives
+/// on `buf`.
+#[must_use]
+pub fn parse_next(buf: &[u8], cursor: &mut Cursor) -> Parsed {
+    let head_end = match cursor.framed {
+        Some((_, total)) if buf.len() < total => return Parsed::Incomplete,
+        Some((head_end, _)) => head_end,
+        None => {
+            // A terminator starting before `scanned - 3` would lie wholly
+            // inside bytes already searched.
+            let from = cursor.scanned.saturating_sub(3);
+            let Some(at) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") else {
+                if buf.len() > MAX_HEAD_BYTES {
+                    *cursor = Cursor::default();
+                    return Parsed::Invalid(ParseError::too_large("request head exceeds 16 KiB"));
+                }
+                cursor.scanned = buf.len();
+                return Parsed::Incomplete;
+            };
+            from + at
         }
-        return Parsed::Incomplete;
     };
+    let head = match parse_head(buf, head_end) {
+        Ok(head) => head,
+        Err(error) => {
+            *cursor = Cursor::default();
+            return Parsed::Invalid(error);
+        }
+    };
+    if buf.len() < head.total {
+        cursor.framed = Some((head_end, head.total));
+        return Parsed::Incomplete;
+    }
+    *cursor = Cursor::default();
+    let body = match std::str::from_utf8(&buf[head_end + 4..head.total]) {
+        Ok(text) => text.to_owned(),
+        Err(_) => return Parsed::Invalid(ParseError::bad("request body is not valid UTF-8")),
+    };
+
+    let Head { method, target, keep_alive, total } = head;
+    let (path, query) = match target.split_once('?') {
+        Some((p, q)) => (p.to_owned(), parse_query(q)),
+        None => (target, Vec::new()),
+    };
+    Parsed::Ready {
+        request: Request { method, path: percent_decode(&path), query, body, keep_alive },
+        consumed: total,
+    }
+}
+
+/// A parsed request line and headers.
+struct Head {
+    method: String,
+    target: String,
+    keep_alive: bool,
+    /// The bytes head and body occupy together.
+    total: usize,
+}
+
+/// Parses the head that ends at `head_end` (where its `\r\n\r\n`
+/// starts).
+fn parse_head(buf: &[u8], head_end: usize) -> Result<Head, ParseError> {
     if head_end + 4 > MAX_HEAD_BYTES {
-        return Parsed::Invalid(ParseError::too_large("request head exceeds 16 KiB"));
+        return Err(ParseError::too_large("request head exceeds 16 KiB"));
     }
     let Ok(head) = std::str::from_utf8(&buf[..head_end]) else {
-        return Parsed::Invalid(ParseError::bad("request head is not valid UTF-8"));
+        return Err(ParseError::bad("request head is not valid UTF-8"));
     };
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
@@ -145,10 +218,7 @@ pub fn parse_request(buf: &[u8]) -> Parsed {
             (m.to_uppercase(), t.to_owned(), v.to_owned())
         }
         _ => {
-            return Parsed::Invalid(ParseError::bad(format!(
-                "malformed request line: {}",
-                request_line.trim()
-            )))
+            return Err(ParseError::bad(format!("malformed request line: {}", request_line.trim())))
         }
     };
 
@@ -165,27 +235,20 @@ pub fn parse_request(buf: &[u8]) -> Parsed {
         let Some((name, value)) =
             header.split_once(':').filter(|(name, _)| !name.ends_with([' ', '\t']))
         else {
-            return Parsed::Invalid(ParseError::bad(format!(
-                "malformed header line: {}",
-                header.trim()
-            )));
+            return Err(ParseError::bad(format!("malformed header line: {}", header.trim())));
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
             if content_length.is_some() {
-                return Parsed::Invalid(ParseError::bad("duplicate Content-Length header"));
+                return Err(ParseError::bad("duplicate Content-Length header"));
             }
             // `usize::from_str` also takes a leading `+`.
             content_length = match value.parse::<usize>() {
                 Ok(v) if value.bytes().all(|b| b.is_ascii_digit()) => Some(v),
-                _ => {
-                    return Parsed::Invalid(ParseError::bad(format!(
-                        "invalid Content-Length `{value}`"
-                    )))
-                }
+                _ => return Err(ParseError::bad(format!("invalid Content-Length `{value}`"))),
             };
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
-            return Parsed::Invalid(ParseError::bad(
+            return Err(ParseError::bad(
                 "Transfer-Encoding is not supported; send the body with a Content-Length",
             ));
         } else if name.eq_ignore_ascii_case("connection") {
@@ -198,25 +261,9 @@ pub fn parse_request(buf: &[u8]) -> Parsed {
     }
     let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
-        return Parsed::Invalid(ParseError::too_large("request body exceeds 1 MiB"));
+        return Err(ParseError::too_large("request body exceeds 1 MiB"));
     }
-    let total = head_end + 4 + content_length;
-    if buf.len() < total {
-        return Parsed::Incomplete;
-    }
-    let body = match std::str::from_utf8(&buf[head_end + 4..total]) {
-        Ok(text) => text.to_owned(),
-        Err(_) => return Parsed::Invalid(ParseError::bad("request body is not valid UTF-8")),
-    };
-
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_owned(), parse_query(q)),
-        None => (target, Vec::new()),
-    };
-    Parsed::Ready {
-        request: Request { method, path: percent_decode(&path), query, body, keep_alive },
-        consumed: total,
-    }
+    Ok(Head { method, target, keep_alive, total: head_end + 4 + content_length })
 }
 
 /// The standard reason phrase for the status codes the service emits.
@@ -281,40 +328,6 @@ pub fn error_bytes(
     .unwrap_or_else(|_| "{\"error\":\"unrepresentable\"}".to_owned())
         + "\n";
     response_bytes(status, "application/json", extra_headers, body.as_bytes(), keep_alive)
-}
-
-/// Writes a complete HTTP/1.1 response (`Connection: close`) and
-/// flushes the stream. Used on the pool path, where the connection has
-/// left the event loop for good.
-///
-/// # Errors
-///
-/// Propagates stream write failures (the peer may have hung up).
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, String)],
-    body: &[u8],
-) -> std::io::Result<()> {
-    stream.write_all(&response_bytes(status, content_type, extra_headers, body, false))?;
-    stream.flush()
-}
-
-/// Writes a JSON error body `{"error": ...}` with the given status
-/// (`Connection: close`).
-///
-/// # Errors
-///
-/// Propagates stream write failures.
-pub fn write_error(
-    stream: &mut TcpStream,
-    status: u16,
-    message: &str,
-    extra_headers: &[(&str, String)],
-) -> std::io::Result<()> {
-    stream.write_all(&error_bytes(status, message, extra_headers, false))?;
-    stream.flush()
 }
 
 #[cfg(test)]
@@ -474,6 +487,50 @@ mod tests {
             assert_eq!(parsed, expected, "split at {split}");
             assert!(buf.is_empty(), "split at {split}: {} bytes left over", buf.len());
         }
+    }
+
+    #[test]
+    fn a_request_fed_a_byte_at_a_time_is_scanned_once() {
+        let wire: &[u8] =
+            b"POST /v1/scenario HTTP/1.1\r\nContent-Length: 17\r\n\r\n{\"name\": \"smoke\"}";
+        let head_end = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+        let mut cursor = Cursor::default();
+        for len in 1..wire.len() {
+            let parsed = parse_next(&wire[..len], &mut cursor);
+            assert!(matches!(parsed, Parsed::Incomplete), "{len} bytes parsed as {parsed:?}");
+            if len < head_end + 4 {
+                // The next search resumes 3 bytes before the end.
+                assert_eq!(cursor, Cursor { scanned: len, framed: None }, "{len} bytes");
+            } else {
+                // The head is parsed; nothing is parsed again until the
+                // whole body is in.
+                assert_eq!(cursor.framed, Some((head_end, wire.len())), "{len} bytes");
+            }
+        }
+        let Parsed::Ready { request, consumed } = parse_next(wire, &mut cursor) else {
+            panic!("the complete request parses");
+        };
+        assert_eq!(
+            (request.path.as_str(), request.body.as_str()),
+            ("/v1/scenario", r#"{"name": "smoke"}"#)
+        );
+        assert_eq!(consumed, wire.len());
+        assert_eq!(cursor, Cursor::default(), "a parsed request resets the cursor");
+
+        // A pipelined stream fed through one cursor a byte at a time
+        // parses into what `parse_request` makes of it.
+        let stream: &[u8] = b"GET /healthz HTTP/1.1\r\n\r\nGET /v1/cr?n=3&f=1 HTTP/1.1\r\n\r\n";
+        let mut buf = Vec::new();
+        let mut paths = Vec::new();
+        for &byte in stream {
+            buf.push(byte);
+            if let Parsed::Ready { request, consumed } = parse_next(&buf, &mut cursor) {
+                paths.push(request.path);
+                buf.drain(..consumed);
+            }
+        }
+        assert_eq!(paths, ["/healthz", "/v1/cr"]);
+        assert!(buf.is_empty());
     }
 
     #[test]

@@ -11,25 +11,28 @@
 //!   supremum), `POST /v1/optimize` (schedule-space optimizer gap
 //!   report), plus `GET /healthz` and `GET /metrics`.
 //! * **Event loop** — one thread owns accept/read/write over
-//!   non-blocking sockets with HTTP/1.1 keep-alive; a half-written
-//!   request never occupies more than its own connection (no
-//!   thread-per-connection slowloris exposure).
+//!   non-blocking sockets with HTTP/1.1 keep-alive on every tier; a
+//!   half-written request never occupies more than its own connection
+//!   (no thread-per-connection slowloris exposure).
 //! * **Serving tiers** — `GET /v1/cr` is answered from a precomputed
 //!   closed-form memo lattice ([`memo`], `X-Cache: memo`); other
 //!   requests hit the sharded LRU (`X-Cache: hit`), compute inline when
-//!   light, or park on the bounded worker pool when heavy.
+//!   light, or park in place on the event loop while the bounded worker
+//!   pool computes them when heavy.
 //! * **Single-flight coalescing** — concurrent misses on one canonical
-//!   cache key compute once ([`flight`]); every coalesced connection
-//!   receives the byte-identical response.
+//!   cache key compute once ([`flight`], a table only the event loop
+//!   touches); every coalesced connection receives the byte-identical
+//!   response and keeps its connection.
 //! * **Backpressure** — a bounded worker pool with a bounded admission
-//!   queue; a full queue answers `503 + Retry-After`, an expired
-//!   per-request deadline answers `504`.
+//!   queue; a full queue answers `503 + Retry-After`, and the event
+//!   loop answers `504` at a request's deadline. The job keeps its
+//!   worker until it finishes, so at most `threads` computations run.
 //! * **Scale-out** — `SO_REUSEPORT` shard mode (`faultline serve
 //!   --shards=N`) and a deterministic seeded load generator
 //!   ([`loadgen`], `faultline loadgen`).
 //! * **Operability** — plain-text metrics (including per-tier
-//!   counters), graceful drain on SIGINT/SIGTERM that finishes parked
-//!   work and is not blocked by idle keep-alive connections.
+//!   counters), graceful drain on SIGINT/SIGTERM that answers parked
+//!   connections and is not blocked by idle keep-alive connections.
 //!
 //! The binary surface lives in the `faultline` CLI (`faultline serve`,
 //! `faultline query`, `faultline loadgen`); this crate is the library

@@ -1,77 +1,54 @@
-//! Bounded worker pool with an admission queue.
+//! Bounded worker pool with an admission queue and a completion queue.
 //!
 //! The event loop resolves and validates requests, then submits a
 //! [`Job`] here. `try_submit` never blocks: when the queue is at
 //! capacity the caller answers `503 Service Unavailable` with a
 //! `Retry-After` header instead (backpressure, not buffering).
 //!
-//! A job answers a *flight* (see [`crate::flight`]), not a single
-//! socket: when it finishes, every connection coalesced onto the same
-//! cache key receives the byte-identical response. Each worker executes
-//! one job at a time. The job's compute closure runs on a watchdog
-//! thread so the worker can enforce the per-request deadline with
-//! `recv_timeout`: on expiry every waiter gets `504 Gateway Timeout`
-//! immediately while the abandoned computation finishes in the
-//! background and still warms the response cache (the closure inserts
-//! its result itself).
+//! Each worker runs one job at a time, in place and under
+//! `catch_unwind`, then posts a [`Completion`] (the job's flight and
+//! its [`Outcome`]) to the completion queue. A post into an empty queue
+//! also writes one byte into a `UnixStream` pair whose read end sits on
+//! the event loop's poller, so the loop wakes, takes every completion
+//! queued by then and answers the flights' connections itself. Workers
+//! never touch a socket, and a job holds its worker until it finishes,
+//! even after the loop answered its flight `504`: at most `threads`
+//! computations ever run. A job dequeued after its deadline is not run.
 
 use std::collections::VecDeque;
+use std::io::{self, Read, Write};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::flight::{FlightTable, Waiter};
-use crate::http;
+use crate::flight::FlightId;
 use crate::metrics::Metrics;
 use crate::ServeError;
 
 /// An admitted computation waiting for (or undergoing) execution. The
-/// connections it answers are parked on the flight table under `key`.
+/// connections it answers are parked on its flight.
 pub struct Job {
-    /// The cache key whose flight this job lands.
-    pub key: String,
-    /// The flight table holding the parked connections.
-    pub flights: Arc<FlightTable>,
-    /// Route label for metrics.
-    pub route: &'static str,
+    /// The flight this job lands.
+    pub flight: FlightId,
     /// Computes the response body (and inserts it into the cache).
     pub compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send>,
-    /// Admission deadline (the creator's); expired jobs answer 504
-    /// without computing.
+    /// The flight's deadline; a job dequeued after it is not run.
     pub deadline: Instant,
 }
 
-/// Writes a success response to every waiter of a landed flight.
-pub fn respond_waiters_ok(waiters: Vec<Waiter>, route: &str, metrics: &Metrics, body: &[u8]) {
-    for mut waiter in waiters {
-        // Count before writing: a client that has read its response must
-        // already see the request in /metrics.
-        metrics.observe(route, 200, waiter.received.elapsed());
-        let _ = http::write_response(
-            &mut waiter.stream,
-            200,
-            "application/json",
-            &[("X-Cache", "miss".to_owned())],
-            body,
-        );
-    }
-}
+/// What a job answers its flight with: the response body, or an error
+/// status with its message.
+pub type Outcome = Result<Vec<u8>, (u16, String)>;
 
-/// Writes an error response to every waiter of a landed flight.
-pub fn respond_waiters_error(
-    waiters: Vec<Waiter>,
-    route: &str,
-    metrics: &Metrics,
-    status: u16,
-    message: &str,
-    extra_headers: &[(&str, String)],
-) {
-    for mut waiter in waiters {
-        metrics.observe(route, status, waiter.received.elapsed());
-        let _ = http::write_error(&mut waiter.stream, status, message, extra_headers);
-    }
+/// A finished job, posted for the event loop.
+pub struct Completion {
+    /// The flight the job lands.
+    pub flight: FlightId,
+    /// Its answer.
+    pub outcome: Outcome,
 }
 
 struct QueueState {
@@ -79,41 +56,61 @@ struct QueueState {
     closed: bool,
 }
 
-struct QueueInner {
+struct Shared {
     state: Mutex<QueueState>,
     available: Condvar,
     capacity: usize,
     metrics: Arc<Metrics>,
+    completions: Mutex<Vec<Completion>>,
+    /// Write end of the wake-up pair (non-blocking).
+    wake: UnixStream,
 }
 
 /// The bounded worker pool. Shared behind an `Arc` between the event
-/// loop (submit) and the server teardown (drain).
+/// loop (submit, completions) and the server teardown (drain).
 pub struct WorkerPool {
-    inner: Arc<QueueInner>,
+    shared: Arc<Shared>,
+    /// Read end of the wake-up pair (non-blocking), for the poller.
+    woken: UnixStream,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl WorkerPool {
     /// Spawns `threads` workers sharing an admission queue of
     /// `capacity` jobs.
-    #[must_use]
-    pub fn new(threads: usize, capacity: usize, metrics: Arc<Metrics>) -> Self {
-        let inner = Arc::new(QueueInner {
+    ///
+    /// # Errors
+    ///
+    /// Fails when the wake-up socket pair cannot be created.
+    pub fn new(threads: usize, capacity: usize, metrics: Arc<Metrics>) -> io::Result<Self> {
+        let pool = WorkerPool::unstarted(capacity, metrics)?;
+        let handles = (0..threads.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&pool.shared);
+                std::thread::Builder::new()
+                    .name(format!("faultline-serve-worker-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawning a pool worker cannot fail")
+            })
+            .collect();
+        *pool.handles.lock().expect("pool handles poisoned") = handles;
+        Ok(pool)
+    }
+
+    /// A pool with no workers yet.
+    fn unstarted(capacity: usize, metrics: Arc<Metrics>) -> io::Result<Self> {
+        let (wake, woken) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        woken.set_nonblocking(true)?;
+        let shared = Arc::new(Shared {
             state: Mutex::new(QueueState { jobs: VecDeque::new(), closed: false }),
             available: Condvar::new(),
             capacity: capacity.max(1),
             metrics,
+            completions: Mutex::new(Vec::new()),
+            wake,
         });
-        let handles = (0..threads.max(1))
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("faultline-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawning a pool worker cannot fail")
-            })
-            .collect();
-        WorkerPool { inner, handles: Mutex::new(handles) }
+        Ok(WorkerPool { shared, woken, handles: Mutex::new(Vec::new()) })
     }
 
     /// Admits a job without blocking.
@@ -123,31 +120,47 @@ impl WorkerPool {
     /// Returns the job back when the queue is at capacity or the pool
     /// is draining; the caller answers 503 to the flight's waiters.
     pub fn try_submit(&self, job: Job) -> Result<(), Job> {
-        let mut state = self.inner.state.lock().expect("pool queue poisoned");
-        if state.closed || state.jobs.len() >= self.inner.capacity {
+        let mut state = self.shared.state.lock().expect("pool queue poisoned");
+        if state.closed || state.jobs.len() >= self.shared.capacity {
             return Err(job);
         }
         state.jobs.push_back(job);
-        self.inner.metrics.set_queue_depth(state.jobs.len());
+        self.shared.metrics.set_queue_depth(state.jobs.len());
         drop(state);
-        self.inner.available.notify_one();
+        self.shared.available.notify_one();
         Ok(())
     }
 
     /// The number of jobs currently queued (not yet picked up).
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.inner.state.lock().expect("pool queue poisoned").jobs.len()
+        self.shared.state.lock().expect("pool queue poisoned").jobs.len()
+    }
+
+    /// The descriptor that turns readable when completions are queued.
+    #[must_use]
+    pub fn completion_fd(&self) -> RawFd {
+        self.woken.as_raw_fd()
+    }
+
+    /// Appends every queued completion to `out`, in the order the jobs
+    /// finished, and consumes the wake-up bytes that announced them.
+    pub fn take_completions(&self, out: &mut Vec<Completion>) {
+        // Drain before taking: a completion posted after the take
+        // writes a fresh byte, so none is left unannounced.
+        let mut sink = [0u8; 64];
+        while matches!((&self.woken).read(&mut sink), Ok(n) if n > 0) {}
+        out.append(&mut self.shared.completions.lock().expect("completion queue poisoned"));
     }
 
     /// Graceful drain: stops admitting, lets the workers finish every
     /// queued and in-flight job, then joins them. Idempotent.
     pub fn drain(&self) {
         {
-            let mut state = self.inner.state.lock().expect("pool queue poisoned");
+            let mut state = self.shared.state.lock().expect("pool queue poisoned");
             state.closed = true;
         }
-        self.inner.available.notify_all();
+        self.shared.available.notify_all();
         let handles: Vec<_> =
             self.handles.lock().expect("pool handles poisoned").drain(..).collect();
         for handle in handles {
@@ -156,167 +169,136 @@ impl WorkerPool {
     }
 }
 
-fn worker_loop(inner: &QueueInner) {
+fn worker_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut state = inner.state.lock().expect("pool queue poisoned");
+            let mut state = shared.state.lock().expect("pool queue poisoned");
             loop {
                 if let Some(job) = state.jobs.pop_front() {
-                    inner.metrics.set_queue_depth(state.jobs.len());
+                    shared.metrics.set_queue_depth(state.jobs.len());
                     break job;
                 }
                 if state.closed {
                     return;
                 }
-                state = inner.available.wait(state).expect("pool queue poisoned");
+                state = shared.available.wait(state).expect("pool queue poisoned");
             }
         };
-        inner.metrics.worker_busy();
-        execute(job, &inner.metrics);
-        inner.metrics.worker_idle();
-    }
-}
-
-/// Runs one job under its deadline and answers its flight.
-fn execute(job: Job, metrics: &Metrics) {
-    metrics.pool_job();
-    let Job { key, flights, route, compute, deadline } = job;
-    let now = Instant::now();
-    if now >= deadline {
-        let waiters = flights.land(&key);
-        respond_waiters_error(waiters, route, metrics, 504, "deadline exceeded while queued", &[]);
-        return;
-    }
-    let (tx, rx) = channel();
-    // The watchdog thread owns the computation; if the deadline fires
-    // first the result is dropped but the closure has already warmed
-    // the cache for the next request.
-    let spawned =
-        std::thread::Builder::new().name("faultline-serve-compute".to_owned()).spawn(move || {
-            let _ = tx.send(catch_unwind(AssertUnwindSafe(compute)));
-        });
-    if let Err(e) = spawned {
-        let waiters = flights.land(&key);
-        respond_waiters_error(
-            waiters,
-            route,
-            metrics,
-            500,
-            &format!("cannot spawn compute: {e}"),
-            &[],
-        );
-        return;
-    }
-    match rx.recv_timeout(deadline - now) {
-        Ok(Ok(Ok(body))) => {
-            // Land only after the closure inserted into the cache, so a
-            // request arriving now either hits the cache or starts a
-            // fresh (immediately-warm) flight — never waits forever.
-            let waiters = flights.land(&key);
-            respond_waiters_ok(waiters, route, metrics, &body);
+        shared.metrics.worker_busy();
+        shared.metrics.pool_job();
+        let Job { flight, compute, deadline } = job;
+        let outcome = if Instant::now() >= deadline {
+            Err((504, "deadline exceeded while queued".to_owned()))
+        } else {
+            match catch_unwind(AssertUnwindSafe(compute)) {
+                Ok(Ok(body)) => Ok(body),
+                Ok(Err(error)) => Err((error.status(), error.message().to_owned())),
+                Err(_panic) => Err((500, "computation panicked".to_owned())),
+            }
+        };
+        let mut completions = shared.completions.lock().expect("completion queue poisoned");
+        let announce = completions.is_empty();
+        completions.push(Completion { flight, outcome });
+        drop(completions);
+        if announce {
+            // Non-blocking, and at most a few bytes are ever unread.
+            let _ = (&shared.wake).write(&[1]);
         }
-        Ok(Ok(Err(error))) => {
-            let waiters = flights.land(&key);
-            respond_waiters_error(waiters, route, metrics, error.status(), error.message(), &[]);
-        }
-        Ok(Err(_panic)) => {
-            let waiters = flights.land(&key);
-            respond_waiters_error(waiters, route, metrics, 500, "computation panicked", &[]);
-        }
-        Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-            let waiters = flights.land(&key);
-            respond_waiters_error(waiters, route, metrics, 504, "deadline exceeded", &[]);
-        }
+        shared.metrics.worker_idle();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flight::Parked;
-    use std::net::{TcpListener, TcpStream};
+    use crate::flight::{FlightTable, Parked, Waiter};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
-    fn dummy_stream() -> TcpStream {
-        // A connected socket pair via a throwaway listener.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let _server_side = listener.accept().unwrap();
-        client
+    fn waiter() -> Waiter {
+        Waiter { fd: 7, token: 0, received: Instant::now(), keep_alive: true, route: "/test" }
     }
 
-    fn dummy_job(flights: &Arc<FlightTable>, key: &str, deadline_from_now: Duration) -> Job {
-        let now = Instant::now();
-        let parked = flights.park(key, Waiter { stream: dummy_stream(), received: now });
-        assert_eq!(parked, Parked::Created, "test keys are unique per job");
-        Job {
-            key: key.to_owned(),
-            flights: Arc::clone(flights),
-            route: "/test",
-            compute: Box::new(|| Ok(b"{}".to_vec())),
-            deadline: now + deadline_from_now,
-        }
+    fn dummy_job(flights: &mut FlightTable, key: &str, deadline_from_now: Duration) -> Job {
+        let deadline = Instant::now() + deadline_from_now;
+        let Parked::Created(flight) = flights.park(key, deadline, waiter()) else {
+            panic!("test keys are unique per job")
+        };
+        Job { flight, compute: Box::new(|| Ok(b"{}".to_vec())), deadline }
+    }
+
+    /// Every completion the pool has posted, landed on `flights`.
+    fn land_all(pool: &WorkerPool, flights: &mut FlightTable) -> Vec<(usize, Outcome)> {
+        let mut completions = Vec::new();
+        pool.take_completions(&mut completions);
+        completions
+            .into_iter()
+            .map(|c| (flights.land(&c.flight).map_or(0, |waiters| waiters.len()), c.outcome))
+            .collect()
     }
 
     #[test]
     fn full_queue_rejects_without_blocking() {
         // No workers consuming: one slot, second submit bounces.
-        let metrics = Arc::new(Metrics::new(1));
-        let inner = Arc::new(QueueInner {
-            state: Mutex::new(QueueState { jobs: VecDeque::new(), closed: false }),
-            available: Condvar::new(),
-            capacity: 1,
-            metrics,
-        });
-        let pool = WorkerPool { inner, handles: Mutex::new(Vec::new()) };
-        let flights = Arc::new(FlightTable::new());
-        assert!(pool.try_submit(dummy_job(&flights, "a", Duration::from_secs(5))).is_ok());
-        assert!(pool.try_submit(dummy_job(&flights, "b", Duration::from_secs(5))).is_err());
+        let pool = WorkerPool::unstarted(1, Arc::new(Metrics::new(1))).unwrap();
+        let mut flights = FlightTable::new();
+        assert!(pool.try_submit(dummy_job(&mut flights, "a", Duration::from_secs(5))).is_ok());
+        assert!(pool.try_submit(dummy_job(&mut flights, "b", Duration::from_secs(5))).is_err());
         assert_eq!(pool.queue_depth(), 1);
     }
 
     #[test]
     fn drain_finishes_queued_jobs() {
         let metrics = Arc::new(Metrics::new(2));
-        let pool = WorkerPool::new(2, 8, Arc::clone(&metrics));
-        let flights = Arc::new(FlightTable::new());
+        let pool = WorkerPool::new(2, 8, Arc::clone(&metrics)).unwrap();
+        let mut flights = FlightTable::new();
         for key in ["a", "b", "c", "d"] {
-            pool.try_submit(dummy_job(&flights, key, Duration::from_secs(5)))
+            pool.try_submit(dummy_job(&mut flights, key, Duration::from_secs(5)))
                 .map_err(|_| "full")
                 .unwrap();
         }
         pool.drain();
-        assert_eq!(metrics.requests_for("/test", 200), 4, "every queued job was executed");
+        let landed = land_all(&pool, &mut flights);
+        assert_eq!(landed.len(), 4, "every queued job was executed");
+        assert!(landed.iter().all(|(waiters, outcome)| *waiters == 1 && outcome.is_ok()));
         assert_eq!(metrics.pool_jobs(), 4);
         assert_eq!(flights.in_flight(), 0, "every flight landed");
     }
 
     #[test]
     fn expired_jobs_answer_504_without_computing() {
-        let metrics = Arc::new(Metrics::new(1));
-        let pool = WorkerPool::new(1, 4, Arc::clone(&metrics));
-        let flights = Arc::new(FlightTable::new());
-        pool.try_submit(dummy_job(&flights, "late", Duration::ZERO)).map_err(|_| "full").unwrap();
+        let pool = WorkerPool::new(1, 4, Arc::new(Metrics::new(1))).unwrap();
+        let mut flights = FlightTable::new();
+        let ran = Arc::new(AtomicBool::new(false));
+        let mut job = dummy_job(&mut flights, "late", Duration::ZERO);
+        let flag = Arc::clone(&ran);
+        job.compute = Box::new(move || {
+            flag.store(true, Ordering::SeqCst);
+            Ok(Vec::new())
+        });
+        pool.try_submit(job).map_err(|_| "full").unwrap();
         pool.drain();
-        assert_eq!(metrics.requests_for("/test", 504), 1);
+        let landed = land_all(&pool, &mut flights);
+        assert!(matches!(landed.as_slice(), [(1, Err((504, _)))]), "{landed:?}");
+        assert!(!ran.load(Ordering::SeqCst), "an expired job never computes");
     }
 
     #[test]
     fn one_job_answers_every_coalesced_waiter() {
         let metrics = Arc::new(Metrics::new(1));
-        let pool = WorkerPool::new(1, 4, Arc::clone(&metrics));
-        let flights = Arc::new(FlightTable::new());
-        let job = dummy_job(&flights, "herd", Duration::from_secs(5));
+        let pool = WorkerPool::new(1, 4, Arc::clone(&metrics)).unwrap();
+        let mut flights = FlightTable::new();
+        let job = dummy_job(&mut flights, "herd", Duration::from_secs(5));
         // Three more connections coalesce onto the same flight.
         for _ in 0..3 {
-            let parked =
-                flights.park("herd", Waiter { stream: dummy_stream(), received: Instant::now() });
+            let parked = flights.park("herd", Instant::now(), waiter());
             assert_eq!(parked, Parked::Coalesced, "the flight exists");
         }
         pool.try_submit(job).map_err(|_| "full").unwrap();
         pool.drain();
-        assert_eq!(metrics.requests_for("/test", 200), 4, "all four waiters answered");
-        assert_eq!(metrics.pool_jobs(), 1, "one computation for the herd");
+        let landed = land_all(&pool, &mut flights);
+        assert_eq!(landed.len(), 1, "one computation for the herd");
+        assert_eq!(landed[0].0, 4, "all four waiters answered");
+        assert_eq!(metrics.pool_jobs(), 1);
     }
 }

@@ -13,15 +13,20 @@
 //!    the original computation (`X-Cache: hit`).
 //! 3. **light miss** — closed-form routes compute inline on the event
 //!    loop (`X-Cache: miss`).
-//! 4. **heavy miss** — the connection *parks* on a single-flight keyed
-//!    on the cache key; the first requester submits the one bounded
-//!    worker-pool job, coalesced followers just wait. Saturation
-//!    degrades exactly as before: a full admission queue answers
-//!    `503 + Retry-After`, an expired deadline `504`, while probes and
-//!    repeat queries keep answering on the event loop.
+//! 4. **heavy miss** — the connection *parks* in place on a
+//!    single-flight keyed on the cache key ([`crate::flight`]): its
+//!    read interest goes off and any pipelined bytes wait in its
+//!    buffer. The first requester submits the one bounded worker-pool
+//!    job, coalesced followers just wait. The loop answers every waiter
+//!    when the job's completion wakes it ([`crate::pool`]), `504` itself
+//!    when the flight's deadline passes, and `503 + Retry-After` at once
+//!    when the admission queue is full, while probes and repeat queries
+//!    keep answering.
 //!
-//! Parked responses close their connection (they leave the event loop
-//! for good); every inline tier honors keep-alive.
+//! Every tier honors keep-alive: an answered parked connection goes on
+//! to its next request. A graceful drain closes the listener and every
+//! connection nothing is owed to, then keeps the loop running until each
+//! parked connection has its answer (with `Connection: close`) written.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -36,18 +41,19 @@ use crate::cache::ResponseCache;
 use crate::config::ServeConfig;
 use crate::flight::{FlightTable, Parked, Waiter};
 use crate::handlers::{self, Prepared};
-use crate::http::{self, Parsed, Request};
+use crate::http::{self, Cursor, Parsed, Request};
 use crate::memo::CrMemo;
 use crate::metrics::Metrics;
-use crate::pool::{self, Job, WorkerPool};
+use crate::pool::{self, Completion, Job, WorkerPool};
 use crate::router::{route, Route, Routed};
 use crate::signal;
-use crate::sys::{self, Poller, EVENT_READ, EVENT_WRITE};
+use crate::sys::{self, Event, Poller, EVENT_READ, EVENT_WRITE};
 
 /// Metrics label for requests that match no route.
 const UNMATCHED: &str = "unmatched";
-/// The epoll wait timeout; bounds shutdown reaction time (a wait tick
+/// The longest epoll wait; bounds shutdown reaction time (a wait tick
 /// re-checks the latches), NOT request latency (readiness wakes it).
+/// A flight's deadline shortens the wait.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
 /// Read chunk size for draining a readable socket.
 const READ_CHUNK: usize = 8 * 1024;
@@ -64,8 +70,6 @@ pub struct ServerState {
     pub metrics: Arc<Metrics>,
     /// The bounded worker pool.
     pub pool: Arc<WorkerPool>,
-    /// In-flight single-flight computations keyed on cache keys.
-    pub flights: Arc<FlightTable>,
     /// The precomputed `/v1/cr` closed-form lattice.
     pub memo: Arc<CrMemo>,
 }
@@ -77,13 +81,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and builds the cache, metrics, pool, flight
-    /// table and closed-form memo.
+    /// Binds the listener and builds the cache, metrics, pool and
+    /// closed-form memo.
     ///
     /// # Errors
     ///
-    /// Fails on invalid configuration or if the address cannot be
-    /// bound.
+    /// Fails on invalid configuration, if the address cannot be bound or
+    /// if the pool's wake-up socket pair cannot be created.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
         config.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let listener = if config.reuse_port {
@@ -98,13 +102,9 @@ impl Server {
         let threads = config.resolved_threads();
         let cache = Arc::new(ResponseCache::new(config.cache_bytes, config.cache_shards));
         let metrics = Arc::new(Metrics::new(threads));
-        let pool = Arc::new(WorkerPool::new(threads, config.queue_capacity, Arc::clone(&metrics)));
-        let flights = Arc::new(FlightTable::new());
+        let pool = Arc::new(WorkerPool::new(threads, config.queue_capacity, Arc::clone(&metrics))?);
         let memo = Arc::new(CrMemo::build(config.memo_max_n));
-        Ok(Server {
-            listener,
-            state: Arc::new(ServerState { config, cache, metrics, pool, flights, memo }),
-        })
+        Ok(Server { listener, state: Arc::new(ServerState { config, cache, metrics, pool, memo }) })
     }
 
     /// The bound address (useful with port 0).
@@ -116,7 +116,7 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Shared state handle (cache, metrics, pool, flights, memo).
+    /// Shared state handle (cache, metrics, pool, memo).
     #[must_use]
     pub fn state(&self) -> Arc<ServerState> {
         Arc::clone(&self.state)
@@ -124,16 +124,18 @@ impl Server {
 
     /// Runs the event loop until `shutdown` flips or a termination
     /// signal arrives, then drains gracefully: the listener closes (no
-    /// new connections), idle keep-alive connections are dropped, and
-    /// every admitted pool job completes before this returns.
+    /// new connections), idle keep-alive connections are dropped, every
+    /// parked connection is answered with `Connection: close`, and every
+    /// admitted pool job completes before this returns.
     pub fn run(self, shutdown: Arc<AtomicBool>) {
-        if let Err(error) = event_loop(&self.listener, &self.state, &shutdown) {
+        let Server { listener, state } = self;
+        let served = EventLoop::new(listener, Arc::clone(&state))
+            .and_then(|event_loop| event_loop.run(&shutdown));
+        if let Err(error) = served {
             eprintln!("faultline-serve event loop failed: {error}");
         }
-        // Stop accepting before draining so "graceful" means: in-flight
-        // and queued requests finish, new ones are refused.
-        drop(self.listener);
-        self.state.pool.drain();
+        // Jobs whose flights the loop answered 504 still hold workers.
+        state.pool.drain();
     }
 }
 
@@ -169,7 +171,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Shared state handle (cache, metrics, pool, flights, memo).
+    /// Shared state handle (cache, metrics, pool, memo).
     #[must_use]
     pub fn state(&self) -> Arc<ServerState> {
         Arc::clone(&self.state)
@@ -200,8 +202,12 @@ impl Drop for ServerHandle {
 /// One connection owned by the event loop.
 struct Connection {
     stream: TcpStream,
+    /// Names this connection to its flight; unlike the fd, never reused.
+    token: u64,
     /// Accumulated unparsed request bytes.
     buf: Vec<u8>,
+    /// How far parsing `buf` has got.
+    cursor: Cursor,
     /// Pending response bytes not yet written.
     out: Vec<u8>,
     /// Prefix of `out` already written to the socket.
@@ -212,196 +218,364 @@ struct Connection {
     last_activity: Instant,
     /// Close the connection once `out` drains.
     close_after_flush: bool,
+    /// Waiting on a flight: reads are off, and `buf` holds whatever was
+    /// pipelined behind the parked request until the flight lands.
+    parked: bool,
     /// Requests answered on this connection (keep-alive accounting).
     requests_served: u64,
-    /// Whether the epoll registration currently includes writability.
-    wants_write: bool,
+    /// The epoll interest currently registered.
+    interest: u32,
 }
 
 impl Connection {
-    fn new(stream: TcpStream) -> Connection {
+    fn new(stream: TcpStream, token: u64) -> Connection {
         let now = Instant::now();
         Connection {
             stream,
+            token,
             buf: Vec::new(),
+            cursor: Cursor::default(),
             out: Vec::new(),
             written: 0,
             request_start: now,
             last_activity: now,
             close_after_flush: false,
+            parked: false,
             requests_served: 0,
-            wants_write: false,
+            interest: EVENT_READ,
         }
     }
 
     fn pending_output(&self) -> bool {
         self.written < self.out.len()
     }
+
+    /// Reads nothing more: the connection closes once `out` drains.
+    fn close_after_output(&mut self) {
+        self.close_after_flush = true;
+        self.buf.clear();
+        self.cursor = Cursor::default();
+    }
 }
 
-/// A heavy cache miss leaving the event loop for the pool path.
+/// A heavy cache miss to park on its flight.
 struct ParkRequest {
     key: String,
     route: &'static str,
     compute: Box<dyn FnOnce() -> Result<Vec<u8>, crate::ServeError> + Send>,
     received: Instant,
+    keep_alive: bool,
 }
 
-/// What `process_buffer` decided about a connection's future.
-enum AfterProcess {
-    /// Stay on the event loop.
-    Keep,
-    /// Hand the stream to the flight table (heavy miss).
-    Park(ParkRequest),
-    /// Unrecoverable (peer vanished mid-read/write).
-    Drop,
+/// The event loop's state. Only the loop's thread touches it, so the
+/// flight table needs no lock.
+struct EventLoop {
+    state: Arc<ServerState>,
+    poller: Poller,
+    /// `None` once draining: dropping it refuses new connections.
+    listener: Option<TcpListener>,
+    conns: HashMap<i32, Connection>,
+    flights: FlightTable,
+    /// The last connection token handed out.
+    tokens: u64,
+    draining: bool,
+    events: Vec<Event>,
+    completions: Vec<Completion>,
+    last_sweep: Instant,
 }
 
-fn event_loop(
-    listener: &TcpListener,
-    state: &Arc<ServerState>,
-    shutdown: &AtomicBool,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let poller = Poller::new()?;
-    let listener_fd = listener.as_raw_fd();
-    poller.add(listener_fd, EVENT_READ)?;
-    let mut conns: HashMap<i32, Connection> = HashMap::new();
-    let mut events = Vec::new();
-    let mut last_sweep = Instant::now();
+impl EventLoop {
+    fn new(listener: TcpListener, state: Arc<ServerState>) -> io::Result<EventLoop> {
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        poller.add(listener.as_raw_fd(), EVENT_READ)?;
+        poller.add(state.pool.completion_fd(), EVENT_READ)?;
+        Ok(EventLoop {
+            state,
+            poller,
+            listener: Some(listener),
+            conns: HashMap::new(),
+            flights: FlightTable::new(),
+            tokens: 0,
+            draining: false,
+            events: Vec::new(),
+            completions: Vec::new(),
+            last_sweep: Instant::now(),
+        })
+    }
 
-    while !shutdown.load(Ordering::SeqCst) && !signal::shutdown_requested() {
+    /// Serves until `shutdown` flips or a termination signal arrives,
+    /// then until the drain has answered every parked connection.
+    fn run(mut self, shutdown: &AtomicBool) -> io::Result<()> {
+        loop {
+            if !self.draining && (shutdown.load(Ordering::SeqCst) || signal::shutdown_requested()) {
+                self.begin_drain();
+            }
+            if self.draining && self.conns.is_empty() {
+                return Ok(());
+            }
+            self.turn()?;
+        }
+    }
+
+    /// One wait, and everything it woke.
+    fn turn(&mut self) -> io::Result<()> {
+        let mut timeout = SHUTDOWN_POLL;
+        if let Some(deadline) = self.flights.next_deadline() {
+            timeout = timeout.min(deadline.saturating_duration_since(Instant::now()));
+        }
+        let mut events = std::mem::take(&mut self.events);
         events.clear();
-        poller.wait(SHUTDOWN_POLL, &mut events)?;
-        for event in &events {
+        self.poller.wait(timeout, &mut events)?;
+        let listener_fd = self.listener.as_ref().map(AsRawFd::as_raw_fd);
+        let completion_fd = self.state.pool.completion_fd();
+        for &event in &events {
             let fd = event.token as i32;
-            if fd == listener_fd {
-                accept_ready(listener, &poller, &mut conns, state);
+            if Some(fd) == listener_fd {
+                self.accept_ready();
+            } else if fd == completion_fd {
+                self.land_completions();
             } else {
-                service_connection(
-                    fd,
-                    event.readable(),
-                    event.writable(),
-                    &poller,
-                    &mut conns,
-                    state,
-                );
+                self.service(fd, event);
             }
         }
-        if last_sweep.elapsed() >= SWEEP_INTERVAL {
-            sweep_idle(&poller, &mut conns, state.config.idle_timeout);
-            last_sweep = Instant::now();
-        }
-    }
-
-    // Teardown: drop every event-loop connection. Idle keep-alive
-    // peers see EOF; parked connections are not here — the pool drain
-    // answers them.
-    for (fd, _conn) in conns.drain() {
-        let _ = poller.del(fd);
-    }
-    Ok(())
-}
-
-/// Accepts every pending connection on a readable listener.
-fn accept_ready(
-    listener: &TcpListener,
-    poller: &Poller,
-    conns: &mut HashMap<i32, Connection>,
-    state: &ServerState,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let fd = stream.as_raw_fd();
-                if poller.add(fd, EVENT_READ).is_ok() {
-                    state.metrics.connection_accepted();
-                    conns.insert(fd, Connection::new(stream));
-                }
+        self.events = events;
+        if self.flights.in_flight() > 0 {
+            let expired = self.flights.expire(Instant::now());
+            if !expired.is_empty() {
+                self.answer(expired, &Err((504, "deadline exceeded".to_owned())));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
         }
-    }
-}
-
-/// Handles one readiness event for an established connection.
-fn service_connection(
-    fd: i32,
-    readable: bool,
-    writable: bool,
-    poller: &Poller,
-    conns: &mut HashMap<i32, Connection>,
-    state: &Arc<ServerState>,
-) {
-    let Some(mut conn) = conns.remove(&fd) else {
-        return; // already closed this tick
-    };
-
-    if writable && try_flush(&mut conn).is_err() {
-        let _ = poller.del(fd);
-        return;
+        if self.last_sweep.elapsed() >= SWEEP_INTERVAL {
+            self.sweep_idle();
+            self.last_sweep = Instant::now();
+        }
+        Ok(())
     }
 
-    let after = if readable { read_and_process(&mut conn, state) } else { AfterProcess::Keep };
-
-    match after {
-        AfterProcess::Drop => {
-            let _ = poller.del(fd);
+    /// Stops accepting and closes every connection nothing is owed to;
+    /// the rest close once answered and flushed.
+    fn begin_drain(&mut self) {
+        self.draining = true;
+        if let Some(listener) = self.listener.take() {
+            let _ = self.poller.del(listener.as_raw_fd());
         }
-        AfterProcess::Park(park) => {
-            let _ = poller.del(fd);
-            // Flush any pipelined responses queued ahead of the parked
-            // request, then hand the (blocking again) stream to the
-            // flight. The pool path writes blocking.
-            let Connection { stream, out, written, .. } = conn;
-            if stream.set_nonblocking(false).is_err() {
+        let poller = &self.poller;
+        self.conns.retain(|&fd, conn| {
+            if !conn.parked && conn.pending_output() {
+                conn.close_after_output();
+            }
+            let owed = conn.parked || conn.pending_output();
+            if !owed {
+                let _ = poller.del(fd);
+            }
+            owed
+        });
+    }
+
+    /// Accepts every pending connection on a readable listener.
+    fn accept_ready(&mut self) {
+        let Some(listener) = &self.listener else { return };
+        loop {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    let fd = stream.as_raw_fd();
+                    if self.poller.add(fd, EVENT_READ).is_ok() {
+                        self.state.metrics.connection_accepted();
+                        self.tokens += 1;
+                        self.conns.insert(fd, Connection::new(stream, self.tokens));
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+    }
+
+    /// Handles one readiness event for an established connection.
+    fn service(&mut self, fd: i32, event: Event) {
+        let Some(mut conn) = self.conns.remove(&fd) else {
+            return; // already closed this tick
+        };
+        if event.writable() && try_flush(&mut conn).is_err() {
+            let _ = self.poller.del(fd);
+            return;
+        }
+        if conn.parked {
+            // Reads are off, so this is a reset or hang-up: forget the
+            // connection. Its waiter's token answers no one.
+            if event.hung_up() {
+                let _ = self.poller.del(fd);
                 return;
             }
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-            if written < out.len() {
-                let mut stream_ref = &stream;
-                if stream_ref.write_all(&out[written..]).is_err() {
+        } else if event.readable() {
+            if !read_available(&mut conn) {
+                let _ = self.poller.del(fd);
+                return;
+            }
+            self.process_buffer(&mut conn);
+        }
+        self.settle(fd, conn);
+    }
+
+    /// Parses and answers every complete request in the buffer, up to
+    /// the first that parks.
+    fn process_buffer(&mut self, conn: &mut Connection) {
+        while !conn.close_after_flush && !conn.parked {
+            match http::parse_next(&conn.buf, &mut conn.cursor) {
+                Parsed::Incomplete => break,
+                Parsed::Invalid(error) => {
+                    let bytes = http::error_bytes(error.status, &error.message, &[], false);
+                    conn.out.extend_from_slice(&bytes);
+                    let latency = conn.request_start.elapsed();
+                    self.state.metrics.observe(UNMATCHED, error.status, latency);
+                    conn.close_after_output();
+                }
+                Parsed::Ready { request, consumed } => {
+                    conn.buf.drain(..consumed);
+                    conn.requests_served += 1;
+                    if conn.requests_served > 1 {
+                        self.state.metrics.keepalive_reuse();
+                    }
+                    let received = conn.request_start;
+                    conn.request_start = Instant::now();
+                    match handle_request(&self.state, &request, received) {
+                        Outcome::Inline(bytes) => {
+                            conn.out.extend_from_slice(&bytes);
+                            if !request.keep_alive {
+                                conn.close_after_output();
+                            }
+                        }
+                        Outcome::Park(park) => self.park(conn, park),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Parks a heavy miss on its flight; the creator submits the one
+    /// pool job, coalesced followers just count the metric. A full
+    /// queue answers `503 + Retry-After` at once, without parking.
+    fn park(&mut self, conn: &mut Connection, park: ParkRequest) {
+        let ParkRequest { key, route, compute, received, keep_alive } = park;
+        let fd = conn.stream.as_raw_fd();
+        let waiter = Waiter { fd, token: conn.token, received, keep_alive, route };
+        let deadline = received + self.state.config.request_timeout;
+        match self.flights.park(&key, deadline, waiter) {
+            Parked::Coalesced => self.state.metrics.coalesced(),
+            Parked::Created(flight) => {
+                if let Err(job) = self.state.pool.try_submit(Job { flight, compute, deadline }) {
+                    let _ = self.flights.land(&job.flight);
+                    self.state.metrics.observe(route, 503, received.elapsed());
+                    conn.out.extend_from_slice(&http::error_bytes(
+                        503,
+                        "admission queue is full, retry shortly",
+                        &[("Retry-After", "1".to_owned())],
+                        keep_alive,
+                    ));
+                    if !keep_alive {
+                        conn.close_after_output();
+                    }
                     return;
                 }
             }
-            let _ = stream.set_write_timeout(None);
-            park_on_flight(stream, park, state);
         }
-        AfterProcess::Keep => {
-            if try_flush(&mut conn).is_err() {
-                let _ = poller.del(fd);
+        conn.parked = true;
+    }
+
+    /// Answers the flights of every job that finished.
+    fn land_completions(&mut self) {
+        let mut completions = std::mem::take(&mut self.completions);
+        self.state.pool.take_completions(&mut completions);
+        for Completion { flight, outcome } in completions.drain(..) {
+            // `None`: the loop already answered it 504.
+            if let Some(waiters) = self.flights.land(&flight) {
+                self.answer(waiters, &outcome);
+            }
+        }
+        self.completions = completions;
+    }
+
+    /// Answers the waiters of landed flights whose connections are still
+    /// open, then serves what each pipelined behind its parked request.
+    fn answer(&mut self, waiters: Vec<Waiter>, outcome: &pool::Outcome) {
+        let status = outcome.as_ref().map_or_else(|(status, _)| *status, |_| 200);
+        for Waiter { fd, token, received, keep_alive, route } in waiters {
+            // Count before writing: a client that has read its response
+            // must already see the request in /metrics.
+            self.state.metrics.observe(route, status, received.elapsed());
+            if self.conns.get(&fd).is_none_or(|conn| conn.token != token) {
+                continue; // closed while parked; the fd may be another's now
+            }
+            let mut conn = self.conns.remove(&fd).expect("the connection was just found");
+            let keep = keep_alive && !self.draining;
+            let bytes = match outcome {
+                Ok(body) => http::response_bytes(
+                    200,
+                    "application/json",
+                    &[("X-Cache", "miss".to_owned())],
+                    body,
+                    keep,
+                ),
+                Err((status, message)) => http::error_bytes(*status, message, &[], keep),
+            };
+            conn.out.extend_from_slice(&bytes);
+            conn.parked = false;
+            if !keep {
+                conn.close_after_output();
+            }
+            self.process_buffer(&mut conn);
+            self.settle(fd, conn);
+        }
+    }
+
+    /// Writes what the socket takes, then registers the interest the
+    /// connection's state needs, or closes it.
+    fn settle(&mut self, fd: i32, mut conn: Connection) {
+        if try_flush(&mut conn).is_err() || (conn.close_after_flush && !conn.pending_output()) {
+            let _ = self.poller.del(fd);
+            return;
+        }
+        let read = if conn.parked { 0 } else { EVENT_READ };
+        let interest = read | if conn.pending_output() { EVENT_WRITE } else { 0 };
+        if interest != conn.interest {
+            if self.poller.set(fd, interest).is_err() {
                 return;
             }
-            if conn.close_after_flush && !conn.pending_output() {
-                let _ = poller.del(fd);
-                return;
-            }
-            let wants_write = conn.pending_output();
-            if wants_write != conn.wants_write {
-                let interest = EVENT_READ | if wants_write { EVENT_WRITE } else { 0 };
-                if poller.set(fd, interest).is_err() {
-                    return;
-                }
-                conn.wants_write = wants_write;
-            }
-            conns.insert(fd, conn);
+            conn.interest = interest;
         }
+        self.conns.insert(fd, conn);
+    }
+
+    /// Closes connections with no traffic inside the idle window. This
+    /// is the slowloris backstop: a half-written request header costs
+    /// one buffer for at most `idle_timeout`. A parked connection waits
+    /// on the server, not the peer; its flight's deadline bounds it.
+    fn sweep_idle(&mut self) {
+        let idle_timeout = self.state.config.idle_timeout;
+        let poller = &self.poller;
+        self.conns.retain(|&fd, conn| {
+            let live = conn.parked || conn.last_activity.elapsed() < idle_timeout;
+            if !live {
+                let _ = poller.del(fd);
+            }
+            live
+        });
     }
 }
 
-/// Drains the socket into the buffer, then parses and serves every
-/// complete request in it.
-fn read_and_process(conn: &mut Connection, state: &Arc<ServerState>) -> AfterProcess {
+/// Drains the socket into the buffer; false once the peer closed or
+/// failed.
+fn read_available(conn: &mut Connection) -> bool {
     let mut chunk = [0u8; READ_CHUNK];
     loop {
         match conn.stream.read(&mut chunk) {
-            Ok(0) => return AfterProcess::Drop, // peer closed
+            Ok(0) => return false, // peer closed
             Ok(n) => {
                 if conn.buf.is_empty() {
                     conn.request_start = Instant::now();
@@ -409,54 +583,11 @@ fn read_and_process(conn: &mut Connection, state: &Arc<ServerState>) -> AfterPro
                 conn.buf.extend_from_slice(&chunk[..n]);
                 conn.last_activity = Instant::now();
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return AfterProcess::Drop,
+            Err(_) => return false,
         }
     }
-    process_buffer(conn, state)
-}
-
-/// Parses and answers every complete request in the buffer.
-fn process_buffer(conn: &mut Connection, state: &Arc<ServerState>) -> AfterProcess {
-    while !conn.close_after_flush {
-        match http::parse_request(&conn.buf) {
-            Parsed::Incomplete => break,
-            Parsed::Invalid(error) => {
-                let bytes = http::error_bytes(error.status, &error.message, &[], false);
-                conn.out.extend_from_slice(&bytes);
-                state.metrics.observe(UNMATCHED, error.status, conn.request_start.elapsed());
-                conn.close_after_flush = true;
-                conn.buf.clear();
-                break;
-            }
-            Parsed::Ready { request, consumed } => {
-                conn.buf.drain(..consumed);
-                conn.requests_served += 1;
-                if conn.requests_served > 1 {
-                    state.metrics.keepalive_reuse();
-                }
-                let received = conn.request_start;
-                conn.request_start = Instant::now();
-                match handle_request(state, &request, received) {
-                    Outcome::Inline(bytes) => {
-                        conn.out.extend_from_slice(&bytes);
-                        if !request.keep_alive {
-                            conn.close_after_flush = true;
-                            conn.buf.clear();
-                        }
-                    }
-                    Outcome::Park(park) => {
-                        // Bytes pipelined behind a parked request are
-                        // dropped: its response closes the connection.
-                        conn.buf.clear();
-                        return AfterProcess::Park(park);
-                    }
-                }
-            }
-        }
-    }
-    AfterProcess::Keep
 }
 
 /// How one parsed request gets answered.
@@ -469,7 +600,7 @@ enum Outcome {
 
 /// Serves one request through the tier ladder (memo → cache hit →
 /// inline light compute → parked heavy compute).
-fn handle_request(state: &Arc<ServerState>, request: &Request, received: Instant) -> Outcome {
+fn handle_request(state: &ServerState, request: &Request, received: Instant) -> Outcome {
     let keep = request.keep_alive;
     let matched = match route(&request.method, &request.path) {
         Routed::NotFound => {
@@ -577,6 +708,7 @@ fn handle_request(state: &Arc<ServerState>, request: &Request, received: Instant
             route: matched.label(),
             compute: compute_and_insert,
             received,
+            keep_alive: keep,
         });
     }
 
@@ -596,36 +728,6 @@ fn handle_request(state: &Arc<ServerState>, request: &Request, received: Instant
         Err(error) => {
             state.metrics.observe(matched.label(), error.status(), received.elapsed());
             Outcome::Inline(http::error_bytes(error.status(), error.message(), &[], keep))
-        }
-    }
-}
-
-/// Parks a heavy miss on its flight; the creator submits the one pool
-/// job, coalesced followers just count the metric. A full queue lands
-/// the flight immediately with `503 + Retry-After` for every waiter.
-fn park_on_flight(stream: TcpStream, park: ParkRequest, state: &Arc<ServerState>) {
-    let ParkRequest { key, route, compute, received } = park;
-    match state.flights.park(&key, Waiter { stream, received }) {
-        Parked::Coalesced => state.metrics.coalesced(),
-        Parked::Created => {
-            let job = Job {
-                key: key.clone(),
-                flights: Arc::clone(&state.flights),
-                route,
-                compute,
-                deadline: received + state.config.request_timeout,
-            };
-            if state.pool.try_submit(job).is_err() {
-                let waiters = state.flights.land(&key);
-                pool::respond_waiters_error(
-                    waiters,
-                    route,
-                    &state.metrics,
-                    503,
-                    "admission queue is full, retry shortly",
-                    &[("Retry-After", "1".to_owned())],
-                );
-            }
         }
     }
 }
@@ -651,17 +753,261 @@ fn try_flush(conn: &mut Connection) -> io::Result<()> {
     Ok(())
 }
 
-/// Closes connections with no traffic inside the idle window. This is
-/// the slowloris backstop: a half-written request header costs one
-/// buffer for at most `idle_timeout`.
-fn sweep_idle(poller: &Poller, conns: &mut HashMap<i32, Connection>, idle_timeout: Duration) {
-    let expired: Vec<i32> = conns
-        .iter()
-        .filter(|(_, conn)| conn.last_activity.elapsed() >= idle_timeout)
-        .map(|(fd, _)| *fd)
-        .collect();
-    for fd in expired {
-        let _ = poller.del(fd);
-        conns.remove(&fd);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{self, Response};
+    use std::sync::mpsc;
+
+    /// An event loop on a fresh loopback listener, driven from the test.
+    fn event_loop(config: ServeConfig) -> (EventLoop, SocketAddr) {
+        let config = ServeConfig { addr: "127.0.0.1:0".to_owned(), threads: Some(1), ..config };
+        let Server { listener, state } = Server::bind(config).expect("bind on a free port");
+        let addr = listener.local_addr().expect("bound address");
+        (EventLoop::new(listener, state).expect("event loop"), addr)
+    }
+
+    /// A compute closure that answers `body` once `gate` opens.
+    fn gated(
+        gate: mpsc::Receiver<()>,
+        body: Vec<u8>,
+    ) -> impl FnOnce() -> Result<Vec<u8>, crate::ServeError> + Send + 'static {
+        move || {
+            // A failed test drops the sender; the job just ends.
+            let _ = gate.recv();
+            Ok(body)
+        }
+    }
+
+    fn read(client: &mut TcpStream) -> Response {
+        client.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+        client::read_response(client).expect("a framed response")
+    }
+
+    impl EventLoop {
+        fn turn_until(&mut self, what: &str, mut done: impl FnMut(&EventLoop) -> bool) {
+            let start = Instant::now();
+            while !done(self) {
+                assert!(start.elapsed() < Duration::from_secs(30), "timed out waiting for {what}");
+                self.turn().expect("epoll wait");
+            }
+        }
+
+        /// Connects a client and accepts it: the client and the
+        /// server-side fd.
+        fn connect(&mut self, addr: SocketAddr) -> (TcpStream, i32) {
+            let client = TcpStream::connect(addr).expect("connect");
+            let local = client.local_addr().expect("client address");
+            let accepted = |lp: &EventLoop| {
+                lp.conns
+                    .iter()
+                    .find(|(_, c)| c.stream.peer_addr().ok() == Some(local))
+                    .map(|e| *e.0)
+            };
+            self.turn_until("the accept", |lp| accepted(lp).is_some());
+            let fd = accepted(self).expect("accepted");
+            (client, fd)
+        }
+
+        /// Accepts a new connection on the free server-side fd `fd`:
+        /// placeholders hold `fd` and every lower free fd while the
+        /// client connects, then `fd` alone is let go for the accept.
+        /// `None` when another thread took `fd` first.
+        fn connect_on_fd(&mut self, addr: SocketAddr, fd: i32) -> Option<TcpStream> {
+            let mut lower = Vec::new();
+            let target = loop {
+                let placeholder = TcpListener::bind("127.0.0.1:0").expect("placeholder fd");
+                match placeholder.as_raw_fd().cmp(&fd) {
+                    std::cmp::Ordering::Less => lower.push(placeholder),
+                    std::cmp::Ordering::Equal => break placeholder,
+                    std::cmp::Ordering::Greater => return None,
+                }
+            };
+            let client = TcpStream::connect(addr).expect("connect");
+            let local = client.local_addr().expect("client address");
+            drop(target);
+            let peer_is = |c: &Connection| c.stream.peer_addr().ok() == Some(local);
+            self.turn_until("the accept", |lp| lp.conns.values().any(peer_is));
+            drop(lower);
+            if self.conns.get(&fd).is_some_and(peer_is) {
+                return Some(client);
+            }
+            drop(client);
+            self.turn_until("the close", |lp| !lp.conns.values().any(peer_is));
+            None
+        }
+
+        /// Parks connection `fd` on `key`, as a heavy miss would.
+        fn park_fd(
+            &mut self,
+            fd: i32,
+            key: &str,
+            compute: impl FnOnce() -> Result<Vec<u8>, crate::ServeError> + Send + 'static,
+        ) {
+            let mut conn = self.conns.remove(&fd).expect("an open connection");
+            let park = ParkRequest {
+                key: key.to_owned(),
+                route: "/test",
+                compute: Box::new(compute),
+                received: Instant::now(),
+                keep_alive: true,
+            };
+            self.park(&mut conn, park);
+            assert!(conn.parked, "the pool admitted the job");
+            self.settle(fd, conn);
+        }
+
+        /// Runs the loop on its own thread until `shutdown` flips and
+        /// the drain ends.
+        fn serve(self, shutdown: &Arc<AtomicBool>) -> JoinHandle<io::Result<()>> {
+            let flag = Arc::clone(shutdown);
+            std::thread::spawn(move || self.run(&flag))
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_answers_500_to_every_waiter_and_the_worker_carries_on() {
+        let (mut lp, addr) = event_loop(ServeConfig::default());
+        let state = Arc::clone(&lp.state);
+        let mut clients: Vec<(TcpStream, i32)> = (0..3).map(|_| lp.connect(addr)).collect();
+        for &(_, fd) in &clients {
+            lp.park_fd(fd, "panics", || panic!("injected compute panic"));
+        }
+        assert_eq!(state.metrics.coalesced_requests(), 2, "two followers joined the creator");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let serving = lp.serve(&shutdown);
+
+        for (client, _) in &mut clients {
+            let answer = read(client);
+            assert_eq!(answer.status, 500);
+            assert!(answer.text().contains("computation panicked"), "{}", answer.text());
+            assert_eq!(answer.header("Connection"), Some("keep-alive"));
+        }
+        // Each connection goes on to its next request...
+        for (client, _) in &mut clients {
+            client.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").expect("write");
+            assert_eq!(read(client).status, 200);
+        }
+        // ...and the worker runs the next job.
+        let body = r#"{"name": "smoke"}"#;
+        let request =
+            format!("POST /v1/scenario HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+        clients[0].0.write_all(request.as_bytes()).expect("write");
+        let computed = read(&mut clients[0].0);
+        assert_eq!(computed.status, 200, "{}", computed.text());
+        assert_eq!(computed.header("X-Cache"), Some("miss"));
+        assert_eq!(state.metrics.pool_jobs(), 2);
+        assert_eq!(state.metrics.connections(), 3, "no connection was replaced");
+
+        shutdown.store(true, Ordering::SeqCst);
+        serving.join().expect("the loop thread").expect("the loop");
+        state.pool.drain();
+    }
+
+    #[test]
+    fn a_parked_connection_that_resets_is_forgotten_even_when_its_fd_is_reused() {
+        let (mut lp, addr) = event_loop(ServeConfig::default());
+        let (release, gate) = mpsc::channel();
+        let (mut a, a_fd) = lp.connect(addr);
+        // A response A never reads: closing A then resets it.
+        a.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").expect("write");
+        lp.turn_until("the health answer", |lp| {
+            lp.conns[&a_fd].requests_served == 1 && !lp.conns[&a_fd].pending_output()
+        });
+        lp.park_fd(a_fd, "gated", gated(gate, b"{\"late\": true}\n".to_vec()));
+        let a_token = lp.conns[&a_fd].token;
+        drop(a);
+        lp.turn_until("the reset", |lp| !lp.conns.contains_key(&a_fd));
+        assert_eq!(lp.flights.in_flight(), 1, "the job still owns the flight");
+
+        // Another thread of the test harness may hold A's fd number for
+        // a moment; then try again.
+        let mut b = (0..500)
+            .find_map(|_| {
+                let reused = lp.connect_on_fd(addr, a_fd);
+                if reused.is_none() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                reused
+            })
+            .expect("a new connection reused A's fd");
+        let b_fd = a_fd;
+        assert_ne!(lp.conns[&b_fd].token, a_token, "tokens are never reused");
+
+        release.send(()).expect("open the gate");
+        lp.turn_until("the flight to land", |lp| lp.flights.in_flight() == 0);
+        assert_eq!(lp.state.metrics.requests_for("/test", 200), 1, "A's answer was counted");
+        b.set_nonblocking(true).expect("non-blocking");
+        let mut byte = [0u8; 1];
+        let unanswered = b.read(&mut byte);
+        assert!(
+            matches!(&unanswered, Err(e) if e.kind() == io::ErrorKind::WouldBlock),
+            "B received bytes meant for A: {unanswered:?}"
+        );
+        b.set_nonblocking(false).expect("blocking");
+        b.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").expect("write");
+        lp.turn_until("B's answer", |lp| {
+            lp.conns[&b_fd].requests_served == 1 && !lp.conns[&b_fd].pending_output()
+        });
+        assert_eq!(read(&mut b).text(), "{\"status\": \"ok\"}\n", "B's own answer comes first");
+        lp.state.pool.drain();
+    }
+
+    #[test]
+    fn the_idle_sweep_never_reaps_a_parked_connection() {
+        let idle_timeout = Duration::from_millis(20);
+        let (mut lp, addr) = event_loop(ServeConfig { idle_timeout, ..ServeConfig::default() });
+        let (release, gate) = mpsc::channel();
+        let (mut parked, parked_fd) = lp.connect(addr);
+        let (_idle, idle_fd) = lp.connect(addr);
+        lp.park_fd(parked_fd, "gated", gated(gate, b"{}\n".to_vec()));
+
+        std::thread::sleep(idle_timeout * 3);
+        lp.sweep_idle();
+        assert!(!lp.conns.contains_key(&idle_fd), "an idle connection is reaped");
+        assert!(lp.conns.contains_key(&parked_fd), "a parked one is not");
+
+        release.send(()).expect("open the gate");
+        lp.turn_until("the flight to land", |lp| lp.flights.in_flight() == 0);
+        let answer = read(&mut parked);
+        assert_eq!((answer.status, answer.body.as_slice()), (200, &b"{}\n"[..]));
+        lp.state.pool.drain();
+    }
+
+    #[test]
+    fn drain_answers_parked_connections_with_close_and_exits_after_writing_them() {
+        let (mut lp, addr) = event_loop(ServeConfig::default());
+        let state = Arc::clone(&lp.state);
+        let (release, gate) = mpsc::channel();
+        let (mut parked, fd) = lp.connect(addr);
+        // Far more than the socket buffers hold, so the answer takes
+        // many writable wake-ups to write.
+        let body = vec![b'x'; 8 << 20];
+        lp.park_fd(fd, "gated", gated(gate, body.clone()));
+
+        // Draining from the first turn: the listener closes at once.
+        let shutdown = Arc::new(AtomicBool::new(true));
+        let serving = lp.serve(&shutdown);
+        let start = Instant::now();
+        while TcpStream::connect(addr).is_ok() {
+            assert!(start.elapsed() < Duration::from_secs(30), "the listener never closed");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(!serving.is_finished(), "the drain waits for the parked connection");
+
+        let reader = std::thread::spawn(move || {
+            let answer = read(&mut parked);
+            let mut rest = Vec::new();
+            let eof = parked.read_to_end(&mut rest).map(|_| rest.is_empty());
+            (answer, eof)
+        });
+        release.send(()).expect("open the gate");
+        serving.join().expect("the loop thread").expect("the loop");
+        let (answer, eof) = reader.join().expect("the reader");
+        assert_eq!(answer.status, 200);
+        assert_eq!(answer.header("Connection"), Some("close"), "drained answers close");
+        assert!(answer.body == body, "the whole body was written before the loop exited");
+        assert!(eof.expect("a clean close"), "nothing follows the answer");
+        state.pool.drain();
     }
 }

@@ -102,6 +102,13 @@ impl Event {
     pub fn writable(self) -> bool {
         self.events & EVENT_WRITE != 0
     }
+
+    /// Whether the peer reset or hung up. Epoll reports this even for a
+    /// descriptor registered with no interest at all.
+    #[must_use]
+    pub fn hung_up(self) -> bool {
+        self.events & (EVENT_ERROR | EVENT_HANGUP) != 0
+    }
 }
 
 /// A level-triggered `epoll` instance.
@@ -162,8 +169,9 @@ impl Poller {
         self.ctl(EPOLL_CTL_DEL, fd, 0)
     }
 
-    /// Waits up to `timeout` for readiness events, appending them to
-    /// `out`. A signal interruption is reported as zero events.
+    /// Waits up to `timeout`, rounded up to whole milliseconds so a
+    /// wait never ends before it, for readiness events, appending them
+    /// to `out`. A signal interruption is reported as zero events.
     ///
     /// # Errors
     ///
@@ -171,7 +179,8 @@ impl Poller {
     pub fn wait(&self, timeout: Duration, out: &mut Vec<Event>) -> io::Result<()> {
         const CAPACITY: usize = 256;
         let mut events = [EpollEvent { events: 0, data: 0 }; CAPACITY];
-        let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+        let timeout_ms =
+            c_int::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX);
         // SAFETY: the buffer is valid for CAPACITY entries and the
         // kernel writes at most `maxevents` of them.
         let n =

@@ -203,3 +203,56 @@ fn chunked_body_is_answered_once_and_never_served_as_a_request() {
     assert!(!text.contains("\"status\""), "no health answer leaked: {text}");
     handle.shutdown();
 }
+
+#[test]
+fn heavy_misses_keep_their_keep_alive_connection() {
+    const N: u64 = 4;
+    let (handle, addr) = spawn(ServeConfig::default());
+    let state = handle.state();
+
+    let mut session = Session::new(&addr);
+    for seed in 0..N {
+        let body = format!(r#"{{"name": "randomized", "seed": {seed}}}"#);
+        let response = session.request("POST", "/v1/scenario", Some(&body)).expect("heavy miss");
+        assert_eq!(response.status, 200, "{}", response.text());
+        assert_eq!(response.header("X-Cache"), Some("miss"));
+        assert_eq!(response.header("Connection"), Some("keep-alive"));
+    }
+    assert_eq!(state.metrics.pool_jobs(), N, "every request computed on the pool");
+    assert_eq!(state.metrics.connections(), 1, "{N} pool answers, one connection");
+    assert_eq!(state.metrics.keepalive_reuses(), N - 1);
+    handle.shutdown();
+}
+
+#[test]
+fn a_request_pipelined_behind_a_parked_miss_is_answered_after_it() {
+    let (handle, addr) = spawn(ServeConfig::default());
+    let state = handle.state();
+
+    // A heavy miss, then two requests behind it in the same write.
+    let body = r#"{"name": "smoke"}"#;
+    let wire = format!(
+        "POST /v1/scenario HTTP/1.1\r\nHost: l\r\nContent-Length: {}\r\n\r\n{body}\
+         GET /healthz HTTP/1.1\r\nHost: l\r\n\r\n\
+         GET /v1/cr?n=3&f=1 HTTP/1.1\r\nHost: l\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream.write_all(wire.as_bytes()).expect("pipelined write");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+    let mut bytes = Vec::new();
+    use std::io::Read;
+    stream.read_to_end(&mut bytes).expect("read all three responses");
+    let text = String::from_utf8_lossy(&bytes);
+
+    let answers: Vec<usize> = text.match_indices("HTTP/1.1 200 OK").map(|(at, _)| at).collect();
+    assert_eq!(answers.len(), 3, "every pipelined request answered: {text}");
+    let (scenario, health, cr) =
+        (&text[..answers[1]], &text[answers[1]..answers[2]], &text[answers[2]..]);
+    assert!(scenario.contains("X-Cache: miss") && scenario.contains("Connection: keep-alive"));
+    assert!(health.ends_with("{\"status\": \"ok\"}\n"), "the probe answers second: {health}");
+    assert!(cr.contains("\"cr_upper\"") && cr.contains("Connection: close"), "then /v1/cr: {cr}");
+    assert_eq!(state.metrics.pool_jobs(), 1);
+    assert_eq!(state.metrics.connections(), 1);
+    handle.shutdown();
+}
