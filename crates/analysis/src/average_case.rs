@@ -1,7 +1,7 @@
 //! Average-case analysis: the expected ratio `E[K(x)]` for a target
 //! drawn log-uniformly from `[1, X]` (random side), computed **exactly**
-//! by integrating the piecewise closed form of
-//! [`faultline_core::ClosedForm`] — and cross-validated against the
+//! from the affine pieces of `T_(f+1)` — and cross-validated against
+//! the piecewise closed form of [`faultline_core::ClosedForm`] and the
 //! Monte-Carlo simulator.
 //!
 //! The log-uniform law matches the simulator's sampling
@@ -9,15 +9,20 @@
 //! `U ~ Uniform[0, ln X]`, so
 //!
 //! ```text
-//! E[K] = (1 / (2 ln X)) * ∫_0^{ln X} (K(e^u) + K(-e^u)) du .
+//! E[K] = (1 / (2 ln X)) * ∫_1^X (K(x) + K(-x)) dx / x .
 //! ```
+//!
+//! On a piece `[lo, hi]` where `T_(f+1)(x) = s·x + b`, the integral is
+//! `s·ln(hi/lo) + b·(1/lo − 1/hi)`, so the expectation is a finite sum
+//! with no quadrature error, jumps of `K` included.
 //!
 //! This quantifies how pessimistic the worst case is: typical targets
 //! cost well under half the competitive ratio.
 
-use faultline_core::closed_form::ClosedForm;
-use faultline_core::{numeric, Algorithm, Params, Result};
+use faultline_core::{Algorithm, Fleet, Params, Result};
 use serde::{Deserialize, Serialize};
+
+use crate::exact::kth_pieces;
 
 /// Exact and worst-case ratios for one parameter pair.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,42 +48,44 @@ impl AverageCase {
     }
 }
 
-/// Computes the exact expected ratio by Simpson integration of the
-/// closed form over the log-uniform law.
+/// Computes the exact expected ratio of the paper's algorithm over the
+/// log-uniform law: the closed-form integral of each affine piece of
+/// `T_(f+1)` over the closed window `1 <= |x| <= xmax`.
 ///
 /// # Errors
 ///
-/// Fails outside the proportional regime or for `xmax <= 1`.
-pub fn exact_average(params: Params, xmax: f64, panels: usize) -> Result<AverageCase> {
+/// Fails outside the proportional regime, for `xmax <= 1`, and when
+/// the fleet leaves part of the window uncovered.
+pub fn exact_average(params: Params, xmax: f64) -> Result<AverageCase> {
     if !(xmax > 1.0) {
         return Err(faultline_core::Error::domain(format!(
             "average-case analysis needs xmax > 1, got {xmax}"
         )));
     }
     let alg = Algorithm::design(params)?;
-    let schedule = alg.schedule().ok_or_else(|| {
-        faultline_core::Error::invalid_params(
+    if alg.schedule().is_none() {
+        return Err(faultline_core::Error::invalid_params(
             params.n(),
             params.f(),
-            "average-case closed form needs the proportional regime",
-        )
+            "average-case analysis needs the proportional regime",
+        ));
+    }
+    let fleet = Fleet::from_plans(&alg.plans(), alg.required_horizon(xmax)?)?;
+    let mut integral = 0.0;
+    let uncovered = kth_pieces(fleet.trajectories(), params.required_visits(), xmax, true, |p| {
+        integral +=
+            p.visit.slope * (p.hi / p.lo).ln() + p.visit.intercept * (1.0 / p.lo - 1.0 / p.hi);
     })?;
-    let cf = ClosedForm::new(schedule);
-    let f = params.f();
-    let integrand = |u: f64| {
-        let x = u.exp();
-        let right = cf.ratio_at(x, f).expect("x >= 1 in range");
-        let left = cf.ratio_at(-x, f).expect("x >= 1 in range");
-        0.5 * (right + left)
-    };
-    // Node evaluations run on the work-stealing engine; the result is
-    // bit-identical to the serial Simpson rule.
-    let integral = numeric::integrate_simpson_par(integrand, 0.0, xmax.ln(), panels)?;
+    if uncovered > 0 {
+        return Err(faultline_core::Error::domain(format!(
+            "average-case analysis: {uncovered} intervals of [1, {xmax}] are uncovered"
+        )));
+    }
     Ok(AverageCase {
         n: params.n(),
         f: params.f(),
         xmax,
-        expected: integral / xmax.ln(),
+        expected: integral / (2.0 * xmax.ln()),
         worst_case: faultline_core::ratio::cr_upper(params),
     })
 }
@@ -94,7 +101,7 @@ mod tests {
     fn expected_is_between_beta_and_worst_case() {
         for (n, f) in [(2usize, 1usize), (3, 1), (5, 2), (5, 3)] {
             let params = Params::new(n, f).unwrap();
-            let avg = exact_average(params, 100.0, 4096).unwrap();
+            let avg = exact_average(params, 100.0).unwrap();
             let beta = faultline_core::ratio::optimal_beta(params).unwrap();
             assert!(
                 avg.expected > beta,
@@ -108,13 +115,11 @@ mod tests {
 
     #[test]
     fn exact_average_matches_monte_carlo() {
-        // Cross-validate the Simpson/closed-form path against the
-        // discrete-event simulator with the worst-case adversary,
-        // emulated by Bernoulli-with-budget... no: use the adversarial
-        // detection directly via coverage on sampled targets.
+        // Cross-validate the exact sum against sampled targets, each
+        // detected at T_(f+1) by the worst-case adversary.
         let params = Params::new(3, 1).unwrap();
         let xmax = 50.0;
-        let exact = exact_average(params, xmax, 8192).unwrap();
+        let exact = exact_average(params, xmax).unwrap();
 
         // Monte Carlo with the same target law and the worst-case
         // adversary: sample x, evaluate T_2(x)/x via the fleet.
@@ -141,15 +146,59 @@ mod tests {
         // K is multiplicatively periodic in x (period r on each side),
         // so the log-uniform average converges as X spans many periods.
         let params = Params::new(3, 1).unwrap();
-        let a = exact_average(params, 1e4, 16_384).unwrap().expected;
-        let b = exact_average(params, 1e6, 16_384).unwrap().expected;
+        let a = exact_average(params, 1e4).unwrap().expected;
+        let b = exact_average(params, 1e6).unwrap().expected;
         assert!((a - b).abs() < 0.02, "{a} vs {b}");
+    }
+
+    /// A 10^6-point log-midpoint sum of [`ClosedForm::ratio_at`], its
+    /// panels split at the ladder points where `K` jumps, so that the
+    /// rule converges on every panel.
+    fn closed_form_average(params: Params, xmax: f64) -> f64 {
+        let alg = Algorithm::design(params).unwrap();
+        let schedule = alg.schedule().unwrap();
+        let cf = faultline_core::ClosedForm::new(schedule);
+        let (ln_r, top) = (schedule.ratio().ln(), xmax.ln());
+        let mut sum = 0.0;
+        // The negative side's ladder is shifted by n/2 steps.
+        for (side, offset) in [(1.0, 0.0), (-1.0, schedule.n() as f64 / 2.0)] {
+            let mut cuts = vec![0.0];
+            for j in -(schedule.n() as i32).. {
+                let u = schedule.base().ln() + (j as f64 + offset) * ln_r;
+                if u >= top {
+                    break;
+                }
+                if u > 0.0 {
+                    cuts.push(u);
+                }
+            }
+            cuts.push(top);
+            for w in cuts.windows(2) {
+                let points = (500_000.0 * (w[1] - w[0]) / top).ceil();
+                let h = (w[1] - w[0]) / points;
+                for i in 0..points as usize {
+                    let x = (w[0] + (i as f64 + 0.5) * h).exp();
+                    sum += h * cf.ratio_at(side * x, params.f()).unwrap();
+                }
+            }
+        }
+        sum / (2.0 * top)
+    }
+
+    #[test]
+    fn exact_average_matches_a_dense_closed_form_sum() {
+        for (n, f) in [(2usize, 1usize), (3, 1), (4, 2), (5, 2), (5, 3), (11, 5)] {
+            let params = Params::new(n, f).unwrap();
+            let exact = exact_average(params, 100.0).unwrap().expected;
+            let reference = closed_form_average(params, 100.0);
+            assert!((exact - reference).abs() < 1e-9, "(n = {n}, f = {f}): {exact} vs {reference}");
+        }
     }
 
     #[test]
     fn validates_inputs() {
         let params = Params::new(3, 1).unwrap();
-        assert!(exact_average(params, 1.0, 128).is_err());
-        assert!(exact_average(Params::new(4, 1).unwrap(), 10.0, 128).is_err());
+        assert!(exact_average(params, 1.0).is_err());
+        assert!(exact_average(Params::new(4, 1).unwrap(), 10.0).is_err());
     }
 }

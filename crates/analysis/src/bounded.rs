@@ -4,20 +4,24 @@
 //!
 //! For each bound `D`, every robot's plan is clamped to `[-D, D]` and
 //! the bounded competitive ratio `sup_{1 <= |x| <= D} T_(f+1)(x)/|x|`
-//! is measured.
+//! is measured exactly, from the affine pieces of `T_(f+1)` over the
+//! closed window: the clamped robots never pass `±D`, so there is no
+//! right-hand limit at the edge to score.
 //!
 //! **Finding:** clamping improves the ratio only while `D` clips the
-//! *early* turning points (roughly `D` below the second interleaved
-//! turning point). The supremum of `K` is attained on *outbound*
+//! *early* turning points: below `D = 2` for A(3, 1), and likewise for
+//! the doubling regime `n = f + 1`, which reads 8 at `D = 1.5` and 9 at
+//! every `D >= 2`. The supremum of `K` is attained on *outbound*
 //! sweeps, which clamping never shortens, so once `D` clears the first
 //! few excursions the bounded ratio equals the unbounded Theorem 1
-//! value exactly. Improving the large-`D` case would require
+//! value, to a few ulps. Improving the large-`D` case would require
 //! redesigning `beta` as a function of `D` (as \[10\] does for a single
 //! robot) — recorded as future work in DESIGN.md.
 
-use faultline_core::coverage::adversarial_targets;
-use faultline_core::{BoundedAlgorithm, Fleet, Params, Result};
+use faultline_core::{BoundedAlgorithm, Fleet, Params, Result, TurnCost};
 use serde::{Deserialize, Serialize};
+
+use crate::exact::kth_cost_supremum;
 
 /// One sample of the bounded-distance sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -34,23 +38,15 @@ pub struct BoundedSample {
 ///
 /// # Errors
 ///
-/// Propagates construction and scan failures.
-pub fn bounded_cr(params: Params, bound: f64, grid: usize) -> Result<BoundedSample> {
+/// Propagates construction and scan failures; the scan rejects
+/// `D <= 1`.
+pub fn bounded_cr(params: Params, bound: f64) -> Result<BoundedSample> {
     let algorithm = BoundedAlgorithm::design(params, bound)?;
-    let horizon = algorithm.required_horizon();
-    let plans = algorithm.plans()?;
-    let fleet = Fleet::from_plans(&plans, horizon)?;
-    // Turning points of the clamped fleet (includes the ±D shuttles).
-    let turning: Vec<f64> =
-        fleet.trajectories().iter().flat_map(|t| t.turning_points()).map(|p| p.x).collect();
-    let targets: Vec<f64> = adversarial_targets(&turning, bound * (1.0 + 1e-9), grid, 1e-9)?
-        .into_iter()
-        .filter(|x| x.abs() <= bound)
-        .collect();
-    let scan = fleet.supremum(&targets, params.required_visits())?;
+    let fleet = Fleet::from_plans(&algorithm.plans()?, algorithm.required_horizon())?;
+    let k = params.required_visits();
     Ok(BoundedSample {
         bound,
-        measured_cr: scan.ratio,
+        measured_cr: kth_cost_supremum(fleet.trajectories(), k, bound, TurnCost::free(), true)?,
         unbounded_cr: faultline_core::ratio::cr_upper(params),
     })
 }
@@ -60,8 +56,8 @@ pub fn bounded_cr(params: Params, bound: f64, grid: usize) -> Result<BoundedSamp
 /// # Errors
 ///
 /// Propagates per-bound failures.
-pub fn bound_sweep(params: Params, bounds: &[f64], grid: usize) -> Result<Vec<BoundedSample>> {
-    bounds.iter().map(|&d| bounded_cr(params, d, grid)).collect()
+pub fn bound_sweep(params: Params, bounds: &[f64]) -> Result<Vec<BoundedSample>> {
+    bounds.iter().map(|&d| bounded_cr(params, d)).collect()
 }
 
 #[cfg(test)]
@@ -71,7 +67,7 @@ mod tests {
     #[test]
     fn bounded_cr_below_unbounded_and_increasing() {
         let params = Params::new(3, 1).unwrap();
-        let samples = bound_sweep(params, &[1.5, 3.0, 8.0, 30.0], 48).unwrap();
+        let samples = bound_sweep(params, &[1.5, 3.0, 8.0, 30.0]).unwrap();
         for s in &samples {
             assert!(s.measured_cr.is_finite(), "D = {}: coverage incomplete", s.bound);
             assert!(
@@ -96,7 +92,7 @@ mod tests {
     #[test]
     fn bounded_cr_converges_to_unbounded() {
         let params = Params::new(3, 1).unwrap();
-        let far = bounded_cr(params, 200.0, 64).unwrap();
+        let far = bounded_cr(params, 200.0).unwrap();
         assert!(
             (far.measured_cr - far.unbounded_cr).abs() < 0.05,
             "D = 200: {} vs {}",
@@ -107,10 +103,28 @@ mod tests {
 
     #[test]
     fn works_for_n_equals_f_plus_one() {
-        // The single-group regime (doubling) also benefits from a bound.
-        let params = Params::new(2, 1).unwrap();
-        let s = bounded_cr(params, 4.0, 48).unwrap();
-        assert!(s.measured_cr < 9.0);
-        assert!(s.measured_cr.is_finite());
+        // The doubling regime gains from a bound only below D = 2, like
+        // A(3, 1): it reads 8 at D = 1.5 and exactly 9 from D = 2 on.
+        for (n, f) in [(2, 1), (3, 2)] {
+            let params = Params::new(n, f).unwrap();
+            assert_eq!(bounded_cr(params, 1.5).unwrap().measured_cr, 8.0, "(n = {n}, f = {f})");
+            for bound in [2.0, 4.0, 16.0] {
+                let s = bounded_cr(params, bound).unwrap();
+                assert_eq!(s.measured_cr, 9.0, "(n = {n}, f = {f}), D = {bound}");
+            }
+        }
+    }
+
+    #[test]
+    fn clears_the_early_turns_at_theorem_1() {
+        // Once D >= 2 the bounded ratio is the unbounded Theorem 1
+        // value of A(3, 1), up to the rounding of the scan.
+        let params = Params::new(3, 1).unwrap();
+        let cr = faultline_core::ratio::cr_upper(params);
+        for bound in [2.0, 4.0, 16.0, 64.0] {
+            let measured = bounded_cr(params, bound).unwrap().measured_cr;
+            let ulps = measured.to_bits().abs_diff(cr.to_bits());
+            assert!(ulps <= 4, "D = {bound}: {measured} is {ulps} ulps from {cr}");
+        }
     }
 }

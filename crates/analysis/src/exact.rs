@@ -24,7 +24,7 @@
 
 use faultline_core::coverage::{prefer_argmax, Fleet};
 use faultline_core::exact::{all_visit_cover, first_visit_cover, mirrored, Affine, WindowCover};
-use faultline_core::{Error, Geometry, Interval, PiecewiseTrajectory, Result};
+use faultline_core::{Error, Geometry, Interval, PiecewiseTrajectory, Result, TurnCost};
 
 /// Exponent of the pressure's generalized mean: high enough that only
 /// interval suprema within a fraction of a percent of the global
@@ -697,6 +697,113 @@ impl FleetScan {
     }
 }
 
+/// One affine piece of `T_k`, in positive-window coordinates: on
+/// `[lo, hi]` no two of the interval's affines cross, so the k-th
+/// visitor and its leg are fixed. `T_k` there is `visit` (one-sided
+/// limits at the ends), and the visitor has made `turns` reversals
+/// before it arrives.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Piece {
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
+    pub(crate) visit: Affine,
+    pub(crate) turns: usize,
+}
+
+/// Walks the affine pieces of `T_k` over both sides of the window
+/// `1 <= |x| <= xmax`, cut at every candidate of a [`FleetScan`], and
+/// returns the number of intervals held by fewer than `k` visits.
+///
+/// A `closed` window ends at `±xmax`, for fleets that never pass it.
+/// Otherwise the right-hand limit at `±xmax` is one more piece,
+/// `[xmax, xmax]`, as [`exact_supremum`] scores it, and a side no robot
+/// passes counts as uncovered there. Among visitors tied inside a
+/// piece the lower robot index comes first, as
+/// [`TurnCost::detection_cost`] orders them.
+pub(crate) fn kth_pieces(
+    trajectories: &[PiecewiseTrajectory],
+    k: usize,
+    xmax: f64,
+    closed: bool,
+    mut each: impl FnMut(Piece),
+) -> Result<usize> {
+    let scan = FleetScan::new(trajectories, k, xmax, Geometry::Line)?;
+    let mut uncovered = 0;
+    let (mut xs, mut order) = (Vec::new(), Vec::new());
+    for side in scan.sides() {
+        let cover = side.cover();
+        if !closed && cover.beyond().is_none() {
+            uncovered += 1;
+        }
+        for i in 0..cover.interval_count() {
+            let beyond = cover.is_beyond(i);
+            if beyond && closed {
+                continue;
+            }
+            let (affines, robots) = (cover.affines(i), cover.robots(i));
+            if affines.len() < k {
+                uncovered += 1;
+                continue;
+            }
+            xs.clear();
+            xs.extend(side.candidates(i));
+            xs.sort_unstable_by(f64::total_cmp);
+            xs.dedup();
+            // The edge piece is the beyond interval read at `xmax`.
+            if beyond {
+                xs.push(xs[0]);
+            }
+            for w in xs.windows(2) {
+                let (lo, hi) = (w[0], w[1]);
+                // Turns are counted strictly inside the legs: at the
+                // piece's middle, or the beyond interval's, which the
+                // edge piece's legs span.
+                let (a, b) = if beyond { cover.interval_bounds(i) } else { (lo, hi) };
+                let mid = 0.5 * (a + b);
+                // Visitors are ranked there too, except at the edge,
+                // where they are ranked just past `xmax`: by value at
+                // `xmax`, then by slope.
+                let at = if beyond { lo } else { mid };
+                order.clear();
+                order.extend(0..affines.len());
+                let (_, &mut p, _) = order.select_nth_unstable_by(k - 1, |&p: &usize, &q| {
+                    let (a, b) = (&affines[p], &affines[q]);
+                    a.eval(at)
+                        .total_cmp(&b.eval(at))
+                        .then(a.slope.total_cmp(&b.slope))
+                        .then(p.cmp(&q))
+                });
+                let visit = affines[p];
+                let robot = &trajectories[robots[p] as usize];
+                let turns = TurnCost::free().turns_before(robot, visit.eval(mid));
+                each(Piece { lo, hi, visit, turns });
+            }
+        }
+    }
+    Ok(uncovered)
+}
+
+/// The supremum of `(T_k(x) + c · turns(x)) / |x|` over the pieces of
+/// [`kth_pieces`], with `c` the model's cost per reversal: each piece
+/// is monotone in `x`, so its ends decide. Infinite when any interval
+/// is uncovered.
+pub(crate) fn kth_cost_supremum(
+    trajectories: &[PiecewiseTrajectory],
+    k: usize,
+    xmax: f64,
+    model: TurnCost,
+    closed: bool,
+) -> Result<f64> {
+    let mut best = 0.0f64;
+    let uncovered = kth_pieces(trajectories, k, xmax, closed, |piece| {
+        let cost = model.cost_per_turn() * piece.turns as f64;
+        for x in [piece.lo, piece.hi] {
+            best = best.max((piece.visit.eval(x) + cost) / x);
+        }
+    })?;
+    Ok(if uncovered > 0 { f64::INFINITY } else { best })
+}
+
 /// An [`ExactScan`] paired with a certified enclosure of its
 /// supremum, produced by [`exact_supremum_enclosed`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -999,6 +1106,69 @@ mod tests {
         let alg = Algorithm::design(params).unwrap();
         let horizon = alg.required_horizon(xmax * (1.0 + 1e-6)).unwrap();
         Fleet::from_plans(&alg.plans(), horizon).unwrap()
+    }
+
+    #[test]
+    fn cost_walk_at_zero_cost_matches_the_scan_on_table_1_fleets() {
+        for &(n, f) in crate::table1::TABLE1_PAIRS {
+            let fleet = paper_fleet(n, f, 25.0);
+            let scan = exact_supremum(&fleet, f + 1, 25.0).unwrap();
+            let walk =
+                kth_cost_supremum(fleet.trajectories(), f + 1, 25.0, TurnCost::free(), false)
+                    .unwrap();
+            assert!(
+                (walk - scan.ratio).abs() <= 1e-12 * scan.ratio,
+                "(n = {n}, f = {f}): walk {walk} vs scan {}",
+                scan.ratio
+            );
+        }
+    }
+
+    /// Asserts that the walk's cost supremum dominates the pointwise
+    /// turn-cost ratio at every target.
+    fn assert_dominates(fleet: &Fleet, targets: &[f64], xmax: f64, closed: bool, label: &str) {
+        for c in [0.0, 0.5, 2.0, 8.0] {
+            let model = TurnCost::new(c).unwrap();
+            let walk = kth_cost_supremum(fleet.trajectories(), 2, xmax, model, closed).unwrap();
+            assert!(walk.is_finite(), "{label}, c = {c}: uncovered");
+            for &x in targets {
+                let cost = model.detection_cost(fleet.trajectories(), x, 2).unwrap().unwrap();
+                let pointwise = cost.cost / x.abs();
+                assert!(
+                    walk >= pointwise * (1.0 - 1e-12),
+                    "{label}, c = {c}: target {x} costs {pointwise} above the walk's {walk}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cost_walk_dominates_pointwise_detection_costs() {
+        use crate::supremum::fleet_targets;
+        use faultline_core::BoundedAlgorithm;
+        use faultline_strategies::{FixedBetaStrategy, Strategy};
+
+        // E2: the proportional schedule at beta*, right-hand limits at
+        // the window edge included.
+        let params = Params::new(3, 1).unwrap();
+        let strategy =
+            FixedBetaStrategy::new(faultline_core::ratio::optimal_beta(params).unwrap()).unwrap();
+        let horizon = strategy.horizon_hint(params, 25.0 * 1.001);
+        let fleet = Fleet::from_plans(&strategy.plans(params).unwrap(), horizon).unwrap();
+        let targets = fleet_targets(&fleet, 25.0, 48).unwrap();
+        assert_dominates(&fleet, &targets, 25.0, false, "E2");
+        // E1: the clamped fleets over the closed window.
+        for bound in [1.5, 2.0, 4.0, 16.0] {
+            let bounded = BoundedAlgorithm::design(params, bound).unwrap();
+            let plans = bounded.plans().unwrap();
+            let fleet = Fleet::from_plans(&plans, bounded.required_horizon()).unwrap();
+            let targets: Vec<f64> = fleet_targets(&fleet, bound, 48)
+                .unwrap()
+                .into_iter()
+                .filter(|x| x.abs() <= bound)
+                .collect();
+            assert_dominates(&fleet, &targets, bound, true, &format!("E1, D = {bound}"));
+        }
     }
 
     #[test]

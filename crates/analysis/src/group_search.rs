@@ -5,16 +5,17 @@
 //! search (`k = 1`, first arrival) and *group search* (`k = n`, last
 //! arrival — the objective of Chrobak et al., SOFSEM 2015, the paper's
 //! reference \[14\]). This experiment measures
-//! `CR_k = sup_x T_k(x)/|x|` for every `k` on the paper's schedule and
-//! on the herd-doubling baseline, showing where each schedule's
-//! redundancy budget goes.
+//! `CR_k = sup_x T_k(x)/|x|` exactly, with the critical-point engine at
+//! each `k`, for every `k` on the paper's schedule and on the
+//! herd-doubling baseline, showing where each schedule's redundancy
+//! budget goes.
 
 use faultline_core::coverage::Fleet;
 use faultline_core::{Params, Result};
 use faultline_strategies::Strategy;
 use serde::{Deserialize, Serialize};
 
-use crate::supremum::fleet_targets;
+use crate::exact::exact_supremum;
 
 /// Measured `CR_k` for one arrival index.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -26,27 +27,19 @@ pub struct KSample {
     pub cr: f64,
 }
 
-/// Measures the full arrival-index spectrum of a strategy.
+/// Measures the full arrival-index spectrum of a strategy: one
+/// [`exact_supremum`] over `[-xmax, -1] ∪ [1, xmax]` per index.
 ///
 /// # Errors
 ///
 /// Propagates plan generation and scan failures.
-pub fn k_spectrum(
-    strategy: &dyn Strategy,
-    params: Params,
-    xmax: f64,
-    grid: usize,
-) -> Result<Vec<KSample>> {
+pub fn k_spectrum(strategy: &dyn Strategy, params: Params, xmax: f64) -> Result<Vec<KSample>> {
     let plans = strategy.plans(params)?;
     // The last arrival needs far more time than T_(f+1): be generous.
     let horizon = 8.0 * strategy.horizon_hint(params, xmax * 1.001);
     let fleet = Fleet::from_plans(&plans, horizon)?;
-    let targets = fleet_targets(&fleet, xmax, grid)?;
     (1..=params.n())
-        .map(|k| {
-            let scan = fleet.supremum(&targets, k)?;
-            Ok(KSample { k, cr: scan.ratio })
-        })
+        .map(|k| Ok(KSample { k, cr: exact_supremum(&fleet, k, xmax)?.ratio }))
         .collect()
 }
 
@@ -58,7 +51,7 @@ mod tests {
     #[test]
     fn spectrum_is_monotone_in_k() {
         let params = Params::new(5, 2).unwrap();
-        let spectrum = k_spectrum(&PaperStrategy::new(), params, 12.0, 24).unwrap();
+        let spectrum = k_spectrum(&PaperStrategy::new(), params, 12.0).unwrap();
         assert_eq!(spectrum.len(), 5);
         for w in spectrum.windows(2) {
             assert!(
@@ -78,7 +71,7 @@ mod tests {
     fn herd_spectrum_is_flat() {
         // All herd robots coincide: every arrival index costs the same.
         let params = Params::new(3, 1).unwrap();
-        let spectrum = k_spectrum(&HerdDoublingStrategy::new(), params, 80.0, 40).unwrap();
+        let spectrum = k_spectrum(&HerdDoublingStrategy::new(), params, 80.0).unwrap();
         let first = spectrum[0].cr;
         for s in &spectrum {
             assert!((s.cr - first).abs() < 1e-9, "herd CR_k must be flat");
@@ -91,8 +84,8 @@ mod tests {
         // the herd spends it nowhere (flat 9-ish everywhere). At the
         // design index the paper wins.
         let params = Params::new(3, 1).unwrap();
-        let paper = k_spectrum(&PaperStrategy::new(), params, 40.0, 32).unwrap();
-        let herd = k_spectrum(&HerdDoublingStrategy::new(), params, 40.0, 32).unwrap();
+        let paper = k_spectrum(&PaperStrategy::new(), params, 40.0).unwrap();
+        let herd = k_spectrum(&HerdDoublingStrategy::new(), params, 40.0).unwrap();
         let at = |v: &[KSample], k: usize| v.iter().find(|s| s.k == k).unwrap().cr;
         assert!(at(&paper, 2) < at(&herd, 2), "design index k = f + 1");
         // At the last arrival the spread-out schedule pays a premium.

@@ -307,7 +307,7 @@ fn run_extensions(out_dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
     let params = Params::new(3, 1)?;
 
     println!("== Extension E1: known distance bound D (A(3,1) clamped) ==");
-    let samples = bounded::bound_sweep(params, &[1.5, 2.0, 4.0, 16.0, 64.0], 48)?;
+    let samples = bounded::bound_sweep(params, &[1.5, 2.0, 4.0, 16.0, 64.0])?;
     let rows: Vec<Vec<String>> = samples
         .iter()
         .map(|s| {
@@ -326,7 +326,7 @@ fn run_extensions(out_dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
     fs::write(out_dir.join("extension_bounded.csv"), csv)?;
 
     println!("== Extension E2: turn cost (A(3,1)) ==");
-    let sweep = turncost::sweep(params, &[0.0, 0.5, 2.0, 8.0], 25.0, 48)?;
+    let sweep = turncost::sweep(params, &[0.0, 0.5, 2.0, 8.0], 25.0)?;
     let rows: Vec<Vec<String>> = sweep
         .iter()
         .map(|s| {
@@ -347,7 +347,7 @@ fn run_extensions(out_dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
 
     println!("== Extension E3: arrival-index spectrum CR_k (A(5,2)) ==");
     let params = Params::new(5, 2)?;
-    let spectrum = group_search::k_spectrum(&PaperStrategy::new(), params, 15.0, 48)?;
+    let spectrum = group_search::k_spectrum(&PaperStrategy::new(), params, 15.0)?;
     let rows: Vec<Vec<String>> = spectrum
         .iter()
         .map(|s| {
@@ -426,7 +426,7 @@ fn run_extensions(out_dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
         use faultline_analysis::average_case;
         let mut rows = Vec::new();
         for (n, f) in [(2usize, 1usize), (3, 1), (4, 2), (5, 2), (5, 3), (11, 5)] {
-            let avg = average_case::exact_average(Params::new(n, f)?, 100.0, 8192)?;
+            let avg = average_case::exact_average(Params::new(n, f)?, 100.0)?;
             rows.push(vec![
                 format!("({n}, {f})"),
                 format!("{:.4}", avg.expected),

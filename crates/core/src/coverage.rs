@@ -5,7 +5,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
-use crate::json_float;
 use crate::plan::Plan;
 use crate::trajectory::PiecewiseTrajectory;
 
@@ -214,44 +213,6 @@ pub struct SupremumScan {
     pub argmax: f64,
     /// Number of scanned targets not covered by `k` robots.
     pub uncovered: usize,
-}
-
-// Manual serde impls: `ratio` is legitimately `f64::INFINITY` on
-// incomplete coverage, which a derived impl would serialize as lossy
-// JSON `null`. Non-finite ratios go through the string sentinels of
-// [`crate::json_float`] instead so the round-trip is lossless.
-impl Serialize for SupremumScan {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        serializer.serialize_value(serde::Value::Object(vec![
-            ("ratio".to_owned(), json_float::encode_f64(self.ratio)),
-            ("argmax".to_owned(), json_float::encode_f64(self.argmax)),
-            ("uncovered".to_owned(), serde::Value::UInt(self.uncovered as u64)),
-        ]))
-    }
-}
-
-impl<'de> Deserialize<'de> for SupremumScan {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        use serde::de::Error as _;
-        let mut fields = json_float::object_fields(deserializer.take_value()?, "SupremumScan")
-            .map_err(D::Error::custom)?;
-        let mut float = |name: &str| -> std::result::Result<f64, D::Error> {
-            let value = json_float::take_field(&mut fields, name, "SupremumScan")
-                .map_err(D::Error::custom)?;
-            json_float::decode_f64(&value, name).map_err(D::Error::custom)
-        };
-        let ratio = float("ratio")?;
-        let argmax = float("argmax")?;
-        let uncovered = json_float::take_field(&mut fields, "uncovered", "SupremumScan")
-            .map_err(D::Error::custom)
-            .and_then(|v| serde::from_value(v).map_err(D::Error::custom))?;
-        Ok(SupremumScan { ratio, argmax, uncovered })
-    }
 }
 
 /// A rasterized visit-count field over a space–time grid.

@@ -174,93 +174,6 @@ pub fn golden_min(
     Ok(0.5 * (a + b))
 }
 
-/// Composite Simpson integration of `f` over `[a, b]` with `panels`
-/// subdivisions (rounded up to even).
-///
-/// # Errors
-///
-/// Returns [`Error::Numerical`] for an invalid range, zero panels, or a
-/// non-finite integrand value.
-///
-/// ```
-/// use faultline_core::numeric::integrate_simpson;
-/// let integral = integrate_simpson(|x| x * x, 0.0, 1.0, 64)?;
-/// assert!((integral - 1.0 / 3.0).abs() < 1e-12);
-/// # Ok::<(), faultline_core::Error>(())
-/// ```
-pub fn integrate_simpson(f: impl Fn(f64) -> f64, a: f64, b: f64, panels: usize) -> Result<f64> {
-    if !(a < b) || !a.is_finite() || !b.is_finite() {
-        return Err(Error::numerical(format!("integrate: invalid range [{a}, {b}]")));
-    }
-    if panels == 0 {
-        return Err(Error::numerical("integrate: at least one panel required".to_owned()));
-    }
-    let n = if panels.is_multiple_of(2) { panels } else { panels + 1 };
-    let h = (b - a) / n as f64;
-    let mut sum = 0.0;
-    for i in 0..=n {
-        let x = if i == n { b } else { a + h * i as f64 };
-        let fx = f(x);
-        if !fx.is_finite() {
-            return Err(Error::numerical(format!("integrate: f({x}) is not finite")));
-        }
-        let weight = if i == 0 || i == n {
-            1.0
-        } else if i % 2 == 1 {
-            4.0
-        } else {
-            2.0
-        };
-        sum += weight * fx;
-    }
-    Ok(sum * h / 3.0)
-}
-
-/// Composite Simpson integration with the integrand evaluated on the
-/// work-stealing engine ([`crate::parallel::par_map`]).
-///
-/// Numerically identical to [`integrate_simpson`]: the nodes, weights
-/// and accumulation order are the same — only the `f(x)` evaluations
-/// run in parallel — so the two functions return bit-for-bit equal
-/// results for the same deterministic integrand.
-///
-/// # Errors
-///
-/// Returns [`Error::Numerical`] for an invalid range, zero panels, or a
-/// non-finite integrand value.
-pub fn integrate_simpson_par(
-    f: impl Fn(f64) -> f64 + Sync,
-    a: f64,
-    b: f64,
-    panels: usize,
-) -> Result<f64> {
-    if !(a < b) || !a.is_finite() || !b.is_finite() {
-        return Err(Error::numerical(format!("integrate: invalid range [{a}, {b}]")));
-    }
-    if panels == 0 {
-        return Err(Error::numerical("integrate: at least one panel required".to_owned()));
-    }
-    let n = if panels.is_multiple_of(2) { panels } else { panels + 1 };
-    let h = (b - a) / n as f64;
-    let nodes: Vec<f64> = (0..=n).map(|i| if i == n { b } else { a + h * i as f64 }).collect();
-    let values = crate::parallel::par_map(&nodes, |&x| f(x));
-    let mut sum = 0.0;
-    for (i, (&x, &fx)) in nodes.iter().zip(&values).enumerate() {
-        if !fx.is_finite() {
-            return Err(Error::numerical(format!("integrate: f({x}) is not finite")));
-        }
-        let weight = if i == 0 || i == n {
-            1.0
-        } else if i % 2 == 1 {
-            4.0
-        } else {
-            2.0
-        };
-        sum += weight * fx;
-    }
-    Ok(sum * h / 3.0)
-}
-
 /// Newton's method with a bisection fallback bracket.
 ///
 /// Performs Newton iterations from `x0`; whenever an iterate escapes
@@ -359,43 +272,6 @@ mod tests {
     fn golden_min_finds_parabola_vertex() {
         let m = golden_min(|x| (x - 1.25) * (x - 1.25) + 3.0, 0.0, 4.0, 1e-12, 500).unwrap();
         assert!((m - 1.25).abs() < 1e-6, "m = {m}");
-    }
-
-    #[test]
-    fn simpson_exact_for_cubics() {
-        // Simpson is exact on polynomials of degree <= 3.
-        let integral = integrate_simpson(|x| x * x * x - 2.0 * x + 1.0, -1.0, 2.0, 2).unwrap();
-        let exact = (16.0 / 4.0 - 4.0 + 2.0) - (1.0 / 4.0 - 1.0 - 1.0);
-        assert!((integral - exact).abs() < 1e-12, "{integral} vs {exact}");
-    }
-
-    #[test]
-    fn simpson_converges_on_transcendentals() {
-        let integral = integrate_simpson(f64::sin, 0.0, std::f64::consts::PI, 128).unwrap();
-        // Composite Simpson error ~ (b-a)^5 / (180 n^4) * max|f''''| ≈ 6e-9 here.
-        assert!((integral - 2.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn simpson_validates_inputs() {
-        assert!(integrate_simpson(|x| x, 1.0, 0.0, 8).is_err());
-        assert!(integrate_simpson(|x| x, 0.0, 1.0, 0).is_err());
-        assert!(integrate_simpson(|_| f64::NAN, 0.0, 1.0, 8).is_err());
-        // Odd panel counts are rounded up, not rejected.
-        assert!(integrate_simpson(|x| x, 0.0, 1.0, 3).is_ok());
-    }
-
-    #[test]
-    fn parallel_simpson_is_bit_identical_to_serial() {
-        let f = |x: f64| (x * 1.7).sin() * x.exp() + 1.0 / (1.0 + x * x);
-        for panels in [2usize, 7, 64, 501] {
-            let serial = integrate_simpson(f, -1.5, 3.25, panels).unwrap();
-            let parallel = integrate_simpson_par(f, -1.5, 3.25, panels).unwrap();
-            assert_eq!(serial.to_bits(), parallel.to_bits(), "panels = {panels}");
-        }
-        assert!(integrate_simpson_par(|x| x, 1.0, 0.0, 8).is_err());
-        assert!(integrate_simpson_par(|x| x, 0.0, 1.0, 0).is_err());
-        assert!(integrate_simpson_par(|_| f64::NAN, 0.0, 1.0, 8).is_err());
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! competitive ratio is `sup_x cost(x) / |x|`.
 //!
 //! The paper leaves this combination (faults × turn cost) open; this
-//! module provides the evaluation machinery, and
-//! `faultline-analysis::turncost` studies how the optimal cone
-//! parameter drifts as `c` grows (wider cones, fewer turns).
+//! module prices one target, and `faultline-analysis::turncost`
+//! measures the exact supremum over a window and studies whether the
+//! optimal cone parameter drifts as `c` grows.
 
 use serde::{Deserialize, Serialize};
 
@@ -103,50 +103,6 @@ impl TurnCost {
             turns,
             cost: time + self.cost_per_turn * turns as f64,
         }))
-    }
-
-    /// The turn-cost ratio `cost(x) / |x|`, or `None` when uncovered.
-    ///
-    /// # Errors
-    ///
-    /// As [`TurnCost::detection_cost`], plus [`Error::Domain`] at
-    /// `x == 0`.
-    pub fn ratio(
-        &self,
-        trajectories: &[PiecewiseTrajectory],
-        x: f64,
-        k: usize,
-    ) -> Result<Option<f64>> {
-        if x == 0.0 {
-            return Err(Error::domain("turn-cost ratio undefined at the origin"));
-        }
-        Ok(self.detection_cost(trajectories, x, k)?.map(|d| d.cost / x.abs()))
-    }
-
-    /// The supremum of the turn-cost ratio over a target grid.
-    /// Uncovered targets yield an infinite supremum.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation failures; rejects an empty grid.
-    pub fn supremum(
-        &self,
-        trajectories: &[PiecewiseTrajectory],
-        targets: &[f64],
-        k: usize,
-    ) -> Result<(f64, f64)> {
-        if targets.is_empty() {
-            return Err(Error::domain("turn-cost supremum needs targets"));
-        }
-        let mut best = (0.0f64, targets[0]);
-        for &x in targets {
-            match self.ratio(trajectories, x, k)? {
-                Some(r) if r > best.0 => best = (r, x),
-                Some(_) => {}
-                None => return Ok((f64::INFINITY, x)),
-            }
-        }
-        Ok(best)
     }
 }
 
@@ -241,20 +197,6 @@ mod tests {
         let t = TrajectoryBuilder::from_origin().sweep_to(5.0).finish().unwrap();
         let model = TurnCost::new(1.0).unwrap();
         assert!(model.detection_cost(std::slice::from_ref(&t), -2.0, 1).unwrap().is_none());
-        let (sup, at) = model.supremum(&[t], &[2.0, -2.0], 1).unwrap();
-        assert!(sup.is_infinite());
-        assert_eq!(at, -2.0);
-    }
-
-    #[test]
-    fn supremum_over_grid() {
-        let t = doubling(14);
-        let model = TurnCost::new(0.5).unwrap();
-        let targets: Vec<f64> = vec![1.0, 1.5, 2.0, 3.0, -1.0, -2.5, 4.1];
-        let (sup, _) = model.supremum(std::slice::from_ref(&t), &targets, 1).unwrap();
-        let free = TurnCost::free();
-        let (sup_free, _) = free.supremum(&[t], &targets, 1).unwrap();
-        assert!(sup > sup_free, "turn cost must hurt: {sup} vs {sup_free}");
     }
 
     #[test]
@@ -263,8 +205,6 @@ mod tests {
         let model = TurnCost::free();
         assert!(model.detection_cost(&[], 1.0, 1).is_err());
         assert!(model.detection_cost(std::slice::from_ref(&t), 1.0, 0).is_err());
-        assert!(model.ratio(std::slice::from_ref(&t), 0.0, 1).is_err());
-        assert!(model.supremum(&[t], &[], 1).is_err());
     }
 
     #[test]

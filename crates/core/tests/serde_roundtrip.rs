@@ -1,7 +1,7 @@
 //! Serde round-trip tests for the serializable data types (C-SERDE):
 //! results and schedules survive JSON export/import bit-for-bit.
 
-use faultline_core::coverage::{SupremumScan, TowerSample};
+use faultline_core::coverage::TowerSample;
 use faultline_core::lower_bound::{AdversaryOutcome, TrajectoryClass};
 use faultline_core::turn_cost::DetectionCost;
 use faultline_core::{
@@ -57,9 +57,6 @@ fn cone_and_schedule_roundtrip() {
 
 #[test]
 fn result_records_roundtrip() {
-    let scan = SupremumScan { ratio: 5.233, argmax: 1.0 + 1e-9, uncovered: 0 };
-    assert_eq!(roundtrip(&scan), scan);
-
     let tower = TowerSample { x: -2.0, covered_at: Some(6.5) };
     assert_eq!(roundtrip(&tower), tower);
 
@@ -71,28 +68,6 @@ fn result_records_roundtrip() {
 
     assert_eq!(roundtrip(&TrajectoryClass::Positive), TrajectoryClass::Positive);
     assert_eq!(roundtrip(&TrajectoryClass::Negative), TrajectoryClass::Negative);
-}
-
-#[test]
-fn infinite_scan_roundtrips_losslessly() {
-    // Incomplete coverage legitimately produces an infinite ratio; the
-    // JSON encoding must preserve it (the sentinel `"inf"`) instead of
-    // collapsing it to `null` and failing the round-trip.
-    let scan = SupremumScan { ratio: f64::INFINITY, argmax: 7.0, uncovered: 3 };
-    let json = serde_json::to_string(&scan).expect("serialize");
-    assert!(json.contains("\"inf\""), "expected sentinel in: {json}");
-    assert!(!json.contains("null"), "lossy null encoding in: {json}");
-    assert_eq!(roundtrip(&scan), scan);
-
-    let neg = SupremumScan { ratio: f64::NEG_INFINITY, argmax: -1.0, uncovered: 1 };
-    assert_eq!(roundtrip(&neg), neg);
-}
-
-#[test]
-fn legacy_null_ratio_is_rejected_with_diagnostic() {
-    let legacy = "{\"ratio\": null, \"argmax\": 7.0, \"uncovered\": 3}";
-    let err = serde_json::from_str::<SupremumScan>(legacy).expect_err("null must not parse");
-    assert!(err.to_string().contains("non-finite"), "unhelpful error: {err}");
 }
 
 #[test]

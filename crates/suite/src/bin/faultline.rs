@@ -275,7 +275,7 @@ fn compare(params: Params, xmax: f64) -> Result<(), Box<dyn std::error::Error>> 
 
 fn spectrum(params: Params, xmax: f64) -> Result<(), Box<dyn std::error::Error>> {
     println!("arrival-index spectrum CR_k at {params} (k = f+1 is the paper's objective):");
-    let spectrum = group_search::k_spectrum(&PaperStrategy::new(), params, xmax, 48)?;
+    let spectrum = group_search::k_spectrum(&PaperStrategy::new(), params, xmax)?;
     let rows: Vec<Vec<String>> = spectrum
         .iter()
         .map(|s| {

@@ -43,18 +43,18 @@ fn extension_experiments_compose() {
     let params = Params::new(3, 1).unwrap();
 
     // E1: bounded never worse, tight bound strictly better.
-    let sweep = bounded::bound_sweep(params, &[1.5, 4.0], 32).unwrap();
+    let sweep = bounded::bound_sweep(params, &[1.5, 4.0]).unwrap();
     assert!(sweep[0].measured_cr < sweep[0].unbounded_cr);
     assert!(sweep[1].measured_cr <= sweep[1].unbounded_cr + 1e-6);
 
     // E2: turn cost is additive at the design point.
     let cr = ratio::cr_upper(params);
     let priced =
-        turncost::cost_cr(params, ratio::optimal_beta(params).unwrap(), 1.0, 20.0, 32).unwrap();
+        turncost::cost_cr(params, ratio::optimal_beta(params).unwrap(), 1.0, 20.0).unwrap();
     assert!((priced - (cr + 2.0)).abs() < 5e-3, "{priced} vs {}", cr + 2.0);
 
     // E3: spectrum is monotone and anchored at Theorem 1 for k = f + 1.
-    let spectrum = group_search::k_spectrum(&PaperStrategy::new(), params, 12.0, 24).unwrap();
+    let spectrum = group_search::k_spectrum(&PaperStrategy::new(), params, 12.0).unwrap();
     assert!((spectrum[1].cr - cr).abs() < 5e-3);
     assert!(spectrum[2].cr > spectrum[1].cr);
 
