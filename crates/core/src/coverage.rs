@@ -187,20 +187,6 @@ impl Fleet {
         }
         Ok(CoverageRaster { xs: xs.to_vec(), ts: ts.to_vec(), counts })
     }
-
-    /// Samples the boundary of the `k`-coverage region ("tower" shape of
-    /// Figure 4): for each target `x` in `targets`, the earliest time by
-    /// which `k` distinct robots have visited `x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Domain`] for an empty target list.
-    pub fn tower_profile(&self, targets: &[f64], k: usize) -> Result<Vec<TowerSample>> {
-        if targets.is_empty() {
-            return Err(Error::domain("tower profile needs at least one target"));
-        }
-        Ok(targets.iter().map(|&x| TowerSample { x, covered_at: self.visit_time(x, k) }).collect())
-    }
 }
 
 /// Result of a supremum scan over `K(x)`.
@@ -261,16 +247,6 @@ impl CoverageRaster {
     }
 }
 
-/// One sample of the `k`-coverage boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TowerSample {
-    /// Target position.
-    pub x: f64,
-    /// Time at which the `k`-th distinct robot visited `x`, if within
-    /// the horizon.
-    pub covered_at: Option<f64>,
-}
-
 /// The deterministic argmax tie-break shared by the grid scan and the
 /// exact critical-point engine: candidate `x` is preferred over the
 /// incumbent `best` when it sits strictly closer to the origin, or at
@@ -297,44 +273,18 @@ pub fn adversarial_targets(
     grid_points: usize,
     eps: f64,
 ) -> Result<Vec<f64>> {
-    adversarial_targets_geometry(turning_points, xmax, grid_points, eps, crate::Geometry::Line)
-}
-
-/// Geometry-parametric variant of [`adversarial_targets`]: on
-/// [`crate::Geometry::HalfLine`] the negative mirror images are
-/// omitted, matching the one-sided adversary window `[1, xmax]`.
-///
-/// # Errors
-///
-/// Returns [`Error::Domain`] for invalid ranges.
-pub fn adversarial_targets_geometry(
-    turning_points: &[f64],
-    xmax: f64,
-    grid_points: usize,
-    eps: f64,
-    geometry: crate::Geometry,
-) -> Result<Vec<f64>> {
     if !(xmax > 1.0) {
         return Err(Error::domain(format!("xmax must exceed 1, got {xmax}")));
     }
-    let mirror = geometry.has_negative_side();
     let mut targets = Vec::new();
     for &tau in turning_points {
         let m = tau.abs();
         if (1.0..=xmax).contains(&m) {
-            targets.push(m);
-            targets.push(m * (1.0 + eps));
-            if mirror {
-                targets.push(-m);
-                targets.push(-m * (1.0 + eps));
-            }
+            targets.extend([m, m * (1.0 + eps), -m, -m * (1.0 + eps)]);
         }
     }
     for x in crate::numeric::logspace(1.0, xmax, grid_points)? {
-        targets.push(x);
-        if mirror {
-            targets.push(-x);
-        }
+        targets.extend([x, -x]);
     }
     targets.sort_by(f64::total_cmp);
     targets.dedup();
@@ -537,17 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn tower_profile_shape() {
-        let fleet = two_rays();
-        let profile = fleet.tower_profile(&[-2.0, -1.0, 1.0, 2.0], 1).unwrap();
-        assert_eq!(profile.len(), 4);
-        for s in profile {
-            assert_eq!(s.covered_at, Some(s.x.abs()));
-        }
-        assert!(fleet.tower_profile(&[], 1).is_err());
-    }
-
-    #[test]
     fn adversarial_targets_include_turning_point_limits() {
         let targets = adversarial_targets(&[2.0, -4.0], 10.0, 5, 1e-9).unwrap();
         assert!(targets.contains(&2.0));
@@ -556,18 +495,6 @@ mod tests {
         assert!(targets.iter().all(|&x| x.abs() >= 1.0 - 1e-12));
         assert!(targets.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
         assert!(adversarial_targets(&[], 0.5, 5, 1e-9).is_err());
-    }
-
-    #[test]
-    fn half_line_targets_are_one_sided() {
-        let two_sided = adversarial_targets(&[2.0, -4.0], 10.0, 5, 1e-9).unwrap();
-        let one_sided =
-            adversarial_targets_geometry(&[2.0, -4.0], 10.0, 5, 1e-9, crate::Geometry::HalfLine)
-                .unwrap();
-        assert!(one_sided.iter().all(|&x| x >= 1.0), "no negative-side probes");
-        // The one-sided grid is exactly the positive half of the full grid.
-        let positive: Vec<f64> = two_sided.iter().copied().filter(|&x| x > 0.0).collect();
-        assert_eq!(one_sided, positive);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Serde round-trip tests for the serializable data types (C-SERDE):
 //! results and schedules survive JSON export/import bit-for-bit.
 
-use faultline_core::coverage::TowerSample;
 use faultline_core::lower_bound::{AdversaryOutcome, TrajectoryClass};
 use faultline_core::turn_cost::DetectionCost;
 use faultline_core::{
@@ -57,9 +56,6 @@ fn cone_and_schedule_roundtrip() {
 
 #[test]
 fn result_records_roundtrip() {
-    let tower = TowerSample { x: -2.0, covered_at: Some(6.5) };
-    assert_eq!(roundtrip(&tower), tower);
-
     let adv = AdversaryOutcome { placement: -2.63, ratio: 5.05, visit_time: Some(13.3) };
     assert_eq!(roundtrip(&adv), adv);
 
@@ -68,6 +64,14 @@ fn result_records_roundtrip() {
 
     assert_eq!(roundtrip(&TrajectoryClass::Positive), TrajectoryClass::Positive);
     assert_eq!(roundtrip(&TrajectoryClass::Negative), TrajectoryClass::Negative);
+}
+
+#[test]
+fn control_characters_are_escaped_and_round_trip() {
+    let text = "tab\t, bell\u{7}, unit separator\u{1f}".to_owned();
+    let json = serde_json::to_string(&text).expect("serialize");
+    assert_eq!(json, "\"tab\\t, bell\\u0007, unit separator\\u001f\"");
+    assert_eq!(roundtrip(&text), text);
 }
 
 #[test]

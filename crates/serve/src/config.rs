@@ -11,9 +11,9 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 pub struct ServeConfig {
     /// Listen address (`host:port`; port 0 picks a free port).
     pub addr: String,
-    /// Worker threads executing heavy computations; `None` defers to
-    /// [`faultline_core::ParallelConfig`]'s resolution (the
-    /// `FAULTLINE_THREADS` environment variable, then core count).
+    /// Worker threads executing misses over the inline work bound;
+    /// `None` defers to [`faultline_core::ParallelConfig`]'s resolution
+    /// (the `FAULTLINE_THREADS` environment variable, then core count).
     pub threads: Option<usize>,
     /// Total response-cache byte budget across all shards.
     pub cache_bytes: usize,

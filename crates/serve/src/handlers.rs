@@ -5,6 +5,24 @@
 //! ([`faultline_core::query::canonical_string`]), so equivalent
 //! spellings share a cache entry while any semantic difference —
 //! including the seed — gets its own.
+//!
+//! [`prepare_with_work`] also bounds what a cache miss of the request
+//! costs, from the resolved parameters alone and without running the
+//! engine. The server computes a miss under [`INLINE_WORK`] on its
+//! event loop and parks every other miss on the worker pool.
+//!
+//! The bound counts *visit units*. A robot of geometric expansion `κ`
+//! makes `t = ln(e X) / ln κ` turns out to extent `X`, and a robot on
+//! a ray makes none. The exact scan behind `/v1/supremum` evaluates
+//! each of the fleet's `n (1 + t)` turning points in the window
+//! against every robot, plus a fixed overhead of 8 units:
+//! `n (n + 8) (1 + t)` units. A scenario simulates each target, and
+//! builds the fleet once, at 3 units per robot-turn with the same
+//! overhead per robot and per target:
+//! `3 (targets + 1) (n + 8) (8 + t)` units. `/v1/cr` computes in
+//! closed form (0 units); `/v1/table1` and `/v1/optimize` always park.
+
+use std::sync::LazyLock;
 
 use faultline_analysis::scenario::{results_to_json, Scenario};
 use faultline_analysis::supremum::SupremumQuery;
@@ -12,20 +30,39 @@ use faultline_analysis::table1;
 use faultline_core::query::canonical_string;
 use faultline_core::CrQuery;
 use faultline_opt::OptimizeConfig;
-use faultline_scenario::Document;
+use faultline_scenario::{Activation, Document};
 
 use crate::http::Request;
 use crate::router::Route;
 use crate::ServeError;
 
+/// Computes a response body.
+pub type Compute = Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send>;
+
 /// A resolved request: cache key plus the deferred computation.
 pub struct Prepared {
     /// Canonical cache key of the fully-resolved parameters.
     pub cache_key: String,
-    /// Computes the response body. Runs inline for light routes, on the
-    /// worker pool for heavy ones.
-    pub compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send>,
+    /// Computes the response body: on the event loop for a miss under
+    /// [`INLINE_WORK`], on the worker pool otherwise.
+    pub compute: Compute,
 }
+
+/// The work bound, in visit units, under which a cache miss computes
+/// inline on the event loop. Calibrated in release on a shared 2-vCPU
+/// x86-64 host, where a unit costs 0.022 µs (supremum) and 0.017 µs
+/// (scenario) in the median: over a grid of strategies, fleets,
+/// targets and extents, the longest inline compute took 0.21 ms, a few
+/// pool round trips.
+pub const INLINE_WORK: f64 = 6000.0;
+
+/// The fixed cost, in visit units, of a scanned turning point and of
+/// a simulated robot and target, on top of the visits themselves.
+const OVERHEAD: f64 = 8.0;
+
+/// Visit units per simulated robot-turn, so that a unit costs about
+/// the same on both compute routes.
+const SIM_WEIGHT: f64 = 3.0;
 
 /// The named scenario presets served by `POST /v1/scenario` with
 /// `{"name": ...}`; `(name, scenario JSON)`. The `randomized` preset
@@ -78,19 +115,101 @@ fn json_body(text: String) -> Vec<u8> {
 ///
 /// # Errors
 ///
+/// As [`prepare_with_work`].
+pub fn prepare(route: Route, request: &Request) -> Result<Prepared, ServeError> {
+    prepare_with_work(route, request).map(|(prepared, _)| prepared)
+}
+
+/// Resolves a request on a compute route into a [`Prepared`] job and
+/// the work bound of its computation, in visit units (see the module
+/// docs): a function of the resolved request, so one cache key always
+/// has one bound. Infinite for the routes that always park.
+///
+/// # Errors
+///
 /// Returns [`ServeError::BadRequest`] for malformed or invalid
 /// parameters; the compute closure reports its own failures.
-pub fn prepare(route: Route, request: &Request) -> Result<Prepared, ServeError> {
+pub fn prepare_with_work(route: Route, request: &Request) -> Result<(Prepared, f64), ServeError> {
     match route {
-        Route::Cr => prepare_cr(request),
-        Route::Table1 => prepare_table1(request),
+        Route::Cr => Ok((prepare_cr(request)?, 0.0)),
+        Route::Table1 => Ok((prepare_table1(request)?, f64::INFINITY)),
         Route::Scenario => prepare_scenario(request),
         Route::Supremum => prepare_supremum(request),
-        Route::Optimize => prepare_optimize(request),
+        Route::Optimize => Ok((prepare_optimize(request)?, f64::INFINITY)),
         Route::Healthz | Route::Metrics => {
             Err(ServeError::Internal(format!("{} is not a compute route", route.label())))
         }
     }
+}
+
+/// Turns one robot of `strategy` makes per e-fold of extent: `1 / ln κ`
+/// of its geometric expansion `κ`, 0 on rays. A strategy the model
+/// does not know is infinitely dense, so its misses park.
+fn turn_density(strategy: &str, beta: Option<f64>, n: usize, f: usize) -> f64 {
+    let (n, f) = (n as f64, f as f64);
+    let kappa = match (strategy, beta) {
+        // A(n, f)'s cone, κ = (4f + 4) / (4f + 4 − 2n), in the
+        // proportional regime; the two-group regime runs on rays.
+        ("paper" | "proportional", _) if n < 2.0 * f + 2.0 => {
+            (4.0 * f + 4.0) / (4.0 * f + 4.0 - 2.0 * n)
+        }
+        ("paper" | "proportional" | "two-group" | "pessimal-split", _) => return 0.0,
+        ("herd-doubling" | "staggered-doubling" | "mirrored-pairs" | "delayed-doubling", _) => 2.0,
+        ("fixed-beta", Some(beta)) => (beta + 1.0) / (beta - 1.0),
+        // Kao's optimal expansion, 3.59, rounded down.
+        ("randomized-sweep", _) => 3.5,
+        _ => return f64::INFINITY,
+    };
+    1.0 / kappa.ln()
+}
+
+/// Turns per robot out to `extent` at `density` turns per e-fold.
+fn turns(density: f64, extent: f64) -> f64 {
+    density * (std::f64::consts::E * extent).ln()
+}
+
+/// The exact scan of `n` robots making `turns` turns each.
+fn scan_work(n: usize, turns: f64) -> f64 {
+    let n = n as f64;
+    n * (n + OVERHEAD) * (1.0 + turns)
+}
+
+/// `runs` simulations of `n` robots making `turns` turns each.
+fn simulation_work(runs: usize, n: usize, turns: f64) -> f64 {
+    SIM_WEIGHT * runs as f64 * (n as f64 + OVERHEAD) * (OVERHEAD + turns)
+}
+
+/// The work bound of running `document`: every target simulated on
+/// the fleet, built once out to the farthest target (stretched by the
+/// fastest robot and the latest start). A trace replays its recorded
+/// trajectories once.
+fn scenario_work(document: &Document) -> f64 {
+    let (scenario, robots) = match document {
+        Document::Legacy(scenario) => (scenario, None),
+        Document::Versioned(doc) => (&doc.scenario, doc.robots.as_deref()),
+        Document::Trace(trace) => {
+            let n = trace.trajectories.len();
+            let waypoints: usize = trace.trajectories.iter().map(|t| t.waypoints().len()).sum();
+            return simulation_work(1, n, waypoints as f64 / n.max(1) as f64);
+        }
+    };
+    let (n, f) = (scenario.n, scenario.f);
+    let farthest = scenario.targets.iter().fold(1.0f64, |acc, x| acc.max(x.abs()));
+    let (speed, delay) = robots.unwrap_or_default().iter().fold((1.0f64, 0.0f64), |(s, d), r| {
+        let start = match r.activation {
+            Activation::Immediate => 0.0,
+            Activation::DelayedStart(delay) => delay,
+            Activation::Seeded { max_delay } => max_delay,
+        };
+        (s.max(r.speed), d.max(start))
+    });
+    let mut per_robot =
+        turns(turn_density(&scenario.strategy, scenario.beta, n, f), (farthest + delay) * speed);
+    if scenario.strategy == "randomized-sweep" {
+        // Its horizon reaches r^(f + 3) past the farthest target.
+        per_robot += f as f64 + 3.0;
+    }
+    simulation_work(scenario.targets.len() + 1, n, per_robot)
 }
 
 fn required_usize(request: &Request, name: &str) -> Result<usize, ServeError> {
@@ -122,8 +241,7 @@ fn prepare_cr(request: &Request) -> Result<Prepared, ServeError> {
     // rejects invalid (n, f) with a 400 before anything is cached.
     let body = cr_body(&query)?;
     let cache_key = key_for(Route::Cr, &to_resolved_value(&query)?);
-    let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> =
-        Box::new(move || Ok(body));
+    let compute: Compute = Box::new(move || Ok(body));
     Ok(Prepared { cache_key, compute })
 }
 
@@ -139,7 +257,7 @@ fn prepare_table1(request: &Request) -> Result<Prepared, ServeError> {
     };
     let resolved = serde::Value::Object(vec![("measure".to_owned(), serde::Value::Bool(measure))]);
     let cache_key = key_for(Route::Table1, &resolved);
-    let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> = Box::new(move || {
+    let compute: Compute = Box::new(move || {
         let rows = table1::regenerate(measure)?;
         serde_json::to_string_pretty(&rows)
             .map(json_body)
@@ -148,23 +266,27 @@ fn prepare_table1(request: &Request) -> Result<Prepared, ServeError> {
     Ok(Prepared { cache_key, compute })
 }
 
+/// [`SCENARIO_PRESETS`], parsed once.
+static PRESETS: LazyLock<Vec<(&str, Scenario)>> = LazyLock::new(|| {
+    SCENARIO_PRESETS
+        .iter()
+        .map(|&(name, json)| (name, Scenario::from_json(json).expect("every preset is valid")))
+        .collect()
+});
+
 /// Looks up a scenario preset by name.
 fn preset(name: &str) -> Result<Scenario, ServeError> {
-    let json =
-        SCENARIO_PRESETS.iter().find(|(n, _)| *n == name).map(|(_, json)| *json).ok_or_else(
-            || {
-                let known: Vec<&str> = SCENARIO_PRESETS.iter().map(|(n, _)| *n).collect();
-                ServeError::BadRequest(format!(
-                    "unknown scenario preset `{name}` (known: {})",
-                    known.join(", ")
-                ))
-            },
-        )?;
-    Scenario::from_json(json)
-        .map_err(|e| ServeError::Internal(format!("preset `{name}` is invalid: {e}")))
+    let (_, scenario) = PRESETS.iter().find(|(n, _)| *n == name).ok_or_else(|| {
+        let known: Vec<&str> = SCENARIO_PRESETS.iter().map(|(n, _)| *n).collect();
+        ServeError::BadRequest(format!(
+            "unknown scenario preset `{name}` (known: {})",
+            known.join(", ")
+        ))
+    })?;
+    Ok(scenario.clone())
 }
 
-fn prepare_scenario(request: &Request) -> Result<Prepared, ServeError> {
+fn prepare_scenario(request: &Request) -> Result<(Prepared, f64), ServeError> {
     if request.body.trim().is_empty() {
         return Err(ServeError::BadRequest(
             "expected a JSON body: {\"name\": ...} or a scenario/trace document".to_owned(),
@@ -184,9 +306,9 @@ fn prepare_scenario(request: &Request) -> Result<Prepared, ServeError> {
         Document::Trace(trace) => to_resolved_value(trace)?,
     };
     let cache_key = key_for(Route::Scenario, &resolved);
-    let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> =
-        Box::new(move || Ok(json_body(results_to_json(&document.run()?)?)));
-    Ok(Prepared { cache_key, compute })
+    let work = scenario_work(&document);
+    let compute: Compute = Box::new(move || Ok(json_body(results_to_json(&document.run()?)?)));
+    Ok((Prepared { cache_key, compute }, work))
 }
 
 /// The validated preset a `{"name": ..., "seed": <optional u64>}` body
@@ -227,7 +349,7 @@ fn named_preset(value: &serde::Value) -> Result<Option<Scenario>, ServeError> {
     Ok(Some(scenario))
 }
 
-fn prepare_supremum(request: &Request) -> Result<Prepared, ServeError> {
+fn prepare_supremum(request: &Request) -> Result<(Prepared, f64), ServeError> {
     if request.body.trim().is_empty() {
         return Err(ServeError::BadRequest(
             "expected a JSON body with at least {\"n\": ..., \"f\": ...}".to_owned(),
@@ -237,13 +359,15 @@ fn prepare_supremum(request: &Request) -> Result<Prepared, ServeError> {
         .map_err(|e| ServeError::BadRequest(format!("malformed supremum query: {e}")))?;
     query.validate().map_err(|e| ServeError::BadRequest(e.to_string()))?;
     let cache_key = key_for(Route::Supremum, &to_resolved_value(&query)?);
-    let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> = Box::new(move || {
+    let density = turn_density(&query.strategy, query.beta, query.n, query.f);
+    let work = scan_work(query.n, turns(density, query.xmax));
+    let compute: Compute = Box::new(move || {
         let report = query.run()?;
         serde_json::to_string_pretty(&report)
             .map(json_body)
             .map_err(|e| ServeError::Internal(format!("serialization failed: {e}")))
     });
-    Ok(Prepared { cache_key, compute })
+    Ok((Prepared { cache_key, compute }, work))
 }
 
 fn prepare_optimize(request: &Request) -> Result<Prepared, ServeError> {
@@ -262,7 +386,7 @@ fn prepare_optimize(request: &Request) -> Result<Prepared, ServeError> {
     config.grid_points = Some(config.resolved_grid_points());
     config.objective().map_err(|e| ServeError::BadRequest(e.to_string()))?;
     let cache_key = key_for(Route::Optimize, &to_resolved_value(&config)?);
-    let compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send> = Box::new(move || {
+    let compute: Compute = Box::new(move || {
         let report = faultline_opt::run(&config)?;
         serde_json::to_string_pretty(&report)
             .map(json_body)
@@ -551,6 +675,138 @@ mod tests {
                 ),
                 "body `{body}` must be a 400"
             );
+        }
+    }
+
+    fn work(route: Route, body: &str) -> f64 {
+        let path = if route == Route::Supremum { "/v1/supremum" } else { "/v1/scenario" };
+        prepare_with_work(route, &post(path, body)).expect("a valid request").1
+    }
+
+    /// A legacy scenario body with `targets` targets spread out to
+    /// `extent`, alternating sides.
+    fn scenario_with(n: usize, f: usize, targets: usize, extent: f64, strategy: &str) -> String {
+        let targets: Vec<String> = (1..=targets)
+            .map(|i| {
+                let x = 1.0 + (extent - 1.0) * i as f64 / targets as f64;
+                format!("{:?}", if i % 2 == 0 { x } else { -x })
+            })
+            .collect();
+        format!(
+            r#"{{"n": {n}, "f": {f}, "strategy": "{strategy}", "targets": [{}]}}"#,
+            targets.join(", ")
+        )
+    }
+
+    #[test]
+    fn the_benchmarked_misses_are_under_the_inline_bound() {
+        for &(n, f) in table1::TABLE1_PAIRS {
+            for xmax in [4.0, 32.0] {
+                let body = format!(r#"{{"n": {n}, "f": {f}, "xmax": {xmax}}}"#);
+                assert!(work(Route::Supremum, &body) < INLINE_WORK, "{body}");
+            }
+        }
+        for (name, _) in SCENARIO_PRESETS {
+            assert!(work(Route::Scenario, &format!(r#"{{"name": "{name}"}}"#)) < INLINE_WORK);
+        }
+        for name in ["randomized", "byzantine", "p-faulty"] {
+            let body = format!(r#"{{"name": "{name}", "seed": 9007199254740991}}"#);
+            assert!(work(Route::Scenario, &body) < INLINE_WORK, "{body}");
+        }
+        for file in ["half_line.json", "heterogeneous.json"] {
+            assert!(work(Route::Scenario, &example_scenario(file)) < INLINE_WORK, "{file}");
+        }
+        let cr = prepare_with_work(Route::Cr, &get("/v1/cr", &[("n", "30"), ("f", "7")]));
+        assert_eq!(cr.expect("closed form").1, 0.0);
+    }
+
+    #[test]
+    fn large_requests_and_the_optimizer_and_table_routes_always_park() {
+        assert!(work(Route::Supremum, r#"{"n": 201, "f": 100, "xmax": 1e9}"#) >= INLINE_WORK);
+        assert!(work(Route::Scenario, &scenario_with(41, 20, 50, 60.0, "paper")) >= INLINE_WORK);
+        let table1 = prepare_with_work(Route::Table1, &get("/v1/table1", &[])).expect("valid");
+        assert_eq!(table1.1, f64::INFINITY);
+        let optimize = r#"{"n": 3, "f": 1, "budget": "tiny", "xmax": 8.0}"#;
+        let optimize = prepare_with_work(Route::Optimize, &post("/v1/optimize", optimize));
+        assert_eq!(optimize.expect("valid").1, f64::INFINITY);
+        // A near-unit cone expands too slowly to scan inline.
+        let slow = r#"{"n": 3, "f": 1, "strategy": "fixed-beta", "beta": 1e6, "xmax": 1e3}"#;
+        assert!(work(Route::Supremum, slow) >= INLINE_WORK);
+        // Fleet sizes near the integer limit neither overflow nor run
+        // inline.
+        let huge = format!(r#"{{"n": {}, "f": {}}}"#, usize::MAX, usize::MAX - 1);
+        assert!(work(Route::Supremum, &huge) >= INLINE_WORK);
+        let huge = format!(r#"{{"n": {}, "f": {}, "targets": [2.0]}}"#, usize::MAX, usize::MAX - 1);
+        assert!(work(Route::Scenario, &huge) >= INLINE_WORK);
+    }
+
+    #[test]
+    fn one_cache_key_has_one_work_bound() {
+        let (_, byzantine) =
+            SCENARIO_PRESETS.iter().find(|(name, _)| *name == "byzantine").unwrap();
+        let byzantine = byzantine.replacen('{', r#"{"seed": 5, "#, 1);
+        let spellings = [
+            (
+                Route::Supremum,
+                r#"{"n": 41, "f": 20, "xmax": 30.0}"#,
+                r#"{"xmax": 30, "f": 20, "n": 41, "strategy": "paper"}"#,
+            ),
+            (Route::Scenario, r#"{"name": "byzantine", "seed": 5}"#, byzantine.as_str()),
+            (
+                Route::Scenario,
+                r#"{"n": 3, "f": 1, "targets": [2.0, -4.5]}"#,
+                r#"{"targets": [2, -4.5], "strategy": "paper", "f": 1, "n": 3}"#,
+            ),
+            (
+                Route::Scenario,
+                r#"{"version": 1, "n": 3, "f": 1, "targets": [2.0]}"#,
+                r#"{"version": 1, "n": 3, "f": 1, "geometry": "Line", "targets": [2]}"#,
+            ),
+        ];
+        for (route, a, b) in spellings {
+            let path = if route == Route::Supremum { "/v1/supremum" } else { "/v1/scenario" };
+            let (a_prepared, a_work) = prepare_with_work(route, &post(path, a)).expect("valid");
+            let (b_prepared, b_work) = prepare_with_work(route, &post(path, b)).expect("valid");
+            assert_eq!(a_prepared.cache_key, b_prepared.cache_key, "{a} / {b}");
+            assert_eq!(a_work.to_bits(), b_work.to_bits(), "{a} / {b}");
+        }
+    }
+
+    #[test]
+    fn the_work_bound_grows_with_robots_targets_and_extent() {
+        let supremum = |strategy: &str, n: usize, f: usize, xmax: f64| {
+            let beta = if strategy == "fixed-beta" { r#", "beta": 3.0"# } else { "" };
+            work(
+                Route::Supremum,
+                &format!(
+                    r#"{{"n": {n}, "f": {f}, "strategy": "{strategy}"{beta}, "xmax": {xmax}}}"#
+                ),
+            )
+        };
+        let windows = [1.5, 4.0, 32.0, 1e3, 1e6, 1e9];
+        for strategy in ["paper", "staggered-doubling", "fixed-beta"] {
+            for n in [3usize, 5, 11, 41, 101] {
+                let f = (n - 1) / 2;
+                let row: Vec<f64> = windows.iter().map(|&x| supremum(strategy, n, f, x)).collect();
+                assert!(row.windows(2).all(|w| w[0] < w[1]), "{strategy} n={n}: {row:?}");
+                if n < 101 {
+                    let more = supremum(strategy, 2 * n + 1, n, 1e3);
+                    assert!(more > supremum(strategy, n, f, 1e3), "{strategy} n={n}");
+                }
+            }
+        }
+        for strategy in ["paper", "herd-doubling", "randomized-sweep"] {
+            for (n, f) in [(3, 1), (5, 2), (41, 20)] {
+                let grid = |targets, extent| {
+                    work(Route::Scenario, &scenario_with(n, f, targets, extent, strategy))
+                };
+                for extent in [10.0, 1e4, 1e8] {
+                    let row: Vec<f64> = [1, 3, 10, 50].iter().map(|&t| grid(t, extent)).collect();
+                    assert!(row.windows(2).all(|w| w[0] < w[1]), "{strategy} ({n}, {f}): {row:?}");
+                }
+                let row: Vec<f64> = [10.0, 1e4, 1e8].iter().map(|&e| grid(3, e)).collect();
+                assert!(row.windows(2).all(|w| w[0] < w[1]), "{strategy} ({n}, {f}): {row:?}");
+            }
         }
     }
 

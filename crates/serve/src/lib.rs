@@ -16,17 +16,19 @@
 //!   (no thread-per-connection slowloris exposure).
 //! * **Serving tiers** — `GET /v1/cr` is answered from a precomputed
 //!   closed-form memo lattice ([`memo`], `X-Cache: memo`); other
-//!   requests hit the sharded LRU (`X-Cache: hit`), compute inline when
-//!   light, or park in place on the event loop while the bounded worker
-//!   pool computes them when heavy.
+//!   requests hit the sharded LRU (`X-Cache: hit`), compute inline on
+//!   the event loop when their work bound ([`handlers::INLINE_WORK`])
+//!   allows, or park in place on the event loop while the bounded
+//!   worker pool computes them.
 //! * **Single-flight coalescing** — concurrent misses on one canonical
 //!   cache key compute once ([`flight`], a table only the event loop
 //!   touches); every coalesced connection receives the byte-identical
 //!   response and keeps its connection.
 //! * **Backpressure** — a bounded worker pool with a bounded admission
 //!   queue; a full queue answers `503 + Retry-After`, and the event
-//!   loop answers `504` at a request's deadline. The job keeps its
-//!   worker until it finishes, so at most `threads` computations run.
+//!   loop answers `504` at a parked request's deadline. The job keeps
+//!   its worker until it finishes, so at most `threads` pool
+//!   computations run, plus one inline on the loop.
 //! * **Scale-out** — `SO_REUSEPORT` shard mode (`faultline serve
 //!   --shards=N`) and a deterministic seeded load generator
 //!   ([`loadgen`], `faultline loadgen`).

@@ -2,7 +2,7 @@
 //! an in-process sharded one spawned on demand).
 //!
 //! The workload is a fixed mix over the serving tiers — memoized
-//! `/v1/cr` lattice points, scenario presets (heavy, cache-warming),
+//! `/v1/cr` lattice points, scenario presets (computed once, then hits),
 //! `/v1/table1`, and `/healthz` probes — generated from per-thread
 //! SplitMix64 streams, so the same `(seed, requests, concurrency)`
 //! produces the same request sequence on every run. Each thread folds
@@ -108,8 +108,8 @@ fn nth_request(rng: &mut u64) -> (&'static str, String, Option<String>) {
             let f = (splitmix64(rng) as usize) % n;
             ("GET", format!("/v1/cr?n={n}&f={f}"), None)
         }
-        // 20%: heavy scenario presets (single-flight + cache after the
-        // first miss of each).
+        // 20%: scenario presets (each computed inline on its first
+        // miss, then cache hits).
         6 | 7 => {
             let name = PRESETS[(splitmix64(rng) as usize) % PRESETS.len()];
             ("POST", "/v1/scenario".to_owned(), Some(format!("{{\"name\": \"{name}\"}}")))

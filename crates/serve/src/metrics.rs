@@ -26,6 +26,7 @@ pub struct Metrics {
     coalesced_total: AtomicU64,
     memo_hits_total: AtomicU64,
     pool_jobs_total: AtomicU64,
+    inline_computes_total: AtomicU64,
     connections_total: AtomicU64,
     keepalive_reuses_total: AtomicU64,
     queue_depth: AtomicUsize,
@@ -47,6 +48,7 @@ impl Metrics {
             coalesced_total: AtomicU64::new(0),
             memo_hits_total: AtomicU64::new(0),
             pool_jobs_total: AtomicU64::new(0),
+            inline_computes_total: AtomicU64::new(0),
             connections_total: AtomicU64::new(0),
             keepalive_reuses_total: AtomicU64::new(0),
             queue_depth: AtomicUsize::new(0),
@@ -115,6 +117,17 @@ impl Metrics {
     #[must_use]
     pub fn pool_jobs(&self) -> u64 {
         self.pool_jobs_total.load(Ordering::Relaxed)
+    }
+
+    /// Records one cache miss computed inline on the event loop.
+    pub fn inline_compute(&self) {
+        self.inline_computes_total.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Cumulative count of misses computed inline on the event loop.
+    #[must_use]
+    pub fn inline_computes(&self) -> u64 {
+        self.inline_computes_total.load(Ordering::Relaxed)
     }
 
     /// Records one accepted connection.
@@ -220,6 +233,10 @@ impl Metrics {
             self.pool_jobs_total.load(Ordering::Relaxed)
         ));
         out.push_str(&format!(
+            "faultline_inline_computes_total {}\n",
+            self.inline_computes_total.load(Ordering::Relaxed)
+        ));
+        out.push_str(&format!(
             "faultline_connections_total {}\n",
             self.connections_total.load(Ordering::Relaxed)
         ));
@@ -283,11 +300,13 @@ mod tests {
         metrics.memo_hit();
         metrics.coalesced();
         metrics.pool_job();
+        metrics.inline_compute();
         metrics.connection_accepted();
         metrics.keepalive_reuse();
         assert_eq!(metrics.memo_hits(), 2);
         assert_eq!(metrics.coalesced_requests(), 1);
         assert_eq!(metrics.pool_jobs(), 1);
+        assert_eq!(metrics.inline_computes(), 1);
         assert_eq!(metrics.connections(), 1);
         assert_eq!(metrics.keepalive_reuses(), 1);
         let cache = ResponseCache::new(16, 1);
@@ -295,6 +314,7 @@ mod tests {
         assert!(text.contains("faultline_cr_memo_hits_total 2"));
         assert!(text.contains("faultline_coalesced_requests_total 1"));
         assert!(text.contains("faultline_pool_jobs_total 1"));
+        assert!(text.contains("faultline_inline_computes_total 1"));
         assert!(text.contains("faultline_connections_total 1"));
         assert!(text.contains("faultline_keepalive_reuses_total 1"));
     }

@@ -1,6 +1,7 @@
 //! Bounded worker pool with an admission queue and a completion queue.
 //!
-//! The event loop resolves and validates requests, then submits a
+//! The event loop resolves and validates requests, computes a miss
+//! under the work bound itself, and submits every other miss as a
 //! [`Job`] here. `try_submit` never blocks: when the queue is at
 //! capacity the caller answers `503 Service Unavailable` with a
 //! `Retry-After` header instead (backpressure, not buffering).
@@ -13,7 +14,8 @@
 //! queued by then and answers the flights' connections itself. Workers
 //! never touch a socket, and a job holds its worker until it finishes,
 //! even after the loop answered its flight `504`: at most `threads`
-//! computations ever run. A job dequeued after its deadline is not run.
+//! pool computations ever run, plus the one the loop may be running
+//! inline. A job dequeued after its deadline is not run.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -25,6 +27,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::flight::FlightId;
+use crate::handlers::Compute;
 use crate::metrics::Metrics;
 use crate::ServeError;
 
@@ -34,7 +37,7 @@ pub struct Job {
     /// The flight this job lands.
     pub flight: FlightId,
     /// Computes the response body (and inserts it into the cache).
-    pub compute: Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send>,
+    pub compute: Compute,
     /// The flight's deadline; a job dequeued after it is not run.
     pub deadline: Instant,
 }
@@ -169,6 +172,16 @@ impl WorkerPool {
     }
 }
 
+/// Runs a computation under `catch_unwind`, as the workers and the
+/// event loop's inline computes both do: a panic answers 500.
+pub(crate) fn run_guarded(compute: impl FnOnce() -> Result<Vec<u8>, ServeError>) -> Outcome {
+    match catch_unwind(AssertUnwindSafe(compute)) {
+        Ok(Ok(body)) => Ok(body),
+        Ok(Err(error)) => Err((error.status(), error.message().to_owned())),
+        Err(_panic) => Err((500, "computation panicked".to_owned())),
+    }
+}
+
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
@@ -190,11 +203,7 @@ fn worker_loop(shared: &Shared) {
         let outcome = if Instant::now() >= deadline {
             Err((504, "deadline exceeded while queued".to_owned()))
         } else {
-            match catch_unwind(AssertUnwindSafe(compute)) {
-                Ok(Ok(body)) => Ok(body),
-                Ok(Err(error)) => Err((error.status(), error.message().to_owned())),
-                Err(_panic) => Err((500, "computation panicked".to_owned())),
-            }
+            run_guarded(compute)
         };
         let mut completions = shared.completions.lock().expect("completion queue poisoned");
         let announce = completions.is_empty();

@@ -1,4 +1,7 @@
 //! Route table: maps `(method, path)` onto the service's endpoints.
+//! Which tier serves a compute route's miss is decided per request,
+//! by its work bound ([`crate::handlers::prepare_with_work`]), not
+//! here.
 
 /// The service's endpoints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,15 +35,6 @@ impl Route {
             Route::Supremum => "/v1/supremum",
             Route::Optimize => "/v1/optimize",
         }
-    }
-
-    /// Whether the route runs real computation and therefore goes
-    /// through the worker pool on a cache miss. Light routes (and cache
-    /// hits on heavy ones) are answered inline on the accept thread, so
-    /// health and metrics stay responsive under saturation.
-    #[must_use]
-    pub fn is_heavy(self) -> bool {
-        matches!(self, Route::Table1 | Route::Scenario | Route::Supremum | Route::Optimize)
     }
 }
 
@@ -96,16 +90,5 @@ mod tests {
         assert_eq!(route("GET", "/v1/supremum"), Routed::MethodNotAllowed("POST"));
         assert_eq!(route("GET", "/v1/optimize"), Routed::MethodNotAllowed("POST"));
         assert_eq!(route("DELETE", "/nope"), Routed::NotFound);
-    }
-
-    #[test]
-    fn only_compute_routes_are_heavy() {
-        assert!(!Route::Healthz.is_heavy());
-        assert!(!Route::Metrics.is_heavy());
-        assert!(!Route::Cr.is_heavy());
-        assert!(Route::Table1.is_heavy());
-        assert!(Route::Scenario.is_heavy());
-        assert!(Route::Supremum.is_heavy());
-        assert!(Route::Optimize.is_heavy());
     }
 }

@@ -8,11 +8,22 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use faultline_serve::client::{self, Response, Session};
+use faultline_serve::handlers;
+use faultline_serve::http::Request;
+use faultline_serve::router::Route;
 use faultline_serve::{ServeConfig, ServerHandle};
 
 /// An optimize body slow enough (about 200 ms in release) to hold a
 /// worker while the herd piles onto its flight.
 const SLOW_OPTIMIZE: &str = r#"{"n": 41, "f": 20, "budget": "tiny", "seed": 1}"#;
+
+/// A supremum body over the inline work bound, so its miss parks on
+/// the pool: A(41, 20) out to `xmax >= 1e6`, under a millisecond in
+/// release.
+fn parked_supremum(xmax: f64) -> String {
+    assert!(xmax >= 1e6, "smaller windows compute inline");
+    format!(r#"{{"n": 41, "f": 20, "xmax": {xmax}}}"#)
+}
 
 fn spawn(config: ServeConfig) -> (ServerHandle, String) {
     let handle = ServerHandle::spawn(ServeConfig { addr: "127.0.0.1:0".to_owned(), ..config })
@@ -211,9 +222,9 @@ fn heavy_misses_keep_their_keep_alive_connection() {
     let state = handle.state();
 
     let mut session = Session::new(&addr);
-    for seed in 0..N {
-        let body = format!(r#"{{"name": "randomized", "seed": {seed}}}"#);
-        let response = session.request("POST", "/v1/scenario", Some(&body)).expect("heavy miss");
+    for i in 0..N {
+        let body = parked_supremum(1e6 + i as f64);
+        let response = session.request("POST", "/v1/supremum", Some(&body)).expect("heavy miss");
         assert_eq!(response.status, 200, "{}", response.text());
         assert_eq!(response.header("X-Cache"), Some("miss"));
         assert_eq!(response.header("Connection"), Some("keep-alive"));
@@ -230,9 +241,9 @@ fn a_request_pipelined_behind_a_parked_miss_is_answered_after_it() {
     let state = handle.state();
 
     // A heavy miss, then two requests behind it in the same write.
-    let body = r#"{"name": "smoke"}"#;
+    let body = parked_supremum(1e6);
     let wire = format!(
-        "POST /v1/scenario HTTP/1.1\r\nHost: l\r\nContent-Length: {}\r\n\r\n{body}\
+        "POST /v1/supremum HTTP/1.1\r\nHost: l\r\nContent-Length: {}\r\n\r\n{body}\
          GET /healthz HTTP/1.1\r\nHost: l\r\n\r\n\
          GET /v1/cr?n=3&f=1 HTTP/1.1\r\nHost: l\r\nConnection: close\r\n\r\n",
         body.len()
@@ -247,12 +258,71 @@ fn a_request_pipelined_behind_a_parked_miss_is_answered_after_it() {
 
     let answers: Vec<usize> = text.match_indices("HTTP/1.1 200 OK").map(|(at, _)| at).collect();
     assert_eq!(answers.len(), 3, "every pipelined request answered: {text}");
-    let (scenario, health, cr) =
+    let (parked, health, cr) =
         (&text[..answers[1]], &text[answers[1]..answers[2]], &text[answers[2]..]);
-    assert!(scenario.contains("X-Cache: miss") && scenario.contains("Connection: keep-alive"));
+    assert!(parked.contains("X-Cache: miss") && parked.contains("Connection: keep-alive"));
     assert!(health.ends_with("{\"status\": \"ok\"}\n"), "the probe answers second: {health}");
     assert!(cr.contains("\"cr_upper\"") && cr.contains("Connection: close"), "then /v1/cr: {cr}");
     assert_eq!(state.metrics.pool_jobs(), 1);
     assert_eq!(state.metrics.connections(), 1);
+    handle.shutdown();
+}
+
+/// The reference bytes of a compute route: `prepare(..)` and its
+/// compute, in process.
+fn reference(route: Route, path: &str, body: &str) -> Vec<u8> {
+    let request = Request {
+        method: "POST".to_owned(),
+        path: path.to_owned(),
+        query: Vec::new(),
+        body: body.to_owned(),
+        keep_alive: true,
+    };
+    let prepared = handlers::prepare(route, &request).expect("a valid request");
+    (prepared.compute)().expect("it computes")
+}
+
+#[test]
+fn small_misses_compute_inline_with_the_bytes_of_their_handlers() {
+    let (handle, addr) = spawn(ServeConfig::default());
+    let state = handle.state();
+    let small = [
+        (Route::Supremum, "/v1/supremum", r#"{"n": 41, "f": 20, "xmax": 31.5}"#),
+        (Route::Supremum, "/v1/supremum", r#"{"n": 3, "f": 1, "xmax": 4.25}"#),
+        (Route::Scenario, "/v1/scenario", r#"{"name": "byzantine", "seed": 11}"#),
+        (Route::Scenario, "/v1/scenario", r#"{"name": "randomized", "seed": 12}"#),
+    ];
+    for (route, path, body) in small {
+        let response = post(&addr, path, body);
+        assert_eq!(response.status, 200, "{body}: {}", response.text());
+        assert_eq!(response.header("X-Cache"), Some("miss"));
+        assert!(response.body == reference(route, path, body), "{body}: bytes differ");
+    }
+    assert_eq!(state.metrics.pool_jobs(), 0, "no small miss went to the pool");
+    assert_eq!(state.metrics.inline_computes(), small.len() as u64);
+    let rendered = state.metrics.render(&state.cache);
+    assert!(rendered.contains("faultline_inline_computes_total 4"), "{rendered}");
+    handle.shutdown();
+}
+
+#[test]
+fn large_supremum_and_scenario_misses_park_on_the_pool() {
+    let (handle, addr) = spawn(ServeConfig::default());
+    let state = handle.state();
+    let targets: Vec<String> =
+        (1..=50).map(|i| format!("{}.5", if i % 2 == 0 { i } else { -i })).collect();
+    let scenario = format!(r#"{{"n": 41, "f": 20, "targets": [{}]}}"#, targets.join(", "));
+    let large = [
+        (Route::Supremum, "/v1/supremum", r#"{"n": 201, "f": 100, "xmax": 1e9}"#.to_owned()),
+        (Route::Scenario, "/v1/scenario", scenario),
+    ];
+    for (route, path, body) in &large {
+        let response = post(&addr, path, body);
+        assert_eq!(response.status, 200, "{body}: {}", response.text());
+        assert_eq!(response.header("X-Cache"), Some("miss"));
+        assert!(response.body == reference(*route, path, body), "{body}: bytes differ");
+    }
+    assert_eq!(state.metrics.pool_jobs(), large.len() as u64, "both parked on the pool");
+    assert_eq!(state.metrics.inline_computes(), 0);
     handle.shutdown();
 }
