@@ -281,11 +281,12 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Reports invalid `(n, f)`, an empty or out-of-window target
-    /// list, an unknown strategy, missing/extra `beta`, a meaningless
-    /// seed, or an inconsistent or over-budget fault set or quorum.
+    /// Reports invalid `(n, f)`, a fleet over [`Params::MAX_ROBOTS`],
+    /// an empty or out-of-window target list, an unknown strategy,
+    /// missing/extra `beta`, a meaningless seed, or an inconsistent or
+    /// over-budget fault set or quorum.
     pub fn validate_in(&self, geometry: Geometry, seeded_activation: bool) -> Result<()> {
-        Params::new(self.n, self.f)?;
+        Params::fleet(self.n, self.f)?;
         if self.targets.is_empty() {
             return Err(Error::domain("scenario needs at least one target"));
         }
@@ -418,7 +419,7 @@ impl Scenario {
     ///
     /// Propagates strategy and trajectory failures.
     pub fn fleet(&self, physics: &[RobotPhysics]) -> Result<(Vec<PiecewiseTrajectory>, f64)> {
-        let params = Params::new(self.n, self.f)?;
+        let params = Params::fleet(self.n, self.f)?;
         let xmax = self.targets.iter().map(|x| x.abs()).fold(1.0f64, f64::max);
         let (plans, plan_horizon) = self.plans_and_horizon(params, xmax)?;
         let horizon = plan_horizon + physics.iter().fold(0.0f64, |a, p| a.max(p.delay));

@@ -136,11 +136,12 @@ impl SupremumQuery {
     ///
     /// # Errors
     ///
-    /// Rejects invalid `(n, f)`, unknown strategies, a missing or
-    /// superfluous `beta`, and an `xmax` that is non-finite, below 1,
-    /// or beyond the service bound of 1e9.
+    /// Rejects invalid `(n, f)`, a fleet over [`Params::MAX_ROBOTS`],
+    /// unknown strategies, a missing or superfluous `beta`, and an
+    /// `xmax` that is non-finite, below 1, or beyond the service bound
+    /// of 1e9.
     pub fn validate(&self) -> Result<()> {
-        Params::new(self.n, self.f)?;
+        Params::fleet(self.n, self.f)?;
         resolve_strategy(&self.strategy, self.beta)?;
         if !(self.xmax >= 1.0) || !self.xmax.is_finite() {
             return Err(Error::domain(format!("xmax must be finite and >= 1, got {}", self.xmax)));

@@ -8,8 +8,10 @@
 //! latencies and throughput are only meaningful on the same hardware
 //! running the same workload shape, so the gate fires only when the
 //! recorded report carries the same host fingerprint, `quick` flag,
-//! and workload shape (requests/concurrency/shards/seed). Anything
-//! else is reported as informational, never a failure.
+//! and workload shape (requests/concurrency/seed). Anything else is
+//! reported as informational, never a failure. The digest is
+//! host-portable: whenever the `quick` flag and the workload shape
+//! match, it must equal the recorded one.
 
 use serde::{Deserialize, Serialize};
 
@@ -29,8 +31,6 @@ pub struct LoadReport {
     pub quick: bool,
     /// Host context (same fingerprint rule as the perf baselines).
     pub host: HostInfo,
-    /// SO_REUSEPORT shard count the workload ran against.
-    pub shards: usize,
     /// Concurrent client threads.
     pub concurrency: usize,
     /// Total requests fired.
@@ -75,7 +75,6 @@ fn report_from(options: &LoadOptions, summary: &LoadSummary, quick: bool) -> Loa
             os: std::env::consts::OS.to_owned(),
             arch: std::env::consts::ARCH.to_owned(),
         },
-        shards: if options.addr.is_some() { 0 } else { options.shards.max(1) },
         concurrency: options.concurrency,
         requests: options.requests,
         seed: options.seed,
@@ -91,15 +90,15 @@ fn report_from(options: &LoadOptions, summary: &LoadSummary, quick: bool) -> Loa
 
 /// Whether two reports measured the same workload shape.
 fn same_shape(a: &LoadReport, b: &LoadReport) -> bool {
-    a.requests == b.requests
-        && a.concurrency == b.concurrency
-        && a.shards == b.shards
-        && a.seed == b.seed
+    a.requests == b.requests && a.concurrency == b.concurrency && a.seed == b.seed
 }
 
 /// Compares a fresh load report against a recorded one.
 ///
-/// p99 latency (must not grow beyond [`REGRESSION_TOLERANCE`]) and QPS
+/// The digest must equal the recorded one whenever the `quick` flag
+/// and workload shape match, on any host: it is a function of the
+/// workload and the server's semantics, not of timing. p99 latency
+/// (must not grow beyond [`REGRESSION_TOLERANCE`]) and QPS
 /// (must not lose more than [`REGRESSION_TOLERANCE`]) are gated only
 /// when the recorded report has the same host fingerprint, `quick`
 /// flag, and workload shape — the same rule `repro bench --baseline=`
@@ -118,6 +117,14 @@ pub fn compare_load(current: &LoadReport, recorded: &LoadReport) -> BaselineComp
     }
     lines.push(format!("errors: {} vs recorded {}", current.errors, recorded.errors));
 
+    if current.quick == recorded.quick && same_shape(current, recorded) {
+        let digest_line = format!("digest: {} vs recorded {}", current.digest, recorded.digest);
+        if current.digest != recorded.digest {
+            regressions.push(digest_line.clone());
+        }
+        lines.push(digest_line);
+    }
+
     if current.quick != recorded.quick {
         lines.push(format!(
             "latency/QPS comparison skipped: current quick = {}, recorded quick = {}",
@@ -131,13 +138,11 @@ pub fn compare_load(current: &LoadReport, recorded: &LoadReport) -> BaselineComp
     } else if !same_shape(current, recorded) {
         lines.push(format!(
             "latency/QPS comparison skipped: workload shape differs \
-             (requests {} vs {}, concurrency {} vs {}, shards {} vs {}, seed {} vs {})",
+             (requests {} vs {}, concurrency {} vs {}, seed {} vs {})",
             current.requests,
             recorded.requests,
             current.concurrency,
             recorded.concurrency,
-            current.shards,
-            recorded.shards,
             current.seed,
             recorded.seed,
         ));
@@ -191,7 +196,6 @@ mod tests {
             date: "2026-08-08".to_owned(),
             quick: true,
             host: host(),
-            shards: 2,
             concurrency: 4,
             requests: 1_200,
             seed: 1,
@@ -243,9 +247,37 @@ mod tests {
         other_quick.quick = false;
         assert!(compare_load(&other_quick, &recorded).passed());
 
+        // A digest that moved gates on any host...
+        let mut other_answers = other_host.clone();
+        other_answers.digest = "00000000feedface".to_owned();
+        let moved = compare_load(&other_answers, &recorded);
+        assert!(!moved.passed());
+        assert!(moved.regressions.iter().any(|l| l.starts_with("digest: ")), "{moved:?}");
+        // ...but not across workload shapes, whose digests differ.
+        other_shape.digest = "00000000feedface".to_owned();
+        assert!(compare_load(&other_shape, &recorded).passed());
+
         // Transport errors gate on any host and any shape.
         let mut erroring = other_host;
         erroring.errors = 3;
         assert!(!compare_load(&erroring, &recorded).passed());
+    }
+
+    #[test]
+    fn the_committed_load_reports_still_load() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut loaded = 0;
+        for entry in std::fs::read_dir(&root).expect("the repository root") {
+            let name = entry.expect("a directory entry").file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with("LOAD_") && name.ends_with(".json") {
+                let text = std::fs::read_to_string(root.join(name.as_ref())).expect("readable");
+                let report: LoadReport = serde_json::from_str(&text)
+                    .unwrap_or_else(|e| panic!("{name} does not load: {e}"));
+                assert_eq!(report.digest.len(), 16, "{name}");
+                loaded += 1;
+            }
+        }
+        assert!(loaded > 0, "a load report is committed");
     }
 }

@@ -67,6 +67,11 @@ impl<'de> Deserialize<'de> for Params {
 }
 
 impl Params {
+    /// The largest fleet [`Params::fleet`] accepts, so no request or
+    /// document can exhaust memory building its robots; above every
+    /// fleet a test, golden or artifact builds (at most A(201, 100)).
+    pub const MAX_ROBOTS: usize = 4096;
+
     /// Creates a validated parameter pair.
     ///
     /// # Errors
@@ -85,6 +90,19 @@ impl Params {
             ));
         }
         Ok(Params { n, f })
+    }
+
+    /// As [`Params::new`], for an analysis that builds the fleet.
+    ///
+    /// # Errors
+    ///
+    /// Also returns [`Error::InvalidParameters`] when `n > MAX_ROBOTS`.
+    pub fn fleet(n: usize, f: usize) -> Result<Self> {
+        if n > Self::MAX_ROBOTS {
+            let reason = format!("at most {} robots are supported", Self::MAX_ROBOTS);
+            return Err(Error::invalid_params(n, f, reason));
+        }
+        Params::new(n, f)
     }
 
     /// Total number of robots.
@@ -143,6 +161,17 @@ mod tests {
     #[test]
     fn rejects_zero_robots() {
         assert!(Params::new(0, 0).is_err());
+    }
+
+    #[test]
+    fn fleets_over_the_ceiling_are_refused_and_closed_forms_are_not() {
+        assert!(Params::fleet(Params::MAX_ROBOTS, Params::MAX_ROBOTS / 2).is_ok());
+        for n in [Params::MAX_ROBOTS + 1, 1 << 50, usize::MAX] {
+            let error = Params::fleet(n, 1).expect_err("over the ceiling");
+            assert!(error.to_string().contains("at most 4096 robots"), "{error}");
+            assert!(Params::new(n, 1).is_ok(), "a closed form takes any n");
+        }
+        assert!(Params::fleet(3, 3).is_err(), "and the pair is still checked");
     }
 
     #[test]

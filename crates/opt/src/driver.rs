@@ -81,9 +81,10 @@ impl OptimizeConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParameters`] for unsolvable pairs.
+    /// Returns [`Error::InvalidParameters`] for unsolvable pairs and
+    /// fleets over [`Params::MAX_ROBOTS`].
     pub fn params(&self) -> Result<Params> {
-        Params::new(self.n, self.f)
+        Params::fleet(self.n, self.f)
     }
 
     /// The resolved measurement window.

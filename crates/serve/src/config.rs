@@ -1,5 +1,5 @@
-//! Service configuration: listen address, worker pool sizing, cache
-//! budget, admission-queue depth and per-request deadline.
+//! Service configuration: listen address, event-loop and worker-pool
+//! sizing, cache budget, admission-queue depth and per-request deadline.
 
 use std::time::Duration;
 
@@ -11,9 +11,10 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 pub struct ServeConfig {
     /// Listen address (`host:port`; port 0 picks a free port).
     pub addr: String,
-    /// Worker threads executing misses over the inline work bound;
-    /// `None` defers to [`faultline_core::ParallelConfig`]'s resolution
-    /// (the `FAULTLINE_THREADS` environment variable, then core count).
+    /// Event loops, one thread each, and as many pool workers executing
+    /// misses over the inline work bound; `None` defers to
+    /// [`faultline_core::ParallelConfig`]'s resolution (the
+    /// `FAULTLINE_THREADS` environment variable, then core count).
     pub threads: Option<usize>,
     /// Total response-cache byte budget across all shards.
     pub cache_bytes: usize,
@@ -26,10 +27,6 @@ pub struct ServeConfig {
     /// still queued or computing when it expires answers
     /// `504 Gateway Timeout`.
     pub request_timeout: Duration,
-    /// Bind the listener with `SO_REUSEPORT` so multiple shard
-    /// processes (or in-process servers) can share the address and let
-    /// the kernel balance accepts across them.
-    pub reuse_port: bool,
     /// Largest `n` of the precomputed `/v1/cr` closed-form lattice
     /// (every valid `(n, f)` with `n <= memo_max_n` is serialized at
     /// startup and served without touching the cache or the pool).
@@ -50,7 +47,6 @@ impl Default for ServeConfig {
             cache_shards: 16,
             queue_capacity: 64,
             request_timeout: Duration::from_secs(60),
-            reuse_port: false,
             memo_max_n: 64,
             idle_timeout: Duration::from_secs(30),
         }
@@ -58,7 +54,8 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The resolved worker-thread count (never zero).
+    /// The resolved count of event loops, and of pool workers (never
+    /// zero).
     #[must_use]
     pub fn resolved_threads(&self) -> usize {
         faultline_core::ParallelConfig { threads: self.threads, grain: None }.resolved_threads()
@@ -114,7 +111,6 @@ mod tests {
     fn memo_tier_defaults_on_and_can_be_disabled() {
         let config = ServeConfig::default();
         assert_eq!(config.memo_max_n, 64);
-        assert!(!config.reuse_port);
         let off = ServeConfig { memo_max_n: 0, ..ServeConfig::default() };
         assert!(off.validate().is_ok(), "a disabled memo tier is valid");
     }

@@ -732,12 +732,25 @@ mod tests {
         // A near-unit cone expands too slowly to scan inline.
         let slow = r#"{"n": 3, "f": 1, "strategy": "fixed-beta", "beta": 1e6, "xmax": 1e3}"#;
         assert!(work(Route::Supremum, slow) >= INLINE_WORK);
-        // Fleet sizes near the integer limit neither overflow nor run
-        // inline.
+        // The largest fleets accepted never run inline...
+        let (n, f) = (faultline_core::Params::MAX_ROBOTS, faultline_core::Params::MAX_ROBOTS / 2);
+        assert!(work(Route::Supremum, &format!(r#"{{"n": {n}, "f": {f}}}"#)) >= INLINE_WORK);
+        let largest = format!(r#"{{"n": {n}, "f": {f}, "targets": [2.0]}}"#);
+        assert!(work(Route::Scenario, &largest) >= INLINE_WORK);
+        // ...and larger ones, up to the integer limit, are refused
+        // before anything is built.
+        let refusal = |route, path, body: &str| {
+            prepare_with_work(route, &post(path, body)).err().map(|error| error.status())
+        };
         let huge = format!(r#"{{"n": {}, "f": {}}}"#, usize::MAX, usize::MAX - 1);
-        assert!(work(Route::Supremum, &huge) >= INLINE_WORK);
+        assert_eq!(refusal(Route::Supremum, "/v1/supremum", &huge), Some(400));
         let huge = format!(r#"{{"n": {}, "f": {}, "targets": [2.0]}}"#, usize::MAX, usize::MAX - 1);
-        assert!(work(Route::Scenario, &huge) >= INLINE_WORK);
+        assert_eq!(refusal(Route::Scenario, "/v1/scenario", &huge), Some(400));
+        let over = format!(r#"{{"n": {}, "f": 1}}"#, n + 1);
+        assert_eq!(refusal(Route::Supremum, "/v1/supremum", &over), Some(400));
+        assert_eq!(refusal(Route::Optimize, "/v1/optimize", &over), Some(400));
+        let abort = r#"{"n": 1125899906842624, "f": 1}"#;
+        assert_eq!(refusal(Route::Supremum, "/v1/supremum", abort), Some(400));
     }
 
     #[test]

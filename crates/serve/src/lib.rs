@@ -1,7 +1,7 @@
 //! # faultline-serve
 //!
 //! A dependency-light HTTP/1.1 JSON query service over the faultline
-//! analysis stack, built on a readiness-based epoll event loop (raw
+//! analysis stack, built on readiness-based epoll event loops (raw
 //! syscall FFI in [`sys`], no `libc` crate):
 //!
 //! * **Routes** — `GET /v1/cr?n=&f=` (closed-form competitive-ratio
@@ -10,31 +10,37 @@
 //!   scenario/trace documents), `POST /v1/supremum` (empirical
 //!   supremum), `POST /v1/optimize` (schedule-space optimizer gap
 //!   report), plus `GET /healthz` and `GET /metrics`.
-//! * **Event loop** — one thread owns accept/read/write over
-//!   non-blocking sockets with HTTP/1.1 keep-alive on every tier; a
-//!   half-written request never occupies more than its own connection
-//!   (no thread-per-connection slowloris exposure).
+//! * **Event loops** — `threads` identical loops in one process, one
+//!   thread each ([`server`]). Loop 0 accepts and gives each connection
+//!   to the loop with the fewest open connections; that loop's thread
+//!   then reads, parses, answers and writes for it over non-blocking
+//!   sockets with HTTP/1.1 keep-alive on every tier. A half-written
+//!   request never occupies more than its own connection (no
+//!   thread-per-connection slowloris exposure).
 //! * **Serving tiers** — `GET /v1/cr` is answered from a precomputed
 //!   closed-form memo lattice ([`memo`], `X-Cache: memo`); other
 //!   requests hit the sharded LRU (`X-Cache: hit`), compute inline on
-//!   the event loop when their work bound ([`handlers::INLINE_WORK`])
-//!   allows, or park in place on the event loop while the bounded
-//!   worker pool computes them.
+//!   their loop when their work bound ([`handlers::INLINE_WORK`])
+//!   allows, or park in place on their loop while the bounded worker
+//!   pool computes them.
 //! * **Single-flight coalescing** — concurrent misses on one canonical
-//!   cache key compute once ([`flight`], a table only the event loop
-//!   touches); every coalesced connection receives the byte-identical
-//!   response and keeps its connection.
+//!   cache key compute once, whichever loops they arrive on ([`flight`],
+//!   one table behind a mutex that a loop locks only while a flight is
+//!   in the air); every coalesced connection receives the
+//!   byte-identical response and keeps its connection.
 //! * **Backpressure** — a bounded worker pool with a bounded admission
-//!   queue; a full queue answers `503 + Retry-After`, and the event
-//!   loop answers `504` at a parked request's deadline. The job keeps
-//!   its worker until it finishes, so at most `threads` pool
-//!   computations run, plus one inline on the loop.
-//! * **Scale-out** — `SO_REUSEPORT` shard mode (`faultline serve
-//!   --shards=N`) and a deterministic seeded load generator
+//!   queue; a full queue answers `503 + Retry-After`, and the loops
+//!   answer `504` at a parked request's deadline. The job keeps its
+//!   worker until it finishes, so at most `threads` pool computations
+//!   run, plus one inline on each loop. A fleet over
+//!   [`faultline_core::Params::MAX_ROBOTS`] is refused (`400`) before
+//!   anything is built.
+//! * **Load generation** — a deterministic seeded load generator
 //!   ([`loadgen`], `faultline loadgen`).
-//! * **Operability** — plain-text metrics (including per-tier
-//!   counters), graceful drain on SIGINT/SIGTERM that answers parked
-//!   connections and is not blocked by idle keep-alive connections.
+//! * **Operability** — plain-text metrics (including per-tier counters
+//!   and each loop's open connections), graceful drain on
+//!   SIGINT/SIGTERM that answers parked connections and is not blocked
+//!   by idle keep-alive connections.
 //!
 //! The binary surface lives in the `faultline` CLI (`faultline serve`,
 //! `faultline query`, `faultline loadgen`); this crate is the library

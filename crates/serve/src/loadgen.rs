@@ -1,5 +1,5 @@
 //! Deterministic seeded load generation against a running server (or
-//! an in-process sharded one spawned on demand).
+//! an in-process one spawned on demand, with its default event loops).
 //!
 //! The workload is a fixed mix over the serving tiers — memoized
 //! `/v1/cr` lattice points, scenario presets (computed once, then hits),
@@ -28,11 +28,8 @@ const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// What to drive and how hard.
 #[derive(Debug, Clone)]
 pub struct LoadOptions {
-    /// Target address; `None` spawns an in-process sharded server.
+    /// Target address; `None` spawns an in-process server.
     pub addr: Option<String>,
-    /// In-process shard count when `addr` is `None` (SO_REUSEPORT
-    /// listeners sharing one port, kernel-balanced).
-    pub shards: usize,
     /// Total request count across all client threads.
     pub requests: u64,
     /// Concurrent client threads, each with one keep-alive session.
@@ -43,7 +40,7 @@ pub struct LoadOptions {
 
 impl Default for LoadOptions {
     fn default() -> Self {
-        LoadOptions { addr: None, shards: 2, requests: 12_000, concurrency: 8, seed: 1 }
+        LoadOptions { addr: None, requests: 12_000, concurrency: 8, seed: 1 }
     }
 }
 
@@ -174,33 +171,14 @@ pub fn run(options: &LoadOptions) -> Result<LoadSummary, String> {
     if options.requests == 0 || options.concurrency == 0 {
         return Err("loadgen needs at least one request and one thread".to_owned());
     }
-    // Spawn an in-process sharded server unless a target was given.
-    // The first shard binds port 0 (with SO_REUSEPORT when sharded) and
-    // the rest join its concrete port.
-    let mut servers: Vec<ServerHandle> = Vec::new();
-    let addr = match &options.addr {
-        Some(addr) => addr.clone(),
+    // Spawn an in-process server unless a target was given.
+    let (addr, server) = match &options.addr {
+        Some(addr) => (addr.clone(), None),
         None => {
-            let shards = options.shards.max(1);
-            let first = ServerHandle::spawn(ServeConfig {
-                addr: "127.0.0.1:0".to_owned(),
-                reuse_port: shards > 1,
-                ..ServeConfig::default()
-            })
-            .map_err(|e| format!("cannot spawn shard 0: {e}"))?;
-            let addr = first.addr().to_string();
-            servers.push(first);
-            for shard in 1..shards {
-                servers.push(
-                    ServerHandle::spawn(ServeConfig {
-                        addr: addr.clone(),
-                        reuse_port: true,
-                        ..ServeConfig::default()
-                    })
-                    .map_err(|e| format!("cannot spawn shard {shard}: {e}"))?,
-                );
-            }
-            addr
+            let config = ServeConfig { addr: "127.0.0.1:0".to_owned(), ..ServeConfig::default() };
+            let server =
+                ServerHandle::spawn(config).map_err(|e| format!("cannot spawn the server: {e}"))?;
+            (server.addr().to_string(), Some(server))
         }
     };
 
@@ -253,8 +231,7 @@ pub fn run(options: &LoadOptions) -> Result<LoadSummary, String> {
         statuses,
         digest: format!("{digest:016x}"),
     };
-    // Graceful teardown of any in-process shards.
-    for server in servers {
+    if let Some(server) = server {
         server.shutdown();
     }
     Ok(summary)
@@ -308,9 +285,8 @@ mod tests {
     }
 
     #[test]
-    fn a_tiny_run_against_one_shard_completes_cleanly() {
-        let options =
-            LoadOptions { shards: 1, requests: 60, concurrency: 3, ..LoadOptions::default() };
+    fn a_tiny_run_against_an_in_process_server_completes_cleanly() {
+        let options = LoadOptions { requests: 60, concurrency: 3, ..LoadOptions::default() };
         let summary = run(&options).expect("tiny run");
         assert_eq!(summary.requests, 60);
         assert_eq!(summary.errors, 0);

@@ -1,7 +1,13 @@
 //! Service metrics: request counts by route and status, a latency
-//! histogram, cache statistics, queue depth and worker utilization,
-//! rendered as a plain-text document for `GET /metrics`
-//! (Prometheus-style exposition, one `name{labels} value` per line).
+//! histogram, cache statistics, queue depth, worker utilization and
+//! each event loop's open connections, rendered as a plain-text
+//! document for `GET /metrics` (Prometheus-style exposition, one
+//! `name{labels} value` per line).
+//!
+//! Every event loop records each request it answers, so recording takes
+//! no lock and allocates nothing: request counts live in a fixed table
+//! of atomics, one per route label and status the service answers
+//! with, and only a label outside that table takes a locked map.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -14,10 +20,35 @@ use crate::cache::ResponseCache;
 /// final implicit bucket is `+Inf`.
 pub const LATENCY_BUCKETS_MS: [u64; 10] = [1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000];
 
+/// Route labels whose requests are counted without a lock.
+const ROUTES: [&str; 8] = [
+    "/healthz",
+    "/metrics",
+    "/v1/cr",
+    "/v1/table1",
+    "/v1/scenario",
+    "/v1/supremum",
+    "/v1/optimize",
+    "unmatched",
+];
+
+/// Every status the service answers with.
+const STATUSES: [u16; 9] = [200, 400, 404, 405, 408, 413, 500, 503, 504];
+
+/// The cell of the `ROUTES` × `STATUSES` table that counts `route`
+/// answered with `status`.
+fn slot(route: &str, status: u16) -> Option<usize> {
+    let row = ROUTES.iter().position(|&label| label == route)?;
+    let column = STATUSES.iter().position(|&known| known == status)?;
+    Some(row * STATUSES.len() + column)
+}
+
 /// Shared service metrics. All counters are monotonically increasing;
 /// gauges reflect the current state.
 pub struct Metrics {
-    requests: Mutex<BTreeMap<(String, u16), u64>>,
+    requests: [AtomicU64; ROUTES.len() * STATUSES.len()],
+    /// Requests whose route label or status is outside the table.
+    other_requests: Mutex<BTreeMap<(String, u16), u64>>,
     latency_buckets: [AtomicU64; LATENCY_BUCKETS_MS.len() + 1],
     latency_count: AtomicU64,
     latency_sum_us: AtomicU64,
@@ -27,19 +58,25 @@ pub struct Metrics {
     memo_hits_total: AtomicU64,
     pool_jobs_total: AtomicU64,
     inline_computes_total: AtomicU64,
-    connections_total: AtomicU64,
     keepalive_reuses_total: AtomicU64,
     queue_depth: AtomicUsize,
     workers_busy: AtomicUsize,
     workers_total: usize,
+    /// Per event loop: the connections it has open, which the acceptor
+    /// balances on.
+    loop_open: Box<[AtomicUsize]>,
+    /// Per event loop: the connections it was given since start.
+    loop_accepted: Box<[AtomicU64]>,
 }
 
 impl Metrics {
-    /// Creates zeroed metrics for a pool of `workers_total` workers.
+    /// Creates zeroed metrics for a server of `threads` event loops and
+    /// as many pool workers.
     #[must_use]
-    pub fn new(workers_total: usize) -> Self {
+    pub fn new(threads: usize) -> Self {
         Metrics {
-            requests: Mutex::new(BTreeMap::new()),
+            requests: std::array::from_fn(|_| AtomicU64::new(0)),
+            other_requests: Mutex::new(BTreeMap::new()),
             latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             latency_count: AtomicU64::new(0),
             latency_sum_us: AtomicU64::new(0),
@@ -49,23 +86,31 @@ impl Metrics {
             memo_hits_total: AtomicU64::new(0),
             pool_jobs_total: AtomicU64::new(0),
             inline_computes_total: AtomicU64::new(0),
-            connections_total: AtomicU64::new(0),
             keepalive_reuses_total: AtomicU64::new(0),
             queue_depth: AtomicUsize::new(0),
             workers_busy: AtomicUsize::new(0),
-            workers_total,
+            workers_total: threads,
+            loop_open: (0..threads).map(|_| AtomicUsize::new(0)).collect(),
+            loop_accepted: (0..threads).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     /// Records one completed request: route label, response status and
     /// end-to-end latency.
     pub fn observe(&self, route: &str, status: u16, latency: Duration) {
-        *self
-            .requests
-            .lock()
-            .expect("metrics map poisoned")
-            .entry((route.to_owned(), status))
-            .or_insert(0) += 1;
+        match slot(route, status) {
+            Some(slot) => {
+                self.requests[slot].fetch_add(1, Ordering::Relaxed);
+            }
+            None => {
+                *self
+                    .other_requests
+                    .lock()
+                    .expect("metrics map poisoned")
+                    .entry((route.to_owned(), status))
+                    .or_insert(0) += 1;
+            }
+        }
         let ms = latency.as_millis() as u64;
         let bucket = LATENCY_BUCKETS_MS.iter().position(|&bound| ms <= bound);
         let index = bucket.unwrap_or(LATENCY_BUCKETS_MS.len());
@@ -130,15 +175,33 @@ impl Metrics {
         self.inline_computes_total.load(Ordering::Relaxed)
     }
 
-    /// Records one accepted connection.
-    pub fn connection_accepted(&self) {
-        self.connections_total.fetch_add(1, Ordering::Relaxed);
+    /// Records one accepted connection, given to event loop `lp`.
+    pub fn connection_accepted(&self, lp: usize) {
+        self.loop_open[lp].fetch_add(1, Ordering::Relaxed);
+        self.loop_accepted[lp].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records that event loop `lp` closed one of its connections.
+    pub fn connection_closed(&self, lp: usize) {
+        self.loop_open[lp].fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The connections event loop `lp` has open.
+    #[must_use]
+    pub fn open_connections(&self, lp: usize) -> usize {
+        self.loop_open[lp].load(Ordering::Relaxed)
+    }
+
+    /// Cumulative count of connections given to event loop `lp`.
+    #[must_use]
+    pub fn connections_on(&self, lp: usize) -> u64 {
+        self.loop_accepted[lp].load(Ordering::Relaxed)
     }
 
     /// Cumulative count of accepted connections.
     #[must_use]
     pub fn connections(&self) -> u64 {
-        self.connections_total.load(Ordering::Relaxed)
+        self.loop_accepted.iter().map(|accepted| accepted.load(Ordering::Relaxed)).sum()
     }
 
     /// Records a second-or-later request on a persistent connection.
@@ -171,12 +234,15 @@ impl Metrics {
     /// Cumulative count of requests answered with `status` on `route`.
     #[must_use]
     pub fn requests_for(&self, route: &str, status: u16) -> u64 {
-        *self
-            .requests
-            .lock()
-            .expect("metrics map poisoned")
-            .get(&(route.to_owned(), status))
-            .unwrap_or(&0)
+        match slot(route, status) {
+            Some(slot) => self.requests[slot].load(Ordering::Relaxed),
+            None => *self
+                .other_requests
+                .lock()
+                .expect("metrics map poisoned")
+                .get(&(route.to_owned(), status))
+                .unwrap_or(&0),
+        }
     }
 
     /// Renders the plain-text metrics document.
@@ -186,7 +252,15 @@ impl Metrics {
         out.push_str("# faultline-serve metrics\n");
 
         out.push_str("# TYPE faultline_requests_total counter\n");
-        for ((route, status), count) in self.requests.lock().expect("metrics map poisoned").iter() {
+        let mut requests = self.other_requests.lock().expect("metrics map poisoned").clone();
+        for (slot, count) in self.requests.iter().enumerate() {
+            let count = count.load(Ordering::Relaxed);
+            if count > 0 {
+                let cell = (ROUTES[slot / STATUSES.len()], STATUSES[slot % STATUSES.len()]);
+                requests.insert((cell.0.to_owned(), cell.1), count);
+            }
+        }
+        for ((route, status), count) in &requests {
             out.push_str(&format!(
                 "faultline_requests_total{{route=\"{route}\",status=\"{status}\"}} {count}\n"
             ));
@@ -236,10 +310,7 @@ impl Metrics {
             "faultline_inline_computes_total {}\n",
             self.inline_computes_total.load(Ordering::Relaxed)
         ));
-        out.push_str(&format!(
-            "faultline_connections_total {}\n",
-            self.connections_total.load(Ordering::Relaxed)
-        ));
+        out.push_str(&format!("faultline_connections_total {}\n", self.connections()));
         out.push_str(&format!(
             "faultline_keepalive_reuses_total {}\n",
             self.keepalive_reuses_total.load(Ordering::Relaxed)
@@ -264,6 +335,12 @@ impl Metrics {
         let utilization =
             if self.workers_total == 0 { 0.0 } else { busy as f64 / self.workers_total as f64 };
         out.push_str(&format!("faultline_worker_utilization {utilization:.6}\n"));
+
+        out.push_str("# TYPE faultline_loop_connections gauge\n");
+        for (lp, open) in self.loop_open.iter().enumerate() {
+            let open = open.load(Ordering::Relaxed);
+            out.push_str(&format!("faultline_loop_connections{{loop=\"{lp}\"}} {open}\n"));
+        }
         out
     }
 }
@@ -301,7 +378,7 @@ mod tests {
         metrics.coalesced();
         metrics.pool_job();
         metrics.inline_compute();
-        metrics.connection_accepted();
+        metrics.connection_accepted(0);
         metrics.keepalive_reuse();
         assert_eq!(metrics.memo_hits(), 2);
         assert_eq!(metrics.coalesced_requests(), 1);
@@ -328,5 +405,61 @@ mod tests {
         assert!(metrics.render(&cache).contains("faultline_worker_utilization 0.5"));
         metrics.worker_idle();
         assert!(metrics.render(&cache).contains("faultline_workers_busy 0"));
+    }
+
+    #[test]
+    fn request_lines_keep_their_order_whichever_path_counts_them() {
+        let metrics = Metrics::new(1);
+        let observed = [
+            ("/v1/scenario", 200),
+            ("/test", 200),
+            ("unmatched", 404),
+            ("/healthz", 200),
+            ("/v1/cr", 299),
+            ("/v1/cr", 200),
+            ("/healthz", 200),
+        ];
+        for (route, status) in observed {
+            metrics.observe(route, status, Duration::ZERO);
+        }
+        assert_eq!(metrics.requests_for("/healthz", 200), 2);
+        assert_eq!(metrics.requests_for("/test", 200), 1, "outside the table");
+        let text = metrics.render(&ResponseCache::new(16, 1));
+        let lines: Vec<&str> =
+            text.lines().filter(|line| line.starts_with("faultline_requests_total")).collect();
+        // The order of a map keyed on (route, status), as before.
+        assert_eq!(
+            lines,
+            [
+                "faultline_requests_total{route=\"/healthz\",status=\"200\"} 2",
+                "faultline_requests_total{route=\"/test\",status=\"200\"} 1",
+                "faultline_requests_total{route=\"/v1/cr\",status=\"200\"} 1",
+                "faultline_requests_total{route=\"/v1/cr\",status=\"299\"} 1",
+                "faultline_requests_total{route=\"/v1/scenario\",status=\"200\"} 1",
+                "faultline_requests_total{route=\"unmatched\",status=\"404\"} 1",
+            ]
+        );
+    }
+
+    #[test]
+    fn loop_gauges_follow_each_loops_open_connections() {
+        let metrics = Metrics::new(2);
+        for lp in [0, 1, 1] {
+            metrics.connection_accepted(lp);
+        }
+        metrics.connection_closed(1);
+        assert_eq!([metrics.open_connections(0), metrics.open_connections(1)], [1, 1]);
+        assert_eq!([metrics.connections_on(0), metrics.connections_on(1)], [1, 2]);
+        assert_eq!(metrics.connections(), 3);
+        let text = metrics.render(&ResponseCache::new(16, 1));
+        assert!(text.contains("faultline_connections_total 3\n"), "{text}");
+        assert!(
+            text.ends_with(
+                "# TYPE faultline_loop_connections gauge\n\
+                 faultline_loop_connections{loop=\"0\"} 1\n\
+                 faultline_loop_connections{loop=\"1\"} 1\n"
+            ),
+            "{text}"
+        );
     }
 }

@@ -1,11 +1,16 @@
-//! The server: a readiness-based epoll event loop (raw FFI, see
-//! [`crate::sys`]) owning accept/read/write with HTTP/1.1 keep-alive.
+//! The server: `threads` identical event loops in one process, one
+//! thread each. Each is a readiness-based epoll loop (raw FFI, see
+//! [`crate::sys`]) that owns read and write, with HTTP/1.1 keep-alive,
+//! for its connections.
 //!
-//! One thread multiplexes every connection: non-blocking reads fill a
-//! per-connection buffer, requests are parsed incrementally out of it
-//! (a half-written header — slowloris — just occupies a buffer, never a
-//! thread), and responses queue into a per-connection write buffer
-//! flushed on writability. Serving goes through four tiers:
+//! Loop 0 also owns the listener. It gives each accepted connection to
+//! the loop with the fewest open connections, ties to the lowest index;
+//! from then on one thread parses, looks up, computes and writes for
+//! that connection. Non-blocking reads fill a per-connection buffer,
+//! requests are parsed incrementally out of it (a half-written header —
+//! slowloris — just occupies a buffer, never a thread), and responses
+//! queue into a per-connection write buffer flushed on writability.
+//! Serving goes through four tiers:
 //!
 //! 1. **memo** — `GET /v1/cr` inside the precomputed `(n, f)` lattice:
 //!    a `HashMap` probe, no cache, no pool (`X-Cache: memo`).
@@ -13,50 +18,63 @@
 //!    the original computation (`X-Cache: hit`).
 //! 3. **a miss under the work bound** — [`handlers::prepare_with_work`]
 //!    bounds each request's computation from its resolved parameters;
-//!    under [`handlers::INLINE_WORK`] it runs inline on the event loop,
-//!    under `catch_unwind` and with no deadline (`X-Cache: miss`). The
-//!    same cache key always takes the same tier.
+//!    under [`handlers::INLINE_WORK`] it runs inline on the loop, under
+//!    `catch_unwind` and with no deadline (`X-Cache: miss`). The same
+//!    cache key always takes the same tier.
 //! 4. **a miss over the bound** — the connection *parks* in place on a
 //!    single-flight keyed on the cache key ([`crate::flight`]): its
 //!    read interest goes off and any pipelined bytes wait in its
 //!    buffer. The first requester submits the one bounded worker-pool
-//!    job, coalesced followers just wait. The loop answers every waiter
-//!    when the job's completion wakes it ([`crate::pool`]), `504` itself
-//!    when the flight's deadline passes, and `503 + Retry-After` at once
-//!    when the admission queue is full, while probes and repeat queries
-//!    keep answering.
+//!    job, coalesced followers, on any loop, just wait. The job's
+//!    completion wakes the loop that submitted it ([`crate::pool`]);
+//!    that loop lands the flight and answers every waiter, as does
+//!    whichever loop sees the flight's deadline pass (`504`). A full
+//!    admission queue answers `503 + Retry-After` at once. Meanwhile
+//!    probes and repeat queries keep answering.
+//!
+//! The loops share the cache, memo, metrics and pool, plus the one
+//! single-flight table behind its mutex, so a herd spread over several
+//! loops still computes once. Each loop has one inbox, a queue plus
+//! a socket-pair wake-up, which carries the connections the acceptor
+//! hands that loop, the completions of the jobs it submitted, and the
+//! answers for its parked waiters that another loop landed. A loop with
+//! no flight in the air takes no lock per turn.
 //!
 //! Turns are fair: a connection gets at most one inline compute per
 //! turn. One with bytes left behind it goes on a ready list and is
 //! served on the next turn, whose wait does not block, so a client
-//! pipelining many small misses holds the loop for one compute at a
+//! pipelining many small misses holds its loop for one compute at a
 //! time.
 //!
 //! Every tier honors keep-alive: an answered parked connection goes on
-//! to its next request. A graceful drain closes the listener and every
-//! connection nothing is owed to, then keeps the loop running until each
-//! parked connection has its answer (with `Connection: close`) written.
+//! to its next request, and a peer that closes its sending side still
+//! gets an answer to every complete request it sent. A graceful drain
+//! closes the listener and every connection nothing is owed to, then
+//! keeps each loop running until each of its parked connections has
+//! its answer (with `Connection: close`) written and no flight is in
+//! the air.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::cache::ResponseCache;
 use crate::config::ServeConfig;
-use crate::flight::{FlightTable, Parked, Waiter};
+use crate::flight::{FlightId, FlightTable, Parked, Waiter};
 use crate::handlers::{self, Compute, Prepared};
 use crate::http::{self, Cursor, Parsed, Request};
 use crate::memo::CrMemo;
 use crate::metrics::Metrics;
-use crate::pool::{self, Completion, Job, WorkerPool};
+use crate::pool::{self, Job, WorkerPool};
 use crate::router::{route, Route, Routed};
 use crate::signal;
-use crate::sys::{self, Event, Poller, EVENT_READ, EVENT_WRITE};
+use crate::sys::{Event, Poller, EVENT_READ, EVENT_WRITE};
 use crate::ServeError;
 
 /// Metrics label for requests that match no route.
@@ -70,7 +88,8 @@ const READ_CHUNK: usize = 8 * 1024;
 /// How often idle connections are swept.
 const SWEEP_INTERVAL: Duration = Duration::from_secs(1);
 
-/// Everything a connection needs, shared behind one `Arc`.
+/// Everything a connection needs, shared behind one `Arc` by every
+/// event loop.
 pub struct ServerState {
     /// The configuration the server was built with.
     pub config: ServeConfig,
@@ -82,6 +101,66 @@ pub struct ServerState {
     pub pool: Arc<WorkerPool>,
     /// The precomputed `/v1/cr` closed-form lattice.
     pub memo: Arc<CrMemo>,
+    /// The single-flight table every loop parks on.
+    pub(crate) flights: FlightTable,
+    /// One per event loop.
+    pub(crate) inboxes: Vec<Arc<Inbox>>,
+}
+
+/// What one loop's inbox carries.
+pub(crate) enum Message {
+    /// A connection the acceptor gives the loop.
+    Connection(TcpStream),
+    /// A job the loop submitted finished: its flight and its answer.
+    Landed(FlightId, pool::Outcome),
+    /// The answer for one of the loop's waiters on a flight that
+    /// another loop landed.
+    Answer(Waiter, Arc<pool::Outcome>),
+}
+
+/// One loop's inbox: a queue, plus a socket pair whose read end sits on
+/// the loop's poller, so a post into an empty queue wakes the loop.
+pub(crate) struct Inbox {
+    queue: Mutex<Vec<Message>>,
+    /// Write end of the wake-up pair (non-blocking).
+    wake: UnixStream,
+    /// Read end of the wake-up pair (non-blocking), for the poller.
+    woken: UnixStream,
+}
+
+impl Inbox {
+    pub(crate) fn new() -> io::Result<Inbox> {
+        let (wake, woken) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        woken.set_nonblocking(true)?;
+        Ok(Inbox { queue: Mutex::new(Vec::new()), wake, woken })
+    }
+
+    fn fd(&self) -> RawFd {
+        self.woken.as_raw_fd()
+    }
+
+    /// Queues a message for the loop.
+    pub(crate) fn post(&self, message: Message) {
+        let mut queue = self.queue.lock().expect("a thread panicked holding an inbox");
+        let announce = queue.is_empty();
+        queue.push(message);
+        drop(queue);
+        if announce {
+            // Non-blocking, and at most a few bytes are ever unread.
+            let _ = (&self.wake).write(&[1]);
+        }
+    }
+
+    /// Appends every queued message to `out`, in the order they were
+    /// posted, and consumes the wake-up bytes that announced them.
+    pub(crate) fn take(&self, out: &mut Vec<Message>) {
+        // Drain before taking: a message posted after the take writes a
+        // fresh byte, so none is left unannounced.
+        let mut sink = [0u8; 64];
+        while matches!((&self.woken).read(&mut sink), Ok(n) if n > 0) {}
+        out.append(&mut self.queue.lock().expect("a thread panicked holding an inbox"));
+    }
 }
 
 /// A bound, not-yet-running server.
@@ -91,30 +170,26 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and builds the cache, metrics, pool and
-    /// closed-form memo.
+    /// Binds the listener and builds the cache, metrics, pool,
+    /// closed-form memo and one inbox per event loop.
     ///
     /// # Errors
     ///
     /// Fails on invalid configuration, if the address cannot be bound or
-    /// if the pool's wake-up socket pair cannot be created.
+    /// if an inbox's wake-up socket pair cannot be created.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
         config.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let listener = if config.reuse_port {
-            let addr: SocketAddr = config
-                .addr
-                .parse()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("{e}")))?;
-            sys::bind_reuseport(&addr)?
-        } else {
-            TcpListener::bind(&config.addr)?
-        };
+        let listener = TcpListener::bind(&config.addr)?;
         let threads = config.resolved_threads();
+        let inboxes =
+            (0..threads).map(|_| Inbox::new().map(Arc::new)).collect::<io::Result<_>>()?;
         let cache = Arc::new(ResponseCache::new(config.cache_bytes, config.cache_shards));
         let metrics = Arc::new(Metrics::new(threads));
-        let pool = Arc::new(WorkerPool::new(threads, config.queue_capacity, Arc::clone(&metrics))?);
+        let pool = Arc::new(WorkerPool::new(threads, config.queue_capacity, Arc::clone(&metrics)));
         let memo = Arc::new(CrMemo::build(config.memo_max_n));
-        Ok(Server { listener, state: Arc::new(ServerState { config, cache, metrics, pool, memo }) })
+        let flights = FlightTable::new();
+        let state = ServerState { config, cache, metrics, pool, memo, flights, inboxes };
+        Ok(Server { listener, state: Arc::new(state) })
     }
 
     /// The bound address (useful with port 0).
@@ -132,80 +207,101 @@ impl Server {
         Arc::clone(&self.state)
     }
 
-    /// Runs the event loop until `shutdown` flips or a termination
+    /// Runs the event loops until `shutdown` flips or a termination
     /// signal arrives, then drains gracefully: the listener closes (no
     /// new connections), idle keep-alive connections are dropped, every
     /// parked connection is answered with `Connection: close`, and every
     /// admitted pool job completes before this returns.
     pub fn run(self, shutdown: Arc<AtomicBool>) {
+        let state = self.state();
+        match self.start(&shutdown) {
+            Ok(loops) => finish(&state, loops),
+            Err(error) => eprintln!("faultline-serve event loop failed: {error}"),
+        }
+    }
+
+    /// Starts one thread per event loop, loop 0 with the listener. Each
+    /// thread builds its loop before the next starts, and this returns
+    /// once the last has: the loop threads then take their malloc
+    /// arenas before the caller's own threads run, so sequential
+    /// servers reuse the same arenas instead of spreading over more,
+    /// which measured about 17% more peak RSS with one loop.
+    fn start(self, shutdown: &Arc<AtomicBool>) -> io::Result<Vec<JoinHandle<()>>> {
         let Server { listener, state } = self;
-        match EventLoop::new(listener, Arc::clone(&state)) {
-            Ok(event_loop) => event_loop.run_and_drain(&shutdown),
-            Err(error) => {
-                eprintln!("faultline-serve event loop failed: {error}");
-                state.pool.drain();
+        let mut listener = Some(listener);
+        let mut loops = Vec::with_capacity(state.inboxes.len());
+        for index in 0..state.inboxes.len() {
+            let (listener, loop_state, flag) =
+                (listener.take(), Arc::clone(&state), Arc::clone(shutdown));
+            let (built, ready) = mpsc::sync_channel(1);
+            let started = std::thread::Builder::new()
+                .name(format!("faultline-serve-loop-{index}"))
+                .spawn(move || match EventLoop::new(index, listener, loop_state) {
+                    Ok(event_loop) => {
+                        let _ = built.send(Ok(()));
+                        if let Err(error) = event_loop.run(&flag) {
+                            eprintln!("faultline-serve event loop {index} failed: {error}");
+                            // The others drain: no loop is left to be
+                            // handed connections nobody serves.
+                            flag.store(true, Ordering::SeqCst);
+                        }
+                    }
+                    Err(error) => {
+                        let _ = built.send(Err(error));
+                    }
+                })
+                .and_then(|thread| {
+                    let built = ready.recv().unwrap_or_else(|_| {
+                        Err(io::Error::other("an event loop thread panicked while starting"))
+                    });
+                    loops.push(thread);
+                    built
+                });
+            if let Err(error) = started {
+                shutdown.store(true, Ordering::SeqCst);
+                finish(&state, loops);
+                return Err(error);
             }
         }
+        Ok(loops)
     }
 }
 
-/// A server running on a background thread.
+/// Joins the event loop threads, then waits out the pool's admitted
+/// jobs (those whose flights a loop answered 504 still hold workers)
+/// and closes any connection still waiting in an inbox.
+fn finish(state: &ServerState, loops: Vec<JoinHandle<()>>) {
+    for thread in loops {
+        let _ = thread.join();
+    }
+    state.pool.drain();
+    for inbox in &state.inboxes {
+        inbox.take(&mut Vec::new());
+    }
+}
+
+/// A server running on background threads.
 pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     state: Arc<ServerState>,
-    thread: Option<JoinHandle<()>>,
+    loops: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
-    /// Binds and runs a server on a background thread, which has built
-    /// its event loop by the time this returns.
+    /// Binds and runs a server on background threads, one per event
+    /// loop, which have built their loops by the time this returns.
     ///
     /// # Errors
     ///
     /// Propagates [`Server::bind`] failures and those of building the
-    /// event loop.
+    /// event loops.
     pub fn spawn(config: ServeConfig) -> io::Result<ServerHandle> {
-        let Server { listener, state } = Server::bind(config)?;
-        let addr = listener.local_addr()?;
+        let server = Server::bind(config)?;
+        let (addr, state) = (server.local_addr()?, server.state());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let loop_state = Arc::clone(&state);
-        let (built, ready) = mpsc::sync_channel(1);
-        let started = std::thread::Builder::new()
-            .name("faultline-serve-loop".to_owned())
-            .spawn(move || match EventLoop::new(listener, loop_state) {
-                Ok(event_loop) => {
-                    let _ = built.send(Ok(()));
-                    event_loop.run_and_drain(&flag);
-                }
-                Err(error) => {
-                    let _ = built.send(Err(error));
-                }
-            })
-            .and_then(|thread| {
-                // Waiting here makes the loop thread take its malloc arena
-                // before the caller's own threads run: sequential servers
-                // then reuse one arena instead of spreading over several,
-                // which measured about 17% more peak RSS.
-                let built = ready.recv().unwrap_or_else(|_| {
-                    Err(io::Error::other("the event loop thread panicked while starting"))
-                });
-                match built {
-                    Ok(()) => Ok(thread),
-                    Err(error) => {
-                        let _ = thread.join();
-                        Err(error)
-                    }
-                }
-            });
-        match started {
-            Ok(thread) => Ok(ServerHandle { addr, shutdown, state, thread: Some(thread) }),
-            Err(error) => {
-                state.pool.drain();
-                Err(error)
-            }
-        }
+        let loops = server.start(&shutdown)?;
+        Ok(ServerHandle { addr, shutdown, state, loops })
     }
 
     /// The bound address.
@@ -227,12 +323,10 @@ impl ServerHandle {
 
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Nudge the event loop: a loopback connect makes the listener
-        // readable, so the next wait returns without the poll tick.
+        // Nudge loop 0: a loopback connect makes the listener readable,
+        // so its next wait returns without the poll tick.
         let _ = TcpStream::connect(self.addr);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        finish(&self.state, std::mem::take(&mut self.loops));
     }
 }
 
@@ -242,7 +336,7 @@ impl Drop for ServerHandle {
     }
 }
 
-/// One connection owned by the event loop.
+/// One connection owned by an event loop.
 struct Connection {
     stream: TcpStream,
     /// Names this connection to its flight; unlike the fd, never reused.
@@ -267,6 +361,10 @@ struct Connection {
     /// On the ready list: it computed this turn and is served again on
     /// the next, not on a readable event.
     queued: bool,
+    /// The peer closed its sending side: reads are off, and the
+    /// connection closes once every complete request in `buf` is
+    /// answered and written.
+    eof: bool,
     /// Requests answered on this connection (keep-alive accounting).
     requests_served: u64,
     /// The epoll interest currently registered.
@@ -288,6 +386,7 @@ impl Connection {
             close_after_flush: false,
             parked: false,
             queued: false,
+            eof: false,
             requests_served: 0,
             interest: EVENT_READ,
         }
@@ -314,20 +413,20 @@ struct ParkRequest {
     keep_alive: bool,
 }
 
-/// The event loop's state. Only the loop's thread touches it, so the
-/// flight table needs no lock.
+/// One event loop's state. Only its thread touches it.
 struct EventLoop {
+    /// This loop's index: its inbox, its connection counts, its waiters.
+    index: usize,
     state: Arc<ServerState>,
     poller: Poller,
-    /// `None` once draining: dropping it refuses new connections.
+    /// Loop 0's until draining: dropping it refuses new connections.
     listener: Option<TcpListener>,
     conns: HashMap<i32, Connection>,
-    flights: FlightTable,
     /// The last connection token handed out.
     tokens: u64,
     draining: bool,
     events: Vec<Event>,
-    completions: Vec<Completion>,
+    messages: Vec<Message>,
     /// Connections, by fd and token, that computed inline this turn and
     /// hold more bytes: served on the next turn.
     ready: Vec<(i32, u64)>,
@@ -337,46 +436,43 @@ struct EventLoop {
 }
 
 impl EventLoop {
-    fn new(listener: TcpListener, state: Arc<ServerState>) -> io::Result<EventLoop> {
-        listener.set_nonblocking(true)?;
+    fn new(
+        index: usize,
+        listener: Option<TcpListener>,
+        state: Arc<ServerState>,
+    ) -> io::Result<EventLoop> {
         let poller = Poller::new()?;
-        poller.add(listener.as_raw_fd(), EVENT_READ)?;
-        poller.add(state.pool.completion_fd(), EVENT_READ)?;
+        if let Some(listener) = &listener {
+            listener.set_nonblocking(true)?;
+            poller.add(listener.as_raw_fd(), EVENT_READ)?;
+        }
+        poller.add(state.inboxes[index].fd(), EVENT_READ)?;
         Ok(EventLoop {
+            index,
             state,
             poller,
-            listener: Some(listener),
+            listener,
             conns: HashMap::new(),
-            flights: FlightTable::new(),
             tokens: 0,
             draining: false,
             events: Vec::new(),
-            completions: Vec::new(),
+            messages: Vec::new(),
             ready: Vec::new(),
             serving: Vec::new(),
             last_sweep: Instant::now(),
         })
     }
 
-    /// Serves until the drain ends, then waits out the pool's admitted
-    /// jobs: those whose flights the loop answered 504 still hold
-    /// workers.
-    fn run_and_drain(self, shutdown: &AtomicBool) {
-        let state = Arc::clone(&self.state);
-        if let Err(error) = self.run(shutdown) {
-            eprintln!("faultline-serve event loop failed: {error}");
-        }
-        state.pool.drain();
-    }
-
     /// Serves until `shutdown` flips or a termination signal arrives,
-    /// then until the drain has answered every parked connection.
+    /// then until the drain has answered every parked connection and no
+    /// flight is in the air: a flight this loop submitted may still owe
+    /// another loop's waiters their answer.
     fn run(mut self, shutdown: &AtomicBool) -> io::Result<()> {
         loop {
             if !self.draining && (shutdown.load(Ordering::SeqCst) || signal::shutdown_requested()) {
                 self.begin_drain();
             }
-            if self.draining && self.conns.is_empty() {
+            if self.draining && self.conns.is_empty() && self.state.flights.in_flight() == 0 {
                 return Ok(());
             }
             self.turn()?;
@@ -390,20 +486,20 @@ impl EventLoop {
         // the next turn's list.
         std::mem::swap(&mut self.ready, &mut self.serving);
         let mut timeout = if self.serving.is_empty() { SHUTDOWN_POLL } else { Duration::ZERO };
-        if let Some(deadline) = self.flights.next_deadline() {
+        if let Some(deadline) = self.state.flights.next_deadline() {
             timeout = timeout.min(deadline.saturating_duration_since(Instant::now()));
         }
         let mut events = std::mem::take(&mut self.events);
         events.clear();
         self.poller.wait(timeout, &mut events)?;
         let listener_fd = self.listener.as_ref().map(AsRawFd::as_raw_fd);
-        let completion_fd = self.state.pool.completion_fd();
+        let inbox_fd = self.state.inboxes[self.index].fd();
         for &event in &events {
             let fd = event.token as i32;
             if Some(fd) == listener_fd {
                 self.accept_ready();
-            } else if fd == completion_fd {
-                self.land_completions();
+            } else if fd == inbox_fd {
+                self.read_inbox();
             } else {
                 self.service(fd, event);
             }
@@ -420,11 +516,9 @@ impl EventLoop {
             self.settle(fd, conn);
         }
         self.serving = serving;
-        if self.flights.in_flight() > 0 {
-            let expired = self.flights.expire(Instant::now());
-            if !expired.is_empty() {
-                self.answer(expired, &Err((504, "deadline exceeded".to_owned())));
-            }
+        let expired = self.state.flights.expire(Instant::now());
+        if !expired.is_empty() {
+            self.answer(expired, Err((504, "deadline exceeded".to_owned())));
         }
         if self.last_sweep.elapsed() >= SWEEP_INTERVAL {
             self.sweep_idle();
@@ -440,7 +534,7 @@ impl EventLoop {
         if let Some(listener) = self.listener.take() {
             let _ = self.poller.del(listener.as_raw_fd());
         }
-        let poller = &self.poller;
+        let (poller, metrics) = (&self.poller, &self.state.metrics);
         self.conns.retain(|&fd, conn| {
             if !conn.parked && conn.pending_output() {
                 conn.close_after_output();
@@ -448,33 +542,74 @@ impl EventLoop {
             let owed = conn.parked || conn.pending_output();
             if !owed {
                 let _ = poller.del(fd);
+                metrics.connection_closed(self.index);
             }
             owed
         });
     }
 
-    /// Accepts every pending connection on a readable listener.
+    /// Accepts every pending connection on a readable listener and gives
+    /// each to the loop with the fewest open connections.
     fn accept_ready(&mut self) {
-        let Some(listener) = &self.listener else { return };
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let fd = stream.as_raw_fd();
-                    if self.poller.add(fd, EVENT_READ).is_ok() {
-                        self.state.metrics.connection_accepted();
-                        self.tokens += 1;
-                        self.conns.insert(fd, Connection::new(stream, self.tokens));
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break,
+        while let Some(listener) = &self.listener {
+            let stream = match listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break, // drained (WouldBlock) or failed
+            };
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            let metrics = &self.state.metrics;
+            let target = (0..self.state.inboxes.len())
+                .min_by_key(|&lp| metrics.open_connections(lp))
+                .expect("a server has at least one loop");
+            metrics.connection_accepted(target);
+            if target == self.index {
+                self.register(stream);
+            } else {
+                self.state.inboxes[target].post(Message::Connection(stream));
             }
         }
+    }
+
+    /// Takes on a connection given to this loop; a draining loop closes
+    /// it at once.
+    fn register(&mut self, stream: TcpStream) {
+        let fd = stream.as_raw_fd();
+        if self.draining || self.poller.add(fd, EVENT_READ).is_err() {
+            self.state.metrics.connection_closed(self.index);
+            return;
+        }
+        self.tokens += 1;
+        self.conns.insert(fd, Connection::new(stream, self.tokens));
+    }
+
+    /// Handles every message in the inbox.
+    fn read_inbox(&mut self) {
+        let mut messages = std::mem::take(&mut self.messages);
+        self.state.inboxes[self.index].take(&mut messages);
+        for message in messages.drain(..) {
+            match message {
+                Message::Connection(stream) => self.register(stream),
+                // `None`: a loop already answered it 504.
+                Message::Landed(flight, outcome) => {
+                    if let Some(waiters) = self.state.flights.land(&flight) {
+                        self.answer(waiters, outcome);
+                    }
+                }
+                Message::Answer(waiter, outcome) => self.answer_here(waiter, &outcome),
+            }
+        }
+        self.messages = messages;
+    }
+
+    /// Deregisters a connection taken out of `conns`; dropping it then
+    /// closes the socket.
+    fn close(&self, fd: i32) {
+        let _ = self.poller.del(fd);
+        self.state.metrics.connection_closed(self.index);
     }
 
     /// Handles one readiness event for an established connection.
@@ -483,19 +618,19 @@ impl EventLoop {
             return; // already closed this tick
         };
         if event.writable() && try_flush(&mut conn).is_err() {
-            let _ = self.poller.del(fd);
+            self.close(fd);
             return;
         }
-        if conn.parked {
+        if conn.parked || conn.eof {
             // Reads are off, so this is a reset or hang-up: forget the
-            // connection. Its waiter's token answers no one.
+            // connection. A parked waiter's token answers no one.
             if event.hung_up() {
-                let _ = self.poller.del(fd);
+                self.close(fd);
                 return;
             }
         } else if event.readable() {
             if !read_available(&mut conn) {
-                let _ = self.poller.del(fd);
+                self.close(fd);
                 return;
             }
             // A queued connection is served from the ready list.
@@ -552,27 +687,31 @@ impl EventLoop {
 
     /// Parks a miss over the work bound on its flight; the creator
     /// submits the one pool job, coalesced followers just count the
-    /// metric. A full queue answers `503 + Retry-After` at once,
-    /// without parking.
+    /// metric. A full queue lands the flight at once: the creator and
+    /// any follower that joined it meanwhile, on another loop, answer
+    /// `503 + Retry-After`.
     fn park(&mut self, conn: &mut Connection, park: ParkRequest) {
         let ParkRequest { key, route, compute, received, keep_alive } = park;
         let fd = conn.stream.as_raw_fd();
-        let waiter = Waiter { fd, token: conn.token, received, keep_alive, route };
+        let waiter = Waiter { lp: self.index, fd, token: conn.token, received, keep_alive, route };
         let deadline = received + self.state.config.request_timeout;
-        match self.flights.park(&key, deadline, waiter) {
+        match self.state.flights.park(&key, deadline, waiter) {
             Parked::Coalesced => self.state.metrics.coalesced(),
             Parked::Created(flight) => {
-                if let Err(job) = self.state.pool.try_submit(Job { flight, compute, deadline }) {
-                    let _ = self.flights.land(&job.flight);
+                let reply = Arc::clone(&self.state.inboxes[self.index]);
+                if let Err(job) =
+                    self.state.pool.try_submit(Job { flight, compute, deadline, reply })
+                {
+                    let mut followers = self.state.flights.land(&job.flight).unwrap_or_default();
+                    followers.retain(|follower| *follower != waiter);
+                    let refused = Err((503, "admission queue is full, retry shortly".to_owned()));
                     self.state.metrics.observe(route, 503, received.elapsed());
-                    conn.out.extend_from_slice(&http::error_bytes(
-                        503,
-                        "admission queue is full, retry shortly",
-                        &[("Retry-After", "1".to_owned())],
-                        keep_alive,
-                    ));
+                    conn.out.extend_from_slice(&outcome_bytes(&refused, keep_alive));
                     if !keep_alive {
                         conn.close_after_output();
+                    }
+                    if !followers.is_empty() {
+                        self.answer(followers, refused);
                     }
                     return;
                 }
@@ -581,63 +720,56 @@ impl EventLoop {
         conn.parked = true;
     }
 
-    /// Answers the flights of every job that finished.
-    fn land_completions(&mut self) {
-        let mut completions = std::mem::take(&mut self.completions);
-        self.state.pool.take_completions(&mut completions);
-        for Completion { flight, outcome } in completions.drain(..) {
-            // `None`: the loop already answered it 504.
-            if let Some(waiters) = self.flights.land(&flight) {
-                self.answer(waiters, &outcome);
+    /// Answers the waiters of a landed flight: this loop's here, every
+    /// other loop's through that loop's inbox.
+    fn answer(&mut self, waiters: Vec<Waiter>, outcome: pool::Outcome) {
+        let outcome = Arc::new(outcome);
+        for waiter in waiters {
+            if waiter.lp == self.index {
+                self.answer_here(waiter, &outcome);
+            } else {
+                self.state.inboxes[waiter.lp].post(Message::Answer(waiter, Arc::clone(&outcome)));
             }
         }
-        self.completions = completions;
     }
 
-    /// Answers the waiters of landed flights whose connections are still
-    /// open, then serves what each pipelined behind its parked request.
-    fn answer(&mut self, waiters: Vec<Waiter>, outcome: &pool::Outcome) {
+    /// Answers one of this loop's waiters if its connection is still
+    /// open, then serves what it pipelined behind its parked request.
+    fn answer_here(&mut self, waiter: Waiter, outcome: &pool::Outcome) {
+        let Waiter { fd, token, received, keep_alive, route, .. } = waiter;
         let status = outcome.as_ref().map_or_else(|(status, _)| *status, |_| 200);
-        for Waiter { fd, token, received, keep_alive, route } in waiters {
-            // Count before writing: a client that has read its response
-            // must already see the request in /metrics.
-            self.state.metrics.observe(route, status, received.elapsed());
-            if self.conns.get(&fd).is_none_or(|conn| conn.token != token) {
-                continue; // closed while parked; the fd may be another's now
-            }
-            let mut conn = self.conns.remove(&fd).expect("the connection was just found");
-            let keep = keep_alive && !self.draining;
-            let bytes = match outcome {
-                Ok(body) => http::response_bytes(
-                    200,
-                    "application/json",
-                    &[("X-Cache", "miss".to_owned())],
-                    body,
-                    keep,
-                ),
-                Err((status, message)) => http::error_bytes(*status, message, &[], keep),
-            };
-            conn.out.extend_from_slice(&bytes);
-            conn.parked = false;
-            if !keep {
-                conn.close_after_output();
-            }
-            self.process_buffer(&mut conn);
-            self.settle(fd, conn);
+        // Count before writing: a client that has read its response must
+        // already see the request in /metrics.
+        self.state.metrics.observe(route, status, received.elapsed());
+        if self.conns.get(&fd).is_none_or(|conn| conn.token != token) {
+            return; // closed while parked; the fd may be another's now
         }
+        let mut conn = self.conns.remove(&fd).expect("the connection was just found");
+        let keep = keep_alive && !self.draining;
+        conn.out.extend_from_slice(&outcome_bytes(outcome, keep));
+        conn.parked = false;
+        if !keep {
+            conn.close_after_output();
+        }
+        self.process_buffer(&mut conn);
+        self.settle(fd, conn);
     }
 
     /// Writes what the socket takes, then registers the interest the
     /// connection's state needs, or closes it.
     fn settle(&mut self, fd: i32, mut conn: Connection) {
+        if conn.eof && !conn.parked && !conn.queued {
+            conn.close_after_output(); // every complete request is answered
+        }
         if try_flush(&mut conn).is_err() || (conn.close_after_flush && !conn.pending_output()) {
-            let _ = self.poller.del(fd);
+            self.close(fd);
             return;
         }
-        let read = if conn.parked { 0 } else { EVENT_READ };
+        let read = if conn.parked || conn.eof { 0 } else { EVENT_READ };
         let interest = read | if conn.pending_output() { EVENT_WRITE } else { 0 };
         if interest != conn.interest {
             if self.poller.set(fd, interest).is_err() {
+                self.close(fd);
                 return;
             }
             conn.interest = interest;
@@ -651,24 +783,28 @@ impl EventLoop {
     /// on the server, not the peer; its flight's deadline bounds it.
     fn sweep_idle(&mut self) {
         let idle_timeout = self.state.config.idle_timeout;
-        let poller = &self.poller;
+        let (poller, metrics) = (&self.poller, &self.state.metrics);
         self.conns.retain(|&fd, conn| {
             let live = conn.parked || conn.last_activity.elapsed() < idle_timeout;
             if !live {
                 let _ = poller.del(fd);
+                metrics.connection_closed(self.index);
             }
             live
         });
     }
 }
 
-/// Drains the socket into the buffer; false once the peer closed or
-/// failed.
+/// Drains the socket into the buffer; false once the peer failed. A
+/// peer that closed its sending side sets `eof`.
 fn read_available(conn: &mut Connection) -> bool {
     let mut chunk = [0u8; READ_CHUNK];
     loop {
         match conn.stream.read(&mut chunk) {
-            Ok(0) => return false, // peer closed
+            Ok(0) => {
+                conn.eof = true;
+                return true;
+            }
             Ok(n) => {
                 if conn.buf.is_empty() {
                     conn.request_start = Instant::now();
@@ -693,6 +829,23 @@ enum Outcome {
     /// A miss over the work bound: park the connection on the
     /// single-flight.
     Park(ParkRequest),
+}
+
+/// The response bytes of a computed miss's outcome.
+fn outcome_bytes(outcome: &pool::Outcome, keep: bool) -> Vec<u8> {
+    match outcome {
+        Ok(body) => http::response_bytes(
+            200,
+            "application/json",
+            &[("X-Cache", "miss".to_owned())],
+            body,
+            keep,
+        ),
+        Err((503, message)) => {
+            http::error_bytes(503, message, &[("Retry-After", "1".to_owned())], keep)
+        }
+        Err((status, message)) => http::error_bytes(*status, message, &[], keep),
+    }
 }
 
 /// Computes a miss and caches its body.
@@ -824,16 +977,7 @@ fn handle_request(state: &ServerState, request: &Request, received: Instant) -> 
     let outcome = pool::run_guarded(|| compute_and_insert(&state.cache, cache_key, compute));
     let status = outcome.as_ref().map_or_else(|(status, _)| *status, |_| 200);
     state.metrics.observe(matched.label(), status, received.elapsed());
-    Outcome::Computed(match outcome {
-        Ok(body) => http::response_bytes(
-            200,
-            "application/json",
-            &[("X-Cache", "miss".to_owned())],
-            &body,
-            keep,
-        ),
-        Err((status, message)) => http::error_bytes(status, &message, &[], keep),
-    })
+    Outcome::Computed(outcome_bytes(&outcome, keep))
 }
 
 /// Writes as much pending output as the socket accepts.
@@ -868,7 +1012,55 @@ mod tests {
         let config = ServeConfig { addr: "127.0.0.1:0".to_owned(), threads: Some(1), ..config };
         let Server { listener, state } = Server::bind(config).expect("bind on a free port");
         let addr = listener.local_addr().expect("bound address");
-        (EventLoop::new(listener, state).expect("event loop"), addr)
+        (EventLoop::new(0, Some(listener), state).expect("event loop"), addr)
+    }
+
+    /// The two event loops of one server, driven from the test.
+    fn two_loops(config: ServeConfig) -> ([EventLoop; 2], SocketAddr) {
+        let config = ServeConfig { addr: "127.0.0.1:0".to_owned(), threads: Some(2), ..config };
+        let Server { listener, state } = Server::bind(config).expect("bind on a free port");
+        let addr = listener.local_addr().expect("bound address");
+        let first = EventLoop::new(0, Some(listener), Arc::clone(&state)).expect("loop 0");
+        (([first, EventLoop::new(1, None, state).expect("loop 1")]), addr)
+    }
+
+    /// Connects a client that loop 0 accepts and hands to loop `lp`:
+    /// the client and its server-side fd there.
+    fn connect_to(loops: &mut [EventLoop; 2], addr: SocketAddr, lp: usize) -> (TcpStream, i32) {
+        let client = TcpStream::connect(addr).expect("connect");
+        let local = client.local_addr().expect("client address");
+        let start = Instant::now();
+        loop {
+            for event_loop in loops.iter_mut() {
+                event_loop.turn().expect("epoll wait");
+            }
+            let found =
+                loops[lp].conns.iter().find(|(_, c)| c.stream.peer_addr().ok() == Some(local));
+            if let Some((&fd, _)) = found {
+                return (client, fd);
+            }
+            assert!(
+                start.elapsed() < Duration::from_secs(30),
+                "loop {lp} never took the connection"
+            );
+        }
+    }
+
+    /// Parks A on loop 0, creating a flight on `gate`, and B on loop 1,
+    /// coalescing onto it.
+    fn park_across(
+        loops: &mut [EventLoop; 2],
+        addr: SocketAddr,
+        gate: mpsc::Receiver<()>,
+        body: &[u8],
+    ) -> (TcpStream, TcpStream) {
+        let (a, a_fd) = connect_to(loops, addr, 0);
+        let (b, b_fd) = connect_to(loops, addr, 1);
+        loops[0].park_fd(a_fd, "gated", gated(gate, body.to_vec()));
+        loops[1].park_fd(b_fd, "gated", || panic!("a follower submits nothing"));
+        let metrics = &loops[0].state.metrics;
+        assert_eq!((metrics.coalesced_requests(), loops[1].state.flights.in_flight()), (1, 1));
+        (a, b)
     }
 
     /// A compute closure that answers `body` once `gate` opens.
@@ -1084,7 +1276,7 @@ mod tests {
         let a_token = lp.conns[&a_fd].token;
         drop(a);
         lp.turn_until("the reset", |lp| !lp.conns.contains_key(&a_fd));
-        assert_eq!(lp.flights.in_flight(), 1, "the job still owns the flight");
+        assert_eq!(lp.state.flights.in_flight(), 1, "the job still owns the flight");
 
         // Another thread of the test harness may hold A's fd number for
         // a moment; then try again.
@@ -1101,7 +1293,7 @@ mod tests {
         assert_ne!(lp.conns[&b_fd].token, a_token, "tokens are never reused");
 
         release.send(()).expect("open the gate");
-        lp.turn_until("the flight to land", |lp| lp.flights.in_flight() == 0);
+        lp.turn_until("the flight to land", |lp| lp.state.flights.in_flight() == 0);
         assert_eq!(lp.state.metrics.requests_for("/test", 200), 1, "A's answer was counted");
         b.set_nonblocking(true).expect("non-blocking");
         let mut byte = [0u8; 1];
@@ -1134,7 +1326,7 @@ mod tests {
         assert!(lp.conns.contains_key(&parked_fd), "a parked one is not");
 
         release.send(()).expect("open the gate");
-        lp.turn_until("the flight to land", |lp| lp.flights.in_flight() == 0);
+        lp.turn_until("the flight to land", |lp| lp.state.flights.in_flight() == 0);
         let answer = read(&mut parked);
         assert_eq!((answer.status, answer.body.as_slice()), (200, &b"{}\n"[..]));
         lp.state.pool.drain();
@@ -1174,6 +1366,159 @@ mod tests {
         assert_eq!(answer.header("Connection"), Some("close"), "drained answers close");
         assert!(answer.body == body, "the whole body was written before the loop exited");
         assert!(eof.expect("a clean close"), "nothing follows the answer");
+        state.pool.drain();
+    }
+
+    #[test]
+    fn a_half_closed_connection_gets_every_complete_request_answered() {
+        let (mut lp, addr) = event_loop(ServeConfig::default());
+        let (mut client, fd) = lp.connect(addr);
+        let misses: String = [21, 22]
+            .iter()
+            .map(|seed| {
+                let body = format!(r#"{{"name": "randomized", "seed": {seed}}}"#);
+                format!(
+                    "POST /v1/scenario HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+            })
+            .collect();
+        let probe = "GET /healthz HTTP/1.1\r\n\r\n";
+        client.write_all(format!("{probe}{probe}{misses}GET /heal").as_bytes()).expect("write");
+        client.shutdown(std::net::Shutdown::Write).expect("half-close");
+        // One inline compute per turn still, then the close; the
+        // trailing partial request is dropped.
+        let mut computes = vec![0];
+        while lp.conns.contains_key(&fd) {
+            assert!(computes.len() < 2000, "the connection never closed");
+            lp.turn().expect("epoll wait");
+            computes.push(lp.state.metrics.inline_computes());
+        }
+        assert!(computes.windows(2).all(|w| w[1] - w[0] <= 1), "{computes:?}");
+        assert_eq!(computes.last(), Some(&2));
+
+        let mut bytes = Vec::new();
+        client.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+        client.read_to_end(&mut bytes).expect("the answers, then a clean close");
+        let text = String::from_utf8_lossy(&bytes);
+        assert_eq!(text.matches("HTTP/1.1 200 OK").count(), 4, "every complete request: {text}");
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 4, "nothing for the partial one: {text}");
+        lp.state.pool.drain();
+    }
+
+    #[test]
+    fn a_loop_with_no_flight_in_the_air_takes_no_lock_per_turn() {
+        let (mut lp, addr) = event_loop(ServeConfig::default());
+        let state = Arc::clone(&lp.state);
+        let (mut client, _) = lp.connect(addr);
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let held = crate::flight::tests::hold(&state.flights);
+        let serving = lp.serve(&shutdown);
+        // The loop waits, turns, answers a probe and computes a miss
+        // inline while the table stays locked.
+        let miss = r#"{"name": "smoke"}"#;
+        let requests = [
+            "GET /healthz HTTP/1.1\r\n\r\n".to_owned(),
+            format!("POST /v1/scenario HTTP/1.1\r\nContent-Length: {}\r\n\r\n{miss}", miss.len()),
+        ];
+        for request in &requests {
+            std::thread::sleep(SHUTDOWN_POLL * 2); // idle turns in between
+            client.write_all(request.as_bytes()).expect("write");
+            assert_eq!(read(&mut client).status, 200, "answered with the table locked");
+        }
+        drop(held);
+        shutdown.store(true, Ordering::SeqCst);
+        serving.join().expect("the loop thread").expect("the loop");
+        assert_eq!(state.metrics.inline_computes(), 1);
+        state.pool.drain();
+    }
+
+    #[test]
+    fn a_flight_landed_on_one_loop_answers_a_waiter_on_the_other() {
+        let (mut loops, addr) = two_loops(ServeConfig::default());
+        let (release, gate) = mpsc::channel();
+        let (mut a, mut b) = park_across(&mut loops, addr, gate, b"{\"landed\": true}\n");
+        release.send(()).expect("open the gate");
+        // Loop 0 submitted the job: it lands the flight, answers A and
+        // forwards B's answer to loop 1, which writes it.
+        let start = Instant::now();
+        while loops.iter().any(|lp| lp.conns.values().any(|conn| conn.parked)) {
+            assert!(start.elapsed() < Duration::from_secs(30), "the waiters were never answered");
+            for lp in &mut loops {
+                lp.turn().expect("epoll wait");
+            }
+        }
+        for client in [&mut a, &mut b] {
+            let answer = read(client);
+            assert_eq!(
+                (answer.status, answer.body.as_slice()),
+                (200, &b"{\"landed\": true}\n"[..])
+            );
+            assert_eq!(answer.header("Connection"), Some("keep-alive"));
+        }
+        let metrics = Arc::clone(&loops[1].state.metrics);
+        assert_eq!((metrics.pool_jobs(), metrics.requests_for("/test", 200)), (1, 2));
+        // B goes on to its next request on loop 1.
+        b.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").expect("write");
+        let start = Instant::now();
+        while metrics.requests_for("/healthz", 200) == 0 {
+            assert!(start.elapsed() < Duration::from_secs(30), "B's probe was never answered");
+            loops[1].turn().expect("epoll wait");
+        }
+        assert_eq!(read(&mut b).status, 200);
+        loops[0].state.pool.drain();
+    }
+
+    #[test]
+    fn a_deadline_seen_on_one_loop_answers_504_on_both() {
+        let request_timeout = Duration::from_millis(300);
+        let (mut loops, addr) =
+            two_loops(ServeConfig { request_timeout, ..ServeConfig::default() });
+        let (release, gate) = mpsc::channel();
+        let (mut a, mut b) = park_across(&mut loops, addr, gate, b"{}\n");
+        // Only loop 1 turns: it expires the flight, answers B and
+        // forwards A's 504 to loop 0.
+        loops[1].turn_until("the deadline", |lp| lp.state.flights.in_flight() == 0);
+        let answer = read(&mut b);
+        assert_eq!(answer.status, 504, "{}", answer.text());
+        assert!(loops[0].conns.values().any(|conn| conn.parked), "A waits in loop 0's inbox");
+        loops[0].turn_until("A's answer", |lp| lp.conns.values().all(|conn| !conn.parked));
+        assert_eq!(read(&mut a).status, 504);
+        assert_eq!(loops[0].state.metrics.requests_for("/test", 504), 2);
+        release.send(()).expect("open the gate");
+        loops[0].state.pool.drain();
+    }
+
+    #[test]
+    fn drain_answers_parked_connections_on_both_loops_before_the_server_exits() {
+        let (mut loops, addr) = two_loops(ServeConfig::default());
+        let state = Arc::clone(&loops[0].state);
+        let (release, gate) = mpsc::channel();
+        let (mut a, mut b) = park_across(&mut loops, addr, gate, b"{\"drained\": true}\n");
+
+        // Draining from the first turn: the listener closes at once.
+        let shutdown = Arc::new(AtomicBool::new(true));
+        let [first, second] = loops;
+        let serving = [first.serve(&shutdown), second.serve(&shutdown)];
+        let start = Instant::now();
+        while TcpStream::connect(addr).is_ok() {
+            assert!(start.elapsed() < Duration::from_secs(30), "the listener never closed");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        std::thread::sleep(SHUTDOWN_POLL * 2);
+        assert!(serving.iter().all(|lp| !lp.is_finished()), "both loops wait for their waiter");
+
+        release.send(()).expect("open the gate");
+        for client in [&mut a, &mut b] {
+            let answer = read(client);
+            assert_eq!(answer.status, 200);
+            assert_eq!(answer.header("Connection"), Some("close"), "drained answers close");
+            let mut rest = Vec::new();
+            assert_eq!(client.read_to_end(&mut rest).expect("a clean close"), 0);
+        }
+        for lp in serving {
+            lp.join().expect("the loop thread").expect("the loop");
+        }
         state.pool.drain();
     }
 }

@@ -1,7 +1,7 @@
 //! Minimal SIGINT/SIGTERM latch without a libc dependency: `signal(2)`
 //! is in every libc the workspace targets, and an `AtomicBool` store is
-//! async-signal-safe. The accept loop polls [`shutdown_requested`]
-//! between accepts and starts a graceful drain when it flips.
+//! async-signal-safe. Every event loop polls [`shutdown_requested`]
+//! each turn and starts a graceful drain when it flips.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -48,15 +48,4 @@ pub fn install() {
 #[must_use]
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Requests shutdown programmatically, as if a signal had arrived.
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-/// Clears the latch (so one process can serve, drain and serve again —
-/// primarily for tests).
-pub fn reset() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
 }

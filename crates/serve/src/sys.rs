@@ -1,15 +1,12 @@
-//! Raw OS interfaces for the event loop, without a `libc` crate
+//! Raw OS interfaces for the event loops, without a `libc` crate
 //! dependency (matching the `signal` module's precedent): `epoll` for
-//! readiness notification, `SO_REUSEPORT` listener construction for
-//! the shard mode, and `kill(2)` so the shard supervisor can forward
-//! SIGTERM to its children. Linux-only, like the service itself.
+//! readiness notification, one instance per loop. Linux-only, like the
+//! service itself.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener};
-use std::os::unix::io::FromRawFd;
 use std::time::Duration;
 
-use std::os::raw::{c_int, c_void};
+use std::os::raw::c_int;
 
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EPOLL_CTL_ADD: c_int = 1;
@@ -24,15 +21,6 @@ pub const EVENT_WRITE: u32 = 0x004;
 pub const EVENT_ERROR: u32 = 0x008;
 /// Peer hang-up (`EPOLLHUP`), always reported.
 pub const EVENT_HANGUP: u32 = 0x010;
-
-const AF_INET: c_int = 2;
-const SOCK_STREAM: c_int = 1;
-const SOCK_CLOEXEC: c_int = 0o2000000;
-const SOL_SOCKET: c_int = 1;
-const SO_REUSEADDR: c_int = 2;
-const SO_REUSEPORT: c_int = 15;
-const SIGTERM: c_int = 15;
-const LISTEN_BACKLOG: c_int = 1024;
 
 /// The kernel's `epoll_event`, packed on x86-64 only (the kernel ABI
 /// differs by architecture).
@@ -53,31 +41,11 @@ struct EpollEvent {
     data: u64,
 }
 
-/// IPv4 `sockaddr_in`, network byte order for `port` and `addr`.
-#[repr(C)]
-struct SockAddrIn {
-    family: u16,
-    port: u16,
-    addr: u32,
-    zero: [u8; 8],
-}
-
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
-    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-    fn setsockopt(
-        fd: c_int,
-        level: c_int,
-        optname: c_int,
-        optval: *const c_void,
-        optlen: u32,
-    ) -> c_int;
-    fn bind(fd: c_int, addr: *const SockAddrIn, len: u32) -> c_int;
-    fn listen(fd: c_int, backlog: c_int) -> c_int;
-    fn kill(pid: c_int, sig: c_int) -> c_int;
 }
 
 /// One readiness notification: the registered token and the event mask.
@@ -210,77 +178,11 @@ impl Drop for Poller {
     }
 }
 
-/// Binds an IPv4 TCP listener with `SO_REUSEPORT` (and `SO_REUSEADDR`)
-/// set before `bind`, so multiple shard processes — or multiple
-/// in-process servers — can share one address and let the kernel
-/// load-balance accepted connections across them.
-///
-/// # Errors
-///
-/// Rejects non-IPv4 addresses and propagates socket-call failures.
-pub fn bind_reuseport(addr: &SocketAddr) -> io::Result<TcpListener> {
-    let SocketAddr::V4(v4) = addr else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "shard listeners require an IPv4 address",
-        ));
-    };
-    // SAFETY: each call below is a plain syscall on an owned fd; the fd
-    // is closed on every error path before returning.
-    unsafe {
-        let fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let one: c_int = 1;
-        let optlen = std::mem::size_of::<c_int>() as u32;
-        for opt in [SO_REUSEADDR, SO_REUSEPORT] {
-            if setsockopt(fd, SOL_SOCKET, opt, (&raw const one).cast::<c_void>(), optlen) < 0 {
-                let err = io::Error::last_os_error();
-                close(fd);
-                return Err(err);
-            }
-        }
-        let sockaddr = SockAddrIn {
-            family: AF_INET as u16,
-            port: v4.port().to_be(),
-            addr: u32::from_ne_bytes(v4.ip().octets()),
-            zero: [0; 8],
-        };
-        if bind(fd, &sockaddr, std::mem::size_of::<SockAddrIn>() as u32) < 0 {
-            let err = io::Error::last_os_error();
-            close(fd);
-            return Err(err);
-        }
-        if listen(fd, LISTEN_BACKLOG) < 0 {
-            let err = io::Error::last_os_error();
-            close(fd);
-            return Err(err);
-        }
-        Ok(TcpListener::from_raw_fd(fd))
-    }
-}
-
-/// Sends SIGTERM to a child process (the shard supervisor's graceful
-/// drain forwarding; `Child::kill` would send the unmaskable SIGKILL).
-///
-/// # Errors
-///
-/// Propagates `kill(2)` failures.
-pub fn terminate(pid: u32) -> io::Result<()> {
-    // SAFETY: plain syscall wrapper.
-    let rc = unsafe { kill(pid as c_int, SIGTERM) };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
+    use std::io::Write;
+    use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
 
     #[test]
@@ -309,45 +211,5 @@ mod tests {
         poller.wait(Duration::from_millis(500), &mut events).unwrap();
         assert!(events.iter().any(|e| e.token == server_side.as_raw_fd() as u64 && e.readable()));
         poller.del(server_side.as_raw_fd()).unwrap();
-    }
-
-    #[test]
-    fn reuseport_listeners_share_an_address() {
-        let first = bind_reuseport(&"127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = first.local_addr().unwrap();
-        let second = bind_reuseport(&addr).expect("second listener on the same port");
-        assert_eq!(second.local_addr().unwrap(), addr);
-
-        // A connection lands on one of the two listeners.
-        first.set_nonblocking(true).unwrap();
-        second.set_nonblocking(true).unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(b"ping").unwrap();
-        let start = std::time::Instant::now();
-        let accepted = loop {
-            match first.accept() {
-                Ok((s, _)) => break s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => panic!("accept: {e}"),
-            }
-            match second.accept() {
-                Ok((s, _)) => break s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                Err(e) => panic!("accept: {e}"),
-            }
-            assert!(start.elapsed() < Duration::from_secs(5), "no listener accepted");
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        let mut accepted = accepted;
-        accepted.set_nonblocking(false).unwrap();
-        let mut buf = [0u8; 4];
-        accepted.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"ping");
-    }
-
-    #[test]
-    fn reuseport_rejects_ipv6() {
-        let err = bind_reuseport(&"[::1]:0".parse().unwrap()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

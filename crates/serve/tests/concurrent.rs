@@ -1,7 +1,8 @@
-//! Concurrency semantics of the epoll server: single-flight
-//! coalescing, HTTP/1.1 keep-alive, the memo tier, and slowloris
-//! resistance. Sequencing is driven by the server's own gauges (never
-//! by sleeps alone), so the tests are deterministic on slow machines.
+//! Concurrency semantics of the epoll server: connections balanced over
+//! its event loops, single-flight coalescing across them, HTTP/1.1
+//! keep-alive, the memo tier, and slowloris resistance. Sequencing is
+//! driven by the server's own gauges (never by sleeps alone), so the
+//! tests are deterministic on slow machines.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -88,11 +89,43 @@ fn a_thundering_herd_of_identical_misses_computes_exactly_once() {
     assert_eq!(state.metrics.pool_jobs(), 1, "eight requests, one computation");
     assert_eq!(state.metrics.coalesced_requests(), HERD as u64);
     assert_eq!(state.cache.misses(), HERD as u64 + 1, "every requester probed the cache once");
+    let per_loop = [state.metrics.connections_on(0), state.metrics.connections_on(1)];
+    assert!(per_loop.iter().all(|&n| n > 0), "the herd landed on both loops: {per_loop:?}");
     let rendered = state.metrics.render(&state.cache);
     assert!(
         rendered.contains(&format!("faultline_coalesced_requests_total {HERD}")),
         "coalesced_requests exported: {rendered}"
     );
+    handle.shutdown();
+}
+
+#[test]
+fn connections_alternate_over_two_loops_and_a_closed_one_frees_its_slot() {
+    let (handle, addr) = spawn(ServeConfig { threads: Some(2), ..ServeConfig::default() });
+    let state = handle.state();
+    let metrics = &state.metrics;
+    // Opens a connection and waits for the acceptor to give it a loop.
+    let open = |accepted: u64| {
+        let stream = TcpStream::connect(&addr).expect("connect");
+        wait_for("the accept", Duration::from_secs(30), || metrics.connections() == accepted);
+        stream
+    };
+    let on = || [metrics.connections_on(0), metrics.connections_on(1)];
+
+    let a = open(1);
+    assert_eq!(on(), [1, 0], "ties go to loop 0");
+    let b = open(2);
+    assert_eq!(on(), [1, 1], "then to the loop with fewer");
+    let c = open(3);
+    assert_eq!(on(), [2, 1]);
+    drop(b);
+    wait_for("loop 1 to close B", Duration::from_secs(30), || metrics.open_connections(1) == 0);
+    let d = open(4);
+    assert_eq!(on(), [2, 2], "B's slot went back to loop 1");
+    let rendered = metrics.render(&state.cache);
+    assert!(rendered.contains("faultline_loop_connections{loop=\"0\"} 2\n"), "{rendered}");
+    assert!(rendered.contains("faultline_loop_connections{loop=\"1\"} 1\n"), "{rendered}");
+    drop((a, c, d));
     handle.shutdown();
 }
 

@@ -54,6 +54,18 @@ fn health_cr_and_404s() {
 }
 
 #[test]
+fn a_fleet_over_the_ceiling_is_refused_and_the_server_stays_up() {
+    let (handle, addr) = spawn(ServeConfig { threads: Some(1), ..ServeConfig::default() });
+    // Computed, this fleet would abort the process allocating its plans.
+    let refused = post(&addr, "/v1/supremum", r#"{"n": 1125899906842624, "f": 1}"#);
+    assert_eq!(refused.status, 400, "{}", refused.text());
+    assert!(refused.text().contains("at most 4096 robots"), "{}", refused.text());
+    assert_eq!(get(&addr, "/healthz").status, 200, "the server is still up");
+    assert_eq!(handle.state().metrics.pool_jobs(), 0, "refused before computing");
+    handle.shutdown();
+}
+
+#[test]
 fn cache_hits_are_byte_identical_and_metrics_move() {
     let (handle, addr) = spawn(ServeConfig::default());
 

@@ -12,7 +12,7 @@
 //! faultline explore  <n> <f> [--budget=..]      # adversary-space coverage sweep
 //! faultline conformance run [--seed=..]         # differential oracle sweep
 //! faultline conformance replay <file.json>      # reproduce a counterexample
-//! faultline serve [--addr=..] [--shards=..]     # HTTP query service
+//! faultline serve [--addr=..] [--threads=..]    # HTTP query service
 //! faultline query <route> [json]                # loopback client
 //! faultline loadgen [--quick] [--seed=..]       # seeded load driver
 //! ```
@@ -104,26 +104,24 @@ const USAGE: &str = "usage:
                      [--json] [--out=DIR] [--inject=ORACLE]
   faultline conformance replay <counterexample.json>
   faultline serve    [--addr=HOST:PORT] [--threads=N] [--cache-bytes=N]
-                     [--queue=N] [--timeout-secs=N] [--shards=N]
-                     [--reuse-port] [--memo-max-n=N]
-                     (--shards=N supervises N SO_REUSEPORT processes;
-                      needs an explicit port)
+                     [--queue=N] [--timeout-secs=N] [--memo-max-n=N]
+                     (--threads=N runs N event loops and N pool workers)
   faultline query    <route> [json body] [--addr=HOST:PORT]
                      (exit 3 on 503 backpressure, 4 on 504 deadline)
   faultline loadgen  [--quick] [--seed=N] [--requests=N] [--concurrency=N]
-                     [--shards=N] [--addr=HOST:PORT] [--out=FILE] [--force]
+                     [--addr=HOST:PORT] [--out=FILE] [--force]
                      [--baseline=LOAD_date.json] [--json]";
 
 fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let command = args.first().map(String::as_str).ok_or("missing command")?;
     match command {
-        "design" => design(parse_params(args)?),
-        "simulate" => simulate(parse_params(args)?, &args[3..]),
-        "bounds" => bounds(parse_params(args)?),
-        "compare" => compare(parse_params(args)?, parse_xmax(args, 3)?),
-        "spectrum" => spectrum(parse_params(args)?, parse_xmax(args, 3)?),
-        "animate" => animate(parse_params(args)?, &args[3..]),
-        "timeline" => timeline(parse_params(args)?, &args[3..]),
+        "design" => design(parse_params(args, Params::fleet)?),
+        "simulate" => simulate(parse_params(args, Params::fleet)?, &args[3..]),
+        "bounds" => bounds(parse_params(args, Params::new)?),
+        "compare" => compare(parse_params(args, Params::fleet)?, parse_xmax(args, 3)?),
+        "spectrum" => spectrum(parse_params(args, Params::fleet)?, parse_xmax(args, 3)?),
+        "animate" => animate(parse_params(args, Params::fleet)?, &args[3..]),
+        "timeline" => timeline(parse_params(args, Params::fleet)?, &args[3..]),
         "scenario" => scenario(&args[1..]),
         "replay" => replay(&args[1..]),
         "optimize" => optimize(&args[1..]),
@@ -136,10 +134,14 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
 }
 
-fn parse_params(args: &[String]) -> Result<Params, Box<dyn std::error::Error>> {
+/// Reads `<n> <f>`, checked by `Params::fleet` or, for closed forms, `Params::new`.
+fn parse_params(
+    args: &[String],
+    validate: fn(usize, usize) -> faultline_suite::core::Result<Params>,
+) -> Result<Params, Box<dyn std::error::Error>> {
     let n: usize = args.get(1).ok_or("missing <n>")?.parse()?;
     let f: usize = args.get(2).ok_or("missing <f>")?.parse()?;
-    Ok(Params::new(n, f)?)
+    Ok(validate(n, f)?)
 }
 
 fn parse_xmax(args: &[String], idx: usize) -> Result<f64, Box<dyn std::error::Error>> {
@@ -635,7 +637,6 @@ fn conformance(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 fn serve(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     use faultline_serve::{signal, ServeConfig, Server};
     let mut config = ServeConfig::default();
-    let mut shards = 1usize;
     for arg in rest {
         if let Some(addr) = arg.strip_prefix("--addr=") {
             config.addr = addr.to_owned();
@@ -647,28 +648,19 @@ fn serve(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             config.queue_capacity = depth.parse()?;
         } else if let Some(secs) = arg.strip_prefix("--timeout-secs=") {
             config.request_timeout = std::time::Duration::from_secs(secs.parse()?);
-        } else if let Some(n) = arg.strip_prefix("--shards=") {
-            shards = n.parse()?;
         } else if let Some(n) = arg.strip_prefix("--memo-max-n=") {
             config.memo_max_n = n.parse()?;
-        } else if arg == "--reuse-port" {
-            config.reuse_port = true;
         } else {
             return Err(format!("unknown serve flag `{arg}`").into());
         }
     }
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    if shards > 1 {
-        return serve_sharded(shards, &config.addr, rest);
-    }
     signal::install();
     let server = Server::bind(config.clone())?;
+    let threads = config.resolved_threads();
     eprintln!(
-        "faultline-serve listening on http://{} ({} workers, {} MiB cache, queue {})",
+        "faultline-serve listening on http://{} ({threads} event loops, {threads} workers, \
+         {} MiB cache, queue {})",
         server.local_addr()?,
-        config.resolved_threads(),
         config.cache_bytes / (1024 * 1024),
         config.queue_capacity,
     );
@@ -677,90 +669,6 @@ fn serve(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     server.run(shutdown); // returns after SIGINT/SIGTERM + drain
     eprintln!("faultline-serve drained and stopped");
     Ok(())
-}
-
-/// Supervises `shards` single-shard child processes sharing one port
-/// via SO_REUSEPORT (the kernel balances incoming connections across
-/// their listeners). SIGINT/SIGTERM on the supervisor is forwarded to
-/// every child as SIGTERM, and the supervisor waits for all of them to
-/// drain.
-fn serve_sharded(
-    shards: usize,
-    addr: &str,
-    rest: &[String],
-) -> Result<(), Box<dyn std::error::Error>> {
-    use faultline_serve::{signal, sys};
-
-    // Every shard must bind the *same* concrete port; port 0 would
-    // hand each child a different ephemeral port.
-    let port = addr.rsplit(':').next().and_then(|p| p.parse::<u16>().ok());
-    match port {
-        Some(0) | None => {
-            return Err(format!(
-                "--shards={shards} needs an explicit port in --addr (got `{addr}`)"
-            )
-            .into())
-        }
-        Some(_) => {}
-    }
-
-    // Children re-run `faultline serve` with the same flags, minus the
-    // shard count, plus the reuseport opt-in.
-    let exe = std::env::current_exe()?;
-    let child_args: Vec<&String> = rest
-        .iter()
-        .filter(|a| !a.starts_with("--shards=") && a.as_str() != "--reuse-port")
-        .collect();
-    signal::install();
-    let mut children = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        let child = std::process::Command::new(&exe)
-            .arg("serve")
-            .args(&child_args)
-            .arg("--reuse-port")
-            .spawn()
-            .map_err(|e| format!("cannot spawn shard {shard}: {e}"))?;
-        children.push(child);
-    }
-    eprintln!("faultline-serve supervising {shards} shards on {addr} (SO_REUSEPORT)");
-
-    let mut forwarded = false;
-    let mut failure: Option<String> = None;
-    while children.iter_mut().any(|c| matches!(c.try_wait(), Ok(None))) {
-        if signal::shutdown_requested() && !forwarded {
-            eprintln!("faultline-serve forwarding shutdown to {shards} shards");
-            for child in &children {
-                let _ = sys::terminate(child.id());
-            }
-            forwarded = true;
-        }
-        // A shard dying on its own (bind failure, panic) takes the
-        // fleet down: forward termination and report the failure.
-        if !forwarded {
-            for (shard, child) in children.iter_mut().enumerate() {
-                if let Ok(Some(status)) = child.try_wait() {
-                    failure = Some(format!("shard {shard} exited early: {status}"));
-                }
-            }
-            if failure.is_some() {
-                for child in &children {
-                    let _ = sys::terminate(child.id());
-                }
-                forwarded = true;
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-    for mut child in children {
-        let _ = child.wait();
-    }
-    match failure {
-        Some(message) => Err(message.into()),
-        None => {
-            eprintln!("faultline-serve shards drained and stopped");
-            Ok(())
-        }
-    }
 }
 
 fn loadgen(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
@@ -774,7 +682,6 @@ fn loadgen(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut seed: Option<u64> = None;
     let mut requests: Option<u64> = None;
     let mut concurrency: Option<usize> = None;
-    let mut shards: Option<usize> = None;
     let mut addr: Option<String> = None;
     for arg in rest {
         if let Some(v) = arg.strip_prefix("--seed=") {
@@ -783,8 +690,6 @@ fn loadgen(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             requests = Some(v.parse()?);
         } else if let Some(v) = arg.strip_prefix("--concurrency=") {
             concurrency = Some(v.parse()?);
-        } else if let Some(v) = arg.strip_prefix("--shards=") {
-            shards = Some(v.parse()?);
         } else if let Some(v) = arg.strip_prefix("--addr=") {
             addr = Some(v.to_owned());
         } else if let Some(v) = arg.strip_prefix("--out=") {
@@ -815,9 +720,6 @@ fn loadgen(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(v) = concurrency {
         options.concurrency = v;
     }
-    if let Some(v) = shards {
-        options.shards = v;
-    }
     options.addr = addr;
 
     match &options.addr {
@@ -826,11 +728,8 @@ fn loadgen(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             options.requests, options.concurrency, options.seed
         ),
         None => eprintln!(
-            "loadgen: {} requests x {} threads (seed {}) against {} in-process shard(s)",
-            options.requests,
-            options.concurrency,
-            options.seed,
-            options.shards.max(1)
+            "loadgen: {} requests x {} threads (seed {}) against an in-process server",
+            options.requests, options.concurrency, options.seed
         ),
     }
     let report = faultline_bench::run_load(&options, quick)?;
