@@ -54,8 +54,8 @@ impl AverageCase {
 ///
 /// # Errors
 ///
-/// Fails outside the proportional regime, for `xmax <= 1`, and when
-/// the fleet leaves part of the window uncovered.
+/// Fails for `xmax <= 1`, and when the fleet leaves part of the window
+/// uncovered.
 pub fn exact_average(params: Params, xmax: f64) -> Result<AverageCase> {
     if !(xmax > 1.0) {
         return Err(faultline_core::Error::domain(format!(
@@ -63,13 +63,6 @@ pub fn exact_average(params: Params, xmax: f64) -> Result<AverageCase> {
         )));
     }
     let alg = Algorithm::design(params)?;
-    if alg.schedule().is_none() {
-        return Err(faultline_core::Error::invalid_params(
-            params.n(),
-            params.f(),
-            "average-case analysis needs the proportional regime",
-        ));
-    }
     let fleet = Fleet::from_plans(&alg.plans(), alg.required_horizon(xmax)?)?;
     let mut integral = 0.0;
     let uncovered = kth_pieces(fleet.trajectories(), params.required_visits(), xmax, true, |p| {
@@ -199,6 +192,14 @@ mod tests {
     fn validates_inputs() {
         let params = Params::new(3, 1).unwrap();
         assert!(exact_average(params, 1.0).is_err());
-        assert!(exact_average(Params::new(4, 1).unwrap(), 10.0).is_err());
+        // The two-group regime needs no guard: every target is found at
+        // |x|, so the expected ratio is exactly 1.
+        for (n, f) in [(4usize, 1usize), (5, 1), (6, 2), (7, 1)] {
+            for xmax in [1.5, 10.0, 100.0, 1e6] {
+                let avg = exact_average(Params::new(n, f).unwrap(), xmax).unwrap();
+                assert_eq!(avg.expected, 1.0, "(n = {n}, f = {f}, xmax = {xmax})");
+                assert_eq!(avg.worst_case, 1.0, "(n = {n}, f = {f})");
+            }
+        }
     }
 }

@@ -82,19 +82,27 @@ pub fn regenerate_row(n: usize, f: usize, measure: bool) -> Result<Table1Row> {
         Regime::TwoGroup => None,
     };
     let cr_measured = if measure {
-        // xmax spans a few proportionality-ratio periods so the scan
-        // sees several turning-point discontinuities.
-        let xmax = match params.regime() {
-            Regime::Proportional => {
-                (ratio::proportionality_ratio(params)?.powi(n.min(8) as i32) * 4.0).max(16.0)
-            }
-            Regime::TwoGroup => 16.0,
-        };
-        Some(measure_strategy_cr(&PaperStrategy::new(), params, xmax)?.empirical)
+        Some(measure_strategy_cr(&PaperStrategy::new(), params, measure_window(params)?)?.empirical)
     } else {
         None
     };
     Ok(Table1Row { n, f, cr_upper, lower_bound: lb, expansion_factor: expansion, cr_measured })
+}
+
+/// The window `[1, xmax]` the measured column scans for `params`: a
+/// few proportionality-ratio periods, so the scan sees several
+/// turning-point discontinuities.
+///
+/// # Errors
+///
+/// Propagates the proportionality-ratio computation.
+pub fn measure_window(params: Params) -> Result<f64> {
+    Ok(match params.regime() {
+        Regime::Proportional => {
+            (ratio::proportionality_ratio(params)?.powi(params.n().min(8) as i32) * 4.0).max(16.0)
+        }
+        Regime::TwoGroup => 16.0,
+    })
 }
 
 /// Regenerates the full Table 1.

@@ -9,7 +9,7 @@
 //! ```text
 //! repro [table1|fig5|figures|ablation|lower-bound|montecarlo|explore|optimize|conformance|scenario|all] [--fast] [--seed=N]
 //! repro replay <trace.json>
-//! repro bench [--quick] [--out=PATH] [--force] [--baseline=PATH]
+//! repro bench [--out=PATH] [--force] [--baseline=PATH]
 //! ```
 //!
 //! `--seed=N` re-seeds the Monte-Carlo section (fault stream `N`,
@@ -42,7 +42,6 @@ mod rand_free {
     pub fn main_impl() -> Result<(), Box<dyn std::error::Error>> {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let fast = args.iter().any(|a| a == "--fast");
-        let quick = args.iter().any(|a| a == "--quick");
         let force = args.iter().any(|a| a == "--force");
         let bench_out: Option<String> =
             args.iter().find_map(|a| a.strip_prefix("--out=")).map(str::to_owned);
@@ -85,7 +84,7 @@ mod rand_free {
                 let path = operand.ok_or("replay needs a trace file: repro replay <trace.json>")?;
                 run_replay(path)?;
             }
-            "bench" => run_bench(quick, bench_out.as_deref(), force, bench_baseline.as_deref())?,
+            "bench" => run_bench(bench_out.as_deref(), force, bench_baseline.as_deref())?,
             "all" => {
                 run_table1(out_dir, fast)?;
                 run_fig5(out_dir, fast)?;
@@ -795,29 +794,12 @@ fn run_scenario(out_dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn run_bench(
-    quick: bool,
     out: Option<&str>,
     force: bool,
     against: Option<&str>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    println!("== Perf baseline: canonical workloads, path comparison and work counts ==");
-    if quick {
-        println!("(--quick: reduced workloads, suitable for CI smoke)");
-    }
-    let baseline = faultline_bench::run_baseline(quick)?;
-    println!(
-        "host: {} cores ({}, {}), default engine threads {}",
-        baseline.host.logical_cores,
-        baseline.host.os,
-        baseline.host.arch,
-        baseline.host.default_threads
-    );
-    let rows: Vec<Vec<String>> = baseline
-        .workloads
-        .iter()
-        .map(|w| vec![w.name.clone(), format!("{:.1}", w.wall_ms), w.detail.clone()])
-        .collect();
-    print!("{}", render_table(&["workload", "wall ms", "detail"], &rows));
+    println!("== Perf baseline: path comparison and work counts ==");
+    let baseline = faultline_bench::run_baseline()?;
     let rows: Vec<Vec<String>> = baseline
         .paths
         .iter()
@@ -856,11 +838,10 @@ fn run_bench(
         }
         if !comparison.passed() {
             return Err(format!(
-                "perf gate failed: {} entr{} regressed beyond {:.0}% \
+                "perf gate failed: {} entr{} regressed \
                  (re-record the baseline if the regression is intended)",
                 comparison.regressions.len(),
                 if comparison.regressions.len() == 1 { "y" } else { "ies" },
-                faultline_bench::REGRESSION_TOLERANCE * 100.0
             )
             .into());
         }

@@ -12,8 +12,8 @@ pub mod load;
 pub mod output;
 
 pub use baseline::{
-    compare_baselines, run_baseline, BaselineComparison, BenchBaseline, HostInfo, PathComparison,
-    WorkCount, WorkloadTiming, MIN_GATED_WALL_MS, REGRESSION_TOLERANCE,
+    compare_baselines, run_baseline, BaselineComparison, BenchBaseline, PathComparison, WorkCount,
+    REGRESSION_TOLERANCE,
 };
 pub use load::{compare_load, run_load, LoadReport};
 pub use output::resolve_out_path;

@@ -34,9 +34,6 @@ pub struct Knobs {
     pub rounds: usize,
     /// Explicit turning points per robot before the geometric tail.
     pub explicit_turns: usize,
-    /// The default `grid_points` a run reports. No measurement reads
-    /// it: the exact supremum engine needs no grid.
-    pub grid_points: usize,
     /// Annealing proposals per round per start.
     pub anneal_steps: usize,
     /// Initial log-space annealing step size (decays per round).
@@ -48,38 +45,18 @@ impl Budget {
     #[must_use]
     pub fn knobs(self) -> Knobs {
         match self {
-            Budget::Tiny => Knobs {
-                starts: 2,
-                rounds: 2,
-                explicit_turns: 5,
-                grid_points: 16,
-                anneal_steps: 4,
-                sigma0: 0.20,
-            },
-            Budget::Small => Knobs {
-                starts: 2,
-                rounds: 2,
-                explicit_turns: 6,
-                grid_points: 32,
-                anneal_steps: 16,
-                sigma0: 0.20,
-            },
-            Budget::Medium => Knobs {
-                starts: 4,
-                rounds: 3,
-                explicit_turns: 8,
-                grid_points: 48,
-                anneal_steps: 48,
-                sigma0: 0.25,
-            },
-            Budget::Large => Knobs {
-                starts: 8,
-                rounds: 6,
-                explicit_turns: 10,
-                grid_points: 64,
-                anneal_steps: 96,
-                sigma0: 0.30,
-            },
+            Budget::Tiny => {
+                Knobs { starts: 2, rounds: 2, explicit_turns: 5, anneal_steps: 4, sigma0: 0.20 }
+            }
+            Budget::Small => {
+                Knobs { starts: 2, rounds: 2, explicit_turns: 6, anneal_steps: 16, sigma0: 0.20 }
+            }
+            Budget::Medium => {
+                Knobs { starts: 4, rounds: 3, explicit_turns: 8, anneal_steps: 48, sigma0: 0.25 }
+            }
+            Budget::Large => {
+                Knobs { starts: 8, rounds: 6, explicit_turns: 10, anneal_steps: 96, sigma0: 0.30 }
+            }
         }
     }
 
@@ -165,7 +142,6 @@ mod tests {
             assert!(lo.starts <= hi.starts);
             assert!(lo.rounds <= hi.rounds);
             assert!(lo.explicit_turns <= hi.explicit_turns);
-            assert!(lo.grid_points <= hi.grid_points);
             assert!(lo.anneal_steps <= hi.anneal_steps);
         }
     }

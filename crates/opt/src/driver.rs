@@ -33,7 +33,7 @@ pub const THM1_SLACK: f64 = 1e-9;
 pub const IMPROVEMENT_MARGIN: f64 = 1e-6;
 
 /// A complete optimizer request: the `(n, f)` pair, the effort tier,
-/// the RNG seed, and optional window/resolution overrides.
+/// the RNG seed, and an optional window override.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OptimizeConfig {
     /// Number of robots.
@@ -50,11 +50,6 @@ pub struct OptimizeConfig {
     /// [`Objective::default_xmax`].
     #[serde(default)]
     pub xmax: Option<f64>,
-    /// Scan resolution override; defaults to the budget's grid. No
-    /// measurement reads it: it is echoed into the report (and so keys
-    /// `/v1/optimize`), and must not be 0.
-    #[serde(default)]
-    pub grid_points: Option<usize>,
     /// When set, optimize the *expected* competitive ratio with every
     /// robot p-faulty at this per-visit detection probability instead
     /// of the worst-case ratio. Defaults to the worst-case objective.
@@ -72,7 +67,6 @@ impl OptimizeConfig {
             budget: Budget::default(),
             seed: 0,
             xmax: None,
-            grid_points: None,
             detect_probability: None,
         }
     }
@@ -99,29 +93,16 @@ impl OptimizeConfig {
         }
     }
 
-    /// The resolved `grid_points` echo.
-    #[must_use]
-    pub fn resolved_grid_points(&self) -> usize {
-        self.grid_points.unwrap_or(self.budget.knobs().grid_points)
-    }
-
     /// Builds the measurement objective this config describes.
     ///
     /// # Errors
     ///
-    /// Propagates parameter and window validation, and rejects a
-    /// resolved `grid_points` of 0.
+    /// Propagates parameter and window validation.
     pub fn objective(&self) -> Result<Objective> {
-        let objective = match self.detect_probability {
-            Some(p) => {
-                Objective::with_detect_probability(self.params()?, self.resolved_xmax()?, p)?
-            }
-            None => Objective::new(self.params()?, self.resolved_xmax()?)?,
-        };
-        if self.resolved_grid_points() == 0 {
-            return Err(Error::domain("objective needs at least one grid point"));
+        match self.detect_probability {
+            Some(p) => Objective::with_detect_probability(self.params()?, self.resolved_xmax()?, p),
+            None => Objective::new(self.params()?, self.resolved_xmax()?),
         }
-        Ok(objective)
     }
 }
 
@@ -355,9 +336,6 @@ pub struct OptimizeReport {
     pub evaluations: u64,
     /// Resolved measurement window `[1, xmax]`.
     pub xmax: f64,
-    /// Resolved `grid_points`, echoed from the config; no measurement
-    /// reads it.
-    pub grid_points: usize,
     /// Theorem 1 closed form (the two-group ratio 1 for `n >= 2f+2`).
     pub thm1_cr: f64,
     /// Theorem 2's `alpha(n)` where it applies (`n < 2f + 2`).
@@ -424,7 +402,6 @@ pub fn finish(state: &OptimizerState) -> Result<OptimizeReport> {
         starts: state.starts.len(),
         evaluations,
         xmax: config.resolved_xmax()?,
-        grid_points: config.resolved_grid_points(),
         thm1_cr: algorithm.analytic_cr(),
         thm2_alpha,
         lower_bound: lower_bound(params)?,
@@ -458,7 +435,6 @@ fn report_two_group(config: &OptimizeConfig) -> Result<OptimizeReport> {
         starts: 0,
         evaluations: 1,
         xmax,
-        grid_points: config.resolved_grid_points(),
         thm1_cr: algorithm.analytic_cr(),
         thm2_alpha: None,
         lower_bound: lower_bound(params)?,
@@ -535,7 +511,6 @@ mod tests {
         let mut config = OptimizeConfig::new(n, f);
         config.budget = Budget::Tiny;
         config.xmax = Some(8.0);
-        config.grid_points = Some(12);
         config
     }
 
@@ -546,7 +521,6 @@ mod tests {
         assert_eq!(config.seed, 0);
         assert_eq!(config.xmax, None);
         assert!(config.resolved_xmax().unwrap() >= 25.0);
-        assert_eq!(config.resolved_grid_points(), Budget::Small.knobs().grid_points);
         assert_eq!(config.detect_probability, None);
         assert_eq!(config.objective().unwrap().detect_probability(), None);
     }

@@ -254,16 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn window_and_resolution_are_validated() {
+    fn the_window_is_validated() {
         let params = Params::new(3, 1).unwrap();
         assert!(Objective::new(params, 1.0).is_err());
         assert!(Objective::new(params, f64::NAN).is_err());
-        // No measurement reads the resolution, but the config that
-        // builds the objective still rejects a zero grid.
-        let mut config = crate::OptimizeConfig::new(3, 1);
-        config.xmax = Some(10.0);
-        config.grid_points = Some(0);
-        assert!(config.objective().is_err());
     }
 
     #[test]

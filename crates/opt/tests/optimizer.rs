@@ -15,7 +15,6 @@ fn tiny_config(n: usize, f: usize, seed: u64) -> OptimizeConfig {
     config.budget = Budget::Tiny;
     config.seed = seed;
     config.xmax = Some(8.0);
-    config.grid_points = Some(12);
     config
 }
 

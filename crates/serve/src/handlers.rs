@@ -383,7 +383,6 @@ fn prepare_optimize(request: &Request) -> Result<Prepared, ServeError> {
     // explicit spellings of the same run share a cache entry.
     config.params().map_err(|e| ServeError::BadRequest(e.to_string()))?;
     config.xmax = Some(config.resolved_xmax().map_err(|e| ServeError::BadRequest(e.to_string()))?);
-    config.grid_points = Some(config.resolved_grid_points());
     config.objective().map_err(|e| ServeError::BadRequest(e.to_string()))?;
     let cache_key = key_for(Route::Optimize, &to_resolved_value(&config)?);
     let compute: Compute = Box::new(move || {
@@ -635,14 +634,10 @@ mod tests {
         )
         .unwrap();
         assert!(implicit.cache_key.starts_with("/v1/optimize|"));
-        // Spelling out the tiny budget's default grid and seed is the
-        // same resolved request.
+        // Spelling out the default seed is the same resolved request.
         let explicit = prepare(
             Route::Optimize,
-            &post(
-                "/v1/optimize",
-                r#"{"f": 1, "n": 3, "budget": "tiny", "xmax": 8.0, "grid_points": 16, "seed": 0}"#,
-            ),
+            &post("/v1/optimize", r#"{"f": 1, "n": 3, "budget": "tiny", "xmax": 8.0, "seed": 0}"#),
         )
         .unwrap();
         assert_eq!(implicit.cache_key, explicit.cache_key);
@@ -852,5 +847,16 @@ mod tests {
             supremum(r#"{"n": 41, "f": 20, "xmax": 300.0, "grid": true, "grid_points": 60000}"#),
             supremum(r#"{"n": 41, "f": 20, "xmax": 300.0}"#)
         );
+        let optimize =
+            |body: &str| prepare(Route::Optimize, &post("/v1/optimize", body)).unwrap().cache_key;
+        let plain = optimize(r#"{"n": 3, "f": 1, "budget": "tiny", "xmax": 8.0}"#);
+        for grid in [12, 13] {
+            assert_eq!(
+                optimize(&format!(
+                    r#"{{"n": 3, "f": 1, "budget": "tiny", "xmax": 8.0, "grid_points": {grid}}}"#
+                )),
+                plain
+            );
+        }
     }
 }

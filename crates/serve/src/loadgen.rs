@@ -14,7 +14,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::client::Session;
 use crate::config::ServeConfig;
@@ -44,15 +43,7 @@ impl Default for LoadOptions {
     }
 }
 
-impl LoadOptions {
-    /// The CI-sized variant: same mix, fewer requests.
-    #[must_use]
-    pub fn quick(self) -> LoadOptions {
-        LoadOptions { requests: 1_200, concurrency: 4, ..self }
-    }
-}
-
-/// Measured outcome of one load run.
+/// Outcome of one load run.
 #[derive(Debug, Clone)]
 pub struct LoadSummary {
     /// Requests completed (transport errors included in `errors`, not
@@ -60,16 +51,6 @@ pub struct LoadSummary {
     pub requests: u64,
     /// Transport-level failures (connect/read/write after retry).
     pub errors: u64,
-    /// Wall-clock of the firing phase in milliseconds.
-    pub wall_ms: f64,
-    /// Completed requests per second.
-    pub qps: f64,
-    /// Median response latency in milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile response latency in milliseconds.
-    pub p99_ms: f64,
-    /// Worst response latency in milliseconds.
-    pub max_ms: f64,
     /// Response count by HTTP status.
     pub statuses: BTreeMap<u16, u64>,
     /// Order-stable FNV-1a digest over every `(status, body)` pair,
@@ -119,7 +100,6 @@ fn nth_request(rng: &mut u64) -> (&'static str, String, Option<String>) {
 }
 
 struct ThreadOutcome {
-    latencies_ms: Vec<f64>,
     statuses: BTreeMap<u16, u64>,
     digest: u64,
     errors: u64,
@@ -128,18 +108,11 @@ struct ThreadOutcome {
 fn drive_thread(addr: &str, seed: u64, thread_index: u64, count: u64) -> ThreadOutcome {
     let mut rng = seed ^ thread_index.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
     let mut session = Session::new(addr);
-    let mut outcome = ThreadOutcome {
-        latencies_ms: Vec::with_capacity(count as usize),
-        statuses: BTreeMap::new(),
-        digest: FNV_OFFSET,
-        errors: 0,
-    };
+    let mut outcome = ThreadOutcome { statuses: BTreeMap::new(), digest: FNV_OFFSET, errors: 0 };
     for _ in 0..count {
         let (method, path, body) = nth_request(&mut rng);
-        let start = Instant::now();
         match session.request(method, &path, body.as_deref()) {
             Ok(response) => {
-                outcome.latencies_ms.push(start.elapsed().as_secs_f64() * 1e3);
                 *outcome.statuses.entry(response.status).or_insert(0) += 1;
                 fnv_fold(&mut outcome.digest, &response.status.to_be_bytes());
                 fnv_fold(&mut outcome.digest, &response.body);
@@ -151,14 +124,6 @@ fn drive_thread(addr: &str, seed: u64, thread_index: u64, count: u64) -> ThreadO
         }
     }
     outcome
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Runs the seeded workload and summarizes it.
@@ -186,7 +151,6 @@ pub fn run(options: &LoadOptions) -> Result<LoadSummary, String> {
     let threads = options.concurrency.min(options.requests as usize);
     let per_thread = options.requests / threads as u64;
     let remainder = options.requests % threads as u64;
-    let started = Instant::now();
     let workers: Vec<_> = (0..threads)
         .map(|i| {
             let addr = Arc::clone(&addr);
@@ -202,32 +166,21 @@ pub fn run(options: &LoadOptions) -> Result<LoadSummary, String> {
         .into_iter()
         .map(|w| w.join().map_err(|_| "a load thread panicked".to_owned()))
         .collect::<Result<_, _>>()?;
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
     // Combine in thread order: the digest stays order-stable.
     let mut digest = FNV_OFFSET;
-    let mut latencies = Vec::new();
     let mut statuses: BTreeMap<u16, u64> = BTreeMap::new();
     let mut errors = 0u64;
     for outcome in &outcomes {
         fnv_fold(&mut digest, &outcome.digest.to_be_bytes());
-        latencies.extend_from_slice(&outcome.latencies_ms);
         for (&status, &count) in &outcome.statuses {
             *statuses.entry(status).or_insert(0) += count;
         }
         errors += outcome.errors;
     }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let completed = latencies.len() as u64;
-    let qps = if wall_ms > 0.0 { completed as f64 / (wall_ms / 1e3) } else { 0.0 };
     let summary = LoadSummary {
-        requests: completed,
+        requests: statuses.values().sum(),
         errors,
-        wall_ms,
-        qps,
-        p50_ms: percentile(&latencies, 0.50),
-        p99_ms: percentile(&latencies, 0.99),
-        max_ms: latencies.last().copied().unwrap_or(0.0),
         statuses,
         digest: format!("{digest:016x}"),
     };
@@ -268,14 +221,6 @@ mod tests {
             saw_health |= path == "/healthz";
         }
         assert!(saw_cr && saw_scenario && saw_table && saw_health);
-    }
-
-    #[test]
-    fn percentiles_pick_the_right_ranks() {
-        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        assert_eq!(percentile(&sorted, 0.50), 5.0);
-        assert_eq!(percentile(&sorted, 0.99), 10.0);
-        assert_eq!(percentile(&[], 0.99), 0.0);
     }
 
     #[test]

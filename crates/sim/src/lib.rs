@@ -74,7 +74,7 @@ pub use fault::{
     check_adversary_budget, BernoulliFaults, FaultKind, FaultMask, FaultModel, FaultPlan,
     FixedFaults,
 };
-pub use montecarlo::{run_sweep, MonteCarloConfig, RatioStats};
+pub use montecarlo::{run_sweep, sweep_outcomes, MonteCarloConfig, RatioStats};
 pub use outcome::{Claim, Detection, SearchOutcome, SearchVerdict, Visit};
 pub use pfaulty::{expected_outcome, monte_carlo_expected_ratio, PFaultyExpectation};
 pub use robot::{Reliability, Robot, RobotId};

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::{SimConfig, Simulation};
 use crate::fault::FaultModel;
+use crate::outcome::SearchOutcome;
 use crate::target::Target;
 
 /// Configuration of a Monte-Carlo sweep.
@@ -105,6 +106,27 @@ pub fn run_sweep(
     horizon: f64,
     seed: u64,
 ) -> Result<Vec<f64>> {
+    sweep_outcomes(plans, faults, config, horizon, seed, SimConfig::default(), |outcome| {
+        outcome.ratio()
+    })
+}
+
+/// The sweep of [`run_sweep`], with every simulation run under `sim`
+/// and its outcome reduced by `read`; one value per sample, in draw
+/// order. The draws are [`run_sweep`]'s for the same seeds.
+///
+/// # Errors
+///
+/// Propagates materialization and simulation errors.
+pub fn sweep_outcomes<T: Send>(
+    plans: &[Plan],
+    faults: &mut dyn FaultModel,
+    config: MonteCarloConfig,
+    horizon: f64,
+    seed: u64,
+    sim: SimConfig,
+    read: impl Fn(SearchOutcome) -> T + Sync,
+) -> Result<Vec<T>> {
     let trajectories: Vec<PiecewiseTrajectory> =
         plans.iter().map(|p| p.materialize(horizon)).collect::<Result<_>>()?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -121,9 +143,7 @@ pub fn run_sweep(
         draws.push((target, mask));
     }
     faultline_core::par_map(&draws, |(target, mask)| {
-        Ok(Simulation::new(trajectories.clone(), *target, mask, SimConfig::default())?
-            .run()
-            .ratio())
+        Ok(read(Simulation::new(trajectories.clone(), *target, mask, sim)?.run()))
     })
     .into_iter()
     .collect()

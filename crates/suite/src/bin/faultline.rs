@@ -14,7 +14,7 @@
 //! faultline conformance replay <file.json>      # reproduce a counterexample
 //! faultline serve [--addr=..] [--threads=..]    # HTTP query service
 //! faultline query <route> [json]                # loopback client
-//! faultline loadgen [--quick] [--seed=..]       # seeded load driver
+//! faultline loadgen [--seed=..]                 # seeded load driver
 //! ```
 
 use std::process::ExitCode;
@@ -96,7 +96,7 @@ const USAGE: &str = "usage:
   faultline scenario validate <file.json>    (exit 0 valid / 2 invalid)
   faultline replay   <trace.json>
   faultline optimize <n> <f> [--budget=tiny|small|medium|large] [--seed=N]
-                     [--xmax=X] [--grid=N] [--checkpoint=FILE]
+                     [--xmax=X] [--checkpoint=FILE]
                      [--resume=FILE] [--json] [--check]
   faultline explore  <n> <f> [--xmax=X] [--budget=N] [--seed=N] [--exhaustive]
                      [--json] [--out=FILE.csv]
@@ -108,7 +108,7 @@ const USAGE: &str = "usage:
                      (--threads=N runs N event loops and N pool workers)
   faultline query    <route> [json body] [--addr=HOST:PORT]
                      (exit 3 on 503 backpressure, 4 on 504 deadline)
-  faultline loadgen  [--quick] [--seed=N] [--requests=N] [--concurrency=N]
+  faultline loadgen  [--seed=N] [--requests=N] [--concurrency=N]
                      [--addr=HOST:PORT] [--out=FILE] [--force]
                      [--baseline=LOAD_date.json] [--json]";
 
@@ -363,7 +363,6 @@ fn optimize(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut budget = Budget::default();
     let mut seed = 0u64;
     let mut xmax: Option<f64> = None;
-    let mut grid: Option<usize> = None;
     let mut checkpoint: Option<std::path::PathBuf> = None;
     let mut resume: Option<std::path::PathBuf> = None;
     let mut json = false;
@@ -376,8 +375,6 @@ fn optimize(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             seed = v.parse()?;
         } else if let Some(v) = arg.strip_prefix("--xmax=") {
             xmax = Some(v.parse()?);
-        } else if let Some(v) = arg.strip_prefix("--grid=") {
-            grid = Some(v.parse()?);
         } else if let Some(v) = arg.strip_prefix("--checkpoint=") {
             checkpoint = Some(v.into());
         } else if let Some(v) = arg.strip_prefix("--resume=") {
@@ -423,7 +420,6 @@ fn optimize(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         config.budget = budget;
         config.seed = seed;
         config.xmax = xmax;
-        config.grid_points = grid;
         opt::run_with_checkpoint(&config, checkpoint.as_deref())?
     };
 
@@ -435,8 +431,8 @@ fn optimize(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             report.n, report.f, report.regime, report.budget, report.seed
         );
         println!(
-            "  window [1, {:.3}], grid {}, {} starts x {} rounds, {} evaluations",
-            report.xmax, report.grid_points, report.starts, report.rounds, report.evaluations
+            "  window [1, {:.3}], {} starts x {} rounds, {} evaluations",
+            report.xmax, report.starts, report.rounds, report.evaluations
         );
         println!("  Theorem 1 closed form:   {:.9}", report.thm1_cr);
         match report.thm2_alpha {
@@ -674,7 +670,6 @@ fn serve(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 fn loadgen(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     use faultline_serve::loadgen::LoadOptions;
 
-    let mut quick = false;
     let mut json = false;
     let mut force = false;
     let mut out: Option<String> = None;
@@ -696,8 +691,6 @@ fn loadgen(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             out = Some(v.to_owned());
         } else if let Some(v) = arg.strip_prefix("--baseline=") {
             against = Some(v.to_owned());
-        } else if arg == "--quick" {
-            quick = true;
         } else if arg == "--json" {
             json = true;
         } else if arg == "--force" {
@@ -708,9 +701,6 @@ fn loadgen(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let mut options = LoadOptions::default();
-    if quick {
-        options = options.quick();
-    }
     if let Some(v) = seed {
         options.seed = v;
     }
@@ -732,17 +722,13 @@ fn loadgen(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             options.requests, options.concurrency, options.seed
         ),
     }
-    let report = faultline_bench::run_load(&options, quick)?;
+    let report = faultline_bench::run_load(&options)?;
     if json {
         println!("{}", serde_json::to_string_pretty(&report)?);
     } else {
         println!(
-            "loadgen: {} requests in {:.0} ms -> {:.0} qps (p50 {:.2} ms, p99 {:.2} ms)",
-            report.requests, report.wall_ms, report.qps, report.p50_ms, report.p99_ms
-        );
-        println!(
-            "  statuses: {:?}, errors: {}, digest: {}",
-            report.statuses, report.errors, report.digest
+            "loadgen: {} requests, statuses: {:?}, errors: {}, digest: {}",
+            report.requests, report.statuses, report.errors, report.digest
         );
     }
 
@@ -766,11 +752,10 @@ fn loadgen(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
         if !comparison.passed() {
             return Err(format!(
-                "load gate failed: {} entr{} regressed beyond {:.0}% \
-                 (re-record the load report if the regression is intended)",
+                "load gate failed: {} entr{} differ from the recorded report \
+                 (re-record the load report if the change is intended)",
                 comparison.regressions.len(),
                 if comparison.regressions.len() == 1 { "y" } else { "ies" },
-                faultline_bench::REGRESSION_TOLERANCE * 100.0
             )
             .into());
         }
