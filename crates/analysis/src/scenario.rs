@@ -36,10 +36,9 @@
 use faultline_core::{json_float, Error, Geometry, Params, PiecewiseTrajectory, Plan, Result};
 use faultline_sim::engine::SimConfig;
 use faultline_sim::{
-    worst_case_outcome, FaultKind, FaultMask, FaultPlan, QuorumConfig, SearchOutcome, Simulation,
-    Target,
+    worst_case_plan, FaultKind, FaultPlan, QuorumConfig, SearchOutcome, Simulation, Target,
 };
-use faultline_strategies::{strategy_by_name, RandomizedSweepStrategy, Strategy};
+use faultline_strategies::{RandomizedSweepStrategy, Strategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -282,9 +281,10 @@ impl Scenario {
     /// # Errors
     ///
     /// Reports invalid `(n, f)`, a fleet over [`Params::MAX_ROBOTS`],
-    /// an empty or out-of-window target list, an unknown strategy,
-    /// missing/extra `beta`, a meaningless seed, or an inconsistent or
-    /// over-budget fault set or quorum.
+    /// an empty or out-of-window target list, every strategy
+    /// [`resolve_strategy`] refuses (an unknown name, a missing or extra
+    /// `beta`, a `beta` whose cone cannot expand), a meaningless seed,
+    /// or an inconsistent or over-budget fault set or quorum.
     pub fn validate_in(&self, geometry: Geometry, seeded_activation: bool) -> Result<()> {
         Params::fleet(self.n, self.f)?;
         if self.targets.is_empty() {
@@ -300,29 +300,12 @@ impl Scenario {
                 )));
             }
         }
-        match self.strategy.as_str() {
-            "fixed-beta" => {
-                if self.beta.is_none() {
-                    return Err(Error::domain("strategy \"fixed-beta\" requires a \"beta\" field"));
-                }
-            }
-            "randomized-sweep" => {
-                if self.beta.is_some() {
-                    return Err(Error::domain(
-                        "\"beta\" is only meaningful with strategy \"fixed-beta\"",
-                    ));
-                }
-            }
-            name => {
-                if strategy_by_name(name).is_none() {
-                    return Err(Error::domain(format!("unknown strategy \"{name}\"")));
-                }
-                if self.beta.is_some() {
-                    return Err(Error::domain(
-                        "\"beta\" is only meaningful with strategy \"fixed-beta\"",
-                    ));
-                }
-            }
+        // The randomized sweep is drawn from the seed, outside the
+        // registry; every other name resolves as a supremum query's.
+        if self.strategy != "randomized-sweep" {
+            resolve_strategy(&self.strategy, self.beta)?;
+        } else if self.beta.is_some() {
+            return Err(Error::domain("\"beta\" is only meaningful with strategy \"fixed-beta\""));
         }
         let coin_driven_plan = self.fault_plan.as_ref().is_some_and(|kinds| {
             kinds.iter().any(|k| {
@@ -355,7 +338,7 @@ impl Scenario {
                     format!("{} explicit faults exceed the budget f = {}", faulty.len(), self.f),
                 ));
             }
-            FaultMask::from_indices(self.n, faulty)?;
+            FaultPlan::sensor_faults(self.n, faulty)?;
         }
         if let Some(kinds) = &self.fault_plan {
             if kinds.len() != self.n {
@@ -466,38 +449,32 @@ impl Scenario {
             Vec::new()
         };
         let seed = self.seed.unwrap_or(0);
+        let quorum = self.quorum.map(QuorumConfig::new).transpose()?;
+        // An explicit plan holds for every target; the worst-case
+        // adversary's depends on the target.
+        let explicit = match (&self.fault_plan, &self.faulty) {
+            (Some(kinds), _) => Some(FaultPlan::new(kinds.clone())?),
+            (None, Some(faulty)) => Some(FaultPlan::sensor_faults(self.n, faulty)?),
+            (None, None) => None,
+        };
         // Scenarios carry a handful of targets, and simulating one costs
         // less than spawning a thread for it.
         let run = |&x: &f64| -> Result<ScenarioResult> {
             let target = Target::new(x)?;
-            let trajectories = trajectories.clone();
-            let config = SimConfig::default();
-            let outcome = match (&self.fault_plan, &self.faulty) {
-                (Some(kinds), _) => {
-                    let plan = FaultPlan::new(kinds.clone())?;
-                    let quorum = self.quorum.map(QuorumConfig::new).transpose()?;
-                    if onsets.is_empty() {
-                        Simulation::with_quorum(trajectories, target, &plan, seed, config, quorum)
-                    } else {
-                        Simulation::with_onsets(
-                            trajectories,
-                            target,
-                            &plan,
-                            &onsets,
-                            seed,
-                            config,
-                            quorum,
-                        )
-                    }?
-                    .run()
-                }
-                (None, Some(faulty)) => {
-                    let mask = FaultMask::from_indices(self.n, faulty)?;
-                    Simulation::new(trajectories, target, &mask, config)?.run()
-                }
-                (None, None) => worst_case_outcome(trajectories, target, self.f, config)?,
+            let plan = match &explicit {
+                Some(plan) => plan.clone(),
+                None => worst_case_plan(&trajectories, target, self.f)?,
             };
-            Ok(ScenarioResult::from_outcome(x, &outcome))
+            let sim = Simulation::new(
+                trajectories.clone(),
+                target,
+                &plan,
+                &onsets,
+                seed,
+                SimConfig::default(),
+                quorum,
+            )?;
+            Ok(ScenarioResult::from_outcome(x, &sim.run()))
         };
         self.targets.iter().map(run).collect()
     }

@@ -417,26 +417,30 @@ mod tests {
         let october: BenchBaseline =
             serde_json::from_str(include_str!("../../../BENCH_2026-10-17.json")).unwrap();
         assert_eq!(october.counts.len(), 3, "{:?}", october.counts);
-        let newest: BenchBaseline =
-            serde_json::from_str(include_str!("../../../BENCH_2026-10-19.json")).unwrap();
-        assert_eq!(newest.paths.len(), 1, "{:?}", newest.paths);
-        let names: Vec<&str> = newest.counts.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "optimizer_inner_loop_critical_points",
-                "strategy_supremum_critical_points",
-                "optimizer_tiny_evaluations",
-                "table1_critical_points",
-                "montecarlo_sweep_events",
-            ]
-        );
+        for json in [
+            include_str!("../../../BENCH_2026-10-19.json"),
+            include_str!("../../../BENCH_2026-10-19_serial.json"),
+        ] {
+            let newest: BenchBaseline = serde_json::from_str(json).unwrap();
+            assert_eq!(newest.paths.len(), 1, "{:?}", newest.paths);
+            let names: Vec<&str> = newest.counts.iter().map(|c| c.name.as_str()).collect();
+            assert_eq!(
+                names,
+                [
+                    "optimizer_inner_loop_critical_points",
+                    "strategy_supremum_critical_points",
+                    "optimizer_tiny_evaluations",
+                    "table1_critical_points",
+                    "montecarlo_sweep_events",
+                ]
+            );
+        }
     }
 
     #[test]
     fn comparison_gates_counts_and_the_explore_speedup() {
         let recorded: BenchBaseline =
-            serde_json::from_str(include_str!("../../../BENCH_2026-10-19.json")).unwrap();
+            serde_json::from_str(include_str!("../../../BENCH_2026-10-19_serial.json")).unwrap();
         assert!(compare_baselines(&recorded, &recorded).passed());
 
         // Any of the five counts one above its recorded value fails;

@@ -46,7 +46,7 @@ use faultline_opt::{Objective, PENALTY, PRESSURE_WEIGHT};
 use faultline_scenario::{Activation, RobotSpec, ScenarioDoc, SCENARIO_VERSION};
 use faultline_sim::engine::SimConfig;
 use faultline_sim::{
-    expected_outcome, worst_case_outcome, FaultKind, FaultMask, FaultPlan, QuorumConfig, RunTrace,
+    expected_outcome, worst_case_outcome, FaultKind, FaultPlan, QuorumConfig, RunTrace,
     SearchOutcome, Simulation, Target,
 };
 use faultline_strategies::{strategy_by_name, PaperStrategy, Strategy};
@@ -706,10 +706,7 @@ fn objective_eval_consistency(inst: &Instance, inject: bool) -> Result<Verdict> 
 fn adversary_dominance(inst: &Instance, inject: bool) -> Result<Verdict> {
     let params = inst.params()?;
     let (trajectories, fleet) = fleet_for(params, inst.max_target())?;
-    let kinds: Vec<FaultKind> = (0..params.n())
-        .map(|i| if inst.mask.contains(&i) { FaultKind::Sensor } else { FaultKind::Reliable })
-        .collect();
-    let plan = FaultPlan::new(kinds)?;
+    let plan = FaultPlan::sensor_faults(params.n(), &inst.mask)?;
     for &x in &inst.targets {
         let Some(bound) = fleet.visit_time(x, params.required_visits()) else {
             return Ok(fail(
@@ -727,6 +724,7 @@ fn adversary_dominance(inst: &Instance, inject: bool) -> Result<Verdict> {
             inst.seed,
             SimConfig::default(),
             Some(bound),
+            None,
         )?;
         let Some(detection) = &trace.outcome.detection else {
             return Ok(fail(
@@ -752,10 +750,7 @@ fn adversary_dominance(inst: &Instance, inject: bool) -> Result<Verdict> {
 fn replay_determinism(inst: &Instance, inject: bool) -> Result<Verdict> {
     let params = inst.params()?;
     let (trajectories, _) = fleet_for(params, inst.max_target())?;
-    let kinds: Vec<FaultKind> = (0..params.n())
-        .map(|i| if inst.mask.contains(&i) { FaultKind::Sensor } else { FaultKind::Reliable })
-        .collect();
-    let plan = FaultPlan::new(kinds)?;
+    let plan = FaultPlan::sensor_faults(params.n(), &inst.mask)?;
     let Some(&x) = inst.targets.first() else {
         return Ok(Verdict::Skip("instance has no targets".to_owned()));
     };
@@ -769,6 +764,7 @@ fn replay_determinism(inst: &Instance, inject: bool) -> Result<Verdict> {
         inst.seed,
         SimConfig::default(),
         None,
+        None,
     )?;
     if let Err(e) = first.verify() {
         let detail = format!("trace failed bit-for-bit verification: {e}");
@@ -781,6 +777,7 @@ fn replay_determinism(inst: &Instance, inject: bool) -> Result<Verdict> {
         &plan,
         inst.seed,
         SimConfig::default(),
+        None,
         None,
     )?;
     let recorded = first.outcome.detection.as_ref().map_or(f64::INFINITY, |d| d.time);
@@ -806,12 +803,14 @@ fn plan_outcome(
     seed: u64,
 ) -> Result<SearchOutcome> {
     let plan = FaultPlan::new(kinds)?;
-    let sim = Simulation::with_faults(
+    let sim = Simulation::new(
         trajectories.to_vec(),
         Target::new(x)?,
         &plan,
+        &[],
         seed,
         SimConfig::default(),
+        None,
     )?;
     Ok(sim.run())
 }
@@ -935,16 +934,17 @@ fn unit_speed_scenario_equivalence(inst: &Instance, inject: bool) -> Result<Verd
     let horizon = paper.horizon_hint(params, xmax * 1.01 + 1.0);
     let trajectories: Vec<PiecewiseTrajectory> =
         paper.plans(params)?.iter().map(|p| p.materialize(horizon)).collect::<Result<_>>()?;
-    let mask = FaultMask::from_indices(inst.n, &inst.mask)?;
+    let mask = FaultPlan::sensor_faults(inst.n, &inst.mask)?;
     let reference = inst
         .targets
         .iter()
         .map(|&x| {
             let target = Target::new(x)?;
+            let config = SimConfig::default();
             let outcome = if inst.mask.is_empty() {
-                worst_case_outcome(trajectories.clone(), target, inst.f, SimConfig::default())?
+                worst_case_outcome(trajectories.clone(), target, inst.f, config)?
             } else {
-                Simulation::new(trajectories.clone(), target, &mask, SimConfig::default())?.run()
+                Simulation::new(trajectories.clone(), target, &mask, &[], 0, config, None)?.run()
             };
             Ok(ScenarioResult::from_outcome(x, &outcome))
         })
@@ -1017,7 +1017,7 @@ fn byzantine_quorum_no_false_confirm(inst: &Instance, inject: bool) -> Result<Ve
     let honest_fleet = Fleet::new(honest)?;
     for &x in &inst.targets {
         let bound = honest_fleet.visit_time(x, quorum.votes);
-        let trace = RunTrace::record_with_quorum(
+        let trace = RunTrace::record(
             format!("conformance byzantine-quorum-no-false-confirm, case {}", inst.index),
             trajectories.clone(),
             Target::new(x)?,

@@ -49,10 +49,13 @@ impl Cone {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidBeta`] unless `beta` is finite and
-    /// strictly greater than 1.
+    /// Returns [`Error::InvalidBeta`] unless `beta` is finite, strictly
+    /// greater than 1, and small enough that the expansion factor
+    /// `(beta + 1) / (beta - 1)` exceeds 1 in `f64`. From about
+    /// `beta = 1e16` it rounds to exactly 1, and the zig-zag of
+    /// Lemma 1 would never expand.
     pub fn new(beta: f64) -> Result<Self> {
-        if !beta.is_finite() || beta <= 1.0 {
+        if !beta.is_finite() || beta <= 1.0 || !((beta + 1.0) / (beta - 1.0) > 1.0) {
             return Err(Error::InvalidBeta { beta });
         }
         Ok(Cone { beta })
@@ -152,6 +155,11 @@ mod tests {
         assert!(Cone::new(0.5).is_err());
         assert!(Cone::new(f64::NAN).is_err());
         assert!(Cone::new(f64::INFINITY).is_err());
+        // Finite, but (beta + 1)/(beta - 1) rounds to 1: the zig-zag
+        // never expands.
+        assert!(Cone::new(1e16).is_err());
+        assert!(Cone::new(1e300).is_err());
+        assert!(Cone::new(1e15).is_ok());
     }
 
     #[test]

@@ -24,8 +24,9 @@ pub enum Error {
         /// Human-readable explanation of the rejection.
         reason: String,
     },
-    /// A cone parameter `beta` outside the open interval `(1, ∞)` was
-    /// supplied; the cone `C_beta` is only defined for `beta > 1`.
+    /// A cone parameter `beta` outside the open interval `(1, ∞)`, or
+    /// so large that its expansion factor rounds to 1, was supplied; the
+    /// cone `C_beta` is only defined for `beta > 1`.
     InvalidBeta {
         /// The rejected value.
         beta: f64,
@@ -68,7 +69,11 @@ impl fmt::Display for Error {
                 write!(fmt, "invalid parameters (n = {n}, f = {f}): {reason}")
             }
             Error::InvalidBeta { beta } => {
-                write!(fmt, "invalid cone parameter beta = {beta}; beta > 1 is required")
+                write!(
+                    fmt,
+                    "invalid cone parameter beta = {beta}; beta > 1 is required, with an \
+                     expansion factor (beta + 1)/(beta - 1) above 1"
+                )
             }
             Error::Numerical { what } => write!(fmt, "numerical failure: {what}"),
             Error::InvalidTrajectory { reason } => write!(fmt, "invalid trajectory: {reason}"),

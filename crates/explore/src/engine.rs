@@ -1,5 +1,5 @@
 //! The exploration engine: canonical frontier, dominance pruning, and
-//! partitioned parallel evaluation.
+//! serial evaluation in canonical order.
 //!
 //! # State space
 //!
@@ -36,22 +36,20 @@
 //!
 //! # Determinism
 //!
-//! Four phases: (A) per-interval matrix builds in parallel,
-//! order-preserving; (B) serial frontier and class assembly; (C)
-//! serial evaluation of the single best-bound state; (D) parallel
-//! evaluation of the surviving states with a serial merge in canonical
-//! order. No randomness anywhere — reports are byte-identical across
-//! runs and `FAULTLINE_THREADS` settings, and a budget overflow is a
-//! hard error rather than a silent subsample.
+//! Four phases, all on the caller's thread: (A) per-interval matrix
+//! builds, in interval order; (B) frontier and class assembly; (C)
+//! evaluation of the single best-bound state; (D) evaluation of the
+//! surviving states, merged in canonical order. No randomness and no
+//! threads anywhere — reports are byte-identical across runs and
+//! `FAULTLINE_THREADS` settings, and a budget overflow is a hard error
+//! rather than a silent subsample.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use faultline_analysis::exact::{crossing_ranges, FleetScan, SideTable};
 use faultline_core::coverage::prefer_argmax;
 use faultline_core::exact::Affine;
-use faultline_core::{
-    par_map_with, Algorithm, Error, Fleet, Geometry, ParallelConfig, Params, Result,
-};
+use faultline_core::{Algorithm, Error, Fleet, Geometry, Params, Result};
 
 use crate::report::{ExploreReport, WorstCase, REPORT_VERSION};
 
@@ -67,8 +65,6 @@ pub struct ExploreConfig {
     /// Disables dominance pruning when `true` — the exhaustive
     /// differential baseline behind the CLI's `--exhaustive` flag.
     pub exhaustive: bool,
-    /// Thread-pool configuration for the parallel phases.
-    pub parallel: ParallelConfig,
 }
 
 /// Default evaluation budget: `2^14` equivalence-class states.
@@ -456,16 +452,16 @@ pub fn explore_fleet(
         )));
     }
 
-    // Phase A: per-interval matrix builds, in parallel, over the
-    // candidates the gate scanned.
-    let tables: Vec<IntervalTable> =
-        par_map_with(&jobs, &config.parallel, build_table).into_iter().collect::<Result<_>>()?;
+    // Phase A: per-interval matrix builds over the candidates the gate
+    // scanned.
+    let tables: Vec<IntervalTable> = jobs.iter().map(build_table).collect::<Result<_>>()?;
 
     // Phases C + D: bound, prune, evaluate, and merge.
     let evals: Vec<Option<StateEval>> = if config.exhaustive {
-        par_map_with(&states, &config.parallel, |&(ci, ti)| {
-            Some(evaluate_state(&tables[ti], &classes[ci].faulty))
-        })
+        states
+            .iter()
+            .map(|&(ci, ti)| Some(evaluate_state(&tables[ti], &classes[ci].faulty)))
+            .collect()
     } else {
         let bounds: Vec<f64> = states
             .iter()
@@ -477,16 +473,12 @@ pub fn explore_fleet(
         let (lci, lti) = states[leader];
         let leader_eval = evaluate_state(&tables[lti], &classes[lci].faulty);
         let threshold = leader_eval.lo;
-        let survivors: Vec<usize> =
-            (0..states.len()).filter(|&s| s != leader && bounds[s] > threshold).collect();
-        let survivor_evals = par_map_with(&survivors, &config.parallel, |&s| {
-            let (ci, ti) = states[s];
-            evaluate_state(&tables[ti], &classes[ci].faulty)
-        });
         let mut slots: Vec<Option<StateEval>> = vec![None; states.len()];
         slots[leader] = Some(leader_eval);
-        for (&s, eval) in survivors.iter().zip(survivor_evals) {
-            slots[s] = Some(eval);
+        for (s, &(ci, ti)) in states.iter().enumerate() {
+            if s != leader && bounds[s] > threshold {
+                slots[s] = Some(evaluate_state(&tables[ti], &classes[ci].faulty));
+            }
         }
         slots
     };
@@ -752,19 +744,18 @@ mod tests {
 
     #[test]
     fn reports_are_byte_identical_across_thread_counts() {
-        let runs: Vec<String> = [
-            ParallelConfig::default(),
-            ParallelConfig::with_threads(1),
-            ParallelConfig::with_threads(3),
-        ]
-        .into_iter()
-        .map(|parallel| {
-            let config = ExploreConfig { parallel, ..ExploreConfig::default() };
-            let report = explore_pair(4, 2, 18.0, &config).unwrap();
+        // The engine runs on its caller's thread and shares no state:
+        // a report is the same bytes whether one thread explores alone
+        // or three explore at once.
+        let run = || {
+            let report = explore_pair(4, 2, 18.0, &ExploreConfig::default()).unwrap();
             format!("{}\n{}", report.csv_row(), report.to_json().unwrap())
-        })
-        .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
+        };
+        let alone = run();
+        let together: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3).map(|_| scope.spawn(run)).collect();
+            handles.into_iter().map(|handle| handle.join().unwrap()).collect()
+        });
+        assert!(together.iter().all(|report| *report == alone));
     }
 }

@@ -19,10 +19,9 @@
 //!   equivalence classes, pruned K by dominance, subsampled 0" as a
 //!   versioned JSON/CSV [`ExploreReport`]; budget overflows are hard
 //!   errors, never silent subsamples.
-//! * **Deterministic parallelism** — partitioned evaluation over
-//!   `faultline_core::par_map_with` with serial frontier merging:
-//!   reports are byte-identical across runs and `FAULTLINE_THREADS`
-//!   settings.
+//! * **Determinism** — every phase runs on the caller's thread, in
+//!   canonical order: reports are byte-identical across runs and
+//!   `FAULTLINE_THREADS` settings.
 //!
 //! The engine shares its critical-point candidates and interval
 //! arithmetic with `faultline_analysis::exact`, so the exhaustive

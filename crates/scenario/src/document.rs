@@ -739,9 +739,10 @@ mod tests {
             "suite replay test",
             vec![straight(9.0), straight(9.0)],
             Target::new(2.0).unwrap(),
-            &FaultPlan::new(vec![FaultKind::Sensor, FaultKind::Reliable]).unwrap(),
+            &FaultPlan::sensor_faults(2, &[0]).unwrap(),
             0,
             SimConfig::default(),
+            None,
             None,
         )
         .unwrap();

@@ -749,6 +749,27 @@ mod tests {
     }
 
     #[test]
+    fn a_cone_that_cannot_expand_is_refused_before_it_parks() {
+        // From beta = 1e16, (beta + 1)/(beta - 1) rounds to 1 and the
+        // zig-zag never expands: such a body is a 400, not a job.
+        for beta in ["1e16", "1e300"] {
+            let fixed = format!(r#""n": 3, "f": 1, "strategy": "fixed-beta", "beta": {beta}"#);
+            for (route, path, body) in [
+                (Route::Supremum, "/v1/supremum", format!("{{{fixed}}}")),
+                (Route::Scenario, "/v1/scenario", format!(r#"{{{fixed}, "targets": [5.0]}}"#)),
+                (
+                    Route::Scenario,
+                    "/v1/scenario",
+                    format!(r#"{{"version": 1, {fixed}, "targets": [5.0]}}"#),
+                ),
+            ] {
+                let status = prepare_with_work(route, &post(path, &body)).err().map(|e| e.status());
+                assert_eq!(status, Some(400), "{body}");
+            }
+        }
+    }
+
+    #[test]
     fn one_cache_key_has_one_work_bound() {
         let (_, byzantine) =
             SCENARIO_PRESETS.iter().find(|(name, _)| *name == "byzantine").unwrap();

@@ -8,12 +8,13 @@
 use faultline_core::{Error, PiecewiseTrajectory, Plan, Result};
 
 use crate::engine::{SimConfig, Simulation};
-use crate::fault::{check_adversary_budget, FaultMask};
+use crate::fault::{check_adversary_budget, FaultPlan};
 use crate::outcome::SearchOutcome;
 use crate::target::Target;
 
-/// Computes the worst-case fault mask for a fleet against a target:
-/// the first `f` distinct robots to visit the target are faulty.
+/// Computes the worst-case fault plan for a fleet against a target:
+/// the first `f` distinct robots to visit the target carry a
+/// [`crate::FaultKind::Sensor`] fault.
 ///
 /// Robots that never reach the target within their horizon are never
 /// wasted as faults (declaring them faulty would not delay detection).
@@ -21,11 +22,11 @@ use crate::target::Target;
 /// # Errors
 ///
 /// Returns [`Error::InvalidParameters`] when `f >=` fleet size.
-pub fn worst_case_mask(
+pub fn worst_case_plan(
     trajectories: &[PiecewiseTrajectory],
     target: Target,
     f: usize,
-) -> Result<FaultMask> {
+) -> Result<FaultPlan> {
     check_adversary_budget(trajectories.len(), f)?;
     let mut arrivals: Vec<(usize, f64)> = trajectories
         .iter()
@@ -34,7 +35,7 @@ pub fn worst_case_mask(
         .collect();
     arrivals.sort_by(|a, b| a.1.total_cmp(&b.1));
     let faulty: Vec<usize> = arrivals.into_iter().take(f).map(|(i, _)| i).collect();
-    FaultMask::from_indices(trajectories.len(), &faulty)
+    FaultPlan::sensor_faults(trajectories.len(), &faulty)
 }
 
 /// Runs the search against the worst-case adversary with `f` faults
@@ -43,15 +44,15 @@ pub fn worst_case_mask(
 ///
 /// # Errors
 ///
-/// Propagates mask and simulation construction failures.
+/// Propagates plan and simulation construction failures.
 pub fn worst_case_outcome(
     trajectories: Vec<PiecewiseTrajectory>,
     target: Target,
     f: usize,
     config: SimConfig,
 ) -> Result<SearchOutcome> {
-    let mask = worst_case_mask(&trajectories, target, f)?;
-    Ok(Simulation::new(trajectories, target, &mask, config)?.run())
+    let plan = worst_case_plan(&trajectories, target, f)?;
+    Ok(Simulation::new(trajectories, target, &plan, &[], 0, config, None)?.run())
 }
 
 /// Measures the empirical competitive ratio of a set of plans against
@@ -119,8 +120,8 @@ mod tests {
         let t1 = TrajectoryBuilder::from_origin().sweep_to(-1.0).sweep_to(8.0).finish().unwrap();
         let t2 = TrajectoryBuilder::from_origin().sweep_to(-2.0).sweep_to(8.0).finish().unwrap();
         let target = Target::new(2.0).unwrap();
-        let mask = worst_case_mask(&[t0.clone(), t1.clone(), t2.clone()], target, 2).unwrap();
-        assert_eq!(mask.faulty_indices(), vec![0, 1]);
+        let plan = worst_case_plan(&[t0.clone(), t1.clone(), t2.clone()], target, 2).unwrap();
+        assert_eq!(plan.faulty_indices(), vec![0, 1]);
 
         let outcome =
             worst_case_outcome(vec![t0, t1, t2], target, 2, SimConfig::default()).unwrap();
@@ -136,14 +137,14 @@ mod tests {
         // single fault on robot 0.
         let t0 = TrajectoryBuilder::from_origin().sweep_to(4.0).finish().unwrap();
         let t1 = TrajectoryBuilder::from_origin().sweep_to(-4.0).finish().unwrap();
-        let mask = worst_case_mask(&[t0, t1], Target::new(2.0).unwrap(), 1).unwrap();
-        assert_eq!(mask.faulty_indices(), vec![0]);
+        let plan = worst_case_plan(&[t0, t1], Target::new(2.0).unwrap(), 1).unwrap();
+        assert_eq!(plan.faulty_indices(), vec![0]);
     }
 
     #[test]
     fn rejects_too_many_faults() {
         let t0 = TrajectoryBuilder::from_origin().sweep_to(4.0).finish().unwrap();
-        assert!(worst_case_mask(&[t0], Target::new(2.0).unwrap(), 1).is_err());
+        assert!(worst_case_plan(&[t0], Target::new(2.0).unwrap(), 1).is_err());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use faultline_core::{Error, PiecewiseTrajectory, Result};
 use serde::{Deserialize, Serialize};
 
 use crate::event::{Event, EventKind, EventQueue};
-use crate::fault::{FaultKind, FaultMask, FaultPlan};
+use crate::fault::{FaultKind, FaultPlan};
 use crate::outcome::{Claim, Detection, SearchOutcome, Visit};
 use crate::robot::RobotId;
 use crate::target::Target;
@@ -170,98 +170,37 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds a simulation from materialized trajectories, a target and
-    /// a fault mask (the paper's permanent sensor faults).
+    /// Builds a simulation from materialized trajectories, a target, a
+    /// fault plan (one [`FaultKind`] per robot), per-robot fault
+    /// *onsets*, a coin seed, the engine configuration and an optional
+    /// claim quorum.
+    ///
+    /// * `onsets`: robot `i`'s sensor behaves as [`FaultKind::Reliable`]
+    ///   strictly before `onsets[i]` and switches to its planned kind
+    ///   from that time on (Byzantine robots start lying only at
+    ///   onset). `None` entries, or an empty slice, mean the fault is
+    ///   present from the start. Onsets modulate *sensor* behaviour
+    ///   only; a [`FaultKind::SpeedDegraded`] robot's time dilation is a
+    ///   property of its motion and always applies from the start
+    ///   (scenario-level validation rejects that combination as
+    ///   meaningless).
+    /// * `seed` drives the per-visit coins of intermittent and p-faulty
+    ///   sensors and the lie coins of Byzantine robots (and nothing
+    ///   else); two simulations built from identical inputs produce
+    ///   bit-for-bit identical outcomes.
+    /// * `quorum`: the search confirms a position only when that many
+    ///   distinct robots have claimed it. `None` is the paper's
+    ///   first-report rule.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidParameters`] when the fleet is empty or
-    /// the mask length does not match the fleet size, and propagates
-    /// the horizon guards of [`Simulation::with_faults`].
-    pub fn new(
-        trajectories: Vec<PiecewiseTrajectory>,
-        target: Target,
-        mask: &FaultMask,
-        config: SimConfig,
-    ) -> Result<Self> {
-        if !trajectories.is_empty() && mask.len() != trajectories.len() {
-            return Err(Error::invalid_params(
-                trajectories.len(),
-                mask.fault_count(),
-                format!(
-                    "fault mask covers {} robots but the fleet has {}",
-                    mask.len(),
-                    trajectories.len()
-                ),
-            ));
-        }
-        // Sensor faults ignore the seed: no randomness is involved.
-        Simulation::with_faults(trajectories, target, &FaultPlan::from_mask(mask), 0, config)
-    }
-
-    /// Builds a simulation injecting the extended fault taxonomy.
-    ///
-    /// `seed` drives the per-visit coins of intermittent sensors (and
-    /// nothing else); two simulations built from identical inputs
-    /// produce bit-for-bit identical outcomes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameters`] when the fleet is empty or
-    /// the plan length does not match the fleet size;
+    /// Returns [`Error::InvalidParameters`] when the fleet is empty, or
+    /// the plan or a non-empty onset slice does not cover the fleet;
     /// [`Error::NonFinite`] when the fleet horizon is not a number; and
-    /// [`Error::Domain`] when the horizon is not strictly positive
+    /// [`Error::Domain`] for a zero-vote quorum, a non-finite or
+    /// negative onset time, or a horizon that is not strictly positive
     /// (a zero-length search cannot visit anything).
-    pub fn with_faults(
-        trajectories: Vec<PiecewiseTrajectory>,
-        target: Target,
-        plan: &FaultPlan,
-        seed: u64,
-        config: SimConfig,
-    ) -> Result<Self> {
-        Simulation::with_quorum(trajectories, target, plan, seed, config, None)
-    }
-
-    /// Builds a simulation with the claim-quorum layer engaged: the
-    /// search confirms a position only when `quorum` distinct robots
-    /// have claimed it. Pass `None` to fall back to the paper's
-    /// first-report rule (equivalent to [`Simulation::with_faults`]).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Simulation::with_faults`] rejects, plus
-    /// [`Error::Domain`] for a zero-vote quorum.
-    pub fn with_quorum(
-        trajectories: Vec<PiecewiseTrajectory>,
-        target: Target,
-        plan: &FaultPlan,
-        seed: u64,
-        config: SimConfig,
-        quorum: Option<QuorumConfig>,
-    ) -> Result<Self> {
-        Simulation::with_onsets(trajectories, target, plan, &[], seed, config, quorum)
-    }
-
-    /// Builds a simulation with per-robot *fault-onset* times layered
-    /// over the fault plan: robot `i`'s sensor behaves as
-    /// [`FaultKind::Reliable`] strictly before `onsets[i]` and switches
-    /// to its planned kind from that time on (Byzantine robots start
-    /// lying only at onset). `None` entries — or an empty slice —
-    /// mean the fault is present from the start, reproducing
-    /// [`Simulation::with_quorum`] bit for bit.
-    ///
-    /// Onsets modulate *sensor* behaviour only; a
-    /// [`FaultKind::SpeedDegraded`] robot's time dilation is a property
-    /// of its motion and always applies from the start (scenario-level
-    /// validation rejects that combination as meaningless).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Simulation::with_quorum`] rejects, plus
-    /// [`Error::InvalidParameters`] for a non-empty onset slice whose
-    /// length differs from the fleet and [`Error::Domain`] for a
-    /// non-finite or negative onset time.
-    pub fn with_onsets(
+    pub fn new(
         trajectories: Vec<PiecewiseTrajectory>,
         target: Target,
         plan: &FaultPlan,
@@ -395,12 +334,6 @@ impl Simulation {
             })
             .collect();
         Ok(Simulation { robots, target, config, horizon, quorum, log_claims })
-    }
-
-    /// Number of robots in the simulation.
-    #[must_use]
-    pub fn robot_count(&self) -> usize {
-        self.robots.len()
     }
 
     /// The common horizon (earliest trajectory end).
@@ -573,9 +506,10 @@ mod tests {
         faulty: &[usize],
         config: SimConfig,
     ) -> SearchOutcome {
-        let n = trajectories.len();
-        let mask = FaultMask::from_indices(n, faulty).unwrap();
-        Simulation::new(trajectories, Target::new(target).unwrap(), &mask, config).unwrap().run()
+        let plan = FaultPlan::sensor_faults(trajectories.len(), faulty).unwrap();
+        Simulation::new(trajectories, Target::new(target).unwrap(), &plan, &[], 0, config, None)
+            .unwrap()
+            .run()
     }
 
     #[test]
@@ -648,25 +582,27 @@ mod tests {
             .finish()
             .unwrap();
         let cfg = SimConfig { record_trace: false, stop_at_detection: false };
-        let mask = FaultMask::from_indices(1, &[0]).unwrap();
-        let outcome =
-            Simulation::new(vec![weave], Target::new(1.0).unwrap(), &mask, cfg).unwrap().run();
+        let outcome = sim(vec![weave], 1.0, &[0], cfg);
         assert_eq!(outcome.distinct_visitors(), 1);
         assert_eq!(outcome.visits[0].time, 1.0);
     }
 
     #[test]
     fn validates_inputs() {
-        let mask = FaultMask::all_reliable(2);
-        assert!(Simulation::new(vec![], Target::new(2.0).unwrap(), &mask, SimConfig::default())
-            .is_err());
-        assert!(Simulation::new(
-            vec![straight(5.0)],
-            Target::new(2.0).unwrap(),
-            &mask,
-            SimConfig::default()
-        )
-        .is_err());
+        let plan = FaultPlan::all_reliable(2);
+        let build = |trajectories| {
+            Simulation::new(
+                trajectories,
+                Target::new(2.0).unwrap(),
+                &plan,
+                &[],
+                0,
+                SimConfig::default(),
+                None,
+            )
+        };
+        assert!(build(vec![]).is_err(), "empty fleet");
+        assert!(build(vec![straight(5.0)]).is_err(), "plan covers two robots, fleet has one");
     }
 
     #[test]
@@ -674,12 +610,14 @@ mod tests {
         let s = Simulation::new(
             vec![straight(5.0), straight(-2.0)],
             Target::new(1.5).unwrap(),
-            &FaultMask::all_reliable(2),
+            &FaultPlan::all_reliable(2),
+            &[],
+            0,
             SimConfig::default(),
+            None,
         )
         .unwrap();
         assert_eq!(s.horizon(), 2.0);
-        assert_eq!(s.robot_count(), 2);
     }
 
     fn faulted(
@@ -688,20 +626,13 @@ mod tests {
         kinds: Vec<FaultKind>,
         seed: u64,
     ) -> SearchOutcome {
-        let plan = FaultPlan::new(kinds).unwrap();
-        Simulation::with_faults(
-            trajectories,
-            Target::new(target).unwrap(),
-            &plan,
-            seed,
-            SimConfig::default(),
-        )
-        .unwrap()
-        .run()
+        onset_run(trajectories, target, kinds, &[], seed)
     }
 
     #[test]
     fn sensor_plan_matches_mask_semantics() {
+        // A mask's Sensor kinds draw no coins, so the seed changes
+        // nothing.
         let masked = sim(vec![straight(9.0), straight(9.0)], 3.0, &[0], SimConfig::default());
         let planned = faulted(
             vec![straight(9.0), straight(9.0)],
@@ -885,10 +816,11 @@ mod tests {
         votes: usize,
     ) -> SearchOutcome {
         let plan = FaultPlan::new(kinds).unwrap();
-        Simulation::with_quorum(
+        Simulation::new(
             trajectories,
             Target::new(target).unwrap(),
             &plan,
+            &[],
             seed,
             SimConfig::default(),
             Some(QuorumConfig::new(votes).unwrap()),
@@ -955,10 +887,11 @@ mod tests {
             .unwrap();
         let cfg = SimConfig { record_trace: false, stop_at_detection: false };
         let plan = FaultPlan::new(vec![FaultKind::Reliable]).unwrap();
-        let outcome = Simulation::with_quorum(
+        let outcome = Simulation::new(
             vec![weave],
             Target::new(1.0).unwrap(),
             &plan,
+            &[],
             0,
             cfg,
             Some(QuorumConfig::new(2).unwrap()),
@@ -1003,14 +936,20 @@ mod tests {
     #[test]
     fn plan_length_mismatch_rejected() {
         let plan = FaultPlan::all_reliable(2);
-        assert!(Simulation::with_faults(
+        let err = Simulation::new(
             vec![straight(5.0)],
             Target::new(2.0).unwrap(),
             &plan,
+            &[],
             0,
-            SimConfig::default()
+            SimConfig::default(),
+            None,
         )
-        .is_err());
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("fault plan covers 2 robots but the fleet has 1"),
+            "{err}"
+        );
     }
 
     fn onset_run(
@@ -1021,7 +960,7 @@ mod tests {
         seed: u64,
     ) -> SearchOutcome {
         let plan = FaultPlan::new(kinds).unwrap();
-        Simulation::with_onsets(
+        Simulation::new(
             trajectories,
             Target::new(target).unwrap(),
             &plan,
@@ -1080,15 +1019,16 @@ mod tests {
 
     #[test]
     fn empty_onsets_reproduce_with_quorum_bitwise() {
+        // No onsets, all-`None` onsets and onsets at t = 0 are the same
+        // always-on plan, bit for bit.
         for seed in [0u64, 7, 42] {
             let kinds = vec![FaultKind::Intermittent { miss_probability: 0.5 }; 2];
-            let base = faulted(vec![straight(9.0), straight(-9.0)], 3.0, kinds.clone(), seed);
-            let with_empty =
-                onset_run(vec![straight(9.0), straight(-9.0)], 3.0, kinds.clone(), &[], seed);
-            let with_none =
-                onset_run(vec![straight(9.0), straight(-9.0)], 3.0, kinds, &[None, None], seed);
-            assert_eq!(base, with_empty);
-            assert_eq!(base, with_none);
+            let run = |onsets: &[Option<f64>]| {
+                onset_run(vec![straight(9.0), straight(-9.0)], 3.0, kinds.clone(), onsets, seed)
+            };
+            let base = run(&[]);
+            assert_eq!(base, run(&[None, None]));
+            assert_eq!(base, run(&[Some(0.0), Some(0.0)]));
         }
     }
 
@@ -1096,7 +1036,7 @@ mod tests {
     fn onsets_are_validated() {
         let plan = FaultPlan::new(vec![FaultKind::Sensor]).unwrap();
         let build = |onsets: &[Option<f64>]| {
-            Simulation::with_onsets(
+            Simulation::new(
                 vec![straight(5.0)],
                 Target::new(2.0).unwrap(),
                 &plan,
@@ -1124,8 +1064,11 @@ mod tests {
         let err = Simulation::new(
             vec![past],
             Target::new(2.0).unwrap(),
-            &FaultMask::all_reliable(1),
+            &FaultPlan::all_reliable(1),
+            &[],
+            0,
             SimConfig::default(),
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, Error::Domain { .. }), "got {err:?}");

@@ -1,21 +1,26 @@
-//! Fault assignment: which robots are faulty in a given run.
+//! Fault assignment: which robots are faulty in a given run, and how.
 //!
-//! The paper's adversary chooses faults in the worst possible way; the
-//! simulator additionally supports fixed and random (Bernoulli)
-//! assignments for Monte-Carlo experiments and failure injection.
+//! A [`FaultPlan`] gives every robot one [`FaultKind`]. The paper's
+//! fault is [`FaultKind::Sensor`]: the robot moves normally and never
+//! detects the target ([`FaultPlan::sensor_faults`] builds such a plan
+//! from faulty indices). The rest of the taxonomy covers intermittent
+//! sensors that miss each visit with some probability, delayed
+//! detection reports, speed-degraded robots, p-faulty sensors that
+//! detect each visit with probability `p`, and Byzantine robots that
+//! assert false detections. The first four are *weaker* than a
+//! permanent sensor fault, so the paper's worst-case analysis still
+//! applies to them; Byzantine liars need the claim quorum of
+//! [`crate::engine::QuorumConfig`].
 //!
-//! Beyond the paper's binary sensor faults ([`FaultMask`]), the
-//! injection harness supports a richer taxonomy ([`FaultKind`] /
-//! [`FaultPlan`]): intermittent sensors that miss each visit with some
-//! probability, delayed detection reports, and speed-degraded robots.
-//! All of these are *weaker* than a permanent sensor fault, which is
-//! why the paper's worst-case analysis still applies to them.
+//! The paper's adversary chooses sensor faults in the worst possible
+//! way ([`crate::adversary::worst_case_plan`]); a [`FaultModel`] draws
+//! fixed or random (Bernoulli) ones for Monte-Carlo experiments.
 
 use faultline_core::{Error, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::robot::{Reliability, RobotId};
+use crate::robot::RobotId;
 
 /// Validates an adversary's fault budget against the fleet size: the
 /// paper's adversary may corrupt at most `n - 1` robots, otherwise no
@@ -33,131 +38,6 @@ pub fn check_adversary_budget(n: usize, f: usize) -> Result<()> {
         return Err(Error::invalid_params(n, f, "the adversary may corrupt at most n - 1 robots"));
     }
     Ok(())
-}
-
-/// A concrete assignment of reliability to each of `n` robots.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultMask {
-    faulty: Vec<bool>,
-}
-
-impl FaultMask {
-    /// All robots reliable.
-    #[must_use]
-    pub fn all_reliable(n: usize) -> Self {
-        FaultMask { faulty: vec![false; n] }
-    }
-
-    /// Marks exactly the robots at `indices` as faulty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameters`] when an index is out of
-    /// range or listed twice.
-    pub fn from_indices(n: usize, indices: &[usize]) -> Result<Self> {
-        let mut faulty = vec![false; n];
-        for &i in indices {
-            if i >= n {
-                return Err(Error::invalid_params(
-                    n,
-                    indices.len(),
-                    format!("fault index {i} out of range for {n} robots"),
-                ));
-            }
-            if faulty[i] {
-                return Err(Error::invalid_params(
-                    n,
-                    indices.len(),
-                    format!("fault index {i} listed twice"),
-                ));
-            }
-            faulty[i] = true;
-        }
-        Ok(FaultMask { faulty })
-    }
-
-    /// Builds a mask directly from booleans (`true` = faulty).
-    #[must_use]
-    pub fn from_bools(faulty: Vec<bool>) -> Self {
-        FaultMask { faulty }
-    }
-
-    /// Builds a mask from booleans, validating the length against the
-    /// intended fleet size `n`. Prefer this over [`Self::from_bools`]
-    /// whenever the fleet size is known at the call site: a mask of the
-    /// wrong length is only caught later, at simulation construction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameters`] when `faulty.len() != n`.
-    pub fn from_bools_checked(n: usize, faulty: Vec<bool>) -> Result<Self> {
-        if faulty.len() != n {
-            return Err(Error::invalid_params(
-                n,
-                faulty.iter().filter(|&&b| b).count(),
-                format!("fault mask covers {} robots but the fleet has {n}", faulty.len()),
-            ));
-        }
-        Ok(FaultMask { faulty })
-    }
-
-    /// Checks that the mask stays within a fault budget of `f`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameters`] when the mask marks more
-    /// than `f` robots faulty.
-    pub fn check_budget(&self, f: usize) -> Result<()> {
-        let count = self.fault_count();
-        if count > f {
-            return Err(Error::invalid_params(
-                self.len(),
-                f,
-                format!("{count} faults exceed the budget f = {f}"),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Number of robots covered by the mask.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.faulty.len()
-    }
-
-    /// Whether the mask covers zero robots.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.faulty.is_empty()
-    }
-
-    /// Whether robot `id` is faulty.
-    #[must_use]
-    pub fn is_faulty(&self, id: RobotId) -> bool {
-        self.faulty.get(id.0).copied().unwrap_or(false)
-    }
-
-    /// The reliability of robot `id`.
-    #[must_use]
-    pub fn reliability(&self, id: RobotId) -> Reliability {
-        if self.is_faulty(id) {
-            Reliability::Faulty
-        } else {
-            Reliability::Reliable
-        }
-    }
-
-    /// Number of faulty robots.
-    #[must_use]
-    pub fn fault_count(&self) -> usize {
-        self.faulty.iter().filter(|&&b| b).count()
-    }
-
-    /// Indices of the faulty robots.
-    #[must_use]
-    pub fn faulty_indices(&self) -> Vec<usize> {
-        self.faulty.iter().enumerate().filter_map(|(i, &b)| b.then_some(i)).collect()
-    }
 }
 
 /// How a single robot misbehaves.
@@ -320,20 +200,34 @@ impl FaultPlan {
         FaultPlan { kinds: vec![FaultKind::Reliable; n] }
     }
 
-    /// Lifts a binary sensor-fault mask into the taxonomy.
-    #[must_use]
-    pub fn from_mask(mask: &FaultMask) -> Self {
-        let kinds =
-            (0..mask.len())
-                .map(|i| {
-                    if mask.is_faulty(RobotId(i)) {
-                        FaultKind::Sensor
-                    } else {
-                        FaultKind::Reliable
-                    }
-                })
-                .collect();
-        FaultPlan { kinds }
+    /// The paper's fault assignment: exactly the robots at `indices`
+    /// carry a permanent [`FaultKind::Sensor`] fault, every other robot
+    /// of the `n` is healthy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidParameters`] when an index is out of
+    /// range or listed twice.
+    pub fn sensor_faults(n: usize, indices: &[usize]) -> Result<Self> {
+        let mut kinds = vec![FaultKind::Reliable; n];
+        for &i in indices {
+            if i >= n {
+                return Err(Error::invalid_params(
+                    n,
+                    indices.len(),
+                    format!("fault index {i} out of range for {n} robots"),
+                ));
+            }
+            if kinds[i].is_faulty() {
+                return Err(Error::invalid_params(
+                    n,
+                    indices.len(),
+                    format!("fault index {i} listed twice"),
+                ));
+            }
+            kinds[i] = FaultKind::Sensor;
+        }
+        Ok(FaultPlan { kinds })
     }
 
     /// Number of robots covered by the plan.
@@ -348,8 +242,7 @@ impl FaultPlan {
         self.kinds.is_empty()
     }
 
-    /// The kind assigned to robot `id` (out-of-range ids are healthy,
-    /// mirroring [`FaultMask::is_faulty`]).
+    /// The kind assigned to robot `id` (out-of-range ids are healthy).
     #[must_use]
     pub fn kind(&self, id: RobotId) -> FaultKind {
         self.kinds.get(id.0).copied().unwrap_or(FaultKind::Reliable)
@@ -398,10 +291,10 @@ impl FaultPlan {
 /// Implementors may be deterministic (fixed sets) or random; the
 /// worst-case adversary is not a `FaultModel` because it needs to see
 /// the trajectories and target first — see
-/// [`crate::adversary::worst_case_mask`].
+/// [`crate::adversary::worst_case_plan`].
 pub trait FaultModel: std::fmt::Debug {
-    /// Produces a fault mask for `n` robots.
-    fn assign(&mut self, n: usize) -> FaultMask;
+    /// Produces a sensor-fault plan for `n` robots.
+    fn assign(&mut self, n: usize) -> FaultPlan;
 
     /// Short name for reports.
     fn name(&self) -> &'static str;
@@ -422,8 +315,8 @@ impl FixedFaults {
 }
 
 impl FaultModel for FixedFaults {
-    fn assign(&mut self, n: usize) -> FaultMask {
-        FaultMask::from_indices(n, &self.indices).unwrap_or_else(|_| FaultMask::all_reliable(n))
+    fn assign(&mut self, n: usize) -> FaultPlan {
+        FaultPlan::sensor_faults(n, &self.indices).unwrap_or_else(|_| FaultPlan::all_reliable(n))
     }
 
     fn name(&self) -> &'static str {
@@ -456,19 +349,19 @@ impl<R: Rng + std::fmt::Debug> BernoulliFaults<R> {
 }
 
 impl<R: Rng + std::fmt::Debug> FaultModel for BernoulliFaults<R> {
-    fn assign(&mut self, n: usize) -> FaultMask {
-        let mut faulty = vec![false; n];
+    fn assign(&mut self, n: usize) -> FaultPlan {
+        let mut kinds = vec![FaultKind::Reliable; n];
         let mut budget = self.max_faults;
-        for slot in faulty.iter_mut() {
+        for kind in &mut kinds {
             if budget == 0 {
                 break;
             }
             if self.rng.random_bool(self.p) {
-                *slot = true;
+                *kind = FaultKind::Sensor;
                 budget -= 1;
             }
         }
-        FaultMask::from_bools(faulty)
+        FaultPlan { kinds }
     }
 
     fn name(&self) -> &'static str {
@@ -484,28 +377,30 @@ mod tests {
 
     #[test]
     fn mask_construction_and_queries() {
-        let m = FaultMask::from_indices(4, &[1, 3]).unwrap();
+        let m = FaultPlan::sensor_faults(4, &[1, 3]).unwrap();
         assert_eq!(m.len(), 4);
         assert!(!m.is_empty());
         assert_eq!(m.fault_count(), 2);
-        assert!(m.is_faulty(RobotId(1)));
-        assert!(!m.is_faulty(RobotId(0)));
-        assert_eq!(m.reliability(RobotId(3)), Reliability::Faulty);
-        assert_eq!(m.reliability(RobotId(2)), Reliability::Reliable);
+        assert_eq!(m.kind(RobotId(1)), FaultKind::Sensor);
+        assert_eq!(m.kind(RobotId(3)), FaultKind::Sensor);
+        assert_eq!(m.kind(RobotId(0)), FaultKind::Reliable);
         assert_eq!(m.faulty_indices(), vec![1, 3]);
         // Out-of-range ids are treated as absent, hence reliable.
-        assert!(!m.is_faulty(RobotId(99)));
+        assert_eq!(m.kind(RobotId(99)), FaultKind::Reliable);
     }
 
     #[test]
     fn mask_rejects_bad_indices() {
-        assert!(FaultMask::from_indices(3, &[3]).is_err());
-        assert!(FaultMask::from_indices(3, &[1, 1]).is_err());
+        let out_of_range = FaultPlan::sensor_faults(3, &[3]).unwrap_err().to_string();
+        assert!(out_of_range.contains("fault index 3 out of range for 3 robots"), "{out_of_range}");
+        let twice = FaultPlan::sensor_faults(3, &[1, 1]).unwrap_err().to_string();
+        assert!(twice.contains("fault index 1 listed twice"), "{twice}");
     }
 
     #[test]
     fn all_reliable_has_no_faults() {
-        let m = FaultMask::all_reliable(5);
+        let m = FaultPlan::sensor_faults(5, &[]).unwrap();
+        assert_eq!(m, FaultPlan::all_reliable(5));
         assert_eq!(m.fault_count(), 0);
         assert!(m.faulty_indices().is_empty());
     }
@@ -555,14 +450,8 @@ mod tests {
     }
 
     #[test]
-    fn checked_bools_validate_length() {
-        assert!(FaultMask::from_bools_checked(3, vec![true, false, false]).is_ok());
-        assert!(FaultMask::from_bools_checked(3, vec![true, false]).is_err());
-    }
-
-    #[test]
     fn mask_budget_check() {
-        let m = FaultMask::from_indices(5, &[0, 4]).unwrap();
+        let m = FaultPlan::sensor_faults(5, &[0, 4]).unwrap();
         assert!(m.check_budget(2).is_ok());
         assert!(m.check_budget(1).is_err());
     }
@@ -620,15 +509,18 @@ mod tests {
 
     #[test]
     fn plan_from_mask_round_trips_fault_sets() {
-        let mask = FaultMask::from_indices(4, &[1, 2]).unwrap();
-        let plan = FaultPlan::from_mask(&mask);
-        assert_eq!(plan.len(), 4);
-        assert_eq!(plan.fault_count(), 2);
+        // A mask of faulty indices is the plan that spells out one
+        // Sensor kind per listed robot, and reads back the same indices.
+        let plan = FaultPlan::sensor_faults(4, &[2, 1]).unwrap();
+        let spelled = FaultPlan::new(vec![
+            FaultKind::Reliable,
+            FaultKind::Sensor,
+            FaultKind::Sensor,
+            FaultKind::Reliable,
+        ])
+        .unwrap();
+        assert_eq!(plan, spelled);
         assert_eq!(plan.faulty_indices(), vec![1, 2]);
-        assert_eq!(plan.kind(RobotId(1)), FaultKind::Sensor);
-        assert_eq!(plan.kind(RobotId(0)), FaultKind::Reliable);
-        // Out-of-range ids are healthy, like FaultMask::is_faulty.
-        assert_eq!(plan.kind(RobotId(99)), FaultKind::Reliable);
         assert!(plan.check_budget(2).is_ok());
         assert!(plan.check_budget(1).is_err());
     }

@@ -9,13 +9,18 @@
 //! [`faultline_core`]:
 //!
 //! * [`engine::Simulation`] — event-driven execution of a fleet of
-//!   trajectories against a target with an explicit fault mask; events
-//!   are turning points and target visits, detection fires on the first
-//!   reliable visit.
-//! * [`fault`] — fault assignment models: fixed sets, Bernoulli random
-//!   faults, and (via [`adversary`]) the paper's worst-case adversary.
-//! * [`adversary`] — the worst-case fault choice (earliest `f` visitors
-//!   of the target) and empirical competitive-ratio measurement.
+//!   trajectories against a target under a [`FaultPlan`], built by its
+//!   one constructor; events are turning points, target visits and
+//!   detection claims, and detection fires on the first working
+//!   report (or, under a claim quorum, on enough matching claims).
+//! * [`fault`] — the one fault assignment, [`FaultPlan`]: one
+//!   [`FaultKind`] per robot, from the paper's permanent sensor fault
+//!   to intermittent, delayed, speed-degraded, p-faulty and Byzantine
+//!   robots; plus fixed and Bernoulli [`FaultModel`]s for Monte-Carlo
+//!   sweeps.
+//! * [`adversary`] — the paper's worst-case sensor-fault plan (earliest
+//!   `f` visitors of the target) and empirical competitive-ratio
+//!   measurement.
 //! * [`montecarlo`] — one seeded random target/fault sweep
 //!   ([`run_sweep`]) over a fleet of [`faultline_core::Plan`]s, with
 //!   summary statistics ([`RatioStats`]).
@@ -66,20 +71,17 @@ pub mod sampler;
 pub mod target;
 pub mod trace;
 
-pub use adversary::{empirical_competitive_ratio, worst_case_mask, worst_case_outcome};
+pub use adversary::{empirical_competitive_ratio, worst_case_outcome, worst_case_plan};
 pub use crash::{worst_case_crashes, CrashPlan};
 pub use engine::{QuorumConfig, SimConfig, Simulation};
 pub use event::{Event, EventKind};
 pub use fault::{
-    check_adversary_budget, BernoulliFaults, FaultKind, FaultMask, FaultModel, FaultPlan,
-    FixedFaults,
+    check_adversary_budget, BernoulliFaults, FaultKind, FaultModel, FaultPlan, FixedFaults,
 };
 pub use montecarlo::{run_sweep, sweep_outcomes, MonteCarloConfig, RatioStats};
-pub use outcome::{Claim, Detection, SearchOutcome, SearchVerdict, Visit};
+pub use outcome::{Claim, Detection, SearchOutcome, Visit};
 pub use pfaulty::{expected_outcome, monte_carlo_expected_ratio, PFaultyExpectation};
-pub use robot::{Reliability, Robot, RobotId};
-pub use sampler::{
-    replay_check, sample_positions, sample_positions_random, snapshots_to_csv, Snapshot,
-};
+pub use robot::RobotId;
+pub use sampler::{replay_check, sample_positions, snapshots_to_csv, Snapshot};
 pub use target::Target;
 pub use trace::RunTrace;

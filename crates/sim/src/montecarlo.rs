@@ -91,7 +91,7 @@ impl RatioStats {
 /// Runs a Monte-Carlo sweep and returns the raw achieved ratios, one
 /// per sample (summarize them with [`RatioStats::from_ratios`]): for
 /// each sample, draws a random target (log-uniform magnitude in
-/// `[1, xmax]`, random side) and a fault mask from `faults`, and
+/// `[1, xmax]`, random side) and a fault plan from `faults`, and
 /// simulates the search. The target stream is a `StdRng` seeded with
 /// `seed`, so the same seed always draws the same targets; the fault
 /// model carries its own seed.
@@ -130,7 +130,7 @@ pub fn sweep_outcomes<T: Send>(
     let trajectories: Vec<PiecewiseTrajectory> =
         plans.iter().map(|p| p.materialize(horizon)).collect::<Result<_>>()?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    // Every sample's target and fault mask is drawn serially first, in
+    // Every sample's target and fault plan is drawn serially first, in
     // the exact order the historical serial loop used, so a given seed
     // produces identical draws. The simulations themselves are
     // deterministic and run on the work-stealing engine.
@@ -139,11 +139,11 @@ pub fn sweep_outcomes<T: Send>(
         let magnitude = (rng.random_range(0.0..config.xmax.ln())).exp();
         let side = if rng.random_bool(0.5) { 1.0 } else { -1.0 };
         let target = Target::new(side * magnitude.max(1.0))?;
-        let mask = faults.assign(trajectories.len());
-        draws.push((target, mask));
+        let plan = faults.assign(trajectories.len());
+        draws.push((target, plan));
     }
-    faultline_core::par_map(&draws, |(target, mask)| {
-        Ok(read(Simulation::new(trajectories.clone(), *target, mask, sim)?.run()))
+    faultline_core::par_map(&draws, |(target, plan)| {
+        Ok(read(Simulation::new(trajectories.clone(), *target, plan, &[], 0, sim, None)?.run()))
     })
     .into_iter()
     .collect()
@@ -208,15 +208,16 @@ mod tests {
         let mut faults = FixedFaults::new(vec![0]);
         let seeded = run_sweep(&plans, &mut faults, config, horizon, 7).unwrap();
         let trajectories: Vec<_> = plans.iter().map(|p| p.materialize(horizon).unwrap()).collect();
-        let mask = FixedFaults::new(vec![0]).assign(3);
+        let plan = FixedFaults::new(vec![0]).assign(3);
         let mut rng = StdRng::seed_from_u64(7);
         let explicit: Vec<f64> = (0..40)
             .map(|_| {
                 let magnitude = rng.random_range(0.0..10f64.ln()).exp();
                 let side = if rng.random_bool(0.5) { 1.0 } else { -1.0 };
                 let target = Target::new(side * magnitude.max(1.0)).unwrap();
+                let config = SimConfig::default();
                 let sim =
-                    Simulation::new(trajectories.clone(), target, &mask, SimConfig::default());
+                    Simulation::new(trajectories.clone(), target, &plan, &[], 0, config, None);
                 sim.unwrap().run().ratio()
             })
             .collect();

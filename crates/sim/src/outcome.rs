@@ -47,21 +47,6 @@ pub struct Claim {
     pub truthful: bool,
 }
 
-/// How a simulated search ended, derived from a [`SearchOutcome`].
-///
-/// A separate enum (rather than more fields on the outcome) so callers
-/// can match on the verdict without destructuring options: the CLI
-/// reports runs by verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SearchVerdict {
-    /// A working sensor reported the target before the horizon.
-    Detected,
-    /// The horizon was exhausted without a detection — an honest
-    /// failure (insufficient coverage or too many faults), not an
-    /// error.
-    Exhausted,
-}
-
 /// The complete outcome of a simulated search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchOutcome {
@@ -114,16 +99,6 @@ impl SearchOutcome {
     pub fn distinct_visitors(&self) -> usize {
         self.visits.len()
     }
-
-    /// How the run ended.
-    #[must_use]
-    pub fn verdict(&self) -> SearchVerdict {
-        if self.detection.is_some() {
-            SearchVerdict::Detected
-        } else {
-            SearchVerdict::Exhausted
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,21 +137,5 @@ mod tests {
         };
         assert!(outcome.ratio().is_infinite());
         assert!(!outcome.detected());
-    }
-
-    #[test]
-    fn verdict_classifies_outcomes() {
-        let detected = SearchOutcome {
-            target: Target::new(2.0).unwrap(),
-            detection: Some(Detection { robot: RobotId(0), time: 2.0 }),
-            visits: vec![Visit { robot: RobotId(0), time: 2.0, reliable: true }],
-            horizon: 10.0,
-            trace: None,
-            claims: vec![],
-            confirmed_position: None,
-        };
-        assert_eq!(detected.verdict(), SearchVerdict::Detected);
-        let exhausted = SearchOutcome { detection: None, visits: vec![], ..detected };
-        assert_eq!(exhausted.verdict(), SearchVerdict::Exhausted);
     }
 }

@@ -124,12 +124,14 @@ pub fn monte_carlo_expected_ratio(
     let plan = FaultPlan::new(vec![FaultKind::PFaulty { detect_probability }; trajectories.len()])?;
     let indices: Vec<u64> = (0..samples as u64).collect();
     let ratios: Vec<Result<f64>> = par_map(&indices, |&s| {
-        let sim = Simulation::with_faults(
+        let sim = Simulation::new(
             trajectories.to_vec(),
             target,
             &plan,
+            &[],
             sample_seed(seed, s),
             SimConfig::default(),
+            None,
         )?;
         let horizon = sim.horizon();
         let outcome = sim.run();

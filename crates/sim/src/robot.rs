@@ -1,6 +1,5 @@
-//! Robot identities and per-robot simulation state.
+//! Robot identities.
 
-use faultline_core::PiecewiseTrajectory;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a robot within a fleet (its index in plan order).
@@ -13,81 +12,9 @@ impl std::fmt::Display for RobotId {
     }
 }
 
-/// The reliability status of a robot.
-///
-/// A faulty robot "follows its assigned trajectory and is
-/// indistinguishable from a reliable robot, except that a faulty robot
-/// does not detect the target while visiting its location".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Reliability {
-    /// The robot detects the target when standing on it.
-    Reliable,
-    /// The robot never detects the target.
-    Faulty,
-}
-
-/// A robot in the simulation: its identity, reliability, and the
-/// trajectory it follows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Robot {
-    id: RobotId,
-    reliability: Reliability,
-    trajectory: PiecewiseTrajectory,
-}
-
-impl Robot {
-    /// Creates a robot.
-    #[must_use]
-    pub fn new(id: RobotId, reliability: Reliability, trajectory: PiecewiseTrajectory) -> Self {
-        Robot { id, reliability, trajectory }
-    }
-
-    /// The robot's identity.
-    #[must_use]
-    pub fn id(&self) -> RobotId {
-        self.id
-    }
-
-    /// Whether the robot can detect the target.
-    #[must_use]
-    pub fn is_reliable(&self) -> bool {
-        self.reliability == Reliability::Reliable
-    }
-
-    /// The robot's reliability status.
-    #[must_use]
-    pub fn reliability(&self) -> Reliability {
-        self.reliability
-    }
-
-    /// The trajectory the robot follows.
-    #[must_use]
-    pub fn trajectory(&self) -> &PiecewiseTrajectory {
-        &self.trajectory
-    }
-
-    /// Position at time `t`, if within the trajectory's domain.
-    #[must_use]
-    pub fn position_at(&self, t: f64) -> Option<f64> {
-        self.trajectory.position_at(t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultline_core::TrajectoryBuilder;
-
-    #[test]
-    fn robot_accessors() {
-        let traj = TrajectoryBuilder::from_origin().sweep_to(2.0).finish().unwrap();
-        let r = Robot::new(RobotId(3), Reliability::Faulty, traj);
-        assert_eq!(r.id(), RobotId(3));
-        assert!(!r.is_reliable());
-        assert_eq!(r.reliability(), Reliability::Faulty);
-        assert_eq!(r.position_at(1.0), Some(1.0));
-        assert_eq!(r.trajectory().horizon(), 2.0);
-    }
 
     #[test]
     fn robot_id_displays_like_the_paper() {

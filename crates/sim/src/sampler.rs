@@ -7,7 +7,6 @@
 //! event engine against bookkeeping bugs.
 
 use faultline_core::{Error, PiecewiseTrajectory, Result};
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::outcome::SearchOutcome;
@@ -21,13 +20,22 @@ pub struct Snapshot {
     pub positions: Vec<Option<f64>>,
 }
 
+/// The most snapshots one [`sample_positions`] grid may hold. This is
+/// input validation, not a setting: the grid is built in memory, and a
+/// million snapshots of a small fleet already take tens of megabytes,
+/// so a `dt` far too fine for `until` is refused before anything is
+/// allocated.
+pub const MAX_SNAPSHOTS: usize = 1_000_000;
+
 /// Samples all robot positions on a fixed grid `0, dt, 2dt, ...` up to
 /// (and including, when divisible) `until`.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Domain`] for a non-positive `dt` or negative
-/// `until`, or an empty fleet.
+/// Returns [`Error::Domain`] for a non-positive `dt`, a negative
+/// `until`, or a grid of more than [`MAX_SNAPSHOTS`] snapshots (an
+/// infinite `until` included), and [`Error::InvalidParameters`] for an
+/// empty fleet.
 pub fn sample_positions(
     trajectories: &[PiecewiseTrajectory],
     dt: f64,
@@ -41,6 +49,13 @@ pub fn sample_positions(
             "sampling needs dt > 0 and until >= 0, got dt = {dt}, until = {until}"
         )));
     }
+    let count = (until / dt).floor() + 1.0;
+    if !(count <= MAX_SNAPSHOTS as f64) {
+        return Err(Error::domain(format!(
+            "sampling until {until:e} every dt = {dt:e} takes {count:e} snapshots, \
+             more than the {MAX_SNAPSHOTS} a grid may hold"
+        )));
+    }
     let steps = (until / dt).floor() as usize;
     let mut out = Vec::with_capacity(steps + 1);
     for k in 0..=steps {
@@ -51,42 +66,6 @@ pub fn sample_positions(
         });
     }
     Ok(out)
-}
-
-/// Samples all robot positions at `count` random instants drawn
-/// uniformly from `[0, until]`, sorted by time. The draw is a pure
-/// function of the explicit `seed`, so figures built from random
-/// snapshots are reproducible from a single CLI-visible number (the
-/// fixed-grid [`sample_positions`] has no randomness at all).
-///
-/// # Errors
-///
-/// Returns [`Error::Domain`] for `count == 0`, a non-positive or
-/// non-finite `until`, or an empty fleet.
-pub fn sample_positions_random(
-    trajectories: &[PiecewiseTrajectory],
-    count: usize,
-    until: f64,
-    seed: u64,
-) -> Result<Vec<Snapshot>> {
-    if trajectories.is_empty() {
-        return Err(Error::invalid_params(0, 0, "sampling needs at least one robot"));
-    }
-    if count == 0 || !(until > 0.0) || !until.is_finite() {
-        return Err(Error::domain(format!(
-            "random sampling needs count > 0 and finite until > 0, got count = {count}, until = {until}"
-        )));
-    }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut times: Vec<f64> = (0..count).map(|_| rng.random_range(0.0..until)).collect();
-    times.sort_by(f64::total_cmp);
-    Ok(times
-        .into_iter()
-        .map(|t| Snapshot {
-            t,
-            positions: trajectories.iter().map(|traj| traj.position_at(t)).collect(),
-        })
-        .collect())
 }
 
 /// Serializes snapshots as CSV: `t,robot0,robot1,...` with empty cells
@@ -176,7 +155,7 @@ pub fn replay_check(
 mod tests {
     use super::*;
     use crate::engine::{SimConfig, Simulation};
-    use crate::fault::FaultMask;
+    use crate::fault::FaultPlan;
     use crate::target::Target;
     use faultline_core::{Algorithm, Params, TrajectoryBuilder};
 
@@ -200,26 +179,19 @@ mod tests {
     }
 
     #[test]
-    fn random_sampling_is_seed_deterministic() {
-        let t = TrajectoryBuilder::from_origin().sweep_to(3.0).finish().unwrap();
-        let a = sample_positions_random(std::slice::from_ref(&t), 16, 3.0, 42).unwrap();
-        let b = sample_positions_random(std::slice::from_ref(&t), 16, 3.0, 42).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 16);
-        // Times come out sorted and inside the window.
-        assert!(a.windows(2).all(|w| w[0].t <= w[1].t));
-        assert!(a.iter().all(|s| (0.0..3.0).contains(&s.t)));
-        let c = sample_positions_random(std::slice::from_ref(&t), 16, 3.0, 43).unwrap();
-        assert_ne!(a, c, "different seeds draw different instants");
-    }
-
-    #[test]
-    fn random_sampling_validates_inputs() {
+    fn sampling_refuses_a_grid_it_cannot_hold() {
+        // 1e15 and 1e302 snapshots overflow memory or `usize` if built;
+        // an infinite `until` has no finite count at all.
         let t = TrajectoryBuilder::from_origin().sweep_to(2.0).finish().unwrap();
-        assert!(sample_positions_random(&[], 4, 1.0, 0).is_err());
-        assert!(sample_positions_random(std::slice::from_ref(&t), 0, 1.0, 0).is_err());
-        assert!(sample_positions_random(std::slice::from_ref(&t), 4, 0.0, 0).is_err());
-        assert!(sample_positions_random(std::slice::from_ref(&t), 4, f64::INFINITY, 0).is_err());
+        for (dt, until) in [(1e-9, 1e6), (1e-300, 100.0), (1.0, f64::INFINITY)] {
+            let err = sample_positions(std::slice::from_ref(&t), dt, until).unwrap_err();
+            assert!(matches!(err, Error::Domain { .. }), "dt = {dt}, until = {until}: {err:?}");
+        }
+        // The bound is exact: the largest grid it admits is built, one
+        // more snapshot is refused.
+        let last = (MAX_SNAPSHOTS - 1) as f64;
+        assert!(sample_positions(std::slice::from_ref(&t), 1.0, last + 1.0).is_err());
+        assert_eq!(sample_positions(&[t], 1.0, last).unwrap().len(), MAX_SNAPSHOTS);
     }
 
     #[test]
@@ -260,12 +232,14 @@ mod tests {
     #[test]
     fn replay_detects_tampering() {
         let t = TrajectoryBuilder::from_origin().sweep_to(5.0).finish().unwrap();
-        let mask = FaultMask::all_reliable(1);
         let mut outcome = Simulation::new(
             vec![t.clone()],
             Target::new(3.0).unwrap(),
-            &mask,
+            &FaultPlan::all_reliable(1),
+            &[],
+            0,
             SimConfig::default(),
+            None,
         )
         .unwrap()
         .run();

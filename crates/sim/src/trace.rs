@@ -65,31 +65,14 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
-    /// Runs a simulation and records it as a trace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation construction failures.
-    pub fn record(
-        reason: impl Into<String>,
-        trajectories: Vec<PiecewiseTrajectory>,
-        target: Target,
-        plan: &FaultPlan,
-        seed: u64,
-        config: SimConfig,
-        bound: Option<f64>,
-    ) -> Result<Self> {
-        RunTrace::record_with_quorum(reason, trajectories, target, plan, seed, config, bound, None)
-    }
-
-    /// Runs a simulation under the claim-quorum layer and records it as
-    /// a trace; `quorum = None` is [`RunTrace::record`].
+    /// Runs a simulation and records it as a trace. `quorum` engages
+    /// the claim-quorum layer; `None` is the paper's first-report rule.
     ///
     /// # Errors
     ///
     /// Propagates simulation construction failures.
     #[allow(clippy::too_many_arguments)]
-    pub fn record_with_quorum(
+    pub fn record(
         reason: impl Into<String>,
         trajectories: Vec<PiecewiseTrajectory>,
         target: Target,
@@ -101,8 +84,7 @@ impl RunTrace {
     ) -> Result<Self> {
         let kinds: Vec<FaultKind> = (0..plan.len()).map(|i| plan.kind(RobotId(i))).collect();
         let outcome =
-            Simulation::with_quorum(trajectories.clone(), target, plan, seed, config, quorum)?
-                .run();
+            Simulation::new(trajectories.clone(), target, plan, &[], seed, config, quorum)?.run();
         Ok(RunTrace {
             version: TRACE_VERSION,
             reason: reason.into(),
@@ -141,10 +123,11 @@ impl RunTrace {
         }
         let target = Target::new(self.target)?;
         let plan = FaultPlan::new(self.plan.clone())?;
-        Ok(Simulation::with_quorum(
+        Ok(Simulation::new(
             self.trajectories.clone(),
             target,
             &plan,
+            &[],
             self.seed,
             self.config(),
             self.quorum,
@@ -194,7 +177,7 @@ impl RunTrace {
     /// Re-records this trace with a different fault plan (all other
     /// inputs unchanged).
     fn with_plan(&self, kinds: Vec<FaultKind>) -> Result<Self> {
-        RunTrace::record_with_quorum(
+        RunTrace::record(
             self.reason.clone(),
             self.trajectories.clone(),
             Target::new(self.target)?,
@@ -208,7 +191,7 @@ impl RunTrace {
 
     /// Re-records this trace with a different target position.
     fn with_target(&self, position: f64) -> Result<Self> {
-        RunTrace::record_with_quorum(
+        RunTrace::record(
             self.reason.clone(),
             self.trajectories.clone(),
             Target::new(position)?,
@@ -276,7 +259,6 @@ impl RunTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultMask;
     use faultline_core::TrajectoryBuilder;
 
     fn straight(to: f64) -> PiecewiseTrajectory {
@@ -298,6 +280,7 @@ mod tests {
             1234,
             SimConfig { record_trace: true, stop_at_detection: true },
             Some(3.0),
+            None,
         )
         .unwrap()
     }
@@ -360,6 +343,7 @@ mod tests {
             0,
             SimConfig::default(),
             None,
+            None,
         )
         .unwrap();
         assert!(!trace.outcome.detected());
@@ -373,24 +357,19 @@ mod tests {
 
     #[test]
     fn mask_round_trip_through_plan() {
-        // A trace recorded from a classic mask replays identically to
-        // the mask-based simulation.
-        let mask = FaultMask::from_indices(2, &[0]).unwrap();
+        // A trace recorded from a mask stores one Sensor kind per
+        // faulty robot, and records and replays the direct outcome.
+        let plan = FaultPlan::sensor_faults(2, &[0]).unwrap();
         let trajectories = vec![straight(9.0), straight(5.0)];
         let target = Target::new(2.0).unwrap();
-        let direct = Simulation::new(trajectories.clone(), target, &mask, SimConfig::default())
+        let config = SimConfig::default();
+        let direct = Simulation::new(trajectories.clone(), target, &plan, &[], 0, config, None)
             .unwrap()
             .run();
-        let trace = RunTrace::record(
-            "mask",
-            trajectories,
-            target,
-            &FaultPlan::from_mask(&mask),
-            0,
-            SimConfig::default(),
-            None,
-        )
-        .unwrap();
+        let trace =
+            RunTrace::record("mask", trajectories, target, &plan, 0, config, None, None).unwrap();
+        assert_eq!(trace.plan, vec![FaultKind::Sensor, FaultKind::Reliable]);
         assert_eq!(trace.outcome, direct);
+        assert_eq!(trace.replay().unwrap(), direct);
     }
 }

@@ -3,9 +3,9 @@
 use faultline_core::coverage::Fleet;
 use faultline_core::{Algorithm, Params, PiecewiseTrajectory};
 use faultline_sim::engine::{QuorumConfig, SimConfig, Simulation};
-use faultline_sim::fault::{BernoulliFaults, FaultKind, FaultMask, FaultPlan};
+use faultline_sim::fault::{BernoulliFaults, FaultKind, FaultPlan};
 use faultline_sim::target::Target;
-use faultline_sim::{worst_case_mask, worst_case_outcome, RunTrace};
+use faultline_sim::{worst_case_outcome, worst_case_plan, RunTrace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,8 +103,9 @@ proptest! {
             StdRng::seed_from_u64(seed),
         ).unwrap();
         use faultline_sim::fault::FaultModel;
-        let mask = model.assign(trajectories.len());
-        let outcome = Simulation::new(trajectories, target, &mask, SimConfig::default())
+        let plan = model.assign(trajectories.len());
+        let config = SimConfig::default();
+        let outcome = Simulation::new(trajectories, target, &plan, &[], 0, config, None)
             .unwrap()
             .run();
         prop_assert!(outcome.detected());
@@ -114,7 +115,7 @@ proptest! {
         );
     }
 
-    /// The worst-case mask always has exactly f faults when at least f
+    /// The worst-case plan always has exactly f faults when at least f
     /// robots reach the target, and they are the f earliest visitors.
     #[test]
     fn worst_case_mask_structure(
@@ -123,19 +124,19 @@ proptest! {
     ) {
         let alg = Algorithm::design(params).unwrap();
         let trajectories = materialize(&alg, 11.0);
-        let mask = worst_case_mask(&trajectories, Target::new(x).unwrap(), params.f()).unwrap();
-        prop_assert_eq!(mask.fault_count(), params.f());
+        let plan = worst_case_plan(&trajectories, Target::new(x).unwrap(), params.f()).unwrap();
+        prop_assert_eq!(plan.fault_count(), params.f());
 
         // Every faulty robot reaches the target no later than every
         // reliable robot that reaches it.
         let arrival = |i: usize| trajectories[i].first_visit(x);
-        let latest_faulty = mask
+        let latest_faulty = plan
             .faulty_indices()
             .into_iter()
             .filter_map(arrival)
             .fold(0.0, f64::max);
         for i in 0..trajectories.len() {
-            if !mask.is_faulty(faultline_sim::RobotId(i)) {
+            if !plan.kind(faultline_sim::RobotId(i)).is_faulty() {
                 if let Some(t) = arrival(i) {
                     prop_assert!(t >= latest_faulty - 1e-12);
                 }
@@ -162,22 +163,22 @@ proptest! {
             .detection
             .map(|d| d.time);
         // Every subset of at most f robots, as a bitmask over the fleet.
-        let masks: Vec<FaultMask> = (0u32..1 << n)
+        let masks: Vec<FaultPlan> = (0u32..1 << n)
             .filter(|bits| bits.count_ones() as usize <= f)
             .map(|bits| {
                 let faulty: Vec<usize> = (0..n).filter(|i| bits >> i & 1 == 1).collect();
-                FaultMask::from_indices(n, &faulty).unwrap()
+                FaultPlan::sensor_faults(n, &faulty).unwrap()
             })
             .collect();
         let binomial = |k: usize| (0..k).fold(1usize, |c, i| c * (n - i) / (i + 1));
         prop_assert_eq!(masks.len(), (0..=f).map(binomial).sum::<usize>());
         for mask in &masks {
-            let detection =
-                Simulation::new(trajectories.clone(), target, mask, SimConfig::default())
-                    .unwrap()
-                    .run()
-                    .detection
-                    .map(|d| d.time);
+            let config = SimConfig::default();
+            let detection = Simulation::new(trajectories.clone(), target, mask, &[], 0, config, None)
+                .unwrap()
+                .run()
+                .detection
+                .map(|d| d.time);
             match (detection, bound) {
                 (Some(t), Some(b)) => prop_assert!(
                     t <= b + 1e-9,
@@ -218,6 +219,7 @@ proptest! {
             seed,
             SimConfig::default(),
             None,
+            None,
         ).unwrap();
         let parsed = RunTrace::from_json(&trace.to_json().unwrap()).unwrap();
         prop_assert_eq!(&parsed, &trace, "JSON round trip must be lossless");
@@ -249,6 +251,7 @@ proptest! {
             &plan,
             seed,
             SimConfig::default(),
+            None,
             None,
         ).unwrap();
         let parsed = RunTrace::from_json(&trace.to_json().unwrap()).unwrap();
@@ -293,10 +296,11 @@ proptest! {
             .collect();
         let plan = FaultPlan::new(kinds).unwrap();
         let quorum = QuorumConfig::byzantine(n, f).unwrap();
-        let outcome = Simulation::with_quorum(
+        let outcome = Simulation::new(
             trajectories,
             target,
             &plan,
+            &[],
             seed,
             SimConfig::default(),
             Some(quorum),
@@ -346,10 +350,11 @@ proptest! {
         let honest_bound = Fleet::new(honest).unwrap().visit_time(target.position(), f + 1);
 
         let plan = FaultPlan::new(kinds).unwrap();
-        let outcome = Simulation::with_quorum(
+        let outcome = Simulation::new(
             trajectories,
             target,
             &plan,
+            &[],
             seed,
             SimConfig::default(),
             Some(QuorumConfig::byzantine(n, f).unwrap()),
@@ -382,12 +387,15 @@ proptest! {
         let alg = Algorithm::design(params).unwrap();
         let trajectories = materialize(&alg, 11.0);
         let fleet = Fleet::new(trajectories.clone()).unwrap();
-        let mask = FaultMask::all_reliable(trajectories.len());
+        let plan = FaultPlan::all_reliable(trajectories.len());
         let outcome = Simulation::new(
             trajectories,
             Target::new(x).unwrap(),
-            &mask,
+            &plan,
+            &[],
+            0,
             SimConfig::default(),
+            None,
         ).unwrap().run();
         let expected = fleet.visit_time(x, 1).unwrap();
         let got = outcome.detection.unwrap().time;

@@ -25,7 +25,7 @@ use faultline_suite::analysis::measure_strategy_cr;
 use faultline_suite::core::{lower_bound, ratio, Algorithm, Params, Regime};
 use faultline_suite::sim::engine::SimConfig;
 use faultline_suite::sim::{
-    sample_positions, snapshots_to_csv, worst_case_outcome, FaultMask, Simulation, Target,
+    sample_positions, snapshots_to_csv, worst_case_outcome, FaultPlan, Simulation, Target,
 };
 use faultline_suite::strategies::{all_strategies, PaperStrategy};
 
@@ -205,8 +205,8 @@ fn simulate(params: Params, rest: &[String]) -> Result<(), Box<dyn std::error::E
                 )
                 .into());
             }
-            let mask = FaultMask::from_indices(params.n(), &faulty)?;
-            Simulation::new(trajectories, target, &mask, SimConfig::default())?.run()
+            let plan = FaultPlan::sensor_faults(params.n(), &faulty)?;
+            Simulation::new(trajectories, target, &plan, &[], 0, SimConfig::default(), None)?.run()
         }
         None => {
             println!("(no fault set given: using the worst-case adversary)");

@@ -45,7 +45,7 @@ pub mod prelude {
     pub use faultline_analysis::{measure_strategy_cr, MeasuredCr};
     pub use faultline_core::{Algorithm, Cone, Fleet, Params, Plan, ProportionalSchedule, Regime};
     pub use faultline_sim::{
-        worst_case_outcome, FaultMask, SearchOutcome, SimConfig, Simulation, Target,
+        worst_case_outcome, FaultPlan, SearchOutcome, SimConfig, Simulation, Target,
     };
     pub use faultline_strategies::{all_strategies, strategy_by_name, PaperStrategy, Strategy};
 

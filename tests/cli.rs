@@ -144,3 +144,35 @@ fn invalid_params_fail_gracefully() {
     assert!(!ok);
     assert!(err.contains("n must exceed f"));
 }
+
+#[test]
+fn animate_refuses_a_grid_it_cannot_hold() {
+    // 1e15 snapshots: refused before anything is allocated or written.
+    let path = std::env::temp_dir().join("faultline-cli-test-animate-refused.csv");
+    let _ = std::fs::remove_file(&path);
+    let output = Command::new(env!("CARGO_BIN_EXE_faultline"))
+        .args(["animate", "3", "1", "1e-9", "1e6", path.to_str().unwrap()])
+        .output()
+        .expect("failed to spawn the faultline binary");
+    assert_eq!(output.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&output.stderr).contains("snapshots"));
+    assert!(!path.exists());
+}
+
+#[test]
+fn scenario_refuses_a_cone_that_cannot_expand() {
+    // At beta = 1e300 the expansion factor rounds to 1: a typed error,
+    // not a search that never ends.
+    let dir = std::env::temp_dir().join("faultline-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let fixed = r#""n": 3, "f": 1, "strategy": "fixed-beta", "beta": 1e300, "targets": [5.0]"#;
+    let legacy = dir.join("fixed_beta_1e300.json");
+    std::fs::write(&legacy, format!("{{{fixed}}}")).unwrap();
+    let versioned = dir.join("fixed_beta_1e300_v1.json");
+    std::fs::write(&versioned, format!(r#"{{"version": 1, {fixed}}}"#)).unwrap();
+    for (command, path) in [("run", &legacy), ("run", &versioned), ("validate", &versioned)] {
+        let (ok, _, err) = run(&["scenario", command, path.to_str().unwrap()]);
+        assert!(!ok, "scenario {command} {path:?} accepted beta = 1e300");
+        assert!(err.contains("invalid cone parameter"), "{err}");
+    }
+}
