@@ -461,14 +461,18 @@ impl Scenario {
         // less than spawning a thread for it.
         let run = |&x: &f64| -> Result<ScenarioResult> {
             let target = Target::new(x)?;
+            let worst;
             let plan = match &explicit {
-                Some(plan) => plan.clone(),
-                None => worst_case_plan(&trajectories, target, self.f)?,
+                Some(plan) => plan,
+                None => {
+                    worst = worst_case_plan(&trajectories, target, self.f)?;
+                    &worst
+                }
             };
             let sim = Simulation::new(
-                trajectories.clone(),
+                &trajectories,
                 target,
-                &plan,
+                plan,
                 &onsets,
                 seed,
                 SimConfig::default(),

@@ -143,11 +143,12 @@ impl SupremumQuery {
     pub fn validate(&self) -> Result<()> {
         Params::fleet(self.n, self.f)?;
         resolve_strategy(&self.strategy, self.beta)?;
-        if !(self.xmax >= 1.0) || !self.xmax.is_finite() {
-            return Err(Error::domain(format!("xmax must be finite and >= 1, got {}", self.xmax)));
+        let xmax = self.xmax;
+        if !(xmax >= 1.0) || !xmax.is_finite() {
+            return Err(Error::domain(format!("xmax must be finite and >= 1, got {xmax:?}")));
         }
-        if self.xmax > 1e9 {
-            return Err(Error::domain(format!("xmax {} beyond the service bound 1e9", self.xmax)));
+        if xmax > 1e9 {
+            return Err(Error::domain(format!("xmax {xmax:?} beyond the service bound 1e9")));
         }
         Ok(())
     }

@@ -104,17 +104,13 @@ pub fn run_matrix(params: Params, xmax: f64, grid: usize) -> Result<MatrixReport
         let coverage = fleet.visit_time(x, k).ok_or_else(|| {
             faultline_core::Error::domain(format!("coverage failed to confirm x = {x}"))
         })?;
-        let sim = worst_case_outcome(
-            trajectories.clone(),
-            Target::new(x)?,
-            params.f(),
-            SimConfig::default(),
-        )?
-        .detection
-        .ok_or_else(|| {
-            faultline_core::Error::domain(format!("simulation failed to confirm x = {x}"))
-        })?
-        .time;
+        let sim =
+            worst_case_outcome(&trajectories, Target::new(x)?, params.f(), SimConfig::default())?
+                .detection
+                .ok_or_else(|| {
+                    faultline_core::Error::domain(format!("simulation failed to confirm x = {x}"))
+                })?
+                .time;
         let cell = MatrixCell { x, closed_form: closed, coverage, simulation: sim };
         worst_gap = worst_gap.max(cell.max_relative_gap());
         cells.push(cell);

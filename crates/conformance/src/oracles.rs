@@ -354,12 +354,8 @@ fn sim_analytic_detection(inst: &Instance, inject: bool) -> Result<Verdict> {
     let params = inst.params()?;
     let (trajectories, fleet) = fleet_for(params, inst.max_target())?;
     for &x in &inst.targets {
-        let outcome = worst_case_outcome(
-            trajectories.clone(),
-            Target::new(x)?,
-            params.f(),
-            SimConfig::default(),
-        )?;
+        let outcome =
+            worst_case_outcome(&trajectories, Target::new(x)?, params.f(), SimConfig::default())?;
         let Some(detection) = outcome.detection else {
             return Ok(fail(
                 0.0,
@@ -804,7 +800,7 @@ fn plan_outcome(
 ) -> Result<SearchOutcome> {
     let plan = FaultPlan::new(kinds)?;
     let sim = Simulation::new(
-        trajectories.to_vec(),
+        trajectories,
         Target::new(x)?,
         &plan,
         &[],
@@ -942,9 +938,9 @@ fn unit_speed_scenario_equivalence(inst: &Instance, inject: bool) -> Result<Verd
             let target = Target::new(x)?;
             let config = SimConfig::default();
             let outcome = if inst.mask.is_empty() {
-                worst_case_outcome(trajectories.clone(), target, inst.f, config)?
+                worst_case_outcome(&trajectories, target, inst.f, config)?
             } else {
-                Simulation::new(trajectories.clone(), target, &mask, &[], 0, config, None)?.run()
+                Simulation::new(&trajectories, target, &mask, &[], 0, config, None)?.run()
             };
             Ok(ScenarioResult::from_outcome(x, &outcome))
         })

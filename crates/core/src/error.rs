@@ -71,7 +71,7 @@ impl fmt::Display for Error {
             Error::InvalidBeta { beta } => {
                 write!(
                     fmt,
-                    "invalid cone parameter beta = {beta}; beta > 1 is required, with an \
+                    "invalid cone parameter beta = {beta:?}; beta > 1 is required, with an \
                      expansion factor (beta + 1)/(beta - 1) above 1"
                 )
             }

@@ -8,11 +8,10 @@
 //! parameter (notably the seed) must never share an entry. This module
 //! provides that canonical form:
 //!
-//! * [`canonicalize`] — recursively sorts object fields and unifies
-//!   numerically equal `Int`/`UInt`/`Float` representations.
 //! * [`canonical_string`] — a type-tagged, injective text encoding of a
-//!   canonicalized [`Value`]; equal canonical strings imply equal
-//!   request parameters.
+//!   [`Value`] with object fields sorted by key (recursively) and
+//!   numerically equal `Int`/`UInt`/`Float` representations unified;
+//!   equal canonical strings imply equal request parameters.
 //! * [`canonical_hash64`] — FNV-1a 64-bit hash of the canonical
 //!   string, used for cache shard selection (the full string remains
 //!   the collision-proof key).
@@ -22,118 +21,121 @@
 //! into a serde-serializable [`CrReport`], shared by the CLI and the
 //! query service so both always agree.
 
+use std::fmt::Write as _;
+
 use serde::{Deserialize, Serialize, Value};
 
 use crate::error::Result;
 use crate::params::{Params, Regime};
 use crate::{lower_bound, ratio};
 
-/// Returns the canonical form of a value: object fields sorted by key
-/// (recursively) and numeric representations unified so that
-/// `Int(3)`, `UInt(3)` and `Float(3.0)` compare and hash identically.
+/// Encodes a value into its canonical string form, with type tags so
+/// that values of different kinds can never produce the same encoding
+/// (a string `"inf"` and the float infinity stay distinct, unlike in
+/// plain JSON-with-sentinels). Object fields are written sorted by key,
+/// recursively (fields with equal keys keep their order), and
+/// numerically equal representations are unified, so `Int(3)`,
+/// `UInt(3)` and `Float(3.0)` encode identically.
 #[must_use]
-pub fn canonicalize(value: &Value) -> Value {
+pub fn canonical_string(value: &Value) -> String {
+    let mut out = String::with_capacity(encoded_len_hint(value));
+    encode(&mut out, value);
+    out
+}
+
+/// About how many bytes [`encode`] writes for `value`, so the output
+/// is allocated once: exact but for numbers, which are assumed short.
+fn encoded_len_hint(value: &Value) -> usize {
     match value {
-        Value::UInt(v) => match i64::try_from(*v) {
-            Ok(i) => Value::Int(i),
-            Err(_) => Value::UInt(*v),
-        },
-        Value::Float(v) => canonical_float(*v),
-        Value::Array(items) => Value::Array(items.iter().map(canonicalize).collect()),
-        Value::Object(fields) => {
-            let mut sorted: Vec<(String, Value)> =
-                fields.iter().map(|(k, v)| (k.clone(), canonicalize(v))).collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Object(sorted)
+        Value::Null | Value::Bool(_) => 1,
+        Value::Int(_) | Value::UInt(_) | Value::Float(_) => 8,
+        Value::String(s) => s.len() + 2,
+        Value::Array(items) => {
+            items.iter().map(|item| encoded_len_hint(item) + 1).sum::<usize>() + 2
         }
-        other => other.clone(),
+        Value::Object(fields) => {
+            fields.iter().map(|(key, item)| key.len() + 4 + encoded_len_hint(item)).sum::<usize>()
+                + 2
+        }
     }
 }
 
-/// Collapses an `f64` onto the canonical numeric representation: an
-/// integral float in the exactly-representable range becomes `Int`
-/// (`-0.0` normalizes to `0`), everything else stays `Float`.
-fn canonical_float(v: f64) -> Value {
-    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-    if v.is_finite() && v == v.trunc() && v.abs() <= EXACT {
-        Value::Int(v as i64)
-    } else {
-        Value::Float(v)
-    }
-}
-
-fn write_canonical(out: &mut String, value: &Value) {
+/// Writes `value`'s canonical encoding onto `out` (see
+/// [`canonical_string`]).
+fn encode(out: &mut String, value: &Value) {
     match value {
         Value::Null => out.push('n'),
         Value::Bool(true) => out.push('t'),
         Value::Bool(false) => out.push('f'),
         Value::Int(v) => {
-            out.push('i');
-            out.push_str(&v.to_string());
+            let _ = write!(out, "i{v}");
         }
         Value::UInt(v) => {
-            out.push('u');
-            out.push_str(&v.to_string());
+            let _ = match i64::try_from(*v) {
+                Ok(v) => write!(out, "i{v}"),
+                Err(_) => write!(out, "u{v}"),
+            };
         }
-        // Shortest-roundtrip `{}` formatting is deterministic and
-        // injective on f64 (distinct bit patterns other than -0.0/0.0
-        // print differently; the integral cases were folded to Int).
+        // An integral float in the exactly representable range is the
+        // integer (`-0.0` is `0`). Shortest-roundtrip `{}` formatting
+        // is injective on every other f64.
         Value::Float(v) => {
-            out.push('d');
-            out.push_str(&v.to_string());
+            const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+            let _ = if v.is_finite() && *v == v.trunc() && v.abs() <= EXACT {
+                write!(out, "i{}", *v as i64)
+            } else {
+                write!(out, "d{v}")
+            };
         }
-        Value::String(s) => {
-            out.push('"');
-            for ch in s.chars() {
-                match ch {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
+        Value::String(s) => encode_str(out, s),
         Value::Array(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                write_canonical(out, item);
+                encode(out, item);
             }
             out.push(']');
         }
         Value::Object(fields) => {
             out.push('{');
-            for (i, (key, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                for ch in key.chars() {
-                    match ch {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        c => out.push(c),
-                    }
-                }
-                out.push_str("\":");
-                write_canonical(out, item);
+            if fields.is_sorted_by(|a, b| a.0 <= b.0) {
+                encode_fields(out, fields.iter());
+            } else {
+                let mut sorted: Vec<&(String, Value)> = fields.iter().collect();
+                sorted.sort_by(|a, b| a.0.cmp(&b.0));
+                encode_fields(out, sorted.into_iter());
             }
             out.push('}');
         }
     }
 }
 
-/// Encodes a value into its canonical string form: [`canonicalize`]d,
-/// then written with type tags so that values of different kinds can
-/// never produce the same encoding (a string `"inf"` and the float
-/// infinity stay distinct, unlike in plain JSON-with-sentinels).
-#[must_use]
-pub fn canonical_string(value: &Value) -> String {
-    let mut out = String::new();
-    write_canonical(&mut out, &canonicalize(value));
-    out
+/// Writes an object's fields, in the order given, without the braces.
+fn encode_fields<'a>(out: &mut String, fields: impl Iterator<Item = &'a (String, Value)>) {
+    for (i, (key, item)) in fields.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        encode_str(out, key);
+        out.push(':');
+        encode(out, item);
+    }
+}
+
+/// Writes `text` quoted, with `"` and `\` escaped.
+fn encode_str(out: &mut String, text: &str) {
+    out.push('"');
+    let mut rest = text;
+    while let Some(at) = rest.find(['"', '\\']) {
+        out.push_str(&rest[..at]);
+        out.push('\\');
+        out.push_str(&rest[at..=at]);
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+    out.push('"');
 }
 
 /// FNV-1a 64-bit offset basis.
@@ -276,6 +278,60 @@ mod tests {
             obj(vec![("n", Value::Int(3)), ("targets", Value::Array(vec![Value::Int(2)]))]),
         )]);
         assert_eq!(canonical_string(&a), canonical_string(&b));
+    }
+
+    #[test]
+    fn canonical_bytes_are_pinned() {
+        // Recorded from the encoder this one replaced (which built a
+        // sorted copy of the value first); cache keys must not move.
+        let parse = |json: &str| serde_json::from_str::<Value>(json).unwrap();
+        let byzantine = parse(
+            r#"{"n":5,"f":2,"strategy":"paper","beta":null,"targets":[2.0,-6.0,12.0],"faulty":null,"fault_plan":["Reliable","Reliable","Reliable",{"Byzantine":{"lie_rate":0.75}},{"Byzantine":{"lie_rate":0.75}}],"quorum":3,"seed":3}"#,
+        );
+        let supremum = parse(r#"{"n":5,"f":2,"strategy":"paper","beta":null,"xmax":17.625}"#);
+        let nested = obj(vec![
+            (
+                "zeta",
+                obj(vec![
+                    ("b", Value::Int(2)),
+                    ("a", Value::Array(vec![Value::Float(1.0), Value::Null, Value::Bool(true)])),
+                ]),
+            ),
+            ("alpha", Value::Bool(false)),
+            ("mid", obj(vec![])),
+            ("arr", Value::Array(vec![])),
+        ]);
+        let repeated = obj(vec![("k", Value::Int(2)), ("a", Value::Int(0)), ("k", Value::Int(1))]);
+        let strings = obj(vec![
+            ("q\"uote", Value::String("back\\slash \"quoted\"".into())),
+            ("plain", Value::String("é ☃ \n".into())),
+        ]);
+        let pinned: Vec<(Value, String)> = vec![
+            (
+                byzantine,
+                r#"{"beta":n,"f":i2,"fault_plan":["Reliable","Reliable","Reliable",{"Byzantine":{"lie_rate":d0.75}},{"Byzantine":{"lie_rate":d0.75}}],"faulty":n,"n":i5,"quorum":i3,"seed":i3,"strategy":"paper","targets":[i2,i-6,i12]}"#.into(),
+            ),
+            (supremum, r#"{"beta":n,"f":i2,"n":i5,"strategy":"paper","xmax":d17.625}"#.into()),
+            (Value::UInt(u64::MAX), "u18446744073709551615".into()),
+            (Value::UInt(1 << 63), "u9223372036854775808".into()),
+            (Value::UInt(7), "i7".into()),
+            (Value::Float(-0.0), "i0".into()),
+            (Value::Float(1e300), format!("d1{}", "0".repeat(300))),
+            (Value::Float(42.0), "i42".into()),
+            (Value::Float(-7.0), "i-7".into()),
+            (Value::Float(9_007_199_254_740_992.0), "i9007199254740992".into()),
+            (Value::Float(18_014_398_509_481_984.0), "d18014398509481984".into()),
+            (Value::Float(0.1), "d0.1".into()),
+            (Value::Float(f64::INFINITY), "dinf".into()),
+            (Value::Float(f64::NAN), "dNaN".into()),
+            (Value::Int(-12), "i-12".into()),
+            (nested, r#"{"alpha":f,"arr":[],"mid":{},"zeta":{"a":[i1,n,t],"b":i2}}"#.into()),
+            (repeated, r#"{"a":i0,"k":i2,"k":i1}"#.into()),
+            (strings, "{\"plain\":\"é ☃ \n\",\"q\\\"uote\":\"back\\\\slash \\\"quoted\\\"\"}".into()),
+        ];
+        for (value, key) in pinned {
+            assert_eq!(canonical_string(&value), key, "{value:?}");
+        }
     }
 
     #[test]

@@ -39,9 +39,10 @@ impl Shard {
         self.tick += 1;
         let tick = self.tick;
         let entry = self.map.get_mut(key)?;
-        self.recency.remove(&entry.tick);
+        // The recency index's copy of the key moves to the new tick.
+        let copy = self.recency.remove(&entry.tick).expect("recency and map stay in sync");
         entry.tick = tick;
-        self.recency.insert(tick, key.to_owned());
+        self.recency.insert(tick, copy);
         Some(Arc::clone(&entry.body))
     }
 
@@ -65,6 +66,15 @@ impl Shard {
             let evicted = self.map.remove(&victim).expect("recency and map stay in sync");
             self.bytes -= evicted.bytes;
         }
+    }
+}
+
+/// Moves `gauge` by the change from `before` to `after`.
+fn shift(gauge: &AtomicUsize, before: usize, after: usize) {
+    if after >= before {
+        gauge.fetch_add(after - before, Ordering::Relaxed);
+    } else {
+        gauge.fetch_sub(before - after, Ordering::Relaxed);
     }
 }
 
@@ -116,23 +126,15 @@ impl ResponseCache {
     /// Inserts (or replaces) a response body, evicting least-recently
     /// used entries while the shard exceeds its byte budget.
     pub fn insert(&self, key: String, body: Arc<[u8]>) {
-        self.shard(&key).lock().expect("cache shard poisoned").insert(key, body, self.shard_budget);
+        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+        let before = (shard.bytes, shard.map.len());
+        shard.insert(key, body, self.shard_budget);
+        // The gauges move by the shard's change, under its lock, so
+        // they always sum the shards.
+        shift(&self.live_bytes, before.0, shard.bytes);
+        shift(&self.live_entries, before.1, shard.map.len());
+        drop(shard);
         self.insertions.fetch_add(1, Ordering::Relaxed);
-        // Insertions only happen on cache misses, so a full-scan gauge
-        // refresh here is off the hot (hit) path.
-        self.refresh_gauges();
-    }
-
-    fn refresh_gauges(&self) {
-        let mut bytes = 0usize;
-        let mut entries = 0usize;
-        for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
-            bytes += shard.bytes;
-            entries += shard.map.len();
-        }
-        self.live_bytes.store(bytes, Ordering::Relaxed);
-        self.live_entries.store(entries, Ordering::Relaxed);
     }
 
     /// Cumulative cache hits.
@@ -230,6 +232,25 @@ mod tests {
         assert_eq!(&cache.get("k").unwrap()[..], b"second-longer");
         assert_eq!(cache.live_entries(), 1);
         assert_eq!(cache.live_bytes(), 1 + "second-longer".len());
+    }
+
+    #[test]
+    fn gauges_sum_the_shards_through_replacements_and_evictions() {
+        let cache = ResponseCache::new(600, 3);
+        for i in 0..200u64 {
+            // Keys repeat, so some inserts replace, and bodies grow, so
+            // shards fill and evict.
+            let text = "x".repeat(1 + (i % 40) as usize);
+            cache.insert(format!("key:{}", i % 70), body(&text));
+            let (mut bytes, mut entries) = (0, 0);
+            for shard in &cache.shards {
+                let shard = shard.lock().unwrap();
+                bytes += shard.bytes;
+                entries += shard.map.len();
+            }
+            assert_eq!((cache.live_bytes(), cache.live_entries()), (bytes, entries), "insert {i}");
+        }
+        assert!(cache.live_entries() < 70, "the budget evicted");
     }
 
     #[test]

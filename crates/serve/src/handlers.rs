@@ -21,8 +21,13 @@
 //! overhead per robot and per target:
 //! `3 (targets + 1) (n + 8) (8 + t)` units. `/v1/cr` computes in
 //! closed form (0 units); `/v1/table1` and `/v1/optimize` always park.
+//!
+//! [`admit`] turns the bound into an admission rule: work that no
+//! worker could finish within the request timeout, at [`UNIT_SECONDS`]
+//! a unit, is refused with a 400 before it computes or parks.
 
 use std::sync::LazyLock;
+use std::time::Duration;
 
 use faultline_analysis::scenario::{results_to_json, Scenario};
 use faultline_analysis::supremum::SupremumQuery;
@@ -55,6 +60,30 @@ pub struct Prepared {
 /// targets and extents, the longest inline compute took 0.21 ms, a few
 /// pool round trips.
 pub const INLINE_WORK: f64 = 6000.0;
+
+/// The cost of one visit unit, in seconds, at its largest measured:
+/// 0.06 to 0.08 µs for paper fleets of 801 to 3201 robots at xmax 1e9,
+/// in release on a shared 2-vCPU x86-64 host.
+pub const UNIT_SECONDS: f64 = 0.08e-6;
+
+/// Refuses a request whose finite work bound exceeds what one worker
+/// computes within `timeout` at [`UNIT_SECONDS`] a unit (7.5e8 units at
+/// 60 s). An infinite bound means the route has no bound yet, and
+/// parks.
+///
+/// # Errors
+///
+/// Returns [`ServeError::BadRequest`] naming the bound and the limit.
+pub fn admit(work: f64, timeout: Duration) -> Result<(), ServeError> {
+    let limit = timeout.as_secs_f64() / UNIT_SECONDS;
+    if work.is_finite() && work > limit {
+        return Err(ServeError::BadRequest(format!(
+            "this request needs about {work:.1e} work units, over the {limit:.1e} a worker \
+             computes within the {timeout:?} request timeout"
+        )));
+    }
+    Ok(())
+}
 
 /// The fixed cost, in visit units, of a scanned turning point and of
 /// a simulated robot and target, on top of the visits themselves.
@@ -767,6 +796,47 @@ mod tests {
                 assert_eq!(status, Some(400), "{body}");
             }
         }
+    }
+
+    #[test]
+    fn work_no_worker_can_finish_is_refused_and_the_rest_is_admitted() {
+        let timeout = Duration::from_secs(60);
+        for beta in ["1e6", "1e10"] {
+            let fixed = format!(r#""n": 3, "f": 1, "strategy": "fixed-beta", "beta": {beta}"#);
+            for (route, body) in [
+                (Route::Supremum, format!("{{{fixed}}}")),
+                (Route::Scenario, format!(r#"{{{fixed}, "targets": [5.0]}}"#)),
+            ] {
+                let bound = work(route, &body);
+                assert!(bound >= INLINE_WORK, "{body} parks");
+                match admit(bound, timeout) {
+                    Ok(()) => assert_eq!(beta, "1e6", "{body}: {bound:e} units admitted"),
+                    Err(error) => {
+                        assert_eq!(beta, "1e10", "{body}: {bound:e} units refused");
+                        assert_eq!(error.status(), 400);
+                        let message = error.message();
+                        assert!(message.contains(&format!("{bound:.1e}")), "{message}");
+                        assert!(message.contains("7.5e8") && message.contains("60s"), "{message}");
+                    }
+                }
+            }
+        }
+        // The routes without a finite bound keep parking.
+        assert!(admit(f64::INFINITY, timeout).is_ok());
+        assert!(admit(7.5e8, timeout).is_ok(), "the limit itself is admitted");
+        assert!(admit(7.6e8, timeout).is_err());
+    }
+
+    #[test]
+    fn a_refused_huge_float_stays_short() {
+        let body = r#"{"n": 3, "f": 1, "strategy": "fixed-beta", "beta": 1e300, "targets": [5.0]}"#;
+        let Err(error) = prepare(Route::Scenario, &post("/v1/scenario", body)) else {
+            panic!("beta = 1e300 must be refused")
+        };
+        assert!(error.message().contains("beta = 1e300"), "{}", error.message());
+        let answer = crate::http::error_bytes(400, error.message(), &[], true);
+        let head_end = answer.windows(4).position(|w| w == b"\r\n\r\n").expect("a head") + 4;
+        assert!(answer.len() - head_end < 300, "{}", String::from_utf8_lossy(&answer));
     }
 
     #[test]

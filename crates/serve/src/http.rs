@@ -72,6 +72,9 @@ pub enum Parsed {
 
 /// Decodes `%XX` escapes and `+` in a query component.
 fn percent_decode(text: &str) -> String {
+    if !text.contains(['%', '+']) {
+        return text.to_owned();
+    }
     let bytes = text.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -102,7 +105,7 @@ fn percent_decode(text: &str) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&out).into_owned()
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Splits a query string into decoded key/value pairs.
@@ -183,19 +186,19 @@ pub fn parse_next(buf: &[u8], cursor: &mut Cursor) -> Parsed {
 
     let Head { method, target, keep_alive, total } = head;
     let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_owned(), parse_query(q)),
+        Some((p, q)) => (p, parse_query(q)),
         None => (target, Vec::new()),
     };
     Parsed::Ready {
-        request: Request { method, path: percent_decode(&path), query, body, keep_alive },
+        request: Request { method, path: percent_decode(path), query, body, keep_alive },
         consumed: total,
     }
 }
 
-/// A parsed request line and headers.
-struct Head {
+/// A parsed request line and headers; the target borrows the buffer.
+struct Head<'a> {
     method: String,
-    target: String,
+    target: &'a str,
     keep_alive: bool,
     /// The bytes head and body occupy together.
     total: usize,
@@ -203,7 +206,7 @@ struct Head {
 
 /// Parses the head that ends at `head_end` (where its `\r\n\r\n`
 /// starts).
-fn parse_head(buf: &[u8], head_end: usize) -> Result<Head, ParseError> {
+fn parse_head(buf: &[u8], head_end: usize) -> Result<Head<'_>, ParseError> {
     if head_end + 4 > MAX_HEAD_BYTES {
         return Err(ParseError::too_large("request head exceeds 16 KiB"));
     }
@@ -214,9 +217,7 @@ fn parse_head(buf: &[u8], head_end: usize) -> Result<Head, ParseError> {
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1") => {
-            (m.to_uppercase(), t.to_owned(), v.to_owned())
-        }
+        (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1") => (m.to_uppercase(), t, v),
         _ => {
             return Err(ParseError::bad(format!("malformed request line: {}", request_line.trim())))
         }
@@ -348,6 +349,9 @@ mod tests {
         assert_eq!(percent_decode("a+b"), "a b");
         assert_eq!(percent_decode("bad%zz"), "bad%zz");
         assert_eq!(percent_decode("trail%"), "trail%");
+        assert_eq!(percent_decode("plain/é"), "plain/é");
+        assert_eq!(percent_decode("caf%C3%A9"), "café");
+        assert_eq!(percent_decode("bad%FFbyte"), "bad\u{FFFD}byte", "invalid UTF-8 is replaced");
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!    bounds each request's computation from its resolved parameters;
 //!    under [`handlers::INLINE_WORK`] it runs inline on the loop, under
 //!    `catch_unwind` and with no deadline (`X-Cache: miss`). The same
-//!    cache key always takes the same tier.
+//!    cache key always takes the same tier, and a bound no worker can
+//!    finish within the request timeout is refused with a 400 before
+//!    it computes or parks ([`handlers::admit`]).
 //! 4. **a miss over the bound** — the connection *parks* in place on a
 //!    single-flight keyed on the cache key ([`crate::flight`]): its
 //!    read interest goes off and any pipelined bytes wait in its
@@ -930,19 +932,19 @@ fn handle_request(state: &ServerState, request: &Request, received: Instant) -> 
         }
     }
 
-    let (Prepared { cache_key, compute }, work) =
-        match handlers::prepare_with_work(matched, request) {
-            Ok(prepared) => prepared,
-            Err(error) => {
-                state.metrics.observe(matched.label(), error.status(), received.elapsed());
-                return Outcome::Answer(http::error_bytes(
-                    error.status(),
-                    error.message(),
-                    &[],
-                    keep,
-                ));
-            }
-        };
+    // Work no worker can finish before the deadline is refused before
+    // it computes or parks.
+    let prepared = handlers::prepare_with_work(matched, request).and_then(|(prepared, work)| {
+        handlers::admit(work, state.config.request_timeout)?;
+        Ok((prepared, work))
+    });
+    let (Prepared { cache_key, compute }, work) = match prepared {
+        Ok(prepared) => prepared,
+        Err(error) => {
+            state.metrics.observe(matched.label(), error.status(), received.elapsed());
+            return Outcome::Answer(http::error_bytes(error.status(), error.message(), &[], keep));
+        }
+    };
 
     // Tier 2: cache hits are answered inline, whatever their work, with
     // the exact bytes the original computation produced.

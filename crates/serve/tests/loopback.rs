@@ -66,6 +66,28 @@ fn a_fleet_over_the_ceiling_is_refused_and_the_server_stays_up() {
 }
 
 #[test]
+fn work_no_worker_can_finish_is_refused_and_the_server_stays_up() {
+    let (handle, addr) = spawn(ServeConfig { threads: Some(1), ..ServeConfig::default() });
+    // Computed, this cone would grow one waypoint vector without bound.
+    let body = r#"{"n": 3, "f": 1, "strategy": "fixed-beta", "beta": 1e10, "targets": [5.0]}"#;
+    let refused = post(&addr, "/v1/scenario", body);
+    assert_eq!(refused.status, 400, "{}", refused.text());
+    assert!(refused.text().contains("8.6e11 work units, over the 7.5e8"), "{}", refused.text());
+    let body = r#"{"n": 3, "f": 1, "strategy": "fixed-beta", "beta": 1e10}"#;
+    let refused = post(&addr, "/v1/supremum", body);
+    assert_eq!(refused.status, 400, "{}", refused.text());
+    assert!(refused.text().contains("7.0e11 work units"), "{}", refused.text());
+    assert_eq!(get(&addr, "/healthz").status, 200, "the server is still up");
+    assert_eq!(handle.state().metrics.pool_jobs(), 0, "refused before parking");
+    // Under the limit (8.6e7 units), a slow cone still parks and answers.
+    let body = r#"{"n": 3, "f": 1, "strategy": "fixed-beta", "beta": 1e6, "targets": [5.0]}"#;
+    let answered = post(&addr, "/v1/scenario", body);
+    assert_eq!(answered.status, 200, "{}", answered.text());
+    assert_eq!(handle.state().metrics.pool_jobs(), 1, "parked on the pool");
+    handle.shutdown();
+}
+
+#[test]
 fn cache_hits_are_byte_identical_and_metrics_move() {
     let (handle, addr) = spawn(ServeConfig::default());
 

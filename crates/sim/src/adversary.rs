@@ -46,12 +46,12 @@ pub fn worst_case_plan(
 ///
 /// Propagates plan and simulation construction failures.
 pub fn worst_case_outcome(
-    trajectories: Vec<PiecewiseTrajectory>,
+    trajectories: &[PiecewiseTrajectory],
     target: Target,
     f: usize,
     config: SimConfig,
 ) -> Result<SearchOutcome> {
-    let plan = worst_case_plan(&trajectories, target, f)?;
+    let plan = worst_case_plan(trajectories, target, f)?;
     Ok(Simulation::new(trajectories, target, &plan, &[], 0, config, None)?.run())
 }
 
@@ -80,8 +80,7 @@ pub fn empirical_competitive_ratio(
         plans.iter().map(|p| p.materialize(horizon)).collect::<Result<_>>()?;
     let mut worst = EmpiricalCr { ratio: 0.0, argmax: targets[0], undetected: 0 };
     for &x in targets {
-        let outcome =
-            worst_case_outcome(trajectories.clone(), Target::new(x)?, f, SimConfig::default())?;
+        let outcome = worst_case_outcome(&trajectories, Target::new(x)?, f, SimConfig::default())?;
         let ratio = outcome.ratio();
         if ratio.is_infinite() {
             worst.undetected += 1;
@@ -123,8 +122,7 @@ mod tests {
         let plan = worst_case_plan(&[t0.clone(), t1.clone(), t2.clone()], target, 2).unwrap();
         assert_eq!(plan.faulty_indices(), vec![0, 1]);
 
-        let outcome =
-            worst_case_outcome(vec![t0, t1, t2], target, 2, SimConfig::default()).unwrap();
+        let outcome = worst_case_outcome(&[t0, t1, t2], target, 2, SimConfig::default()).unwrap();
         // Detection by robot 2 at t = 2 + 2 + 2 = ... robot 2 path:
         // 0 -> -2 (t = 2) -> +4; reaches +2 at t = 2 + 4 = 6.
         assert_eq!(outcome.detection.unwrap().time, 6.0);
@@ -159,13 +157,9 @@ mod tests {
             plans.iter().map(|p| p.materialize(horizon).unwrap()).collect();
         let fleet = Fleet::new(trajectories.clone()).unwrap();
         for x in [1.0, -1.5, 2.5, 7.0, -11.0] {
-            let outcome = worst_case_outcome(
-                trajectories.clone(),
-                Target::new(x).unwrap(),
-                1,
-                SimConfig::default(),
-            )
-            .unwrap();
+            let outcome =
+                worst_case_outcome(&trajectories, Target::new(x).unwrap(), 1, SimConfig::default())
+                    .unwrap();
             let analytic = fleet.visit_time(x, 2).unwrap();
             let simulated = outcome.detection.unwrap().time;
             assert!(

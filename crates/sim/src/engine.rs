@@ -1,11 +1,11 @@
 //! The discrete-event simulation engine.
 //!
 //! The engine takes materialized trajectories, a target, and a fault
-//! assignment; it derives the discrete events of the run (turning
-//! points, target visits, sensor reports), processes them in time
-//! order, and reports the search outcome. Detection follows the paper's
-//! rule: the search succeeds the moment the first working sensor
-//! reports the target.
+//! assignment; it derives the discrete events of the run (target
+//! visits, sensor reports and false claims, plus turning points when a
+//! trace is recorded), processes them in time order, and reports the
+//! search outcome. Detection follows the paper's rule: the search
+//! succeeds the moment the first working sensor reports the target.
 //!
 //! Faults are injected at construction: each robot's trajectory is
 //! compiled into an *effective visit schedule* — the times it
@@ -29,12 +29,12 @@
 //! backs every confirmed position, so a lone liar can neither end the
 //! run early nor confirm a false location.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use faultline_core::{Error, PiecewiseTrajectory, Result};
 use serde::{Deserialize, Serialize};
 
-use crate::event::{Event, EventKind, EventQueue};
+use crate::event::{in_firing_order, Event, EventKind};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::outcome::{Claim, Detection, SearchOutcome, Visit};
 use crate::robot::RobotId;
@@ -111,30 +111,6 @@ impl QuorumConfig {
     }
 }
 
-/// A robot's sensor state at one physical visit to the target.
-#[derive(Debug, Clone, Copy)]
-struct ScheduledVisit {
-    /// Time at which the robot stands on the target.
-    time: f64,
-    /// When the sensor's report arrives, or `None` if this visit goes
-    /// unreported (faulty sensor, intermittent miss, or a delayed
-    /// report lost past the horizon).
-    report: Option<f64>,
-}
-
-/// A robot compiled for simulation: effective turning points and visit
-/// schedule, with all fault effects already applied.
-#[derive(Debug)]
-struct SimRobot {
-    id: RobotId,
-    /// Effective turning points `(t, x)`, within the horizon.
-    turns: Vec<(f64, f64)>,
-    /// Effective visits to the target, in time order.
-    visits: Vec<ScheduledVisit>,
-    /// False claims `(t, x)` this robot asserts (Byzantine only).
-    lies: Vec<(f64, f64)>,
-}
-
 /// Seed salt separating Byzantine lie coins from sensor-miss coins: a
 /// robot that is re-planned from `Intermittent` to `Byzantine` under
 /// the same seed must not reuse the same coin stream.
@@ -158,7 +134,12 @@ fn fault_coin(seed: u64, robot: usize, visit: usize) -> f64 {
 /// A fully configured simulation, ready to [`run`](Simulation::run).
 #[derive(Debug)]
 pub struct Simulation {
-    robots: Vec<SimRobot>,
+    /// Every event the run can fire, in firing order: by time, and in
+    /// scheduling order among events at the same time.
+    events: Vec<Event>,
+    /// Per robot, whether its sensor reports its first visit to the
+    /// target within the horizon (`None` when it never visits).
+    first_reports: Vec<Option<bool>>,
     target: Target,
     config: SimConfig,
     horizon: f64,
@@ -192,6 +173,9 @@ impl Simulation {
     ///   distinct robots have claimed it. `None` is the paper's
     ///   first-report rule.
     ///
+    /// Turning points change no outcome, so they are scheduled only
+    /// when `config` records a trace.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameters`] when the fleet is empty, or
@@ -201,7 +185,7 @@ impl Simulation {
     /// negative onset time, or a horizon that is not strictly positive
     /// (a zero-length search cannot visit anything).
     pub fn new(
-        trajectories: Vec<PiecewiseTrajectory>,
+        trajectories: &[PiecewiseTrajectory],
         target: Target,
         plan: &FaultPlan,
         onsets: &[Option<f64>],
@@ -264,76 +248,84 @@ impl Simulation {
         }
         let x = target.position();
         let log_claims = quorum.is_some() || plan.byzantine_count() > 0;
-        let robots = trajectories
-            .into_iter()
-            .enumerate()
-            .map(|(i, traj)| {
-                let id = RobotId(i);
-                let kind = plan.kind(id);
-                let scale = time_scale(kind);
-                // Strictly before its onset the robot's sensor is
-                // healthy; with no onset the fault is always engaged.
-                let onset = onsets.get(i).copied().flatten().unwrap_or(f64::NEG_INFINITY);
-                let turning_points = traj.turning_points();
-                let turns: Vec<(f64, f64)> = turning_points
-                    .iter()
-                    .map(|p| (p.t * scale, p.x))
-                    .filter(|&(t, _)| t <= horizon)
-                    .collect();
-                // A Byzantine robot moves honestly but lies: at each of
-                // its waypoints (turning points plus the trajectory's
-                // endpoints, so even a straight path offers lie
-                // opportunities) an independent seeded coin — on its
-                // own stream — decides whether it asserts the point's
-                // position as a false detection.
-                let lies = match kind {
-                    FaultKind::Byzantine { lie_rate } => traj
-                        .waypoints()
-                        .iter()
-                        .enumerate()
-                        .filter(|&(k, p)| {
-                            p.t <= horizon
-                                && p.t >= onset
-                                && fault_coin(seed ^ BYZANTINE_STREAM, i, k) < lie_rate
-                        })
-                        .map(|(_, p)| (p.t, p.x))
-                        .collect(),
-                    _ => Vec::new(),
+        let mut events = Vec::new();
+        let mut first_reports = Vec::with_capacity(trajectories.len());
+        for (i, traj) in trajectories.iter().enumerate() {
+            let robot = RobotId(i);
+            let kind = plan.kind(robot);
+            let scale = time_scale(kind);
+            // Strictly before its onset the robot's sensor is healthy;
+            // with no onset the fault is always engaged.
+            let onset = onsets.get(i).copied().flatten().unwrap_or(f64::NEG_INFINITY);
+            if config.record_trace {
+                for p in traj.turning_points() {
+                    let t = p.t * scale;
+                    if t <= horizon {
+                        events.push(Event { time: t, kind: EventKind::Turned { robot, x: p.x } });
+                    }
+                }
+            }
+            let visits = traj.visits(x);
+            events.reserve(2 * visits.len());
+            let mut first_report = None;
+            for (k, t) in visits.into_iter().enumerate() {
+                let t = t * scale;
+                if t > horizon {
+                    break; // visits come in time order
+                }
+                let report = if t < onset {
+                    // Pre-onset visits report like a healthy sensor,
+                    // whatever the planned fault kind.
+                    Some(t)
+                } else {
+                    match kind {
+                        FaultKind::Sensor | FaultKind::Byzantine { .. } => None,
+                        FaultKind::Intermittent { miss_probability } => {
+                            (fault_coin(seed, i, k) >= miss_probability).then_some(t)
+                        }
+                        FaultKind::PFaulty { detect_probability } => {
+                            (fault_coin(seed, i, k) < detect_probability).then_some(t)
+                        }
+                        FaultKind::Delayed { latency } => {
+                            let arrival = t + latency;
+                            (arrival <= horizon).then_some(arrival)
+                        }
+                        FaultKind::Reliable | FaultKind::SpeedDegraded { .. } => Some(t),
+                    }
                 };
-                let visits = traj
-                    .visits(x)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, t)| (k, t * scale))
-                    .filter(|&(_, t)| t <= horizon)
-                    .map(|(k, t)| {
-                        let report = if t < onset {
-                            // Pre-onset visits report like a healthy
-                            // sensor, whatever the planned fault kind.
-                            Some(t)
-                        } else {
-                            match kind {
-                                FaultKind::Sensor | FaultKind::Byzantine { .. } => None,
-                                FaultKind::Intermittent { miss_probability } => {
-                                    (fault_coin(seed, i, k) >= miss_probability).then_some(t)
-                                }
-                                FaultKind::PFaulty { detect_probability } => {
-                                    (fault_coin(seed, i, k) < detect_probability).then_some(t)
-                                }
-                                FaultKind::Delayed { latency } => {
-                                    let arrival = t + latency;
-                                    (arrival <= horizon).then_some(arrival)
-                                }
-                                FaultKind::Reliable | FaultKind::SpeedDegraded { .. } => Some(t),
-                            }
-                        };
-                        ScheduledVisit { time: t, report }
-                    })
-                    .collect();
-                SimRobot { id, turns, visits, lies }
-            })
-            .collect();
-        Ok(Simulation { robots, target, config, horizon, quorum, log_claims })
+                first_report.get_or_insert(report.is_some());
+                // A report is scheduled right after its visit, so at
+                // equal times the visit is recorded first and the
+                // report then fires detection, matching the paper's
+                // "detect the instant a working robot stands on the
+                // target".
+                events.push(Event { time: t, kind: EventKind::TargetVisited { robot } });
+                if let Some(report) = report {
+                    events.push(Event { time: report, kind: EventKind::Registered { robot } });
+                }
+            }
+            first_reports.push(first_report);
+            // A Byzantine robot moves honestly but lies: at each of its
+            // waypoints (turning points plus the trajectory's
+            // endpoints, so even a straight path offers lie
+            // opportunities) an independent seeded coin, on its own
+            // stream, decides whether it asserts the point's position
+            // as a false detection.
+            if let FaultKind::Byzantine { lie_rate } = kind {
+                for (k, p) in traj.waypoints().iter().enumerate() {
+                    if p.t <= horizon
+                        && p.t >= onset
+                        && fault_coin(seed ^ BYZANTINE_STREAM, i, k) < lie_rate
+                    {
+                        let kind = EventKind::ClaimAsserted { robot, x: p.x };
+                        events.push(Event { time: p.t, kind });
+                    }
+                }
+            }
+        }
+        events.push(Event { time: horizon, kind: EventKind::HorizonReached });
+        in_firing_order(&mut events);
+        Ok(Simulation { events, first_reports, target, config, horizon, quorum, log_claims })
     }
 
     /// The common horizon (earliest trajectory end).
@@ -346,40 +338,12 @@ impl Simulation {
     /// the outcome.
     #[must_use]
     pub fn run(self) -> SearchOutcome {
-        let mut queue = EventQueue::new();
-
-        for robot in &self.robots {
-            for &(t, x) in &robot.turns {
-                queue.push(Event { time: t, kind: EventKind::Turned { robot: robot.id, x } });
-            }
-            // Each visit's report (if any) is scheduled right after the
-            // physical visit so that, at equal times, the FIFO queue
-            // keeps them adjacent: the visit is recorded, then the
-            // report fires detection — matching the paper's "detect the
-            // instant a working robot stands on the target".
-            for visit in &robot.visits {
-                queue.push(Event {
-                    time: visit.time,
-                    kind: EventKind::TargetVisited { robot: robot.id },
-                });
-                if let Some(report) = visit.report {
-                    queue.push(Event {
-                        time: report,
-                        kind: EventKind::Registered { robot: robot.id },
-                    });
-                }
-            }
-            for &(t, x) in &robot.lies {
-                queue
-                    .push(Event { time: t, kind: EventKind::ClaimAsserted { robot: robot.id, x } });
-            }
-        }
-        queue.push(Event { time: self.horizon, kind: EventKind::HorizonReached });
-
-        let target_position = self.target.position();
-        let mut trace: Vec<Event> = Vec::new();
+        let Simulation { events, mut first_reports, target, config, horizon, quorum, log_claims } =
+            self;
+        let target_position = target.position();
+        let mut trace: Vec<Event> =
+            if config.record_trace { Vec::with_capacity(events.len() + 1) } else { Vec::new() };
         let mut visits: Vec<Visit> = Vec::new();
-        let mut seen: HashSet<RobotId> = HashSet::new();
         let mut detection: Option<Detection> = None;
         let mut claims: Vec<Claim> = Vec::new();
         // Distinct claimants per claimed position (keyed by the f64's
@@ -400,27 +364,24 @@ impl Simulation {
                 return false; // repeat claims add no voting weight
             }
             claims.push(Claim { robot, time, position, truthful: position == target_position });
-            self.quorum.is_some_and(|q| backers.len() >= q.votes)
+            quorum.is_some_and(|q| backers.len() >= q.votes)
         };
 
-        'events: while let Some(event) = queue.pop() {
-            if self.config.record_trace {
+        for event in events {
+            if config.record_trace {
                 trace.push(event);
             }
             match event.kind {
                 EventKind::TargetVisited { robot } => {
-                    if !seen.insert(robot) {
-                        continue; // only the first visit per robot counts
+                    // Only the first visit per robot counts; its flag
+                    // records whether the sensor reported that visit.
+                    if let Some(reliable) = first_reports[robot.0].take() {
+                        visits.push(Visit { robot, time: event.time, reliable });
                     }
-                    // The first visit of `robot` is the first entry of
-                    // its schedule; its flag records whether the sensor
-                    // reported that visit.
-                    let reliable = self.robots[robot.0].visits[0].report.is_some();
-                    visits.push(Visit { robot, time: event.time, reliable });
                 }
                 EventKind::Registered { robot } => {
                     // An honest report claims the true target position.
-                    let completes_quorum = self.log_claims
+                    let completes_quorum = log_claims
                         && cast_claim(
                             robot,
                             event.time,
@@ -428,7 +389,7 @@ impl Simulation {
                             &mut claims,
                             &mut ballots,
                         );
-                    let detects = match self.quorum {
+                    let detects = match quorum {
                         // Quorum engaged: a report only counts through
                         // its claim.
                         Some(_) => completes_quorum,
@@ -437,17 +398,17 @@ impl Simulation {
                     };
                     if detects && detection.is_none() {
                         detection = Some(Detection { robot, time: event.time });
-                        if self.quorum.is_some() {
+                        if quorum.is_some() {
                             confirmed = Some(target_position);
                         }
-                        if self.config.record_trace {
+                        if config.record_trace {
                             trace.push(Event {
                                 time: event.time,
                                 kind: EventKind::Detected { robot },
                             });
                         }
-                        if self.config.stop_at_detection {
-                            break 'events;
+                        if config.stop_at_detection {
+                            break;
                         }
                     }
                 }
@@ -457,34 +418,30 @@ impl Simulation {
                     if completes_quorum && detection.is_none() {
                         detection = Some(Detection { robot, time: event.time });
                         confirmed = Some(x);
-                        if self.config.record_trace {
+                        if config.record_trace {
                             trace.push(Event {
                                 time: event.time,
                                 kind: EventKind::Detected { robot },
                             });
                         }
-                        if self.config.stop_at_detection {
-                            break 'events;
+                        if config.stop_at_detection {
+                            break;
                         }
                     }
                 }
-                EventKind::Turned { .. } => {
-                    // Turning events only matter for the trace; motion is
-                    // already encoded in the trajectories.
-                }
-                EventKind::Detected { .. } => {
-                    // Detected events are emitted, never scheduled.
-                }
-                EventKind::HorizonReached => break 'events,
+                // Turning points only show in the trace, and detections
+                // are emitted, never scheduled.
+                EventKind::Turned { .. } | EventKind::Detected { .. } => {}
+                EventKind::HorizonReached => break,
             }
         }
 
         SearchOutcome {
-            target: self.target,
+            target,
             detection,
             visits,
-            horizon: self.horizon,
-            trace: self.config.record_trace.then_some(trace),
+            horizon,
+            trace: config.record_trace.then_some(trace),
             claims,
             confirmed_position: confirmed,
         }
@@ -507,7 +464,7 @@ mod tests {
         config: SimConfig,
     ) -> SearchOutcome {
         let plan = FaultPlan::sensor_faults(trajectories.len(), faulty).unwrap();
-        Simulation::new(trajectories, Target::new(target).unwrap(), &plan, &[], 0, config, None)
+        Simulation::new(&trajectories, Target::new(target).unwrap(), &plan, &[], 0, config, None)
             .unwrap()
             .run()
     }
@@ -590,9 +547,9 @@ mod tests {
     #[test]
     fn validates_inputs() {
         let plan = FaultPlan::all_reliable(2);
-        let build = |trajectories| {
+        let build = |trajectories: Vec<PiecewiseTrajectory>| {
             Simulation::new(
-                trajectories,
+                &trajectories,
                 Target::new(2.0).unwrap(),
                 &plan,
                 &[],
@@ -608,7 +565,7 @@ mod tests {
     #[test]
     fn horizon_is_minimum_across_fleet() {
         let s = Simulation::new(
-            vec![straight(5.0), straight(-2.0)],
+            &[straight(5.0), straight(-2.0)],
             Target::new(1.5).unwrap(),
             &FaultPlan::all_reliable(2),
             &[],
@@ -817,7 +774,7 @@ mod tests {
     ) -> SearchOutcome {
         let plan = FaultPlan::new(kinds).unwrap();
         Simulation::new(
-            trajectories,
+            &trajectories,
             Target::new(target).unwrap(),
             &plan,
             &[],
@@ -888,7 +845,7 @@ mod tests {
         let cfg = SimConfig { record_trace: false, stop_at_detection: false };
         let plan = FaultPlan::new(vec![FaultKind::Reliable]).unwrap();
         let outcome = Simulation::new(
-            vec![weave],
+            &[weave],
             Target::new(1.0).unwrap(),
             &plan,
             &[],
@@ -937,7 +894,7 @@ mod tests {
     fn plan_length_mismatch_rejected() {
         let plan = FaultPlan::all_reliable(2);
         let err = Simulation::new(
-            vec![straight(5.0)],
+            &[straight(5.0)],
             Target::new(2.0).unwrap(),
             &plan,
             &[],
@@ -961,7 +918,7 @@ mod tests {
     ) -> SearchOutcome {
         let plan = FaultPlan::new(kinds).unwrap();
         Simulation::new(
-            trajectories,
+            &trajectories,
             Target::new(target).unwrap(),
             &plan,
             onsets,
@@ -1037,7 +994,7 @@ mod tests {
         let plan = FaultPlan::new(vec![FaultKind::Sensor]).unwrap();
         let build = |onsets: &[Option<f64>]| {
             Simulation::new(
-                vec![straight(5.0)],
+                &[straight(5.0)],
                 Target::new(2.0).unwrap(),
                 &plan,
                 onsets,
@@ -1062,7 +1019,7 @@ mod tests {
             PiecewiseTrajectory::new(vec![SpaceTime::new(0.0, -2.0), SpaceTime::new(0.5, -1.0)])
                 .unwrap();
         let err = Simulation::new(
-            vec![past],
+            &[past],
             Target::new(2.0).unwrap(),
             &FaultPlan::all_reliable(1),
             &[],

@@ -1,8 +1,5 @@
-//! Discrete events and the time-ordered event queue driving the
-//! simulation engine.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! Discrete events of the simulated search, and the order in which a
+//! run fires them.
 
 use serde::{Deserialize, Serialize};
 
@@ -58,72 +55,12 @@ pub enum EventKind {
     HorizonReached,
 }
 
-/// A min-heap of events ordered by time (ties broken by insertion
-/// order, so simultaneous events fire deterministically FIFO).
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<QueueEntry>,
-    seq: u64,
-}
-
-#[derive(Debug)]
-struct QueueEntry {
-    event: Event,
-    seq: u64,
-}
-
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for QueueEntry {}
-
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering: BinaryHeap is a max-heap, we need earliest
-        // first. Ties resolve FIFO (lower sequence first).
-        other.event.time.total_cmp(&self.event.time).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl EventQueue {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
-    /// Schedules an event.
-    pub fn push(&mut self, event: Event) {
-        let entry = QueueEntry { event, seq: self.seq };
-        self.seq += 1;
-        self.heap.push(entry);
-    }
-
-    /// Pops the earliest event, FIFO among ties.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop().map(|e| e.event)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
+/// Puts a run's events in firing order: by time, and among events at
+/// the same time in the order they were scheduled (the sort is
+/// stable), so a visit fires before the report scheduled right after
+/// it.
+pub(crate) fn in_firing_order(events: &mut [Event]) {
+    events.sort_by(|a, b| a.time.total_cmp(&b.time));
 }
 
 #[cfg(test)]
@@ -136,35 +73,34 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(ev(3.0));
-        q.push(ev(1.0));
-        q.push(ev(2.0));
-        let times: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
-        assert_eq!(times, vec![1.0, 2.0, 3.0]);
+        let mut events = vec![ev(3.0), ev(1.0), ev(2.0), ev(-0.0), ev(0.0)];
+        in_firing_order(&mut events);
+        let times: Vec<f64> = events.iter().map(|e| e.time).collect();
+        assert_eq!(times, vec![-0.0, 0.0, 1.0, 2.0, 3.0]);
+        assert!(times[0].is_sign_negative(), "total order: -0.0 fires before 0.0");
     }
 
     #[test]
     fn ties_are_fifo() {
-        let mut q = EventQueue::new();
-        q.push(Event { time: 1.0, kind: EventKind::Turned { robot: RobotId(0), x: 0.0 } });
-        q.push(Event { time: 1.0, kind: EventKind::Turned { robot: RobotId(1), x: 0.0 } });
-        match (q.pop().unwrap().kind, q.pop().unwrap().kind) {
-            (EventKind::Turned { robot: a, .. }, EventKind::Turned { robot: b, .. }) => {
-                assert_eq!(a, RobotId(0));
-                assert_eq!(b, RobotId(1));
-            }
-            other => panic!("unexpected events {other:?}"),
-        }
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(ev(1.0));
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.is_empty());
+        let (a, b) = (RobotId(0), RobotId(1));
+        let mut events = vec![
+            Event { time: 1.0, kind: EventKind::Turned { robot: b, x: 0.0 } },
+            Event { time: 2.0, kind: EventKind::TargetVisited { robot: a } },
+            Event { time: 2.0, kind: EventKind::Registered { robot: a } },
+            Event { time: 1.0, kind: EventKind::Turned { robot: a, x: 0.0 } },
+            Event { time: 2.0, kind: EventKind::TargetVisited { robot: b } },
+        ];
+        in_firing_order(&mut events);
+        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                EventKind::Turned { robot: b, x: 0.0 },
+                EventKind::Turned { robot: a, x: 0.0 },
+                EventKind::TargetVisited { robot: a },
+                EventKind::Registered { robot: a },
+                EventKind::TargetVisited { robot: b },
+            ]
+        );
     }
 }

@@ -342,7 +342,7 @@ impl<R: Rng + std::fmt::Debug> BernoulliFaults<R> {
     /// Returns [`Error::Domain`] unless `0 <= p <= 1`.
     pub fn new(p: f64, max_faults: usize, rng: R) -> Result<Self> {
         if !(0.0..=1.0).contains(&p) {
-            return Err(Error::domain(format!("fault probability must be in [0, 1], got {p}")));
+            return Err(Error::domain(format!("fault probability must be in [0, 1], got {p:?}")));
         }
         Ok(BernoulliFaults { p, max_faults, rng })
     }

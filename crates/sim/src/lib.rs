@@ -43,7 +43,7 @@
 //!     .collect::<Result<Vec<_>, _>>()?;
 //!
 //! let outcome = worst_case_outcome(
-//!     trajectories,
+//!     &trajectories,
 //!     Target::new(-4.0)?,
 //!     params.f(),
 //!     SimConfig::default(),

@@ -143,7 +143,7 @@ pub fn sweep_outcomes<T: Send>(
         draws.push((target, plan));
     }
     faultline_core::par_map(&draws, |(target, plan)| {
-        Ok(read(Simulation::new(trajectories.clone(), *target, plan, &[], 0, sim, None)?.run()))
+        Ok(read(Simulation::new(&trajectories, *target, plan, &[], 0, sim, None)?.run()))
     })
     .into_iter()
     .collect()
@@ -216,8 +216,7 @@ mod tests {
                 let side = if rng.random_bool(0.5) { 1.0 } else { -1.0 };
                 let target = Target::new(side * magnitude.max(1.0)).unwrap();
                 let config = SimConfig::default();
-                let sim =
-                    Simulation::new(trajectories.clone(), target, &plan, &[], 0, config, None);
+                let sim = Simulation::new(&trajectories, target, &plan, &[], 0, config, None);
                 sim.unwrap().run().ratio()
             })
             .collect();

@@ -125,7 +125,7 @@ pub fn monte_carlo_expected_ratio(
     let indices: Vec<u64> = (0..samples as u64).collect();
     let ratios: Vec<Result<f64>> = par_map(&indices, |&s| {
         let sim = Simulation::new(
-            trajectories.to_vec(),
+            trajectories,
             target,
             &plan,
             &[],

@@ -92,7 +92,7 @@ pub fn snapshots_to_csv(snapshots: &[Snapshot]) -> String {
 }
 
 /// Re-derives the distinct-robot visit sequence of `outcome` directly
-/// from the trajectories (no event queue) and checks it against the
+/// from the trajectories (no event list) and checks it against the
 /// engine's record. Returns the number of verified visits.
 ///
 /// This check assumes classic crash/sensor-fault semantics (every
@@ -217,7 +217,7 @@ mod tests {
             alg.plans().iter().map(|p| p.materialize(horizon).unwrap()).collect();
         for target in [2.0, -5.5, 8.3] {
             let outcome = crate::adversary::worst_case_outcome(
-                trajectories.clone(),
+                &trajectories,
                 Target::new(target).unwrap(),
                 1,
                 SimConfig::default(),
@@ -233,7 +233,7 @@ mod tests {
     fn replay_detects_tampering() {
         let t = TrajectoryBuilder::from_origin().sweep_to(5.0).finish().unwrap();
         let mut outcome = Simulation::new(
-            vec![t.clone()],
+            std::slice::from_ref(&t),
             Target::new(3.0).unwrap(),
             &FaultPlan::all_reliable(1),
             &[],

@@ -84,7 +84,7 @@ impl RunTrace {
     ) -> Result<Self> {
         let kinds: Vec<FaultKind> = (0..plan.len()).map(|i| plan.kind(RobotId(i))).collect();
         let outcome =
-            Simulation::new(trajectories.clone(), target, plan, &[], seed, config, quorum)?.run();
+            Simulation::new(&trajectories, target, plan, &[], seed, config, quorum)?.run();
         Ok(RunTrace {
             version: TRACE_VERSION,
             reason: reason.into(),
@@ -124,7 +124,7 @@ impl RunTrace {
         let target = Target::new(self.target)?;
         let plan = FaultPlan::new(self.plan.clone())?;
         Ok(Simulation::new(
-            self.trajectories.clone(),
+            &self.trajectories,
             target,
             &plan,
             &[],
@@ -363,9 +363,8 @@ mod tests {
         let trajectories = vec![straight(9.0), straight(5.0)];
         let target = Target::new(2.0).unwrap();
         let config = SimConfig::default();
-        let direct = Simulation::new(trajectories.clone(), target, &plan, &[], 0, config, None)
-            .unwrap()
-            .run();
+        let direct =
+            Simulation::new(&trajectories, target, &plan, &[], 0, config, None).unwrap().run();
         let trace =
             RunTrace::record("mask", trajectories, target, &plan, 0, config, None, None).unwrap();
         assert_eq!(trace.plan, vec![FaultKind::Sensor, FaultKind::Reliable]);

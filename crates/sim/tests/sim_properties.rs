@@ -59,7 +59,7 @@ proptest! {
         let fleet = Fleet::new(trajectories.clone()).unwrap();
 
         let outcome = worst_case_outcome(
-            trajectories,
+            &trajectories,
             Target::new(target_pos).unwrap(),
             params.f(),
             SimConfig::default(),
@@ -89,7 +89,7 @@ proptest! {
         let target = Target::new(x).unwrap();
 
         let worst = worst_case_outcome(
-            trajectories.clone(),
+            &trajectories,
             target,
             params.f(),
             SimConfig::default(),
@@ -105,7 +105,7 @@ proptest! {
         use faultline_sim::fault::FaultModel;
         let plan = model.assign(trajectories.len());
         let config = SimConfig::default();
-        let outcome = Simulation::new(trajectories, target, &plan, &[], 0, config, None)
+        let outcome = Simulation::new(&trajectories, target, &plan, &[], 0, config, None)
             .unwrap()
             .run();
         prop_assert!(outcome.detected());
@@ -158,7 +158,7 @@ proptest! {
         let trajectories = materialize(&alg, 13.0);
         let target = Target::new(if negative { -x } else { x }).unwrap();
         let (n, f) = (params.n(), params.f());
-        let bound = worst_case_outcome(trajectories.clone(), target, f, SimConfig::default())
+        let bound = worst_case_outcome(&trajectories, target, f, SimConfig::default())
             .unwrap()
             .detection
             .map(|d| d.time);
@@ -174,7 +174,7 @@ proptest! {
         prop_assert_eq!(masks.len(), (0..=f).map(binomial).sum::<usize>());
         for mask in &masks {
             let config = SimConfig::default();
-            let detection = Simulation::new(trajectories.clone(), target, mask, &[], 0, config, None)
+            let detection = Simulation::new(&trajectories, target, mask, &[], 0, config, None)
                 .unwrap()
                 .run()
                 .detection
@@ -297,7 +297,7 @@ proptest! {
         let plan = FaultPlan::new(kinds).unwrap();
         let quorum = QuorumConfig::byzantine(n, f).unwrap();
         let outcome = Simulation::new(
-            trajectories,
+            &trajectories,
             target,
             &plan,
             &[],
@@ -351,7 +351,7 @@ proptest! {
 
         let plan = FaultPlan::new(kinds).unwrap();
         let outcome = Simulation::new(
-            trajectories,
+            &trajectories,
             target,
             &plan,
             &[],
@@ -389,7 +389,7 @@ proptest! {
         let fleet = Fleet::new(trajectories.clone()).unwrap();
         let plan = FaultPlan::all_reliable(trajectories.len());
         let outcome = Simulation::new(
-            trajectories,
+            &trajectories,
             Target::new(x).unwrap(),
             &plan,
             &[],

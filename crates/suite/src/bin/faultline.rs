@@ -206,11 +206,11 @@ fn simulate(params: Params, rest: &[String]) -> Result<(), Box<dyn std::error::E
                 .into());
             }
             let plan = FaultPlan::sensor_faults(params.n(), &faulty)?;
-            Simulation::new(trajectories, target, &plan, &[], 0, SimConfig::default(), None)?.run()
+            Simulation::new(&trajectories, target, &plan, &[], 0, SimConfig::default(), None)?.run()
         }
         None => {
             println!("(no fault set given: using the worst-case adversary)");
-            worst_case_outcome(trajectories, target, params.f(), SimConfig::default())?
+            worst_case_outcome(&trajectories, target, params.f(), SimConfig::default())?
         }
     };
 

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let horizon = algorithm.required_horizon(10.0)?;
     let trajectories =
         algorithm.plans().iter().map(|p| p.materialize(horizon)).collect::<Result<Vec<_>, _>>()?;
-    let outcome = worst_case_outcome(trajectories, target, params.f(), SimConfig::default())?;
+    let outcome = worst_case_outcome(&trajectories, target, params.f(), SimConfig::default())?;
 
     println!("search for {target}:");
     for v in &outcome.visits {

@@ -61,7 +61,7 @@ fn full_pipeline_for_every_proportional_pair_up_to_n9() {
             let trajectories: Vec<_> =
                 alg.plans().iter().map(|p| p.materialize(horizon).unwrap()).collect();
             let outcome = worst_case_outcome(
-                trajectories,
+                &trajectories,
                 Target::new(-5.5).unwrap(),
                 f,
                 SimConfig::default(),

@@ -80,7 +80,7 @@ fn simulator_trace_is_consistent_with_detection() {
     let horizon = faultline_suite::strategies::Strategy::horizon_hint(&strategy, params, 9.0);
     let trajectories: Vec<_> = plans.iter().map(|p| p.materialize(horizon).unwrap()).collect();
     let outcome = worst_case_outcome(
-        trajectories,
+        &trajectories,
         Target::new(7.7).unwrap(),
         params.f(),
         SimConfig { record_trace: true, stop_at_detection: true },
