@@ -13,7 +13,7 @@
 //! pointwise value (the pointwise visit minimizes over a superset of
 //! segments), so the scan provably dominates every grid evaluation of
 //! the same fleet. Every scan here, the certified enclosure included,
-//! takes its crossing candidates from one stage, [`interval_crossings`].
+//! takes its crossing candidates from one stage, `interval_crossings`.
 //!
 //! The expected-cost variant applies the same candidate argument to
 //! the p-faulty closed form of [`faultline_sim::expected_outcome`]:
@@ -220,7 +220,7 @@ fn same_affine(a: &Affine, b: &Affine) -> bool {
 /// 2. Otherwise, divide each pair of runs once per stretch on which
 ///    both keep their affines, and file the crossing in the one
 ///    interval of that stretch that holds it, by binary search.
-pub fn interval_crossings(cover: &WindowCover, k: usize, out: &mut Vec<(u32, f64)>) {
+fn interval_crossings(cover: &WindowCover, k: usize, out: &mut Vec<(u32, f64)>) {
     let cuts = cover.cuts();
     // In-window intervals are 0..window: the beyond interval is only
     // evaluated at the window edge and never takes crossings.
@@ -322,7 +322,7 @@ fn check_scan_args(k: usize, xmax: f64) -> Result<()> {
         return Err(Error::domain("exact supremum needs a visit count k >= 1"));
     }
     if !(xmax > 1.0) || !xmax.is_finite() {
-        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
+        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax:?}")));
     }
     Ok(())
 }
@@ -404,7 +404,7 @@ fn probe(affines: &[Affine], k: usize, x: f64, times: &mut Vec<f64>) -> Probe {
 /// fleet's first-visit cover and the probes of every interval that
 /// holds at least `k - 1` affines.
 #[derive(Debug, Clone)]
-pub struct SideTable {
+struct SideTable {
     cover: WindowCover,
     /// Interval `i`'s probes are `probes[offsets[i]..offsets[i + 1]]`:
     /// its lower end, then inside the window its upper end and its
@@ -447,8 +447,7 @@ impl SideTable {
     }
 
     /// The side's first-visit cover.
-    #[must_use]
-    pub fn cover(&self) -> &WindowCover {
+    fn cover(&self) -> &WindowCover {
         &self.cover
     }
 
@@ -460,7 +459,7 @@ impl SideTable {
     /// # Panics
     ///
     /// Panics when `i` is out of range.
-    pub fn candidates(&self, i: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+    fn candidates(&self, i: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
         self.probes(i).iter().map(|p| p.x)
     }
 
@@ -650,7 +649,7 @@ impl FleetScan {
 
     /// The scanned sides: the positive window, then on the line the
     /// mirrored negative one.
-    pub fn sides(&self) -> impl Iterator<Item = &SideTable> {
+    fn sides(&self) -> impl Iterator<Item = &SideTable> {
         std::iter::once(&self.pos).chain(&self.neg)
     }
 
@@ -887,12 +886,7 @@ fn kth_ratio_enclosure_over(
 /// # Errors
 ///
 /// Propagates interval construction failures.
-pub fn crossing_ranges(
-    affines: &[Affine],
-    lo: f64,
-    hi: f64,
-    ranges: &mut Vec<Interval>,
-) -> Result<()> {
+fn crossing_ranges(affines: &[Affine], lo: f64, hi: f64, ranges: &mut Vec<Interval>) -> Result<()> {
     for (i, a) in affines.iter().enumerate() {
         for b in &affines[i + 1..] {
             if a.crossing(b).is_none() {
@@ -1067,10 +1061,10 @@ fn scan_side_expected(cover: &WindowCover, p: f64, horizon: f64) -> SideScan {
 /// Rejects probabilities outside `[0, 1]` and invalid windows.
 pub fn exact_expected_supremum(fleet: &Fleet, p: f64, xmax: f64) -> Result<ExactScan> {
     if !(0.0..=1.0).contains(&p) {
-        return Err(Error::domain(format!("detection probability must be in [0, 1], got {p}")));
+        return Err(Error::domain(format!("detection probability must be in [0, 1], got {p:?}")));
     }
     if !(xmax > 1.0) || !xmax.is_finite() {
-        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
+        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax:?}")));
     }
     let horizon = fleet.horizon();
     let pos = all_visit_cover(fleet.trajectories(), 1.0, xmax)?;
@@ -1342,6 +1336,41 @@ mod tests {
         let plans = [Plan::ray(true)];
         let fleet = Fleet::from_plans(&plans, 100.0).unwrap();
         assert!(exact_supremum_enclosed(&fleet, 1, 30.0).is_err());
+    }
+
+    #[test]
+    fn a_crossing_supremum_is_found_and_enclosed() {
+        use faultline_core::SpaceTime;
+        // A dashes to 1 at speed 3 and crawls outward at speed 1/2; B
+        // leaves the origin at t = 1. T_1 switches from A to B where
+        // they cross, at x = 8/3, and K peaks there at 11/8; C and D
+        // mirror them. The scan and the enclosure both need the
+        // crossing candidate to reach the supremum.
+        let a = PiecewiseTrajectory::with_speed_limit(
+            vec![
+                SpaceTime::origin(),
+                SpaceTime::new(1.0, 1.0 / 3.0),
+                SpaceTime::new(4.0, 1.0 / 3.0 + 6.0),
+                SpaceTime::new(-4.0, 1.0 / 3.0 + 14.0),
+            ],
+            3.0,
+        )
+        .unwrap();
+        let b = PiecewiseTrajectory::new(vec![
+            SpaceTime::origin(),
+            SpaceTime::new(0.0, 1.0),
+            SpaceTime::new(5.0, 6.0),
+            SpaceTime::new(-5.0, 16.0),
+        ])
+        .unwrap();
+        let mirror = mirrored(&[a.clone(), b.clone()]).unwrap();
+        let fleet = Fleet::new(vec![a, b, mirror[0].clone(), mirror[1].clone()]).unwrap();
+        let scan = exact_supremum(&fleet, 1, 3.5).unwrap();
+        assert!((scan.argmax - 8.0 / 3.0).abs() < 1e-12, "{}", scan.argmax);
+        assert!((scan.ratio - 11.0 / 8.0).abs() < 1e-12, "{}", scan.ratio);
+        let enclosed = exact_supremum_enclosed(&fleet, 1, 3.5).unwrap();
+        assert_eq!(enclosed.scan, scan);
+        assert!(enclosed.enclosure.width() <= 1e-9 * scan.ratio, "{:?}", enclosed.enclosure);
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! * [`scenario`] — declarative JSON scenario documents, runnable from
 //!   the CLI, the query service or programmatically.
 //! * [`ablation`] — the beta-sweep and fault-misestimation ablations.
+//! * [`work`] — work bounds in visit units, and the admission rule
+//!   built on them.
 //! * [`ascii`] / [`svg`] — terminal tables/charts and SVG space–time
 //!   diagrams.
 
@@ -40,6 +42,7 @@ pub mod table1;
 pub mod timeline;
 pub mod turncost;
 pub mod verification;
+pub mod work;
 
 pub use ascii::{line_chart, render_table, Series};
 pub use exact::{

@@ -302,7 +302,7 @@ fn check_profile_args(schedule: &FreeSchedule, f: usize, xmax: f64) -> Result<()
         ));
     }
     if !(xmax > 1.0) || !xmax.is_finite() {
-        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
+        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax:?}")));
     }
     Ok(())
 }
@@ -504,7 +504,7 @@ pub fn measure_free_schedule_expected_cr(
     xmax: f64,
 ) -> Result<MeasuredCr> {
     if !(xmax > 1.0) || !xmax.is_finite() {
-        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax}")));
+        return Err(Error::domain(format!("xmax must be finite and > 1, got {xmax:?}")));
     }
     let mut horizon = first_horizon(schedule.robots(), xmax);
     let mut attempt = 0usize;

@@ -1,7 +1,7 @@
 //! The perf-baseline emitter: counts the deterministic work of
-//! canonical inputs, times one in-process path comparison, and writes
-//! a machine-readable JSON document (`BENCH_<date>.json`) so every
-//! future change can diff against the recorded trajectory.
+//! canonical inputs and writes a machine-readable JSON document
+//! (`BENCH_<date>.json`) so every future change can diff against the
+//! recorded trajectory.
 //!
 //! Five *work counts* are deterministic, so they are the same on any
 //! host and at any thread count:
@@ -12,15 +12,11 @@
 //! - the objective evaluations of a tiny-budget optimizer run;
 //! - the simulator events of a 10,000-sample Monte-Carlo sweep.
 //!
-//! One *path comparison* times the dominance-pruned adversary-space
-//! explorer against its exhaustive differential baseline, interleaved
-//! in one process, so its `speedup` ratio compares two paths on one
-//! host at one thread count and needs no host fingerprint.
-//! [`compare_baselines`] gates the counts and the speedup on every
-//! run. Absolute timings are perfbench's (`perfbench/`), which runs the
-//! parent and the change in alternating pairs on one host.
+//! [`compare_baselines`] gates the counts on every run. Nothing here is
+//! timed: timings are perfbench's (`perfbench/`), which runs the parent
+//! and the change in alternating pairs on one host.
 
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use faultline_analysis::exact::exact_supremum;
 use faultline_analysis::supremum::TURNING_POINT_EPS;
@@ -32,22 +28,6 @@ use faultline_strategies::{PaperStrategy, Strategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-
-/// A faster path timed against its retained baseline on the same
-/// workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PathComparison {
-    /// Stable comparison identifier.
-    pub name: String,
-    /// Wall-clock milliseconds for the baseline path.
-    pub grid_ms: f64,
-    /// Wall-clock milliseconds for the faster path.
-    pub exact_ms: f64,
-    /// `grid_ms / exact_ms` — above 1 means the faster path wins.
-    pub speedup: f64,
-    /// Human-readable description of what was measured.
-    pub detail: String,
-}
 
 /// A deterministic count of the work one canonical input costs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -62,26 +42,18 @@ pub struct WorkCount {
 
 /// The complete perf baseline written to `BENCH_<date>.json`. Files
 /// recorded before the timings left still load: the deserializer
-/// ignores their `quick`, `host` and `workloads` keys.
+/// ignores their `quick`, `host`, `workloads` and `paths` keys.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchBaseline {
     /// Workspace version the baseline was recorded with.
     pub version: String,
     /// UTC date of the run (`YYYY-MM-DD`).
     pub date: String,
-    /// Path comparisons. Defaults to empty so baselines recorded
-    /// before the exact engine still deserialize.
-    #[serde(default)]
-    pub paths: Vec<PathComparison>,
     /// Deterministic work counts. Defaults to empty so baselines
     /// recorded before the counts still deserialize.
     #[serde(default)]
     pub counts: Vec<WorkCount>,
 }
-
-/// Maximum tolerated relative speedup loss against a recorded
-/// baseline before the perf gate fails.
-pub const REGRESSION_TOLERANCE: f64 = 0.25;
 
 /// Result of diffing a freshly measured baseline against a recorded
 /// one: one human-readable line per entry, plus the subset that
@@ -104,26 +76,12 @@ impl BaselineComparison {
 
 /// Compares a fresh baseline against a recorded one.
 ///
-/// Path-comparison *speedups* are ratios of two paths timed in one
-/// process: the faster path must not lose more than
-/// [`REGRESSION_TOLERANCE`] of its recorded advantage. Work counts are
-/// deterministic: any count above its recorded value fails. Both gate
-/// on any host; entries the recorded baseline lacks are skipped.
+/// Work counts are deterministic: any count above its recorded value
+/// fails, on any host. Counts the recorded baseline lacks are skipped.
 #[must_use]
 pub fn compare_baselines(current: &BenchBaseline, recorded: &BenchBaseline) -> BaselineComparison {
     let mut lines = Vec::new();
     let mut regressions = Vec::new();
-    for p in &current.paths {
-        let Some(r) = recorded.paths.iter().find(|r| r.name == p.name) else {
-            lines.push(format!("{}: not in the recorded baseline, skipped", p.name));
-            continue;
-        };
-        let line = format!("{}: {:.1}x speedup vs recorded {:.1}x", p.name, p.speedup, r.speedup);
-        if p.speedup < r.speedup * (1.0 - REGRESSION_TOLERANCE) {
-            regressions.push(line.clone());
-        }
-        lines.push(line);
-    }
     for c in &current.counts {
         let Some(r) = recorded.counts.iter().find(|r| r.name == c.name) else {
             lines.push(format!("{}: not in the recorded baseline, skipped", c.name));
@@ -155,78 +113,6 @@ pub fn utc_date() -> String {
     let month = if mp < 10 { mp + 3 } else { mp - 9 };
     let year = if month <= 2 { year + 1 } else { year };
     format!("{year:04}-{month:02}-{day:02}")
-}
-
-fn time_ms(f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-/// Times two paths *interleaved* over seven rounds and returns each
-/// path's minimum: transient host-load bursts only ever add time, so
-/// the per-path minimum over rounds spread across the same wall-clock
-/// window is the most burst-resistant estimator of the true cost
-/// ratio.
-fn interleaved_min_rounds(mut fast: impl FnMut(), mut baseline: impl FnMut()) -> (f64, f64) {
-    let mut fast_ms = f64::INFINITY;
-    let mut baseline_ms = f64::INFINITY;
-    for _ in 0..7 {
-        fast_ms = fast_ms.min(time_ms(&mut fast));
-        baseline_ms = baseline_ms.min(time_ms(&mut baseline));
-    }
-    (fast_ms, baseline_ms)
-}
-
-fn explore_pruning_paths() -> Result<PathComparison, Box<dyn std::error::Error>> {
-    use faultline_explore::{explore_pair, ExploreConfig};
-
-    // The dominance-pruned adversary-space frontier vs its exhaustive
-    // differential baseline on the largest Table-1 pairs with n <= 5;
-    // `grid_ms` records the exhaustive (unpruned) path, under the field
-    // name the retired exact-vs-grid comparisons gave the baseline.
-    let pairs: &[(usize, usize)] = &[(4, 3), (5, 3), (5, 4)];
-    let xmax = 25.0;
-    let reps = 10;
-    let pruned_config = ExploreConfig::default();
-    let exhaustive_config = ExploreConfig { exhaustive: true, ..ExploreConfig::default() };
-    let mut pruned_err = None;
-    let mut exhaustive_err = None;
-    let (pruned_ms, exhaustive_ms) = interleaved_min_rounds(
-        || {
-            for _ in 0..reps {
-                for &(n, f) in pairs {
-                    if let Err(e) = explore_pair(n, f, xmax, &pruned_config) {
-                        pruned_err = Some(e);
-                        return;
-                    }
-                }
-            }
-        },
-        || {
-            for _ in 0..reps {
-                for &(n, f) in pairs {
-                    if let Err(e) = explore_pair(n, f, xmax, &exhaustive_config) {
-                        exhaustive_err = Some(e);
-                        return;
-                    }
-                }
-            }
-        },
-    );
-    if let Some(e) = pruned_err.or(exhaustive_err) {
-        return Err(e.into());
-    }
-    Ok(PathComparison {
-        name: "explore_pruning".to_owned(),
-        grid_ms: exhaustive_ms,
-        exact_ms: pruned_ms,
-        speedup: exhaustive_ms / pruned_ms,
-        detail: format!(
-            "{reps}x dominance-pruned vs exhaustive exploration over {} pairs (xmax {xmax})",
-            pairs.len()
-        ),
-    })
 }
 
 /// Critical points the exact engine enumerates to profile the
@@ -331,14 +217,12 @@ fn montecarlo_sweep_events() -> Result<WorkCount, Box<dyn std::error::Error>> {
     })
 }
 
-/// Runs the path comparison and every work count and assembles the
-/// baseline.
+/// Runs every work count and assembles the baseline.
 ///
 /// # Errors
 ///
 /// Propagates failures from the underlying experiments.
 pub fn run_baseline() -> Result<BenchBaseline, Box<dyn std::error::Error>> {
-    let paths = vec![explore_pruning_paths()?];
     let counts = vec![
         optimizer_inner_loop_critical_points()?,
         strategy_supremum_critical_points()?,
@@ -346,7 +230,7 @@ pub fn run_baseline() -> Result<BenchBaseline, Box<dyn std::error::Error>> {
         table1_critical_points()?,
         montecarlo_sweep_events()?,
     ];
-    Ok(BenchBaseline { version: crate::VERSION.to_owned(), date: utc_date(), paths, counts })
+    Ok(BenchBaseline { version: crate::VERSION.to_owned(), date: utc_date(), counts })
 }
 
 #[cfg(test)]
@@ -368,13 +252,6 @@ mod tests {
         let baseline = BenchBaseline {
             version: "0.1.0".to_owned(),
             date: "2026-08-06".to_owned(),
-            paths: vec![PathComparison {
-                name: "explore_pruning".to_owned(),
-                grid_ms: 50.0,
-                exact_ms: 5.0,
-                speedup: 10.0,
-                detail: "test".to_owned(),
-            }],
             counts: vec![WorkCount {
                 name: "optimizer_tiny_evaluations".to_owned(),
                 value: 2875,
@@ -388,9 +265,8 @@ mod tests {
 
     #[test]
     fn baselines_recorded_before_the_exact_engine_still_deserialize() {
-        // `paths` was added with the exact supremum engine; committed
-        // baselines from before then must keep loading (empty paths),
-        // their retired timing keys ignored.
+        // Committed baselines from before the counts must keep loading
+        // (no counts), their retired timing keys ignored.
         let json = r#"{
             "version": "0.1.0", "date": "2026-08-06", "quick": false,
             "host": {"logical_cores": 1, "default_threads": 1,
@@ -398,15 +274,15 @@ mod tests {
             "workloads": [], "engine": []
         }"#;
         let back: BenchBaseline = serde_json::from_str(json).unwrap();
-        assert!(back.paths.is_empty());
         assert!(back.counts.is_empty());
     }
 
     #[test]
     fn committed_baselines_still_deserialize() {
         // The perf gate compares against the newest committed file, and
-        // the older ones stay readable: their timing sections are
-        // ignored, and the August ones have no counts.
+        // the older ones stay readable: their timing sections (the
+        // October ones' explore `paths` among them) are ignored, and
+        // the August ones have no counts.
         for json in [
             include_str!("../../../BENCH_2026-08-06.json"),
             include_str!("../../../BENCH_2026-08-08.json"),
@@ -422,7 +298,6 @@ mod tests {
             include_str!("../../../BENCH_2026-10-19_serial.json"),
         ] {
             let newest: BenchBaseline = serde_json::from_str(json).unwrap();
-            assert_eq!(newest.paths.len(), 1, "{:?}", newest.paths);
             let names: Vec<&str> = newest.counts.iter().map(|c| c.name.as_str()).collect();
             assert_eq!(
                 names,
@@ -438,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn comparison_gates_counts_and_the_explore_speedup() {
+    fn comparison_gates_every_count() {
         let recorded: BenchBaseline =
             serde_json::from_str(include_str!("../../../BENCH_2026-10-19_serial.json")).unwrap();
         assert!(compare_baselines(&recorded, &recorded).passed());
@@ -456,29 +331,16 @@ mod tests {
             assert!(compare_baselines(&shrunk, &recorded).passed());
         }
 
-        // The explore speedup may lose up to 25% of its recorded value,
-        // not more.
-        let with_speedup = |factor: f64| {
-            let mut current = recorded.clone();
-            current.paths[0].speedup = recorded.paths[0].speedup * factor;
-            current
-        };
-        assert!(compare_baselines(&with_speedup(0.8), &recorded).passed());
-        let lost = compare_baselines(&with_speedup(0.7), &recorded);
-        assert_eq!(lost.regressions.len(), 1, "{:?}", lost.lines);
-        assert!(lost.regressions[0].starts_with("explore_pruning"));
-
         // An entry the recorded baseline lacks is skipped, not gated.
         let mut unrecorded = recorded.clone();
         unrecorded.counts.clear();
-        unrecorded.paths.clear();
         let mut grown = recorded.clone();
         grown.counts[0].value += 1;
         let skipped = compare_baselines(&grown, &unrecorded);
         assert!(skipped.passed(), "{:?}", skipped.regressions);
         assert_eq!(
             skipped.lines.iter().filter(|l| l.contains("not in the recorded baseline")).count(),
-            recorded.counts.len() + recorded.paths.len()
+            recorded.counts.len()
         );
     }
 }

@@ -7,15 +7,15 @@
 //! Usage:
 //!
 //! ```text
-//! repro [table1|fig5|figures|ablation|lower-bound|montecarlo|explore|optimize|conformance|scenario|all] [--fast] [--seed=N]
+//! repro [table1|fig5|figures|ablation|lower-bound|montecarlo|optimize|conformance|scenario|all] [--fast] [--seed=N]
 //! repro replay <trace.json>
 //! repro bench [--out=PATH] [--force] [--baseline=PATH]
 //! ```
 //!
 //! `--seed=N` re-seeds the Monte-Carlo section (fault stream `N`,
-//! target stream `N + 2`; default `N = 11`) and the optimizer's
-//! perturbation streams, and is recorded in the explorer's report,
-//! keeping every figure reproducible from a single number. `replay`
+//! target stream `N + 2`; default `N = 11`), the optimizer's
+//! perturbation streams and the conformance run, keeping every figure
+//! reproducible from a single number. `replay`
 //! re-executes a recorded failure trace bit-for-bit and exits non-zero
 //! if the outcome diverges.
 //!
@@ -76,7 +76,6 @@ mod rand_free {
             "extensions" => run_extensions(out_dir)?,
             "verify" => run_verify()?,
             "certify" => run_certify()?,
-            "explore" => run_explore(out_dir, fast, seed.unwrap_or(0))?,
             "optimize" => run_optimize(out_dir, fast, seed.unwrap_or(0))?,
             "conformance" => run_conformance(out_dir, fast, seed.unwrap_or(1))?,
             "scenario" => run_scenario(out_dir)?,
@@ -95,7 +94,6 @@ mod rand_free {
                 run_extensions(out_dir)?;
                 run_verify()?;
                 run_certify()?;
-                run_explore(out_dir, fast, seed.unwrap_or(0))?;
                 run_optimize(out_dir, fast, seed.unwrap_or(0))?;
                 run_conformance(out_dir, fast, seed.unwrap_or(1))?;
                 run_scenario(out_dir)?;
@@ -103,8 +101,8 @@ mod rand_free {
             other => {
                 eprintln!(
                     "unknown command `{other}`; expected table1 | fig5 | figures | ablation | \
-                     lower-bound | montecarlo | extensions | verify | certify | explore | \
-                     optimize | conformance | scenario | replay <trace.json> | bench | all"
+                     lower-bound | montecarlo | extensions | verify | certify | optimize | \
+                     conformance | scenario | replay <trace.json> | bench | all"
                 );
                 std::process::exit(2);
             }
@@ -531,79 +529,6 @@ fn run_certify() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn run_explore(out_dir: &Path, fast: bool, seed: u64) -> Result<(), Box<dyn std::error::Error>> {
-    use faultline_explore::{explore_pair, ExploreConfig, ExploreReport};
-
-    println!("== Systematic adversary-space exploration (dominance-pruned, certified) ==");
-    let pairs: &[(usize, usize)] = if fast {
-        &[(2, 1), (3, 1), (4, 2)]
-    } else {
-        // Every Table-1 pair with n <= 5: small enough that the
-        // equivalence-class frontier is genuinely exhaustive.
-        &[(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)]
-    };
-    let xmax = 25.0;
-    let pruned_config = ExploreConfig { seed, ..ExploreConfig::default() };
-    let exhaustive_config = ExploreConfig { seed, exhaustive: true, ..ExploreConfig::default() };
-    let mut csv = String::from(ExploreReport::csv_header());
-    csv.push('\n');
-    let mut rows = Vec::new();
-    for &(n, f) in pairs {
-        let report = explore_pair(n, f, xmax, &pruned_config)?;
-        let baseline = explore_pair(n, f, xmax, &exhaustive_config)?;
-        println!("  {}", report.summary());
-        if report.worst.value.to_bits() != baseline.worst.value.to_bits() {
-            return Err(format!(
-                "({n}, {f}): pruned worst value {} diverges from the exhaustive baseline {}",
-                report.worst.value, baseline.worst.value
-            )
-            .into());
-        }
-        if !report.matches_exact || !baseline.matches_exact {
-            return Err(format!(
-                "({n}, {f}): explorer worst value diverges from the exact supremum scan"
-            )
-            .into());
-        }
-        if report.explored + report.pruned_dominance != report.class_states {
-            return Err(format!("({n}, {f}): coverage accounting does not close").into());
-        }
-        if report.raw_cut_fraction() < 0.30 {
-            return Err(format!(
-                "({n}, {f}): dominance cut only {:.1}% of raw states (acceptance floor 30%)",
-                100.0 * report.raw_cut_fraction()
-            )
-            .into());
-        }
-        rows.push(vec![
-            format!("({n}, {f})"),
-            format!("{}/{}", report.explored, report.class_states),
-            report.raw_states.to_string(),
-            format!("{:.1}%", 100.0 * report.raw_cut_fraction()),
-            baseline.explored.to_string(),
-            format!("{:.1e}", report.enclosure_width()),
-        ]);
-        csv.push_str(&report.csv_row());
-        csv.push('\n');
-        csv.push_str(&baseline.csv_row());
-        csv.push('\n');
-    }
-    print!(
-        "{}",
-        render_table(
-            &["(n, f)", "explored/classes", "raw states", "raw cut", "exhaustive", "encl. width"],
-            &rows
-        )
-    );
-    fs::write(out_dir.join("explore_coverage.csv"), csv)?;
-    println!(
-        "every pair: 100% equivalence-class coverage, pruned worst bit-identical to the \
-         exhaustive baseline and the exact supremum scan."
-    );
-    println!("(written to {}/explore_coverage.csv)\n", out_dir.display());
-    Ok(())
-}
-
 fn run_optimize(out_dir: &Path, fast: bool, seed: u64) -> Result<(), Box<dyn std::error::Error>> {
     use faultline_opt::{gap_csv, gap_study, Budget};
 
@@ -798,22 +723,8 @@ fn run_bench(
     force: bool,
     against: Option<&str>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    println!("== Perf baseline: path comparison and work counts ==");
+    println!("== Perf baseline: work counts ==");
     let baseline = faultline_bench::run_baseline()?;
-    let rows: Vec<Vec<String>> = baseline
-        .paths
-        .iter()
-        .map(|p| {
-            vec![
-                p.name.clone(),
-                format!("{:.1}", p.grid_ms),
-                format!("{:.1}", p.exact_ms),
-                format!("{:.2}x", p.speedup),
-                p.detail.clone(),
-            ]
-        })
-        .collect();
-    print!("{}", render_table(&["path", "baseline ms", "fast ms", "speedup", "detail"], &rows));
     let rows: Vec<Vec<String>> = baseline
         .counts
         .iter()

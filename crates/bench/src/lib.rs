@@ -11,10 +11,7 @@ pub mod baseline;
 pub mod load;
 pub mod output;
 
-pub use baseline::{
-    compare_baselines, run_baseline, BaselineComparison, BenchBaseline, PathComparison, WorkCount,
-    REGRESSION_TOLERANCE,
-};
+pub use baseline::{compare_baselines, run_baseline, BaselineComparison, BenchBaseline, WorkCount};
 pub use load::{compare_load, run_load, LoadReport};
 pub use output::resolve_out_path;
 

@@ -29,11 +29,12 @@
 //! | `expected-cr-monotone-in-p` | expected detection time is non-increasing in `p`; `E(1) = T_1(x)` | [`REL_TOL`] |
 //! | `enclosure-contains-exact` | `exact_supremum_enclosed` brackets the exact supremum tightly | [`ENCLOSURE_WIDTH_RTOL`] |
 //! | `unit-speed-scenario-equivalence` | a unit-speed, immediately-active, full-line scenario document reproduces a direct simulation of the paper's fleet bitwise | exact |
+//! | `mask-enumeration-equals-exact` | the worst fault set's first-visit supremum is the `(f+1)`-th visit's supremum, for the paper fleet and the free schedule | exact |
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use faultline_analysis::scenario::results_to_json;
-use faultline_analysis::supremum::materialize_with_targets;
+use faultline_analysis::supremum::{materialize_with_targets, TURNING_POINT_EPS};
 use faultline_analysis::{
     exact_supremum, exact_supremum_enclosed, measure_strategy_cr, measure_strategy_cr_sim,
     Scenario, ScenarioResult,
@@ -167,7 +168,7 @@ pub fn oracle_by_name(name: &str) -> Option<&'static Oracle> {
     ORACLES.iter().find(|o| o.name == name)
 }
 
-static ORACLES: [Oracle; 19] = [
+static ORACLES: [Oracle; 20] = [
     Oracle {
         name: "sim-analytic-detection",
         description: "worst-case simulator detection time equals coverage T_(f+1)(x)",
@@ -286,6 +287,13 @@ static ORACLES: [Oracle; 19] = [
             "a unit-speed, immediately-active, full-line scenario document reproduces a direct simulation of the paper's fleet bitwise",
         tolerance: 0.0,
         check: unit_speed_scenario_equivalence,
+    },
+    Oracle {
+        name: "mask-enumeration-equals-exact",
+        description:
+            "the maximum over every set of f faulty robots of the reliable robots' first-visit supremum equals the (f+1)-th visit's exact supremum bitwise",
+        tolerance: 0.0,
+        check: mask_enumeration_equals_exact,
     },
 ];
 
@@ -1194,6 +1202,60 @@ fn enclosure_contains_exact(inst: &Instance, inject: bool) -> Result<Verdict> {
     Ok(Verdict::Pass)
 }
 
+/// The most robots whose fault sets [`mask_enumeration_equals_exact`]
+/// enumerates: the most [`Instance::generate`] draws, so a hand-edited
+/// counterexample cannot ask for more sub-fleets than a generated case.
+const MASK_ENUMERATION_MAX_N: usize = 8;
+
+/// The adversary's best response, found the long way: the worst fault
+/// set leaves only reliable robots, which detect on their first visit,
+/// so the maximum over every set of `f` faulty robots of the reliable
+/// sub-fleet's `T_1` supremum must be the full fleet's `T_(f+1)`
+/// supremum, bit for bit. Checked on the paper fleet and, when the
+/// instance carries one, on its free schedule.
+fn mask_enumeration_equals_exact(inst: &Instance, inject: bool) -> Result<Verdict> {
+    let params = inst.params()?;
+    let f = params.f();
+    let robots = inst.schedule.as_ref().map_or(0, |s| s.robots().len()).max(params.n());
+    if robots > MASK_ENUMERATION_MAX_N {
+        return Ok(Verdict::Skip(format!(
+            "{robots} robots; fault sets are enumerated up to {MASK_ENUMERATION_MAX_N}"
+        )));
+    }
+    let (_, paper) = fleet_for(params, inst.xmax)?;
+    let mut fleets = vec![("paper fleet", paper)];
+    if let Some(schedule) = &inst.schedule {
+        let horizon = schedule.horizon_hint(inst.xmax * (1.0 + 2.0 * TURNING_POINT_EPS));
+        fleets.push(("free schedule", schedule.fleet(horizon.max(4.0 * inst.xmax))?));
+    }
+    for (which, fleet) in fleets {
+        let trajectories = fleet.trajectories();
+        let n = trajectories.len();
+        let expected = exact_supremum(&fleet, f + 1, inst.xmax)?.ratio;
+        let mut worst = f64::NEG_INFINITY;
+        for faulty in (0u32..1 << n).filter(|mask| mask.count_ones() as usize == f) {
+            let reliable: Vec<PiecewiseTrajectory> =
+                (0..n).filter(|&i| faulty >> i & 1 == 0).map(|i| trajectories[i].clone()).collect();
+            worst = worst.max(exact_supremum(&Fleet::new(reliable)?, 1, inst.xmax)?.ratio);
+        }
+        let observed = skew_up(inject, worst);
+        if observed.to_bits() != expected.to_bits() {
+            return Ok(fail(
+                expected,
+                observed,
+                format!(
+                    "{which}: the worst of the C({n}, {f}) reliable sub-fleets' first-visit \
+                     suprema differs from the exact T_{} supremum over [1, {:?}]",
+                    f + 1,
+                    inst.xmax
+                ),
+                None,
+            ));
+        }
+    }
+    Ok(Verdict::Pass)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1223,6 +1285,16 @@ mod tests {
                 assert!(!verdict.is_fail(), "{} failed on case {index}: {verdict:?}", oracle.name);
             }
         }
+    }
+
+    #[test]
+    fn mask_enumeration_skips_fleets_it_would_not_enumerate() {
+        let mut instance = Instance::generate(3, 2, &CAPS);
+        assert!(instance.n <= MASK_ENUMERATION_MAX_N, "a generated case is enumerated");
+        (instance.n, instance.f) = (MASK_ENUMERATION_MAX_N + 1, 2);
+        instance.schedule = None;
+        let verdict = mask_enumeration_equals_exact(&instance, false).unwrap();
+        assert!(matches!(verdict, Verdict::Skip(_)), "{verdict:?}");
     }
 
     #[test]

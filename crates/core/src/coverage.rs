@@ -274,7 +274,7 @@ pub fn adversarial_targets(
     eps: f64,
 ) -> Result<Vec<f64>> {
     if !(xmax > 1.0) {
-        return Err(Error::domain(format!("xmax must exceed 1, got {xmax}")));
+        return Err(Error::domain(format!("xmax must exceed 1, got {xmax:?}")));
     }
     let mut targets = Vec::new();
     for &tau in turning_points {

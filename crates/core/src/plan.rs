@@ -66,11 +66,11 @@ impl Plan {
     pub fn sweep(first: f64, kappa: f64) -> Result<Self> {
         if first == 0.0 || !first.is_finite() {
             return Err(Error::domain(format!(
-                "first leg must be finite and non-zero, got {first}"
+                "first leg must be finite and non-zero, got {first:?}"
             )));
         }
         if !(kappa > 1.0) || !kappa.is_finite() {
-            return Err(Error::domain(format!("expansion factor must exceed 1, got {kappa}")));
+            return Err(Error::domain(format!("expansion factor must exceed 1, got {kappa:?}")));
         }
         Ok(Plan { launch: 0.0, turns: Turns::Sweep { first, kappa } })
     }
@@ -90,7 +90,7 @@ impl Plan {
     pub fn launched_at(self, launch: f64) -> Result<Self> {
         if !(launch >= 0.0) || !launch.is_finite() {
             return Err(Error::domain(format!(
-                "start delay must be finite and non-negative, got {launch}"
+                "start delay must be finite and non-negative, got {launch:?}"
             )));
         }
         Ok(Plan { launch, ..self })
@@ -209,7 +209,7 @@ pub(crate) fn trace(
 pub(crate) fn check_horizon(horizon: f64) -> Result<()> {
     if !(horizon > 0.0) || !horizon.is_finite() {
         return Err(Error::domain(format!(
-            "materialization horizon must be finite and positive, got {horizon}"
+            "materialization horizon must be finite and positive, got {horizon:?}"
         )));
     }
     Ok(())

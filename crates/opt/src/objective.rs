@@ -73,7 +73,7 @@ impl Objective {
     pub fn new(params: Params, xmax: f64) -> Result<Self> {
         if !(xmax > 1.0) || !xmax.is_finite() {
             return Err(Error::domain(format!(
-                "objective window must satisfy 1 < xmax < inf, got {xmax}"
+                "objective window must satisfy 1 < xmax < inf, got {xmax:?}"
             )));
         }
         let n = params.n();

@@ -27,6 +27,7 @@
 //! never panics: malformed documents surface as
 //! [`faultline_core::Error::Domain`].
 
+use faultline_analysis::work::{turn_density, turns, OVERHEAD};
 use faultline_analysis::{Scenario, ScenarioResult};
 use faultline_core::{json_float, Error, Geometry, Result};
 use faultline_sim::{FaultKind, RunTrace};
@@ -425,7 +426,7 @@ impl ScenarioDoc {
             for (i, spec) in specs.iter().enumerate() {
                 if !spec.speed.is_finite() || spec.speed <= 0.0 || spec.speed > MAX_SPEED {
                     return Err(Error::domain(format!(
-                        "robot {i} speed {} must be finite, positive and <= {MAX_SPEED}",
+                        "robot {i} speed {:?} must be finite, positive and <= {MAX_SPEED}",
                         spec.speed
                     )));
                 }
@@ -434,14 +435,14 @@ impl ScenarioDoc {
                     Activation::DelayedStart(t) => {
                         if !t.is_finite() || !(0.0..=MAX_DELAY).contains(&t) {
                             return Err(Error::domain(format!(
-                                "robot {i} start delay {t} must be finite, >= 0 and <= {MAX_DELAY}"
+                                "robot {i} start delay {t:?} must be finite, >= 0 and <= {MAX_DELAY}"
                             )));
                         }
                     }
                     Activation::Seeded { max_delay } => {
                         if !max_delay.is_finite() || !(0.0..=MAX_DELAY).contains(&max_delay) {
                             return Err(Error::domain(format!(
-                                "robot {i} max_delay {max_delay} must be finite, >= 0 and <= \
+                                "robot {i} max_delay {max_delay:?} must be finite, >= 0 and <= \
                                  {MAX_DELAY}"
                             )));
                         }
@@ -450,7 +451,7 @@ impl ScenarioDoc {
                 if let Some(onset) = spec.fault_onset {
                     if !onset.is_finite() || onset < 0.0 {
                         return Err(Error::domain(format!(
-                            "robot {i} fault onset {onset} must be finite and >= 0"
+                            "robot {i} fault onset {onset:?} must be finite and >= 0"
                         )));
                     }
                     match self.scenario.fault_plan.as_ref().map(|kinds| &kinds[i]) {
@@ -540,6 +541,55 @@ impl Document {
             }
         }
     }
+
+    /// The work bound of [`Document::run`], in visit units (see
+    /// [`faultline_analysis::work`]): every target simulated on the
+    /// fleet, built once out to the farthest target (stretched by the
+    /// fastest robot and the latest start), at 3 units per robot-turn
+    /// plus the overhead per robot and per target:
+    /// `3 (targets + 1) (n + 8) (8 + t)`. A trace replays its recorded
+    /// trajectories once.
+    #[must_use]
+    pub fn work(&self) -> f64 {
+        let (scenario, robots) = match self {
+            Document::Legacy(scenario) => (scenario, None),
+            Document::Versioned(doc) => (&doc.scenario, doc.robots.as_deref()),
+            Document::Trace(trace) => {
+                let n = trace.trajectories.len();
+                let waypoints: usize = trace.trajectories.iter().map(|t| t.waypoints().len()).sum();
+                return simulation_work(1, n, waypoints as f64 / n.max(1) as f64);
+            }
+        };
+        let (n, f) = (scenario.n, scenario.f);
+        let farthest = scenario.targets.iter().fold(1.0f64, |acc, x| acc.max(x.abs()));
+        let (speed, delay) =
+            robots.unwrap_or_default().iter().fold((1.0f64, 0.0f64), |(s, d), r| {
+                let start = match r.activation {
+                    Activation::Immediate => 0.0,
+                    Activation::DelayedStart(delay) => delay,
+                    Activation::Seeded { max_delay } => max_delay,
+                };
+                (s.max(r.speed), d.max(start))
+            });
+        let mut per_robot = turns(
+            turn_density(&scenario.strategy, scenario.beta, n, f),
+            (farthest + delay) * speed,
+        );
+        if scenario.strategy == "randomized-sweep" {
+            // Its horizon reaches r^(f + 3) past the farthest target.
+            per_robot += f as f64 + 3.0;
+        }
+        simulation_work(scenario.targets.len() + 1, n, per_robot)
+    }
+}
+
+/// Visit units per simulated robot-turn, so that a unit costs about
+/// the same as in an exact scan.
+const SIM_WEIGHT: f64 = 3.0;
+
+/// `runs` simulations of `n` robots making `turns` turns each.
+fn simulation_work(runs: usize, n: usize, turns: f64) -> f64 {
+    SIM_WEIGHT * runs as f64 * (n as f64 + OVERHEAD) * (OVERHEAD + turns)
 }
 
 #[cfg(test)]

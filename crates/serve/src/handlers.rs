@@ -11,20 +11,18 @@
 //! engine. The server computes a miss under [`INLINE_WORK`] on its
 //! event loop and parks every other miss on the worker pool.
 //!
-//! The bound counts *visit units*. A robot of geometric expansion `κ`
-//! makes `t = ln(e X) / ln κ` turns out to extent `X`, and a robot on
-//! a ray makes none. The exact scan behind `/v1/supremum` evaluates
+//! The bound counts *visit units* ([`faultline_analysis::work`]): a
+//! robot of geometric expansion `κ` makes `t = ln(e X) / ln κ` turns
+//! out to extent `X`. The exact scan behind `/v1/supremum` evaluates
 //! each of the fleet's `n (1 + t)` turning points in the window
 //! against every robot, plus a fixed overhead of 8 units:
-//! `n (n + 8) (1 + t)` units. A scenario simulates each target, and
-//! builds the fleet once, at 3 units per robot-turn with the same
-//! overhead per robot and per target:
-//! `3 (targets + 1) (n + 8) (8 + t)` units. `/v1/cr` computes in
-//! closed form (0 units); `/v1/table1` and `/v1/optimize` always park.
+//! `n (n + 8) (1 + t)` units. A scenario costs
+//! [`Document::work`]. `/v1/cr` computes in closed form (0 units);
+//! `/v1/table1` and `/v1/optimize` always park.
 //!
 //! [`admit`] turns the bound into an admission rule: work that no
-//! worker could finish within the request timeout, at [`UNIT_SECONDS`]
-//! a unit, is refused with a 400 before it computes or parks.
+//! worker could finish within the request timeout is refused with a
+//! 400 before it computes or parks.
 
 use std::sync::LazyLock;
 use std::time::Duration;
@@ -32,10 +30,11 @@ use std::time::Duration;
 use faultline_analysis::scenario::{results_to_json, Scenario};
 use faultline_analysis::supremum::SupremumQuery;
 use faultline_analysis::table1;
+use faultline_analysis::work::{self, turn_density, turns, OVERHEAD};
 use faultline_core::query::canonical_string;
 use faultline_core::CrQuery;
 use faultline_opt::OptimizeConfig;
-use faultline_scenario::{Activation, Document};
+use faultline_scenario::Document;
 
 use crate::http::Request;
 use crate::router::Route;
@@ -61,37 +60,16 @@ pub struct Prepared {
 /// pool round trips.
 pub const INLINE_WORK: f64 = 6000.0;
 
-/// The cost of one visit unit, in seconds, at its largest measured:
-/// 0.06 to 0.08 µs for paper fleets of 801 to 3201 robots at xmax 1e9,
-/// in release on a shared 2-vCPU x86-64 host.
-pub const UNIT_SECONDS: f64 = 0.08e-6;
-
 /// Refuses a request whose finite work bound exceeds what one worker
-/// computes within `timeout` at [`UNIT_SECONDS`] a unit (7.5e8 units at
-/// 60 s). An infinite bound means the route has no bound yet, and
-/// parks.
+/// computes within `timeout` ([`work::admit`]: 7.5e8 units at 60 s).
+/// An infinite bound means the route has no bound yet, and parks.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::BadRequest`] naming the bound and the limit.
 pub fn admit(work: f64, timeout: Duration) -> Result<(), ServeError> {
-    let limit = timeout.as_secs_f64() / UNIT_SECONDS;
-    if work.is_finite() && work > limit {
-        return Err(ServeError::BadRequest(format!(
-            "this request needs about {work:.1e} work units, over the {limit:.1e} a worker \
-             computes within the {timeout:?} request timeout"
-        )));
-    }
-    Ok(())
+    work::admit(work, timeout).map_err(ServeError::BadRequest)
 }
-
-/// The fixed cost, in visit units, of a scanned turning point and of
-/// a simulated robot and target, on top of the visits themselves.
-const OVERHEAD: f64 = 8.0;
-
-/// Visit units per simulated robot-turn, so that a unit costs about
-/// the same on both compute routes.
-const SIM_WEIGHT: f64 = 3.0;
 
 /// The named scenario presets served by `POST /v1/scenario` with
 /// `{"name": ...}`; `(name, scenario JSON)`. The `randomized` preset
@@ -171,74 +149,10 @@ pub fn prepare_with_work(route: Route, request: &Request) -> Result<(Prepared, f
     }
 }
 
-/// Turns one robot of `strategy` makes per e-fold of extent: `1 / ln κ`
-/// of its geometric expansion `κ`, 0 on rays. A strategy the model
-/// does not know is infinitely dense, so its misses park.
-fn turn_density(strategy: &str, beta: Option<f64>, n: usize, f: usize) -> f64 {
-    let (n, f) = (n as f64, f as f64);
-    let kappa = match (strategy, beta) {
-        // A(n, f)'s cone, κ = (4f + 4) / (4f + 4 − 2n), in the
-        // proportional regime; the two-group regime runs on rays.
-        ("paper" | "proportional", _) if n < 2.0 * f + 2.0 => {
-            (4.0 * f + 4.0) / (4.0 * f + 4.0 - 2.0 * n)
-        }
-        ("paper" | "proportional" | "two-group" | "pessimal-split", _) => return 0.0,
-        ("herd-doubling" | "staggered-doubling" | "mirrored-pairs" | "delayed-doubling", _) => 2.0,
-        ("fixed-beta", Some(beta)) => (beta + 1.0) / (beta - 1.0),
-        // Kao's optimal expansion, 3.59, rounded down.
-        ("randomized-sweep", _) => 3.5,
-        _ => return f64::INFINITY,
-    };
-    1.0 / kappa.ln()
-}
-
-/// Turns per robot out to `extent` at `density` turns per e-fold.
-fn turns(density: f64, extent: f64) -> f64 {
-    density * (std::f64::consts::E * extent).ln()
-}
-
 /// The exact scan of `n` robots making `turns` turns each.
 fn scan_work(n: usize, turns: f64) -> f64 {
     let n = n as f64;
     n * (n + OVERHEAD) * (1.0 + turns)
-}
-
-/// `runs` simulations of `n` robots making `turns` turns each.
-fn simulation_work(runs: usize, n: usize, turns: f64) -> f64 {
-    SIM_WEIGHT * runs as f64 * (n as f64 + OVERHEAD) * (OVERHEAD + turns)
-}
-
-/// The work bound of running `document`: every target simulated on
-/// the fleet, built once out to the farthest target (stretched by the
-/// fastest robot and the latest start). A trace replays its recorded
-/// trajectories once.
-fn scenario_work(document: &Document) -> f64 {
-    let (scenario, robots) = match document {
-        Document::Legacy(scenario) => (scenario, None),
-        Document::Versioned(doc) => (&doc.scenario, doc.robots.as_deref()),
-        Document::Trace(trace) => {
-            let n = trace.trajectories.len();
-            let waypoints: usize = trace.trajectories.iter().map(|t| t.waypoints().len()).sum();
-            return simulation_work(1, n, waypoints as f64 / n.max(1) as f64);
-        }
-    };
-    let (n, f) = (scenario.n, scenario.f);
-    let farthest = scenario.targets.iter().fold(1.0f64, |acc, x| acc.max(x.abs()));
-    let (speed, delay) = robots.unwrap_or_default().iter().fold((1.0f64, 0.0f64), |(s, d), r| {
-        let start = match r.activation {
-            Activation::Immediate => 0.0,
-            Activation::DelayedStart(delay) => delay,
-            Activation::Seeded { max_delay } => max_delay,
-        };
-        (s.max(r.speed), d.max(start))
-    });
-    let mut per_robot =
-        turns(turn_density(&scenario.strategy, scenario.beta, n, f), (farthest + delay) * speed);
-    if scenario.strategy == "randomized-sweep" {
-        // Its horizon reaches r^(f + 3) past the farthest target.
-        per_robot += f as f64 + 3.0;
-    }
-    simulation_work(scenario.targets.len() + 1, n, per_robot)
 }
 
 fn required_usize(request: &Request, name: &str) -> Result<usize, ServeError> {
@@ -335,7 +249,7 @@ fn prepare_scenario(request: &Request) -> Result<(Prepared, f64), ServeError> {
         Document::Trace(trace) => to_resolved_value(trace)?,
     };
     let cache_key = key_for(Route::Scenario, &resolved);
-    let work = scenario_work(&document);
+    let work = document.work();
     let compute: Compute = Box::new(move || Ok(json_body(results_to_json(&document.run()?)?)));
     Ok((Prepared { cache_key, compute }, work))
 }
@@ -829,14 +743,76 @@ mod tests {
 
     #[test]
     fn a_refused_huge_float_stays_short() {
-        let body = r#"{"n": 3, "f": 1, "strategy": "fixed-beta", "beta": 1e300, "targets": [5.0]}"#;
-        let Err(error) = prepare(Route::Scenario, &post("/v1/scenario", body)) else {
-            panic!("beta = 1e300 must be refused")
+        let fault = |kind: String| {
+            format!(
+                r#"{{"n": 3, "f": 1, "targets": [2.0], "fault_plan": ["Reliable", "Reliable", {kind}]}}"#
+            )
         };
-        assert!(error.message().contains("beta = 1e300"), "{}", error.message());
-        let answer = crate::http::error_bytes(400, error.message(), &[], true);
-        let head_end = answer.windows(4).position(|w| w == b"\r\n\r\n").expect("a head") + 4;
-        assert!(answer.len() - head_end < 300, "{}", String::from_utf8_lossy(&answer));
+        let robot = |spec: String| {
+            format!(
+                r#"{{"version": 1, "n": 3, "f": 1, "targets": [2.0],
+                    "fault_plan": ["Reliable", "Reliable", "Sensor"], "robots": [{{}}, {{}}, {spec}]}}"#
+            )
+        };
+        let mut refused = 0;
+        for x in ["1e300", "-1e300"] {
+            let fixed_beta = format!(r#""n": 3, "f": 1, "strategy": "fixed-beta", "beta": {x}"#);
+            let bodies = [
+                (Route::Supremum, format!(r#"{{"n": 3, "f": 1, "xmax": {x}}}"#)),
+                (Route::Supremum, format!("{{{fixed_beta}}}")),
+                (Route::Scenario, format!(r#"{{"n": 3, "f": 1, "targets": [{x}]}}"#)),
+                (Route::Scenario, format!(r#"{{"version": 1, "n": 3, "f": 1, "targets": [{x}]}}"#)),
+                (Route::Scenario, format!(r#"{{{fixed_beta}, "targets": [5.0]}}"#)),
+                (
+                    Route::Scenario,
+                    fault(format!(r#"{{"Intermittent": {{"miss_probability": {x}}}}}"#)),
+                ),
+                (Route::Scenario, fault(format!(r#"{{"Delayed": {{"latency": {x}}}}}"#))),
+                (Route::Scenario, fault(format!(r#"{{"SpeedDegraded": {{"factor": {x}}}}}"#))),
+                (Route::Scenario, fault(format!(r#"{{"Byzantine": {{"lie_rate": {x}}}}}"#))),
+                (
+                    Route::Scenario,
+                    fault(format!(r#"{{"PFaulty": {{"detect_probability": {x}}}}}"#)),
+                ),
+                (Route::Scenario, robot(format!(r#"{{"speed": {x}}}"#))),
+                (Route::Scenario, robot(format!(r#"{{"activation": {{"DelayedStart": {x}}}}}"#))),
+                (
+                    Route::Scenario,
+                    robot(format!(r#"{{"activation": {{"Seeded": {{"max_delay": {x}}}}}}}"#)),
+                ),
+                (Route::Scenario, robot(format!(r#"{{"fault_onset": {x}}}"#))),
+                (Route::Optimize, format!(r#"{{"n": 3, "f": 1, "xmax": {x}}}"#)),
+                (Route::Optimize, format!(r#"{{"n": 3, "f": 1, "detect_probability": {x}}}"#)),
+            ];
+            for (route, body) in bodies {
+                let path = match route {
+                    Route::Supremum => "/v1/supremum",
+                    Route::Scenario => "/v1/scenario",
+                    _ => "/v1/optimize",
+                };
+                // What the server does with the body: refuse it, or
+                // admit it and compute. Only the finite bounds here,
+                // all small, are computed.
+                let outcome = prepare_with_work(route, &post(path, &body)).and_then(|(p, w)| {
+                    admit(w, Duration::from_secs(60))?;
+                    if w.is_finite() {
+                        (p.compute)()?;
+                    }
+                    Ok(())
+                });
+                let Err(error) = outcome else { continue };
+                assert_eq!(error.status(), 400, "{body}: {}", error.message());
+                assert!(error.message().contains(x), "{body}: {}", error.message());
+                let answer = crate::http::error_bytes(400, error.message(), &[], true);
+                let head = answer.windows(4).position(|w| w == b"\r\n\r\n").expect("a head") + 4;
+                assert!(answer.len() - head < 300, "{body}: {}", String::from_utf8_lossy(&answer));
+                refused += 1;
+            }
+        }
+        // All but seven are refused: targets at ±1e300 (both forms),
+        // and +1e300 as a latency, a fault onset or the optimizer's
+        // window.
+        assert_eq!(refused, 25);
     }
 
     #[test]

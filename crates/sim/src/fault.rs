@@ -109,7 +109,7 @@ impl FaultKind {
                 Error::ensure_finite("miss probability", miss_probability)?;
                 if !(0.0..=1.0).contains(&miss_probability) {
                     return Err(Error::domain(format!(
-                        "miss probability must be in [0, 1], got {miss_probability}"
+                        "miss probability must be in [0, 1], got {miss_probability:?}"
                     )));
                 }
                 Ok(())
@@ -118,7 +118,7 @@ impl FaultKind {
                 Error::ensure_finite("detection latency", latency)?;
                 if latency < 0.0 {
                     return Err(Error::domain(format!(
-                        "detection latency must be >= 0, got {latency}"
+                        "detection latency must be >= 0, got {latency:?}"
                     )));
                 }
                 Ok(())
@@ -127,7 +127,7 @@ impl FaultKind {
                 Error::ensure_finite("speed factor", factor)?;
                 if !(factor > 0.0) || factor > 1.0 {
                     return Err(Error::domain(format!(
-                        "speed factor must be in (0, 1], got {factor}"
+                        "speed factor must be in (0, 1], got {factor:?}"
                     )));
                 }
                 Ok(())
@@ -136,7 +136,7 @@ impl FaultKind {
                 Error::ensure_finite("lie rate", lie_rate)?;
                 if !(0.0..=1.0).contains(&lie_rate) {
                     return Err(Error::domain(format!(
-                        "lie rate must be in [0, 1], got {lie_rate}"
+                        "lie rate must be in [0, 1], got {lie_rate:?}"
                     )));
                 }
                 Ok(())
@@ -145,7 +145,7 @@ impl FaultKind {
                 Error::ensure_finite("detection probability", detect_probability)?;
                 if !(0.0..=1.0).contains(&detect_probability) {
                     return Err(Error::domain(format!(
-                        "detection probability must be in [0, 1], got {detect_probability}"
+                        "detection probability must be in [0, 1], got {detect_probability:?}"
                     )));
                 }
                 Ok(())

@@ -46,7 +46,7 @@ pub fn sample_positions(
     }
     if !(dt > 0.0) || !dt.is_finite() || !(until >= 0.0) {
         return Err(Error::domain(format!(
-            "sampling needs dt > 0 and until >= 0, got dt = {dt}, until = {until}"
+            "sampling needs dt > 0 and until >= 0, got dt = {dt:?}, until = {until:?}"
         )));
     }
     let count = (until / dt).floor() + 1.0;

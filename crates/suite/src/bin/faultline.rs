@@ -9,7 +9,6 @@
 //! faultline spectrum <n> <f> [xmax]             # CR_k for k = 1..n
 //! faultline animate <n> <f> <dt> <until> <file> # CSV position samples
 //! faultline optimize <n> <f> [--budget=..]      # Thm 1 / Thm 2 gap probe
-//! faultline explore  <n> <f> [--budget=..]      # adversary-space coverage sweep
 //! faultline conformance run [--seed=..]         # differential oracle sweep
 //! faultline conformance replay <file.json>      # reproduce a counterexample
 //! faultline serve [--addr=..] [--threads=..]    # HTTP query service
@@ -98,8 +97,6 @@ const USAGE: &str = "usage:
   faultline optimize <n> <f> [--budget=tiny|small|medium|large] [--seed=N]
                      [--xmax=X] [--checkpoint=FILE]
                      [--resume=FILE] [--json] [--check]
-  faultline explore  <n> <f> [--xmax=X] [--budget=N] [--seed=N] [--exhaustive]
-                     [--json] [--out=FILE.csv]
   faultline conformance run [--seed=N] [--cases=N] [--budget=smoke|default|deep]
                      [--json] [--out=DIR] [--inject=ORACLE]
   faultline conformance replay <counterexample.json>
@@ -125,7 +122,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "scenario" => scenario(&args[1..]),
         "replay" => replay(&args[1..]),
         "optimize" => optimize(&args[1..]),
-        "explore" => explore(&args[1..]),
         "conformance" => conformance(&args[1..]),
         "serve" => serve(&args[1..]),
         "query" => query(&args[1..]),
@@ -320,11 +316,19 @@ fn scenario(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         [] => return Err("missing <file.json>".into()),
     };
     let json = std::fs::read_to_string(path)?;
-    if validate {
-        // Validation is strict: only versioned documents pass, so
-        // scripts can gate on the exit code before shipping a file to
-        // the query service.
-        let doc = ScenarioDoc::from_json(&json)?;
+    // Validation is strict: only versioned documents pass, so scripts
+    // can gate on the exit code before shipping a file to the query
+    // service.
+    let document = if validate {
+        Document::Versioned(ScenarioDoc::from_json(&json)?)
+    } else {
+        Document::from_json(&json)?
+    };
+    // Work the query service would refuse at its default timeout is
+    // refused here too, before anything materializes.
+    let timeout = faultline_serve::ServeConfig::default().request_timeout;
+    faultline_suite::analysis::work::admit(document.work(), timeout)?;
+    if let (true, Document::Versioned(doc)) = (validate, &document) {
         eprintln!(
             "valid scenario document: version {}, n = {}, f = {}, {} geometry, {} target(s)",
             doc.version,
@@ -335,7 +339,7 @@ fn scenario(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         );
         return Ok(());
     }
-    let results = Document::from_json(&json)?.run()?;
+    let results = document.run()?;
     println!("{}", faultline_suite::scenario::results_to_json(&results)?);
     Ok(())
 }
@@ -490,71 +494,6 @@ fn optimize(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             .into());
         }
         eprintln!("check passed: certified lower bound <= best_found_cr <= Thm 1 + 1e-9");
-    }
-    Ok(())
-}
-
-fn explore(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    use faultline_suite::explore::{explore_pair, ExploreConfig, ExploreReport};
-
-    let mut config = ExploreConfig::default();
-    let mut xmax = 25.0f64;
-    let mut json = false;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut positional = Vec::new();
-    for arg in rest {
-        if let Some(v) = arg.strip_prefix("--xmax=") {
-            xmax = v.parse()?;
-        } else if let Some(v) = arg.strip_prefix("--budget=") {
-            config.budget = Some(v.parse()?);
-        } else if let Some(v) = arg.strip_prefix("--seed=") {
-            config.seed = v.parse()?;
-        } else if let Some(v) = arg.strip_prefix("--out=") {
-            out = Some(v.into());
-        } else if arg == "--exhaustive" {
-            config.exhaustive = true;
-        } else if arg == "--json" {
-            json = true;
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown explore flag `{arg}`").into());
-        } else {
-            positional.push(arg.as_str());
-        }
-    }
-    let n: usize = positional.first().ok_or("missing <n>")?.parse()?;
-    let f: usize = positional.get(1).ok_or("missing <f>")?.parse()?;
-
-    let report = explore_pair(n, f, xmax, &config)?;
-    if json {
-        println!("{}", report.to_json()?);
-    } else {
-        println!("{}", report.summary());
-        println!(
-            "  symmetry: {} robot groups, {} mask classes over {} raw masks \
-             ({} further merged by identical covers)",
-            report.robot_groups, report.mask_classes, report.mask_count, report.collapsed_covers
-        );
-        println!(
-            "  raw states: {} of {} represented by evaluation ({:.1}% cut)",
-            report.raw_covered,
-            report.raw_states,
-            100.0 * report.raw_cut_fraction()
-        );
-        println!(
-            "  differential: exact supremum {} -> {}",
-            report.exact_ratio,
-            if report.matches_exact { "matches bit-for-bit" } else { "MISMATCH" }
-        );
-    }
-    if let Some(path) = out {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(&path, format!("{}\n{}\n", ExploreReport::csv_header(), report.csv_row()))?;
-        eprintln!("wrote {}", path.display());
-    }
-    if !report.matches_exact {
-        return Err("exploration worst case diverged from the exact supremum".into());
     }
     Ok(())
 }

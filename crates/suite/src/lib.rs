@@ -10,8 +10,6 @@
 //! * [`analysis`] — table/figure regeneration.
 //! * [`opt`] — the Theorem 1 / Theorem 2 gap optimizer.
 //! * [`conformance`] — cross-layer differential oracle harness.
-//! * [`explore`] — systematic fault/adversary-space exploration with
-//!   dominance pruning and certified enclosures.
 //!
 //! ```
 //! use faultline_suite::prelude::*;
@@ -32,7 +30,6 @@ pub use faultline_analysis as analysis;
 pub use faultline_analysis::scenario;
 pub use faultline_conformance as conformance;
 pub use faultline_core as core;
-pub use faultline_explore as explore;
 pub use faultline_opt as opt;
 /// The versioned heterogeneous-scenario DSL (per-robot speeds,
 /// activation schedules, fault onsets, line/half-line geometry).

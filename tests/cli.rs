@@ -176,3 +176,38 @@ fn scenario_refuses_a_cone_that_cannot_expand() {
         assert!(err.contains("invalid cone parameter"), "{err}");
     }
 }
+
+#[test]
+fn scenario_refuses_work_no_worker_could_finish() {
+    // At beta = 1e10 the cone grows one waypoint vector past any
+    // memory: refused with the query service's 400 message, exit 2,
+    // before the fleet is built.
+    let dir = std::env::temp_dir().join("faultline-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let fixed = r#""n": 3, "f": 1, "strategy": "fixed-beta", "beta": 1e10, "targets": [5.0]"#;
+    let legacy = dir.join("fixed_beta_1e10.json");
+    std::fs::write(&legacy, format!("{{{fixed}}}")).unwrap();
+    let versioned = dir.join("fixed_beta_1e10_v1.json");
+    std::fs::write(&versioned, format!(r#"{{"version": 1, {fixed}}}"#)).unwrap();
+    for args in [
+        vec!["scenario", "run", legacy.to_str().unwrap()],
+        vec!["scenario", legacy.to_str().unwrap()],
+        vec!["scenario", "run", versioned.to_str().unwrap()],
+        vec!["scenario", "validate", versioned.to_str().unwrap()],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_faultline"))
+            .args(&args)
+            .output()
+            .expect("failed to spawn the faultline binary");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains(
+                "this request needs about 8.6e11 work units, over the 7.5e8 a worker computes \
+                 within the 60s request timeout"
+            ),
+            "{args:?}: {err}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?}");
+    }
+}
