@@ -143,14 +143,7 @@ impl SupremumQuery {
     pub fn validate(&self) -> Result<()> {
         Params::fleet(self.n, self.f)?;
         resolve_strategy(&self.strategy, self.beta)?;
-        let xmax = self.xmax;
-        if !(xmax >= 1.0) || !xmax.is_finite() {
-            return Err(Error::domain(format!("xmax must be finite and >= 1, got {xmax:?}")));
-        }
-        if xmax > 1e9 {
-            return Err(Error::domain(format!("xmax {xmax:?} beyond the service bound 1e9")));
-        }
-        Ok(())
+        check_xmax(self.xmax)
     }
 
     /// Runs the scan through [`measure_strategy_cr`].
@@ -165,6 +158,22 @@ impl SupremumQuery {
         let measured = measure_strategy_cr(strategy.as_ref(), params, self.xmax)?;
         Ok(SupremumReport { query: self.clone(), measured })
     }
+}
+
+/// Checks a scan window `[1, xmax]`: `xmax` must be finite, at least 1
+/// and at most the service bound of 1e9.
+///
+/// # Errors
+///
+/// Returns a domain error naming the rule `xmax` breaks.
+pub fn check_xmax(xmax: f64) -> Result<()> {
+    if !(xmax >= 1.0) || !xmax.is_finite() {
+        return Err(Error::domain(format!("xmax must be finite and >= 1, got {xmax:?}")));
+    }
+    if xmax > 1e9 {
+        return Err(Error::domain(format!("xmax {xmax:?} beyond the service bound 1e9")));
+    }
+    Ok(())
 }
 
 /// Builds the adversarial target grid for a materialized fleet: all

@@ -3,6 +3,8 @@
 
 use std::time::Duration;
 
+use faultline_core::Params;
+
 /// The default listen address of `faultline serve`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 
@@ -27,10 +29,10 @@ pub struct ServeConfig {
     /// still queued or computing when it expires answers
     /// `504 Gateway Timeout`.
     pub request_timeout: Duration,
-    /// Largest `n` of the precomputed `/v1/cr` closed-form lattice
-    /// (every valid `(n, f)` with `n <= memo_max_n` is serialized at
-    /// startup and served without touching the cache or the pool).
-    /// `0` disables the tier.
+    /// Largest `n` of the `/v1/cr` closed-form lattice: every valid
+    /// `(n, f)` with `n <= memo_max_n` is serialized on its first
+    /// request and then served without touching the cache or the pool.
+    /// `0` disables the tier; at most [`Params::MAX_ROBOTS`].
     pub memo_max_n: usize,
     /// Keep-alive connections idle longer than this are closed by the
     /// event loop's sweep (slowloris hygiene: a half-written request
@@ -65,8 +67,9 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// Rejects a zero cache shard count, a zero admission queue, and a
-    /// zero request timeout.
+    /// Rejects a zero cache shard count, a zero admission queue, a zero
+    /// request or idle timeout, and a memo lattice over
+    /// [`Params::MAX_ROBOTS`].
     pub fn validate(&self) -> Result<(), String> {
         if self.cache_shards == 0 {
             return Err("cache_shards must be at least 1".to_owned());
@@ -79,6 +82,13 @@ impl ServeConfig {
         }
         if self.idle_timeout.is_zero() {
             return Err("idle_timeout must be positive".to_owned());
+        }
+        if self.memo_max_n > Params::MAX_ROBOTS {
+            return Err(format!(
+                "memo_max_n must be at most {} (the largest fleet served), got {}",
+                Params::MAX_ROBOTS,
+                self.memo_max_n
+            ));
         }
         Ok(())
     }
@@ -113,5 +123,15 @@ mod tests {
         assert_eq!(config.memo_max_n, 64);
         let off = ServeConfig { memo_max_n: 0, ..ServeConfig::default() };
         assert!(off.validate().is_ok(), "a disabled memo tier is valid");
+    }
+
+    #[test]
+    fn memo_lattice_is_bounded_by_the_largest_fleet() {
+        let at = |memo_max_n| ServeConfig { memo_max_n, ..ServeConfig::default() }.validate();
+        assert!(at(Params::MAX_ROBOTS).is_ok());
+        for over in [Params::MAX_ROBOTS + 1, usize::MAX] {
+            let refused = at(over).expect_err("over the largest fleet");
+            assert!(refused.contains("memo_max_n must be at most 4096"), "{refused}");
+        }
     }
 }

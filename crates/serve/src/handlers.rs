@@ -165,7 +165,7 @@ fn required_usize(request: &Request, name: &str) -> Result<usize, ServeError> {
 }
 
 /// The response body for a `/v1/cr` query: the single source of truth
-/// shared by the request path and the startup memo tier, so both
+/// shared by the request path and the memo tier, so both
 /// produce byte-identical documents.
 ///
 /// # Errors

@@ -17,8 +17,9 @@
 //!   sockets with HTTP/1.1 keep-alive on every tier. A half-written
 //!   request never occupies more than its own connection (no
 //!   thread-per-connection slowloris exposure).
-//! * **Serving tiers** — `GET /v1/cr` is answered from a precomputed
-//!   closed-form memo lattice ([`memo`], `X-Cache: memo`); other
+//! * **Serving tiers** — `GET /v1/cr` is answered from a closed-form
+//!   memo lattice whose points are each serialized on their first
+//!   request, nothing at start-up ([`memo`], `X-Cache: memo`); other
 //!   requests hit the sharded LRU (`X-Cache: hit`), compute inline on
 //!   their loop when their work bound ([`handlers::INLINE_WORK`])
 //!   allows, or park in place on their loop while the bounded worker

@@ -1,5 +1,5 @@
 //! Service metrics: request counts by route and status, a latency
-//! histogram, cache statistics, queue depth, worker utilization and
+//! histogram in microseconds, cache statistics, queue depth, worker utilization and
 //! each event loop's open connections, rendered as a plain-text
 //! document for `GET /metrics` (Prometheus-style exposition, one
 //! `name{labels} value` per line).
@@ -16,9 +16,13 @@ use std::time::Duration;
 
 use crate::cache::ResponseCache;
 
-/// Upper bounds (milliseconds) of the latency histogram buckets; the
-/// final implicit bucket is `+Inf`.
-pub const LATENCY_BUCKETS_MS: [u64; 10] = [1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000];
+/// Upper bounds (microseconds) of the latency histogram buckets, from
+/// 10 µs (a hot answer takes about 20) to the default 60 s request
+/// timeout; the final implicit bucket is `+Inf`.
+pub const LATENCY_BUCKETS_US: [u64; 17] = [
+    10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
+    1_000_000, 5_000_000, 60_000_000,
+];
 
 /// Route labels whose requests are counted without a lock.
 const ROUTES: [&str; 8] = [
@@ -49,7 +53,7 @@ pub struct Metrics {
     requests: [AtomicU64; ROUTES.len() * STATUSES.len()],
     /// Requests whose route label or status is outside the table.
     other_requests: Mutex<BTreeMap<(String, u16), u64>>,
-    latency_buckets: [AtomicU64; LATENCY_BUCKETS_MS.len() + 1],
+    latency_buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
     latency_count: AtomicU64,
     latency_sum_us: AtomicU64,
     rejected_total: AtomicU64,
@@ -111,12 +115,12 @@ impl Metrics {
                     .or_insert(0) += 1;
             }
         }
-        let ms = latency.as_millis() as u64;
-        let bucket = LATENCY_BUCKETS_MS.iter().position(|&bound| ms <= bound);
-        let index = bucket.unwrap_or(LATENCY_BUCKETS_MS.len());
+        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
+        let bucket = LATENCY_BUCKETS_US.iter().position(|&bound| us <= bound);
+        let index = bucket.unwrap_or(LATENCY_BUCKETS_US.len());
         self.latency_buckets[index].fetch_add(1, Ordering::Relaxed);
         self.latency_count.fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_us.fetch_add(latency.as_micros() as u64, Ordering::Relaxed);
+        self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
         if status == 503 {
             self.rejected_total.fetch_add(1, Ordering::Relaxed);
         }
@@ -142,7 +146,7 @@ impl Metrics {
         self.coalesced_total.load(Ordering::Relaxed)
     }
 
-    /// Records one `/v1/cr` answered from the precomputed lattice.
+    /// Records one `/v1/cr` answered from the closed-form lattice.
     pub fn memo_hit(&self) {
         self.memo_hits_total.fetch_add(1, Ordering::Relaxed);
     }
@@ -266,22 +270,22 @@ impl Metrics {
             ));
         }
 
-        out.push_str("# TYPE faultline_request_latency_ms histogram\n");
+        out.push_str("# TYPE faultline_request_latency_us histogram\n");
         let mut cumulative = 0u64;
-        for (i, bound) in LATENCY_BUCKETS_MS.iter().enumerate() {
+        for (i, bound) in LATENCY_BUCKETS_US.iter().enumerate() {
             cumulative += self.latency_buckets[i].load(Ordering::Relaxed);
             out.push_str(&format!(
-                "faultline_request_latency_ms_bucket{{le=\"{bound}\"}} {cumulative}\n"
+                "faultline_request_latency_us_bucket{{le=\"{bound}\"}} {cumulative}\n"
             ));
         }
-        cumulative += self.latency_buckets[LATENCY_BUCKETS_MS.len()].load(Ordering::Relaxed);
-        out.push_str(&format!("faultline_request_latency_ms_bucket{{le=\"+Inf\"}} {cumulative}\n"));
+        cumulative += self.latency_buckets[LATENCY_BUCKETS_US.len()].load(Ordering::Relaxed);
+        out.push_str(&format!("faultline_request_latency_us_bucket{{le=\"+Inf\"}} {cumulative}\n"));
         out.push_str(&format!(
-            "faultline_request_latency_ms_count {}\n",
+            "faultline_request_latency_us_count {}\n",
             self.latency_count.load(Ordering::Relaxed)
         ));
         out.push_str(&format!(
-            "faultline_request_latency_ms_sum_us {}\n",
+            "faultline_request_latency_us_sum {}\n",
             self.latency_sum_us.load(Ordering::Relaxed)
         ));
 
@@ -356,6 +360,9 @@ mod tests {
         metrics.observe("/v1/cr", 200, Duration::from_millis(3));
         metrics.observe("/v1/scenario", 503, Duration::from_micros(200));
         metrics.observe("/v1/supremum", 504, Duration::from_secs(10));
+        metrics.observe("/healthz", 200, Duration::from_nanos(7_400));
+        metrics.observe("/healthz", 200, Duration::from_nanos(20_900));
+        metrics.observe("/v1/optimize", 200, Duration::from_secs(61));
         assert_eq!(metrics.requests_for("/v1/cr", 200), 2);
         assert_eq!(metrics.requests_for("/v1/scenario", 503), 1);
         assert_eq!(metrics.rejected_total.load(Ordering::Relaxed), 1);
@@ -364,8 +371,16 @@ mod tests {
         let cache = ResponseCache::new(1024, 2);
         let text = metrics.render(&cache);
         assert!(text.contains("faultline_requests_total{route=\"/v1/cr\",status=\"200\"} 2"));
-        assert!(text.contains("faultline_request_latency_ms_bucket{le=\"5\"} 3"));
-        assert!(text.contains("faultline_request_latency_ms_bucket{le=\"+Inf\"} 4"));
+        // Whole microseconds, so a hot answer has buckets of its own.
+        assert!(text.contains("faultline_request_latency_us_bucket{le=\"10\"} 1\n"), "{text}");
+        assert!(text.contains("faultline_request_latency_us_bucket{le=\"25\"} 2\n"), "{text}");
+        assert!(text.contains("faultline_request_latency_us_bucket{le=\"250\"} 3\n"), "{text}");
+        assert!(text.contains("faultline_request_latency_us_bucket{le=\"5000\"} 5\n"), "{text}");
+        assert!(text.contains("faultline_request_latency_us_bucket{le=\"60000000\"} 6\n"));
+        assert!(text.contains("faultline_request_latency_us_bucket{le=\"+Inf\"} 7\n"));
+        assert!(text.contains("faultline_request_latency_us_count 7\n"));
+        // 3000 + 3000 + 200 + 10_000_000 + 7 + 20 + 61_000_000.
+        assert!(text.contains("faultline_request_latency_us_sum 71006227\n"), "{text}");
         assert!(text.contains("faultline_queue_depth 0"));
         assert!(text.contains("faultline_workers_total 4"));
     }

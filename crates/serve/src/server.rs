@@ -12,8 +12,9 @@
 //! queue into a per-connection write buffer flushed on writability.
 //! Serving goes through four tiers:
 //!
-//! 1. **memo** — `GET /v1/cr` inside the precomputed `(n, f)` lattice:
-//!    a `HashMap` probe, no cache, no pool (`X-Cache: memo`).
+//! 1. **memo** — `GET /v1/cr` inside the closed-form `(n, f)` lattice
+//!    ([`crate::memo`]): an indexed load of the body its first request
+//!    serialized, no cache, no pool (`X-Cache: memo`).
 //! 2. **hit** — the sharded LRU answers inline with the exact bytes of
 //!    the original computation (`X-Cache: hit`).
 //! 3. **a miss under the work bound** — [`handlers::prepare_with_work`]
@@ -101,7 +102,7 @@ pub struct ServerState {
     pub metrics: Arc<Metrics>,
     /// The bounded worker pool.
     pub pool: Arc<WorkerPool>,
-    /// The precomputed `/v1/cr` closed-form lattice.
+    /// The `/v1/cr` closed-form lattice, filled on first use.
     pub memo: Arc<CrMemo>,
     /// The single-flight table every loop parks on.
     pub(crate) flights: FlightTable,
@@ -172,8 +173,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and builds the cache, metrics, pool,
-    /// closed-form memo and one inbox per event loop.
+    /// Binds the listener and builds the cache, metrics, pool, the
+    /// unfilled closed-form memo and one inbox per event loop.
     ///
     /// # Errors
     ///
@@ -908,10 +909,11 @@ fn handle_request(state: &ServerState, request: &Request, received: Instant) -> 
         Routed::Matched(matched) => matched,
     };
 
-    // Tier 1: the precomputed closed-form lattice. A memoized (n, f)
-    // answers straight off the event loop — no cache, no pool. Pairs
-    // outside the lattice (or unparsable parameters) fall through to
-    // the normal path for its exact resolution and diagnostics.
+    // Tier 1: the closed-form lattice. An (n, f) inside it answers
+    // straight off the event loop (the first request for the point
+    // serializes it) — no cache, no pool. Pairs outside the lattice
+    // (or unparsable parameters) fall through to the normal path for
+    // its exact resolution and diagnostics.
     if matched == Route::Cr {
         let parsed = (
             request.query_param("n").and_then(|v| v.parse::<usize>().ok()),

@@ -179,16 +179,21 @@ fn a_half_written_request_cannot_stall_other_connections() {
 fn the_memo_tier_answers_cr_without_touching_the_pool() {
     let (handle, addr) = spawn(ServeConfig::default());
     let state = handle.state();
-    assert!(!state.memo.is_empty(), "the lattice was precomputed at startup");
+    assert!(state.memo.is_empty(), "nothing is serialized at start-up");
 
     let memoized = client::query(&addr, "GET", "/v1/cr?n=9&f=4", None).expect("memo GET");
     assert_eq!(memoized.status, 200);
-    assert_eq!(memoized.header("X-Cache"), Some("memo"), "served from the precomputed lattice");
-    assert_eq!(state.metrics.memo_hits(), 1);
+    assert_eq!(memoized.header("X-Cache"), Some("memo"), "the first request fills its point");
+    assert_eq!(state.memo.len(), 1, "that point and no other");
+    let again = client::query(&addr, "GET", "/v1/cr?n=9&f=4", None).expect("memo GET");
+    assert_eq!(again.header("X-Cache"), Some("memo"));
+    assert_eq!(again.body, memoized.body);
+    assert_eq!(state.memo.len(), 1);
+    assert_eq!(state.metrics.memo_hits(), 2);
     assert_eq!(state.metrics.pool_jobs(), 0, "GET /v1/cr never dispatched to the pool");
     assert_eq!(state.cache.misses(), 0, "nor to the LRU/compute path");
     let rendered = state.metrics.render(&state.cache);
-    assert!(rendered.contains("faultline_cr_memo_hits_total 1"), "memo tier exported: {rendered}");
+    assert!(rendered.contains("faultline_cr_memo_hits_total 2"), "memo tier exported: {rendered}");
     handle.shutdown();
 
     // The memo tier is byte-identical to the computed path: the same

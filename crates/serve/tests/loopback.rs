@@ -118,7 +118,7 @@ fn cache_hits_are_byte_identical_and_metrics_move() {
     );
     assert!(metrics.contains("faultline_cache_hits_total 1"), "one hit: {metrics}");
     assert!(metrics.contains("faultline_cache_misses_total 3"), "three misses: {metrics}");
-    assert!(metrics.contains("faultline_request_latency_ms_count"), "histogram rendered");
+    assert!(metrics.contains("faultline_request_latency_us_count"), "histogram rendered");
     handle.shutdown();
 }
 

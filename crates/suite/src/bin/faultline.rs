@@ -21,6 +21,7 @@ use std::process::ExitCode;
 use faultline_suite::analysis::ascii::render_table;
 use faultline_suite::analysis::group_search;
 use faultline_suite::analysis::measure_strategy_cr;
+use faultline_suite::analysis::supremum;
 use faultline_suite::core::{lower_bound, ratio, Algorithm, Params, Regime};
 use faultline_suite::sim::engine::SimConfig;
 use faultline_suite::sim::{
@@ -140,11 +141,15 @@ fn parse_params(
     Ok(validate(n, f)?)
 }
 
+/// Reads the optional scan window `xmax` (default 25), refused before
+/// anything prints unless `/v1/supremum` would accept it.
 fn parse_xmax(args: &[String], idx: usize) -> Result<f64, Box<dyn std::error::Error>> {
-    match args.get(idx) {
-        Some(s) => Ok(s.parse()?),
-        None => Ok(25.0),
-    }
+    let xmax = match args.get(idx) {
+        Some(s) => s.parse()?,
+        None => 25.0,
+    };
+    supremum::check_xmax(xmax)?;
+    Ok(xmax)
 }
 
 fn design(params: Params) -> Result<(), Box<dyn std::error::Error>> {

@@ -1,7 +1,10 @@
 //! End-to-end tests of the `faultline` CLI binary: every subcommand is
 //! spawned as a real process and its output checked.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
+use std::thread;
+use std::time::{Duration, Instant};
 
 fn run(args: &[&str]) -> (bool, String, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_faultline"))
@@ -210,4 +213,46 @@ fn scenario_refuses_work_no_worker_could_finish() {
         );
         assert!(output.stdout.is_empty(), "{args:?}");
     }
+}
+
+#[test]
+fn compare_and_spectrum_refuse_every_window_the_service_refuses() {
+    for command in ["compare", "spectrum"] {
+        for xmax in ["0.5", "-1e300", "1e300", "inf", "NaN"] {
+            let output = Command::new(env!("CARGO_BIN_EXE_faultline"))
+                .args([command, "3", "1", xmax])
+                .output()
+                .expect("failed to spawn the faultline binary");
+            let label = format!("{command} 3 1 {xmax}");
+            assert_eq!(output.status.code(), Some(2), "{label}");
+            assert!(output.stdout.is_empty(), "{label} printed to stdout");
+            assert!(String::from_utf8_lossy(&output.stderr).contains("xmax"), "{label}");
+        }
+    }
+}
+
+#[test]
+fn serve_refuses_a_memo_lattice_over_the_largest_fleet_before_binding() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_faultline"))
+        .args(["serve", "--addr=127.0.0.1:0", "--memo-max-n=4097"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn the faultline binary");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait on the server") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().expect("kill the server");
+            panic!("serve --memo-max-n=4097 started serving");
+        }
+        thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(2));
+    let mut stderr = String::new();
+    child.stderr.take().expect("piped").read_to_string(&mut stderr).expect("read stderr");
+    assert!(stderr.contains("memo_max_n must be at most 4096"), "{stderr}");
+    assert!(!stderr.contains("listening"), "{stderr}");
 }
