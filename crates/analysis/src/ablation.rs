@@ -29,9 +29,9 @@ pub struct BetaSample {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BetaAblation {
     /// The parameters swept.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Fault budget.
-    pub f: usize,
+    pub(crate) f: usize,
     /// The closed-form optimum `beta*`.
     pub beta_star: f64,
     /// Competitive ratio at `beta*`.

@@ -1,7 +1,7 @@
 //! Average-case analysis: the expected ratio `E[K(x)]` for a target
 //! drawn log-uniformly from `[1, X]` (random side), computed **exactly**
 //! from the affine pieces of `T_(f+1)` — and cross-validated against
-//! the piecewise closed form of [`faultline_core::ClosedForm`] and the
+//! the piecewise closed form of [`faultline_core::closed_form::ClosedForm`] and the
 //! Monte-Carlo simulator.
 //!
 //! The log-uniform law matches the simulator's sampling
@@ -28,11 +28,11 @@ use crate::exact::kth_pieces;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AverageCase {
     /// Robots.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Fault budget.
-    pub f: usize,
+    pub(crate) f: usize,
     /// The log-uniform range upper end `X`.
-    pub xmax: f64,
+    pub(crate) xmax: f64,
     /// Exact expected ratio `E[K(x)]` under the worst-case fault
     /// adversary.
     pub expected: f64,
@@ -150,14 +150,14 @@ mod tests {
     fn closed_form_average(params: Params, xmax: f64) -> f64 {
         let alg = Algorithm::design(params).unwrap();
         let schedule = alg.schedule().unwrap();
-        let cf = faultline_core::ClosedForm::new(schedule);
+        let cf = faultline_core::closed_form::ClosedForm::new(schedule);
         let (ln_r, top) = (schedule.ratio().ln(), xmax.ln());
         let mut sum = 0.0;
         // The negative side's ladder is shifted by n/2 steps.
         for (side, offset) in [(1.0, 0.0), (-1.0, schedule.n() as f64 / 2.0)] {
             let mut cuts = vec![0.0];
             for j in -(schedule.n() as i32).. {
-                let u = schedule.base().ln() + (j as f64 + offset) * ln_r;
+                let u = schedule.turning_position(0).ln() + (j as f64 + offset) * ln_r;
                 if u >= top {
                     break;
                 }

@@ -40,7 +40,7 @@ pub struct BoundedSample {
 ///
 /// Propagates construction and scan failures; the scan rejects
 /// `D <= 1`.
-pub fn bounded_cr(params: Params, bound: f64) -> Result<BoundedSample> {
+pub(crate) fn bounded_cr(params: Params, bound: f64) -> Result<BoundedSample> {
     let algorithm = BoundedAlgorithm::design(params, bound)?;
     let fleet = Fleet::from_plans(&algorithm.plans()?, algorithm.required_horizon())?;
     let k = params.required_visits();

@@ -15,17 +15,17 @@ use serde::{Deserialize, Serialize};
 
 /// One row of a convergence study.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ConvergenceSample {
+pub(crate) struct ConvergenceSample {
     /// The size parameter (robots `n`, or faults `f` for the fixed-`a`
     /// study).
-    pub size: usize,
+    pub(crate) size: usize,
     /// The finite value.
-    pub value: f64,
+    pub(crate) value: f64,
     /// The claimed limit.
-    pub limit: f64,
+    pub(crate) limit: f64,
     /// `(value - limit) * size / ln(size)` — bounded iff the gap is
     /// `Theta(ln size / size)`.
-    pub normalized_gap: f64,
+    pub(crate) normalized_gap: f64,
 }
 
 /// Corollary 1 study: the gap `CR(A(2f+1, f)) - 3`, normalized by
@@ -41,7 +41,7 @@ pub struct ConvergenceSample {
 /// # Errors
 ///
 /// Propagates formula failures.
-pub fn corollary1_rate(sizes: &[usize]) -> Result<Vec<ConvergenceSample>> {
+pub(crate) fn corollary1_rate(sizes: &[usize]) -> Result<Vec<ConvergenceSample>> {
     sizes
         .iter()
         .map(|&n| {
@@ -64,7 +64,7 @@ pub fn corollary1_rate(sizes: &[usize]) -> Result<Vec<ConvergenceSample>> {
 /// # Errors
 ///
 /// Propagates solver failures.
-pub fn corollary2_rate(sizes: &[usize]) -> Result<Vec<ConvergenceSample>> {
+pub(crate) fn corollary2_rate(sizes: &[usize]) -> Result<Vec<ConvergenceSample>> {
     sizes
         .iter()
         .map(|&n| {
@@ -87,7 +87,7 @@ pub fn corollary2_rate(sizes: &[usize]) -> Result<Vec<ConvergenceSample>> {
 /// # Errors
 ///
 /// Propagates formula failures and invalid proportions.
-pub fn fixed_proportion_rate(a: f64, sizes: &[usize]) -> Result<Vec<ConvergenceSample>> {
+pub(crate) fn fixed_proportion_rate(a: f64, sizes: &[usize]) -> Result<Vec<ConvergenceSample>> {
     let limit = ratio::asymptotic_cr(a)?;
     sizes
         .iter()
@@ -178,5 +178,21 @@ mod tests {
         }
         assert!(prev_gap < 1e-3);
         assert!(fixed_proportion_rate(2.5, &[10]).is_err());
+    }
+
+    #[test]
+    fn convergence_rates_support_the_corollaries() {
+        let sizes = [101usize, 1001, 10_001];
+        let c1 = corollary1_rate(&sizes).unwrap();
+        let c2 = corollary2_rate(&sizes).unwrap();
+        for (u, l) in c1.iter().zip(&c2) {
+            // Upper bound dominates lower bound at every size, and both
+            // normalized gaps live near the shared constant 2.
+            assert!(u.value >= l.value);
+            assert!(u.normalized_gap <= 4.0, "Corollary 1 envelope");
+            assert!(l.normalized_gap <= u.normalized_gap + 1e-9);
+        }
+        let fixed = fixed_proportion_rate(1.75, &[100, 1000]).unwrap();
+        assert!((fixed[1].value - fixed[1].limit).abs() < (fixed[0].value - fixed[0].limit).abs());
     }
 }

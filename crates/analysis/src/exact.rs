@@ -29,7 +29,7 @@ use faultline_core::{Error, Geometry, Interval, PiecewiseTrajectory, Result, Tur
 /// Exponent of the pressure's generalized mean: high enough that only
 /// interval suprema within a fraction of a percent of the global
 /// supremum contribute.
-pub const PRESSURE_EXPONENT: i32 = 32;
+pub(crate) const PRESSURE_EXPONENT: i32 = 32;
 
 /// Relative margin of the no-crossing certificate in
 /// [`interval_crossings`], far above the few ulps its own rounding
@@ -54,7 +54,7 @@ pub struct ExactScan {
     /// Total number of critical points enumerated across both sides —
     /// the exact analogue of the historical grid size.
     pub critical_points: usize,
-    /// Power-[`PRESSURE_EXPONENT`] mean of `interval supremum /
+    /// Power-`PRESSURE_EXPONENT` mean of `interval supremum /
     /// global supremum` over the covered intervals, in `(0, 1]`;
     /// `1.0` when the scan is uncovered or non-finite. Proportional
     /// schedules equalize every turning-point peak, so their pressure
@@ -630,7 +630,7 @@ impl FleetScan {
     ///
     /// Rejects `k == 0`, a window bound `xmax <= 1` or non-finite, and
     /// propagates enumeration failures (an empty fleet among them).
-    pub fn new(
+    pub(crate) fn new(
         trajectories: &[PiecewiseTrajectory],
         k: usize,
         xmax: f64,
@@ -655,7 +655,7 @@ impl FleetScan {
 
     /// The fleet's own scan: what [`exact_supremum_geometry`] returns.
     #[must_use]
-    pub fn scan(&self) -> ExactScan {
+    pub(crate) fn scan(&self) -> ExactScan {
         // The half-line has no negative side: an empty accumulator
         // contributes no candidates, no uncovered intervals, and no
         // critical points to the merge.
@@ -679,7 +679,11 @@ impl FleetScan {
     /// # Errors
     ///
     /// Propagates the robot's enumeration and mirroring failures.
-    pub fn scan_with(&self, robot: &PiecewiseTrajectory, splits: [&[f64]; 2]) -> Result<ExactScan> {
+    pub(crate) fn scan_with(
+        &self,
+        robot: &PiecewiseTrajectory,
+        splits: [&[f64]; 2],
+    ) -> Result<ExactScan> {
         debug_assert!(splits.iter().all(|s| s.is_sorted()), "split points must ascend");
         let robot = std::slice::from_ref(robot);
         let mut times = Vec::new();
@@ -717,8 +721,7 @@ pub(crate) struct Piece {
 /// Otherwise the right-hand limit at `±xmax` is one more piece,
 /// `[xmax, xmax]`, as [`exact_supremum`] scores it, and a side no robot
 /// passes counts as uncovered there. Among visitors tied inside a
-/// piece the lower robot index comes first, as
-/// [`TurnCost::detection_cost`] orders them.
+/// piece the lower robot index comes first.
 pub(crate) fn kth_pieces(
     trajectories: &[PiecewiseTrajectory],
     k: usize,
@@ -1090,6 +1093,9 @@ fn merge_expected(pos: SideScan, neg: SideScan) -> ExactScan {
 mod crossing_stage;
 
 #[cfg(test)]
+mod moved_horizon;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use faultline_core::Plan;
@@ -1118,6 +1124,20 @@ mod tests {
         }
     }
 
+    /// The turn cost at `x` on its own: the `k`-th distinct visitor's
+    /// arrival, ties to the lower robot index, plus `c` per reversal it
+    /// made on the way.
+    fn pointwise_cost(model: TurnCost, fleet: &[PiecewiseTrajectory], x: f64, k: usize) -> f64 {
+        let mut arrivals: Vec<(usize, f64)> = fleet
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| t.first_visit(x).map(|time| (i, time)))
+            .collect();
+        arrivals.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let (robot, time) = arrivals[k - 1];
+        time + model.cost_per_turn() * model.turns_before(&fleet[robot], time) as f64
+    }
+
     /// Asserts that the walk's cost supremum dominates the pointwise
     /// turn-cost ratio at every target.
     fn assert_dominates(fleet: &Fleet, targets: &[f64], xmax: f64, closed: bool, label: &str) {
@@ -1126,8 +1146,7 @@ mod tests {
             let walk = kth_cost_supremum(fleet.trajectories(), 2, xmax, model, closed).unwrap();
             assert!(walk.is_finite(), "{label}, c = {c}: uncovered");
             for &x in targets {
-                let cost = model.detection_cost(fleet.trajectories(), x, 2).unwrap().unwrap();
-                let pointwise = cost.cost / x.abs();
+                let pointwise = pointwise_cost(model, fleet.trajectories(), x, 2) / x.abs();
                 assert!(
                     walk >= pointwise * (1.0 - 1e-12),
                     "{label}, c = {c}: target {x} costs {pointwise} above the walk's {walk}"
@@ -1221,7 +1240,7 @@ mod tests {
         // The one-sided exact scan still dominates a dense one-sided grid.
         for i in 0..2000 {
             let x = 1.0 + 14.0 * i as f64 / 1999.0;
-            if let Some(r) = fleet.ratio_at(x, 2).unwrap() {
+            if let Some(r) = fleet.visit_time(x, 2).map(|t| t / x.abs()) {
                 assert!(
                     half.ratio >= r - 1e-12 * r,
                     "half-line grid point {x} beats the exact supremum: {r} > {}",
@@ -1238,12 +1257,13 @@ mod tests {
         // the fast robot visits x at t = x/2, the slow one at t = 2x, so
         // T_2(x)/x = 2 everywhere on the half-line.
         let fast = PiecewiseTrajectory::with_speed_limit(
-            vec![SpaceTime::origin(), SpaceTime::new(40.0, 20.0)],
+            vec![SpaceTime::new(0.0, 0.0), SpaceTime::new(40.0, 20.0)],
             2.0,
         )
         .unwrap();
-        let slow = PiecewiseTrajectory::new(vec![SpaceTime::origin(), SpaceTime::new(20.0, 40.0)])
-            .unwrap();
+        let slow =
+            PiecewiseTrajectory::new(vec![SpaceTime::new(0.0, 0.0), SpaceTime::new(20.0, 40.0)])
+                .unwrap();
         let fleet = Fleet::new(vec![fast, slow]).unwrap();
         let half = exact_supremum_geometry(&fleet, 2, 10.0, Geometry::HalfLine).unwrap();
         assert_eq!(half.uncovered, 0);
@@ -1263,7 +1283,7 @@ mod tests {
         for i in 0..2000 {
             let x = 1.0 + 19.0 * i as f64 / 1999.0;
             for sx in [x, -x] {
-                if let Some(r) = fleet.ratio_at(sx, 3).unwrap() {
+                if let Some(r) = fleet.visit_time(sx, 3).map(|t| t / sx.abs()) {
                     assert!(
                         scan.ratio >= r - 1e-12 * r,
                         "grid point {sx} beats the exact supremum: {r} > {}",
@@ -1324,9 +1344,9 @@ mod tests {
                 plain.ratio
             );
             assert!(
-                enclosed.enclosure.width() <= 1e-9 * plain.ratio,
+                (enclosed.enclosure.hi() - enclosed.enclosure.lo()) <= 1e-9 * plain.ratio,
                 "(n = {n}, f = {f}): enclosure width {} is not tight",
-                enclosed.enclosure.width()
+                (enclosed.enclosure.hi() - enclosed.enclosure.lo())
             );
         }
     }
@@ -1348,7 +1368,7 @@ mod tests {
         // crossing candidate to reach the supremum.
         let a = PiecewiseTrajectory::with_speed_limit(
             vec![
-                SpaceTime::origin(),
+                SpaceTime::new(0.0, 0.0),
                 SpaceTime::new(1.0, 1.0 / 3.0),
                 SpaceTime::new(4.0, 1.0 / 3.0 + 6.0),
                 SpaceTime::new(-4.0, 1.0 / 3.0 + 14.0),
@@ -1357,7 +1377,7 @@ mod tests {
         )
         .unwrap();
         let b = PiecewiseTrajectory::new(vec![
-            SpaceTime::origin(),
+            SpaceTime::new(0.0, 0.0),
             SpaceTime::new(0.0, 1.0),
             SpaceTime::new(5.0, 6.0),
             SpaceTime::new(-5.0, 16.0),
@@ -1370,7 +1390,11 @@ mod tests {
         assert!((scan.ratio - 11.0 / 8.0).abs() < 1e-12, "{}", scan.ratio);
         let enclosed = exact_supremum_enclosed(&fleet, 1, 3.5).unwrap();
         assert_eq!(enclosed.scan, scan);
-        assert!(enclosed.enclosure.width() <= 1e-9 * scan.ratio, "{:?}", enclosed.enclosure);
+        assert!(
+            (enclosed.enclosure.hi() - enclosed.enclosure.lo()) <= 1e-9 * scan.ratio,
+            "{:?}",
+            enclosed.enclosure
+        );
     }
 
     #[test]

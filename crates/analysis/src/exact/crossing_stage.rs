@@ -171,7 +171,7 @@ fn decode_robot(u: &[f64]) -> PiecewiseTrajectory {
     let speed = SPEEDS[(u[0] * 4.0) as usize % 4];
     let mut side = if u[1] < 0.5 { 1.0 } else { -1.0 };
     let mut magnitude = 0.3 + 1.5 * u[2];
-    let mut at = SpaceTime::origin();
+    let mut at = SpaceTime::new(0.0, 0.0);
     let mut waypoints = vec![at];
     for leg in u[3..].chunks(2) {
         let (kind, size) = (leg[0], leg[1]);
@@ -311,12 +311,12 @@ fn check_substitution(
 /// shared), an exact copy of a neighbour, a robot that never leaves
 /// `(-1, 1)`, or a neighbour stretched to twice its reach.
 fn replacement(fleet: &Fleet, r: usize, kind: usize, u: &[f64]) -> PiecewiseTrajectory {
-    let neighbour = &fleet.trajectories()[(r + 1) % fleet.len()];
+    let neighbour = &fleet.trajectories()[(r + 1) % fleet.trajectories().len()];
     match kind % 5 {
         0 => decode_robot(u),
         1 => {
             let delay = 0.25 + 3.0 * u[0];
-            let mut waypoints = vec![SpaceTime::origin(), SpaceTime::new(0.0, delay)];
+            let mut waypoints = vec![SpaceTime::new(0.0, 0.0), SpaceTime::new(0.0, delay)];
             waypoints.extend(
                 neighbour.waypoints()[1..].iter().map(|w| SpaceTime::new(w.x, w.t + delay)),
             );
@@ -324,7 +324,7 @@ fn replacement(fleet: &Fleet, r: usize, kind: usize, u: &[f64]) -> PiecewiseTraj
         }
         2 => neighbour.clone(),
         3 => PiecewiseTrajectory::new(vec![
-            SpaceTime::origin(),
+            SpaceTime::new(0.0, 0.0),
             SpaceTime::new(0.9 * u[1], 0.9),
             SpaceTime::new(-0.9 * u[2], 3.0),
         ])
@@ -369,7 +369,7 @@ proptest! {
         p in 0.0f64..1.0,
     ) {
         let fleet = decode_fleet(&raw_robots, duplicate);
-        let k = 1 + k_raw % fleet.len();
+        let k = 1 + k_raw % fleet.trajectories().len();
         check(&fleet, k, p, xmax)?;
     }
 }
@@ -389,9 +389,9 @@ proptest! {
         xmax in 2.0f64..30.0,
     ) {
         let fleet = decode_fleet(&raw_robots, duplicate);
-        let r = r_raw % fleet.len();
+        let r = r_raw % fleet.trajectories().len();
         // One case in three measures with k = n.
-        let k = if k_raw >= 6 { fleet.len() } else { 1 + k_raw % fleet.len() };
+        let k = if k_raw >= 6 { fleet.trajectories().len() } else { 1 + k_raw % fleet.trajectories().len() };
         let replacement = replacement(&fleet, r, kind, &raw_replacement);
         let xmax = window(&fleet, r, &replacement, mode, xmax);
         check_substitution(&fleet, r, &replacement, k, xmax)?;
@@ -410,8 +410,8 @@ fn substitution_cases_exercise_every_branch() {
             .map(|_| (0..ROBOT_FLOATS).map(|_| rng.random_range(0.0..1.0)).collect())
             .collect();
         let fleet = decode_fleet(&raw, rng.random_range(0.0..1.0));
-        let r = rng.random_range(0..fleet.len());
-        let k = rng.random_range(1..=fleet.len());
+        let r = rng.random_range(0..fleet.trajectories().len());
+        let k = rng.random_range(1..=fleet.trajectories().len());
         let u: Vec<f64> = (0..ROBOT_FLOATS).map(|_| rng.random_range(0.0..1.0)).collect();
         let replacement = replacement(&fleet, r, rng.random_range(0..5), &u);
         let (mode, xmax) = (rng.random_range(0.0..1.0), rng.random_range(2.0..30.0));
@@ -448,7 +448,7 @@ fn a_crossing_with_the_substituted_robot_can_be_the_supremum() {
     // and B). Either robot left out must find that crossing itself.
     let a = PiecewiseTrajectory::with_speed_limit(
         vec![
-            SpaceTime::origin(),
+            SpaceTime::new(0.0, 0.0),
             SpaceTime::new(1.0, 1.0 / 3.0),
             SpaceTime::new(4.0, 1.0 / 3.0 + 6.0),
             SpaceTime::new(-4.0, 1.0 / 3.0 + 14.0),
@@ -457,7 +457,7 @@ fn a_crossing_with_the_substituted_robot_can_be_the_supremum() {
     )
     .unwrap();
     let b = PiecewiseTrajectory::new(vec![
-        SpaceTime::origin(),
+        SpaceTime::new(0.0, 0.0),
         SpaceTime::new(0.0, 1.0),
         SpaceTime::new(5.0, 6.0),
         SpaceTime::new(-5.0, 16.0),
@@ -473,7 +473,7 @@ fn a_crossing_with_the_substituted_robot_can_be_the_supremum() {
     let expected = exact_expected_supremum(&fleet, 1.0, 3.5).unwrap();
     assert_eq!((expected.ratio, expected.argmax), (scan.ratio, scan.argmax));
     check(&fleet, 1, 1.0, 3.5).unwrap();
-    for r in 0..fleet.len() {
+    for r in 0..fleet.trajectories().len() {
         check_substitution(&fleet, r, &fleet.trajectories()[r].clone(), 1, 3.5).unwrap();
     }
 }
@@ -509,7 +509,7 @@ fn random_fleets_put_crossings_inside_intervals() {
             .map(|_| (0..ROBOT_FLOATS).map(|_| rng.random_range(0.0..1.0)).collect())
             .collect();
         let fleet = decode_fleet(&raw, rng.random_range(0.0..1.0));
-        let k = rng.random_range(1..=fleet.len());
+        let k = rng.random_range(1..=fleet.trajectories().len());
         let p = PROBABILITIES[case % PROBABILITIES.len()];
         let filed = check(&fleet, k, p, rng.random_range(2.0..30.0)).unwrap();
         cases += 1;

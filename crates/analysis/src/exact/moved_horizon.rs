@@ -12,9 +12,8 @@
 //! and a split lands on a cut of the other robots or of the candidate,
 //! and a horizon on another robot's turn time, often enough to count.
 
-use faultline_analysis::exact::{exact_supremum, FleetScan};
-use faultline_analysis::supremum::{measure_free_schedule_profile, TURNING_POINT_EPS};
-use faultline_analysis::{ExactScan, LeaveOneOut};
+use super::{exact_supremum, ExactScan, FleetScan};
+use crate::supremum::{measure_free_schedule_profile, LeaveOneOut, TURNING_POINT_EPS};
 use faultline_core::exact::{first_visit_cover, mirrored};
 use faultline_core::{FreeRobot, FreeSchedule, Geometry, PiecewiseTrajectory};
 use proptest::prelude::*;
@@ -147,7 +146,7 @@ fn check(
     prop_assert_eq!(profile.is_some(), expected.uncovered == 0, "robot {}", r);
     if let Some(profile) = profile {
         let full = measure_free_schedule_profile(&swapped, f, xmax).unwrap();
-        let key = |p: &faultline_analysis::FreeScheduleProfile| {
+        let key = |p: &crate::FreeScheduleProfile| {
             (p.measured.empirical.to_bits(), p.measured.argmax.to_bits(), p.pressure.to_bits())
         };
         prop_assert_eq!(key(&profile), key(&full), "robot {}, k = {}, xmax = {}", r, k, xmax);
@@ -161,8 +160,11 @@ fn check(
         (0..2).any(|s| splits[s].iter().any(|x| cuts[s].iter().any(|c| c.to_bits() == x.to_bits())))
     };
     let moved = horizon.to_bits() != held_horizon.to_bits();
+    // Materialized one unit past `horizon`, so a turn at `horizon` is
+    // an interior waypoint.
     let turn_times = |o: &FreeRobot| {
-        (0..).map(|j| o.turn_time(j)).take_while(move |&t| t <= horizon).collect::<Vec<_>>()
+        let traj = o.materialize(horizon + 1.0).unwrap();
+        traj.turning_points().iter().map(|p| p.t).filter(|&t| t <= horizon).collect::<Vec<_>>()
     };
     Ok(Exercised {
         below: reach < others_reach,
@@ -256,7 +258,7 @@ fn splits_on_cuts_at_a_horizon_on_a_turn_time() {
     let window = 10.0 * (1.0 + 2.0 * TURNING_POINT_EPS);
     let reaches: Vec<f64> = [&a, &b, &d, &c].iter().map(|r| r.reach(window)).collect();
     assert_eq!(reaches, [76.0, 122.0, 120.0, 124.0]);
-    assert_eq!(a.turn_time(3), 124.0);
+    assert_eq!(a.materialize(125.0).unwrap().turning_points()[3].t, 124.0);
     assert_eq!((b.cut_at(124.0).unwrap().x, d.cut_at(124.0).unwrap().x), (2.0, 4.0));
     let schedule = FreeSchedule::new(vec![a, b, d, c.clone()]).unwrap();
     for k in 1..=4 {

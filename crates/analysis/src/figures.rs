@@ -86,7 +86,7 @@ fn waypoints_series(label: &str, traj: &faultline_core::PiecewiseTrajectory) -> 
 /// # Errors
 ///
 /// Never fails in practice; propagates trajectory construction errors.
-pub fn fig1() -> Result<FigureData> {
+pub(crate) fn fig1() -> Result<FigureData> {
     let traj = TrajectoryBuilder::from_origin()
         .sweep_to(1.5)
         .sweep_to(-2.0)
@@ -106,7 +106,7 @@ pub fn fig1() -> Result<FigureData> {
 /// # Errors
 ///
 /// Propagates construction failures.
-pub fn fig2() -> Result<FigureData> {
+pub(crate) fn fig2() -> Result<FigureData> {
     let beta = 2.0;
     let cone = Cone::new(beta)?;
     let plan = Plan::zigzag(cone, 1.0)?;
@@ -130,7 +130,7 @@ pub fn fig2() -> Result<FigureData> {
 /// # Errors
 ///
 /// Propagates construction failures.
-pub fn fig3() -> Result<FigureData> {
+pub(crate) fn fig3() -> Result<FigureData> {
     let beta = 2.0;
     let schedule = faultline_core::ProportionalSchedule::new(4, beta)?;
     let horizon = schedule.required_horizon(4, 8.0);
@@ -158,7 +158,7 @@ pub fn fig3() -> Result<FigureData> {
 /// # Errors
 ///
 /// Propagates construction failures.
-pub fn fig4() -> Result<FigureData> {
+pub(crate) fn fig4() -> Result<FigureData> {
     let params = Params::new(3, 1)?;
     let alg = Algorithm::design(params)?;
     let xmax = 6.0;
@@ -193,7 +193,7 @@ pub fn fig4() -> Result<FigureData> {
 /// # Errors
 ///
 /// Propagates construction failures.
-pub fn fig6() -> Result<FigureData> {
+pub(crate) fn fig6() -> Result<FigureData> {
     let x = 2.0;
     let positive = TrajectoryBuilder::from_origin().sweep_to(x).sweep_to(-x).finish()?;
     let negative = TrajectoryBuilder::from_origin().sweep_to(-x).sweep_to(x).finish()?;
@@ -222,7 +222,7 @@ pub fn fig6() -> Result<FigureData> {
 /// # Errors
 ///
 /// Propagates solver failures.
-pub fn fig7() -> Result<FigureData> {
+pub(crate) fn fig7() -> Result<FigureData> {
     let n = 5;
     let alpha = lower_bound::alpha(n)?;
     let xs = lower_bound::adversary_points(n, alpha)?;

@@ -46,7 +46,7 @@ pub fn k_spectrum(strategy: &dyn Strategy, params: Params, xmax: f64) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultline_strategies::{HerdDoublingStrategy, PaperStrategy};
+    use faultline_strategies::{strategy_by_name, PaperStrategy};
 
     #[test]
     fn spectrum_is_monotone_in_k() {
@@ -71,7 +71,8 @@ mod tests {
     fn herd_spectrum_is_flat() {
         // All herd robots coincide: every arrival index costs the same.
         let params = Params::new(3, 1).unwrap();
-        let spectrum = k_spectrum(&HerdDoublingStrategy::new(), params, 80.0).unwrap();
+        let spectrum =
+            k_spectrum(&*strategy_by_name("herd-doubling").unwrap(), params, 80.0).unwrap();
         let first = spectrum[0].cr;
         for s in &spectrum {
             assert!((s.cr - first).abs() < 1e-9, "herd CR_k must be flat");
@@ -85,7 +86,7 @@ mod tests {
         // design index the paper wins.
         let params = Params::new(3, 1).unwrap();
         let paper = k_spectrum(&PaperStrategy::new(), params, 40.0).unwrap();
-        let herd = k_spectrum(&HerdDoublingStrategy::new(), params, 40.0).unwrap();
+        let herd = k_spectrum(&*strategy_by_name("herd-doubling").unwrap(), params, 40.0).unwrap();
         let at = |v: &[KSample], k: usize| v.iter().find(|s| s.k == k).unwrap().cr;
         assert!(at(&paper, 2) < at(&herd, 2), "design index k = f + 1");
         // At the last arrival the spread-out schedule pays a premium.

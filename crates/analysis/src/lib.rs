@@ -11,7 +11,7 @@
 //!   6, 7 (CSV and SVG export).
 //! * [`supremum`] — empirical competitive-ratio measurement through two
 //!   independent paths (the exact critical-point engine and the event
-//!   simulator), plus the typed [`SupremumQuery`] request form.
+//!   simulator), plus the typed [`supremum::SupremumQuery`] request form.
 //! * [`scenario`] — declarative JSON scenario documents, runnable from
 //!   the CLI, the query service or programmatically.
 //! * [`ablation`] — the beta-sweep and fault-misestimation ablations.
@@ -29,7 +29,6 @@ pub mod ablation;
 pub mod ascii;
 pub mod average_case;
 pub mod bounded;
-pub mod convergence;
 pub mod exact;
 pub mod fig5;
 pub mod figures;
@@ -44,16 +43,15 @@ pub mod turncost;
 pub mod verification;
 pub mod work;
 
-pub use ascii::{line_chart, render_table, Series};
-pub use exact::{
-    exact_expected_supremum, exact_supremum, exact_supremum_enclosed, exact_supremum_geometry,
-    EnclosedScan, ExactScan, FleetScan,
-};
-pub use figures::FigureData;
+pub use ascii::render_table;
+
+pub use exact::{exact_supremum, exact_supremum_enclosed, exact_supremum_geometry};
 pub use scenario::{RobotPhysics, Scenario, ScenarioResult};
 pub use supremum::{
     measure_free_schedule_cr, measure_free_schedule_expected_cr, measure_free_schedule_profile,
     measure_strategy_cr, measure_strategy_cr_sim, resolve_strategy, FreeScheduleProfile,
-    LeaveOneOut, MeasuredCr, SupremumQuery, SupremumReport,
+    LeaveOneOut, MeasuredCr,
 };
-pub use table1::Table1Row;
+
+#[cfg(test)]
+mod convergence;

@@ -26,13 +26,13 @@ pub struct ExpectedCr {
     /// The supremum over targets of the per-target expected ratio.
     pub expected_cr: f64,
     /// The target achieving it.
-    pub argmax: f64,
+    pub(crate) argmax: f64,
     /// Number of (draw, target) pairs where `f + 1` robots did not
     /// reach the target within the horizon (counted as failures; any
     /// non-zero value makes the estimate unreliable).
     pub uncovered: usize,
     /// Coin draws per target.
-    pub draws: usize,
+    pub(crate) draws: usize,
 }
 
 /// Estimates `sup_x E[T_(f+1)(x)] / |x|` for a randomized strategy by
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn estimate_is_reproducible() {
-        let strategy = RandomizedSweepStrategy::new(3.0).unwrap();
+        let strategy = RandomizedSweepStrategy::kao_optimal();
         let params = Params::new(2, 1).unwrap();
         let a = expected_cr(&strategy, params, 10.0, 8, 50, 5).unwrap();
         let b = expected_cr(&strategy, params, 10.0, 8, 50, 5).unwrap();

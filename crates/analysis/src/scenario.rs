@@ -116,13 +116,13 @@ pub struct ScenarioResult {
     /// Index of the detecting robot.
     pub detected_by: Option<usize>,
     /// Distinct robots that visited the target up to detection.
-    pub distinct_visitors: usize,
+    pub(crate) distinct_visitors: usize,
     /// The position confirmed by the claim quorum, when one was
     /// configured and reached. Absent for legacy first-report runs.
-    pub confirmed_position: Option<f64>,
+    pub(crate) confirmed_position: Option<f64>,
     /// Number of false (Byzantine) claims asserted during the run.
     /// Zero — and absent from the JSON — outside Byzantine regimes.
-    pub false_claims: usize,
+    pub(crate) false_claims: usize,
 }
 
 // Manual serde impls: `ratio` is infinite for undetected targets; a

@@ -126,9 +126,9 @@ fn default_xmax() -> f64 {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SupremumReport {
     /// The query that produced this report.
-    pub query: SupremumQuery,
+    pub(crate) query: SupremumQuery,
     /// The measured supremum scan.
-    pub measured: MeasuredCr,
+    pub(crate) measured: MeasuredCr,
 }
 
 impl SupremumQuery {
@@ -561,7 +561,7 @@ pub fn measure_strategy_cr_sim(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faultline_strategies::{HerdDoublingStrategy, PaperStrategy, PessimalSplitStrategy};
+    use faultline_strategies::{strategy_by_name, PaperStrategy};
 
     #[test]
     fn paper_strategy_measures_at_its_analytic_cr() {
@@ -601,7 +601,8 @@ mod tests {
     #[test]
     fn herd_doubling_measures_below_nine() {
         let params = Params::new(3, 2).unwrap();
-        let m = measure_strategy_cr(&HerdDoublingStrategy::new(), params, 600.0).unwrap();
+        let m = measure_strategy_cr(&*strategy_by_name("herd-doubling").unwrap(), params, 600.0)
+            .unwrap();
         assert_eq!(m.uncovered, 0);
         assert!(m.empirical <= 9.0 + 1e-9);
         assert!(m.empirical > 8.5, "worst case approaches 9, got {}", m.empirical);
@@ -640,7 +641,8 @@ mod tests {
     #[test]
     fn infinite_measurement_roundtrips_losslessly() {
         let params = Params::new(3, 1).unwrap();
-        let m = measure_strategy_cr(&PessimalSplitStrategy::new(), params, 10.0).unwrap();
+        let m = measure_strategy_cr(&*strategy_by_name("pessimal-split").unwrap(), params, 10.0)
+            .unwrap();
         assert!(m.empirical.is_infinite());
         let json = serde_json::to_string_pretty(&m).unwrap();
         assert!(json.contains("\"inf\""), "non-finite ratio must use the sentinel: {json}");
@@ -687,7 +689,8 @@ mod tests {
     #[test]
     fn pessimal_split_is_caught_uncovered() {
         let params = Params::new(3, 1).unwrap();
-        let m = measure_strategy_cr(&PessimalSplitStrategy::new(), params, 10.0).unwrap();
+        let m = measure_strategy_cr(&*strategy_by_name("pessimal-split").unwrap(), params, 10.0)
+            .unwrap();
         assert!(m.empirical.is_infinite());
         assert!(m.uncovered > 0);
     }

@@ -61,7 +61,7 @@ impl SvgCanvas {
     }
 
     /// Draws a filled circle at a problem-space point.
-    pub fn circle(&mut self, x: f64, y: f64, radius_px: f64, color: &str) {
+    pub(crate) fn circle(&mut self, x: f64, y: f64, radius_px: f64, color: &str) {
         let (px, py) = self.map(x, y);
         self.elements.push(format!(
             "<circle cx=\"{px:.2}\" cy=\"{py:.2}\" r=\"{radius_px}\" fill=\"{color}\"/>"
@@ -69,7 +69,7 @@ impl SvgCanvas {
     }
 
     /// Places a text label at a problem-space point.
-    pub fn text(&mut self, x: f64, y: f64, content: &str) {
+    pub(crate) fn text(&mut self, x: f64, y: f64, content: &str) {
         let (px, py) = self.map(x, y);
         let escaped = content.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;");
         self.elements.push(format!(

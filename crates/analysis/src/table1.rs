@@ -52,7 +52,7 @@ pub const TABLE1_PAIRS: &[(usize, usize)] = &[
 /// Note: for `(41, 20)` the paper prints a lower bound of 3.12; the
 /// defining equation's root is 3.1357 (the paper's print-out is rounded
 /// conservatively). We reproduce the equation root.
-pub const TABLE1_PAPER: &[(usize, usize, f64, f64, Option<f64>)] = &[
+pub(crate) const TABLE1_PAPER: &[(usize, usize, f64, f64, Option<f64>)] = &[
     (2, 1, 9.0, 9.0, Some(2.0)),
     (3, 1, 5.24, 3.76, Some(4.0)),
     (3, 2, 9.0, 9.0, Some(2.0)),
@@ -73,7 +73,7 @@ pub const TABLE1_PAPER: &[(usize, usize, f64, f64, Option<f64>)] = &[
 /// # Errors
 ///
 /// Propagates parameter validation and measurement failures.
-pub fn regenerate_row(n: usize, f: usize, measure: bool) -> Result<Table1Row> {
+pub(crate) fn regenerate_row(n: usize, f: usize, measure: bool) -> Result<Table1Row> {
     let params = Params::new(n, f)?;
     let cr_upper = ratio::cr_upper(params);
     let lb = lower_bound::lower_bound(params)?;

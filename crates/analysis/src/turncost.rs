@@ -34,7 +34,7 @@ use crate::exact::kth_cost_supremum;
 /// # Errors
 ///
 /// Propagates construction and evaluation failures.
-pub fn cost_cr(params: Params, beta: f64, c: f64, xmax: f64) -> Result<f64> {
+pub(crate) fn cost_cr(params: Params, beta: f64, c: f64, xmax: f64) -> Result<f64> {
     let strategy = FixedBetaStrategy::new(beta)?;
     let plans = strategy.plans(params)?;
     let horizon = strategy.horizon_hint(params, xmax * 1.001);

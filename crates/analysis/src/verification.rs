@@ -27,19 +27,19 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MatrixCell {
     /// Target position checked.
-    pub x: f64,
+    pub(crate) x: f64,
     /// `T_(f+1)(x)` from the closed form.
-    pub closed_form: f64,
+    pub(crate) closed_form: f64,
     /// `T_(f+1)(x)` from coverage queries.
-    pub coverage: f64,
+    pub(crate) coverage: f64,
     /// `T_(f+1)(x)` from the worst-case simulation.
-    pub simulation: f64,
+    pub(crate) simulation: f64,
 }
 
 impl MatrixCell {
     /// The largest relative disagreement among the three paths.
     #[must_use]
-    pub fn max_relative_gap(&self) -> f64 {
+    pub(crate) fn max_relative_gap(&self) -> f64 {
         let vals = [self.closed_form, self.coverage, self.simulation];
         let lo = vals.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -68,7 +68,7 @@ pub struct MatrixReport {
 /// Propagates design, materialization and evaluation failures; fails
 /// when the parameters are not in the proportional regime (the closed
 /// form only exists there).
-pub fn run_matrix(params: Params, xmax: f64, grid: usize) -> Result<MatrixReport> {
+pub(crate) fn run_matrix(params: Params, xmax: f64, grid: usize) -> Result<MatrixReport> {
     let alg = Algorithm::design(params)?;
     let schedule = alg.schedule().ok_or_else(|| {
         faultline_core::Error::invalid_params(

@@ -9,7 +9,7 @@
 //! from these parts.
 //!
 //! [`admit`] turns a bound into an admission rule: work that no worker
-//! could finish within a time limit, at [`UNIT_SECONDS`] a unit, is
+//! could finish within a time limit, at `UNIT_SECONDS` a unit, is
 //! refused before anything is built.
 
 use std::time::Duration;
@@ -21,10 +21,10 @@ pub const OVERHEAD: f64 = 8.0;
 /// The cost of one visit unit, in seconds, at its largest measured:
 /// 0.06 to 0.08 µs for paper fleets of 801 to 3201 robots at xmax 1e9,
 /// in release on a shared 2-vCPU x86-64 host.
-pub const UNIT_SECONDS: f64 = 0.08e-6;
+pub(crate) const UNIT_SECONDS: f64 = 0.08e-6;
 
 /// Refuses a finite work bound over what one worker computes within
-/// `timeout` at [`UNIT_SECONDS`] a unit (7.5e8 units at 60 s). An
+/// `timeout` at `UNIT_SECONDS` a unit (7.5e8 units at 60 s). An
 /// infinite bound means the computation has no bound yet, and passes.
 ///
 /// # Errors

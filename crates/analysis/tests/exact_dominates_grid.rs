@@ -104,7 +104,7 @@ proptest! {
             for pair in raw_probes.chunks_exact(2) {
                 let magnitude = 1.0 + pair[0] * (xmax - 1.0);
                 let x = if pair[1] < 0.5 { magnitude } else { -magnitude };
-                if let Some(ratio) = fleet.ratio_at(x, f + 1).unwrap() {
+                if let Some(ratio) = fleet.visit_time(x, f + 1).map(|t| t / x.abs()) {
                     prop_assert!(
                         ratio <= exact.empirical * (1.0 + 1e-9),
                         "K({}) = {} exceeds the exact supremum {}",
@@ -113,7 +113,7 @@ proptest! {
                 }
             }
             if grid.ratio.is_finite() && grid.uncovered == 0 {
-                let shared = fleet.ratio_at(grid.argmax, f + 1).unwrap();
+                let shared = fleet.visit_time(grid.argmax, f + 1).map(|t| t / grid.argmax.abs());
                 prop_assert!(
                     shared.is_some_and(|r| (r - grid.ratio).abs()
                         <= 1e-9 * grid.ratio.max(1.0)),

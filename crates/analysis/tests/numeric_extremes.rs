@@ -6,8 +6,9 @@
 //! `measure_free_schedule_*` family does the same on lowered paper
 //! schedules and on one-robot schedules turning near 1e-300 and 1e300.
 
+use faultline_analysis::exact::exact_expected_supremum;
 use faultline_analysis::{
-    exact_expected_supremum, exact_supremum, exact_supremum_enclosed, measure_free_schedule_cr,
+    exact_supremum, exact_supremum_enclosed, measure_free_schedule_cr,
     measure_free_schedule_expected_cr, measure_free_schedule_profile,
 };
 use faultline_core::{
@@ -66,7 +67,7 @@ fn huge_windows_answer_without_panicking() {
 fn extreme_speed_limits_answer_without_panicking() {
     for speed in [1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300] {
         // A doubling zig-zag at the speed limit, covering [-4, 8].
-        let mut at = SpaceTime::origin();
+        let mut at = SpaceTime::new(0.0, 0.0);
         let mut waypoints = vec![at];
         for x in [2.0, -4.0, 8.0] {
             at = SpaceTime::new(x, at.t + (x - at.x).abs() / speed);

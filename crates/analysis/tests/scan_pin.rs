@@ -12,9 +12,8 @@
 //! records an expected ratio, so a change to candidate enumeration that
 //! is meant to be bit-identical must reproduce these digests exactly.
 
-use faultline_analysis::{
-    exact_expected_supremum, exact_supremum_enclosed, measure_free_schedule_expected_cr, ExactScan,
-};
+use faultline_analysis::exact::{exact_expected_supremum, ExactScan};
+use faultline_analysis::{exact_supremum_enclosed, measure_free_schedule_expected_cr};
 use faultline_core::{Algorithm, Fleet, FreeSchedule, Params};
 
 const XMAX: f64 = 25.0;

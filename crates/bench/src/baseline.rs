@@ -46,7 +46,7 @@ pub struct WorkCount {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchBaseline {
     /// Workspace version the baseline was recorded with.
-    pub version: String,
+    pub(crate) version: String,
     /// UTC date of the run (`YYYY-MM-DD`).
     pub date: String,
     /// Deterministic work counts. Defaults to empty so baselines
@@ -99,7 +99,7 @@ pub fn compare_baselines(current: &BenchBaseline, recorded: &BenchBaseline) -> B
 /// UTC date of `now`, without a calendar dependency (civil-from-days,
 /// Howard Hinnant's algorithm).
 #[must_use]
-pub fn utc_date() -> String {
+pub(crate) fn utc_date() -> String {
     let secs = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
     let days = (secs / 86_400) as i64;
     let z = days + 719_468;

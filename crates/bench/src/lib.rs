@@ -7,11 +7,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod baseline;
-pub mod load;
-pub mod output;
+pub(crate) mod baseline;
+pub(crate) mod load;
+pub(crate) mod output;
 
-pub use baseline::{compare_baselines, run_baseline, BaselineComparison, BenchBaseline, WorkCount};
+pub use baseline::{compare_baselines, run_baseline, BenchBaseline};
+
+pub(crate) use baseline::BaselineComparison;
 pub use load::{compare_load, run_load, LoadReport};
 pub use output::resolve_out_path;
 

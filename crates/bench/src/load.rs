@@ -23,15 +23,15 @@ use crate::BaselineComparison;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LoadReport {
     /// Workspace version the report was recorded with.
-    pub version: String,
+    pub(crate) version: String,
     /// UTC date of the run (`YYYY-MM-DD`).
     pub date: String,
     /// Concurrent client threads.
-    pub concurrency: usize,
+    pub(crate) concurrency: usize,
     /// Total requests fired.
     pub requests: u64,
     /// Workload seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Transport-level failures (should be zero).
     pub errors: u64,
     /// Response count by HTTP status (stringified status codes).

@@ -18,7 +18,7 @@ use crate::instance::Instance;
 use crate::oracles::{oracle_by_name, Mismatch, Oracle, Verdict, REL_TOL};
 
 /// Document-format version; bump on incompatible schema changes.
-pub const COUNTEREXAMPLE_VERSION: u32 = 1;
+pub(crate) const COUNTEREXAMPLE_VERSION: u32 = 1;
 
 /// A persisted conformance failure: the shrunk instance, the violated
 /// oracle, both sides of the relation (as exact bit patterns), and an
@@ -26,7 +26,7 @@ pub const COUNTEREXAMPLE_VERSION: u32 = 1;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Counterexample {
     /// Document-format version.
-    pub version: u32,
+    pub(crate) version: u32,
     /// Name of the violated oracle.
     pub oracle: String,
     /// The run seed the instance was generated under.
@@ -37,21 +37,21 @@ pub struct Counterexample {
     /// The shrunk instance that still fails the oracle.
     pub instance: Instance,
     /// Bit pattern (`f64::to_bits`) of the expected side.
-    pub expected_bits: u64,
+    pub(crate) expected_bits: u64,
     /// Bit pattern (`f64::to_bits`) of the observed side.
-    pub observed_bits: u64,
+    pub(crate) observed_bits: u64,
     /// Human-readable description of the violated sub-check.
     pub detail: String,
     /// Shrunk simulator trace backing the failure, when the oracle ran
     /// the discrete-event engine.
-    pub trace: Option<RunTrace>,
+    pub(crate) trace: Option<RunTrace>,
 }
 
 impl Counterexample {
     /// Shrinks `instance` against `oracle` and packages the final
     /// mismatch as a document.
     #[must_use]
-    pub fn build(
+    pub(crate) fn build(
         oracle: &Oracle,
         instance: &Instance,
         mismatch: &Mismatch,

@@ -21,7 +21,7 @@ use crate::instance::{GenCaps, Instance};
 use crate::oracles::{all_oracles, oracle_by_name, Verdict};
 
 /// Report-format version; bump on incompatible schema changes.
-pub const CONFORMANCE_VERSION: u32 = 1;
+pub(crate) const CONFORMANCE_VERSION: u32 = 1;
 
 /// Case budget tier: how finely instances scan, not what they assert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,7 +38,7 @@ pub enum Tier {
 impl Tier {
     /// The generation caps this tier hands to [`Instance::generate`].
     #[must_use]
-    pub fn caps(self) -> GenCaps {
+    pub(crate) fn caps(self) -> GenCaps {
         match self {
             Tier::Smoke => GenCaps { grid_lo: 24, grid_hi: 40, targets: 3, explicit_turns: 5 },
             Tier::Default => GenCaps { grid_lo: 32, grid_hi: 72, targets: 4, explicit_turns: 6 },
@@ -121,16 +121,16 @@ pub struct MatrixRow {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConformanceReport {
     /// Report-format version.
-    pub version: u32,
+    pub(crate) version: u32,
     /// The run seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Number of generated instances.
-    pub cases: usize,
+    pub(crate) cases: usize,
     /// Budget tier name.
-    pub budget: String,
+    pub(crate) budget: String,
     /// Name of the oracle skewed by test-only injection, if any.
     #[serde(default)]
-    pub injected: Option<String>,
+    pub(crate) injected: Option<String>,
     /// The pass/skip/fail matrix, ordered by oracle (report order)
     /// then regime (lexicographic).
     pub rows: Vec<MatrixRow>,
@@ -158,15 +158,6 @@ impl ConformanceReport {
                 s
             })
             .map_err(|e| Error::domain(format!("report serialization failed: {e}")))
-    }
-
-    /// Parses a report from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Domain`] describing the parse failure.
-    pub fn from_json(text: &str) -> Result<ConformanceReport> {
-        serde_json::from_str(text).map_err(|e| Error::domain(format!("report parse failed: {e}")))
     }
 
     /// The matrix as CSV (`oracle,regime,pass,skip,fail`).
@@ -321,7 +312,7 @@ mod tests {
             ["proportional", "single-robot", "two-group"]
         );
         let checked: usize = report.rows.iter().map(|r| r.pass + r.skip + r.fail).sum();
-        assert_eq!(checked, 9 * crate::all_oracles().len());
+        assert_eq!(checked, 9 * crate::oracles::all_oracles().len());
         assert!(report.to_csv().starts_with("oracle,regime,pass,skip,fail\n"));
     }
 
@@ -330,7 +321,8 @@ mod tests {
         let base = run(&small(6)).unwrap().to_json().unwrap();
         let again = run(&small(6)).unwrap().to_json().unwrap();
         assert_eq!(base, again, "same config must give identical bytes");
-        let single = ConformanceConfig { parallel: ParallelConfig::with_threads(1), ..small(6) };
+        let single =
+            ConformanceConfig { parallel: ParallelConfig { threads: Some(1) }, ..small(6) };
         assert_eq!(base, run(&single).unwrap().to_json().unwrap(), "thread-count invariance");
     }
 

@@ -16,15 +16,15 @@ use serde::{Deserialize, Serialize};
 /// Generation knobs derived from the engine's budget tier: how finely
 /// instances scan, not what they assert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GenCaps {
+pub(crate) struct GenCaps {
     /// Smallest supremum-scan grid an instance may draw.
-    pub grid_lo: usize,
+    pub(crate) grid_lo: usize,
     /// Largest supremum-scan grid an instance may draw.
-    pub grid_hi: usize,
+    pub(crate) grid_hi: usize,
     /// Number of random targets per instance.
-    pub targets: usize,
+    pub(crate) targets: usize,
     /// Largest explicit-turn count for generated free schedules.
-    pub explicit_turns: usize,
+    pub(crate) explicit_turns: usize,
 }
 
 /// One randomized differential-testing case, serializable so a
@@ -35,21 +35,21 @@ pub struct Instance {
     pub index: u64,
     /// The per-instance SplitMix64 stream seed (drives the simulator's
     /// coin streams too, so sim-involving oracles are replayable).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Number of robots.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Fault tolerance.
-    pub f: usize,
+    pub(crate) f: usize,
     /// Registry strategy name exercised by strategy-level oracles.
-    pub strategy: String,
+    pub(crate) strategy: String,
     /// Half-width of the supremum-scan window.
-    pub xmax: f64,
+    pub(crate) xmax: f64,
     /// Log-grid points per side for supremum scans.
-    pub grid_points: usize,
+    pub(crate) grid_points: usize,
     /// Signed target positions, all with `|x| > 1`.
     pub targets: Vec<f64>,
     /// Faulty robot indices, at most `f` of them, strictly increasing.
-    pub mask: Vec<usize>,
+    pub(crate) mask: Vec<usize>,
     /// A free schedule lowered from the proportional seed (sometimes
     /// perturbed); `None` in the two-group regime, which has no
     /// proportional schedule to lower.
@@ -60,23 +60,23 @@ pub struct Instance {
     /// deserialization so pre-Byzantine counterexample documents still
     /// load.
     #[serde(default)]
-    pub lie_rate: Option<f64>,
+    pub(crate) lie_rate: Option<f64>,
     /// Per-visit detection probability for p-faulty cases
     /// (`index % 5 == 4`), driving the expected-CR oracles. `None`
     /// otherwise.
     #[serde(default)]
-    pub detect_probability: Option<f64>,
+    pub(crate) detect_probability: Option<f64>,
     /// Per-robot speeds for heterogeneous-fleet cases
     /// (`index % 7 == 2`), in `[0.5, 2.0)`: exercised by the
     /// scenario-DSL oracles' generalized path. `None` otherwise;
     /// defaulted on deserialization so earlier counterexample
     /// documents still load.
     #[serde(default)]
-    pub speeds: Option<Vec<f64>>,
+    pub(crate) speeds: Option<Vec<f64>>,
     /// Per-robot activation delays for staggered-start cases
     /// (`index % 7 == 5`), in `[0, 2)`. `None` otherwise.
     #[serde(default)]
-    pub activation_delays: Option<Vec<f64>>,
+    pub(crate) activation_delays: Option<Vec<f64>>,
 }
 
 /// SplitMix64 finalizer: decorrelates per-instance streams drawn from
@@ -96,7 +96,7 @@ impl Instance {
     /// Theorem 1 / Theorem 2 gap, and two-group (`n >= 2f + 2`) — so
     /// every regime appears in any run of three or more cases.
     #[must_use]
-    pub fn generate(run_seed: u64, index: u64, caps: &GenCaps) -> Instance {
+    pub(crate) fn generate(run_seed: u64, index: u64, caps: &GenCaps) -> Instance {
         let seed = stream_seed(run_seed, index);
         let mut rng = StdRng::seed_from_u64(seed);
         let (n, f) = match index % 3 {
@@ -201,7 +201,7 @@ impl Instance {
     /// # Errors
     ///
     /// Rejects hand-edited instances with `n <= f` or `n = 0`.
-    pub fn params(&self) -> Result<Params> {
+    pub(crate) fn params(&self) -> Result<Params> {
         Params::new(self.n, self.f)
     }
 
@@ -221,7 +221,7 @@ impl Instance {
 
     /// The largest target magnitude (at least 1).
     #[must_use]
-    pub fn max_target(&self) -> f64 {
+    pub(crate) fn max_target(&self) -> f64 {
         self.targets.iter().fold(1.0f64, |m, x| m.max(x.abs()))
     }
 }
@@ -282,7 +282,9 @@ mod tests {
             assert!(a.mask.iter().all(|&i| i < params.n()));
             assert!(a.targets.iter().all(|x| x.abs() > 1.0 && x.abs() <= a.xmax));
             if let Some(schedule) = &a.schedule {
-                schedule.validate().expect("generated schedules validate");
+                // Deserializing re-runs every robot's invariants.
+                let json = serde_json::to_string(schedule).expect("serialize");
+                serde_json::from_str::<FreeSchedule>(&json).expect("generated schedules validate");
                 assert_eq!(schedule.n(), a.n);
             }
         }

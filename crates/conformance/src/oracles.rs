@@ -57,7 +57,7 @@ use crate::instance::Instance;
 /// Relative tolerance for cross-path agreement: two independent
 /// evaluations of the same exact quantity may differ only by
 /// accumulated rounding.
-pub const REL_TOL: f64 = 1e-9;
+pub(crate) const REL_TOL: f64 = 1e-9;
 
 /// Tolerance for the exact critical-point engine against analytic
 /// values: the supremum is a max over exact one-sided-limit
@@ -68,45 +68,45 @@ pub const EXACT_RTOL: f64 = 1e-6;
 /// Absolute slack allowed *above* an analytic value by a measurement
 /// (probe offsets can overshoot the supremum by rounding, never by
 /// more than this).
-pub const ABS_SLACK: f64 = 1e-6;
+pub(crate) const ABS_SLACK: f64 = 1e-6;
 
 /// Tolerance for relations that hold exactly in real arithmetic
 /// between closed-form evaluations.
-pub const EXACT_TOL: f64 = 1e-12;
+pub(crate) const EXACT_TOL: f64 = 1e-12;
 
 /// Relative slack when comparing a finite-window measurement against a
 /// certified (outward-rounded) lower-bound enclosure.
-pub const FLOOR_RTOL: f64 = 1e-6;
+pub(crate) const FLOOR_RTOL: f64 = 1e-6;
 
 /// Size of the test-only injected perturbation: large enough to trip
 /// every oracle tolerance above, small enough that the perturbed run
 /// still executes normally.
-pub const INJECTED_SKEW: f64 = 0.01;
+pub(crate) const INJECTED_SKEW: f64 = 0.01;
 
 /// Maximum relative width of a certified supremum enclosure: the
 /// outward rounding accumulates only a handful of ulps per operation,
 /// so `hi - lo` beyond this fraction of the supremum means the
 /// interval arithmetic degraded.
-pub const ENCLOSURE_WIDTH_RTOL: f64 = 1e-9;
+pub(crate) const ENCLOSURE_WIDTH_RTOL: f64 = 1e-9;
 
 /// A failed check: the two sides of the violated relation, a human
 /// explanation, and (for sim-involving oracles) a replayable trace.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Mismatch {
+pub(crate) struct Mismatch {
     /// The reference side of the relation.
-    pub expected: f64,
+    pub(crate) expected: f64,
     /// The side that violated it.
-    pub observed: f64,
+    pub(crate) observed: f64,
     /// Which sub-check failed, with the concrete inputs.
-    pub detail: String,
+    pub(crate) detail: String,
     /// A replayable simulator trace backing the failure, when the
     /// oracle runs the discrete-event engine.
-    pub trace: Option<RunTrace>,
+    pub(crate) trace: Option<RunTrace>,
 }
 
 /// The outcome of one oracle on one instance.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// The relation holds within tolerance.
     Pass,
     /// The instance is outside the oracle's domain (with the reason).
@@ -118,7 +118,7 @@ pub enum Verdict {
 impl Verdict {
     /// Whether this verdict is a failure.
     #[must_use]
-    pub fn is_fail(&self) -> bool {
+    pub(crate) fn is_fail(&self) -> bool {
         matches!(self, Verdict::Fail(_))
     }
 }
@@ -127,10 +127,8 @@ impl Verdict {
 pub struct Oracle {
     /// Stable name (report rows, counterexample documents, CLI).
     pub name: &'static str,
-    /// One-line statement of the relation.
-    pub description: &'static str,
     /// The dominant tolerance the oracle asserts with.
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     check: fn(&Instance, bool) -> Result<Verdict>,
 }
 
@@ -139,7 +137,7 @@ impl Oracle {
     /// another path accepted) are themselves conformance failures, so
     /// they surface as [`Verdict::Fail`], never as `Err`.
     #[must_use]
-    pub fn check(&self, instance: &Instance, inject: bool) -> Verdict {
+    pub(crate) fn check(&self, instance: &Instance, inject: bool) -> Verdict {
         match (self.check)(instance, inject) {
             Ok(verdict) => verdict,
             Err(e) => fail(f64::NAN, f64::NAN, format!("oracle errored: {e}"), None),
@@ -164,134 +162,128 @@ pub fn all_oracles() -> &'static [Oracle] {
 
 /// Looks up an oracle by its stable name.
 #[must_use]
-pub fn oracle_by_name(name: &str) -> Option<&'static Oracle> {
+pub(crate) fn oracle_by_name(name: &str) -> Option<&'static Oracle> {
     ORACLES.iter().find(|o| o.name == name)
 }
 
 static ORACLES: [Oracle; 20] = [
     Oracle {
         name: "sim-analytic-detection",
-        description: "worst-case simulator detection time equals coverage T_(f+1)(x)",
+        // worst-case simulator detection time equals coverage T_(f+1)(x)
         tolerance: REL_TOL,
         check: sim_analytic_detection,
     },
     Oracle {
         name: "sim-analytic-supremum",
-        description: "coverage and simulator measurement paths agree for the instance strategy",
+        // coverage and simulator measurement paths agree for the instance strategy
         tolerance: REL_TOL,
         check: sim_analytic_supremum,
     },
     Oracle {
         name: "exact-supremum-dominates-grid",
-        description: "the exact critical-point supremum dominates every adversarial-grid scan",
+        // the exact critical-point supremum dominates every adversarial-grid scan
         tolerance: REL_TOL,
         check: exact_supremum_dominates_grid,
     },
     Oracle {
         name: "closed-form-visit",
-        description: "Lemma 2 closed-form visit times equal coverage queries",
+        // Lemma 2 closed-form visit times equal coverage queries
         tolerance: REL_TOL,
         check: closed_form_visit,
     },
     Oracle {
         name: "thm1-closed-form-measured",
-        description: "exact measured CR of A(n, f) attains Theorem 1",
+        // exact measured CR of A(n, f) attains Theorem 1
         tolerance: EXACT_RTOL,
         check: thm1_closed_form_measured,
     },
     Oracle {
         name: "cr-monotone-in-f",
-        description: "Theorem 1 CR is non-decreasing in f at fixed n",
+        // Theorem 1 CR is non-decreasing in f at fixed n
         tolerance: EXACT_TOL,
         check: cr_monotone_in_f,
     },
     Oracle {
         name: "scale-invariance",
-        description: "K(x) is invariant under the ladder period E = r^n",
+        // K(x) is invariant under the ladder period E = r^n
         tolerance: REL_TOL,
         check: scale_invariance,
     },
     Oracle {
         name: "two-group-unit-cr",
-        description: "n >= 2f + 2 yields competitive ratio exactly 1",
+        // n >= 2f + 2 yields competitive ratio exactly 1
         tolerance: REL_TOL,
         check: two_group_unit_cr,
     },
     Oracle {
         name: "single-robot-nine",
-        description: "n = f + 1 collapses to the single-robot doubling bound 9",
+        // n = f + 1 collapses to the single-robot doubling bound 9
         tolerance: EXACT_RTOL,
         check: single_robot_nine,
     },
     Oracle {
         name: "measured-above-certified-floor",
-        description: "measured CR never dips below the certified lower-bound enclosure",
+        // measured CR never dips below the certified lower-bound enclosure
         tolerance: FLOOR_RTOL,
         check: measured_above_certified_floor,
     },
     Oracle {
         name: "objective-eval-consistency",
-        description:
-            "optimizer score is measured + pressure tie-break, or PENALTY when unscoreable",
+        // optimizer score is measured + pressure tie-break, or PENALTY when unscoreable
         tolerance: 0.0,
         check: objective_eval_consistency,
     },
     Oracle {
         name: "adversary-dominance",
-        description: "every in-budget fault mask detects no later than T_(f+1)(x)",
+        // every in-budget fault mask detects no later than T_(f+1)(x)
         tolerance: REL_TOL,
         check: adversary_dominance,
     },
     Oracle {
         name: "replay-determinism",
-        description: "recorded simulator runs replay bit-for-bit and re-record identically",
+        // recorded simulator runs replay bit-for-bit and re-record identically
         tolerance: 0.0,
         check: replay_determinism,
     },
     Oracle {
         name: "intermittent-degenerate-equivalence",
-        description: "Intermittent{1.0} collapses to Sensor and Intermittent{0.0} to Reliable, bitwise",
+        // Intermittent{1.0} collapses to Sensor and Intermittent{0.0} to Reliable, bitwise
         tolerance: 0.0,
         check: intermittent_degenerate_equivalence,
     },
     Oracle {
         name: "pfaulty-endpoint-collapse",
-        description: "PFaulty{1.0} collapses to Reliable and PFaulty{0.0} to Sensor, bitwise",
+        // PFaulty{1.0} collapses to Reliable and PFaulty{0.0} to Sensor, bitwise
         tolerance: 0.0,
         check: pfaulty_endpoint_collapse,
     },
     Oracle {
         name: "byzantine-quorum-no-false-confirm",
-        description:
-            "no coalition of liars confirms a false position; quorum detection is the honest sub-fleet's T_votes",
+        // no coalition of liars confirms a false position; quorum detection is the honest sub-fleet's T_votes
         tolerance: REL_TOL,
         check: byzantine_quorum_no_false_confirm,
     },
     Oracle {
         name: "expected-cr-monotone-in-p",
-        description:
-            "expected detection time is non-increasing in p and collapses to T_1 at p = 1",
+        // expected detection time is non-increasing in p and collapses to T_1 at p = 1
         tolerance: REL_TOL,
         check: expected_cr_monotone_in_p,
     },
     Oracle {
         name: "enclosure-contains-exact",
-        description:
-            "the certified supremum enclosure brackets the exact scan value and stays tight",
+        // the certified supremum enclosure brackets the exact scan value and stays tight
         tolerance: ENCLOSURE_WIDTH_RTOL,
         check: enclosure_contains_exact,
     },
     Oracle {
         name: "unit-speed-scenario-equivalence",
-        description:
-            "a unit-speed, immediately-active, full-line scenario document reproduces a direct simulation of the paper's fleet bitwise",
+        // a unit-speed, immediately-active, full-line scenario document reproduces a direct simulation of the paper's fleet bitwise
         tolerance: 0.0,
         check: unit_speed_scenario_equivalence,
     },
     Oracle {
         name: "mask-enumeration-equals-exact",
-        description:
-            "the maximum over every set of f faulty robots of the reliable robots' first-visit supremum equals the (f+1)-th visit's exact supremum bitwise",
+        // the maximum over every set of f faulty robots of the reliable robots' first-visit supremum equals the (f+1)-th visit's exact supremum bitwise
         tolerance: 0.0,
         check: mask_enumeration_equals_exact,
     },
@@ -1264,13 +1256,12 @@ mod tests {
     const CAPS: GenCaps = GenCaps { grid_lo: 16, grid_hi: 24, targets: 2, explicit_turns: 4 };
 
     #[test]
-    fn names_are_unique_and_documented() {
+    fn names_are_unique_and_resolvable() {
         let mut names: Vec<&str> = all_oracles().iter().map(|o| o.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), all_oracles().len());
         for oracle in all_oracles() {
-            assert!(!oracle.description.is_empty(), "{}", oracle.name);
             assert!(oracle_by_name(oracle.name).is_some());
         }
         assert!(oracle_by_name("no-such-oracle").is_none());

@@ -11,8 +11,9 @@
 //! runs, so the deterministic Table-1 anchor and the fuzzed
 //! instances can never drift apart.
 
+use crate::instance::Instance;
+use crate::oracles::{oracle_by_name, Verdict, ABS_SLACK, EXACT_RTOL};
 use faultline_analysis::table1::TABLE1_PAIRS;
-use faultline_conformance::{oracle_by_name, Instance, Verdict, ABS_SLACK, EXACT_RTOL};
 use proptest::prelude::*;
 
 /// A hand-built instance pointing the oracle at one `(n, f)` pair with

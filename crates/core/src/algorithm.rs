@@ -74,7 +74,7 @@ impl Algorithm {
 
     /// The parameters the algorithm was designed for.
     #[must_use]
-    pub fn params(&self) -> Params {
+    pub(crate) fn params(&self) -> Params {
         self.params
     }
 

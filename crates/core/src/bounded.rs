@@ -29,7 +29,7 @@ impl Plan {
     /// As [`Plan::zigzag`], plus [`Error::Domain`] when the bound is not
     /// finite, below 1 (targets live at distance at least 1), or smaller
     /// than the seed excursion.
-    pub fn clamped_zigzag(cone: Cone, seed: f64, bound: f64) -> Result<Self> {
+    pub(crate) fn clamped_zigzag(cone: Cone, seed: f64, bound: f64) -> Result<Self> {
         let plan = Plan::zigzag(cone, seed)?;
         if !bound.is_finite() || bound < 1.0 {
             return Err(Error::domain(format!("distance bound must be >= 1, got {bound}")));
@@ -67,20 +67,8 @@ impl BoundedAlgorithm {
         Ok(BoundedAlgorithm { algorithm: Algorithm::design(params)?, bound })
     }
 
-    /// The distance bound `D`.
-    #[must_use]
-    pub fn bound(&self) -> f64 {
-        self.bound
-    }
-
-    /// The underlying unbounded algorithm.
-    #[must_use]
-    pub fn unbounded(&self) -> &Algorithm {
-        &self.algorithm
-    }
-
     /// Per-robot plans with clamped excursions
-    /// ([`Plan::clamped_zigzag`]).
+    /// (`Plan::clamped_zigzag`).
     ///
     /// # Errors
     ///
@@ -229,7 +217,7 @@ mod tests {
     fn two_group_regime_is_unchanged() {
         let params = Params::new(6, 2).unwrap();
         let bounded = BoundedAlgorithm::design(params, 4.0).unwrap();
-        assert_eq!(bounded.plans().unwrap(), bounded.unbounded().plans());
+        assert_eq!(bounded.plans().unwrap(), Algorithm::design(params).unwrap().plans());
     }
 
     #[test]

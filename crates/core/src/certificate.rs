@@ -1,5 +1,5 @@
 //! Certified enclosures of the paper's headline numbers, built on the
-//! outward-rounded interval arithmetic of [`crate::interval`].
+//! outward-rounded interval arithmetic of `crate::interval`.
 //!
 //! A *certificate* is an interval that provably contains the exact
 //! real-arithmetic value. Certifying Theorem 1's ratio is a direct
@@ -37,12 +37,6 @@ impl Certificate {
         Certificate { quantity: quantity.into(), lo: enclosure.lo(), hi: enclosure.hi() }
     }
 
-    /// Whether the certificate contains `x`.
-    #[must_use]
-    pub fn contains(&self, x: f64) -> bool {
-        self.lo <= x && x <= self.hi
-    }
-
     /// Whether two certificates overlap — the consistency check
     /// between a certified closed form and a certified measurement of
     /// the same quantity (disjoint enclosures prove a discrepancy).
@@ -66,7 +60,7 @@ impl Certificate {
 ///
 /// Returns [`Error::InvalidParameters`] outside the proportional regime
 /// and propagates interval-arithmetic domain failures.
-pub fn certify_cr_upper(params: Params) -> Result<Certificate> {
+pub(crate) fn certify_cr_upper(params: Params) -> Result<Certificate> {
     if params.regime() != Regime::Proportional {
         return Err(Error::invalid_params(
             params.n(),
@@ -200,6 +194,10 @@ pub fn certify_table1() -> Result<Vec<Certificate>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encloses(cert: &Certificate, x: f64) -> bool {
+        cert.lo <= x && x <= cert.hi
+    }
     use crate::ratio;
 
     #[test]
@@ -209,7 +207,7 @@ mod tests {
             let cert = certify_cr_upper(params).unwrap();
             let float_value = ratio::cr_upper(params);
             assert!(
-                cert.contains(float_value),
+                encloses(&cert, float_value),
                 "(n={n}, f={f}): {float_value} outside [{}, {}]",
                 cert.lo,
                 cert.hi
@@ -224,7 +222,7 @@ mod tests {
         let measured = Certificate::from_interval("measured sup of A(3, 1)", enc);
         assert_eq!(measured.lo, 5.23);
         assert_eq!(measured.hi, 5.24);
-        assert!(measured.contains(5.233));
+        assert!(encloses(&measured, 5.233));
         let closed_form = certify_cr_upper(Params::new(3, 1).unwrap()).unwrap();
         assert!(measured.intersects(&closed_form));
         assert!(closed_form.intersects(&measured));
@@ -242,11 +240,11 @@ mod tests {
         // A(f+1, f) has CR exactly 9 = 4^2 / 2 + 1.
         for f in [1usize, 2, 3, 10] {
             let cert = certify_cr_upper(Params::new(f + 1, f).unwrap()).unwrap();
-            assert!(cert.contains(9.0), "f = {f}: [{}, {}]", cert.lo, cert.hi);
+            assert!(encloses(&cert, 9.0), "f = {f}: [{}, {}]", cert.lo, cert.hi);
         }
         // A(4, 2): beta* = 2, CR = 3^(3/2) + 1.
         let cert = certify_cr_upper(Params::new(4, 2).unwrap()).unwrap();
-        assert!(cert.contains(3.0_f64.powf(1.5) + 1.0));
+        assert!(encloses(&cert, 3.0_f64.powf(1.5) + 1.0));
     }
 
     #[test]
@@ -254,7 +252,7 @@ mod tests {
         for n in [1usize, 2, 3, 5, 11, 41, 101] {
             let cert = certify_alpha(n).unwrap();
             let float_root = crate::lower_bound::alpha(n).unwrap();
-            assert!(cert.contains(float_root), "n = {n}");
+            assert!(encloses(&cert, float_root), "n = {n}");
             assert!(cert.width() < 1e-9, "n = {n}: width {}", cert.width());
             assert!(cert.lo > 3.0, "n = {n}");
             // Verify the sign argument directly at the certified bounds.
@@ -271,7 +269,7 @@ mod tests {
         // n = f + 1: the single-robot 9, not the dominated alpha(n).
         for f in [1usize, 2, 4] {
             let cert = certify_lower_bound(Params::new(f + 1, f).unwrap()).unwrap();
-            assert!(cert.contains(9.0), "f = {f}");
+            assert!(encloses(&cert, 9.0), "f = {f}");
             assert!(cert.lo > crate::lower_bound::alpha(f + 1).unwrap(), "f = {f}");
             // `9.0 - 1e-9` rounds, so the width is 1e-9 only up to one
             // ulp of 9.
@@ -284,7 +282,10 @@ mod tests {
         for (n, f) in [(4usize, 1usize), (2, 1), (5, 4), (3, 1), (5, 2), (41, 20)] {
             let params = Params::new(n, f).unwrap();
             let cert = certify_lower_bound(params).unwrap();
-            assert!(cert.contains(crate::lower_bound::lower_bound(params).unwrap()), "({n}, {f})");
+            assert!(
+                encloses(&cert, crate::lower_bound::lower_bound(params).unwrap()),
+                "({n}, {f})"
+            );
         }
     }
 

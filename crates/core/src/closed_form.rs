@@ -120,14 +120,6 @@ impl<'a> ClosedForm<'a> {
     pub fn ratio_at(&self, x: f64, f: usize) -> Result<f64> {
         Ok(self.visit_time(x, f)? / x.abs())
     }
-
-    /// The exact supremum of `K` over each side — the right-hand limit
-    /// at any ladder point — which equals Lemma 5's
-    /// `r^(f+1) (beta - 1) + 1` independent of the side.
-    #[must_use]
-    pub fn supremum(&self, f: usize) -> f64 {
-        self.schedule.competitive_ratio(f)
-    }
 }
 
 #[cfg(test)]
@@ -201,14 +193,11 @@ mod tests {
     fn ratio_never_exceeds_supremum() {
         let schedule = ProportionalSchedule::new(4, 2.0).unwrap();
         let cf = ClosedForm::new(&schedule);
+        let sup = schedule.competitive_ratio(2);
         for x in logspace(1.0, 500.0, 300).unwrap() {
             for target in [x, -x] {
                 let k = cf.ratio_at(target, 2).unwrap();
-                assert!(
-                    k <= cf.supremum(2) + 1e-9,
-                    "K({target}) = {k} above sup {}",
-                    cf.supremum(2)
-                );
+                assert!(k <= sup + 1e-9, "K({target}) = {k} above sup {sup}");
             }
         }
     }

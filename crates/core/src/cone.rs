@@ -17,10 +17,10 @@ use crate::spacetime::SpaceTime;
 /// The cone `C_beta` for some `beta > 1`.
 ///
 /// ```
-/// use faultline_core::Cone;
+/// use faultline_core::{Cone, SpaceTime};
 /// let cone = Cone::new(3.0)?; // doubling: kappa = 2
-/// assert_eq!(cone.expansion_factor(), 2.0);
-/// let next = cone.next_turning_point(cone.boundary_point(1.0));
+/// // From the boundary point (1, beta) above x = 1:
+/// let next = cone.next_turning_point(SpaceTime::new(1.0, 3.0));
 /// assert_eq!((next.x, next.t), (-2.0, 6.0));
 /// # Ok::<(), faultline_core::Error>(())
 /// ```
@@ -63,54 +63,28 @@ impl Cone {
 
     /// The slope parameter `beta`.
     #[must_use]
-    pub fn beta(&self) -> f64 {
+    pub(crate) fn beta(&self) -> f64 {
         self.beta
     }
 
     /// The expansion factor `kappa = (beta + 1) / (beta - 1)` of zig-zag
     /// strategies confined to this cone (Lemma 1).
     #[must_use]
-    pub fn expansion_factor(&self) -> f64 {
+    pub(crate) fn expansion_factor(&self) -> f64 {
         (self.beta + 1.0) / (self.beta - 1.0)
-    }
-
-    /// Inverse of [`Cone::expansion_factor`]: recovers the cone from a
-    /// desired expansion factor `kappa > 1` (`beta = (kappa + 1)/(kappa - 1)`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidBeta`] when `kappa <= 1` or non-finite.
-    pub fn from_expansion_factor(kappa: f64) -> Result<Self> {
-        if !kappa.is_finite() || kappa <= 1.0 {
-            return Err(Error::InvalidBeta { beta: f64::NAN });
-        }
-        Cone::new((kappa + 1.0) / (kappa - 1.0))
     }
 
     /// The boundary time `beta * |x|` at which a turning point at
     /// position `x` occurs.
     #[must_use]
-    pub fn boundary_time(&self, x: f64) -> f64 {
+    pub(crate) fn boundary_time(&self, x: f64) -> f64 {
         self.beta * x.abs()
     }
 
     /// The boundary point `(x, beta * |x|)` above position `x`.
     #[must_use]
-    pub fn boundary_point(&self, x: f64) -> SpaceTime {
+    pub(crate) fn boundary_point(&self, x: f64) -> SpaceTime {
         SpaceTime::new(x, self.boundary_time(x))
-    }
-
-    /// Whether the space–time point lies inside (or on) the cone.
-    #[must_use]
-    pub fn contains(&self, p: SpaceTime) -> bool {
-        p.t >= self.boundary_time(p.x)
-    }
-
-    /// Whether the point lies on the cone boundary up to relative
-    /// tolerance `tol`.
-    #[must_use]
-    pub fn on_boundary(&self, p: SpaceTime, tol: f64) -> bool {
-        crate::numeric::approx_eq(p.t, self.boundary_time(p.x), tol)
     }
 
     /// The turning point following `p` for a robot zig-zagging in the
@@ -132,7 +106,7 @@ impl Cone {
     /// `(0, t_0)` by any number of steps" is exactly the construction of
     /// Definition 4.
     #[must_use]
-    pub fn previous_turning_point(&self, p: SpaceTime) -> SpaceTime {
+    pub(crate) fn previous_turning_point(&self, p: SpaceTime) -> SpaceTime {
         let x = -p.x / self.expansion_factor();
         self.boundary_point(x)
     }
@@ -145,9 +119,26 @@ impl std::fmt::Display for Cone {
 }
 
 #[cfg(test)]
+impl Cone {
+    /// Whether the space–time point lies inside (or on) the cone.
+    #[must_use]
+    pub(crate) fn contains(&self, p: SpaceTime) -> bool {
+        p.t >= self.boundary_time(p.x)
+    }
+
+    /// Whether the point lies on the cone boundary up to relative
+    /// tolerance `tol`.
+    #[must_use]
+    pub(crate) fn on_boundary(&self, p: SpaceTime, tol: f64) -> bool {
+        crate::numeric::approx_eq(p.t, self.boundary_time(p.x), tol)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::numeric::approx_eq;
+    use proptest::prelude::*;
 
     #[test]
     fn rejects_invalid_beta() {
@@ -166,16 +157,6 @@ mod tests {
     fn doubling_cone_has_kappa_two() {
         let cone = Cone::new(3.0).unwrap();
         assert_eq!(cone.expansion_factor(), 2.0);
-    }
-
-    #[test]
-    fn expansion_factor_roundtrip() {
-        for kappa in [1.5, 2.0, 4.0, 12.0, 42.0] {
-            let cone = Cone::from_expansion_factor(kappa).unwrap();
-            assert!(approx_eq(cone.expansion_factor(), kappa, 1e-12));
-        }
-        assert!(Cone::from_expansion_factor(1.0).is_err());
-        assert!(Cone::from_expansion_factor(0.9).is_err());
     }
 
     #[test]
@@ -228,5 +209,25 @@ mod tests {
         let cone = Cone::new(1.7).unwrap();
         assert!(cone.on_boundary(cone.boundary_point(-2.5), 1e-12));
         assert!(!cone.on_boundary(SpaceTime::new(-2.5, 100.0), 1e-12));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The cone reflection map and its inverse are mutually inverse, and
+        /// consecutive turning points are joined by unit-speed segments.
+        #[test]
+        fn cone_reflections_are_consistent(
+            beta in 1.01f64..20.0,
+            x0 in prop_oneof![0.05f64..50.0, -50.0f64..-0.05],
+        ) {
+            let cone = Cone::new(beta).unwrap();
+            let p = cone.boundary_point(x0);
+            let q = cone.next_turning_point(p);
+            let back = cone.previous_turning_point(q);
+            prop_assert!((back.x - p.x).abs() <= 1e-9 * p.x.abs().max(1.0));
+            let speed = p.speed_to(&q).unwrap();
+            prop_assert!((speed - 1.0).abs() < 1e-9, "speed {speed}");
+        }
     }
 }

@@ -44,18 +44,6 @@ impl Fleet {
         Fleet::new(trajectories)
     }
 
-    /// Number of robots in the fleet.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.trajectories.len()
-    }
-
-    /// Whether the fleet is empty (never true for a constructed fleet).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.trajectories.is_empty()
-    }
-
     /// The common horizon: the earliest end time among the robots.
     /// Queries are only trustworthy for visit times up to this value.
     #[must_use]
@@ -72,7 +60,7 @@ impl Fleet {
     /// First-visit times of position `x`, one entry per robot that ever
     /// visits `x`, sorted increasingly.
     #[must_use]
-    pub fn first_visits(&self, x: f64) -> Vec<f64> {
+    pub(crate) fn first_visits(&self, x: f64) -> Vec<f64> {
         let mut times: Vec<f64> =
             self.trajectories.iter().filter_map(|t| t.first_visit(x)).collect();
         times.sort_by(f64::total_cmp);
@@ -99,7 +87,7 @@ impl Fleet {
     /// # Errors
     ///
     /// Returns [`Error::Domain`] when `x == 0`.
-    pub fn ratio_at(&self, x: f64, k: usize) -> Result<Option<f64>> {
+    pub(crate) fn ratio_at(&self, x: f64, k: usize) -> Result<Option<f64>> {
         if x == 0.0 {
             return Err(Error::domain("K(x) is undefined at the origin"));
         }
@@ -155,19 +143,9 @@ impl Fleet {
         })
     }
 
-    /// The number of distinct robots that have visited position `x` at
-    /// or before time `t`.
-    ///
-    /// A point `(x, t)` lies inside the paper's "tower" region (Figure
-    /// 4) exactly when this count is at least `f + 1`.
-    #[must_use]
-    pub fn visitors_by(&self, x: f64, t: f64) -> usize {
-        self.trajectories.iter().filter(|traj| traj.first_visit(x).is_some_and(|v| v <= t)).count()
-    }
-
     /// Rasterizes the visit-count field over a space–time grid: cell
-    /// `(i, j)` holds [`Fleet::visitors_by`] at position `xs[i]` and
-    /// time `ts[j]`. The raster reproduces Figure 4's shaded region
+    /// `(i, j)` holds the number of robots that have visited position
+    /// `xs[i]` by time `ts[j]`. The raster reproduces Figure 4's shaded region
     /// (cells with count `>= f + 1`) faithfully at any resolution.
     ///
     /// # Errors
@@ -205,24 +183,14 @@ pub struct SupremumScan {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoverageRaster {
     /// Position axis.
-    pub xs: Vec<f64>,
+    pub(crate) xs: Vec<f64>,
     /// Time axis.
-    pub ts: Vec<f64>,
+    pub(crate) ts: Vec<f64>,
     /// `counts[i][j]` = distinct visitors of `xs[i]` by time `ts[j]`.
-    pub counts: Vec<Vec<usize>>,
+    pub(crate) counts: Vec<Vec<usize>>,
 }
 
 impl CoverageRaster {
-    /// The visitor count at grid cell `(i, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the indices are out of range.
-    #[must_use]
-    pub fn count(&self, i: usize, j: usize) -> usize {
-        self.counts[i][j]
-    }
-
     /// Renders the raster as text: one row per time sample (earliest at
     /// the bottom, like the paper's figures), digits for counts,
     /// `#` for `>= threshold` (the tower interior).
@@ -289,6 +257,32 @@ pub fn adversarial_targets(
     targets.sort_by(f64::total_cmp);
     targets.dedup();
     Ok(targets)
+}
+
+#[cfg(test)]
+impl Fleet {
+    /// The number of distinct robots that have visited position `x` at
+    /// or before time `t`.
+    ///
+    /// A point `(x, t)` lies inside the paper's "tower" region (Figure
+    /// 4) exactly when this count is at least `f + 1`.
+    #[must_use]
+    pub(crate) fn visitors_by(&self, x: f64, t: f64) -> usize {
+        self.trajectories.iter().filter(|traj| traj.first_visit(x).is_some_and(|v| v <= t)).count()
+    }
+}
+
+#[cfg(test)]
+impl CoverageRaster {
+    /// The visitor count at grid cell `(i, j)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the indices are out of range.
+    #[must_use]
+    pub(crate) fn count(&self, i: usize, j: usize) -> usize {
+        self.counts[i][j]
+    }
 }
 
 #[cfg(test)]
@@ -503,7 +497,5 @@ mod tests {
         let b = TrajectoryBuilder::from_origin().sweep_to(-2.0).finish().unwrap();
         let fleet = Fleet::new(vec![a, b]).unwrap();
         assert_eq!(fleet.horizon(), 2.0);
-        assert_eq!(fleet.len(), 2);
-        assert!(!fleet.is_empty());
     }
 }

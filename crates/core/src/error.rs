@@ -99,7 +99,7 @@ impl Error {
     }
 
     /// Builds an [`Error::InvalidTrajectory`] with the given reason.
-    pub fn trajectory(reason: impl Into<String>) -> Self {
+    pub(crate) fn trajectory(reason: impl Into<String>) -> Self {
         Error::InvalidTrajectory { reason: reason.into() }
     }
 
@@ -109,7 +109,7 @@ impl Error {
     }
 
     /// Builds an [`Error::NonFinite`] for the named quantity.
-    pub fn non_finite(what: impl Into<String>, value: f64) -> Self {
+    pub(crate) fn non_finite(what: impl Into<String>, value: f64) -> Self {
         Error::NonFinite { what: what.into(), value }
     }
 

@@ -28,7 +28,7 @@ use crate::trajectory::PiecewiseTrajectory;
 /// Largest admissible tail expansion ratio. An enormous ratio makes the
 /// geometric tail numerically meaningless (the next magnitude overflows
 /// within a few turns), so validation bounds it.
-pub const MAX_TAIL_RATIO: f64 = 1e6;
+pub(crate) const MAX_TAIL_RATIO: f64 = 1e6;
 
 /// One robot of a free schedule: explicit alternating turning points
 /// followed by a geometric zig-zag tail.
@@ -75,7 +75,7 @@ impl FreeRobot {
     /// Returns [`Error::Domain`] when `side` is not `±1`, fewer than
     /// two turns are given, any magnitude is non-finite or
     /// non-positive, magnitudes are not strictly increasing, the tail
-    /// ratio exceeds [`MAX_TAIL_RATIO`], or `first_turn_time` violates
+    /// ratio exceeds `MAX_TAIL_RATIO`, or `first_turn_time` violates
     /// the unit speed limit (`first_turn_time < turns[0]`).
     pub fn new(side: f64, turns: Vec<f64>, first_turn_time: f64) -> Result<Self> {
         if side != 1.0 && side != -1.0 {
@@ -121,13 +121,13 @@ impl FreeRobot {
     /// The geometric expansion ratio of the tail beyond the explicit
     /// turns: `turns[last] / turns[last - 1] > 1`.
     #[must_use]
-    pub fn tail_ratio(&self) -> f64 {
+    pub(crate) fn tail_ratio(&self) -> f64 {
         self.turns[self.turns.len() - 1] / self.turns[self.turns.len() - 2]
     }
 
     /// The signed position of turn `k` (explicit or tail).
     #[must_use]
-    pub fn turn_position(&self, k: usize) -> f64 {
+    pub(crate) fn turn_position(&self, k: usize) -> f64 {
         let sign = if k.is_multiple_of(2) { self.side } else { -self.side };
         sign * self.turn_magnitude(k)
     }
@@ -135,7 +135,7 @@ impl FreeRobot {
     /// The magnitude of turn `k`, continuing the geometric tail past
     /// the explicit turns.
     #[must_use]
-    pub fn turn_magnitude(&self, k: usize) -> f64 {
+    pub(crate) fn turn_magnitude(&self, k: usize) -> f64 {
         if k < self.turns.len() {
             return self.turns[k];
         }
@@ -146,7 +146,7 @@ impl FreeRobot {
     /// The arrival time of turn `k`: `first_turn_time` plus the
     /// unit-speed leg times `m_(j-1) + m_j` for `j <= k`.
     #[must_use]
-    pub fn turn_time(&self, k: usize) -> f64 {
+    pub(crate) fn turn_time(&self, k: usize) -> f64 {
         let mut t = self.first_turn_time;
         let mut prev = self.turn_magnitude(0);
         for j in 1..=k {
@@ -260,21 +260,9 @@ impl FreeSchedule {
     }
 
     /// Mutable access for optimizers; callers must re-establish the
-    /// [`FreeRobot`] invariants (use [`FreeSchedule::validate`]).
+    /// [`FreeRobot`] invariants.
     pub fn robots_mut(&mut self) -> &mut Vec<FreeRobot> {
         &mut self.robots
-    }
-
-    /// Re-checks every robot's invariants after in-place mutation.
-    ///
-    /// # Errors
-    ///
-    /// As [`FreeRobot::new`].
-    pub fn validate(&self) -> Result<()> {
-        for r in &self.robots {
-            FreeRobot::new(r.side, r.turns.clone(), r.first_turn_time)?;
-        }
-        Ok(())
     }
 
     /// One materializable plan per robot.

@@ -50,7 +50,7 @@ impl Interval {
     /// # Errors
     ///
     /// Returns [`Error::Domain`] for non-finite `x`.
-    pub fn around(x: f64) -> Result<Self> {
+    pub(crate) fn around(x: f64) -> Result<Self> {
         if !x.is_finite() {
             return Err(Error::domain(format!("cannot enclose non-finite value {x}")));
         }
@@ -69,18 +69,6 @@ impl Interval {
         self.hi
     }
 
-    /// Width `hi - lo`.
-    #[must_use]
-    pub fn width(&self) -> f64 {
-        self.hi - self.lo
-    }
-
-    /// Midpoint.
-    #[must_use]
-    pub fn mid(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-
     /// Whether the interval contains `x`.
     #[must_use]
     pub fn contains(&self, x: f64) -> bool {
@@ -95,7 +83,7 @@ impl Interval {
 
     /// Whether every point of the interval is strictly negative.
     #[must_use]
-    pub fn is_negative(&self) -> bool {
+    pub(crate) fn is_negative(&self) -> bool {
         self.hi < 0.0
     }
 
@@ -105,25 +93,25 @@ impl Interval {
 
     /// Interval addition (outward rounded).
     #[must_use]
-    pub fn add(&self, other: Interval) -> Interval {
+    pub(crate) fn add(&self, other: Interval) -> Interval {
         Interval::outward(self.lo + other.lo, self.hi + other.hi)
     }
 
     /// Adds a scalar (outward rounded).
     #[must_use]
-    pub fn add_scalar(&self, x: f64) -> Interval {
+    pub(crate) fn add_scalar(&self, x: f64) -> Interval {
         Interval::outward(self.lo + x, self.hi + x)
     }
 
     /// Interval subtraction (outward rounded).
     #[must_use]
-    pub fn sub(&self, other: Interval) -> Interval {
+    pub(crate) fn sub(&self, other: Interval) -> Interval {
         Interval::outward(self.lo - other.hi, self.hi - other.lo)
     }
 
     /// Interval multiplication (outward rounded).
     #[must_use]
-    pub fn mul(&self, other: Interval) -> Interval {
+    pub(crate) fn mul(&self, other: Interval) -> Interval {
         let products =
             [self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi];
         let lo = products.iter().copied().fold(f64::INFINITY, f64::min);
@@ -133,7 +121,7 @@ impl Interval {
 
     /// Multiplies by a scalar (outward rounded).
     #[must_use]
-    pub fn mul_scalar(&self, x: f64) -> Interval {
+    pub(crate) fn mul_scalar(&self, x: f64) -> Interval {
         let (a, b) = (self.lo * x, self.hi * x);
         Interval::outward(a.min(b), a.max(b))
     }
@@ -168,7 +156,7 @@ impl Interval {
     ///
     /// Returns [`Error::Domain`] unless the interval is strictly
     /// positive.
-    pub fn ln(&self) -> Result<Interval> {
+    pub(crate) fn ln(&self) -> Result<Interval> {
         if !self.is_positive() {
             return Err(Error::domain(format!(
                 "ln of non-positive interval [{}, {}]",
@@ -182,7 +170,7 @@ impl Interval {
 
     /// Exponential (increasing; same 2-ULP widening as [`Interval::ln`]).
     #[must_use]
-    pub fn exp(&self) -> Interval {
+    pub(crate) fn exp(&self) -> Interval {
         let lo = self.lo.exp().next_down().next_down();
         let hi = self.hi.exp().next_up().next_up();
         Interval { lo, hi }
@@ -194,57 +182,8 @@ impl Interval {
     /// # Errors
     ///
     /// Returns [`Error::Domain`] unless the base is strictly positive.
-    pub fn powi_interval(&self, exponent: Interval) -> Result<Interval> {
+    pub(crate) fn powi_interval(&self, exponent: Interval) -> Result<Interval> {
         Ok(self.ln()?.mul(exponent).exp())
-    }
-
-    /// Interval power with a scalar exponent.
-    ///
-    /// # Errors
-    ///
-    /// As [`Interval::powi_interval`].
-    pub fn pow_scalar(&self, exponent: f64) -> Result<Interval> {
-        self.powi_interval(Interval::point(exponent)?)
-    }
-
-    /// The convex hull of two intervals.
-    #[must_use]
-    pub fn hull(&self, other: Interval) -> Interval {
-        Interval { lo: self.lo.min(other.lo), hi: self.hi.max(other.hi) }
-    }
-
-    /// Componentwise maximum: the enclosure of `max(a, b)` for
-    /// `a ∈ self`, `b ∈ other`.
-    ///
-    /// Exact (no widening): `max` over reals maps the bound pairs to
-    /// the bound pair, and `f64::max` on finite bounds is exact.
-    #[must_use]
-    pub fn max_enclosure(&self, other: Interval) -> Interval {
-        Interval { lo: self.lo.max(other.lo), hi: self.hi.max(other.hi) }
-    }
-
-    /// Componentwise minimum: the enclosure of `min(a, b)` for
-    /// `a ∈ self`, `b ∈ other`. Exact, like
-    /// [`Interval::max_enclosure`].
-    #[must_use]
-    pub fn min_enclosure(&self, other: Interval) -> Interval {
-        Interval { lo: self.lo.min(other.lo), hi: self.hi.min(other.hi) }
-    }
-
-    /// Enclosure of the affine ratio `(slope * x + intercept) / x` at
-    /// the exact point `x`, mirroring the `f64` evaluation order of the
-    /// exact supremum engine (`mul`, `add`, `div`, one rounding each):
-    /// the result contains both the real-arithmetic value and every
-    /// `f64` evaluation of the same expression at the same `x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Domain`] for `x == 0` or non-finite inputs.
-    pub fn affine_ratio(slope: f64, intercept: f64, x: f64) -> Result<Interval> {
-        if x == 0.0 {
-            return Err(Error::domain("affine ratio is undefined at x = 0"));
-        }
-        Interval::around(slope * x)?.add_scalar(intercept).div(Interval::point(x)?)
     }
 
     /// Enclosure of the affine ratio `slope + intercept / x` over every
@@ -257,7 +196,7 @@ impl Interval {
     ///
     /// Returns [`Error::Domain`] when `xs` contains zero or the inputs
     /// are non-finite.
-    pub fn affine_ratio_over(slope: f64, intercept: f64, xs: Interval) -> Result<Interval> {
+    pub(crate) fn affine_ratio_over(slope: f64, intercept: f64, xs: Interval) -> Result<Interval> {
         Ok(Interval::point(intercept)?.div(xs)?.add_scalar(slope))
     }
 }
@@ -276,6 +215,10 @@ mod tests {
         Interval::new(lo, hi).unwrap()
     }
 
+    fn width(i: Interval) -> f64 {
+        i.hi() - i.lo()
+    }
+
     #[test]
     fn construction_validation() {
         assert!(Interval::new(2.0, 1.0).is_err());
@@ -289,7 +232,7 @@ mod tests {
         let x = 1.234_567_890_123;
         let i = Interval::around(x).unwrap();
         assert!(i.contains(x));
-        assert!(i.width() < 1e-12);
+        assert!(width(i) < 1e-12);
     }
 
     #[test]
@@ -326,23 +269,23 @@ mod tests {
         let a = iv(0.5, 3.0);
         let round = a.ln().unwrap().exp();
         assert!(round.lo <= 0.5 && round.hi >= 3.0);
-        assert!(round.width() < 3.0 * 1e-12 + a.width() * 1.001);
+        assert!(width(round) < 3.0 * 1e-12 + width(a) * 1.001);
         assert!(iv(-1.0, 1.0).ln().is_err());
     }
 
     #[test]
     fn pow_encloses_known_values() {
         // 2^10 = 1024.
-        let p = Interval::point(2.0).unwrap().pow_scalar(10.0).unwrap();
+        let pow = |base: Interval, e: f64| base.powi_interval(Interval::point(e).unwrap()).unwrap();
+        let p = pow(Interval::point(2.0).unwrap(), 10.0);
         assert!(p.contains(1024.0));
-        assert!(p.width() < 1e-9);
+        assert!(width(p) < 1e-9);
         // (8/3)^(4/3) * (2/3)^(-1/3) + 1 = CR of A(3, 1) ~ 5.2331.
         let b = Interval::around(8.0 / 3.0).unwrap();
         let c = Interval::around(2.0 / 3.0).unwrap();
-        let cr =
-            b.pow_scalar(4.0 / 3.0).unwrap().mul(c.pow_scalar(-1.0 / 3.0).unwrap()).add_scalar(1.0);
+        let cr = pow(b, 4.0 / 3.0).mul(pow(c, -1.0 / 3.0)).add_scalar(1.0);
         assert!(cr.contains(5.233_069_471_915_2), "{cr}");
-        assert!(cr.width() < 1e-10, "{cr}");
+        assert!(width(cr) < 1e-10, "{cr}");
     }
 
     #[test]
@@ -351,39 +294,6 @@ mod tests {
         assert!(a.contains(-6.0) && a.contains(-3.0));
         let b = iv(1.0, 2.0).add_scalar(10.0);
         assert!(b.contains(11.0) && b.contains(12.0));
-    }
-
-    #[test]
-    fn max_min_enclosures_are_componentwise_and_exact() {
-        let a = iv(1.0, 4.0);
-        let b = iv(2.0, 3.0);
-        let mx = a.max_enclosure(b);
-        assert_eq!((mx.lo(), mx.hi()), (2.0, 4.0));
-        let mn = a.min_enclosure(b);
-        assert_eq!((mn.lo(), mn.hi()), (1.0, 3.0));
-        // Enclosure property on sample points: max(x, y) for x in a,
-        // y in b always lands inside the componentwise max.
-        for (x, y) in [(1.0f64, 2.0f64), (4.0, 3.0), (2.5, 2.5)] {
-            assert!(mx.contains(x.max(y)), "max({x}, {y})");
-            assert!(mn.contains(x.min(y)), "min({x}, {y})");
-        }
-    }
-
-    #[test]
-    fn affine_ratio_encloses_real_and_f64_evaluations() {
-        let (slope, intercept) = (3.0, 7.0);
-        for x in [1.0, 2.5, 19.75, -4.0] {
-            let enc = Interval::affine_ratio(slope, intercept, x).unwrap();
-            // The f64 evaluation order of the exact engine.
-            let f64_value = (slope * x + intercept) / x;
-            assert!(enc.contains(f64_value), "x = {x}: {f64_value} outside {enc}");
-            assert!(
-                enc.width() <= 1e-12 * f64_value.abs().max(1.0),
-                "x = {x}: width {}",
-                enc.width()
-            );
-        }
-        assert!(Interval::affine_ratio(1.0, 1.0, 0.0).is_err());
     }
 
     #[test]
@@ -398,12 +308,9 @@ mod tests {
     }
 
     #[test]
-    fn hull_and_predicates() {
-        let h = iv(1.0, 2.0).hull(iv(5.0, 6.0));
-        assert_eq!((h.lo(), h.hi()), (1.0, 6.0));
+    fn sign_predicates() {
         assert!(iv(0.1, 0.2).is_positive());
         assert!(iv(-0.2, -0.1).is_negative());
         assert!(!iv(-0.1, 0.1).is_positive());
-        assert!((iv(1.0, 3.0).mid() - 2.0).abs() < 1e-15);
     }
 }

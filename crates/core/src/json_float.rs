@@ -16,11 +16,11 @@
 use serde::Value;
 
 /// Sentinel string for `f64::INFINITY`.
-pub const INF_SENTINEL: &str = "inf";
+pub(crate) const INF_SENTINEL: &str = "inf";
 /// Sentinel string for `f64::NEG_INFINITY`.
-pub const NEG_INF_SENTINEL: &str = "-inf";
+pub(crate) const NEG_INF_SENTINEL: &str = "-inf";
 /// Sentinel string for `f64::NAN`.
-pub const NAN_SENTINEL: &str = "nan";
+pub(crate) const NAN_SENTINEL: &str = "nan";
 
 /// Encodes an `f64` into the serde data model: finite values become
 /// JSON numbers, non-finite values become string sentinels that

@@ -59,35 +59,34 @@
 // it also rejects NaN, which must never pass validation.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod algorithm;
-pub mod bounded;
+pub(crate) mod algorithm;
+pub(crate) mod bounded;
 pub mod certificate;
 pub mod closed_form;
-pub mod cone;
+pub(crate) mod cone;
 pub mod coverage;
-pub mod error;
+pub(crate) mod error;
 pub mod exact;
-pub mod free_schedule;
-pub mod geometry;
-pub mod interval;
+pub(crate) mod free_schedule;
+pub(crate) mod geometry;
+pub(crate) mod interval;
 pub mod json_float;
 pub mod lower_bound;
 pub mod numeric;
 pub mod parallel;
-pub mod params;
-pub mod plan;
+pub(crate) mod params;
+pub(crate) mod plan;
 pub mod query;
 pub mod ratio;
-pub mod schedule;
-pub mod spacetime;
+pub(crate) mod schedule;
+pub(crate) mod spacetime;
 pub mod trajectory;
-pub mod turn_cost;
-pub mod zigzag;
+pub(crate) mod turn_cost;
+pub(crate) mod zigzag;
 
 pub use algorithm::Algorithm;
 pub use bounded::BoundedAlgorithm;
 pub use certificate::Certificate;
-pub use closed_form::ClosedForm;
 pub use cone::Cone;
 pub use coverage::Fleet;
 pub use error::{Error, Result};
@@ -97,8 +96,8 @@ pub use interval::Interval;
 pub use parallel::{par_map, par_map_with, ParallelConfig};
 pub use params::{Params, Regime};
 pub use plan::Plan;
-pub use query::{canonical_hash64, canonical_string, CrQuery, CrReport};
+pub use query::CrQuery;
 pub use schedule::ProportionalSchedule;
-pub use spacetime::{Segment, SpaceTime};
+pub use spacetime::SpaceTime;
 pub use trajectory::{PiecewiseTrajectory, TrajectoryBuilder};
-pub use turn_cost::{DetectionCost, TurnCost};
+pub use turn_cost::TurnCost;

@@ -141,52 +141,6 @@ pub fn classify(traj: &PiecewiseTrajectory, x: f64) -> Result<Option<TrajectoryC
     }
 }
 
-/// Lemma 6 as an executable check: if the trajectory visits both `x` and
-/// `-x` strictly before time `3x + 2`, it must follow a positive or a
-/// negative trajectory for `x`. Returns `true` when the lemma's
-/// conclusion holds (vacuously or otherwise).
-///
-/// # Errors
-///
-/// As [`classify`].
-pub fn lemma6_holds(traj: &PiecewiseTrajectory, x: f64) -> Result<bool> {
-    if !(x > 1.0) {
-        return Err(Error::domain(format!("lemma 6 requires x > 1, got {x}")));
-    }
-    let deadline = 3.0 * x + 2.0;
-    let both_early = matches!(
-        (traj.first_visit(x), traj.first_visit(-x)),
-        (Some(a), Some(b)) if a < deadline && b < deadline
-    );
-    if !both_early {
-        return Ok(true); // premise does not apply
-    }
-    Ok(classify(traj, x)?.is_some())
-}
-
-/// Lemma 7 as an executable check: a robot following a positive or
-/// negative trajectory for `x` cannot reach both `y` and `-y` before
-/// time `2x + y`. Returns `true` when the conclusion holds (vacuously
-/// when the trajectory is unclassified for `x`).
-///
-/// # Errors
-///
-/// As [`classify`]; additionally requires `y >= 1`.
-pub fn lemma7_holds(traj: &PiecewiseTrajectory, x: f64, y: f64) -> Result<bool> {
-    if !(y >= 1.0) {
-        return Err(Error::domain(format!("lemma 7 requires y >= 1, got {y}")));
-    }
-    if classify(traj, x)?.is_none() {
-        return Ok(true);
-    }
-    let deadline = 2.0 * x + y;
-    let both_early = matches!(
-        (traj.first_visit(y), traj.first_visit(-y)),
-        (Some(a), Some(b)) if a < deadline && b < deadline
-    );
-    Ok(!both_early)
-}
-
 /// The best (largest) ratio an adversary can force on a fleet of
 /// trajectories by placing the target at one of `±1, ±x_(n-1), ..., ±x_0`
 /// and declaring faulty the `f` robots that reach it first.
@@ -243,7 +197,55 @@ pub struct AdversaryOutcome {
     pub ratio: f64,
     /// The forced detection time, `None` if never confirmed within the
     /// fleet horizon.
-    pub visit_time: Option<f64>,
+    pub(crate) visit_time: Option<f64>,
+}
+
+/// Lemma 6 as an executable check: if the trajectory visits both `x` and
+/// `-x` strictly before time `3x + 2`, it must follow a positive or a
+/// negative trajectory for `x`. Returns `true` when the lemma's
+/// conclusion holds (vacuously or otherwise).
+///
+/// # Errors
+///
+/// As [`classify`].
+#[cfg(test)]
+pub(crate) fn lemma6_holds(traj: &PiecewiseTrajectory, x: f64) -> Result<bool> {
+    if !(x > 1.0) {
+        return Err(Error::domain(format!("lemma 6 requires x > 1, got {x}")));
+    }
+    let deadline = 3.0 * x + 2.0;
+    let both_early = matches!(
+        (traj.first_visit(x), traj.first_visit(-x)),
+        (Some(a), Some(b)) if a < deadline && b < deadline
+    );
+    if !both_early {
+        return Ok(true); // premise does not apply
+    }
+    Ok(classify(traj, x)?.is_some())
+}
+
+/// Lemma 7 as an executable check: a robot following a positive or
+/// negative trajectory for `x` cannot reach both `y` and `-y` before
+/// time `2x + y`. Returns `true` when the conclusion holds (vacuously
+/// when the trajectory is unclassified for `x`).
+///
+/// # Errors
+///
+/// As [`classify`]; additionally requires `y >= 1`.
+#[cfg(test)]
+pub(crate) fn lemma7_holds(traj: &PiecewiseTrajectory, x: f64, y: f64) -> Result<bool> {
+    if !(y >= 1.0) {
+        return Err(Error::domain(format!("lemma 7 requires y >= 1, got {y}")));
+    }
+    if classify(traj, x)?.is_none() {
+        return Ok(true);
+    }
+    let deadline = 2.0 * x + y;
+    let both_early = matches!(
+        (traj.first_visit(y), traj.first_visit(-y)),
+        (Some(a), Some(b)) if a < deadline && b < deadline
+    );
+    Ok(!both_early)
 }
 
 #[cfg(test)]
@@ -251,6 +253,8 @@ mod tests {
     use super::*;
     use crate::numeric::approx_eq;
     use crate::trajectory::TrajectoryBuilder;
+    use crate::{cone::Cone, plan::Plan};
+    use proptest::prelude::*;
 
     #[test]
     fn alpha_matches_paper_values() {
@@ -478,5 +482,52 @@ mod tests {
         let outcome = adversarial_ratio(&[t], 0, 2, alpha(2).unwrap()).unwrap();
         assert!(outcome.ratio.is_infinite());
         assert!(outcome.visit_time.is_none());
+    }
+
+    #[test]
+    fn lemmas_6_and_7_hold_on_every_plan_family() {
+        // The plan families the strategy registry builds for (5, 2):
+        // the paper's design, fixed-beta and randomized zig-zags, herd,
+        // staggered, delayed and mirrored doubling sweeps, and rays.
+        let params = crate::params::Params::new(5, 2).unwrap();
+        let mut plans = crate::algorithm::Algorithm::design(params).unwrap().plans();
+        plans.push(Plan::zigzag(Cone::new(1.5).unwrap(), 0.7).unwrap());
+        for i in 0..5 {
+            let side = if i % 2 == 0 { 1.0 } else { -1.0 };
+            plans.push(Plan::sweep(side, 2.0).unwrap());
+            plans.push(Plan::sweep(side * (1.0 + 0.3 * f64::from(i)), 3.59).unwrap());
+            plans.push(Plan::sweep(1.0, 2.0).unwrap().launched_at(f64::from(i) * 0.5).unwrap());
+        }
+        plans.extend([Plan::ray(true), Plan::ray(false)]);
+        for plan in &plans {
+            let traj = plan.materialize(400.0).unwrap();
+            for x in [1.5, 2.0, 3.7, 8.0] {
+                assert!(lemma6_holds(&traj, x).unwrap(), "{plan:?}: Lemma 6 violated at x = {x}");
+                for y in [1.0, 1.2, x / 2.0] {
+                    assert!(
+                        lemma7_holds(&traj, x, y.max(1.0)).unwrap(),
+                        "{plan:?}: Lemma 7 violated at x = {x}, y = {y}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Lemma 6 holds on every materialized zig-zag trajectory: whenever
+        /// both ±x are visited before 3x + 2, the trajectory is classifiable
+        /// as positive or negative for x.
+        #[test]
+        fn lemma6_never_violated_by_zigzags(
+            beta in 1.05f64..6.0,
+            seed in prop_oneof![0.1f64..2.0, -2.0f64..-0.1],
+            x in 1.01f64..10.0,
+        ) {
+            let plan = Plan::zigzag(Cone::new(beta).unwrap(), seed).unwrap();
+            let traj = plan.materialize(40.0 * x).unwrap();
+            prop_assert!(lemma6_holds(&traj, x).unwrap());
+        }
     }
 }

@@ -10,26 +10,6 @@
 
 use crate::error::{Error, Result};
 
-/// Default relative tolerance used by solvers in this module.
-pub const DEFAULT_TOL: f64 = 1e-13;
-
-/// Default iteration cap for bracketing solvers.
-pub const DEFAULT_MAX_ITER: usize = 200;
-
-/// Returns `true` when `a` and `b` agree up to relative tolerance `tol`
-/// (with an absolute floor of `tol` for values near zero).
-///
-/// ```
-/// use faultline_core::numeric::approx_eq;
-/// assert!(approx_eq(1.0 + 1e-15, 1.0, 1e-12));
-/// assert!(!approx_eq(1.0, 1.1, 1e-12));
-/// ```
-#[must_use]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    (a - b).abs() <= tol * scale
-}
-
 /// Returns `k` evenly spaced values covering `[lo, hi]` inclusive.
 ///
 /// Returns an empty vector for `k == 0` and `[lo]` for `k == 1`.
@@ -75,14 +55,13 @@ pub fn logspace(lo: f64, hi: f64, k: usize) -> Result<Vec<f64>> {
 /// Returns [`Error::Numerical`] when the bracket is invalid, when either
 /// endpoint evaluates to a non-finite value, or when `max_iter` halvings
 /// do not reach the requested tolerance.
-///
-/// ```
-/// use faultline_core::numeric::bisect;
-/// let root = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-14, 200)?;
-/// assert!((root - std::f64::consts::SQRT_2).abs() < 1e-12);
-/// # Ok::<(), faultline_core::Error>(())
-/// ```
-pub fn bisect(f: impl Fn(f64) -> f64, lo: f64, hi: f64, tol: f64, max_iter: usize) -> Result<f64> {
+pub(crate) fn bisect(
+    f: impl Fn(f64) -> f64,
+    lo: f64,
+    hi: f64,
+    tol: f64,
+    max_iter: usize,
+) -> Result<f64> {
     if !(lo < hi) {
         return Err(Error::numerical(format!("bisect: invalid bracket [{lo}, {hi}]")));
     }
@@ -174,6 +153,21 @@ pub fn golden_min(
     Ok(0.5 * (a + b))
 }
 
+/// Returns `true` when `a` and `b` agree up to relative tolerance `tol`
+/// (with an absolute floor of `tol` for values near zero).
+///
+/// ```
+/// use faultline_core::numeric::approx_eq;
+/// assert!(approx_eq(1.0 + 1e-15, 1.0, 1e-12));
+/// assert!(!approx_eq(1.0, 1.1, 1e-12));
+/// ```
+#[cfg(test)]
+#[must_use]
+pub(crate) fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
+    let scale = a.abs().max(b.abs()).max(1.0);
+    (a - b).abs() <= tol * scale
+}
+
 /// Newton's method with a bisection fallback bracket.
 ///
 /// Performs Newton iterations from `x0`; whenever an iterate escapes
@@ -184,7 +178,8 @@ pub fn golden_min(
 ///
 /// Propagates bracket errors from [`bisect`] and reports non-finite
 /// evaluations.
-pub fn newton_bracketed(
+#[cfg(test)]
+pub(crate) fn newton_bracketed(
     f: impl Fn(f64) -> f64,
     df: impl Fn(f64) -> f64,
     x0: f64,

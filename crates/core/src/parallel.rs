@@ -12,9 +12,9 @@
 //! the items at the tail of a sorted target grid are far more expensive
 //! than the head. Splitting such a sweep into one contiguous chunk per
 //! core puts the entire expensive tail in the last chunk and the sweep
-//! degrades toward serial. Here workers instead claim small chunks of
-//! `grain` items from a shared atomic index until the work runs out, so
-//! a straggler item only delays its own chunk.
+//! degrades toward serial. Here workers instead claim small chunks,
+//! about eight per worker, from a shared atomic index until the work
+//! runs out, so a straggler item only delays its own chunk.
 //!
 //! Results are returned in input order regardless of which worker
 //! computed them, and a panic in any worker is re-raised on the caller
@@ -43,25 +43,9 @@ pub struct ParallelConfig {
     /// Worker-thread count; `None` defers to `FAULTLINE_THREADS`, then
     /// to the number of available cores.
     pub threads: Option<usize>,
-    /// Items claimed per steal; `None` derives a grain from the input
-    /// length and thread count.
-    pub grain: Option<usize>,
 }
 
 impl ParallelConfig {
-    /// Configuration with an explicit worker-thread count.
-    #[must_use]
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelConfig { threads: Some(threads), grain: None }
-    }
-
-    /// Sets the number of items claimed per steal.
-    #[must_use]
-    pub fn grain(mut self, grain: usize) -> Self {
-        self.grain = Some(grain);
-        self
-    }
-
     /// The effective worker-thread count: explicit setting, then the
     /// `FAULTLINE_THREADS` environment variable, then the number of
     /// available cores. Never zero.
@@ -78,17 +62,6 @@ impl ParallelConfig {
             }
         }
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    }
-
-    /// The effective grain for `len` items on `threads` workers: the
-    /// explicit setting, or `len / (8 * threads)` clamped to at least
-    /// one item.
-    #[must_use]
-    pub fn resolved_grain(&self, len: usize, threads: usize) -> usize {
-        match self.grain {
-            Some(g) => g.max(1),
-            None => (len / (8 * threads.max(1))).max(1),
-        }
     }
 }
 
@@ -110,10 +83,10 @@ where
 /// Maps `f` over `items` on a work-stealing scheduler, preserving
 /// order.
 ///
-/// Workers repeatedly claim the next `grain` items from a shared
-/// atomic index until the input is exhausted, so expensive items near
-/// the end of the input cannot strand the sweep in a single straggler
-/// chunk. Results are written into per-chunk slots and flattened in
+/// Workers repeatedly claim the next chunk of `len / (8 * threads)`
+/// items (at least one) from a shared atomic index until the input is
+/// exhausted, so expensive items near the end of the input cannot
+/// strand the sweep in a single straggler chunk. Results are written into per-chunk slots and flattened in
 /// chunk order, so the output matches `items.iter().map(f)` exactly.
 ///
 /// # Panics
@@ -135,7 +108,8 @@ where
     if threads <= 1 {
         return items.iter().map(f).collect();
     }
-    let grain = config.resolved_grain(len, threads);
+    // About eight chunks per worker, at least one item each.
+    let grain = (len / (8 * threads)).max(1);
     let num_chunks = len.div_ceil(grain);
 
     let next_chunk = AtomicUsize::new(0);
@@ -233,9 +207,9 @@ mod tests {
     }
 
     #[test]
-    fn explicit_grain_and_threads_preserve_order() {
+    fn explicit_threads_preserve_order() {
         let items: Vec<u64> = (0..997).collect();
-        let config = ParallelConfig::with_threads(7).grain(13);
+        let config = ParallelConfig { threads: Some(7) };
         let out = par_map_with(&items, &config, |&x| x + 1);
         let expected: Vec<u64> = items.iter().map(|&x| x + 1).collect();
         assert_eq!(out, expected);
@@ -244,7 +218,7 @@ mod tests {
     #[test]
     fn single_thread_config_runs_serially() {
         let items: Vec<u32> = (0..64).collect();
-        let out = par_map_with(&items, &ParallelConfig::with_threads(1), |&x| x * x);
+        let out = par_map_with(&items, &ParallelConfig { threads: Some(1) }, |&x| x * x);
         let expected: Vec<u32> = items.iter().map(|&x| x * x).collect();
         assert_eq!(out, expected);
     }
@@ -253,7 +227,7 @@ mod tests {
     fn panic_payload_survives_with_original_message() {
         let items: Vec<u64> = (0..256).collect();
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_map_with(&items, &ParallelConfig::with_threads(4).grain(8), |&x| {
+            par_map_with(&items, &ParallelConfig { threads: Some(4) }, |&x| {
                 assert!(x != 97, "item {x} hit the poison value");
                 x
             })
@@ -274,7 +248,7 @@ mod tests {
     fn threads_env_override_is_honoured() {
         // `resolved_threads` consults the environment only when no
         // explicit count is set.
-        let explicit = ParallelConfig::with_threads(3);
+        let explicit = ParallelConfig { threads: Some(3) };
         assert_eq!(explicit.resolved_threads(), 3);
         let default = ParallelConfig::default();
         assert!(default.resolved_threads() >= 1);

@@ -134,16 +134,9 @@ impl Params {
         }
     }
 
-    /// The ratio `a = n / f` used for the paper's asymptotic analysis
-    /// (Section 1.1). Returns `None` when `f == 0`.
-    #[must_use]
-    pub fn fault_proportion(&self) -> Option<f64> {
-        (self.f > 0).then(|| self.n as f64 / self.f as f64)
-    }
-
     /// Exponent `(2f + 2) / n` appearing in Theorem 1 and Lemma 4.
     #[must_use]
-    pub fn exponent(&self) -> f64 {
+    pub(crate) fn exponent(&self) -> f64 {
         (2 * self.f + 2) as f64 / self.n as f64
     }
 }
@@ -213,8 +206,6 @@ mod tests {
         assert_eq!(p.f(), 2);
         assert_eq!(p.required_visits(), 3);
         assert_eq!(p.exponent(), 6.0 / 5.0);
-        assert_eq!(p.fault_proportion(), Some(2.5));
-        assert_eq!(Params::new(1, 0).unwrap().fault_proportion(), None);
     }
 
     #[test]

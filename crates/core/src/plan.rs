@@ -19,7 +19,7 @@ use crate::trajectory::PiecewiseTrajectory;
 /// One robot's motion plan, materializable to any horizon.
 ///
 /// The families' constructors: [`Plan::ray`], [`Plan::zigzag`],
-/// [`Plan::clamped_zigzag`], [`Plan::sweep`] and [`Plan::free`], each
+/// `Plan::clamped_zigzag`, [`Plan::sweep`] and `Plan::free`, each
 /// optionally [`Plan::launched_at`] a later time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
@@ -77,7 +77,7 @@ impl Plan {
 
     /// The plan of one free-schedule robot.
     #[must_use]
-    pub fn free(robot: FreeRobot) -> Self {
+    pub(crate) fn free(robot: FreeRobot) -> Self {
         Plan { launch: 0.0, turns: Turns::Free(robot) }
     }
 

@@ -178,23 +178,23 @@ pub struct CrQuery {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CrReport {
     /// Number of robots.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Fault tolerance.
-    pub f: usize,
+    pub(crate) f: usize,
     /// The regime the pair falls into.
-    pub regime: Regime,
+    pub(crate) regime: Regime,
     /// Visits required to confirm a target (`f + 1`).
-    pub required_visits: usize,
+    pub(crate) required_visits: usize,
     /// Competitive ratio of `A(n, f)` (Theorem 1).
-    pub cr_upper: f64,
+    pub(crate) cr_upper: f64,
     /// Lower bound on any algorithm's competitive ratio (Section 4).
-    pub lower_bound: f64,
+    pub(crate) lower_bound: f64,
     /// Optimal cone parameter `beta*` (proportional regime only).
-    pub optimal_beta: Option<f64>,
+    pub(crate) optimal_beta: Option<f64>,
     /// Expansion factor of `A(n, f)` (proportional regime only).
-    pub expansion_factor: Option<f64>,
+    pub(crate) expansion_factor: Option<f64>,
     /// Proportionality ratio `r` (proportional regime only).
-    pub proportionality_ratio: Option<f64>,
+    pub(crate) proportionality_ratio: Option<f64>,
 }
 
 impl CrQuery {

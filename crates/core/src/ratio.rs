@@ -149,24 +149,6 @@ pub fn corollary1_upper(n: usize) -> Result<f64> {
     Ok(3.0 + 4.0 * nf.ln() / nf)
 }
 
-/// Numerically minimizes [`cr_of_beta`] over `beta` by golden-section
-/// search; used to cross-check the closed form [`optimal_beta`].
-///
-/// # Errors
-///
-/// Propagates solver failures and regime errors.
-pub fn optimal_beta_numeric(params: Params) -> Result<f64> {
-    if params.regime() != Regime::Proportional {
-        return Err(Error::invalid_params(
-            params.n(),
-            params.f(),
-            "numeric beta search is only meaningful in the proportional regime",
-        ));
-    }
-    let objective = |beta: f64| cr_of_beta(params, beta).unwrap_or(f64::INFINITY);
-    crate::numeric::golden_min(objective, 1.0 + 1e-9, 64.0, 1e-12, 500)
-}
-
 /// Fleet planning: the smallest number of robots guaranteeing a
 /// competitive ratio at most `target_cr` while tolerating `f` faults.
 ///
@@ -188,23 +170,23 @@ pub fn min_robots(f: usize, target_cr: f64) -> Result<usize> {
         .unwrap_or(2 * f + 2))
 }
 
-/// Fleet planning: the largest fault budget `f` a fleet of `n` robots
-/// can tolerate while keeping the competitive ratio at most
-/// `target_cr`. Returns `None` when even `f = 0` misses the target
-/// (impossible, since `f = 0` achieves 1 for `n >= 2`, and 9 for
-/// `n = 1`).
+/// Numerically minimizes [`cr_of_beta`] over `beta` by golden-section
+/// search; used to cross-check the closed form [`optimal_beta`].
 ///
 /// # Errors
 ///
-/// Returns [`Error::Domain`] when `target_cr < 1`.
-pub fn max_faults(n: usize, target_cr: f64) -> Result<Option<usize>> {
-    if !(target_cr >= 1.0) {
-        return Err(Error::domain(format!(
-            "no fleet achieves a competitive ratio below 1, requested {target_cr}"
-        )));
+/// Propagates solver failures and regime errors.
+#[cfg(test)]
+pub(crate) fn optimal_beta_numeric(params: Params) -> Result<f64> {
+    if params.regime() != Regime::Proportional {
+        return Err(Error::invalid_params(
+            params.n(),
+            params.f(),
+            "numeric beta search is only meaningful in the proportional regime",
+        ));
     }
-    // cr_upper is increasing in f for fixed n: scan downward.
-    Ok((0..n).rev().find(|&f| cr_upper(Params::new(n, f).expect("f < n")) <= target_cr))
+    let objective = |beta: f64| cr_of_beta(params, beta).unwrap_or(f64::INFINITY);
+    crate::numeric::golden_min(objective, 1.0 + 1e-9, 64.0, 1e-12, 500)
 }
 
 #[cfg(test)]
@@ -407,30 +389,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn max_faults_planning() {
-        // 6 robots: ratio 1 tolerates f = 2; ratio 5 tolerates f = 3
-        // (CR(6,3) = 4.49 <= 5? compute: beta* = 16/6-1 = 5/3 ... the
-        // assertion below checks the invariant rather than a constant).
-        for n in 2..14usize {
-            for target in [1.0, 4.0, 9.0] {
-                if let Some(f) = max_faults(n, target).unwrap() {
-                    assert!(cr_upper(p(n, f)) <= target, "n = {n}, target = {target}");
-                    if f + 1 < n {
-                        assert!(
-                            cr_upper(p(n, f + 1)) > target,
-                            "n = {n}, target = {target}: f + 1 also meets it"
-                        );
-                    }
-                }
-            }
-        }
-        assert_eq!(max_faults(6, 1.0).unwrap(), Some(2));
-        // Ratio 9 is achievable with every fault budget up to n - 1.
-        assert_eq!(max_faults(5, 9.0).unwrap(), Some(4));
-        assert!(max_faults(3, 0.99).is_err());
     }
 
     #[test]

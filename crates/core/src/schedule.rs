@@ -78,7 +78,7 @@ impl ProportionalSchedule {
     ///
     /// As [`ProportionalSchedule::new`], plus [`Error::Domain`] for a
     /// non-positive `base`.
-    pub fn with_base(n: usize, beta: f64, base: f64) -> Result<Self> {
+    pub(crate) fn with_base(n: usize, beta: f64, base: f64) -> Result<Self> {
         if n == 0 {
             return Err(Error::invalid_params(0, 0, "a schedule needs at least one robot"));
         }
@@ -110,7 +110,7 @@ impl ProportionalSchedule {
     /// Normalization: the position of robot `a_0`'s reference turning
     /// point.
     #[must_use]
-    pub fn base(&self) -> f64 {
+    pub(crate) fn base(&self) -> f64 {
         self.base
     }
 
@@ -135,7 +135,7 @@ impl ProportionalSchedule {
 
     /// The robot owning turning point `tau_j`: `a_(j mod n)`.
     #[must_use]
-    pub fn robot_of_turning_point(&self, j: i64) -> usize {
+    pub(crate) fn robot_of_turning_point(&self, j: i64) -> usize {
         j.rem_euclid(self.n as i64) as usize
     }
 
@@ -191,19 +191,6 @@ impl ProportionalSchedule {
             .collect()
     }
 
-    /// Lemma 4 closed form: the limit, as `x` approaches the turning
-    /// point `tau_0 = base` from above, of the time at which the
-    /// `(f+1)`-st distinct robot visits `x`:
-    ///
-    /// ```text
-    /// T_(f+1) = base * ((beta+1)^((2f+2)/n) (beta-1)^(1-(2f+2)/n) + 1)
-    ///         = base * (r^(f+1) (beta - 1) + 1)
-    /// ```
-    #[must_use]
-    pub fn lemma4_visit_time(&self, f: usize) -> f64 {
-        self.base * (self.ratio().powi(f as i32 + 1) * (self.beta() - 1.0) + 1.0)
-    }
-
     /// Lemma 5: the competitive ratio of this schedule against `f`
     /// faulty robots,
     /// `CR = (beta+1)^((2f+2)/n) (beta-1)^(1-(2f+2)/n) + 1`.
@@ -238,6 +225,22 @@ impl std::fmt::Display for ProportionalSchedule {
             self.ratio(),
             self.base
         )
+    }
+}
+
+#[cfg(test)]
+impl ProportionalSchedule {
+    /// Lemma 4 closed form: the limit, as `x` approaches the turning
+    /// point `tau_0 = base` from above, of the time at which the
+    /// `(f+1)`-st distinct robot visits `x`:
+    ///
+    /// ```text
+    /// T_(f+1) = base * ((beta+1)^((2f+2)/n) (beta-1)^(1-(2f+2)/n) + 1)
+    ///         = base * (r^(f+1) (beta - 1) + 1)
+    /// ```
+    #[must_use]
+    pub(crate) fn lemma4_visit_time(&self, f: usize) -> f64 {
+        self.base * (self.ratio().powi(f as i32 + 1) * (self.beta() - 1.0) + 1.0)
     }
 }
 

@@ -24,20 +24,13 @@ impl SpaceTime {
 
     /// The shared starting configuration: the origin at time zero.
     #[must_use]
-    pub fn origin() -> Self {
+    pub(crate) fn origin() -> Self {
         SpaceTime { x: 0.0, t: 0.0 }
-    }
-
-    /// Average speed needed to travel from `self` to `other`
-    /// (`|Δx| / Δt`). Returns `None` when `other` is not strictly later.
-    #[must_use]
-    pub fn speed_to(&self, other: &SpaceTime) -> Option<f64> {
-        (other.t > self.t).then(|| (other.x - self.x).abs() / (other.t - self.t))
     }
 
     /// Returns `true` if both coordinates are finite.
     #[must_use]
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.x.is_finite() && self.t.is_finite()
     }
 }
@@ -55,37 +48,24 @@ impl std::fmt::Display for SpaceTime {
 /// sweep, smaller slopes are slow or waiting moves (used by the initial
 /// legs of Definition 4, which travel at speed `1/beta`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Segment {
+pub(crate) struct Segment {
     /// Start point.
-    pub a: SpaceTime,
+    pub(crate) a: SpaceTime,
     /// End point; must be strictly later than `a`.
-    pub b: SpaceTime,
+    pub(crate) b: SpaceTime,
 }
 
 impl Segment {
-    /// Creates a segment and validates time monotonicity and the unit
-    /// speed limit (with a small relative tolerance for floating-point
-    /// round-off).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidTrajectory`] if `b.t <= a.t` or the speed
-    /// exceeds 1.
-    pub fn new(a: SpaceTime, b: SpaceTime) -> Result<Self> {
-        Segment::with_speed_limit(a, b, 1.0)
-    }
-
     /// Creates a segment for a robot whose maximum speed is `max_speed`
     /// instead of the paper's unit bound — the heterogeneous-speed
-    /// scenario generalization. [`Segment::new`] is the `max_speed = 1`
-    /// special case.
+    /// scenario generalization.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidTrajectory`] if `b.t <= a.t`, the speed
     /// exceeds `max_speed` (with the same relative tolerance), or
     /// `max_speed` is not finite and positive.
-    pub fn with_speed_limit(a: SpaceTime, b: SpaceTime, max_speed: f64) -> Result<Self> {
+    pub(crate) fn with_speed_limit(a: SpaceTime, b: SpaceTime, max_speed: f64) -> Result<Self> {
         if !(max_speed > 0.0) || !max_speed.is_finite() {
             return Err(Error::trajectory(format!(
                 "speed limit must be finite and positive, got {max_speed}"
@@ -111,25 +91,25 @@ impl Segment {
 
     /// Duration `Δt` of the segment.
     #[must_use]
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         self.b.t - self.a.t
     }
 
     /// Signed displacement `Δx` of the segment.
     #[must_use]
-    pub fn displacement(&self) -> f64 {
+    pub(crate) fn displacement(&self) -> f64 {
         self.b.x - self.a.x
     }
 
     /// Constant speed along the segment.
     #[must_use]
-    pub fn speed(&self) -> f64 {
+    pub(crate) fn speed(&self) -> f64 {
         self.displacement().abs() / self.duration()
     }
 
     /// Position at time `t`, or `None` if `t` lies outside `[a.t, b.t]`.
     #[must_use]
-    pub fn position_at(&self, t: f64) -> Option<f64> {
+    pub(crate) fn position_at(&self, t: f64) -> Option<f64> {
         if t < self.a.t || t > self.b.t {
             return None;
         }
@@ -140,7 +120,7 @@ impl Segment {
     /// Earliest time within the segment at which position `x` is
     /// occupied, or `None` when the segment does not cross `x`.
     #[must_use]
-    pub fn visit_time(&self, x: f64) -> Option<f64> {
+    pub(crate) fn visit_time(&self, x: f64) -> Option<f64> {
         let (xa, xb) = (self.a.x, self.b.x);
         if (x - xa) * (x - xb) > 0.0 {
             return None; // strictly outside the swept interval
@@ -155,11 +135,21 @@ impl Segment {
 }
 
 #[cfg(test)]
+impl SpaceTime {
+    /// Average speed needed to travel from `self` to `other`
+    /// (`|Δx| / Δt`). Returns `None` when `other` is not strictly later.
+    #[must_use]
+    pub(crate) fn speed_to(&self, other: &SpaceTime) -> Option<f64> {
+        (other.t > self.t).then(|| (other.x - self.x).abs() / (other.t - self.t))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     fn seg(ax: f64, at: f64, bx: f64, bt: f64) -> Segment {
-        Segment::new(SpaceTime::new(ax, at), SpaceTime::new(bx, bt)).unwrap()
+        Segment::with_speed_limit(SpaceTime::new(ax, at), SpaceTime::new(bx, bt), 1.0).unwrap()
     }
 
     #[test]
@@ -180,20 +170,20 @@ mod tests {
     fn rejects_superluminal_segment() {
         let a = SpaceTime::new(0.0, 0.0);
         let b = SpaceTime::new(2.0, 1.0);
-        assert!(Segment::new(a, b).is_err());
+        assert!(Segment::with_speed_limit(a, b, 1.0).is_err());
     }
 
     #[test]
     fn rejects_time_reversal_and_zero_duration() {
         let a = SpaceTime::new(0.0, 1.0);
-        assert!(Segment::new(a, SpaceTime::new(0.0, 1.0)).is_err());
-        assert!(Segment::new(a, SpaceTime::new(0.0, 0.5)).is_err());
+        assert!(Segment::with_speed_limit(a, SpaceTime::new(0.0, 1.0), 1.0).is_err());
+        assert!(Segment::with_speed_limit(a, SpaceTime::new(0.0, 0.5), 1.0).is_err());
     }
 
     #[test]
     fn rejects_non_finite() {
         let a = SpaceTime::new(f64::NAN, 0.0);
-        assert!(Segment::new(a, SpaceTime::new(0.0, 1.0)).is_err());
+        assert!(Segment::with_speed_limit(a, SpaceTime::new(0.0, 1.0), 1.0).is_err());
     }
 
     #[test]
@@ -235,7 +225,7 @@ mod tests {
         let b = SpaceTime::new(2.0, 1.0);
         // Speed 2 is superluminal for the paper but fine for a
         // heterogeneous-speed scenario robot with max_speed 2.
-        assert!(Segment::new(a, b).is_err());
+        assert!(Segment::with_speed_limit(a, b, 1.0).is_err());
         let s = Segment::with_speed_limit(a, b, 2.0).unwrap();
         assert_eq!(s.speed(), 2.0);
         assert!(Segment::with_speed_limit(a, SpaceTime::new(2.5, 1.0), 2.0).is_err());

@@ -14,7 +14,7 @@ use crate::spacetime::{Segment, SpaceTime};
 
 /// Relative tolerance accepted on the unit speed limit to absorb
 /// floating-point round-off in cone reflections.
-pub const SPEED_TOLERANCE: f64 = 1e-9;
+pub(crate) const SPEED_TOLERANCE: f64 = 1e-9;
 
 /// A piecewise-linear trajectory with strictly increasing waypoint
 /// times and speed at most 1 on every piece.
@@ -109,7 +109,7 @@ impl PiecewiseTrajectory {
     }
 
     /// Iterates over the constant-velocity pieces.
-    pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
+    pub(crate) fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
         self.waypoints.windows(2).map(|w| Segment { a: w[0], b: w[1] })
     }
 
@@ -160,12 +160,6 @@ impl PiecewiseTrajectory {
             }
         }
         turns
-    }
-
-    /// Total distance travelled over the whole trajectory.
-    #[must_use]
-    pub fn total_distance(&self) -> f64 {
-        self.segments().map(|s| s.displacement().abs()).sum()
     }
 
     /// The farthest distance from the origin ever reached.
@@ -338,9 +332,8 @@ mod tests {
     }
 
     #[test]
-    fn total_distance_and_excursion() {
+    fn max_excursion_is_the_farthest_turn() {
         let t = doubling_prefix();
-        assert_eq!(t.total_distance(), 1.0 + 3.0 + 6.0 + 12.0);
         assert_eq!(t.max_excursion(), 8.0);
     }
 

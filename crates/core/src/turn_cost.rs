@@ -62,7 +62,24 @@ impl TurnCost {
     pub fn turns_before(&self, traj: &PiecewiseTrajectory, t: f64) -> usize {
         traj.turning_points().iter().filter(|p| p.t < t).count()
     }
+}
 
+/// A detection cost breakdown under the turn-cost model.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct DetectionCost {
+    /// Index of the `(f+1)`-st distinct visitor.
+    pub(crate) robot: usize,
+    /// Its arrival time at the target.
+    pub(crate) time: f64,
+    /// Reversals it performed strictly before arrival.
+    pub(crate) turns: usize,
+    /// Total cost `time + c * turns`.
+    pub(crate) cost: f64,
+}
+
+#[cfg(test)]
+impl TurnCost {
     /// The turn-cost detection cost for target `x` with `k` required
     /// distinct visits: the `k`-th visitor's arrival time plus `c`
     /// times the reversals it made on the way.
@@ -74,7 +91,7 @@ impl TurnCost {
     ///
     /// Returns [`Error::InvalidParameters`] for `k == 0` or an empty
     /// fleet.
-    pub fn detection_cost(
+    pub(crate) fn detection_cost(
         &self,
         trajectories: &[PiecewiseTrajectory],
         x: f64,
@@ -106,25 +123,13 @@ impl TurnCost {
     }
 }
 
-/// A detection cost breakdown under the turn-cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DetectionCost {
-    /// Index of the `(f+1)`-st distinct visitor.
-    pub robot: usize,
-    /// Its arrival time at the target.
-    pub time: f64,
-    /// Reversals it performed strictly before arrival.
-    pub turns: usize,
-    /// Total cost `time + c * turns`.
-    pub cost: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithm::Algorithm;
     use crate::params::Params;
     use crate::trajectory::TrajectoryBuilder;
+    use proptest::prelude::*;
 
     fn doubling(horizon_targets: usize) -> PiecewiseTrajectory {
         let mut b = TrajectoryBuilder::from_origin();
@@ -225,5 +230,41 @@ mod tests {
             TurnCost::free().detection_cost(&trajs, x, 2).unwrap().unwrap().turns
         };
         assert!(count(&many_turns) > count(&few_turns));
+    }
+
+    /// Valid proportional-regime parameters (`f < n < 2f + 2`).
+    fn proportional_params() -> impl Strategy<Value = Params> {
+        (1usize..24).prop_flat_map(|f| {
+            ((f + 1)..(2 * f + 2)).prop_map(move |n| Params::new(n, f).expect("valid by range"))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Turn-cost detection costs are consistent: non-negative turn
+        /// counts, cost = time + c * turns, monotone in c, and equal to the
+        /// plain detection time at c = 0.
+        #[test]
+        fn turn_cost_consistency(
+            params in proportional_params(),
+            x in 1.0f64..15.0,
+            c in 0.0f64..5.0,
+        ) {
+            let alg = Algorithm::design(params).unwrap();
+            let horizon = alg.required_horizon(16.0).unwrap();
+            let trajs: Vec<_> = alg
+                .plans()
+                .iter()
+                .map(|p| p.materialize(horizon).unwrap())
+                .collect();
+            let k = params.required_visits();
+            let free = TurnCost::free().detection_cost(&trajs, x, k).unwrap().unwrap();
+            let priced = TurnCost::new(c).unwrap().detection_cost(&trajs, x, k).unwrap().unwrap();
+            prop_assert_eq!(free.robot, priced.robot);
+            prop_assert_eq!(free.turns, priced.turns);
+            prop_assert!((priced.cost - (free.time + c * free.turns as f64)).abs() < 1e-9);
+            prop_assert!(free.cost == free.time);
+        }
     }
 }

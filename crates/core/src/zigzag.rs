@@ -47,6 +47,7 @@ mod tests {
     use super::*;
     use crate::numeric::approx_eq;
     use crate::spacetime::SpaceTime;
+    use proptest::prelude::*;
 
     fn doubling_plan() -> Plan {
         Plan::zigzag(Cone::new(3.0).unwrap(), 1.0).unwrap()
@@ -130,6 +131,36 @@ mod tests {
                     cone.contains(SpaceTime::new(x, t + 1e-9)),
                     "point (x = {x}, t = {t}) escapes the cone"
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Clamped zig-zag plans stay within their bound, respect unit
+        /// speed, and coincide with the unclamped plan wherever the bound
+        /// does not bite.
+        #[test]
+        fn clamped_zigzag_invariants(
+            beta in 1.05f64..6.0,
+            seed in prop_oneof![0.1f64..0.9, -0.9f64..-0.1],
+            bound in 1.0f64..20.0,
+            horizon in 10.0f64..300.0,
+        ) {
+            let cone = Cone::new(beta).unwrap();
+            let plan = Plan::zigzag(cone, seed).unwrap();
+            let clamped = Plan::clamped_zigzag(cone, seed, bound).unwrap();
+            let traj = clamped.materialize(horizon).unwrap();
+            prop_assert!((traj.horizon() - horizon).abs() < 1e-9);
+            for seg in traj.segments() {
+                prop_assert!(seg.speed() <= 1.0 + 1e-9);
+            }
+            prop_assert!(traj.max_excursion() <= bound * (1.0 + 1e-9));
+            // If the free plan never leaves the bound, clamping is a no-op.
+            let free = plan.materialize(horizon).unwrap();
+            if free.max_excursion() <= bound {
+                prop_assert_eq!(traj, free);
             }
         }
     }

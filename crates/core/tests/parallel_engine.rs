@@ -22,16 +22,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The work-stealing engine returns exactly what a serial `map`
-    /// returns — same values, same order — for any cost skew, thread
-    /// count and grain size.
+    /// returns — same values, same order — for any cost skew, input
+    /// length and thread count. The derived grain `len / (8 * threads)`
+    /// is 1 whenever `len < 16 * threads`, so short inputs cover it.
     #[test]
     fn work_stealing_matches_serial_map(
         costs in prop::collection::vec(0u32..64, 1..200),
         threads in 1usize..9,
-        grain in 1usize..17,
     ) {
         let serial: Vec<u64> = costs.iter().map(|&c| skewed_work(c)).collect();
-        let config = ParallelConfig::with_threads(threads).grain(grain);
+        let config = ParallelConfig { threads: Some(threads) };
         let parallel = par_map_with(&costs, &config, |&c| skewed_work(c));
         prop_assert_eq!(&serial, &parallel);
     }
@@ -52,7 +52,8 @@ fn geometric_workload_completes_without_straggler_chunk() {
         start.elapsed()
     };
 
-    let config = ParallelConfig::with_threads(4).grain(1);
+    // 32 items on 4 workers: the derived grain is one item.
+    let config = ParallelConfig { threads: Some(4) };
     let stealing = run(&|| {
         par_map_with(&sleeps, &config, |&ms| std::thread::sleep(Duration::from_millis(ms)))
     });

@@ -1,10 +1,10 @@
 //! Serde round-trip tests for the serializable data types (C-SERDE):
 //! results and schedules survive JSON export/import bit-for-bit.
 
-use faultline_core::lower_bound::{AdversaryOutcome, TrajectoryClass};
-use faultline_core::turn_cost::DetectionCost;
+use faultline_core::lower_bound::{self, AdversaryOutcome, TrajectoryClass};
 use faultline_core::{
-    Cone, Params, PiecewiseTrajectory, ProportionalSchedule, Regime, SpaceTime, TrajectoryBuilder,
+    Algorithm, Cone, Params, PiecewiseTrajectory, ProportionalSchedule, Regime, SpaceTime,
+    TrajectoryBuilder,
 };
 
 fn roundtrip<T>(value: &T) -> T
@@ -47,7 +47,7 @@ fn cone_and_schedule_roundtrip() {
     let cone = Cone::new(2.5).unwrap();
     assert_eq!(roundtrip(&cone), cone);
 
-    let schedule = ProportionalSchedule::with_base(5, 1.4, 2.0).unwrap();
+    let schedule = ProportionalSchedule::new(5, 1.4).unwrap();
     let back: ProportionalSchedule = roundtrip(&schedule);
     assert_eq!(back, schedule);
     assert_eq!(back.ratio(), schedule.ratio());
@@ -56,11 +56,13 @@ fn cone_and_schedule_roundtrip() {
 
 #[test]
 fn result_records_roundtrip() {
-    let adv = AdversaryOutcome { placement: -2.63, ratio: 5.05, visit_time: Some(13.3) };
+    let params = Params::new(3, 1).unwrap();
+    let algorithm = Algorithm::design(params).unwrap();
+    let horizon = algorithm.required_horizon(40.0).unwrap();
+    let fleet: Vec<_> = algorithm.plans().iter().map(|p| p.materialize(horizon).unwrap()).collect();
+    let alpha = lower_bound::alpha(3).unwrap();
+    let adv: AdversaryOutcome = lower_bound::adversarial_ratio(&fleet, 1, 3, alpha).unwrap();
     assert_eq!(roundtrip(&adv), adv);
-
-    let cost = DetectionCost { robot: 2, time: 4.25, turns: 3, cost: 7.25 };
-    assert_eq!(roundtrip(&cost), cost);
 
     assert_eq!(roundtrip(&TrajectoryClass::Positive), TrajectoryClass::Positive);
     assert_eq!(roundtrip(&TrajectoryClass::Negative), TrajectoryClass::Negative);

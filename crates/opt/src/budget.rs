@@ -29,15 +29,15 @@ pub enum Budget {
 pub struct Knobs {
     /// Number of independent starts (start 0 is the exact `A(n, f)`
     /// lowering; the rest are seeded perturbations of it).
-    pub starts: usize,
+    pub(crate) starts: usize,
     /// Rounds of descent + annealing applied to every start.
     pub rounds: usize,
     /// Explicit turning points per robot before the geometric tail.
     pub explicit_turns: usize,
     /// Annealing proposals per round per start.
-    pub anneal_steps: usize,
+    pub(crate) anneal_steps: usize,
     /// Initial log-space annealing step size (decays per round).
-    pub sigma0: f64,
+    pub(crate) sigma0: f64,
 }
 
 impl Budget {
@@ -62,7 +62,7 @@ impl Budget {
 
     /// The lowercase name used on the CLI and in JSON.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Budget::Tiny => "tiny",
             Budget::Small => "small",

@@ -19,21 +19,21 @@ use serde::{Deserialize, Serialize};
 use crate::driver::OptimizerState;
 
 /// The checkpoint format version this build writes and accepts.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub(crate) const CHECKPOINT_VERSION: u32 = 1;
 
-/// A versioned snapshot of an [`OptimizerState`].
+/// A versioned snapshot of an `OptimizerState`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// Format version ([`CHECKPOINT_VERSION`]).
-    pub version: u32,
+    pub(crate) version: u32,
     /// The snapshotted state.
-    pub state: OptimizerState,
+    pub(crate) state: OptimizerState,
 }
 
 impl Checkpoint {
     /// Wraps a state in the current format version.
     #[must_use]
-    pub fn snapshot(state: &OptimizerState) -> Self {
+    pub(crate) fn snapshot(state: &OptimizerState) -> Self {
         Checkpoint { version: CHECKPOINT_VERSION, state: state.clone() }
     }
 
@@ -42,7 +42,7 @@ impl Checkpoint {
     /// # Errors
     ///
     /// Returns [`Error::Domain`] on serialization or I/O failure.
-    pub fn save(&self, path: &Path) -> Result<()> {
+    pub(crate) fn save(&self, path: &Path) -> Result<()> {
         let json = serde_json::to_string_pretty(self)
             .map_err(|e| Error::domain(format!("checkpoint serialization failed: {e}")))?;
         let tmp = path.with_extension("tmp");
@@ -85,7 +85,7 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::budget::Budget;
-    use crate::driver::{init_state, OptimizeConfig};
+    use crate::driver::{advance_round, init_state, resume_state, run, OptimizeConfig};
 
     fn tiny_state() -> OptimizerState {
         let mut config = OptimizeConfig::new(3, 1);
@@ -130,6 +130,36 @@ mod tests {
         assert_ne!(tampered, raw, "expected a side field to tamper with");
         std::fs::write(&path, tampered).unwrap();
         assert!(Checkpoint::load(&path).is_err());
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resuming_a_killed_run_is_bit_identical() {
+        let mut config = OptimizeConfig::new(3, 1);
+        config.budget = Budget::Tiny;
+        config.seed = 42;
+        config.xmax = Some(8.0);
+        let dir = std::env::temp_dir().join("faultline-opt-resume-test");
+        std::fs::create_dir_all(&dir).unwrap();
+
+        // The uninterrupted run.
+        let uninterrupted = run(&config).unwrap();
+
+        // The "killed" run: initialize, advance one round, snapshot to
+        // disk, drop everything — then resume from the file only.
+        let kill_point = dir.join("killed.json");
+        {
+            let mut state = init_state(&config).unwrap();
+            advance_round(&mut state).unwrap();
+            Checkpoint::snapshot(&state).save(&kill_point).unwrap();
+        }
+        let mut resumed_state = Checkpoint::load(&kill_point).unwrap().into_state();
+        let resumed = resume_state(&mut resumed_state, None).unwrap();
+
+        let a = serde_json::to_string_pretty(&uninterrupted).unwrap();
+        let b = serde_json::to_string_pretty(&resumed).unwrap();
+        assert_eq!(a, b, "resumed report differs from uninterrupted report");
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -47,14 +47,14 @@ pub struct OptimizeConfig {
     #[serde(default)]
     pub seed: u64,
     /// Measurement window override; defaults to
-    /// [`Objective::default_xmax`].
+    /// `Objective::default_xmax`.
     #[serde(default)]
     pub xmax: Option<f64>,
     /// When set, optimize the *expected* competitive ratio with every
     /// robot p-faulty at this per-visit detection probability instead
     /// of the worst-case ratio. Defaults to the worst-case objective.
     #[serde(default)]
-    pub detect_probability: Option<f64>,
+    pub(crate) detect_probability: Option<f64>,
 }
 
 impl OptimizeConfig {
@@ -109,17 +109,17 @@ impl OptimizeConfig {
 /// One optimization start: its current schedule, its measured ratio,
 /// and how many objective evaluations it has consumed.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StartState {
+pub(crate) struct StartState {
     /// The incumbent schedule.
-    pub schedule: FreeSchedule,
+    pub(crate) schedule: FreeSchedule,
     /// The incumbent's objective *score*: its measured supremum plus
     /// the small peak-pressure tie-breaker (see
     /// [`crate::objective::PRESSURE_WEIGHT`]), or [`crate::PENALTY`]
     /// while a perturbed start has not yet found a measurable
     /// schedule.
-    pub cr: f64,
+    pub(crate) cr: f64,
     /// Objective evaluations consumed so far.
-    pub evaluations: u64,
+    pub(crate) evaluations: u64,
 }
 
 // `cr` goes through `json_float` so a checkpoint written by a future
@@ -168,9 +168,9 @@ pub struct OptimizerState {
     pub round: usize,
     /// The raw measured supremum of the exact `A(n, f)` lowering
     /// (no pressure term), kept for improvement reporting.
-    pub baseline_cr: f64,
+    pub(crate) baseline_cr: f64,
     /// All starts, in deterministic order.
-    pub starts: Vec<StartState>,
+    pub(crate) starts: Vec<StartState>,
 }
 
 /// SplitMix64-style finalizer combining the run seed with a start and
@@ -308,7 +308,7 @@ impl CrossCheck {
 /// measurements below the certificate's lower end are rejected as
 /// window overfitting (Theorem 2 proves no schedule achieves them).
 #[must_use]
-pub fn cross_check(certificate: Option<&Certificate>, measured: f64) -> CrossCheck {
+pub(crate) fn cross_check(certificate: Option<&Certificate>, measured: f64) -> CrossCheck {
     match certificate {
         Some(cert) if measured < cert.lo => CrossCheck::Rejected,
         _ => CrossCheck::Consistent,
@@ -368,7 +368,7 @@ pub struct OptimizeReport {
     pub best_schedule: Option<FreeSchedule>,
 }
 
-/// Folds a finished state into its [`OptimizeReport`].
+/// Folds a finished state into its `OptimizeReport`.
 ///
 /// # Errors
 ///
@@ -522,7 +522,7 @@ mod tests {
         assert_eq!(config.xmax, None);
         assert!(config.resolved_xmax().unwrap() >= 25.0);
         assert_eq!(config.detect_probability, None);
-        assert_eq!(config.objective().unwrap().detect_probability(), None);
+        assert_eq!(config.objective().unwrap().detect_probability, None);
     }
 
     #[test]
@@ -531,7 +531,7 @@ mod tests {
             serde_json::from_str(r#"{"n": 3, "f": 1, "detect_probability": 0.5}"#).unwrap();
         assert_eq!(config.detect_probability, Some(0.5));
         let objective = config.objective().unwrap();
-        assert_eq!(objective.detect_probability(), Some(0.5));
+        assert_eq!(objective.detect_probability, Some(0.5));
         assert_eq!(objective.floor(), 0.0);
 
         let bad: OptimizeConfig =

@@ -14,15 +14,6 @@ pub struct GapRow {
     pub report: OptimizeReport,
 }
 
-impl GapRow {
-    /// The open gap between the best found upper bound and the
-    /// regime-tight lower bound.
-    #[must_use]
-    pub fn open_gap(&self) -> f64 {
-        self.report.best_found_cr - self.report.lower_bound
-    }
-}
-
 /// Runs the optimizer over every Table-1 pair at the given budget and
 /// seed, in the paper's row order.
 ///

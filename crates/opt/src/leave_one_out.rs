@@ -7,10 +7,10 @@
 //! leaves the window uncovered, and the expected-CR objective has no
 //! leave-one-out path at all.
 
+use crate::search::perturb_robot;
+use crate::{Budget, Objective, OptimizeConfig, PENALTY};
 use faultline_analysis::supremum::TURNING_POINT_EPS;
 use faultline_core::{Algorithm, FreeRobot, FreeSchedule, Params};
-use faultline_opt::search::perturb_robot;
-use faultline_opt::{Budget, Objective, OptimizeConfig, PENALTY};
 use rand::{rngs::StdRng, SeedableRng};
 
 /// How many probes a leave-one-out profile served, how many of those

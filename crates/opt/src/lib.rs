@@ -28,9 +28,9 @@
 //! 4. [`Checkpoint`] files snapshot the full optimizer state after
 //!    every round; resuming from a checkpoint replays the remaining
 //!    rounds to bit-identical output.
-//! 5. [`finish`] folds the best start into an [`OptimizeReport`] with
+//! 5. [`finish`] folds the best start into an `OptimizeReport` with
 //!    the Theorem 1 closed form, the `alpha(n)` certificate, and the
-//!    [`CrossCheck`] verdict (`certified lo <= best_found_cr`).
+//!    `CrossCheck` verdict (`certified lo <= best_found_cr`).
 //!
 //! ## Soundness guard
 //!
@@ -44,7 +44,7 @@
 //! optimizer can never "prove" a sub-lower-bound schedule. Where
 //! Theorem 1 is already tight (two-group pairs, and `n = f + 1` where
 //! it equals the single-robot bound 9), the report sets
-//! [`OptimizeReport::gap_closed`] and refuses to claim improvements:
+//! `OptimizeReport::gap_closed` and refuses to claim improvements:
 //! the 9 bound is attained only asymptotically, so in-window "gains"
 //! on those pairs are finite-window artifacts, never breakthroughs.
 //!
@@ -65,19 +65,24 @@
 // `!(x > limit)` rejects NaN where `x <= limit` would accept it.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod budget;
-pub mod checkpoint;
-pub mod driver;
-pub mod gap;
-pub mod objective;
-pub mod search;
+pub(crate) mod budget;
+pub(crate) mod checkpoint;
+pub(crate) mod driver;
+pub(crate) mod gap;
+pub(crate) mod objective;
+pub(crate) mod search;
 
-pub use budget::{Budget, Knobs};
-pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
+pub use budget::Budget;
+pub use checkpoint::Checkpoint;
 pub use driver::{
-    advance_round, cross_check, finish, init_state, resume_state, run, run_with_checkpoint,
-    CrossCheck, OptimizeConfig, OptimizeReport, OptimizerState, StartState, IMPROVEMENT_MARGIN,
-    THM1_SLACK,
+    advance_round, finish, init_state, resume_state, run, run_with_checkpoint, OptimizeConfig,
+    IMPROVEMENT_MARGIN, THM1_SLACK,
 };
 pub use gap::{gap_csv, gap_study, GapRow};
 pub use objective::{Objective, PENALTY, PRESSURE_WEIGHT};
+
+#[cfg(test)]
+mod leave_one_out;
+
+#[cfg(test)]
+mod lower_bound_guard;

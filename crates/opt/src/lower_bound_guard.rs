@@ -5,9 +5,10 @@
 //! schedule below the Theorem 2 lower bound, no matter how narrow the
 //! measurement window that produced the flattering number.
 
+use crate::driver::{cross_check, CrossCheck};
+use crate::{Objective, PENALTY, PRESSURE_WEIGHT};
 use faultline_core::certificate::certify_alpha;
 use faultline_core::{FreeRobot, FreeSchedule, Params};
-use faultline_opt::{cross_check, CrossCheck, Objective, PENALTY, PRESSURE_WEIGHT};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 

@@ -49,7 +49,7 @@ pub struct Objective {
     params: Params,
     xmax: f64,
     floor: f64,
-    detect_probability: Option<f64>,
+    pub(crate) detect_probability: Option<f64>,
 }
 
 impl Objective {
@@ -97,7 +97,7 @@ impl Objective {
     ///
     /// Returns [`Error::Domain`] for a window rejected by
     /// [`Objective::new`], or a probability outside `[0, 1]`.
-    pub fn with_detect_probability(
+    pub(crate) fn with_detect_probability(
         params: Params,
         xmax: f64,
         detect_probability: f64,
@@ -113,18 +113,12 @@ impl Objective {
     /// reach past the adversary's first placement `x_0 = 2/(alpha-3)`
     /// with slack, never narrower than `[1, 25]`.
     #[must_use]
-    pub fn default_xmax(params: Params) -> f64 {
+    pub(crate) fn default_xmax(params: Params) -> f64 {
         let base = 25.0f64;
         match alpha(params.n()) {
             Ok(a) if a > 3.0 => base.max(1.5 * 2.0 / (a - 3.0)),
             _ => base,
         }
-    }
-
-    /// The `(n, f)` pair being optimized.
-    #[must_use]
-    pub fn params(&self) -> Params {
-        self.params
     }
 
     /// The right end of the measurement window.
@@ -139,13 +133,6 @@ impl Objective {
         self.floor
     }
 
-    /// The p-faulty detection probability, or `None` for the default
-    /// worst-case objective.
-    #[must_use]
-    pub fn detect_probability(&self) -> Option<f64> {
-        self.detect_probability
-    }
-
     /// Raw measurement of a schedule's worst-case ratio over the
     /// window, without the penalty totalization — used for reporting
     /// and for the final cross-check.
@@ -154,7 +141,7 @@ impl Objective {
     ///
     /// Propagates measurement failures (invalid `(n, f)` vs. schedule
     /// size, degenerate window).
-    pub fn measure(&self, schedule: &FreeSchedule) -> Result<MeasuredCr> {
+    pub(crate) fn measure(&self, schedule: &FreeSchedule) -> Result<MeasuredCr> {
         match self.detect_probability {
             Some(p) => measure_free_schedule_expected_cr(schedule, p, self.xmax),
             None => measure_free_schedule_cr(schedule, self.params.f(), self.xmax),
@@ -209,7 +196,7 @@ impl Objective {
     /// [`Objective::eval_held`]; `None` for the expected-CR objective,
     /// which has no such path, or when the profile cannot be built.
     #[must_use]
-    pub fn hold_others(&self, schedule: &FreeSchedule, robot: usize) -> Option<LeaveOneOut> {
+    pub(crate) fn hold_others(&self, schedule: &FreeSchedule, robot: usize) -> Option<LeaveOneOut> {
         if self.detect_probability.is_some() {
             return None;
         }
@@ -223,7 +210,7 @@ impl Objective {
     /// left uncovered at the first horizon) and the caller must
     /// evaluate the swapped schedule in full.
     #[must_use]
-    pub fn eval_held(&self, held: &LeaveOneOut, candidate: &FreeRobot) -> Option<f64> {
+    pub(crate) fn eval_held(&self, held: &LeaveOneOut, candidate: &FreeRobot) -> Option<f64> {
         held.profile(candidate).map(|p| self.score(Ok(p)))
     }
 }
@@ -311,7 +298,7 @@ mod tests {
         let mut prev = f64::INFINITY;
         for p in [0.25, 0.5, 1.0] {
             let objective = Objective::with_detect_probability(params, 10.0, p).unwrap();
-            assert_eq!(objective.detect_probability(), Some(p));
+            assert_eq!(objective.detect_probability, Some(p));
             assert_eq!(objective.floor(), 0.0);
             let value = objective.eval(&seed);
             assert!(value.is_finite() && value < PENALTY);
@@ -326,7 +313,7 @@ mod tests {
     #[test]
     fn worst_case_objective_reports_no_detect_probability() {
         let objective = Objective::new(Params::new(3, 1).unwrap(), 10.0).unwrap();
-        assert_eq!(objective.detect_probability(), None);
+        assert_eq!(objective.detect_probability, None);
     }
 
     #[test]

@@ -129,7 +129,7 @@ fn turn_bracket(robot: &FreeRobot, k: usize) -> Option<(f64, f64)> {
 /// each turning magnitude and the initial glide time in turn, keeping
 /// any strict improvement. Returns the number of objective
 /// evaluations performed.
-pub fn coordinate_descent_sweep(
+pub(crate) fn coordinate_descent_sweep(
     objective: &Objective,
     schedule: &mut FreeSchedule,
     cr: &mut f64,
@@ -169,7 +169,7 @@ pub fn coordinate_descent_sweep(
 /// with `u` uniform in `[-1, 1]`, which preserves positivity and
 /// strict monotonicity by construction. The side flips with small
 /// probability to explore different interleavings.
-pub fn perturb_robot(robot: &FreeRobot, sigma: f64, rng: &mut StdRng) -> Option<FreeRobot> {
+pub(crate) fn perturb_robot(robot: &FreeRobot, sigma: f64, rng: &mut StdRng) -> Option<FreeRobot> {
     let first = robot.turns[0] * (sigma * rng.random_range(-1.0..=1.0)).exp();
     let mut turns = Vec::with_capacity(robot.turns.len());
     turns.push(first);
@@ -188,7 +188,7 @@ pub fn perturb_robot(robot: &FreeRobot, sigma: f64, rng: &mut StdRng) -> Option<
 /// One annealing sweep: `steps` greedy perturbation proposals at step
 /// size `sigma`, each targeting an RNG-chosen robot. Returns the
 /// number of objective evaluations performed.
-pub fn anneal_sweep(
+pub(crate) fn anneal_sweep(
     objective: &Objective,
     schedule: &mut FreeSchedule,
     cr: &mut f64,

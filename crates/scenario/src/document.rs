@@ -38,12 +38,12 @@ pub const SCENARIO_VERSION: u32 = 1;
 
 /// Upper bound on robot speeds: generous, but keeps `speed * horizon`
 /// well inside the finite range so compiled visit schedules stay exact.
-pub const MAX_SPEED: f64 = 1e6;
+pub(crate) const MAX_SPEED: f64 = 1e6;
 
 /// Upper bound on activation delays: keeps `delay + t / speed` far
 /// from the regime where adding the delay absorbs sub-ulp waypoint
 /// gaps and retimed trajectories degenerate.
-pub const MAX_DELAY: f64 = 1e6;
+pub(crate) const MAX_DELAY: f64 = 1e6;
 
 /// How a robot comes online.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -203,7 +203,7 @@ impl<'de> Deserialize<'de> for RobotSpec {
 /// plus a version, a geometry and per-robot overrides.
 ///
 /// Construct with [`ScenarioDoc::from_json`] (which validates) or
-/// field-by-field followed by [`ScenarioDoc::validate`].
+/// field-by-field followed by `ScenarioDoc::validate`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioDoc {
     /// Document version; this build reads [`SCENARIO_VERSION`].
@@ -380,20 +380,9 @@ impl ScenarioDoc {
         Ok(doc)
     }
 
-    /// Serializes the resolved document to pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Domain`] on serialization failure (cannot
-    /// happen for well-formed documents).
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string_pretty(self)
-            .map_err(|e| Error::domain(format!("serialization failed: {e}")))
-    }
-
     /// Whether any robot draws a seeded activation delay.
     #[must_use]
-    pub fn has_seeded_activation(&self) -> bool {
+    pub(crate) fn has_seeded_activation(&self) -> bool {
         self.robots.as_ref().is_some_and(|specs| {
             specs.iter().any(|s| matches!(s.activation, Activation::Seeded { .. }))
         })
@@ -406,7 +395,7 @@ impl ScenarioDoc {
     /// Reports invalid `(n, f)`, unknown strategies, missing/extra
     /// `beta`, empty or out-of-domain targets, over-budget fault sets,
     /// malformed robot specs, and onsets without a matching fault.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.version != SCENARIO_VERSION {
             return Err(Error::domain(format!(
                 "unsupported scenario version {} (this build reads version {SCENARIO_VERSION})",
@@ -717,7 +706,10 @@ mod tests {
                 "targets": [2.0, -4.5]}"#,
         )
         .unwrap();
-        assert_eq!(implicit.to_json().unwrap(), explicit.to_json().unwrap());
+        assert_eq!(
+            serde_json::to_string_pretty(&implicit).unwrap(),
+            serde_json::to_string_pretty(&explicit).unwrap()
+        );
     }
 
     #[test]
@@ -731,7 +723,7 @@ mod tests {
                 "seed": 3}"#,
         )
         .unwrap();
-        let back = ScenarioDoc::from_json(&doc.to_json().unwrap()).unwrap();
+        let back = ScenarioDoc::from_json(&serde_json::to_string_pretty(&doc).unwrap()).unwrap();
         assert_eq!(doc, back);
         let specs = back.robots.as_ref().unwrap();
         assert_eq!(specs[0].speed.to_bits(), 0.30000000000000004f64.to_bits());
@@ -796,8 +788,11 @@ mod tests {
             None,
         )
         .unwrap();
-        assert!(trace.outcome.detected(), "robot 1 reaches and reports the target");
-        let results = Document::from_json(&trace.to_json().unwrap()).unwrap().run().unwrap();
+        assert!(trace.outcome.detection.is_some(), "robot 1 reaches and reports the target");
+        let results = Document::from_json(&serde_json::to_string_pretty(&trace).unwrap())
+            .unwrap()
+            .run()
+            .unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].target, 2.0);
         assert_eq!(results[0].detection_time, trace.outcome.detection.as_ref().map(|d| d.time));

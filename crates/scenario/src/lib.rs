@@ -25,9 +25,7 @@
 // `!(x > limit)` deliberately rejects NaN where `x <= limit` would not.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod document;
-pub mod run;
+pub(crate) mod document;
+pub(crate) mod run;
 
-pub use document::{
-    Activation, Document, RobotSpec, ScenarioDoc, MAX_DELAY, MAX_SPEED, SCENARIO_VERSION,
-};
+pub use document::{Activation, Document, RobotSpec, ScenarioDoc, SCENARIO_VERSION};

@@ -169,7 +169,7 @@ impl ResponseCache {
 
     /// The hit ratio over all lookups so far (0 when none).
     #[must_use]
-    pub fn hit_ratio(&self) -> f64 {
+    pub(crate) fn hit_ratio(&self) -> f64 {
         let hits = self.hits() as f64;
         let total = hits + self.misses() as f64;
         if total == 0.0 {

@@ -24,7 +24,7 @@ pub struct Response {
     /// HTTP status code.
     pub status: u16,
     /// Response headers as `(name, value)` pairs, in wire order.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// Response body bytes.
     pub body: Vec<u8>,
 }
@@ -186,7 +186,7 @@ impl Session {
 
     /// A session with an explicit socket read timeout.
     #[must_use]
-    pub fn with_timeout(addr: &str, timeout: Duration) -> Session {
+    pub(crate) fn with_timeout(addr: &str, timeout: Duration) -> Session {
         Session { addr: addr.to_owned(), timeout, stream: None }
     }
 
@@ -205,12 +205,6 @@ impl Session {
     ) -> Result<Response, String> {
         request_with_retry(&self.addr, method, path, body, self.timeout, true, &mut self.stream)
     }
-
-    /// Whether the session currently holds a live connection.
-    #[must_use]
-    pub fn is_connected(&self) -> bool {
-        self.stream.is_some()
-    }
 }
 
 /// Sends one HTTP/1.1 request (`Connection: close`) to `addr` and
@@ -228,7 +222,7 @@ pub fn query(addr: &str, method: &str, path: &str, body: Option<&str>) -> Result
 /// # Errors
 ///
 /// Returns `Err(String)` on connection, write, read or parse failures.
-pub fn query_with_timeout(
+pub(crate) fn query_with_timeout(
     addr: &str,
     method: &str,
     path: &str,
@@ -260,6 +254,15 @@ fn parse_response(raw: &[u8]) -> Result<Response, String> {
         })
         .collect();
     Ok(Response { status, headers, body })
+}
+
+#[cfg(test)]
+impl Session {
+    /// Whether the session currently holds a live connection.
+    #[must_use]
+    pub(crate) fn is_connected(&self) -> bool {
+        self.stream.is_some()
+    }
 }
 
 #[cfg(test)]

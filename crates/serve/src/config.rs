@@ -8,6 +8,10 @@ use faultline_core::Params;
 /// The default listen address of `faultline serve`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 
+/// The longest request timeout: a deadline is the request's arrival
+/// plus this, so it must fit an `Instant` on any host.
+const MAX_REQUEST_TIMEOUT: Duration = Duration::from_secs(24 * 60 * 60);
+
 /// Tuning knobs for the query service.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -60,7 +64,7 @@ impl ServeConfig {
     /// zero).
     #[must_use]
     pub fn resolved_threads(&self) -> usize {
-        faultline_core::ParallelConfig { threads: self.threads, grain: None }.resolved_threads()
+        faultline_core::ParallelConfig { threads: self.threads }.resolved_threads()
     }
 
     /// Validates cross-field constraints.
@@ -68,9 +72,9 @@ impl ServeConfig {
     /// # Errors
     ///
     /// Rejects a zero cache shard count, a zero admission queue, a zero
-    /// request or idle timeout, and a memo lattice over
-    /// [`Params::MAX_ROBOTS`].
-    pub fn validate(&self) -> Result<(), String> {
+    /// request or idle timeout, a request timeout over one day, and a
+    /// memo lattice over [`Params::MAX_ROBOTS`].
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.cache_shards == 0 {
             return Err("cache_shards must be at least 1".to_owned());
         }
@@ -79,6 +83,13 @@ impl ServeConfig {
         }
         if self.request_timeout.is_zero() {
             return Err("request_timeout must be positive".to_owned());
+        }
+        if self.request_timeout > MAX_REQUEST_TIMEOUT {
+            return Err(format!(
+                "request_timeout must be at most {} s (one day), got {} s",
+                MAX_REQUEST_TIMEOUT.as_secs(),
+                self.request_timeout.as_secs()
+            ));
         }
         if self.idle_timeout.is_zero() {
             return Err("idle_timeout must be positive".to_owned());
@@ -115,6 +126,19 @@ mod tests {
         assert!(ServeConfig { idle_timeout: Duration::ZERO, ..ServeConfig::default() }
             .validate()
             .is_err());
+    }
+
+    #[test]
+    fn request_timeout_is_bounded_so_every_deadline_fits_an_instant() {
+        let at = |secs| {
+            ServeConfig { request_timeout: Duration::from_secs(secs), ..ServeConfig::default() }
+                .validate()
+        };
+        assert!(at(MAX_REQUEST_TIMEOUT.as_secs()).is_ok());
+        for over in [MAX_REQUEST_TIMEOUT.as_secs() + 1, u64::MAX] {
+            let refused = at(over).expect_err("over one day");
+            assert!(refused.contains("request_timeout must be at most 86400 s"), "{refused}");
+        }
     }
 
     #[test]

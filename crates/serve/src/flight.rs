@@ -34,33 +34,33 @@ use std::time::Instant;
 
 /// One parked connection awaiting a flight's outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Waiter {
+pub(crate) struct Waiter {
     /// The index of the event loop that owns the connection.
-    pub lp: usize,
+    pub(crate) lp: usize,
     /// The connection's file descriptor.
-    pub fd: i32,
+    pub(crate) fd: i32,
     /// The connection's token. An fd is reused by the next connection
     /// once this one closes; a token never is, so a waiter whose
     /// connection is gone answers no one.
-    pub token: u64,
+    pub(crate) token: u64,
     /// When this waiter's request was parsed (for its latency metric).
-    pub received: Instant,
+    pub(crate) received: Instant,
     /// Whether the answer keeps the connection open.
-    pub keep_alive: bool,
+    pub(crate) keep_alive: bool,
     /// The request's route label (for its metric).
-    pub route: &'static str,
+    pub(crate) route: &'static str,
 }
 
 /// Names one flight: its key and its never-reused serial.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightId {
+pub(crate) struct FlightId {
     key: String,
     serial: u64,
 }
 
 /// Outcome of [`FlightTable::park`].
 #[derive(Debug, PartialEq, Eq)]
-pub enum Parked {
+pub(crate) enum Parked {
     /// The caller's waiter created the flight; the caller must submit
     /// its one pool job (or land it at once with an error).
     Created(FlightId),
@@ -83,7 +83,7 @@ struct Flights {
 
 /// All flights currently in the air, keyed on the cache key.
 #[derive(Default)]
-pub struct FlightTable {
+pub(crate) struct FlightTable {
     table: Mutex<Flights>,
     /// The number of flights in `table`, readable without the lock.
     in_flight: AtomicUsize,
@@ -92,7 +92,7 @@ pub struct FlightTable {
 impl FlightTable {
     /// Creates an empty table.
     #[must_use]
-    pub fn new() -> FlightTable {
+    pub(crate) fn new() -> FlightTable {
         FlightTable::default()
     }
 
@@ -107,7 +107,7 @@ impl FlightTable {
     /// Parks a waiter on the flight for `key`, creating the flight, with
     /// its deadline, if absent.
     #[must_use]
-    pub fn park(&self, key: &str, deadline: Instant, waiter: Waiter) -> Parked {
+    pub(crate) fn park(&self, key: &str, deadline: Instant, waiter: Waiter) -> Parked {
         self.with(|table| {
             if let Some(flight) = table.flights.get_mut(key) {
                 flight.waiters.push(waiter);
@@ -126,7 +126,7 @@ impl FlightTable {
     /// start fresh) and returns its waiters for answering. `None` when
     /// it already landed or expired.
     #[must_use]
-    pub fn land(&self, id: &FlightId) -> Option<Vec<Waiter>> {
+    pub(crate) fn land(&self, id: &FlightId) -> Option<Vec<Waiter>> {
         self.with(|table| {
             if table.flights.get(&id.key)?.serial != id.serial {
                 return None;
@@ -138,7 +138,7 @@ impl FlightTable {
     /// Lands every flight whose deadline is not after `now`, returning
     /// all their waiters. Takes no lock when no flight is in the air.
     #[must_use]
-    pub fn expire(&self, now: Instant) -> Vec<Waiter> {
+    pub(crate) fn expire(&self, now: Instant) -> Vec<Waiter> {
         if self.in_flight() == 0 {
             return Vec::new();
         }
@@ -158,7 +158,7 @@ impl FlightTable {
     /// The earliest deadline in the air. Takes no lock when no flight
     /// is in the air.
     #[must_use]
-    pub fn next_deadline(&self) -> Option<Instant> {
+    pub(crate) fn next_deadline(&self) -> Option<Instant> {
         if self.in_flight() == 0 {
             return None;
         }
@@ -167,7 +167,7 @@ impl FlightTable {
 
     /// The number of flights currently in the air.
     #[must_use]
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.in_flight.load(Ordering::SeqCst)
     }
 }

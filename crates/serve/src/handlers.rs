@@ -6,9 +6,9 @@
 //! spellings share a cache entry while any semantic difference —
 //! including the seed — gets its own.
 //!
-//! [`prepare_with_work`] also bounds what a cache miss of the request
+//! `prepare_with_work` also bounds what a cache miss of the request
 //! costs, from the resolved parameters alone and without running the
-//! engine. The server computes a miss under [`INLINE_WORK`] on its
+//! engine. The server computes a miss under `INLINE_WORK` on its
 //! event loop and parks every other miss on the worker pool.
 //!
 //! The bound counts *visit units* ([`faultline_analysis::work`]): a
@@ -20,7 +20,7 @@
 //! [`Document::work`]. `/v1/cr` computes in closed form (0 units);
 //! `/v1/table1` and `/v1/optimize` always park.
 //!
-//! [`admit`] turns the bound into an admission rule: work that no
+//! `admit` turns the bound into an admission rule: work that no
 //! worker could finish within the request timeout is refused with a
 //! 400 before it computes or parks.
 
@@ -41,14 +41,14 @@ use crate::router::Route;
 use crate::ServeError;
 
 /// Computes a response body.
-pub type Compute = Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send>;
+pub(crate) type Compute = Box<dyn FnOnce() -> Result<Vec<u8>, ServeError> + Send>;
 
 /// A resolved request: cache key plus the deferred computation.
 pub struct Prepared {
     /// Canonical cache key of the fully-resolved parameters.
     pub cache_key: String,
     /// Computes the response body: on the event loop for a miss under
-    /// [`INLINE_WORK`], on the worker pool otherwise.
+    /// `INLINE_WORK`, on the worker pool otherwise.
     pub compute: Compute,
 }
 
@@ -58,7 +58,7 @@ pub struct Prepared {
 /// (scenario) in the median: over a grid of strategies, fleets,
 /// targets and extents, the longest inline compute took 0.21 ms, a few
 /// pool round trips.
-pub const INLINE_WORK: f64 = 6000.0;
+pub(crate) const INLINE_WORK: f64 = 6000.0;
 
 /// Refuses a request whose finite work bound exceeds what one worker
 /// computes within `timeout` ([`work::admit`]: 7.5e8 units at 60 s).
@@ -67,7 +67,7 @@ pub const INLINE_WORK: f64 = 6000.0;
 /// # Errors
 ///
 /// Returns [`ServeError::BadRequest`] naming the bound and the limit.
-pub fn admit(work: f64, timeout: Duration) -> Result<(), ServeError> {
+pub(crate) fn admit(work: f64, timeout: Duration) -> Result<(), ServeError> {
     work::admit(work, timeout).map_err(ServeError::BadRequest)
 }
 
@@ -122,7 +122,7 @@ fn json_body(text: String) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// As [`prepare_with_work`].
+/// As `prepare_with_work`.
 pub fn prepare(route: Route, request: &Request) -> Result<Prepared, ServeError> {
     prepare_with_work(route, request).map(|(prepared, _)| prepared)
 }
@@ -136,7 +136,10 @@ pub fn prepare(route: Route, request: &Request) -> Result<Prepared, ServeError> 
 ///
 /// Returns [`ServeError::BadRequest`] for malformed or invalid
 /// parameters; the compute closure reports its own failures.
-pub fn prepare_with_work(route: Route, request: &Request) -> Result<(Prepared, f64), ServeError> {
+pub(crate) fn prepare_with_work(
+    route: Route,
+    request: &Request,
+) -> Result<(Prepared, f64), ServeError> {
     match route {
         Route::Cr => Ok((prepare_cr(request)?, 0.0)),
         Route::Table1 => Ok((prepare_table1(request)?, f64::INFINITY)),

@@ -4,13 +4,13 @@
 //! HTTP/1.1 connections are keep-alive by default; `Connection: close`
 //! (or HTTP/1.0 without `Connection: keep-alive`) opts out, on every
 //! serving tier alike. The event loop parses through a per-connection
-//! [`Cursor`], so a request that arrives in many reads is scanned once;
+//! `Cursor`, so a request that arrives in many reads is scanned once;
 //! [`parse_request`] is the same parse from a fresh cursor.
 
 /// Upper bound on the request head (request line + headers).
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body.
-pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -39,9 +39,9 @@ impl Request {
 #[derive(Debug, Clone)]
 pub struct ParseError {
     /// HTTP status code to respond with (400 or 413).
-    pub status: u16,
+    pub(crate) status: u16,
     /// Human-readable reason.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl ParseError {
@@ -122,7 +122,7 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
 /// How far one connection's parse has got, so each read resumes it
 /// instead of starting over at byte 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Cursor {
+pub(crate) struct Cursor {
     /// Bytes already searched for the head's `\r\n\r\n` without a
     /// match; the next search starts 3 bytes before, in case the
     /// terminator straddles two reads.
@@ -148,7 +148,7 @@ pub fn parse_request(buf: &[u8]) -> Parsed {
 /// `Invalid` reset it). The result is the one [`parse_request`] gives
 /// on `buf`.
 #[must_use]
-pub fn parse_next(buf: &[u8], cursor: &mut Cursor) -> Parsed {
+pub(crate) fn parse_next(buf: &[u8], cursor: &mut Cursor) -> Parsed {
     let head_end = match cursor.framed {
         Some((_, total)) if buf.len() < total => return Parsed::Incomplete,
         Some((head_end, _)) => head_end,
@@ -269,7 +269,7 @@ fn parse_head(buf: &[u8], head_end: usize) -> Result<Head<'_>, ParseError> {
 
 /// The standard reason phrase for the status codes the service emits.
 #[must_use]
-pub fn reason_phrase(status: u16) -> &'static str {
+pub(crate) fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -316,7 +316,7 @@ pub fn response_bytes(
 
 /// Serializes a JSON error body `{"error": ...}` with the given status.
 #[must_use]
-pub fn error_bytes(
+pub(crate) fn error_bytes(
     status: u16,
     message: &str,
     extra_headers: &[(&str, String)],

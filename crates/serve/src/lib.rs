@@ -2,7 +2,7 @@
 //!
 //! A dependency-light HTTP/1.1 JSON query service over the faultline
 //! analysis stack, built on readiness-based epoll event loops (raw
-//! syscall FFI in [`sys`], no `libc` crate):
+//! syscall FFI in `sys`, no `libc` crate):
 //!
 //! * **Routes** — `GET /v1/cr?n=&f=` (closed-form competitive-ratio
 //!   report), `GET /v1/table1` (regenerated Table 1),
@@ -11,7 +11,7 @@
 //!   supremum), `POST /v1/optimize` (schedule-space optimizer gap
 //!   report), plus `GET /healthz` and `GET /metrics`.
 //! * **Event loops** — `threads` identical loops in one process, one
-//!   thread each ([`server`]). Loop 0 accepts and gives each connection
+//!   thread each (`server`). Loop 0 accepts and gives each connection
 //!   to the loop with the fewest open connections; that loop's thread
 //!   then reads, parses, answers and writes for it over non-blocking
 //!   sockets with HTTP/1.1 keep-alive on every tier. A half-written
@@ -21,11 +21,11 @@
 //!   memo lattice whose points are each serialized on their first
 //!   request, nothing at start-up ([`memo`], `X-Cache: memo`); other
 //!   requests hit the sharded LRU (`X-Cache: hit`), compute inline on
-//!   their loop when their work bound ([`handlers::INLINE_WORK`])
+//!   their loop when their work bound (`handlers::INLINE_WORK`)
 //!   allows, or park in place on their loop while the bounded worker
 //!   pool computes them.
 //! * **Single-flight coalescing** — concurrent misses on one canonical
-//!   cache key compute once, whichever loops they arrive on ([`flight`],
+//!   cache key compute once, whichever loops they arrive on (`flight`,
 //!   one table behind a mutex that a loop locks only while a flight is
 //!   in the air); every coalesced connection receives the
 //!   byte-identical response and keeps its connection.
@@ -49,22 +49,19 @@
 
 pub mod cache;
 pub mod client;
-pub mod config;
-pub mod flight;
+pub(crate) mod config;
+pub(crate) mod flight;
 pub mod handlers;
 pub mod http;
 pub mod loadgen;
 pub mod memo;
 pub mod metrics;
-pub mod pool;
+pub(crate) mod pool;
 pub mod router;
-pub mod server;
+pub(crate) mod server;
 pub mod signal;
-pub mod sys;
-
-pub use cache::ResponseCache;
+pub(crate) mod sys;
 pub use config::{ServeConfig, DEFAULT_ADDR};
-pub use metrics::Metrics;
 pub use server::{Server, ServerHandle, ServerState};
 
 /// A request-level failure with its HTTP status.
@@ -79,7 +76,7 @@ pub enum ServeError {
 impl ServeError {
     /// The HTTP status code this error answers with.
     #[must_use]
-    pub fn status(&self) -> u16 {
+    pub(crate) fn status(&self) -> u16 {
         match self {
             ServeError::BadRequest(_) => 400,
             ServeError::Internal(_) => 500,
@@ -88,7 +85,7 @@ impl ServeError {
 
     /// The human-readable message.
     #[must_use]
-    pub fn message(&self) -> &str {
+    pub(crate) fn message(&self) -> &str {
         match self {
             ServeError::BadRequest(message) | ServeError::Internal(message) => message,
         }

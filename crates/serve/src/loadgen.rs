@@ -46,9 +46,6 @@ impl Default for LoadOptions {
 /// Outcome of one load run.
 #[derive(Debug, Clone)]
 pub struct LoadSummary {
-    /// Requests completed (transport errors included in `errors`, not
-    /// here).
-    pub requests: u64,
     /// Transport-level failures (connect/read/write after retry).
     pub errors: u64,
     /// Response count by HTTP status.
@@ -178,12 +175,7 @@ pub fn run(options: &LoadOptions) -> Result<LoadSummary, String> {
         }
         errors += outcome.errors;
     }
-    let summary = LoadSummary {
-        requests: statuses.values().sum(),
-        errors,
-        statuses,
-        digest: format!("{digest:016x}"),
-    };
+    let summary = LoadSummary { errors, statuses, digest: format!("{digest:016x}") };
     if let Some(server) = server {
         server.shutdown();
     }
@@ -233,7 +225,7 @@ mod tests {
     fn a_tiny_run_against_an_in_process_server_completes_cleanly() {
         let options = LoadOptions { requests: 60, concurrency: 3, ..LoadOptions::default() };
         let summary = run(&options).expect("tiny run");
-        assert_eq!(summary.requests, 60);
+        assert_eq!(summary.statuses.values().sum::<u64>(), 60);
         assert_eq!(summary.errors, 0);
         assert_eq!(summary.statuses.get(&200), Some(&60), "every response is a 200");
         assert_eq!(summary.digest.len(), 16);

@@ -49,10 +49,13 @@ impl CrMemo {
         let row = self.rows.get(n - 1)?.get_or_init(|| (0..n).map(|_| OnceLock::new()).collect());
         row[f].get_or_init(|| handlers::cr_body(&CrQuery { n, f }).ok().map(Arc::from)).clone()
     }
+}
 
+#[cfg(test)]
+impl CrMemo {
     /// The number of points serialized so far.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows
             .iter()
             .filter_map(OnceLock::get)
@@ -64,7 +67,7 @@ impl CrMemo {
     /// Whether no point has been serialized yet; always, with the tier
     /// disabled.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

@@ -19,7 +19,7 @@ use crate::cache::ResponseCache;
 /// Upper bounds (microseconds) of the latency histogram buckets, from
 /// 10 µs (a hot answer takes about 20) to the default 60 s request
 /// timeout; the final implicit bucket is `+Inf`.
-pub const LATENCY_BUCKETS_US: [u64; 17] = [
+pub(crate) const LATENCY_BUCKETS_US: [u64; 17] = [
     10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
     1_000_000, 5_000_000, 60_000_000,
 ];
@@ -130,13 +130,13 @@ impl Metrics {
     }
 
     /// Sets the admission-queue depth gauge.
-    pub fn set_queue_depth(&self, depth: usize) {
+    pub(crate) fn set_queue_depth(&self, depth: usize) {
         self.queue_depth.store(depth, Ordering::Relaxed);
     }
 
     /// Records one request coalesced onto an existing in-flight
     /// computation (single-flight follower; no pool job submitted).
-    pub fn coalesced(&self) {
+    pub(crate) fn coalesced(&self) {
         self.coalesced_total.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -158,7 +158,7 @@ impl Metrics {
     }
 
     /// Records one job starting execution on the worker pool.
-    pub fn pool_job(&self) {
+    pub(crate) fn pool_job(&self) {
         self.pool_jobs_total.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -169,37 +169,25 @@ impl Metrics {
     }
 
     /// Records one cache miss computed inline on the event loop.
-    pub fn inline_compute(&self) {
+    pub(crate) fn inline_compute(&self) {
         self.inline_computes_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Cumulative count of misses computed inline on the event loop.
-    #[must_use]
-    pub fn inline_computes(&self) -> u64 {
-        self.inline_computes_total.load(Ordering::Relaxed)
-    }
-
     /// Records one accepted connection, given to event loop `lp`.
-    pub fn connection_accepted(&self, lp: usize) {
+    pub(crate) fn connection_accepted(&self, lp: usize) {
         self.loop_open[lp].fetch_add(1, Ordering::Relaxed);
         self.loop_accepted[lp].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records that event loop `lp` closed one of its connections.
-    pub fn connection_closed(&self, lp: usize) {
+    pub(crate) fn connection_closed(&self, lp: usize) {
         self.loop_open[lp].fetch_sub(1, Ordering::Relaxed);
     }
 
     /// The connections event loop `lp` has open.
     #[must_use]
-    pub fn open_connections(&self, lp: usize) -> usize {
+    pub(crate) fn open_connections(&self, lp: usize) -> usize {
         self.loop_open[lp].load(Ordering::Relaxed)
-    }
-
-    /// Cumulative count of connections given to event loop `lp`.
-    #[must_use]
-    pub fn connections_on(&self, lp: usize) -> u64 {
-        self.loop_accepted[lp].load(Ordering::Relaxed)
     }
 
     /// Cumulative count of accepted connections.
@@ -209,7 +197,7 @@ impl Metrics {
     }
 
     /// Records a second-or-later request on a persistent connection.
-    pub fn keepalive_reuse(&self) {
+    pub(crate) fn keepalive_reuse(&self) {
         self.keepalive_reuses_total.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -220,33 +208,13 @@ impl Metrics {
     }
 
     /// Marks one worker as busy (on job start).
-    pub fn worker_busy(&self) {
+    pub(crate) fn worker_busy(&self) {
         self.workers_busy.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Marks one worker as idle (on job end).
-    pub fn worker_idle(&self) {
+    pub(crate) fn worker_idle(&self) {
         self.workers_busy.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// The number of workers currently executing a job.
-    #[must_use]
-    pub fn workers_busy(&self) -> usize {
-        self.workers_busy.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative count of requests answered with `status` on `route`.
-    #[must_use]
-    pub fn requests_for(&self, route: &str, status: u16) -> u64 {
-        match slot(route, status) {
-            Some(slot) => self.requests[slot].load(Ordering::Relaxed),
-            None => *self
-                .other_requests
-                .lock()
-                .expect("metrics map poisoned")
-                .get(&(route.to_owned(), status))
-                .unwrap_or(&0),
-        }
     }
 
     /// Renders the plain-text metrics document.
@@ -345,7 +313,37 @@ impl Metrics {
             let open = open.load(Ordering::Relaxed);
             out.push_str(&format!("faultline_loop_connections{{loop=\"{lp}\"}} {open}\n"));
         }
+        out.push_str("# TYPE faultline_loop_connections_total counter\n");
+        for (lp, accepted) in self.loop_accepted.iter().enumerate() {
+            let accepted = accepted.load(Ordering::Relaxed);
+            out.push_str(&format!(
+                "faultline_loop_connections_total{{loop=\"{lp}\"}} {accepted}\n"
+            ));
+        }
         out
+    }
+}
+
+#[cfg(test)]
+impl Metrics {
+    /// Cumulative count of misses computed inline on the event loop.
+    #[must_use]
+    pub(crate) fn inline_computes(&self) -> u64 {
+        self.inline_computes_total.load(Ordering::Relaxed)
+    }
+
+    /// Cumulative count of requests answered with `status` on `route`.
+    #[must_use]
+    pub(crate) fn requests_for(&self, route: &str, status: u16) -> u64 {
+        match slot(route, status) {
+            Some(slot) => self.requests[slot].load(Ordering::Relaxed),
+            None => *self
+                .other_requests
+                .lock()
+                .expect("metrics map poisoned")
+                .get(&(route.to_owned(), status))
+                .unwrap_or(&0),
+        }
     }
 }
 
@@ -464,7 +462,6 @@ mod tests {
         }
         metrics.connection_closed(1);
         assert_eq!([metrics.open_connections(0), metrics.open_connections(1)], [1, 1]);
-        assert_eq!([metrics.connections_on(0), metrics.connections_on(1)], [1, 2]);
         assert_eq!(metrics.connections(), 3);
         let text = metrics.render(&ResponseCache::new(16, 1));
         assert!(text.contains("faultline_connections_total 3\n"), "{text}");
@@ -472,7 +469,10 @@ mod tests {
             text.ends_with(
                 "# TYPE faultline_loop_connections gauge\n\
                  faultline_loop_connections{loop=\"0\"} 1\n\
-                 faultline_loop_connections{loop=\"1\"} 1\n"
+                 faultline_loop_connections{loop=\"1\"} 1\n\
+                 # TYPE faultline_loop_connections_total counter\n\
+                 faultline_loop_connections_total{loop=\"0\"} 1\n\
+                 faultline_loop_connections_total{loop=\"1\"} 2\n"
             ),
             "{text}"
         );

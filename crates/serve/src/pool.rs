@@ -43,7 +43,7 @@ pub(crate) struct Job {
 
 /// What a job answers its flight with: the response body, or an error
 /// status with its message.
-pub type Outcome = Result<Vec<u8>, (u16, String)>;
+pub(crate) type Outcome = Result<Vec<u8>, (u16, String)>;
 
 struct QueueState {
     jobs: VecDeque<Job>,
@@ -59,7 +59,7 @@ struct Shared {
 
 /// The bounded worker pool. Shared behind an `Arc` between the event
 /// loops (submit) and the server teardown (drain).
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -68,7 +68,7 @@ impl WorkerPool {
     /// Spawns `threads` workers sharing an admission queue of
     /// `capacity` jobs.
     #[must_use]
-    pub fn new(threads: usize, capacity: usize, metrics: Arc<Metrics>) -> Self {
+    pub(crate) fn new(threads: usize, capacity: usize, metrics: Arc<Metrics>) -> Self {
         let pool = WorkerPool::unstarted(capacity, metrics);
         let handles = (0..threads.max(1))
             .map(|i| {
@@ -112,15 +112,9 @@ impl WorkerPool {
         Ok(())
     }
 
-    /// The number of jobs currently queued (not yet picked up).
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.shared.state.lock().expect("pool queue poisoned").jobs.len()
-    }
-
     /// Graceful drain: stops admitting, lets the workers finish every
     /// queued and in-flight job, then joins them. Idempotent.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         {
             let mut state = self.shared.state.lock().expect("pool queue poisoned");
             state.closed = true;
@@ -169,6 +163,15 @@ fn worker_loop(shared: &Shared) {
         };
         reply.post(Message::Landed(flight, outcome));
         shared.metrics.worker_idle();
+    }
+}
+
+#[cfg(test)]
+impl WorkerPool {
+    /// The number of jobs currently queued (not yet picked up).
+    #[must_use]
+    pub(crate) fn queue_depth(&self) -> usize {
+        self.shared.state.lock().expect("pool queue poisoned").jobs.len()
     }
 }
 

@@ -1,6 +1,6 @@
 //! Route table: maps `(method, path)` onto the service's endpoints.
 //! Which tier serves a compute route's miss is decided per request,
-//! by its work bound ([`crate::handlers::prepare_with_work`]), not
+//! by its work bound (`crate::handlers::prepare_with_work`), not
 //! here.
 
 /// The service's endpoints.

@@ -95,15 +95,15 @@ const SWEEP_INTERVAL: Duration = Duration::from_secs(1);
 /// event loop.
 pub struct ServerState {
     /// The configuration the server was built with.
-    pub config: ServeConfig,
+    pub(crate) config: ServeConfig,
     /// The response cache.
     pub cache: Arc<ResponseCache>,
     /// Service metrics.
     pub metrics: Arc<Metrics>,
     /// The bounded worker pool.
-    pub pool: Arc<WorkerPool>,
+    pub(crate) pool: Arc<WorkerPool>,
     /// The `/v1/cr` closed-form lattice, filled on first use.
-    pub memo: Arc<CrMemo>,
+    pub(crate) memo: Arc<CrMemo>,
     /// The single-flight table every loop parks on.
     pub(crate) flights: FlightTable,
     /// One per event loop.
@@ -206,7 +206,7 @@ impl Server {
 
     /// Shared state handle (cache, metrics, pool, memo).
     #[must_use]
-    pub fn state(&self) -> Arc<ServerState> {
+    pub(crate) fn state(&self) -> Arc<ServerState> {
         Arc::clone(&self.state)
     }
 
@@ -215,12 +215,15 @@ impl Server {
     /// new connections), idle keep-alive connections are dropped, every
     /// parked connection is answered with `Connection: close`, and every
     /// admitted pool job completes before this returns.
-    pub fn run(self, shutdown: Arc<AtomicBool>) {
+    ///
+    /// # Errors
+    ///
+    /// Fails if an event loop cannot be built, or if one failed or
+    /// panicked while serving; the others drained first.
+    pub fn run(self, shutdown: Arc<AtomicBool>) -> io::Result<()> {
         let state = self.state();
-        match self.start(&shutdown) {
-            Ok(loops) => finish(&state, loops),
-            Err(error) => eprintln!("faultline-serve event loop failed: {error}"),
-        }
+        let loops = self.start(&shutdown)?;
+        finish(&state, loops)
     }
 
     /// Starts one thread per event loop, loop 0 with the listener. Each
@@ -229,7 +232,7 @@ impl Server {
     /// arenas before the caller's own threads run, so sequential
     /// servers reuse the same arenas instead of spreading over more,
     /// which measured about 17% more peak RSS with one loop.
-    fn start(self, shutdown: &Arc<AtomicBool>) -> io::Result<Vec<JoinHandle<()>>> {
+    fn start(self, shutdown: &Arc<AtomicBool>) -> io::Result<Vec<JoinHandle<io::Result<()>>>> {
         let Server { listener, state } = self;
         let mut listener = Some(listener);
         let mut loops = Vec::with_capacity(state.inboxes.len());
@@ -242,15 +245,12 @@ impl Server {
                 .spawn(move || match EventLoop::new(index, listener, loop_state) {
                     Ok(event_loop) => {
                         let _ = built.send(Ok(()));
-                        if let Err(error) = event_loop.run(&flag) {
-                            eprintln!("faultline-serve event loop {index} failed: {error}");
-                            // The others drain: no loop is left to be
-                            // handed connections nobody serves.
-                            flag.store(true, Ordering::SeqCst);
-                        }
+                        let _stop = StopOthers(&flag);
+                        event_loop.run(&flag)
                     }
                     Err(error) => {
                         let _ = built.send(Err(error));
+                        Ok(())
                     }
                 })
                 .and_then(|thread| {
@@ -262,7 +262,7 @@ impl Server {
                 });
             if let Err(error) = started {
                 shutdown.store(true, Ordering::SeqCst);
-                finish(&state, loops);
+                let _ = finish(&state, loops);
                 return Err(error);
             }
         }
@@ -270,17 +270,38 @@ impl Server {
     }
 }
 
+/// Sets the shutdown flag when its event loop thread ends, by a
+/// failure or a panic too: the other loops drain, and none is left
+/// handing connections to a loop nobody runs.
+struct StopOthers<'a>(&'a AtomicBool);
+
+impl Drop for StopOthers<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
 /// Joins the event loop threads, then waits out the pool's admitted
 /// jobs (those whose flights a loop answered 504 still hold workers)
-/// and closes any connection still waiting in an inbox.
-fn finish(state: &ServerState, loops: Vec<JoinHandle<()>>) {
-    for thread in loops {
-        let _ = thread.join();
+/// and closes any connection still waiting in an inbox. Returns the
+/// first loop's failure or panic.
+fn finish(state: &ServerState, loops: Vec<JoinHandle<io::Result<()>>>) -> io::Result<()> {
+    let mut outcome = Ok(());
+    for (index, thread) in loops.into_iter().enumerate() {
+        let failure = match thread.join() {
+            Ok(Ok(())) => continue,
+            Ok(Err(error)) => format!("event loop {index} failed: {error}"),
+            Err(_) => format!("event loop {index} panicked"),
+        };
+        if outcome.is_ok() {
+            outcome = Err(io::Error::other(failure));
+        }
     }
     state.pool.drain();
     for inbox in &state.inboxes {
         inbox.take(&mut Vec::new());
     }
+    outcome
 }
 
 /// A server running on background threads.
@@ -288,7 +309,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     state: Arc<ServerState>,
-    loops: Vec<JoinHandle<()>>,
+    loops: Vec<JoinHandle<io::Result<()>>>,
 }
 
 impl ServerHandle {
@@ -329,7 +350,7 @@ impl ServerHandle {
         // Nudge loop 0: a loopback connect makes the listener readable,
         // so its next wait returns without the poll tick.
         let _ = TcpStream::connect(self.addr);
-        finish(&self.state, std::mem::take(&mut self.loops));
+        let _ = finish(&self.state, std::mem::take(&mut self.loops));
     }
 }
 
@@ -1524,5 +1545,36 @@ mod tests {
             lp.join().expect("the loop thread").expect("the loop");
         }
         state.pool.drain();
+    }
+
+    #[test]
+    fn a_panicked_loop_stops_the_server_with_a_failure() {
+        // `validate` refuses this timeout; bypassing it, the first
+        // parked deadline overflows an `Instant` and panics its loop.
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            threads: Some(2),
+            ..ServeConfig::default()
+        };
+        let Server { listener, state } = Server::bind(config).expect("bind on a free port");
+        let mut state = Arc::into_inner(state).expect("the only owner");
+        state.config.request_timeout = Duration::MAX;
+        let server = Server { listener, state: Arc::new(state) };
+        let addr = server.local_addr().expect("bound address");
+        let (ended, run) = mpsc::channel();
+        std::thread::spawn(move || ended.send(server.run(Arc::new(AtomicBool::new(false)))));
+
+        let mut client = TcpStream::connect(addr).expect("connect");
+        let body = r#"{"n": 41, "f": 20, "xmax": 1e6}"#;
+        let request =
+            format!("POST /v1/supremum HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+        client.write_all(request.as_bytes()).expect("write");
+        // The other loop drains, so `run` returns, and with a failure.
+        let outcome = run.recv_timeout(Duration::from_secs(30)).expect("run returns");
+        let failure = outcome.expect_err("a loop panicked");
+        assert!(failure.to_string().contains("panicked"), "{failure}");
+        let mut rest = Vec::new();
+        client.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+        assert_eq!(client.read_to_end(&mut rest).expect("a closed connection"), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Minimal SIGINT/SIGTERM latch without a libc dependency: `signal(2)`
 //! is in every libc the workspace targets, and an `AtomicBool` store is
-//! async-signal-safe. Every event loop polls [`shutdown_requested`]
+//! async-signal-safe. Every event loop polls `shutdown_requested`
 //! each turn and starts a graceful drain when it flips.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,7 +23,7 @@ mod imp {
         SHUTDOWN.store(true, Ordering::SeqCst);
     }
 
-    pub fn install() {
+    pub(crate) fn install() {
         // SAFETY: on_signal only stores to an atomic, which is
         // async-signal-safe; the handler pointer outlives the process.
         let handler = on_signal as extern "C" fn(i32) as *const () as usize;
@@ -36,7 +36,7 @@ mod imp {
 
 #[cfg(not(unix))]
 mod imp {
-    pub fn install() {}
+    pub(crate) fn install() {}
 }
 
 /// Installs the SIGINT/SIGTERM handlers (no-op off Unix).
@@ -46,6 +46,6 @@ pub fn install() {
 
 /// Whether a termination signal has been received.
 #[must_use]
-pub fn shutdown_requested() -> bool {
+pub(crate) fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }

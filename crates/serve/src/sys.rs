@@ -14,13 +14,13 @@ const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 
 /// Readable readiness (`EPOLLIN`).
-pub const EVENT_READ: u32 = 0x001;
+pub(crate) const EVENT_READ: u32 = 0x001;
 /// Writable readiness (`EPOLLOUT`).
-pub const EVENT_WRITE: u32 = 0x004;
+pub(crate) const EVENT_WRITE: u32 = 0x004;
 /// Error condition (`EPOLLERR`), always reported.
-pub const EVENT_ERROR: u32 = 0x008;
+pub(crate) const EVENT_ERROR: u32 = 0x008;
 /// Peer hang-up (`EPOLLHUP`), always reported.
-pub const EVENT_HANGUP: u32 = 0x010;
+pub(crate) const EVENT_HANGUP: u32 = 0x010;
 
 /// The kernel's `epoll_event`, packed on x86-64 only (the kernel ABI
 /// differs by architecture).
@@ -50,37 +50,37 @@ extern "C" {
 
 /// One readiness notification: the registered token and the event mask.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
+pub(crate) struct Event {
     /// The token the file descriptor was registered with (its fd).
-    pub token: u64,
+    pub(crate) token: u64,
     /// Bitwise OR of `EVENT_*` flags.
-    pub events: u32,
+    pub(crate) events: u32,
 }
 
 impl Event {
     /// Whether the descriptor is readable (or in an error/hang-up state
     /// that a read will surface).
     #[must_use]
-    pub fn readable(self) -> bool {
+    pub(crate) fn readable(self) -> bool {
         self.events & (EVENT_READ | EVENT_ERROR | EVENT_HANGUP) != 0
     }
 
     /// Whether the descriptor is writable.
     #[must_use]
-    pub fn writable(self) -> bool {
+    pub(crate) fn writable(self) -> bool {
         self.events & EVENT_WRITE != 0
     }
 
     /// Whether the peer reset or hung up. Epoll reports this even for a
     /// descriptor registered with no interest at all.
     #[must_use]
-    pub fn hung_up(self) -> bool {
+    pub(crate) fn hung_up(self) -> bool {
         self.events & (EVENT_ERROR | EVENT_HANGUP) != 0
     }
 }
 
 /// A level-triggered `epoll` instance.
-pub struct Poller {
+pub(crate) struct Poller {
     epfd: c_int,
 }
 
@@ -90,7 +90,7 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates `epoll_create1` failures.
-    pub fn new() -> io::Result<Poller> {
+    pub(crate) fn new() -> io::Result<Poller> {
         // SAFETY: plain syscall wrapper, no pointers involved.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
@@ -115,7 +115,7 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates `epoll_ctl` failures.
-    pub fn add(&self, fd: i32, events: u32) -> io::Result<()> {
+    pub(crate) fn add(&self, fd: i32, events: u32) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, events)
     }
 
@@ -124,7 +124,7 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates `epoll_ctl` failures.
-    pub fn set(&self, fd: i32, events: u32) -> io::Result<()> {
+    pub(crate) fn set(&self, fd: i32, events: u32) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, events)
     }
 
@@ -133,7 +133,7 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates `epoll_ctl` failures.
-    pub fn del(&self, fd: i32) -> io::Result<()> {
+    pub(crate) fn del(&self, fd: i32) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0)
     }
 
@@ -144,7 +144,7 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates `epoll_wait` failures other than `EINTR`.
-    pub fn wait(&self, timeout: Duration, out: &mut Vec<Event>) -> io::Result<()> {
+    pub(crate) fn wait(&self, timeout: Duration, out: &mut Vec<Event>) -> io::Result<()> {
         const CAPACITY: usize = 256;
         let mut events = [EpollEvent { events: 0, data: 0 }; CAPACITY];
         let timeout_ms =

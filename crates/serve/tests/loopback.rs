@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use faultline_serve::client::{self, Response, Session};
-use faultline_serve::{ServeConfig, ServerHandle};
+use faultline_serve::{ServeConfig, ServerHandle, ServerState};
 
 /// An optimize body slow enough (about 200 ms in release) to hold a
 /// worker while the test sequences saturation around it.
@@ -30,6 +30,14 @@ fn post(addr: &str, path: &str, body: &str) -> Response {
 }
 
 /// Polls `condition` until it holds or `deadline` elapses.
+/// The integer value of the `/metrics` line `name`, as the server
+/// renders it.
+fn metric(state: &ServerState, name: &str) -> u64 {
+    let text = state.metrics.render(&state.cache);
+    let value = text.lines().find_map(|line| line.strip_prefix(name)?.strip_prefix(' '));
+    value.and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no integer {name} in {text}"))
+}
+
 fn wait_for(what: &str, deadline: Duration, mut condition: impl FnMut() -> bool) {
     let start = Instant::now();
     while !condition() {
@@ -168,13 +176,15 @@ fn saturated_queue_answers_503_while_light_routes_stay_up() {
     let addr_a = addr.clone();
     let slow_a = std::thread::spawn(move || post(&addr_a, "/v1/optimize", SLOW_OPTIMIZE));
     wait_for("the worker to pick up the slow job", Duration::from_secs(30), || {
-        state.metrics.workers_busy() == 1
+        metric(&state, "faultline_workers_busy") == 1
     });
 
     // ...fill the only queue slot...
     let addr_b = addr.clone();
     let slow_b = std::thread::spawn(move || post(&addr_b, "/v1/optimize", SLOW_OPTIMIZE_B));
-    wait_for("the queue slot to fill", Duration::from_secs(30), || state.pool.queue_depth() == 1);
+    wait_for("the queue slot to fill", Duration::from_secs(30), || {
+        metric(&state, "faultline_queue_depth") == 1
+    });
 
     // ...and the next heavy miss must bounce with backpressure.
     let rejected = get(&addr, "/v1/table1?measure=true");
@@ -345,7 +355,7 @@ fn graceful_shutdown_drains_in_flight_work_and_refuses_new() {
     let addr_a = addr.clone();
     let in_flight = std::thread::spawn(move || post(&addr_a, "/v1/optimize", SLOW_OPTIMIZE));
     wait_for("the worker to pick up the job", Duration::from_secs(30), || {
-        state.metrics.workers_busy() == 1
+        metric(&state, "faultline_workers_busy") == 1
     });
 
     // Shutdown must wait for the in-flight job, which still answers 200.
@@ -355,20 +365,22 @@ fn graceful_shutdown_drains_in_flight_work_and_refuses_new() {
 
     // The listener is gone: new connections are refused.
     assert!(
-        client::query_with_timeout(&addr, "GET", "/healthz", None, Duration::from_secs(2)).is_err(),
+        client::query(&addr, "GET", "/healthz", None).is_err(),
         "the drained server must not accept new connections"
     );
 }
 
 #[test]
 fn idle_keep_alive_connections_do_not_block_drain() {
-    let (handle, addr) = spawn(ServeConfig::default());
+    let (handle, addr) = spawn(ServeConfig { threads: Some(1), ..ServeConfig::default() });
+    let state = handle.state();
 
     // Two persistent connections: one has served a request and sits
     // idle, the other never sends a byte (a connected-but-silent peer).
     let mut session = Session::new(&addr);
     assert_eq!(session.request("GET", "/healthz", None).expect("keep-alive GET").status, 200);
-    assert!(session.is_connected(), "the session held its connection open");
+    let open = metric(&state, "faultline_loop_connections{loop=\"0\"}");
+    assert_eq!(open, 1, "the session held its connection open");
     let silent = std::net::TcpStream::connect(&addr).expect("silent connect");
 
     // Shutdown must return promptly even though both connections are
@@ -387,7 +399,7 @@ fn idle_keep_alive_connections_do_not_block_drain() {
     );
     drop(silent);
     assert!(
-        client::query_with_timeout(&addr, "GET", "/healthz", None, Duration::from_secs(2)).is_err(),
+        client::query(&addr, "GET", "/healthz", None).is_err(),
         "the drained server must not accept new connections"
     );
 }

@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use faultline_serve::loadgen::{self, LoadOptions};
-use faultline_serve::{ServeConfig, ServerHandle};
+use faultline_serve::{ServeConfig, ServerHandle, ServerState};
 
 #[derive(Debug, Clone, Copy)]
 struct Counters {
@@ -18,10 +18,20 @@ struct Counters {
     cache_hits: u64,
 }
 
+/// The integer value of the `/metrics` line `name`, as the server
+/// renders it.
+fn metric(state: &ServerState, name: &str) -> u64 {
+    let text = state.metrics.render(&state.cache);
+    let value = text.lines().find_map(|line| line.strip_prefix(name)?.strip_prefix(' '));
+    value.and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no integer {name} in {text}"))
+}
+
 fn snapshot(server: &ServerHandle) -> Counters {
     let state = server.state();
     Counters {
-        connections: [state.metrics.connections_on(0), state.metrics.connections_on(1)],
+        connections: [0, 1].map(|lp| {
+            metric(&state, &format!("faultline_loop_connections_total{{loop=\"{lp}\"}}"))
+        }),
         keepalive_reuses: state.metrics.keepalive_reuses(),
         memo_hits: state.metrics.memo_hits(),
         pool_jobs: state.metrics.pool_jobs(),
@@ -35,7 +45,8 @@ fn snapshot(server: &ServerHandle) -> Counters {
 fn wait_for_idle_loops(server: &ServerHandle) {
     let state = server.state();
     let start = Instant::now();
-    while state.metrics.open_connections(0) + state.metrics.open_connections(1) > 0 {
+    let open = |lp: usize| metric(&state, &format!("faultline_loop_connections{{loop=\"{lp}\"}}"));
+    while open(0) + open(1) > 0 {
         assert!(start.elapsed() < Duration::from_secs(30), "a run's connections stayed open");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -68,7 +79,8 @@ fn a_seeded_soak_against_two_event_loops_is_clean_and_reproducible() {
 
     for (label, run) in [("first", &run1), ("second", &run2)] {
         assert_eq!(run.errors, 0, "{label} run had transport errors");
-        assert_eq!(run.requests, options.requests, "{label} run completed every request");
+        let completed: u64 = run.statuses.values().sum();
+        assert_eq!(completed, options.requests, "{label} run completed every request");
         // The workload induces no saturation, so *every* response is a
         // 200 — no 5xx of any kind.
         assert_eq!(

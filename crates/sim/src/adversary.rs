@@ -107,8 +107,10 @@ pub struct EmpiricalCr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::robot::RobotId;
     use faultline_core::coverage::Fleet;
     use faultline_core::{Algorithm, Params, TrajectoryBuilder};
+    use proptest::prelude::*;
 
     #[test]
     fn worst_case_marks_earliest_visitors() {
@@ -192,5 +194,50 @@ mod tests {
     fn empirical_cr_requires_targets() {
         let alg = Algorithm::design(Params::new(3, 1).unwrap()).unwrap();
         assert!(empirical_competitive_ratio(&alg.plans(), 1, &[], 10.0).is_err());
+    }
+
+    /// Valid proportional-regime parameters (`f < n < 2f + 2`).
+    fn proportional_params() -> impl Strategy<Value = Params> {
+        (1usize..24).prop_flat_map(|f| {
+            ((f + 1)..(2 * f + 2)).prop_map(move |n| Params::new(n, f).expect("valid by range"))
+        })
+    }
+
+    fn materialize(alg: &Algorithm, xmax: f64) -> Vec<PiecewiseTrajectory> {
+        let horizon = alg.required_horizon(xmax).unwrap();
+        alg.plans().iter().map(|p| p.materialize(horizon).unwrap()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The worst-case plan always has exactly f faults when at least f
+        /// robots reach the target, and they are the f earliest visitors.
+        #[test]
+        fn worst_case_mask_structure(
+            params in proportional_params(),
+            x in 1.0f64..10.0,
+        ) {
+            let alg = Algorithm::design(params).unwrap();
+            let trajectories = materialize(&alg, 11.0);
+            let plan = worst_case_plan(&trajectories, Target::new(x).unwrap(), params.f()).unwrap();
+            prop_assert_eq!(plan.fault_count(), params.f());
+
+            // Every faulty robot reaches the target no later than every
+            // reliable robot that reaches it.
+            let arrival = |i: usize| trajectories[i].first_visit(x);
+            let latest_faulty = plan
+                .faulty_indices()
+                .into_iter()
+                .filter_map(arrival)
+                .fold(0.0, f64::max);
+            for i in 0..trajectories.len() {
+                if !plan.kind(RobotId(i)).is_faulty() {
+                    if let Some(t) = arrival(i) {
+                        prop_assert!(t >= latest_faulty - 1e-12);
+                    }
+                }
+            }
+        }
     }
 }

@@ -32,7 +32,7 @@ impl CrashPlan {
     ///
     /// Returns [`Error::Domain`] when any crash time is negative or
     /// non-finite.
-    pub fn new(times: Vec<Option<f64>>) -> Result<Self> {
+    pub(crate) fn new(times: Vec<Option<f64>>) -> Result<Self> {
         for t in times.iter().flatten() {
             if !(*t >= 0.0) || !t.is_finite() {
                 return Err(Error::domain(format!("invalid crash time {t}")));
@@ -40,34 +40,57 @@ impl CrashPlan {
         }
         Ok(CrashPlan { times })
     }
+}
 
+/// The worst-case crash adversary with budget `f`: for a fixed target,
+/// crash the `f` earliest-arriving robots *just before* each reaches
+/// the target, maximizing the delay to detection.
+///
+/// Returns the crash plan and the resulting detection time (`None`
+/// when no surviving robot reaches the target within the horizon).
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidParameters`] when `f >= n`.
+pub fn worst_case_crashes(
+    trajectories: &[PiecewiseTrajectory],
+    target: f64,
+    f: usize,
+) -> Result<(CrashPlan, Option<f64>)> {
+    crate::fault::check_adversary_budget(trajectories.len(), f)?;
+    let mut arrivals: Vec<(usize, f64)> = trajectories
+        .iter()
+        .enumerate()
+        .filter_map(|(i, t)| t.first_visit(target).map(|time| (i, time)))
+        .collect();
+    arrivals.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let mut times = vec![None; trajectories.len()];
+    for &(robot, arrival) in arrivals.iter().take(f) {
+        // Crash an instant before arrival: all earlier visits (to other
+        // points) still happened, but the target visit does not.
+        times[robot] = Some((arrival - 1e-9).max(0.0));
+    }
+    let detection = arrivals.get(f).map(|&(_, t)| t);
+    Ok((CrashPlan::new(times)?, detection))
+}
+
+#[cfg(test)]
+impl CrashPlan {
     /// No robot ever crashes.
     #[must_use]
-    pub fn none(n: usize) -> Self {
+    pub(crate) fn none(n: usize) -> Self {
         CrashPlan { times: vec![None; n] }
-    }
-
-    /// Number of robots covered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Whether the plan covers zero robots.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
     }
 
     /// The crash time of robot `i`, if any.
     #[must_use]
-    pub fn crash_time(&self, i: usize) -> Option<f64> {
+    pub(crate) fn crash_time(&self, i: usize) -> Option<f64> {
         self.times.get(i).copied().flatten()
     }
 
     /// Number of crashing robots.
     #[must_use]
-    pub fn crash_count(&self) -> usize {
+    pub(crate) fn crash_count(&self) -> usize {
         self.times.iter().filter(|t| t.is_some()).count()
     }
 
@@ -83,7 +106,10 @@ impl CrashPlan {
     ///
     /// Returns [`Error::InvalidParameters`] when the plan's length does
     /// not match the fleet's.
-    pub fn apply(&self, trajectories: &[PiecewiseTrajectory]) -> Result<Vec<PiecewiseTrajectory>> {
+    pub(crate) fn apply(
+        &self,
+        trajectories: &[PiecewiseTrajectory],
+    ) -> Result<Vec<PiecewiseTrajectory>> {
         if self.times.len() != trajectories.len() {
             return Err(Error::invalid_params(
                 trajectories.len(),
@@ -126,38 +152,6 @@ impl CrashPlan {
             })
             .collect()
     }
-}
-
-/// The worst-case crash adversary with budget `f`: for a fixed target,
-/// crash the `f` earliest-arriving robots *just before* each reaches
-/// the target, maximizing the delay to detection.
-///
-/// Returns the crash plan and the resulting detection time (`None`
-/// when no surviving robot reaches the target within the horizon).
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameters`] when `f >= n`.
-pub fn worst_case_crashes(
-    trajectories: &[PiecewiseTrajectory],
-    target: f64,
-    f: usize,
-) -> Result<(CrashPlan, Option<f64>)> {
-    crate::fault::check_adversary_budget(trajectories.len(), f)?;
-    let mut arrivals: Vec<(usize, f64)> = trajectories
-        .iter()
-        .enumerate()
-        .filter_map(|(i, t)| t.first_visit(target).map(|time| (i, time)))
-        .collect();
-    arrivals.sort_by(|a, b| a.1.total_cmp(&b.1));
-    let mut times = vec![None; trajectories.len()];
-    for &(robot, arrival) in arrivals.iter().take(f) {
-        // Crash an instant before arrival: all earlier visits (to other
-        // points) still happened, but the target visit does not.
-        times[robot] = Some((arrival - 1e-9).max(0.0));
-    }
-    let detection = arrivals.get(f).map(|&(_, t)| t);
-    Ok((CrashPlan::new(times)?, detection))
 }
 
 #[cfg(test)]

@@ -79,31 +79,12 @@ impl QuorumConfig {
         Ok(q)
     }
 
-    /// The canonical Byzantine quorum: with `f` liars among
-    /// `n >= 2f + 1` robots, `f + 1` matching claims guarantee at least
-    /// one honest backer, and the `f + 1` honest robots that genuinely
-    /// visit the target always suffice to confirm it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameters`] when `n < 2f + 1`.
-    pub fn byzantine(n: usize, f: usize) -> Result<Self> {
-        if n < 2 * f + 1 {
-            return Err(Error::invalid_params(
-                n,
-                f,
-                format!("the Byzantine quorum regime needs n >= 2f + 1, got n = {n}, f = {f}"),
-            ));
-        }
-        QuorumConfig::new(f + 1)
-    }
-
     /// Validates the configuration (deserialized values included).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Domain`] when `votes` is zero.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.votes == 0 {
             return Err(Error::domain("a claim quorum needs at least one vote"));
         }
@@ -328,12 +309,6 @@ impl Simulation {
         Ok(Simulation { events, first_reports, target, config, horizon, quorum, log_claims })
     }
 
-    /// The common horizon (earliest trajectory end).
-    #[must_use]
-    pub fn horizon(&self) -> f64 {
-        self.horizon
-    }
-
     /// Runs the simulation to detection (or to the horizon) and returns
     /// the outcome.
     #[must_use]
@@ -449,6 +424,15 @@ impl Simulation {
 }
 
 #[cfg(test)]
+impl Simulation {
+    /// The common horizon (earliest trajectory end).
+    #[must_use]
+    pub(crate) fn horizon(&self) -> f64 {
+        self.horizon
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use faultline_core::TrajectoryBuilder;
@@ -481,7 +465,7 @@ mod tests {
     #[test]
     fn faulty_robot_does_not_detect() {
         let outcome = sim(vec![straight(5.0)], 3.0, &[0], SimConfig::default());
-        assert!(!outcome.detected());
+        assert!(outcome.detection.is_none());
         assert!(outcome.ratio().is_infinite());
         // The faulty robot's visit is still recorded.
         assert_eq!(outcome.visits.len(), 1);
@@ -608,7 +592,7 @@ mod tests {
             vec![FaultKind::Intermittent { miss_probability: 1.0 }],
             7,
         );
-        assert!(!outcome.detected());
+        assert!(outcome.detection.is_none());
         assert!(!outcome.visits[0].reliable);
     }
 
@@ -641,7 +625,7 @@ mod tests {
             .find(|o| o.detection.is_some_and(|d| d.time > 1.0))
             .expect("some seed should miss the first visit and catch a revisit");
         assert!(!later.visits[0].reliable, "first visit went unregistered");
-        assert!(later.detected());
+        assert!(later.detection.is_some());
     }
 
     #[test]
@@ -670,7 +654,7 @@ mod tests {
     fn delayed_report_past_horizon_is_lost() {
         let outcome =
             faulted(vec![straight(5.0)], 3.0, vec![FaultKind::Delayed { latency: 10.0 }], 0);
-        assert!(!outcome.detected());
+        assert!(outcome.detection.is_none());
         assert!(!outcome.visits[0].reliable, "the report never arrived");
     }
 
@@ -758,7 +742,7 @@ mod tests {
         // liar cannot end the run.
         let outcome =
             faulted(vec![straight(9.0)], 3.0, vec![FaultKind::Byzantine { lie_rate: 1.0 }], 3);
-        assert!(!outcome.detected());
+        assert!(outcome.detection.is_none());
         assert!(!outcome.visits[0].reliable);
         assert!(!outcome.claims.is_empty(), "lies are logged as claims");
         assert!(outcome.claims.iter().all(|c| !c.truthful || c.position == 3.0));
@@ -827,7 +811,7 @@ mod tests {
     fn unreachable_quorum_exhausts_the_run() {
         // A 2-vote quorum with a single robot can never confirm.
         let outcome = quorum_run(vec![straight(9.0)], 3.0, vec![FaultKind::Reliable], 0, 2);
-        assert!(!outcome.detected());
+        assert!(outcome.detection.is_none());
         assert_eq!(outcome.claims.len(), 1);
         assert!(outcome.confirmed_position.is_none());
     }
@@ -855,7 +839,7 @@ mod tests {
         )
         .unwrap()
         .run();
-        assert!(!outcome.detected());
+        assert!(outcome.detection.is_none());
         assert_eq!(outcome.claims.len(), 1, "repeat claims are deduplicated");
     }
 
@@ -879,8 +863,6 @@ mod tests {
     fn quorum_config_validates() {
         assert!(QuorumConfig::new(0).is_err());
         assert_eq!(QuorumConfig::new(2).unwrap().votes, 2);
-        assert_eq!(QuorumConfig::byzantine(5, 2).unwrap().votes, 3);
-        assert!(QuorumConfig::byzantine(4, 2).is_err(), "n = 4 < 2f + 1 = 5");
     }
 
     #[test]
@@ -940,12 +922,12 @@ mod tests {
         // With the onset before the visit the fault is fully engaged.
         let dead_from_2 =
             onset_run(vec![straight(9.0)], 3.0, vec![FaultKind::Sensor], &[Some(2.0)], 0);
-        assert!(!dead_from_2.detected());
+        assert!(dead_from_2.detection.is_none());
         // A visit exactly at the onset is already faulty (onset is
         // inclusive).
         let dead_from_3 =
             onset_run(vec![straight(9.0)], 3.0, vec![FaultKind::Sensor], &[Some(3.0)], 0);
-        assert!(!dead_from_3.detected());
+        assert!(dead_from_3.detection.is_none());
     }
 
     #[test]
@@ -971,7 +953,7 @@ mod tests {
             late.claims
         );
         assert_eq!(late.detection.unwrap().time, 15.0);
-        assert!(!always.detected());
+        assert!(always.detection.is_none());
     }
 
     #[test]
@@ -1029,5 +1011,102 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, Error::Domain { .. }), "got {err:?}");
+    }
+
+    // Recording a trace changes nothing but the trace: over random fleets,
+    // targets, fault kinds, onsets and quorums, a run without a trace
+    // equals the traced run with its trace removed, field for field and
+    // bit for bit. Integer sweep points and targets make robots meet the
+    // target at equal times, so ties between events are exercised too.
+    mod trace_neutral {
+        use super::*;
+        use crate::event::EventKind;
+        use crate::fault::FaultKind;
+        use faultline_core::TrajectoryBuilder;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// A zig-zag from the origin: up to six sweeps of integer amplitude,
+        /// alternating sides from a random first side.
+        fn trajectory(rng: &mut StdRng) -> PiecewiseTrajectory {
+            let mut builder = TrajectoryBuilder::from_origin();
+            let mut side = if rng.random_bool(0.5) { 1.0 } else { -1.0 };
+            for _ in 0..rng.random_range(1usize..7) {
+                builder.sweep_to(side * rng.random_range(1usize..12) as f64);
+                side = -side;
+            }
+            builder.finish().expect("every sweep moves")
+        }
+
+        /// One of the seven fault kinds, at random.
+        fn fault_kind(rng: &mut StdRng) -> FaultKind {
+            let p = rng.random_range(0.0..1.0);
+            match rng.random_range(0usize..7) {
+                0 => FaultKind::Reliable,
+                1 => FaultKind::Sensor,
+                2 => FaultKind::Intermittent { miss_probability: p },
+                3 => FaultKind::Delayed { latency: rng.random_range(0usize..4) as f64 },
+                4 => FaultKind::SpeedDegraded { factor: 0.25 + 0.75 * p },
+                5 => FaultKind::Byzantine { lie_rate: p },
+                _ => FaultKind::PFaulty { detect_probability: p },
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn tracing_changes_nothing_but_the_trace(
+                n in 1usize..6,
+                fleet_seed in any::<u64>(),
+                with_onsets in any::<bool>(),
+                target in 4usize..44,
+                left in any::<bool>(),
+                votes in 0usize..4,
+                seed in any::<u64>(),
+                stop_at_detection in any::<bool>(),
+            ) {
+                let mut rng = StdRng::seed_from_u64(fleet_seed);
+                let fleet: Vec<PiecewiseTrajectory> = (0..n).map(|_| trajectory(&mut rng)).collect();
+                let plan = FaultPlan::new((0..n).map(|_| fault_kind(&mut rng)).collect()).unwrap();
+                let onsets: Vec<Option<f64>> = if with_onsets {
+                    (0..n)
+                        .map(|_| rng.random_bool(0.5).then(|| rng.random_range(0usize..24) as f64 / 2.0))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                let x = target as f64 / 4.0;
+                let target = Target::new(if left { -x } else { x }).unwrap();
+                let quorum = (votes > 0).then(|| QuorumConfig::new(votes).unwrap());
+                let run = |record_trace| {
+                    let config = SimConfig { record_trace, stop_at_detection };
+                    Simulation::new(&fleet, target, &plan, &onsets, seed, config, quorum).unwrap().run()
+                };
+                let plain = run(false);
+                let mut traced = run(true);
+                let trace = traced.trace.take().expect("a traced run records its trace");
+                prop_assert!(plain.trace.is_none());
+                prop_assert_eq!(format!("{plain:?}"), format!("{traced:?}"), "bit for bit");
+                prop_assert_eq!(&plain, &traced);
+
+                // The trace fires in time order, and a report that arrives
+                // with its visit (every kind but a delayed sensor's) never
+                // fires before that visit.
+                prop_assert!(trace.windows(2).all(|w| w[0].time.total_cmp(&w[1].time).is_le()));
+                for (i, event) in trace.iter().enumerate() {
+                    if let EventKind::Registered { robot } = event.kind {
+                        if matches!(plan.kind(robot), FaultKind::Delayed { latency } if latency > 0.0) {
+                            continue;
+                        }
+                        let later_visit = trace[i + 1..].iter().any(|e| {
+                            e.time == event.time && e.kind == EventKind::TargetVisited { robot }
+                        });
+                        prop_assert!(!later_visit, "robot {} reported before visiting: {trace:?}", robot.0);
+                    }
+                }
+            }
+        }
     }
 }

@@ -11,12 +11,12 @@ pub struct Event {
     /// Simulation time at which the event fires.
     pub time: f64,
     /// What happened.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
 }
 
 /// The kinds of events produced while simulating a search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// A robot reversed its direction of motion at the given position.
     Turned {
         /// The turning robot.

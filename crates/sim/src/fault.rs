@@ -33,7 +33,7 @@ use crate::robot::RobotId;
 /// # Errors
 ///
 /// Returns [`Error::InvalidParameters`] when `f >= n`.
-pub fn check_adversary_budget(n: usize, f: usize) -> Result<()> {
+pub(crate) fn check_adversary_budget(n: usize, f: usize) -> Result<()> {
     if f >= n {
         return Err(Error::invalid_params(n, f, "the adversary may corrupt at most n - 1 robots"));
     }
@@ -155,7 +155,7 @@ impl FaultKind {
 
     /// Whether the kind deviates from a healthy robot at all.
     #[must_use]
-    pub fn is_faulty(&self) -> bool {
+    pub(crate) fn is_faulty(&self) -> bool {
         !matches!(self, FaultKind::Reliable)
     }
 
@@ -194,12 +194,6 @@ impl FaultPlan {
         Ok(FaultPlan { kinds })
     }
 
-    /// All robots healthy.
-    #[must_use]
-    pub fn all_reliable(n: usize) -> Self {
-        FaultPlan { kinds: vec![FaultKind::Reliable; n] }
-    }
-
     /// The paper's fault assignment: exactly the robots at `indices`
     /// carry a permanent [`FaultKind::Sensor`] fault, every other robot
     /// of the `n` is healthy.
@@ -232,38 +226,26 @@ impl FaultPlan {
 
     /// Number of robots covered by the plan.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.kinds.len()
-    }
-
-    /// Whether the plan covers zero robots.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
     }
 
     /// The kind assigned to robot `id` (out-of-range ids are healthy).
     #[must_use]
-    pub fn kind(&self, id: RobotId) -> FaultKind {
+    pub(crate) fn kind(&self, id: RobotId) -> FaultKind {
         self.kinds.get(id.0).copied().unwrap_or(FaultKind::Reliable)
     }
 
     /// Number of robots with any fault.
     #[must_use]
-    pub fn fault_count(&self) -> usize {
+    pub(crate) fn fault_count(&self) -> usize {
         self.kinds.iter().filter(|k| k.is_faulty()).count()
-    }
-
-    /// Indices of the robots with any fault.
-    #[must_use]
-    pub fn faulty_indices(&self) -> Vec<usize> {
-        self.kinds.iter().enumerate().filter_map(|(i, k)| k.is_faulty().then_some(i)).collect()
     }
 
     /// Number of Byzantine robots in the plan — the `f` of the
     /// `n >= 2f + 1` quorum regime.
     #[must_use]
-    pub fn byzantine_count(&self) -> usize {
+    pub(crate) fn byzantine_count(&self) -> usize {
         self.kinds.iter().filter(|k| matches!(k, FaultKind::Byzantine { .. })).count()
     }
 
@@ -298,30 +280,6 @@ pub trait FaultModel: std::fmt::Debug {
 
     /// Short name for reports.
     fn name(&self) -> &'static str;
-}
-
-/// Always assigns the same fixed set of faulty robots.
-#[derive(Debug, Clone)]
-pub struct FixedFaults {
-    indices: Vec<usize>,
-}
-
-impl FixedFaults {
-    /// Creates the model from faulty robot indices.
-    #[must_use]
-    pub fn new(indices: Vec<usize>) -> Self {
-        FixedFaults { indices }
-    }
-}
-
-impl FaultModel for FixedFaults {
-    fn assign(&mut self, n: usize) -> FaultPlan {
-        FaultPlan::sensor_faults(n, &self.indices).unwrap_or_else(|_| FaultPlan::all_reliable(n))
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
 }
 
 /// Marks each robot faulty independently with probability `p`,
@@ -369,6 +327,48 @@ impl<R: Rng + std::fmt::Debug> FaultModel for BernoulliFaults<R> {
     }
 }
 
+/// Always assigns the same fixed set of faulty robots.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub struct FixedFaults {
+    indices: Vec<usize>,
+}
+
+#[cfg(test)]
+impl FixedFaults {
+    /// Creates the model from faulty robot indices.
+    #[must_use]
+    pub(crate) fn new(indices: Vec<usize>) -> Self {
+        FixedFaults { indices }
+    }
+}
+
+#[cfg(test)]
+impl FaultModel for FixedFaults {
+    fn assign(&mut self, n: usize) -> FaultPlan {
+        FaultPlan::sensor_faults(n, &self.indices).unwrap_or_else(|_| FaultPlan::all_reliable(n))
+    }
+
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+}
+
+#[cfg(test)]
+impl FaultPlan {
+    /// All robots healthy.
+    #[must_use]
+    pub(crate) fn all_reliable(n: usize) -> Self {
+        FaultPlan { kinds: vec![FaultKind::Reliable; n] }
+    }
+
+    /// Indices of the robots with any fault.
+    #[must_use]
+    pub(crate) fn faulty_indices(&self) -> Vec<usize> {
+        self.kinds.iter().enumerate().filter_map(|(i, k)| k.is_faulty().then_some(i)).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,7 +379,6 @@ mod tests {
     fn mask_construction_and_queries() {
         let m = FaultPlan::sensor_faults(4, &[1, 3]).unwrap();
         assert_eq!(m.len(), 4);
-        assert!(!m.is_empty());
         assert_eq!(m.fault_count(), 2);
         assert_eq!(m.kind(RobotId(1)), FaultKind::Sensor);
         assert_eq!(m.kind(RobotId(3)), FaultKind::Sensor);
@@ -529,8 +528,6 @@ mod tests {
     fn all_reliable_plan_is_fault_free() {
         let plan = FaultPlan::all_reliable(6);
         assert_eq!(plan.len(), 6);
-        assert!(!plan.is_empty());
         assert_eq!(plan.fault_count(), 0);
-        assert!(FaultPlan::all_reliable(0).is_empty());
     }
 }

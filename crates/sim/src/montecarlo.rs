@@ -18,10 +18,10 @@ use crate::target::Target;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MonteCarloConfig {
     /// Number of simulated searches.
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Targets are drawn log-uniformly from `[1, xmax]`, with a random
     /// sign.
-    pub xmax: f64,
+    pub(crate) xmax: f64,
 }
 
 impl MonteCarloConfig {
@@ -45,7 +45,7 @@ impl MonteCarloConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RatioStats {
     /// Number of samples (detected runs only).
-    pub detected: usize,
+    pub(crate) detected: usize,
     /// Number of runs where the target was never detected.
     pub undetected: usize,
     /// Mean ratio over detected runs.

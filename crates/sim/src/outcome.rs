@@ -39,7 +39,7 @@ pub struct Claim {
     /// The claiming robot.
     pub robot: RobotId,
     /// When the claim was asserted.
-    pub time: f64,
+    pub(crate) time: f64,
     /// The claimed target position.
     pub position: f64,
     /// Whether the claimed position is the true target — bookkeeping
@@ -51,7 +51,7 @@ pub struct Claim {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchOutcome {
     /// The simulated target.
-    pub target: Target,
+    pub(crate) target: Target,
     /// Detection, or `None` when no reliable robot reached the target
     /// before the horizon.
     pub detection: Option<Detection>,
@@ -87,12 +87,6 @@ impl SearchOutcome {
         }
     }
 
-    /// Whether the target was detected.
-    #[must_use]
-    pub fn detected(&self) -> bool {
-        self.detection.is_some()
-    }
-
     /// Number of distinct robots that visited the target before (or at)
     /// detection.
     #[must_use]
@@ -120,7 +114,7 @@ mod tests {
             confirmed_position: None,
         };
         assert_eq!(outcome.ratio(), 2.5);
-        assert!(outcome.detected());
+        assert!(outcome.detection.is_some());
         assert_eq!(outcome.distinct_visitors(), 2);
     }
 
@@ -136,6 +130,6 @@ mod tests {
             confirmed_position: None,
         };
         assert!(outcome.ratio().is_infinite());
-        assert!(!outcome.detected());
+        assert!(outcome.detection.is_none());
     }
 }

@@ -21,10 +21,9 @@
 //! non-increasing in `p`: raising `p` only turns misses into
 //! detections, which can never delay the (truncated) detection time.
 
-use faultline_core::{par_map, Error, PiecewiseTrajectory, Result};
+use faultline_core::{Error, PiecewiseTrajectory, Result};
 
-use crate::engine::{SimConfig, Simulation};
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::FaultKind;
 use crate::target::Target;
 
 /// The exact expectation of an all-p-faulty run against one target.
@@ -32,13 +31,13 @@ use crate::target::Target;
 pub struct PFaultyExpectation {
     /// Probability that some visit detects before the horizon:
     /// `1 - (1 - p)^m` over the `m` in-horizon visits.
-    pub detection_probability: f64,
+    pub(crate) detection_probability: f64,
     /// Expected horizon-truncated search time
     /// `E[min(T_detect, horizon)]`.
     pub expected_time: f64,
     /// Expected normalized cost `expected_time / |x|` — the expected
     /// competitive ratio with undetected runs truncated at the horizon.
-    pub expected_ratio: f64,
+    pub(crate) expected_ratio: f64,
     /// Number of in-horizon visits the fleet pays the target.
     pub visits: usize,
 }
@@ -91,63 +90,67 @@ pub fn expected_outcome(
     })
 }
 
-/// Derives a per-sample seed from the sweep seed (splitmix64).
-fn sample_seed(seed: u64, sample: u64) -> u64 {
-    let mut z = seed.wrapping_add(sample.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Estimates the expected horizon-truncated ratio by running the
-/// simulator `samples` times with derived seeds (all robots
-/// [`FaultKind::PFaulty`] with the given probability).
-///
-/// Deterministic in `seed`, independent of thread count: samples run in
-/// parallel but are averaged in index order.
-///
-/// # Errors
-///
-/// Returns [`Error::Domain`] when `samples` is zero or the probability
-/// is out of range, and propagates simulation construction failures.
-pub fn monte_carlo_expected_ratio(
-    trajectories: &[PiecewiseTrajectory],
-    target: Target,
-    detect_probability: f64,
-    samples: usize,
-    seed: u64,
-) -> Result<f64> {
-    FaultKind::PFaulty { detect_probability }.validate()?;
-    if samples == 0 {
-        return Err(Error::domain("Monte-Carlo estimation needs at least one sample"));
-    }
-    let plan = FaultPlan::new(vec![FaultKind::PFaulty { detect_probability }; trajectories.len()])?;
-    let indices: Vec<u64> = (0..samples as u64).collect();
-    let ratios: Vec<Result<f64>> = par_map(&indices, |&s| {
-        let sim = Simulation::new(
-            trajectories,
-            target,
-            &plan,
-            &[],
-            sample_seed(seed, s),
-            SimConfig::default(),
-            None,
-        )?;
-        let horizon = sim.horizon();
-        let outcome = sim.run();
-        let time = outcome.detection.map_or(horizon, |d| d.time);
-        Ok(time / target.distance())
-    });
-    let mut sum = 0.0;
-    for r in ratios {
-        sum += r?;
-    }
-    Ok(sum / samples as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{SimConfig, Simulation};
+    use crate::fault::FaultPlan;
+    use faultline_core::par_map;
+
+    /// Derives a per-sample seed from the sweep seed (splitmix64).
+    fn sample_seed(seed: u64, sample: u64) -> u64 {
+        let mut z = seed.wrapping_add(sample.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Estimates the expected horizon-truncated ratio by running the
+    /// simulator `samples` times with derived seeds (all robots
+    /// [`FaultKind::PFaulty`] with the given probability).
+    ///
+    /// Deterministic in `seed`, independent of thread count: samples run in
+    /// parallel but are averaged in index order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Domain`] when `samples` is zero or the probability
+    /// is out of range, and propagates simulation construction failures.
+    fn monte_carlo_expected_ratio(
+        trajectories: &[PiecewiseTrajectory],
+        target: Target,
+        detect_probability: f64,
+        samples: usize,
+        seed: u64,
+    ) -> Result<f64> {
+        FaultKind::PFaulty { detect_probability }.validate()?;
+        if samples == 0 {
+            return Err(Error::domain("Monte-Carlo estimation needs at least one sample"));
+        }
+        let plan =
+            FaultPlan::new(vec![FaultKind::PFaulty { detect_probability }; trajectories.len()])?;
+        let indices: Vec<u64> = (0..samples as u64).collect();
+        let ratios: Vec<Result<f64>> = par_map(&indices, |&s| {
+            let sim = Simulation::new(
+                trajectories,
+                target,
+                &plan,
+                &[],
+                sample_seed(seed, s),
+                SimConfig::default(),
+                None,
+            )?;
+            let horizon = sim.horizon();
+            let outcome = sim.run();
+            let time = outcome.detection.map_or(horizon, |d| d.time);
+            Ok(time / target.distance())
+        });
+        let mut sum = 0.0;
+        for r in ratios {
+            sum += r?;
+        }
+        Ok(sum / samples as f64)
+    }
     use faultline_core::TrajectoryBuilder;
 
     fn straight(to: f64) -> PiecewiseTrajectory {

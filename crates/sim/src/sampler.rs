@@ -9,15 +9,13 @@
 use faultline_core::{Error, PiecewiseTrajectory, Result};
 use serde::{Deserialize, Serialize};
 
-use crate::outcome::SearchOutcome;
-
 /// Robot positions at one sampled instant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Sample time.
-    pub t: f64,
+    pub(crate) t: f64,
     /// Position of each robot (`None` once its trajectory has ended).
-    pub positions: Vec<Option<f64>>,
+    pub(crate) positions: Vec<Option<f64>>,
 }
 
 /// The most snapshots one [`sample_positions`] grid may hold. This is
@@ -25,7 +23,7 @@ pub struct Snapshot {
 /// million snapshots of a small fleet already take tens of megabytes,
 /// so a `dt` far too fine for `until` is refused before anything is
 /// allocated.
-pub const MAX_SNAPSHOTS: usize = 1_000_000;
+pub(crate) const MAX_SNAPSHOTS: usize = 1_000_000;
 
 /// Samples all robot positions on a fixed grid `0, dt, 2dt, ...` up to
 /// (and including, when divisible) `until`.
@@ -33,7 +31,7 @@ pub const MAX_SNAPSHOTS: usize = 1_000_000;
 /// # Errors
 ///
 /// Returns [`Error::Domain`] for a non-positive `dt`, a negative
-/// `until`, or a grid of more than [`MAX_SNAPSHOTS`] snapshots (an
+/// `until`, or a grid of more than `MAX_SNAPSHOTS` snapshots (an
 /// infinite `until` included), and [`Error::InvalidParameters`] for an
 /// empty fleet.
 pub fn sample_positions(
@@ -106,9 +104,10 @@ pub fn snapshots_to_csv(snapshots: &[Snapshot]) -> String {
 /// Returns [`Error::Domain`] describing the first discrepancy found —
 /// a failed replay means the simulation engine mis-ordered or dropped
 /// an event.
+#[cfg(test)]
 pub fn replay_check(
     trajectories: &[PiecewiseTrajectory],
-    outcome: &SearchOutcome,
+    outcome: &crate::SearchOutcome,
 ) -> Result<usize> {
     let x = outcome.target.position();
     let mut arrivals: Vec<(usize, f64)> = trajectories

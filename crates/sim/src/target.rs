@@ -27,7 +27,7 @@ impl Target {
 
     /// The target's position on the line.
     #[must_use]
-    pub fn position(&self) -> f64 {
+    pub(crate) fn position(&self) -> f64 {
         self.position
     }
 

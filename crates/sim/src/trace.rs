@@ -30,13 +30,13 @@ use crate::robot::RobotId;
 use crate::target::Target;
 
 /// Current trace schema version; bumped on incompatible changes.
-pub const TRACE_VERSION: u32 = 1;
+pub(crate) const TRACE_VERSION: u32 = 1;
 
 /// A recorded simulation run, replayable bit-for-bit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunTrace {
     /// Trace schema version ([`TRACE_VERSION`]).
-    pub version: u32,
+    pub(crate) version: u32,
     /// Why the trace was recorded (free text, e.g. "dominance
     /// violation at mask {0, 2}").
     pub reason: String,
@@ -49,14 +49,14 @@ pub struct RunTrace {
     /// Seed for the intermittent-sensor coins.
     pub seed: u64,
     /// Whether the engine recorded a full event trace.
-    pub record_trace: bool,
+    pub(crate) record_trace: bool,
     /// Whether the engine stopped at the first detection.
-    pub stop_at_detection: bool,
+    pub(crate) stop_at_detection: bool,
     /// The claim quorum the run was executed under, when the voting
     /// layer was engaged. `None` — the paper's first-report rule —
     /// when absent, so legacy trace documents still load.
     #[serde(default)]
-    pub quorum: Option<QuorumConfig>,
+    pub(crate) quorum: Option<QuorumConfig>,
     /// The adversarial bound `T_(f+1)(x)` the outcome was compared
     /// against when the trace captures a dominance violation.
     pub bound: Option<f64>,
@@ -102,7 +102,7 @@ impl RunTrace {
 
     /// The engine configuration stored in the trace.
     #[must_use]
-    pub fn config(&self) -> SimConfig {
+    pub(crate) fn config(&self) -> SimConfig {
         SimConfig { record_trace: self.record_trace, stop_at_detection: self.stop_at_detection }
     }
 
@@ -114,7 +114,7 @@ impl RunTrace {
     /// invalid target, and propagates fault-plan and simulation
     /// validation failures — a hand-edited trace with out-of-range
     /// parameters is rejected, never panicked on.
-    pub fn replay(&self) -> Result<SearchOutcome> {
+    pub(crate) fn replay(&self) -> Result<SearchOutcome> {
         if self.version != TRACE_VERSION {
             return Err(Error::domain(format!(
                 "unsupported trace version {} (this build reads version {TRACE_VERSION})",
@@ -141,7 +141,7 @@ impl RunTrace {
     ///
     /// # Errors
     ///
-    /// Propagates [`Self::replay`] failures; returns [`Error::Domain`]
+    /// Propagates `Self::replay` failures; returns [`Error::Domain`]
     /// when the replayed outcome differs from the recorded one.
     pub fn verify(&self) -> Result<()> {
         let replayed = self.replay()?;
@@ -152,17 +152,6 @@ impl RunTrace {
             )));
         }
         Ok(())
-    }
-
-    /// Serializes the trace to pretty-printed JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Domain`] when the trace contains values JSON
-    /// cannot represent (non-finite floats).
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string_pretty(self)
-            .map_err(|e| Error::domain(format!("trace serialization failed: {e}")))
     }
 
     /// Parses a trace from JSON.
@@ -295,12 +284,12 @@ mod tests {
     #[test]
     fn json_round_trip_is_bit_for_bit() {
         let trace = sample_trace();
-        let json = trace.to_json().unwrap();
+        let json = serde_json::to_string_pretty(&trace).unwrap();
         let parsed = RunTrace::from_json(&json).unwrap();
         assert_eq!(parsed, trace);
         parsed.verify().unwrap();
         // Serializing the parsed trace reproduces the same document.
-        assert_eq!(parsed.to_json().unwrap(), json);
+        assert_eq!(serde_json::to_string_pretty(&parsed).unwrap(), json);
     }
 
     #[test]
@@ -346,13 +335,13 @@ mod tests {
             None,
         )
         .unwrap();
-        assert!(!trace.outcome.detected());
+        assert!(trace.outcome.detection.is_none());
 
-        let shrunk = trace.shrunk(|t| !t.outcome.detected());
+        let shrunk = trace.shrunk(|t| t.outcome.detection.is_none());
         let faults: Vec<bool> = shrunk.plan.iter().map(FaultKind::is_faulty).collect();
         assert_eq!(faults, vec![true, false], "robot 1's fault was irrelevant");
         assert!(shrunk.target < 1.5, "target walked toward the minimum, got {}", shrunk.target);
-        assert!(!shrunk.outcome.detected(), "the shrunk trace still fails");
+        assert!(shrunk.outcome.detection.is_none(), "the shrunk trace still fails");
     }
 
     #[test]

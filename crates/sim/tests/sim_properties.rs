@@ -2,13 +2,12 @@
 
 use faultline_core::coverage::Fleet;
 use faultline_core::{Algorithm, Params, PiecewiseTrajectory};
-use faultline_sim::engine::{QuorumConfig, SimConfig, Simulation};
-use faultline_sim::fault::{BernoulliFaults, FaultKind, FaultPlan};
-use faultline_sim::target::Target;
-use faultline_sim::{worst_case_outcome, worst_case_plan, RunTrace};
+use faultline_sim::{
+    worst_case_outcome, FaultKind, FaultPlan, QuorumConfig, RunTrace, SimConfig, Simulation, Target,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn proportional_params() -> impl Strategy<Value = Params> {
     (1usize..10).prop_flat_map(|f| {
@@ -66,7 +65,7 @@ proptest! {
         ).unwrap();
         let analytic = fleet.visit_time(target_pos, params.required_visits());
 
-        prop_assert!(outcome.detected(), "{params}: target {target_pos} undetected");
+        prop_assert!(outcome.detection.is_some(), "{params}: target {target_pos} undetected");
         let sim_t = outcome.detection.unwrap().time;
         let cov_t = analytic.unwrap();
         prop_assert!(
@@ -94,54 +93,27 @@ proptest! {
             params.f(),
             SimConfig::default(),
         ).unwrap();
-        prop_assert!(worst.detected());
+        prop_assert!(worst.detection.is_some());
         let worst_time = worst.detection.unwrap().time;
 
-        let mut model = BernoulliFaults::new(
-            0.5,
-            params.f(),
-            StdRng::seed_from_u64(seed),
-        ).unwrap();
-        use faultline_sim::fault::FaultModel;
-        let plan = model.assign(trajectories.len());
+        // Each robot is faulty with probability 1/2, at most f of them.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut faulty = Vec::new();
+        for robot in 0..trajectories.len() {
+            if faulty.len() < params.f() && rng.random_bool(0.5) {
+                faulty.push(robot);
+            }
+        }
+        let plan = FaultPlan::sensor_faults(trajectories.len(), &faulty).unwrap();
         let config = SimConfig::default();
         let outcome = Simulation::new(&trajectories, target, &plan, &[], 0, config, None)
             .unwrap()
             .run();
-        prop_assert!(outcome.detected());
+        prop_assert!(outcome.detection.is_some());
         prop_assert!(
             outcome.detection.unwrap().time <= worst_time + 1e-9,
             "random mask beat the adversary"
         );
-    }
-
-    /// The worst-case plan always has exactly f faults when at least f
-    /// robots reach the target, and they are the f earliest visitors.
-    #[test]
-    fn worst_case_mask_structure(
-        params in proportional_params(),
-        x in 1.0f64..10.0,
-    ) {
-        let alg = Algorithm::design(params).unwrap();
-        let trajectories = materialize(&alg, 11.0);
-        let plan = worst_case_plan(&trajectories, Target::new(x).unwrap(), params.f()).unwrap();
-        prop_assert_eq!(plan.fault_count(), params.f());
-
-        // Every faulty robot reaches the target no later than every
-        // reliable robot that reaches it.
-        let arrival = |i: usize| trajectories[i].first_visit(x);
-        let latest_faulty = plan
-            .faulty_indices()
-            .into_iter()
-            .filter_map(arrival)
-            .fold(0.0, f64::max);
-        for i in 0..trajectories.len() {
-            if !plan.kind(faultline_sim::RobotId(i)).is_faulty() {
-                if let Some(t) = arrival(i) {
-                    prop_assert!(t >= latest_faulty - 1e-12);
-                }
-            }
-        }
     }
 
     /// The adversary-dominance invariant, checked exhaustively: for
@@ -182,15 +154,11 @@ proptest! {
             match (detection, bound) {
                 (Some(t), Some(b)) => prop_assert!(
                     t <= b + 1e-9,
-                    "{params}, x = {}, mask {:?}: detected at {t}, bound {b}",
-                    target.position(),
-                    mask.faulty_indices()
+                    "{params}, {target:?}, mask {mask:?}: detected at {t}, bound {b}"
                 ),
                 (None, Some(b)) => prop_assert!(
                     false,
-                    "{params}, x = {}, mask {:?}: undetected, the adversary detects at {b}",
-                    target.position(),
-                    mask.faulty_indices()
+                    "{params}, {target:?}, mask {mask:?}: undetected, the adversary detects at {b}"
                 ),
                 (_, None) => {}
             }
@@ -221,9 +189,9 @@ proptest! {
             None,
             None,
         ).unwrap();
-        let parsed = RunTrace::from_json(&trace.to_json().unwrap()).unwrap();
+        let parsed = RunTrace::from_json(&serde_json::to_string_pretty(&trace).unwrap()).unwrap();
         prop_assert_eq!(&parsed, &trace, "JSON round trip must be lossless");
-        prop_assert_eq!(parsed.replay().unwrap(), trace.outcome.clone());
+        // `verify` replays the trace and compares with the recorded outcome.
         parsed.verify().unwrap();
     }
 
@@ -254,7 +222,7 @@ proptest! {
             None,
             None,
         ).unwrap();
-        let parsed = RunTrace::from_json(&trace.to_json().unwrap()).unwrap();
+        let parsed = RunTrace::from_json(&serde_json::to_string_pretty(&trace).unwrap()).unwrap();
         prop_assert_eq!(parsed.plan.len(), kinds.len());
         for (parsed_kind, original) in parsed.plan.iter().zip(&kinds) {
             match (parsed_kind, original) {
@@ -289,13 +257,14 @@ proptest! {
         let params = Params::new(n, f).unwrap();
         let alg = Algorithm::design(params).unwrap();
         let trajectories = materialize(&alg, 11.0);
-        let target = Target::new(if negative { -x } else { x }).unwrap();
+        let position = if negative { -x } else { x };
+        let target = Target::new(position).unwrap();
         // The first f robots are the liars.
         let kinds: Vec<FaultKind> = (0..n)
             .map(|i| if i < f { FaultKind::Byzantine { lie_rate } } else { FaultKind::Reliable })
             .collect();
         let plan = FaultPlan::new(kinds).unwrap();
-        let quorum = QuorumConfig::byzantine(n, f).unwrap();
+        let quorum = QuorumConfig::new(f + 1).unwrap();
         let outcome = Simulation::new(
             &trajectories,
             target,
@@ -307,7 +276,7 @@ proptest! {
         ).unwrap().run();
 
         if let Some(confirmed) = outcome.confirmed_position {
-            prop_assert_eq!(confirmed, target.position(), "confirmed a false position");
+            prop_assert_eq!(confirmed, position, "confirmed a false position");
         }
         // No false position ever gathers f + 1 distinct claimants.
         let mut by_position: std::collections::BTreeMap<u64, std::collections::BTreeSet<usize>> =
@@ -316,7 +285,7 @@ proptest! {
             by_position.entry(claim.position.to_bits()).or_default().insert(claim.robot.0);
         }
         for (bits, claimants) in by_position {
-            if f64::from_bits(bits) != target.position() {
+            if f64::from_bits(bits) != position {
                 prop_assert!(
                     claimants.len() <= f,
                     "false position {} gathered {} claimants",
@@ -342,12 +311,13 @@ proptest! {
         let params = Params::new(n, f).unwrap();
         let alg = Algorithm::design(params).unwrap();
         let trajectories = materialize(&alg, 11.0);
-        let target = Target::new(if negative { -x } else { x }).unwrap();
+        let position = if negative { -x } else { x };
+        let target = Target::new(position).unwrap();
         let kinds: Vec<FaultKind> = (0..n)
             .map(|i| if i < f { FaultKind::Byzantine { lie_rate } } else { FaultKind::Reliable })
             .collect();
         let honest: Vec<PiecewiseTrajectory> = trajectories[f..].to_vec();
-        let honest_bound = Fleet::new(honest).unwrap().visit_time(target.position(), f + 1);
+        let honest_bound = Fleet::new(honest).unwrap().visit_time(position, f + 1);
 
         let plan = FaultPlan::new(kinds).unwrap();
         let outcome = Simulation::new(
@@ -357,7 +327,7 @@ proptest! {
             &[],
             seed,
             SimConfig::default(),
-            Some(QuorumConfig::byzantine(n, f).unwrap()),
+            Some(QuorumConfig::new(f + 1).unwrap()),
         ).unwrap().run();
 
         match honest_bound {
@@ -368,7 +338,7 @@ proptest! {
                     "quorum at {} but honest T_(f+1) = {bound}",
                     d.time
                 );
-                prop_assert_eq!(outcome.confirmed_position, Some(target.position()));
+                prop_assert_eq!(outcome.confirmed_position, Some(position));
             }
             None => {
                 // Liars alone can never fake the quorum.
@@ -387,7 +357,7 @@ proptest! {
         let alg = Algorithm::design(params).unwrap();
         let trajectories = materialize(&alg, 11.0);
         let fleet = Fleet::new(trajectories.clone()).unwrap();
-        let plan = FaultPlan::all_reliable(trajectories.len());
+        let plan = FaultPlan::sensor_faults(trajectories.len(), &[]).unwrap();
         let outcome = Simulation::new(
             &trajectories,
             Target::new(x).unwrap(),

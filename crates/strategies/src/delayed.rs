@@ -21,7 +21,7 @@ use crate::Strategy;
 /// any positive delay, and unboundedly worse as `delay` grows. Spreading
 /// in time buys nothing; the paper spreads in space instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelayedDoublingStrategy {
+pub(crate) struct DelayedDoublingStrategy {
     delay: f64,
 }
 
@@ -31,17 +31,11 @@ impl DelayedDoublingStrategy {
     /// # Errors
     ///
     /// Returns [`Error::Domain`] for a negative or non-finite delay.
-    pub fn new(delay: f64) -> Result<Self> {
+    pub(crate) fn new(delay: f64) -> Result<Self> {
         if !(delay >= 0.0) || !delay.is_finite() {
             return Err(Error::domain(format!("delay must be >= 0, got {delay}")));
         }
         Ok(DelayedDoublingStrategy { delay })
-    }
-
-    /// The per-robot launch delay.
-    #[must_use]
-    pub fn delay(&self) -> f64 {
-        self.delay
     }
 }
 
@@ -78,12 +72,12 @@ impl Strategy for DelayedDoublingStrategy {
 /// two members of a pair still visit any fixed point at well-separated
 /// times, so the fault-tolerant ratio remains doubling-like.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MirroredPairsStrategy;
+pub(crate) struct MirroredPairsStrategy;
 
 impl MirroredPairsStrategy {
     /// Creates the strategy.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MirroredPairsStrategy
     }
 }
@@ -107,6 +101,25 @@ impl Strategy for MirroredPairsStrategy {
 
     fn horizon_hint(&self, _params: Params, xmax: f64) -> f64 {
         40.0 * xmax
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests_support {
+    use super::*;
+    use faultline_core::coverage::Fleet;
+
+    /// Measures the worst ratio of a strategy over a coarse adversarial
+    /// grid (test helper shared by baseline comparisons).
+    pub(crate) fn measure(strategy: &dyn Strategy, params: Params, xmax: f64) -> Option<f64> {
+        let plans = strategy.plans(params).ok()?;
+        let fleet = Fleet::from_plans(&plans, strategy.horizon_hint(params, xmax)).ok()?;
+        let turning: Vec<f64> =
+            fleet.trajectories().iter().flat_map(|t| t.turning_points()).map(|p| p.x).collect();
+        let targets =
+            faultline_core::coverage::adversarial_targets(&turning, xmax, 48, 1e-9).ok()?;
+        let scan = fleet.supremum(&targets, params.required_visits()).ok()?;
+        Some(scan.ratio)
     }
 }
 
@@ -137,7 +150,7 @@ mod tests {
     fn delayed_plan_before_launch() {
         let plan = Plan::sweep(1.0, 2.0).unwrap().launched_at(5.0).unwrap();
         let traj = plan.materialize(2.0).unwrap();
-        assert_eq!(traj.waypoints(), &[SpaceTime::origin(), SpaceTime::new(0.0, 2.0)]);
+        assert_eq!(traj.waypoints(), &[SpaceTime::new(0.0, 0.0), SpaceTime::new(0.0, 2.0)]);
     }
 
     #[test]
@@ -182,24 +195,5 @@ mod tests {
         // Two robots per side arrive simultaneously (the pairs overlap),
         // so the 2nd distinct visit is also at t = 1.
         assert_eq!(fleet.visit_time(1.0, 2), Some(1.0));
-    }
-}
-
-#[cfg(test)]
-pub(crate) mod tests_support {
-    use super::*;
-    use faultline_core::coverage::Fleet;
-
-    /// Measures the worst ratio of a strategy over a coarse adversarial
-    /// grid (test helper shared by baseline comparisons).
-    pub fn measure(strategy: &dyn Strategy, params: Params, xmax: f64) -> Option<f64> {
-        let plans = strategy.plans(params).ok()?;
-        let fleet = Fleet::from_plans(&plans, strategy.horizon_hint(params, xmax)).ok()?;
-        let turning: Vec<f64> =
-            fleet.trajectories().iter().flat_map(|t| t.turning_points()).map(|p| p.x).collect();
-        let targets =
-            faultline_core::coverage::adversarial_targets(&turning, xmax, 48, 1e-9).ok()?;
-        let scan = fleet.supremum(&targets, params.required_visits()).ok()?;
-        Some(scan.ratio)
     }
 }

@@ -8,7 +8,7 @@
 //! All strategies implement the [`Strategy`] trait: given validated
 //! [`Params`], they produce one [`Plan`] per robot, built from the
 //! plan's turning-point families (cone zig-zags, rays, unit-speed
-//! sweeps, launch delays). The [`registry`] lists every built-in
+//! sweeps, launch delays). The `registry` lists every built-in
 //! strategy by name.
 //!
 //! ```
@@ -28,23 +28,18 @@
 // `!(x > limit)` deliberately rejects NaN where `x <= limit` would not.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod delayed;
-pub mod doubling;
-pub mod naive;
-pub mod proportional;
-pub mod randomized;
-pub mod registry;
-pub mod two_group;
+pub(crate) mod delayed;
+pub(crate) mod doubling;
+pub(crate) mod naive;
+pub(crate) mod proportional;
+pub(crate) mod randomized;
+pub(crate) mod registry;
+pub(crate) mod two_group;
 
 use faultline_core::{Params, Plan, Result};
-
-pub use delayed::{DelayedDoublingStrategy, MirroredPairsStrategy};
-pub use doubling::{HerdDoublingStrategy, StaggeredDoublingStrategy};
-pub use naive::PessimalSplitStrategy;
-pub use proportional::{FixedBetaStrategy, PaperStrategy, ProportionalStrategy};
-pub use randomized::{kao_optimal_expansion, RandomizedSweepStrategy};
+pub use proportional::{FixedBetaStrategy, PaperStrategy};
+pub use randomized::RandomizedSweepStrategy;
 pub use registry::{all_strategies, strategy_by_name};
-pub use two_group::TwoGroupStrategy;
 
 /// A complete parallel-search strategy: assigns a motion plan to each
 /// of the `n` robots for a given `(n, f)`.
@@ -84,7 +79,7 @@ mod tests {
     #[test]
     fn strategy_trait_is_object_safe() {
         let strategies: Vec<Box<dyn Strategy>> =
-            vec![Box::new(PaperStrategy::new()), Box::new(HerdDoublingStrategy::new())];
+            vec![Box::new(PaperStrategy::new()), Box::new(doubling::HerdDoublingStrategy::new())];
         assert_eq!(strategies.len(), 2);
     }
 

@@ -15,18 +15,18 @@ use crate::Strategy;
 /// competitive ratio is unbounded. This is the canonical mistake the
 /// paper's proportional schedules exist to avoid.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PessimalSplitStrategy;
+pub(crate) struct PessimalSplitStrategy;
 
 impl PessimalSplitStrategy {
     /// Creates the strategy.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PessimalSplitStrategy
     }
 
     /// Whether the split is actually safe for these parameters.
     #[must_use]
-    pub fn is_safe(&self, params: Params) -> bool {
+    pub(crate) fn is_safe(&self, params: Params) -> bool {
         params.n() / 2 > params.f()
     }
 }

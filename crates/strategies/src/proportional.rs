@@ -10,12 +10,12 @@ use crate::Strategy;
 /// `beta* = (4f+4)/n - 1` (Theorem 1). Only valid in the proportional
 /// regime `f < n < 2f + 2`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProportionalStrategy;
+pub(crate) struct ProportionalStrategy;
 
 impl ProportionalStrategy {
     /// Creates the strategy.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ProportionalStrategy
     }
 }
@@ -63,12 +63,6 @@ impl FixedBetaStrategy {
     pub fn new(beta: f64) -> Result<Self> {
         faultline_core::Cone::new(beta)?;
         Ok(FixedBetaStrategy { beta })
-    }
-
-    /// The cone parameter.
-    #[must_use]
-    pub fn beta(&self) -> f64 {
-        self.beta
     }
 }
 
@@ -165,7 +159,7 @@ mod tests {
         let a = optimal.analytic_cr(params).unwrap();
         let b = fixed.analytic_cr(params).unwrap();
         assert!((a - b).abs() < 1e-12);
-        assert_eq!(fixed.beta(), 5.0 / 3.0);
+        assert_eq!(fixed.beta, 5.0 / 3.0);
     }
 
     #[test]

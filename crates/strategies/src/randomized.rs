@@ -10,7 +10,7 @@
 //! strategy's 9. Whether (and how much) randomization helps against
 //! `f` faults is open; `faultline-analysis::randomized` measures it.
 
-use faultline_core::{Error, Params, Plan, Result};
+use faultline_core::{Params, Plan, Result};
 use rand::Rng;
 
 /// The randomized geometric sweep: every robot independently draws a
@@ -21,20 +21,6 @@ pub struct RandomizedSweepStrategy {
 }
 
 impl RandomizedSweepStrategy {
-    /// Creates the strategy with expansion factor `r > 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Domain`] for `r <= 1` or non-finite.
-    pub fn new(expansion: f64) -> Result<Self> {
-        if !(expansion > 1.0) || !expansion.is_finite() {
-            return Err(Error::domain(format!(
-                "randomized sweep needs expansion > 1, got {expansion}"
-            )));
-        }
-        Ok(RandomizedSweepStrategy { expansion })
-    }
-
     /// The Kao–Reif–Tate optimal expansion factor for a single
     /// reliable robot: the minimizer of `1 + (1 + r)/ln r`.
     #[must_use]
@@ -87,7 +73,7 @@ impl RandomizedSweepStrategy {
 
 /// The minimizer of `1 + (1 + r)/ln r` over `r > 1` (≈ 3.59112).
 #[must_use]
-pub fn kao_optimal_expansion() -> f64 {
+pub(crate) fn kao_optimal_expansion() -> f64 {
     faultline_core::numeric::golden_min(|r| 1.0 + (1.0 + r) / r.ln(), 1.0 + 1e-9, 20.0, 1e-12, 500)
         .expect("the objective is unimodal on (1, 20)")
 }
@@ -100,13 +86,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn validates_expansion() {
-        assert!(RandomizedSweepStrategy::new(1.0).is_err());
-        assert!(RandomizedSweepStrategy::new(f64::NAN).is_err());
-        assert!(RandomizedSweepStrategy::new(2.0).is_ok());
-    }
-
-    #[test]
     fn kao_optimum_matches_literature() {
         let r = kao_optimal_expansion();
         assert!((r - 3.59112).abs() < 1e-3, "r* = {r}");
@@ -116,7 +95,7 @@ mod tests {
 
     #[test]
     fn sampling_is_seeded_and_reproducible() {
-        let strategy = RandomizedSweepStrategy::new(2.0).unwrap();
+        let strategy = RandomizedSweepStrategy { expansion: 2.0 };
         let params = Params::new(3, 1).unwrap();
         let plans = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -128,7 +107,7 @@ mod tests {
 
     #[test]
     fn sampled_phases_are_within_one_expansion_step() {
-        let strategy = RandomizedSweepStrategy::new(3.0).unwrap();
+        let strategy = RandomizedSweepStrategy { expansion: 3.0 };
         let params = Params::new(5, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..20 {

@@ -9,12 +9,12 @@ use crate::Strategy;
 /// full speed. Competitive ratio 1 — optimal — but only applicable when
 /// `n >= 2f + 2`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TwoGroupStrategy;
+pub(crate) struct TwoGroupStrategy;
 
 impl TwoGroupStrategy {
     /// Creates the strategy.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TwoGroupStrategy
     }
 }

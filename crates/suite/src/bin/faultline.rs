@@ -606,7 +606,7 @@ fn serve(rest: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     );
     eprintln!("routes: /healthz /metrics /v1/cr /v1/table1 /v1/scenario /v1/supremum /v1/optimize");
     let shutdown = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    server.run(shutdown); // returns after SIGINT/SIGTERM + drain
+    server.run(shutdown)?; // returns after SIGINT/SIGTERM + drain
     eprintln!("faultline-serve drained and stopped");
     Ok(())
 }

@@ -12,7 +12,7 @@
 //! * [`conformance`] — cross-layer differential oracle harness.
 //!
 //! ```
-//! use faultline_suite::prelude::*;
+//! use faultline_suite::core::{Algorithm, Params};
 //!
 //! let params = Params::new(3, 1)?;
 //! let algorithm = Algorithm::design(params)?;
@@ -36,27 +36,3 @@ pub use faultline_opt as opt;
 pub use faultline_scenario as scenario_dsl;
 pub use faultline_sim as sim;
 pub use faultline_strategies as strategies;
-
-/// The most commonly used items across the stack.
-pub mod prelude {
-    pub use faultline_analysis::{measure_strategy_cr, MeasuredCr};
-    pub use faultline_core::{Algorithm, Cone, Fleet, Params, Plan, ProportionalSchedule, Regime};
-    pub use faultline_sim::{
-        worst_case_outcome, FaultPlan, SearchOutcome, SimConfig, Simulation, Target,
-    };
-    pub use faultline_strategies::{all_strategies, strategy_by_name, PaperStrategy, Strategy};
-
-    pub use crate::scenario::{Scenario, ScenarioResult};
-    pub use crate::scenario_dsl::ScenarioDoc;
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn prelude_is_usable() {
-        use crate::prelude::*;
-        let params = Params::new(5, 2).unwrap();
-        let alg = Algorithm::design(params).unwrap();
-        assert_eq!(alg.plans().len(), 5);
-    }
-}

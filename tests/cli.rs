@@ -233,8 +233,22 @@ fn compare_and_spectrum_refuse_every_window_the_service_refuses() {
 
 #[test]
 fn serve_refuses_a_memo_lattice_over_the_largest_fleet_before_binding() {
+    serve_refuses_before_binding("--memo-max-n=4097", "memo_max_n must be at most 4096");
+}
+
+#[test]
+fn serve_refuses_a_timeout_no_deadline_can_hold_before_binding() {
+    serve_refuses_before_binding(
+        "--timeout-secs=18446744073709551615",
+        "request_timeout must be at most 86400 s",
+    );
+}
+
+/// Runs `faultline serve` with `flag`: it must exit 2 with `message`
+/// and never start listening.
+fn serve_refuses_before_binding(flag: &str, message: &str) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_faultline"))
-        .args(["serve", "--addr=127.0.0.1:0", "--memo-max-n=4097"])
+        .args(["serve", "--addr=127.0.0.1:0", flag])
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -246,13 +260,13 @@ fn serve_refuses_a_memo_lattice_over_the_largest_fleet_before_binding() {
         }
         if Instant::now() > deadline {
             child.kill().expect("kill the server");
-            panic!("serve --memo-max-n=4097 started serving");
+            panic!("serve {flag} started serving");
         }
         thread::sleep(Duration::from_millis(20));
     };
     assert_eq!(status.code(), Some(2));
     let mut stderr = String::new();
     child.stderr.take().expect("piped").read_to_string(&mut stderr).expect("read stderr");
-    assert!(stderr.contains("memo_max_n must be at most 4096"), "{stderr}");
+    assert!(stderr.contains(message), "{stderr}");
     assert!(!stderr.contains("listening"), "{stderr}");
 }

@@ -28,38 +28,42 @@ fn report_bytes_are_deterministic_across_runs_and_thread_counts() {
     let again = conformance::run(&smoke(12)).unwrap().to_json().unwrap();
     assert_eq!(base, again, "two identical runs must serialize identically");
 
-    let single = ConformanceConfig { parallel: ParallelConfig::with_threads(1), ..smoke(12) };
+    let single = ConformanceConfig { parallel: ParallelConfig { threads: Some(1) }, ..smoke(12) };
     let single_bytes = conformance::run(&single).unwrap().to_json().unwrap();
     assert_eq!(base, single_bytes, "one worker thread must not change the report");
 
-    let four = ConformanceConfig { parallel: ParallelConfig::with_threads(4), ..smoke(12) };
+    let four = ConformanceConfig { parallel: ParallelConfig { threads: Some(4) }, ..smoke(12) };
     let four_bytes = conformance::run(&four).unwrap().to_json().unwrap();
     assert_eq!(base, four_bytes, "four worker threads must not change the report");
 }
 
 #[test]
 fn injected_mismatch_is_caught_shrunk_and_replayable() {
-    let config =
-        ConformanceConfig { inject: Some("thm1-closed-form-measured".to_owned()), ..smoke(6) };
-    let report = conformance::run(&config).expect("run itself succeeds");
-    assert!(!report.passed(), "the injected skew must trip the oracle");
-    assert!(!report.failures.is_empty());
-    for doc in &report.failures {
-        assert_eq!(doc.oracle, "thm1-closed-form-measured");
-        assert!(doc.injected, "documents must record that the skew was injected");
-        // Shrunk: at most one target survives minimization (the oracle
-        // does not depend on targets at all).
-        assert!(doc.instance.targets.len() <= 1, "targets: {:?}", doc.instance.targets);
-        assert!(doc.instance.schedule.is_none(), "the schedule is irrelevant and dropped");
-        // Replayable: bit-for-bit, including after a JSON round trip.
-        doc.replay().expect("counterexample replays");
-        let round_trip = Counterexample::from_json(&doc.to_json().unwrap()).unwrap();
-        round_trip.replay().expect("round-tripped counterexample replays");
-    }
-    // Only the injected oracle fails; every other oracle still passes.
-    for row in &report.rows {
-        if row.oracle != "thm1-closed-form-measured" {
-            assert_eq!(row.fail, 0, "{} must not fail", row.oracle);
+    for oracle in conformance::all_oracles() {
+        let name = oracle.name;
+        let config = ConformanceConfig { seed: 5, inject: Some(name.to_owned()), ..smoke(10) };
+        let report = conformance::run(&config).expect("run itself succeeds");
+        assert!(!report.passed(), "the injected skew must trip {name}");
+        assert!(!report.failures.is_empty(), "{name} wrote no counterexample");
+        for doc in &report.failures {
+            assert_eq!(doc.oracle, name);
+            assert!(doc.injected, "{name}: documents must record that the skew was injected");
+            if name == "thm1-closed-form-measured" {
+                // Shrunk: at most one target survives minimization
+                // (the oracle does not depend on targets at all).
+                assert!(doc.instance.targets.len() <= 1, "targets: {:?}", doc.instance.targets);
+                assert!(doc.instance.schedule.is_none(), "the schedule is irrelevant and dropped");
+            }
+            // Replayable: bit-for-bit, including after a JSON round trip.
+            doc.replay().unwrap_or_else(|e| panic!("{name}: counterexample replays: {e}"));
+            let round_trip = Counterexample::from_json(&doc.to_json().unwrap()).unwrap();
+            round_trip.replay().unwrap_or_else(|e| panic!("{name}: round trip replays: {e}"));
+        }
+        // Only the injected oracle fails; every other oracle still passes.
+        for row in &report.rows {
+            if row.oracle != name {
+                assert_eq!(row.fail, 0, "{} must not fail when {name} is injected", row.oracle);
+            }
         }
     }
 }

@@ -5,6 +5,10 @@ use faultline_suite::analysis::fig5;
 use faultline_suite::analysis::figures::{self, FigureData};
 use faultline_suite::core::ratio;
 
+fn figure(name: &str) -> FigureData {
+    figures::all_figures().unwrap().into_iter().find(|f| f.name == name).expect("a figure")
+}
+
 fn assert_well_formed(fig: &FigureData) {
     assert!(!fig.series.is_empty(), "{}", fig.name);
     for s in &fig.series {
@@ -33,7 +37,7 @@ fn all_six_figures_are_well_formed() {
 
 #[test]
 fn fig2_trajectory_stays_in_its_cone() {
-    let fig = figures::fig2().unwrap();
+    let fig = figure("fig2");
     let robot = fig.series.iter().find(|s| s.label == "robot").unwrap();
     // Every waypoint (x, t) satisfies t >= 2|x| (beta = 2), i.e. the
     // trajectory lives inside the cone.
@@ -69,7 +73,7 @@ fn fig5_right_endpoints_match_theory() {
 #[test]
 fn fig4_tower_is_tightest_at_turning_point_limits() {
     use faultline_suite::core::{ratio as r, Params};
-    let fig = figures::fig4().unwrap();
+    let fig = figure("fig4");
     let tower = fig.series.iter().find(|s| s.label.starts_with("tower")).unwrap();
     let cr = r::cr_upper(Params::new(3, 1).unwrap());
     // The max of T_2(x)/|x| over the sampled grid is close to (and

@@ -59,32 +59,6 @@ fn adversary_forces_alpha_on_every_complete_strategy() {
 }
 
 #[test]
-fn lemmas_6_and_7_hold_on_all_strategy_trajectories() {
-    let params = Params::new(5, 2).unwrap();
-    for strategy in all_strategies() {
-        let Ok(plans) = strategy.plans(params) else { continue };
-        let horizon = strategy.horizon_hint(params, 40.0);
-        for plan in &plans {
-            let traj = plan.materialize(horizon).unwrap();
-            for x in [1.5, 2.0, 3.7, 8.0] {
-                assert!(
-                    lower_bound::lemma6_holds(&traj, x).unwrap(),
-                    "{}: Lemma 6 violated at x = {x}",
-                    strategy.name()
-                );
-                for y in [1.0, 1.2, x / 2.0] {
-                    assert!(
-                        lower_bound::lemma7_holds(&traj, x, y.max(1.0)).unwrap(),
-                        "{}: Lemma 7 violated at x = {x}, y = {y}",
-                        strategy.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn corollary2_is_a_valid_asymptote() {
     // alpha(n) - corollary2(n) -> 0+ and stays nonnegative.
     let mut prev_gap = f64::INFINITY;

@@ -2,10 +2,10 @@
 //! materialization → simulation → measured competitive ratio.
 
 use faultline_suite::analysis::measure_strategy_cr;
-use faultline_suite::core::{ratio, Params, Regime};
-use faultline_suite::prelude::*;
+use faultline_suite::core::{ratio, Algorithm, Fleet, Params, Regime};
 use faultline_suite::sim::engine::SimConfig;
-use faultline_suite::sim::worst_case_outcome;
+use faultline_suite::sim::{worst_case_outcome, Target};
+use faultline_suite::strategies::{all_strategies, strategy_by_name};
 
 #[test]
 fn every_registered_strategy_runs_end_to_end() {
@@ -67,7 +67,7 @@ fn full_pipeline_for_every_proportional_pair_up_to_n9() {
                 SimConfig::default(),
             )
             .unwrap();
-            assert!(outcome.detected(), "{params}");
+            assert!(outcome.detection.is_some(), "{params}");
             assert!(
                 outcome.ratio() <= ratio::cr_upper(params) + 1e-9,
                 "{params}: ratio {} above Theorem 1 bound {}",
@@ -81,8 +81,8 @@ fn full_pipeline_for_every_proportional_pair_up_to_n9() {
 }
 
 #[test]
-fn prelude_covers_the_common_workflow() {
-    // The facade's prelude alone is enough for the headline use case.
+fn facade_covers_the_common_workflow() {
+    // The facade alone is enough for the headline use case.
     let params = Params::new(3, 1).unwrap();
     let algorithm = Algorithm::design(params).unwrap();
     let horizon = algorithm.required_horizon(5.0).unwrap();

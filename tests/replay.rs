@@ -37,7 +37,7 @@ fn golden_trace_replays_bit_for_bit() {
 
     // Re-serializing reproduces the checked-in document byte for byte,
     // so the golden file cannot drift silently.
-    assert_eq!(trace.to_json().unwrap(), json.trim_end());
+    assert_eq!(serde_json::to_string_pretty(&trace).unwrap(), json.trim_end());
 }
 
 #[test]
@@ -68,7 +68,7 @@ fn cli_replay_rejects_a_tampered_trace() {
     let dir = std::env::temp_dir().join("faultline-replay-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("tampered_trace.json");
-    std::fs::write(&path, trace.to_json().unwrap()).unwrap();
+    std::fs::write(&path, serde_json::to_string_pretty(&trace).unwrap()).unwrap();
 
     let (ok, _, err) = run(&["replay", path.to_str().unwrap()]);
     assert!(!ok, "a diverging trace must fail the replay");
